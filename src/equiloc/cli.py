@@ -2,8 +2,9 @@
 
 Subcommands: rr, character, main-formula, witten-check, verify.
 Input is either --builtin NAME or --input FILE (a presentation document).
-Exit codes: 0 success, 1 verification failure, 2 input error,
-3 mathematical inconsistency (poles fail to cancel).
+Exit codes: 0 success, 1 verification failure (float cancellation in
+witten-check included), 2 input error, 3 mathematical inconsistency (poles
+fail to cancel).
 """
 
 from __future__ import annotations
@@ -35,16 +36,22 @@ def _complex_obj(z: complex) -> dict:
 
 
 def _parse_m_spec(spec: str) -> list[int]:
-    spec = spec.strip()
-    if ":" in spec:
-        lo, hi = spec.split(":", 1)
-        lo, hi = int(lo), int(hi)
-        if hi < lo:
-            raise ValueError("empty m range")
-        return list(range(lo, hi + 1))
-    if "," in spec:
-        return [int(s) for s in spec.split(",")]
-    return [int(spec)]
+    """INT, an inclusive A:B range or a comma list, all m >= 0; anything
+    else is an input error."""
+    try:
+        if ":" in spec:
+            lo, hi = spec.split(":", 1)
+            ms = list(range(int(lo), int(hi) + 1))
+            if not ms:
+                raise SystemExit2(f"--m {spec}: empty m range")
+        else:
+            ms = [int(s) for s in spec.split(",")]
+    except ValueError:
+        raise SystemExit2(
+            f"--m {spec}: expected INT, A:B or a comma list of integers")
+    if min(ms) < 0:
+        raise SystemExit2(f"--m {spec}: m must be nonnegative")
+    return ms
 
 
 def _load(args) -> ManifoldPresentation:
@@ -145,6 +152,9 @@ def cmd_main_formula(args) -> int:
 def cmd_witten_check(args) -> int:
     p = _load(args)
     ms = _parse_m_spec(args.m)
+    if len(ms) < 4 or min(ms) < 1:
+        raise SystemExit2(
+            f"--m {args.m}: the decay fit needs at least four m >= 1")
     phi = witten.TestFunction()
     regular = None
     if p.quotient is None:
@@ -299,6 +309,10 @@ def main(argv=None) -> int:
     except NotAPolynomial as e:
         print(f"mathematical inconsistency: {e}", file=sys.stderr)
         return EXIT_MATH
+    except witten.CancellationError as e:
+        # float cancellation in the pairing, not proof of bad data
+        print(f"numeric failure: {e}", file=sys.stderr)
+        return EXIT_VERIFY
 
 
 if __name__ == "__main__":

@@ -276,9 +276,17 @@ def component_u_laurent(F: FixedComponent, m: int, rho: RhoMap,
 
 class PreparedInner:
     """The localized integrand with per-component Laurent data frozen,
-    ready for repeated numeric evaluation."""
+    ready for repeated numeric evaluation.
 
-    __slots__ = ("terms", "m", "order")
+    `terms` keeps the exact (moment, Laurent coefficients) per component
+    for `laurent_sum`.  For `evaluate`, each nonempty component is also
+    frozen once, in document order, into (m*J, lowest power, dense list of
+    its coefficients as Python complex from the highest power down to the
+    lowest, zeros included).  complex(Fraction) is correctly rounded, so
+    converting once yields the same floats as converting on every call.
+    """
+
+    __slots__ = ("terms", "m", "order", "frozen")
 
     def __init__(self, p: ManifoldPresentation, m: int, rho: RhoMap,
                  order: int,
@@ -286,9 +294,15 @@ class PreparedInner:
         self.m = m
         self.order = order
         self.terms = []
+        self.frozen = []
         for F in p.components:
             laurent = component_u_laurent(F, m, rho, order, weight_scale)
             self.terms.append((F.moment, laurent))
+            if laurent:
+                lo = min(laurent)
+                coeffs = [complex(laurent.get(j, Fraction(0)))
+                          for j in range(max(laurent), lo - 1, -1)]
+                self.frozen.append((m * F.moment, lo, coeffs))
 
     def laurent_sum(self, taylor_order: int) -> dict[int, Fraction]:
         """Exact u-Laurent coefficients of the full sum, with each
@@ -308,21 +322,18 @@ class PreparedInner:
         return {k: v for k, v in out.items() if v != 0}
 
     def evaluate(self, x: float) -> complex:
-        """Kahan-compensated sum over components in document order."""
+        """Horner per component over the frozen coefficients, then a
+        Kahan-compensated sum over components in document order."""
         if x == 0:
             raise ValueError("the localized integrand is singular at x = 0")
         u = 2j * cmath.pi * x
         total = 0j
         comp = 0j
-        for J, laurent in self.terms:
-            if not laurent:
-                continue
-            lo = min(laurent)
-            hi = max(laurent)
+        for mJ, lo, coeffs in self.frozen:
             acc = 0j
-            for j in range(hi, lo - 1, -1):
-                acc = acc * u + complex(laurent.get(j, Fraction(0)))
-            term = cmath.exp(self.m * J * u) * acc * u ** lo
+            for c in coeffs:
+                acc = acc * u + c
+            term = cmath.exp(mJ * u) * acc * u ** lo
             y = term - comp
             t = total + y
             comp = (t - total) - y

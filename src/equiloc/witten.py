@@ -7,7 +7,11 @@ integrand has per-component poles at x = 0 that cancel in the sum; the
 evaluation therefore splits the axis into an inner disc, where the
 oscillatory factors are Taylor-expanded and the pole cancellation is
 performed exactly in rational arithmetic, and the remaining annulus, which
-is handled by adaptive quadrature.
+is handled by adaptive quadrature.  There the integrand is
+`PreparedInner.evaluate`, which runs over coefficients frozen to Python
+complex once per (presentation, m, order), and `complex_quad` evaluates it
+once per distinct node, sharing the value between the real and the
+imaginary quad pass.
 
 The expansion side pairs each moment-zero component's Laurent data against
 the boundary-value distributions
@@ -110,11 +114,21 @@ class TestFunction:
 def complex_quad(f: Callable[[float], complex], a: float, b: float,
                  points: Optional[Sequence[float]] = None,
                  epsabs: float = 1e-11, limit: int = 400) -> complex:
+    """int_a^b f(x) dx as two real quad passes, one per part, that share a
+    memo of f by node: each distinct node is evaluated once, and each pass
+    sees the values it would see on its own."""
     kwargs = dict(epsabs=epsabs, epsrel=1e-11, limit=limit)
     if points is not None:
         kwargs["points"] = [p for p in points if a < p < b]
-    re = quad(lambda x: f(x).real, a, b, **kwargs)[0]
-    im = quad(lambda x: f(x).imag, a, b, **kwargs)[0]
+    seen: dict[float, complex] = {}
+
+    def value(x: float) -> complex:
+        if x not in seen:
+            seen[x] = f(x)
+        return seen[x]
+
+    re = quad(lambda x: value(x).real, a, b, **kwargs)[0]
+    im = quad(lambda x: value(x).imag, a, b, **kwargs)[0]
     return re + 1j * im
 
 

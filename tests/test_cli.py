@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from equiloc import builtin, serialize
 from equiloc.cli import main
 
@@ -142,3 +144,30 @@ def test_witten_check_cli(capsys):
                        "--m", "8,12,16,24")
     assert code == 0
     assert "decay exponent" in out
+
+
+@pytest.mark.parametrize("spec", ["abc", "3:1", "1,,2", "-1", "1:x"])
+def test_malformed_m_exits_2(capsys, spec):
+    code, out, err = run(capsys, "rr", "--builtin", "cp1", "--m", spec)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --m") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec", ["8", "8,16,32", "0,8,16,32"])
+def test_witten_check_needs_four_positive_m(capsys, spec):
+    code, _, err = run(capsys, "witten-check", "--builtin", "cp1",
+                       "--m", spec)
+    assert code == 2
+    assert err.startswith("error: --m") and err.count("\n") == 1
+
+
+def test_witten_check_cancellation_is_a_numeric_failure(capsys):
+    # float cancellation at m=512 is a verification failure (exit 1), not
+    # inconsistent data (exit 3), and prints no traceback
+    code, _, err = run(capsys, "witten-check", "--builtin", "cp1",
+                       "--m", "8,16,32,512")
+    assert code == 1
+    assert err.startswith("numeric failure: ") and err.count("\n") == 1
+    assert "Traceback" not in err

@@ -149,6 +149,38 @@ def test_dh_inner_m0_constant_rho_sums_to_zero_exactly():
         assert prep.laurent_sum(8) == {}
 
 
+def converting_evaluate(prepared, x):
+    """The integrand over the exact `terms`, each coefficient converted
+    with complex(Fraction) on every call: Horner from the highest power to
+    the lowest, then a Kahan sum over components in document order."""
+    u = 2j * cmath.pi * x
+    total = 0j
+    comp = 0j
+    for J, laurent in prepared.terms:
+        if not laurent:
+            continue
+        lo = min(laurent)
+        acc = 0j
+        for j in range(max(laurent), lo - 1, -1):
+            acc = acc * u + complex(laurent.get(j, Fraction(0)))
+        term = cmath.exp(prepared.m * J * u) * acc * u ** lo
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+    return total
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_frozen_evaluate_is_bit_identical_to_converting(name):
+    p = builtin(name)
+    for m in (0, 8, 64):
+        prepared = PreparedInner(p, m, "todd", 12)
+        for x in (0.004, 0.037, 0.1, 0.19, 0.25):
+            assert prepared.evaluate(x) == converting_evaluate(prepared, x), \
+                (name, m, x)
+
+
 def test_dh_inner_moment_shift_factor():
     p = builtin("cp001")
     q = shift_moment(p, 2)

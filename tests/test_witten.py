@@ -6,9 +6,10 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from scipy.integrate import quad
 
 from equiloc import builtin
-from equiloc.localization import EquivariantClassAtF, USeries
+from equiloc.localization import EquivariantClassAtF, USeries, character
 from equiloc.quantize import polynomiality_check
 from equiloc.witten import (CancellationError, TestFunction, complex_quad,
                             decay_check, dist_pair, eps_limit_pair,
@@ -180,3 +181,45 @@ def test_pair_u_laurent_constant():
     mass = complex_quad(lambda x: complex(PHI(x)), -PHI.delta2, PHI.delta2,
                         points=[-PHI.delta1, PHI.delta1])
     assert abs(got - float(c) * mass) < 1e-10
+
+
+# -- quadrature ---------------------------------------------------------------
+
+def test_complex_quad_evaluates_each_node_once():
+    nodes = []
+
+    def f(x):
+        nodes.append(x)
+        return cmath.exp(7j * x) / (1 + x * x)
+
+    got = complex_quad(f, -1.0, 2.0, points=[0.5, 3.0])
+    assert len(nodes) == len(set(nodes))
+    # the same two passes without the shared memo
+    kwargs = dict(epsabs=1e-11, epsrel=1e-11, limit=400, points=[0.5])
+    re = quad(lambda x: f(x).real, -1.0, 2.0, **kwargs)[0]
+    im = quad(lambda x: f(x).imag, -1.0, 2.0, **kwargs)[0]
+    assert got == re + 1j * im
+
+
+# -- the Fourier form of the pairing ------------------------------------------
+
+def bump_transform(n, phi):
+    """phi_hat(n) = int phi(x) e^{2 pi i n x} dx, real since phi is even."""
+    w = 2 * math.pi * abs(n)
+    flat = math.sin(w * phi.delta1) / w if n else phi.delta1
+    glued = quad(phi, phi.delta1, phi.delta2, weight="cos", wvar=w,
+                 epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+    return 2 * (flat + glued)
+
+
+@pytest.mark.parametrize("name,m", [("cp1", 8), ("cp012", 8),
+                                    ("prod11", 8), ("regval", 64)])
+def test_witten_pair_matches_fourier_form(name, m):
+    # Kirillov: for rho = todd the integrand is chi_m(e^{2 pi i x}) on the
+    # support of phi, so the pairing is sum_n c_n phi_hat(n)
+    p = builtin(name)
+    terms = [float(c) * bump_transform(n, PHI)
+             for n, c in character(p, m).coeffs.items()]
+    want = math.fsum(terms)
+    got = witten_pair(p, "todd", PHI, m)
+    assert abs(got - want) <= 1e-8 * max(1.0, abs(want)), (got, want)
