@@ -34,29 +34,15 @@ td(y)/y = 1/(1 - e^{-y}) which then reproduces each character factor
 from __future__ import annotations
 
 import cmath
-import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from typing import Mapping, Optional, Sequence, Union
 
 from .model import FixedComponent, ManifoldPresentation
 from .ring import GradedElement, RingSpec, todd_coefficient
-from .zrational import LaurentPolynomial, NotAPolynomial, ZRational
-
-
-def thread_cap() -> int:
-    """Parallelism cap from EQUILOC_THREADS (default 1: sequential)."""
-    try:
-        return max(1, int(os.environ.get("EQUILOC_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _binom(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    return factorial(n) // (factorial(k) * factorial(n - k))
+from .zrational import (LaurentPolynomial, NotAPolynomial, ZRational,
+                        scalar_sum)
 
 
 # ---------------------------------------------------------------------------
@@ -64,9 +50,27 @@ def _binom(n: int, k: int) -> int:
 
 
 def chi_tilde(F: FixedComponent, m: int) -> ZRational:
-    """The component character function as a scalar ZRational."""
+    """The component character function as a scalar ZRational.
+
+    An isolated point (dim_F == 0) has zero Chern roots, so it takes the
+    closed form  z^shift * sign * int_F Td / prod_k (1 - z^|k|)^{r_k}:  by
+    1/(1 - z^k) = -z^|k| / (1 - z^|k|), a block of weight k < 0 and rank r
+    contributes (-1)^r to sign and |k| r to shift.  Other components
+    multiply out the ring-valued factors 1/(1 - z^k e^a).
+    """
     if m < 0:
         raise ValueError("m must be nonnegative")
+    if F.dim_F == 0:
+        sign, shift, den = 1, 0, {}
+        for block in F.blocks:
+            k, r = abs(block.weight), block.rank
+            if block.weight < 0:
+                sign *= (-1) ** r
+                shift += k * r
+            den[k] = den.get(k, 0) + r
+        point = RingSpec.point()
+        value = point.scalar(sign * F.todd.integrate())
+        return ZRational(point, shift, {0: value}, den)
     acc = ZRational.from_element(F.todd * (F.omega * Fraction(m)).exp_nilpotent())
     for block in F.blocks:
         for root in block.chern_roots:
@@ -80,13 +84,8 @@ def character(p: ManifoldPresentation, m: int) -> LaurentPolynomial:
     Raises NotAPolynomial when the per-component poles fail to cancel,
     which certifies the fixed-point data inconsistent.
     """
-    point = RingSpec.point()
-    total = ZRational.zero(point)
-    terms = _map_components(p.components,
-                            lambda F: chi_tilde(F, m).shifted(m * F.moment))
-    for piece in terms:
-        total = total + piece
-    return total.to_laurent_polynomial()
+    return scalar_sum(chi_tilde(F, m).shifted(m * F.moment)
+                      for F in p.components).to_laurent_polynomial()
 
 
 def rr_total(p: ManifoldPresentation, m: int) -> int:
@@ -95,15 +94,6 @@ def rr_total(p: ManifoldPresentation, m: int) -> int:
     if value.denominator != 1:
         raise NotAPolynomial(f"character sums to non-integer {value} at z=1")
     return value.numerator
-
-
-def _map_components(components, fn):
-    cap = thread_cap()
-    if cap > 1 and len(components) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=cap) as pool:
-            return list(pool.map(fn, components))
-    return [fn(F) for F in components]
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +145,6 @@ class USeries:
         return USeries(self.ring, {j: v * c for j, v in self.coeffs.items()},
                        self.order)
 
-    def min_power(self) -> int:
-        return min(self.coeffs, default=0)
-
     def integrate_over_F(self) -> dict[int, Fraction]:
         out = {}
         for j, c in self.coeffs.items():
@@ -193,7 +180,7 @@ def _td_factor(ring: RingSpec, weight: int, root: GradedElement, order: int,
     for q in range(order + 1):
         acc = ring.zero()
         for t in range(len(nilpowers)):
-            c = todd_coefficient(q + t) * _binom(q + t, q)
+            c = todd_coefficient(q + t) * comb(q + t, q)
             if c != 0:
                 acc = acc + nilpowers[t] * c
         acc = acc * (s ** q)

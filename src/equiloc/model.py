@@ -234,11 +234,19 @@ def serialize(p: ManifoldPresentation) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+def _typed(value, kind: type, what: str):
+    """`value` itself if its JSON type is `kind` (a bool is no integer)."""
+    if type(value) is not kind:
+        raise ParseError(f"{what} must be {kind.__name__}, got {value!r}")
+    return value
+
+
 def parse(text: str) -> ManifoldPresentation:
     """Parse and validate a presentation document.
 
     Raises ParseError with line/column info on syntax errors and with the
-    collected diagnostics when validation fails.
+    collected diagnostics when validation fails.  Integer and boolean
+    fields must have that JSON type: nothing is truncated or coerced.
     """
     try:
         doc = json.loads(text)
@@ -250,8 +258,9 @@ def parse(text: str) -> ManifoldPresentation:
         raise ParseError("document root must be an object")
     try:
         name = str(doc["name"])
-        dim_M = int(doc["dim_M"])
-        free = bool(doc.get("free_on_regular", True))
+        dim_M = _typed(doc["dim_M"], int, "dim_M")
+        free = _typed(doc.get("free_on_regular", True), bool,
+                      "free_on_regular")
         comps_doc = doc["components"]
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"missing or malformed top-level field: {e}") from e
@@ -264,14 +273,14 @@ def parse(text: str) -> ManifoldPresentation:
             omega = string_to_element(ring, c["omega"])
             blocks = []
             for b in c.get("blocks", []):
-                weight = b["weight"]
-                if not isinstance(weight, int):
-                    raise ParseError(f"{where}: weight must be an integer")
+                weight = _typed(b["weight"], int, f"{where}: weight")
                 roots = [string_to_element(ring, r) for r in b["chern_roots"]]
                 blocks.append(NormalBlock(weight, roots))
             components.append(FixedComponent(
-                name=str(c["name"]), dim_F=int(c["dim_F"]),
-                moment=int(c["moment"]), ring=ring, todd=todd,
+                name=str(c["name"]),
+                dim_F=_typed(c["dim_F"], int, f"{where}: dim_F"),
+                moment=_typed(c["moment"], int, f"{where}: moment"),
+                ring=ring, todd=todd,
                 omega=omega, blocks=blocks))
         except ParseError:
             raise

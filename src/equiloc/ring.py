@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 from typing import Iterable, Mapping, Sequence, Union
 
 Rat = Union[int, Fraction]
@@ -35,14 +35,8 @@ def bernoulli(n: int) -> Fraction:
     # sum_{k=0}^{n} C(n+1, k) B_k = 0  for n >= 1
     acc = Fraction(0)
     for k in range(n):
-        acc += Fraction(_binom(n + 1, k)) * bernoulli(k)
+        acc += Fraction(comb(n + 1, k)) * bernoulli(k)
     return -acc / (n + 1)
-
-
-def _binom(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    return factorial(n) // (factorial(k) * factorial(n - k))
 
 
 @lru_cache(maxsize=None)
@@ -100,8 +94,10 @@ class RingSpec:
         self.integration_table = table
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def point() -> "RingSpec":
-        """The ring of a point: no generators, truncation 0, integral 1."""
+        """The ring of a point: no generators, truncation 0, integral 1
+        (one shared instance; rings are never mutated)."""
         return RingSpec((), 0, {(): Fraction(1)})
 
     def monomial_degree(self, mono: tuple[int, ...]) -> int:
@@ -148,17 +144,6 @@ class RingSpec:
     def monomial(self, expo: tuple[int, ...], c: Rat = 1) -> "GradedElement":
         return GradedElement(self, {tuple(expo): Fraction(c)})
 
-    def tensor(self, other: "RingSpec") -> "RingSpec":
-        """Tensor product: generators concatenated, truncation summed,
-        integration table the product of the two tables."""
-        gens = self.generators + other.generators
-        trunc = self.truncation_degree + other.truncation_degree
-        table = {}
-        for m1, v1 in self.integration_table.items():
-            for m2, v2 in other.integration_table.items():
-                table[m1 + m2] = v1 * v2
-        return RingSpec(gens, trunc, table)
-
 
 class GradedElement:
     """Element of a RingSpec: monomial -> nonzero rational, canonical form."""
@@ -195,16 +180,6 @@ class GradedElement:
         zero_mono = (0,) * len(self.ring.generators)
         return GradedElement(
             self.ring, {m: c for m, c in self.terms.items() if m != zero_mono})
-
-    def max_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(self.ring.monomial_degree(m) for m in self.terms)
-
-    def homogeneous_part(self, degree: int) -> "GradedElement":
-        return GradedElement(self.ring, {
-            m: c for m, c in self.terms.items()
-            if self.ring.monomial_degree(m) == degree})
 
     def __eq__(self, other):
         if not isinstance(other, GradedElement):
@@ -300,14 +275,6 @@ class GradedElement:
                 if weight is not None:
                     total += c * weight
         return total
-
-
-def exp_nilpotent(a: GradedElement) -> GradedElement:
-    return a.exp_nilpotent()
-
-
-def integrate(a: GradedElement) -> Fraction:
-    return a.integrate()
 
 
 def todd_of_root(root: GradedElement) -> GradedElement:

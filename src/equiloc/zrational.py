@@ -8,13 +8,24 @@ at z = 0 and z = infinity purely mechanical series manipulations.
 
 The residue at infinity is defined operationally as the residue at zero of
 chi(1/z)/z; no contour-orientation convention enters anywhere.
+
+The exact character runs on integers.  `scalar_sum` brings scalar pieces
+over one common denominator and scales their numerators by the lcm L of
+all their coefficient denominators, so the summed numerator is an integer
+Laurent polynomial over L.  `to_laurent_polynomial` divides the integer
+numerator one factor at a time: N = Q (1 - z^k) reads a[t] = q[t] - q[t-k],
+so Q is the strided prefix sum q[t] = a[t] + q[t-k], and the division is
+exact precisely when the last k entries of that prefix sum vanish.  Only
+the quotient is divided by L.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
-from math import factorial
-from typing import Mapping, Union
+from itertools import accumulate
+from math import comb, lcm
+from typing import Iterable, Mapping, Union
 
 from .ring import GradedElement, RingError, RingSpec
 
@@ -26,12 +37,6 @@ class NotAPolynomial(ArithmeticError):
 
     For character computations this signals inconsistent fixed-point input.
     """
-
-
-def _binom(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    return factorial(n) // (factorial(k) * factorial(n - k))
 
 
 class ZRational:
@@ -215,50 +220,37 @@ class ZRational:
 
     # -- expansion, division, residues ------------------------------------------
 
-    def den_polynomial(self) -> dict[int, Fraction]:
-        """Expand prod_k (1 - z^k)^{m_k} as an honest polynomial."""
-        return _expand_factors(self.den)
-
     def to_laurent_polynomial(self) -> "LaurentPolynomial":
-        """Exact division; raises NotAPolynomial if poles fail to cancel."""
+        """Exact division; raises NotAPolynomial if poles fail to cancel.
+
+        The numerator is scaled to integers a[t] by the lcm L of its
+        coefficient denominators.  Each factor (1 - z^k) is divided out by
+        the strided prefix sum q[t] = a[t] + q[t-k], whose last k entries
+        must vanish; the quotient is divided by L at the end.
+        """
         num = self.scalar_num()
         if not num:
             return LaurentPolynomial({})
+        scale = lcm(*(c.denominator for c in num.values()))
         lo = min(num)
-        coeffs = [Fraction(0)] * (max(num) - lo + 1)
+        a = [0] * (max(num) - lo + 1)
         for j, c in num.items():
-            coeffs[j - lo] = c
-        den = self.den_polynomial()
-        dend = max(den) if den else 0
-        dlist = [den.get(i, Fraction(0)) for i in range(dend + 1)]
-        qd = len(coeffs) - 1 - dend
-        if qd < 0:
+            a[j - lo] = c.numerator * (scale // c.denominator)
+        if len(a) <= sum(k * mult for k, mult in self.den.items()):
             raise NotAPolynomial("numerator degree below denominator degree")
-        # ascending long division; valid because den(0) = 1
-        q = [Fraction(0)] * (qd + 1)
-        for t in range(qd + 1):
-            acc = coeffs[t]
-            for s in range(max(0, t - dend), t):
-                acc -= q[s] * dlist[t - s]
-            q[t] = acc
-        # verify the remainder vanishes
-        for t in range(qd + 1, len(coeffs)):
-            acc = coeffs[t]
-            for s in range(max(0, t - dend), min(t, qd) + 1):
-                acc -= q[s] * dlist[t - s]
-            if acc != 0:
-                raise NotAPolynomial(
-                    "poles at roots of unity fail to cancel; "
-                    "fixed-point data is inconsistent")
+        for k, mult in self.den.items():
+            for _ in range(mult):
+                for r in range(k):
+                    a[r::k] = accumulate(a[r::k])
+                if any(a[-k:]):
+                    raise NotAPolynomial(
+                        "poles at roots of unity fail to cancel; "
+                        "fixed-point data is inconsistent")
+                del a[-k:]
+        if scale > 1:
+            a = [Fraction(q, scale) for q in a]
         base = self.shift + lo
-        return LaurentPolynomial(
-            {base + t: q[t] for t in range(qd + 1) if q[t] != 0})
-
-    def expansion_order_bound(self) -> int:
-        """Order that provably captures the z^{-1} coefficient at z = 0."""
-        span = max(abs(j) for j in self.num) if self.num else 0
-        weighted = sum(k * m for k, m in self.den.items())
-        return weighted + abs(self.shift) + span + 1
+        return LaurentPolynomial({base + t: q for t, q in enumerate(a)})
 
     def series_coefficients(self, upto: int) -> dict[int, Fraction]:
         """Laurent coefficients at z = 0 for exponents <= upto (exact)."""
@@ -272,7 +264,7 @@ class ZRational:
         series = {0: Fraction(1)}
         for k, mult in self.den.items():
             # (1 - z^k)^{-mult} = sum_j C(j+mult-1, mult-1) z^{kj}
-            factor = {k * j: Fraction(_binom(j + mult - 1, mult - 1))
+            factor = {k * j: Fraction(comb(j + mult - 1, mult - 1))
                       for j in range(horizon // k + 1)}
             series = _poly_mul_trunc(series, factor, horizon)
         shifted_num = {self.shift + j - lo: c for j, c in num.items()}
@@ -327,15 +319,51 @@ class ZRational:
         return total
 
 
-def _expand_factors(factors: Mapping[int, int]) -> dict[int, Fraction]:
+def scalar_sum(parts: Iterable[ZRational]) -> ZRational:
+    """Sum of scalar ZRationals over one common denominator, in one pass.
+
+    The denominator takes the largest multiplicity of each k.  Every
+    numerator is scaled to integers by the lcm L of all coefficient
+    denominators, each distinct extra factor prod (1 - z^k)^{extra} is
+    expanded once, and the products accumulate as ints by exponent; the
+    one result is built with coefficients (int sum) / L.
+    """
+    point = RingSpec.point()
+    parts = [(q.shift, q.scalar_num(), q.den) for q in parts
+             if not q.is_zero()]
+    if not parts:
+        return ZRational.zero(point)
+    den: dict[int, int] = {}
+    for _, _, d in parts:
+        for k, mult in d.items():
+            den[k] = max(den.get(k, 0), mult)
+    scale = lcm(*(c.denominator for _, num, _ in parts for c in num.values()))
+    shift = min(s for s, _, _ in parts)
+    expanded: dict[tuple, dict[int, int]] = {}
+    acc: dict[int, int] = defaultdict(int)
+    for s, num, d in parts:
+        extra = tuple((k, den[k] - d.get(k, 0)) for k in den)
+        poly = expanded.get(extra)
+        if poly is None:
+            poly = expanded[extra] = _expand_factors(dict(extra))
+        for j, c in num.items():
+            c = c.numerator * (scale // c.denominator)
+            base = s - shift + j
+            for e, p in poly.items():
+                acc[base + e] += c * p
+    return ZRational(point, shift, {j: point.scalar(Fraction(v, scale))
+                                    for j, v in acc.items() if v}, den)
+
+
+def _expand_factors(factors: Mapping[int, int]) -> dict[int, int]:
     """prod_k (1 - z^k)^{m_k} expanded exactly."""
-    poly = {0: Fraction(1)}
+    poly = {0: 1}
     for k, mult in factors.items():
         for _ in range(mult):
-            nxt: dict[int, Fraction] = {}
+            nxt: dict[int, int] = {}
             for e, c in poly.items():
-                nxt[e] = nxt.get(e, Fraction(0)) + c
-                nxt[e + k] = nxt.get(e + k, Fraction(0)) - c
+                nxt[e] = nxt.get(e, 0) + c
+                nxt[e + k] = nxt.get(e + k, 0) - c
             poly = nxt
     return {e: c for e, c in poly.items() if c != 0}
 
@@ -360,8 +388,7 @@ class LaurentPolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Mapping[int, Rat]):
-        self.coeffs = {int(e): Fraction(c) for e, c in coeffs.items()
-                       if Fraction(c) != 0}
+        self.coeffs = {int(e): Fraction(c) for e, c in coeffs.items() if c}
 
     def __eq__(self, other):
         if isinstance(other, LaurentPolynomial):

@@ -110,6 +110,21 @@ def test_invalid_document_exits_2(tmp_path, capsys):
     assert "WeightZero" in err
 
 
+@pytest.mark.parametrize("old, new", [
+    ('"moment": 1,', '"moment": 1.7,'),
+    ('"free_on_regular": true', '"free_on_regular": "false"'),
+    ('"weight": 1', '"weight": true'),
+    ('"dim_M": 2', '"dim_M": 2.0'),
+    ('"dim_F": 0', '"dim_F": "0"')])
+def test_mistyped_field_exits_2(tmp_path, capsys, old, new):
+    path = tmp_path / "mistyped.json"
+    path.write_text(serialize(builtin("cp1")).replace(old, new))
+    code, out, err = run(capsys, "rr", "--input", str(path), "--m", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "must be" in err
+    assert "Traceback" not in err
+
+
 def test_missing_input_exits_2(capsys):
     code, _, err = run(capsys, "rr", "--m", "1")
     assert code == 2 and "required" in err

@@ -55,6 +55,45 @@ def test_chi_tilde_cp1_component():
 
 # -- character ----------------------------------------------------------------
 
+def _ring_path(F, m):
+    acc = ZRational.from_element(F.todd * (F.omega * m).exp_nilpotent())
+    for block in F.blocks:
+        for root in block.chern_roots:
+            acc = acc * ZRational.inv_one_minus(block.weight, root)
+    return acc.integrate_over_F()
+
+
+def test_chi_tilde_point_closed_form_matches_ring_path():
+    cp1 = builtin("cp1")
+    presentations = [cp1, builtin("cp012"), builtin("dim6"),
+                     product(product(cp1, cp1), cp1)]
+    points = [F for p in presentations for F in p.components if F.dim_F == 0]
+    assert any(w < 0 for F in points for w in F.weights())
+    for F in points:
+        for m in range(6):
+            assert chi_tilde(F, m) == _ring_path(F, m)
+
+
+def _gaussian_binomial(n, k):
+    """[n choose k]_z by [n, k] = [n-1, k-1] + z^k [n-1, k]."""
+    rows = [[{0: 1}] + [{} for _ in range(k)]]
+    for _ in range(n):
+        prev = rows[-1]
+        row = [{0: 1}]
+        for j in range(1, k + 1):
+            entry = dict(prev[j - 1])
+            for e, c in prev[j].items():
+                entry[e + j] = entry.get(e + j, 0) + c
+            row.append(entry)
+        rows.append(row)
+    return rows[n][k]
+
+
+def test_character_cpn_linear_is_gaussian_binomial():
+    got = character(cpn_linear(list(range(11)), 1), 30)
+    assert got == LaurentPolynomial(_gaussian_binomial(40, 10))
+
+
 def test_character_matches_oracle_all_builtins():
     for name in builtin_names():
         p = builtin(name)

@@ -75,6 +75,23 @@ def test_parse_rejects_fractional_weight():
         parse(text)
 
 
+# Each field keeps its JSON type: a float, a string or a boolean where an
+# integer belongs (and a string for free_on_regular) is rejected.
+MISTYPED = [('"moment": 1,', '"moment": 1.7,'),
+            ('"free_on_regular": true', '"free_on_regular": "false"'),
+            ('"weight": 1', '"weight": true'),
+            ('"dim_M": 2', '"dim_M": 2.0'),
+            ('"dim_F": 0', '"dim_F": "0"')]
+
+
+@pytest.mark.parametrize("old, new", MISTYPED)
+def test_parse_rejects_mistyped_fields(old, new):
+    text = serialize(builtin("cp1"))
+    assert old in text
+    with pytest.raises(ParseError, match="must be"):
+        parse(text.replace(old, new))
+
+
 def test_minimal_point_document():
     text = """
     {"name": "pt", "dim_M": 2, "free_on_regular": true,

@@ -94,6 +94,45 @@ def test_to_laurent_polynomial():
         zr(0, {0: 1}, {1: 1}).to_laurent_polynomial()
 
 
+def _times_den(num, den):
+    """num * prod_k (1 - z^k)^mult, multiplied out one factor at a time."""
+    for k, mult in den.items():
+        for _ in range(mult):
+            out = dict(num)
+            for j, c in num.items():
+                out[j + k] = out.get(j + k, 0) - c
+            num = out
+    return {j: c for j, c in num.items() if c}
+
+
+coefficients = st.one_of(
+    st.integers(min_value=-9, max_value=9),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.dictionaries(st.integers(min_value=-5, max_value=5), coefficients,
+                       min_size=1, max_size=6),
+       st.dictionaries(st.integers(min_value=1, max_value=6),
+                       st.integers(min_value=0, max_value=3), max_size=4),
+       st.integers(min_value=-4, max_value=4), st.data())
+def test_division_round_trip(num, den, shift, data):
+    num = {j: Fraction(c) for j, c in num.items() if c}
+    if not num:
+        return
+    product = _times_den(num, den)
+    want = LaurentPolynomial({shift + j: c for j, c in num.items()})
+    assert zr(shift, product, den).to_laurent_polynomial() == want
+    if not any(den.values()):
+        return
+    # z^e * delta is never divisible by a nonconstant prod (1 - z^k)^mult
+    e = data.draw(st.integers(min_value=min(product), max_value=max(product)))
+    delta = data.draw(coefficients.filter(lambda c: c != 0))
+    product[e] = product.get(e, 0) + delta
+    with pytest.raises(NotAPolynomial):
+        zr(shift, product, den).to_laurent_polynomial()
+
+
 def test_residue_at_zero_examples():
     assert zr(-1, {0: 1}, {1: 1}).residue_at_zero() == 1
     assert zr(0, {0: 1}, {1: 1}).residue_at_zero() == 0
