@@ -5,6 +5,11 @@ Input is either --builtin NAME or --input FILE (a presentation document).
 Exit codes: 0 success, 1 verification failure (float cancellation in
 witten-check included), 2 input error, 3 mathematical inconsistency (poles
 fail to cancel).
+
+Only witten-check pairs numerically, so it is the only command that
+imports scipy (through `witten`), at its start: the exact commands skip
+the 0.6-0.9 s that import adds to process start-up on a 2-core Linux
+machine.
 """
 
 from __future__ import annotations
@@ -13,10 +18,9 @@ import argparse
 import json
 import random
 import sys
-from fractions import Fraction
 
 from . import builtins as bi
-from . import localization, quantize, witten
+from . import localization, quantize
 from .model import (ManifoldPresentation, ParseError, bundle_power, parse,
                     serialize, shift_moment, validate)
 from .zrational import LaurentPolynomial, NotAPolynomial
@@ -25,10 +29,6 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_MATH = 3
-
-
-def _frac_str(q: Fraction) -> str:
-    return str(q)
 
 
 def _complex_obj(z: complex) -> dict:
@@ -130,26 +130,27 @@ def cmd_main_formula(args) -> int:
             "m": m,
             "rr_invariant": rep.rr,
             "residue_terms": {
-                name: {"classification": cls, "value": _frac_str(v)}
+                name: {"classification": cls, "value": str(v)}
                 for name, (cls, v) in sorted(rep.residue_terms.items())},
             "exceptional_terms": {
-                name: _frac_str(v)
+                name: str(v)
                 for name, v in sorted(rep.exceptional_terms.items())},
             "regular_term": {"tag": rep.regular_tag,
-                             "value": _frac_str(rep.regular)},
+                             "value": str(rep.regular)},
             "balance": rep.balance,
         })
         bal = {True: "balance=true", False: "balance=FALSE",
                None: "balance=n/a(diagnostic)"}[rep.balance]
         lines.append(
-            f"m={m} rr={rep.rr} residues={_frac_str(rep.residue_sum())} "
-            f"exceptional={_frac_str(rep.exceptional_sum())} "
-            f"regular[{rep.regular_tag}]={_frac_str(rep.regular)} {bal}")
+            f"m={m} rr={rep.rr} residues={rep.residue_sum()} "
+            f"exceptional={rep.exceptional_sum()} "
+            f"regular[{rep.regular_tag}]={rep.regular} {bal}")
     _emit(args, {"input": p.name, "results": results}, lines)
     return EXIT_OK
 
 
 def cmd_witten_check(args) -> int:
+    from . import witten  # the only command that loads scipy
     p = _load(args)
     ms = _parse_m_spec(args.m)
     if len(ms) < 4 or min(ms) < 1:
@@ -161,7 +162,12 @@ def cmd_witten_check(args) -> int:
         fit = quantize.polynomiality_check(
             p, 1, max(p.dim_M // 2 + 3, 6))
         regular = lambda m: complex(fit.evaluate(m))
-    rep = witten.decay_check(p, phi, ms, regular_for_m=regular)
+    try:
+        rep = witten.decay_check(p, phi, ms, regular_for_m=regular)
+    except witten.CancellationError as e:
+        # float cancellation in the pairing, not proof of bad data
+        print(f"numeric failure: {e}", file=sys.stderr)
+        return EXIT_VERIFY
     payload = {
         "input": p.name,
         "m_values": rep.m_values,
@@ -178,9 +184,11 @@ def cmd_witten_check(args) -> int:
 
 
 def _verify_one(p: ManifoldPresentation, name: str, tolerance: float,
-                seed: int, with_oracle: bool) -> list[str]:
-    """Run the invariant suite; returns failure descriptions."""
+                seed: int, with_oracle: bool) -> tuple[list[str], list[str]]:
+    """Run the invariant suite; returns failure and skipped-check
+    descriptions."""
     failures = []
+    skipped = []
 
     def check(label: str, ok: bool, detail: str = ""):
         if not ok:
@@ -190,7 +198,7 @@ def _verify_one(p: ManifoldPresentation, name: str, tolerance: float,
     diags = validate(p)
     check("validation", not diags, "; ".join(map(str, diags)))
     if diags:
-        return failures
+        return failures, skipped
     try:
         check("round-trip", serialize(parse(serialize(p))) == serialize(p))
     except ParseError as e:
@@ -211,7 +219,7 @@ def _verify_one(p: ManifoldPresentation, name: str, tolerance: float,
                   all(c.denominator == 1 for c in chi.coeffs.values()))
     except NotAPolynomial as e:
         failures.append(f"{name}: pole-cancellation ({e})")
-        return failures
+        return failures, skipped
     if p.free_on_regular:
         fit = quantize.polynomiality_check(p, 1, p.dim_M // 2 + 3)
         check("polynomiality", fit.max_residual() == 0,
@@ -220,9 +228,14 @@ def _verify_one(p: ManifoldPresentation, name: str, tolerance: float,
         for m in range(1, 5):
             rep = quantize.main_formula_report(p, m)
             check(f"main-formula balance m={m}", rep.balance is True)
-    if p.max_weight() * 0.1 < 0.9:
+    # the Todd series converges for |x| * weight < 1; at the sample x = 0.1
+    # the check keeps |x| * weight below 0.9
+    k = p.max_weight()
+    if k < 9:
         dev = localization.kirillov_check(p, 2, [0.05, 0.1])
         check("kirillov", dev < tolerance, f"deviation {dev:.2e}")
+    else:
+        skipped.append(f"{name}: kirillov (max weight {k} >= 9)")
     rng = random.Random(seed)
     for trial in range(3):
         s = rng.randint(-3, 3)
@@ -238,7 +251,7 @@ def _verify_one(p: ManifoldPresentation, name: str, tolerance: float,
         except NotAPolynomial as e:
             failures.append(
                 f"{name}: pole-cancellation under transform ({e})")
-    return failures
+    return failures, skipped
 
 
 def cmd_verify(args) -> int:
@@ -250,11 +263,15 @@ def cmd_verify(args) -> int:
         targets = [(p.name, p, args.builtin is not None
                     and args.builtin in bi.builtin_names())]
     failures = []
+    skipped = []
     for name, p, with_oracle in targets:
-        fs = _verify_one(p, name, tolerance, args.seed, with_oracle)
+        fs, ss = _verify_one(p, name, tolerance, args.seed, with_oracle)
         status = "ok" if not fs else "FAIL"
         print(f"verify {name}: {status}")
         failures.extend(fs)
+        skipped.extend(ss)
+    for s in skipped:
+        print(f"SKIP {s}", file=sys.stderr)
     for f in failures:
         print(f"FAIL {f}", file=sys.stderr)
     return EXIT_OK if not failures else EXIT_VERIFY
@@ -309,10 +326,6 @@ def main(argv=None) -> int:
     except NotAPolynomial as e:
         print(f"mathematical inconsistency: {e}", file=sys.stderr)
         return EXIT_MATH
-    except witten.CancellationError as e:
-        # float cancellation in the pairing, not proof of bad data
-        print(f"numeric failure: {e}", file=sys.stderr)
-        return EXIT_VERIFY
 
 
 if __name__ == "__main__":

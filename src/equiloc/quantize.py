@@ -26,7 +26,6 @@ from typing import Optional
 
 from .localization import equivariant_todd_at_F
 from .model import FixedComponent, ManifoldPresentation
-from .quantize_fit import exact_polynomial_fit  # re-exported helper
 from . import localization
 
 
@@ -258,6 +257,30 @@ def normalization_fit(presentations, m_values) -> NormalizationFit:
             "exceptional term; the scale constant should be multiplied by it")
     return NormalizationFit(False, None,
                             "balance fails and no constant multiple fits")
+
+
+def exact_polynomial_fit(points: list[tuple[int, Fraction]]) -> list[Fraction]:
+    """Coefficients (ascending) of the unique polynomial of degree
+    len(points)-1 through the given points, by divided differences."""
+    if not points:
+        raise ValueError("need at least one point")
+    xs = [Fraction(x) for x, _ in points]
+    dd = [Fraction(v) for _, v in points]
+    n = len(points)
+    for level in range(1, n):
+        for i in range(n - 1, level - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - level])
+    # Horner expansion of dd[0] + (x-x0)(dd[1] + (x-x1)(dd[2] + ...))
+    coeffs = [dd[n - 1]]
+    for i in range(n - 2, -1, -1):
+        new = [Fraction(0)] * (len(coeffs) + 1)
+        for d, c in enumerate(coeffs):
+            new[d + 1] += c
+            new[d] -= c * xs[i]
+        new[0] += dd[i]
+        coeffs = new
+    coeffs += [Fraction(0)] * (n - len(coeffs))
+    return coeffs
 
 
 @dataclass

@@ -36,7 +36,8 @@ from scipy.integrate import quad
 from .localization import (PreparedInner, RhoMap, _rho_series,
                            component_u_laurent, default_series_order)
 from .model import ManifoldPresentation
-from .quantize import Classification, classify, exceptional_from_series
+from .quantize import (Classification, classify, exceptional_from_series,
+                       regular_term)
 
 
 class CancellationError(ArithmeticError):
@@ -296,14 +297,6 @@ def witten_pair(p: ManifoldPresentation, rho: RhoMap, phi: TestFunction,
     return inner + pieces
 
 
-def _supplied_regular(p: ManifoldPresentation, m: int) -> Fraction:
-    if p.quotient is None:
-        return Fraction(0)
-    q = p.quotient
-    return ((q.omega0 * Fraction(m)).exp_nilpotent()
-            * q.kappa_todd).integrate()
-
-
 def expansion_rhs(p: ManifoldPresentation, phi: TestFunction, m: int,
                   rho: RhoMap = "todd",
                   regular: Optional[complex] = None,
@@ -321,8 +314,12 @@ def expansion_rhs(p: ManifoldPresentation, phi: TestFunction, m: int,
     """
     if order is None:
         order = default_series_order(p, phi.delta2)
-    total = complex(regular) if regular is not None \
-        else complex(_supplied_regular(p, m))
+    if regular is not None:
+        total = complex(regular)
+    elif p.quotient is not None:
+        total = complex(regular_term(p, m)[0])
+    else:
+        total = 0j
     for F in p.f_zero():
         if F.name in drop:
             continue

@@ -1,11 +1,18 @@
 """Command-line interface: reports, schemas, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from equiloc import builtin, serialize
+import equiloc
+from equiloc import builtin, cpn_linear, serialize
 from equiloc.cli import main
+
+PACKAGE = Path(equiloc.__file__).resolve().parent
 
 
 def run(capsys, *argv):
@@ -140,9 +147,10 @@ def test_inconsistent_input_exits_3(tmp_path, capsys):
 
 
 def test_verify_builtin_ok(capsys):
-    code, out, _ = run(capsys, "verify", "--builtin", "cp1")
+    code, out, err = run(capsys, "verify", "--builtin", "cp1")
     assert code == 0
     assert "verify cp1: ok" in out
+    assert err == ""
 
 
 def test_verify_inconsistent_exits_1(tmp_path, capsys):
@@ -152,6 +160,57 @@ def test_verify_inconsistent_exits_1(tmp_path, capsys):
     code, out, err = run(capsys, "verify", "--input", str(path))
     assert code == 1
     assert "pole-cancellation" in err
+
+
+def test_verify_reports_skipped_kirillov_check(tmp_path, capsys):
+    # weight 9 at the sample x = 0.1 is past the check's convergence margin
+    path = tmp_path / "cp09.json"
+    path.write_text(serialize(cpn_linear([0, 9], 1)))
+    code, out, err = run(capsys, "verify", "--input", str(path))
+    assert code == 0
+    assert out == "verify cpn[0,9]d1: ok\n"
+    assert err == "SKIP cpn[0,9]d1: kirillov (max weight 9 >= 9)\n"
+
+
+# Runs main(argv) in a fresh interpreter, then prints its exit code and
+# which of the numeric packages the run left loaded.
+NUMERIC_IMPORTS = """
+import contextlib, io, json, sys
+from equiloc.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, [m for m in ("scipy", "numpy", "sympy")
+                         if m in sys.modules]]))
+"""
+
+
+def numeric_imports(*argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(PACKAGE.parent)] + ([env["PYTHONPATH"]]
+                                 if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", NUMERIC_IMPORTS, *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return tuple(json.loads(proc.stdout))
+
+
+@pytest.mark.parametrize("argv", [
+    ("rr", "--builtin", "dim6", "--m", "0:3"),
+    ("character", "--builtin", "dim6", "--m", "2"),
+    ("main-formula", "--input", str(PACKAGE / "data" / "dim6.json"),
+     "--m", "1:3"),
+    ("verify", "--builtin", "dim6")])
+def test_exact_commands_load_no_numeric_stack(argv):
+    assert numeric_imports(*argv) == (0, [])
+
+
+def test_witten_check_loads_scipy():
+    # positive control: the harness above does see a scipy import
+    code, loaded = numeric_imports("witten-check", "--builtin", "cp1",
+                                   "--m", "8,12,16,24")
+    assert code == 0 and "scipy" in loaded
 
 
 def test_witten_check_cli(capsys):

@@ -12,7 +12,7 @@ from equiloc.quantize import (Classification, NotIndefinite, Unsupported,
                               exceptional_term, main_formula_report,
                               normalization_fit, polynomiality_check,
                               regular_term, residue_term, rr_invariant)
-from equiloc.quantize_fit import exact_polynomial_fit
+from equiloc.quantize import exact_polynomial_fit
 from equiloc.ring import RingSpec
 
 POINT = RingSpec.point()
