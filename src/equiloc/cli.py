@@ -255,7 +255,6 @@ def _verify_one(p: ManifoldPresentation, name: str, tolerance: float,
 
 
 def cmd_verify(args) -> int:
-    tolerance = args.tolerance
     if args.builtin == "all":
         targets = [(n, bi.builtin(n), True) for n in bi.builtin_names()]
     else:
@@ -265,7 +264,8 @@ def cmd_verify(args) -> int:
     failures = []
     skipped = []
     for name, p, with_oracle in targets:
-        fs, ss = _verify_one(p, name, tolerance, args.seed, with_oracle)
+        fs, ss = _verify_one(p, name, args.tolerance, args.seed,
+                             with_oracle)
         status = "ok" if not fs else "FAIL"
         print(f"verify {name}: {status}")
         failures.extend(fs)
@@ -290,10 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--m", default=m_default,
                             help="bundle power: INT, A:B range, or comma list")
         sp.add_argument("--format", choices=("text", "json"), default="text")
-        sp.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized consistency checks")
-        sp.add_argument("--tolerance", type=float, default=1e-8,
-                        help="numeric tolerance for float cross-checks")
 
     sp = sub.add_parser("rr", help="invariant and total Riemann-Roch numbers")
     common(sp)
@@ -311,6 +307,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_witten_check)
     sp = sub.add_parser("verify", help="run the invariant suite")
     common(sp, with_m=False)
+    sp.add_argument("--seed", type=int, default=0,
+                    help="seed for randomized consistency checks")
+    sp.add_argument("--tolerance", type=float, default=1e-8,
+                    help="numeric tolerance for float cross-checks")
     sp.set_defaults(fn=cmd_verify)
     return ap
 

@@ -28,13 +28,15 @@ rho = 1 reproduce the exact pushforward integral
 
 which forces 1/e = 1/(-2 pi i x) at the minimum, and by the exact identity
 td(y)/y = 1/(1 - e^{-y}) which then reproduces each character factor
-1/(1 - z^k e^a) at z = e^{2 pi i x}.  Tests assert both pins.
+1/(1 - z^k e^a) at z = e^{2 pi i x}.  Tests assert both pins, and a
+negative control perturbs the input: with every weight of the rotation
+sphere doubled, its localized integral no longer matches the character of
+the rotation sphere itself.
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 from typing import Mapping, Optional, Sequence, Union
@@ -134,17 +136,6 @@ class USeries:
                     out[j] = prod
         return USeries(self.ring, out, order)
 
-    def __add__(self, other: "USeries") -> "USeries":
-        order = min(self.order, other.order)
-        out = dict(self.coeffs)
-        for j, c in other.coeffs.items():
-            out[j] = out[j] + c if j in out else c
-        return USeries(self.ring, out, order)
-
-    def scale(self, c) -> "USeries":
-        return USeries(self.ring, {j: v * c for j, v in self.coeffs.items()},
-                       self.order)
-
     def integrate_over_F(self) -> dict[int, Fraction]:
         out = {}
         for j, c in self.coeffs.items():
@@ -154,25 +145,11 @@ class USeries:
         return out
 
 
-@dataclass
-class EquivariantClassAtF:
-    """Restriction of an equivariantly closed class to a fixed component,
-    as a truncated series in u = 2 pi i x with ring coefficients."""
-    component: FixedComponent
-    series: USeries
-
-
-CALIBRATED_WEIGHT_SCALE = Fraction(1)
-# The root factor is y = -(c*k*u + a) with c = 1 once u = 2 pi i x; any
-# other c breaks the rotation-sphere pushforward identity (negative-control
-# tests pass c != 1 on purpose).
-
-
-def _td_factor(ring: RingSpec, weight: int, root: GradedElement, order: int,
-               weight_scale: Fraction) -> USeries:
-    """td(y) for y = -(weight_scale * k * u + a), as a USeries."""
+def _td_factor(ring: RingSpec, weight: int, root: GradedElement,
+               order: int) -> USeries:
+    """td(y) for y = -(k u + a), as a USeries."""
     nil = -root                     # nilpotent part of y
-    s = -Fraction(weight) * weight_scale  # u-coefficient of y
+    s = -Fraction(weight)           # u-coefficient of y
     nilpowers = [ring.one()]
     while not (nilpowers[-1] * nil).is_zero():
         nilpowers.append(nilpowers[-1] * nil)
@@ -189,36 +166,27 @@ def _td_factor(ring: RingSpec, weight: int, root: GradedElement, order: int,
     return USeries(ring, coeffs, order)
 
 
-def equivariant_todd_at_F(F: FixedComponent, order: Optional[int] = None,
-                          weight_scale: Fraction = CALIBRATED_WEIGHT_SCALE
-                          ) -> EquivariantClassAtF:
-    """Td(F) * prod_{k,j} td(-(k u + a_kj)), truncated at u-order `order`
+def equivariant_todd_at_F(F: FixedComponent,
+                          order: Optional[int] = None) -> USeries:
+    """The equivariant Todd class restricted to F,
+    Td(F) * prod_{k,j} td(-(k u + a_kj)), truncated at u-order `order`
     (default: twice the ambient dimension)."""
     if order is None:
         order = 2 * (F.dim_F + 2 * F.normal_rank())
     series = USeries.constant(F.ring, F.todd, order)
     for block in F.blocks:
         for root in block.chern_roots:
-            series = series * _td_factor(F.ring, block.weight, root, order,
-                                         weight_scale)
-    return EquivariantClassAtF(F, series)
+            series = series * _td_factor(F.ring, block.weight, root, order)
+    return series
 
 
-def equivariant_todd_map(p: ManifoldPresentation, order: int,
-                         weight_scale: Fraction = CALIBRATED_WEIGHT_SCALE
-                         ) -> dict[str, EquivariantClassAtF]:
-    return {F.name: equivariant_todd_at_F(F, order, weight_scale)
-            for F in p.components}
-
-
-def euler_inverse(F: FixedComponent, order: int,
-                  weight_scale: Fraction = CALIBRATED_WEIGHT_SCALE) -> USeries:
+def euler_inverse(F: FixedComponent, order: int) -> USeries:
     """1/e_F(u) = prod_{k,j} 1/(-(k u + a_kj)): a finite Laurent tail in 1/u
     times nilpotent corrections, truncated at u-order `order`."""
     ring = F.ring
     acc = USeries.constant(ring, ring.one(), order)
     for block in F.blocks:
-        s = Fraction(block.weight) * weight_scale
+        s = Fraction(block.weight)
         for root in block.chern_roots:
             # 1/(-(s*u + a)) = sum_{t>=0} (-1/s)^{t+1} a^t u^{-(t+1)}
             coeffs: dict[int, GradedElement] = {}
@@ -236,28 +204,26 @@ def euler_inverse(F: FixedComponent, order: int,
     return acc
 
 
-RhoMap = Optional[Union[str, Mapping[str, EquivariantClassAtF]]]
+# None (rho = 1), "todd" (the equivariant Todd class) or one series per
+# component name
+RhoMap = Optional[Union[str, Mapping[str, USeries]]]
 
 
 def _rho_series(F: FixedComponent, rho: RhoMap, order: int) -> USeries:
     if rho is None:
         return USeries.constant(F.ring, F.ring.one(), order)
     if rho == "todd":
-        return equivariant_todd_at_F(F, order).series
-    entry = rho[F.name]
-    series = entry.series if isinstance(entry, EquivariantClassAtF) else entry
-    return series
+        return equivariant_todd_at_F(F, order)
+    return rho[F.name]
 
 
 def component_u_laurent(F: FixedComponent, m: int, rho: RhoMap,
-                        order: int,
-                        weight_scale: Fraction = CALIBRATED_WEIGHT_SCALE
-                        ) -> dict[int, Fraction]:
+                        order: int) -> dict[int, Fraction]:
     """Scalar u-Laurent coefficients of int_F e^{m omega} rho_F / e_F."""
     series = _rho_series(F, rho, order)
     emw = USeries.constant(F.ring, (F.omega * Fraction(m)).exp_nilpotent(),
                            order)
-    total = series * emw * euler_inverse(F, order, weight_scale)
+    total = series * emw * euler_inverse(F, order)
     return total.integrate_over_F()
 
 
@@ -276,14 +242,13 @@ class PreparedInner:
     __slots__ = ("terms", "m", "order", "frozen")
 
     def __init__(self, p: ManifoldPresentation, m: int, rho: RhoMap,
-                 order: int,
-                 weight_scale: Fraction = CALIBRATED_WEIGHT_SCALE):
+                 order: int):
         self.m = m
         self.order = order
         self.terms = []
         self.frozen = []
         for F in p.components:
-            laurent = component_u_laurent(F, m, rho, order, weight_scale)
+            laurent = component_u_laurent(F, m, rho, order)
             self.terms.append((F.moment, laurent))
             if laurent:
                 lo = min(laurent)
@@ -329,12 +294,11 @@ class PreparedInner:
 
 
 def dh_inner(p: ManifoldPresentation, rho: RhoMap, m: int, x: float,
-             order: Optional[int] = None,
-             weight_scale: Fraction = CALIBRATED_WEIGHT_SCALE) -> complex:
+             order: Optional[int] = None) -> complex:
     """One-shot evaluation of the localized inner Witten integrand."""
     if order is None:
         order = default_series_order(p, abs(x))
-    return PreparedInner(p, m, rho, order, weight_scale).evaluate(x)
+    return PreparedInner(p, m, rho, order).evaluate(x)
 
 
 def default_series_order(p: ManifoldPresentation, x_max: float,
@@ -358,17 +322,13 @@ def default_series_order(p: ManifoldPresentation, x_max: float,
 
 
 def kirillov_check(p: ManifoldPresentation, m: int,
-                   x_samples: Sequence[float],
-                   order: Optional[int] = None,
-                   weight_scale: Fraction = CALIBRATED_WEIGHT_SCALE) -> float:
+                   x_samples: Sequence[float]) -> float:
     """Max deviation between the character at e^{2 pi i x} and the localized
     equivariant integral, over the given samples (which must avoid 0 and the
     circles where some e^{2 pi i k x} degenerates)."""
     chi = character(p, m)
-    if order is None:
-        order = default_series_order(p, max(abs(x) for x in x_samples))
-    rho = equivariant_todd_map(p, order, weight_scale)
-    prepared = PreparedInner(p, m, rho, order, weight_scale)
+    order = default_series_order(p, max(abs(x) for x in x_samples))
+    prepared = PreparedInner(p, m, "todd", order)
     worst = 0.0
     for x in x_samples:
         z = cmath.exp(2j * cmath.pi * x)

@@ -9,7 +9,7 @@ decomposes as
 where the residue prescription per component is: residue at z = 0 of
 z^{-1} chi_tilde for a positive-definite component (local minimum of the
 moment map), the residue at infinity for a negative-definite one, and the
-average of the two for an indefinite one.
+average of the two for an indefinite one (`Classification.side`).
 
 The regular term is an integral over the regular stratum of the reduced
 space; it is computed from user-supplied quotient data when present and
@@ -20,11 +20,12 @@ terms), never silently invented.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .localization import equivariant_todd_at_F
+from .localization import RhoMap, _rho_series
 from .model import FixedComponent, ManifoldPresentation
 from . import localization
 
@@ -33,6 +34,13 @@ class Classification(enum.Enum):
     POSITIVE_DEFINITE = "positive-definite"
     NEGATIVE_DEFINITE = "negative-definite"
     INDEFINITE = "indefinite"
+
+    @property
+    def side(self) -> str:
+        """The residue, and the boundary value of the Witten expansion:
+        plus (at z = 0, x^{-k}_+), minus (at infinity, x^{-k}_-) or avg."""
+        return {"positive-definite": "plus",
+                "negative-definite": "minus"}.get(self.value, "avg")
 
 
 class Unsupported(NotImplementedError):
@@ -69,10 +77,10 @@ def residue_term(F: FixedComponent, m: int) -> Fraction:
             f"component {F.name} has moment {F.moment}; residue terms are "
             "defined for moment-zero components only")
     chi = localization.chi_tilde(F, m)
-    cls = classify(F)
-    if cls is Classification.POSITIVE_DEFINITE:
+    side = classify(F).side
+    if side == "plus":
         return chi.shifted(-1).residue_at_zero()
-    if cls is Classification.NEGATIVE_DEFINITE:
+    if side == "minus":
         return chi.residue_at_infinity()
     return (chi.shifted(-1).residue_at_zero()
             + chi.residue_at_infinity()) / 2
@@ -102,14 +110,13 @@ def _divide_by_u_minus_v(num: dict[tuple[int, int], Fraction],
 
 
 def exceptional_term(F: FixedComponent, m: int,
-                     scale: Fraction = EXCEPTIONAL_SCALE) -> Fraction:
+                     rho: RhoMap = "todd") -> Fraction:
     """Contribution of an isolated indefinite moment-zero component, with
-    the equivariant Todd class as the localized integrand."""
+    rho (by default the equivariant Todd class) as the localized integrand,
+    expanded to the one degree that contributes, l+ + l- - 1 = rank - 1."""
     _exceptional_preconditions(F)
-    pos = [w for w in F.weights() if w > 0]
-    n = len(pos) + len([w for w in F.weights() if w < 0]) - 1
-    rho = equivariant_todd_at_F(F, n).series.integrate_over_F()
-    return exceptional_from_series(F, rho, m, scale)
+    scalar = _rho_series(F, rho, F.normal_rank() - 1).integrate_over_F()
+    return exceptional_from_series(F, scalar, m)
 
 
 def _exceptional_preconditions(F: FixedComponent) -> None:
@@ -125,8 +132,7 @@ def _exceptional_preconditions(F: FixedComponent) -> None:
 
 
 def exceptional_from_series(F: FixedComponent, rho: dict[int, Fraction],
-                            m: int,
-                            scale: Fraction = EXCEPTIONAL_SCALE) -> Fraction:
+                            m: int) -> Fraction:
     """The exceptional contribution for an arbitrary scalar series rho.
 
     The kernel N(u, v) = (rho(u) + rho(v))/2 - rho((u+v)/2) is divided
@@ -153,33 +159,26 @@ def exceptional_from_series(F: FixedComponent, rho: dict[int, Fraction],
     num: dict[tuple[int, int], Fraction] = {}
     num[(n, 0)] = half
     num[(0, n)] = num.get((0, n), Fraction(0)) + half
-    from math import comb
     for i in range(n + 1):
-        c = -Fraction(comb(n, i), 2 ** n)
+        c = -Fraction(math.comb(n, i), 2 ** n)
         key = (i, n - i)
         num[key] = num.get(key, Fraction(0)) + c
     quotient = _divide_by_u_minus_v({k: v for k, v in num.items() if v != 0},
                                     n)
     coeff = quotient.get((lp - 1, ln - 1), Fraction(0))
-    orbifold = Fraction(1)
-    for w in pos + neg:
-        orbifold *= w
-    return scale * rho_n * coeff / orbifold
+    return EXCEPTIONAL_SCALE * rho_n * coeff / math.prod(pos + neg)
 
 
 def regular_term(p: ManifoldPresentation, m: int) -> tuple[Fraction, str]:
     """The reduced-space term: exact when quotient data is supplied,
-    otherwise the tagged diagnostic rr - residues - exceptionals."""
-    if p.quotient is not None:
-        q = p.quotient
-        integrand = (q.omega0 * Fraction(m)).exp_nilpotent() * q.kappa_todd
-        return integrand.integrate(), "supplied"
-    total = Fraction(rr_invariant(p, m))
-    for F in p.f_zero():
-        total -= residue_term(F, m)
-        if classify(F) is Classification.INDEFINITE:
-            total -= exceptional_term(F, m)
-    return total, "diagnostic"
+    otherwise the tagged diagnostic rr - residues - exceptionals, as
+    `main_formula_report` derives it."""
+    if p.quotient is None:
+        rep = main_formula_report(p, m)
+        return rep.regular, rep.regular_tag
+    q = p.quotient
+    integrand = (q.omega0 * Fraction(m)).exp_nilpotent() * q.kappa_todd
+    return integrand.integrate(), "supplied"
 
 
 @dataclass
@@ -200,6 +199,9 @@ class MainFormulaReport:
 
 
 def main_formula_report(p: ManifoldPresentation, m: int) -> MainFormulaReport:
+    """Every term once: with quotient data the supplied regular term and the
+    balance check, otherwise the regular term as the diagnostic
+    rr - residues - exceptionals."""
     rr = rr_invariant(p, m)
     residues = {}
     exceptionals = {}
@@ -208,12 +210,14 @@ def main_formula_report(p: ManifoldPresentation, m: int) -> MainFormulaReport:
         residues[F.name] = (cls.value, residue_term(F, m))
         if cls is Classification.INDEFINITE:
             exceptionals[F.name] = exceptional_term(F, m)
-    reg, tag = regular_term(p, m)
+    rest = sum((v for _, v in residues.values()), Fraction(0)) \
+        + sum(exceptionals.values(), Fraction(0))
     balance: Optional[bool] = None
-    if tag == "supplied":
-        total = reg + sum(v for _, v in residues.values()) \
-            + sum(exceptionals.values())
-        balance = (total == rr)
+    if p.quotient is None:
+        reg, tag = rr - rest, "diagnostic"
+    else:
+        reg, tag = regular_term(p, m)
+        balance = reg + rest == rr
     return MainFormulaReport(m=m, rr=rr, residue_terms=residues,
                              exceptional_terms=exceptionals, regular=reg,
                              regular_tag=tag, balance=balance)

@@ -20,8 +20,8 @@ the boundary-value distributions
     <x^{-k}_pm, psi> = <x^{-1}_pm, psi^{(k-1)}> / (k-1)!,
 
 the second line being the derivative relation d/dx x^{-k} = -k x^{-(k+1)}
-integrated against a test function.  The unordered average of the two
-boundary values carries the indefinite components.
+integrated against a test function, on the side its classification
+picks (`Classification.side`): indefinite components take the average.
 """
 
 from __future__ import annotations
@@ -33,10 +33,10 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from scipy.integrate import quad
 
-from .localization import (PreparedInner, RhoMap, _rho_series,
-                           component_u_laurent, default_series_order)
+from .localization import (PreparedInner, RhoMap, component_u_laurent,
+                           default_series_order)
 from .model import ManifoldPresentation
-from .quantize import (Classification, classify, exceptional_from_series,
+from .quantize import (Classification, classify, exceptional_term,
                        regular_term)
 
 
@@ -231,21 +231,18 @@ def _adaptive_taylor_order(rate: float, floor: int, tol: float = 1e-13) -> int:
 
 
 def witten_pair(p: ManifoldPresentation, rho: RhoMap, phi: TestFunction,
-                m: int, eta: Optional[float] = None,
-                order: Optional[int] = None) -> complex:
+                m: int) -> complex:
     """<W_m(rho), phi>: quadrature away from zero plus exact pole
     cancellation and polynomial integration on the inner disc.
 
-    The inner radius defaults to m^{-1/2}/10 (clipped under delta1) and the
+    The inner radius is m^{-1/2}/10, clipped to delta1/2, and the
     Taylor order is grown until the oscillatory remainder is negligible;
     the two evaluation pathways are then required to agree on the overlap
     annulus, which catches both inconsistent data and starved expansions.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    if eta is None:
-        eta = min(phi.delta1 / 2, m ** -0.5 / 10 if m else phi.delta1 / 2)
-    eta = min(eta, phi.delta1 / 2)
+    eta = min(phi.delta1 / 2, m ** -0.5 / 10) if m else phi.delta1 / 2
     j_max = max((abs(F.moment) for F in p.components), default=0)
     max_pole = max(((p.dim_M - F.dim_F) // 2 for F in p.components),
                    default=0)
@@ -254,8 +251,7 @@ def witten_pair(p: ManifoldPresentation, rho: RhoMap, phi: TestFunction,
     # the order the outer quadrature radius requires
     rate = 2 * math.pi * m * j_max * (2 * eta)
     inner_order = _adaptive_taylor_order(rate, floor=max(max_pole, 4))
-    if order is None:
-        order = max(default_series_order(p, phi.delta2), inner_order)
+    order = max(default_series_order(p, phi.delta2), inner_order)
     prepared = PreparedInner(p, m, rho, order)
     K = inner_order + max_pole
     poly = prepared.laurent_sum(K)
@@ -300,20 +296,18 @@ def witten_pair(p: ManifoldPresentation, rho: RhoMap, phi: TestFunction,
 def expansion_rhs(p: ManifoldPresentation, phi: TestFunction, m: int,
                   rho: RhoMap = "todd",
                   regular: Optional[complex] = None,
-                  order: Optional[int] = None,
                   drop: Sequence[str] = ()) -> complex:
     """The asymptotic expansion evaluated at m: reduced-space term plus,
     per moment-zero component, its exceptional contribution (indefinite
-    case) and its Laurent data paired through the boundary distribution of
-    the matching side.
+    case) and its Laurent data, to the series order that phi's support
+    needs, paired through the boundary distribution of its side.
 
     When neither `regular` nor quotient data is given the reduced-space
     term is taken to be 0, which is exact precisely when the regular
     stratum at level zero is empty (the fixed-locus reduction situation).
     `drop` removes named components from the sum (negative controls).
     """
-    if order is None:
-        order = default_series_order(p, phi.delta2)
+    order = default_series_order(p, phi.delta2)
     if regular is not None:
         total = complex(regular)
     elif p.quotient is not None:
@@ -325,19 +319,9 @@ def expansion_rhs(p: ManifoldPresentation, phi: TestFunction, m: int,
             continue
         cls = classify(F)
         laurent = component_u_laurent(F, m, rho, order)
-        if cls is Classification.POSITIVE_DEFINITE:
-            side = "plus"
-        elif cls is Classification.NEGATIVE_DEFINITE:
-            side = "minus"
-        else:
-            side = "avg"
-        total += pair_u_laurent(laurent, side, phi)
+        total += pair_u_laurent(laurent, cls.side, phi)
         if cls is Classification.INDEFINITE:
-            lp = len([w for w in F.weights() if w > 0])
-            ln = len([w for w in F.weights() if w < 0])
-            rho_scalar = _rho_series(
-                F, rho, lp + ln - 1).integrate_over_F()
-            total += complex(exceptional_from_series(F, rho_scalar, m))
+            total += complex(exceptional_term(F, m, rho))
     return total
 
 
@@ -356,10 +340,10 @@ class WittenCheckReport:
 def decay_check(p: ManifoldPresentation, phi: TestFunction,
                 m_list: Sequence[int], rho: RhoMap = "todd",
                 regular_for_m: Optional[Callable[[int], complex]] = None,
-                drop: Sequence[str] = (),
-                floor: float = 1e-16) -> WittenCheckReport:
+                drop: Sequence[str] = ()) -> WittenCheckReport:
     """Fit the decay exponent of |pairing - expansion| over a geometric list
-    of moments.  Values below `floor` are clipped before fitting."""
+    of moments.  Differences below 1e-16 are clipped to it before fitting,
+    so that an exact agreement does not take the logarithm of 0."""
     if len(m_list) < 4:
         raise ValueError("need at least four moments for a decay fit")
     lhs, rhs, diffs = [], [], []
@@ -369,7 +353,7 @@ def decay_check(p: ManifoldPresentation, phi: TestFunction,
         right = expansion_rhs(p, phi, m, rho=rho, regular=reg, drop=drop)
         lhs.append(left)
         rhs.append(right)
-        diffs.append(max(abs(left - right), floor))
+        diffs.append(max(abs(left - right), 1e-16))
     import numpy as np
     slope = float(np.polyfit(np.log(np.array(m_list, dtype=float)),
                              np.log(np.array(diffs)), 1)[0])

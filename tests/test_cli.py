@@ -245,3 +245,23 @@ def test_witten_check_cancellation_is_a_numeric_failure(capsys):
     assert code == 1
     assert err.startswith("numeric failure: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["rr", "character", "main-formula",
+                                     "witten-check"])
+@pytest.mark.parametrize("option", [("--tolerance", "1e-3"),
+                                    ("--seed", "3")])
+def test_verify_options_are_rejected_elsewhere(capsys, command, option):
+    # --seed and --tolerance steer only verify's checks
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--builtin", "cp1", "--m", "2", *option])
+    assert exc.value.code == 2
+    _, err = capsys.readouterr()
+    assert f"unrecognized arguments: {' '.join(option)}" in err
+    assert "Traceback" not in err
+
+
+def test_verify_takes_seed_and_tolerance(capsys):
+    code, out, _ = run(capsys, "verify", "--builtin", "cp1", "--seed", "3",
+                       "--tolerance", "1e-6")
+    assert code == 0 and out == "verify cp1: ok\n"

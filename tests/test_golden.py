@@ -1,0 +1,46 @@
+"""The benchmark's recorded CLI outputs and traced names, read from
+perfbench/ and replayed in-process, so that a change to an output or to a
+traced name fails here first."""
+
+import importlib
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+from equiloc.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+
+with open(PERFBENCH / "golden" / "cli.json", encoding="utf-8") as fh:
+    CLI_GOLDEN = json.load(fh)
+
+
+@pytest.mark.parametrize("command", sorted(CLI_GOLDEN))
+def test_cli_output_matches_golden(command, capsys, monkeypatch):
+    # the recorded argvs name --input files relative to the repo root
+    monkeypatch.chdir(ROOT)
+    code = main(command.split(" "))
+    want = CLI_GOLDEN[command]
+    assert code == want["exit"]
+    assert capsys.readouterr().out == want["stdout"]
+
+
+def test_traced_names_resolve():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", PERFBENCH / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    importlib.import_module("equiloc.witten")
+    importlib.import_module("equiloc.cli")
+    missing = []
+    for modname, path, _ in tracer.TARGETS:
+        owner = importlib.import_module(modname)
+        *classes, attr = path.split(".")
+        for name in classes:
+            owner = getattr(owner, name, None)
+        if owner is None or attr not in vars(owner):
+            missing.append(f"{modname}:{path}")
+    assert tracer.TARGETS and not missing

@@ -241,14 +241,13 @@ def test_dh_inner_conjugate_symmetry():
 
 def test_equivariant_todd_point_no_blocks():
     F = FixedComponent("pt", 0, 0, POINT, POINT.one(), POINT.zero(), [])
-    cls = equivariant_todd_at_F(F, 6)
-    assert cls.series.integrate_over_F() == {0: Fraction(1)}
+    assert equivariant_todd_at_F(F, 6).integrate_over_F() == {0: Fraction(1)}
 
 
 def test_equivariant_todd_point_single_block():
     # td(-u) = 1 - u/2 + u^2/12 - ...
     F = point_component("pt", 0, [1])
-    series = equivariant_todd_at_F(F, 4).series.integrate_over_F()
+    series = equivariant_todd_at_F(F, 4).integrate_over_F()
     assert series[0] == 1
     assert series[1] == Fraction(-1, 2)
     assert series[2] == Fraction(1, 12)
@@ -280,9 +279,16 @@ def test_kirillov_check_near_half_without_weight_two():
 
 
 def test_kirillov_uncalibrated_negative_control():
-    dev = kirillov_check(builtin("cp1"), 3, [0.1],
-                         weight_scale=Fraction(2))
-    assert dev > 0.1
+    # the localized integral of the rotation sphere with every weight
+    # doubled must miss the rotation sphere's own character
+    cp1 = builtin("cp1")
+    q = builtin("cp1")
+    for F in q.components:
+        for block in F.blocks:
+            block.weight *= 2
+    chi = character(cp1, 3).evaluate(cmath.exp(2j * cmath.pi * 0.1))
+    assert abs(chi - dh_inner(cp1, "todd", 3, 0.1)) < 1e-8
+    assert abs(chi - dh_inner(q, "todd", 3, 0.1)) > 0.1
 
 
 def test_series_order_is_stable_when_raised():
@@ -292,11 +298,3 @@ def test_series_order_is_stable_when_raised():
     b = dh_inner(p, "todd", 2, 0.2, order=base + 10)
     assert abs(a - b) < 1e-12 * max(1.0, abs(a))
 
-
-def test_thread_cap_respected_and_results_identical(monkeypatch):
-    p = builtin("dgmw")
-    baseline = character(p, 2)
-    monkeypatch.setenv("EQUILOC_THREADS", "4")
-    assert character(p, 2) == baseline
-    monkeypatch.setenv("EQUILOC_THREADS", "not-a-number")
-    assert character(p, 2) == baseline

@@ -9,7 +9,7 @@ import pytest
 from scipy.integrate import quad
 
 from equiloc import builtin
-from equiloc.localization import EquivariantClassAtF, USeries, character
+from equiloc.localization import USeries, character
 from equiloc.quantize import polynomiality_check
 from equiloc.witten import (CancellationError, TestFunction, complex_quad,
                             decay_check, dist_pair, eps_limit_pair,
@@ -106,18 +106,17 @@ def test_witten_pair_cp1_constant_rho():
 
 def test_witten_pair_rho_zero():
     p = builtin("cp1")
-    zero = {F.name: EquivariantClassAtF(
-        F, USeries(F.ring, {}, 8)) for F in p.components}
+    zero = {F.name: USeries(F.ring, {}, 8) for F in p.components}
     assert witten_pair(p, zero, PHI, 4) == 0
     assert expansion_rhs(p, PHI, 4, rho=zero) == 0
 
 
 def test_witten_pair_linear_in_rho():
     p = builtin("cp1")
-    ones = {F.name: EquivariantClassAtF(
-        F, USeries(F.ring, {0: F.ring.one()}, 30)) for F in p.components}
-    twos = {F.name: EquivariantClassAtF(
-        F, USeries(F.ring, {0: F.ring.scalar(2)}, 30)) for F in p.components}
+    ones = {F.name: USeries(F.ring, {0: F.ring.one()}, 30)
+            for F in p.components}
+    twos = {F.name: USeries(F.ring, {0: F.ring.scalar(2)}, 30)
+            for F in p.components}
     a = witten_pair(p, ones, PHI, 6)
     b = witten_pair(p, twos, PHI, 6)
     assert abs(b - 2 * a) < 1e-10
