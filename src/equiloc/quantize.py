@@ -113,7 +113,8 @@ def exceptional_term(F: FixedComponent, m: int,
                      rho: RhoMap = "todd") -> Fraction:
     """Contribution of an isolated indefinite moment-zero component, with
     rho (by default the equivariant Todd class) as the localized integrand,
-    expanded to the one degree that contributes, l+ + l- - 1 = rank - 1."""
+    expanded to the one degree that contributes, l+ + l- - 1, which is the
+    normal rank less one at an isolated point."""
     _exceptional_preconditions(F)
     scalar = _rho_series(F, rho, F.normal_rank() - 1).integrate_over_F()
     return exceptional_from_series(F, scalar, m)
