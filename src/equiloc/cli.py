@@ -18,6 +18,7 @@ import argparse
 import json
 import random
 import sys
+from typing import Optional
 
 from . import builtins as bi
 from . import localization, quantize
@@ -100,8 +101,8 @@ def cmd_rr(args) -> int:
     results = []
     lines = []
     for m in _parse_m_spec(args.m):
-        rr = quantize.rr_invariant(p, m)
-        total = localization.rr_total(p, m)
+        coeffs = localization.character(p, m).as_integer_coeffs()
+        rr, total = coeffs.get(0, 0), sum(coeffs.values())
         results.append({"m": m, "rr_invariant": rr, "rr_total": total})
         lines.append(f"m={m} rr_invariant={rr} rr_total={total}")
     _emit(args, {"input": p.name, "results": results}, lines)
@@ -283,13 +284,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="invariant Riemann-Roch numbers from fixed-point data")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, with_m=True, m_default="0:8"):
+    def common(sp, m_default: Optional[str] = "0:8"):
+        # verify (m_default None) fixes its m and prints text only
         sp.add_argument("--builtin", help="named example presentation")
         sp.add_argument("--input", help="presentation document (JSON)")
-        if with_m:
+        if m_default is not None:
             sp.add_argument("--m", default=m_default,
                             help="bundle power: INT, A:B range, or comma list")
-        sp.add_argument("--format", choices=("text", "json"), default="text")
+            sp.add_argument("--format", choices=("text", "json"),
+                            default="text")
 
     sp = sub.add_parser("rr", help="invariant and total Riemann-Roch numbers")
     common(sp)
@@ -306,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, m_default="8,16,32,64")
     sp.set_defaults(fn=cmd_witten_check)
     sp = sub.add_parser("verify", help="run the invariant suite")
-    common(sp, with_m=False)
+    common(sp, m_default=None)
     sp.add_argument("--seed", type=int, default=0,
                     help="seed for randomized consistency checks")
     sp.add_argument("--tolerance", type=float, default=1e-8,

@@ -71,6 +71,8 @@ def string_to_element(ring: RingSpec, text: str) -> GradedElement:
             if not expect_factor:
                 raise ExpressionError(f"missing '*' before {tok!r}")
             if re.fullmatch(r"\d+(/\d+)?", tok):
+                if re.fullmatch(r"\d+/0+", tok):
+                    raise ExpressionError(f"zero denominator in {tok!r}")
                 coef *= Fraction(tok)
                 i += 1
             else:

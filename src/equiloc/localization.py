@@ -9,7 +9,12 @@ and the global character is the Laurent polynomial
 
     chi^(m)(z) = sum_F z^{m J(F)} chi_tilde_F(z),
 
-whose z^0 coefficient is the invariant Riemann-Roch number.
+whose z^0 coefficient is the invariant Riemann-Roch number.  omega_F is
+nilpotent, so e^{m omega_F} = sum_j m^j omega_F^j/j! and chi_tilde_F are
+polynomials in m of degree at most dim_F/2.  Their m-free coefficients
+(`chi_tilde_pieces`) are built once per component and kept on it
+(`FixedComponent.chi_pieces`); each m only sums them, then the one common
+denominator sum and division of `character` follow.
 
 Numeric side: the localized inner integrand of the Witten integral,
 
@@ -51,17 +56,18 @@ from .zrational import (LaurentPolynomial, NotAPolynomial, ZRational,
 # exact character
 
 
-def chi_tilde(F: FixedComponent, m: int) -> ZRational:
-    """The component character function as a scalar ZRational.
+def chi_tilde_pieces(F: FixedComponent) -> tuple[ZRational, ...]:
+    """The m-free pieces P_0..P_d of chi_tilde_F, d = dim_F/2 at most:
 
-    An isolated point (dim_F == 0) has zero Chern roots, so it takes the
-    closed form  z^shift * sign * int_F Td / prod_k (1 - z^|k|)^{r_k}:  by
-    1/(1 - z^k) = -z^|k| / (1 - z^|k|), a block of weight k < 0 and rank r
-    contributes (-1)^r to sign and |k| r to shift.  Other components
-    multiply out the ring-valued factors 1/(1 - z^k e^a).
+        P_j = int_F Td(F) omega_F^j/j! prod_{k,i} 1/(1 - z^k e^{a_ki}).
+
+    An isolated point (dim_F == 0) has zero Chern roots, so its one piece
+    takes the closed form  z^shift * sign * int_F Td / prod_k (1 - z^|k|)^{r_k}:
+    by 1/(1 - z^k) = -z^|k| / (1 - z^|k|), a block of weight k < 0 and rank
+    r contributes (-1)^r to sign and |k| r to shift.  Other components
+    multiply out the ring-valued factors 1/(1 - z^k e^a) once and integrate
+    that product against each divided power of omega_F.
     """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
     if F.dim_F == 0:
         sign, shift, den = 1, 0, {}
         for block in F.blocks:
@@ -72,12 +78,24 @@ def chi_tilde(F: FixedComponent, m: int) -> ZRational:
             den[k] = den.get(k, 0) + r
         point = RingSpec.point()
         value = point.scalar(sign * F.todd.integrate())
-        return ZRational(point, shift, {0: value}, den)
-    acc = ZRational.from_element(F.todd * (F.omega * Fraction(m)).exp_nilpotent())
+        return (ZRational(point, shift, {0: value}, den),)
+    acc = ZRational.from_element(F.todd)
     for block in F.blocks:
         for root in block.chern_roots:
             acc = acc * ZRational.inv_one_minus(block.weight, root)
-    return acc.integrate_over_F()
+    return tuple(acc.scale(w).integrate_over_F()
+                 for w in F.omega.divided_powers())
+
+
+def chi_tilde(F: FixedComponent, m: int) -> ZRational:
+    """The component character function sum_j m^j P_j as a scalar
+    ZRational, from the pieces kept on F (`FixedComponent.chi_pieces`)."""
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    pieces = F.chi_pieces
+    if len(pieces) == 1:
+        return pieces[0]
+    return scalar_sum(P.scale(m ** j) for j, P in enumerate(pieces))
 
 
 def character(p: ManifoldPresentation, m: int) -> LaurentPolynomial:

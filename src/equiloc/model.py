@@ -15,8 +15,9 @@ polynomial matching the monomial enumeration oracle (see tests).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .expressions import (ExpressionError, element_to_string,
@@ -43,7 +44,7 @@ class Diagnostic:
         return f"[{self.code}] {self.where}: {self.message}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class NormalBlock:
     """One isotypic block of the normal bundle: nonzero weight, rank >= 1."""
     weight: int
@@ -54,8 +55,11 @@ class NormalBlock:
         return len(self.chern_roots)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FixedComponent:
+    """One fixed component.  It is frozen, so the m-free pieces below are
+    computed on first use and kept on the instance; a perturbed copy
+    (`dataclasses.replace`) starts without them."""
     name: str
     dim_F: int
     moment: int
@@ -73,13 +77,38 @@ class FixedComponent:
             out.extend([b.weight] * b.rank)
         return out
 
+    @cached_property
+    def chi_pieces(self) -> tuple:
+        """P_0..P_d with chi_tilde(F, m) = sum_j m^j P_j."""
+        from .localization import chi_tilde_pieces
+        return chi_tilde_pieces(self)
 
-@dataclass
+    @cached_property
+    def residue_pieces(self) -> tuple[Fraction, ...]:
+        """The residue prescription applied to each of `chi_pieces`."""
+        from .quantize import residue_pieces
+        return residue_pieces(self)
+
+    @cached_property
+    def exceptional(self) -> Fraction:
+        """The exceptional term with the equivariant Todd class; m-free."""
+        from .quantize import exceptional_term
+        return exceptional_term(self)
+
+
+@dataclass(frozen=True)
 class QuotientData:
     """User-supplied geometry of the regular stratum of the quotient."""
     ring: RingSpec
     omega0: GradedElement
     kappa_todd: GradedElement
+
+    @cached_property
+    def regular_pieces(self) -> tuple[Fraction, ...]:
+        """int kappa omega0^j / j! for j = 0..d, so that the regular term
+        int e^{m omega0} kappa is sum_j m^j times the j-th entry."""
+        return tuple((self.kappa_todd * w).integrate()
+                     for w in self.omega0.divided_powers())
 
 
 @dataclass
@@ -196,7 +225,8 @@ def _ring_from_doc(doc: dict, where: str) -> RingSpec:
         for key, val in doc.get("integrals", {}).items():
             table[string_to_monomial(probe, key)] = Fraction(val)
         return RingSpec(gens, trunc, table)
-    except (KeyError, TypeError, ValueError, RingError, ExpressionError) as e:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, RingError,
+            ExpressionError) as e:
         raise ParseError(f"{where}: bad ring: {e}") from e
 
 

@@ -15,6 +15,14 @@ The regular term is an integral over the regular stratum of the reduced
 space; it is computed from user-supplied quotient data when present and
 otherwise only reported as a tagged diagnostic (the difference of the other
 terms), never silently invented.
+
+Every term is a polynomial in m with m-free coefficients, built once and
+kept on the frozen component or quotient data: a residue is linear, so the
+residue term has the residues of the pieces of chi_tilde as coefficients
+(`FixedComponent.residue_pieces`); the exceptional term of an isolated
+point does not depend on m (`FixedComponent.exceptional`); the supplied
+regular term int e^{m omega0} kappa has the coefficients
+int kappa omega0^j/j! (`QuotientData.regular_pieces`).
 """
 
 from __future__ import annotations
@@ -69,21 +77,39 @@ def rr_invariant(p: ManifoldPresentation, m: int) -> int:
     return c.numerator
 
 
+def _polyval(coeffs, m: int) -> Fraction:
+    """sum_j m^j coeffs[j], by Horner."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * m + c
+    return acc
+
+
+def residue_pieces(F: FixedComponent) -> tuple[Fraction, ...]:
+    """The residue prescription of F's classification side applied to each
+    m-free piece of chi_tilde (residues are linear)."""
+    side = classify(F).side
+
+    def residue(P):
+        if side == "plus":
+            return P.shifted(-1).residue_at_zero()
+        if side == "minus":
+            return P.residue_at_infinity()
+        return (P.shifted(-1).residue_at_zero()
+                + P.residue_at_infinity()) / 2
+
+    return tuple(residue(P) for P in F.chi_pieces)
+
+
 def residue_term(F: FixedComponent, m: int) -> Fraction:
     """The residue prescription applied to chi_tilde of a moment-zero
-    component, dispatched on its classification."""
+    component, dispatched on its classification: a polynomial in m whose
+    coefficients are kept on F (`FixedComponent.residue_pieces`)."""
     if F.moment != 0:
         raise ValueError(
             f"component {F.name} has moment {F.moment}; residue terms are "
             "defined for moment-zero components only")
-    chi = localization.chi_tilde(F, m)
-    side = classify(F).side
-    if side == "plus":
-        return chi.shifted(-1).residue_at_zero()
-    if side == "minus":
-        return chi.residue_at_infinity()
-    return (chi.shifted(-1).residue_at_zero()
-            + chi.residue_at_infinity()) / 2
+    return _polyval(F.residue_pieces, m)
 
 
 # Overall scale of the exceptional term.  The absolute normalization is not
@@ -109,15 +135,16 @@ def _divide_by_u_minus_v(num: dict[tuple[int, int], Fraction],
     return q
 
 
-def exceptional_term(F: FixedComponent, m: int,
-                     rho: RhoMap = "todd") -> Fraction:
+def exceptional_term(F: FixedComponent, rho: RhoMap = "todd") -> Fraction:
     """Contribution of an isolated indefinite moment-zero component, with
     rho (by default the equivariant Todd class) as the localized integrand,
     expanded to the one degree that contributes, l+ + l- - 1, which is the
-    normal rank less one at an isolated point."""
+    normal rank less one at an isolated point.  It does not depend on m,
+    since omega vanishes at a point; `FixedComponent.exceptional` keeps
+    the Todd-class value."""
     _exceptional_preconditions(F)
     scalar = _rho_series(F, rho, F.normal_rank() - 1).integrate_over_F()
-    return exceptional_from_series(F, scalar, m)
+    return exceptional_from_series(F, scalar)
 
 
 def _exceptional_preconditions(F: FixedComponent) -> None:
@@ -132,8 +159,8 @@ def _exceptional_preconditions(F: FixedComponent) -> None:
             "presentation does not carry")
 
 
-def exceptional_from_series(F: FixedComponent, rho: dict[int, Fraction],
-                            m: int) -> Fraction:
+def exceptional_from_series(F: FixedComponent,
+                            rho: dict[int, Fraction]) -> Fraction:
     """The exceptional contribution for an arbitrary scalar series rho.
 
     The kernel N(u, v) = (rho(u) + rho(v))/2 - rho((u+v)/2) is divided
@@ -171,15 +198,14 @@ def exceptional_from_series(F: FixedComponent, rho: dict[int, Fraction],
 
 
 def regular_term(p: ManifoldPresentation, m: int) -> tuple[Fraction, str]:
-    """The reduced-space term: exact when quotient data is supplied,
+    """The reduced-space term: exact when quotient data is supplied (the
+    polynomial int e^{m omega0} kappa, from `QuotientData.regular_pieces`),
     otherwise the tagged diagnostic rr - residues - exceptionals, as
     `main_formula_report` derives it."""
     if p.quotient is None:
         rep = main_formula_report(p, m)
         return rep.regular, rep.regular_tag
-    q = p.quotient
-    integrand = (q.omega0 * Fraction(m)).exp_nilpotent() * q.kappa_todd
-    return integrand.integrate(), "supplied"
+    return _polyval(p.quotient.regular_pieces, m), "supplied"
 
 
 @dataclass
@@ -210,7 +236,7 @@ def main_formula_report(p: ManifoldPresentation, m: int) -> MainFormulaReport:
         cls = classify(F)
         residues[F.name] = (cls.value, residue_term(F, m))
         if cls is Classification.INDEFINITE:
-            exceptionals[F.name] = exceptional_term(F, m)
+            exceptionals[F.name] = F.exceptional
     rest = sum((v for _, v in residues.values()), Fraction(0)) \
         + sum(exceptionals.values(), Fraction(0))
     balance: Optional[bool] = None
@@ -301,10 +327,7 @@ class PolynomialFit:
         return d
 
     def evaluate(self, m: int) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * m + c
-        return acc
+        return _polyval(self.coefficients, m)
 
     def max_residual(self) -> Fraction:
         return max((abs(r) for r in self.residuals.values()),

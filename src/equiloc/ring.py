@@ -250,19 +250,24 @@ class GradedElement:
 
     # -- the operations the formulas need --------------------------------------
 
+    def divided_powers(self) -> list["GradedElement"]:
+        """x^j / j! for j = 0, 1, ... up to the last nonzero one, for a
+        nilpotent x (zero scalar part): the terms of exp(x), so that
+        exp(m x) = sum_j m^j x^j / j! is a polynomial in m."""
+        if self.scalar_part() != 0:
+            raise RingError("a nilpotent element must have zero scalar part")
+        out = [self.ring.one()]
+        while True:
+            term = out[-1] * self * Fraction(1, len(out))
+            if term.is_zero():
+                return out
+            out.append(term)
+
     def exp_nilpotent(self) -> "GradedElement":
         """exp of a nilpotent element (zero scalar part); finite sum."""
-        if self.scalar_part() != 0:
-            raise RingError("exp_nilpotent requires zero scalar part")
-        result = self.ring.one()
-        term = self.ring.one()
-        k = 1
-        while True:
-            term = term * self
-            if term.is_zero():
-                break
-            result = result + term * Fraction(1, factorial(k))
-            k += 1
+        result = self.ring.zero()
+        for term in self.divided_powers():
+            result = result + term
         return result
 
     def integrate(self) -> Fraction:

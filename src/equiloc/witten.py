@@ -321,7 +321,7 @@ def expansion_rhs(p: ManifoldPresentation, phi: TestFunction, m: int,
         laurent = component_u_laurent(F, m, rho, order)
         total += pair_u_laurent(laurent, cls.side, phi)
         if cls is Classification.INDEFINITE:
-            total += complex(exceptional_term(F, m, rho))
+            total += complex(exceptional_term(F, rho))
     return total
 
 

@@ -132,6 +132,18 @@ def test_mistyped_field_exits_2(tmp_path, capsys, old, new):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("old, new", [
+    ('"omega": "1 * h^1"', '"omega": "1/0 * h^1"'),
+    ('"h^1": "1"', '"h^1": "1/0"')])
+def test_zero_denominator_exits_2(tmp_path, capsys, old, new):
+    path = tmp_path / "zero_denominator.json"
+    path.write_text(serialize(builtin("cp001")).replace(old, new))
+    code, out, err = run(capsys, "rr", "--input", str(path), "--m", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: components[0]") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_missing_input_exits_2(capsys):
     code, _, err = run(capsys, "rr", "--m", "1")
     assert code == 2 and "required" in err
@@ -258,6 +270,17 @@ def test_verify_options_are_rejected_elsewhere(capsys, command, option):
     assert exc.value.code == 2
     _, err = capsys.readouterr()
     assert f"unrecognized arguments: {' '.join(option)}" in err
+    assert "Traceback" not in err
+
+
+def test_verify_has_no_format_option(capsys):
+    # verify prints text lines only; --format belongs to the computing
+    # commands
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--builtin", "cp1", "--format", "json"])
+    assert exc.value.code == 2
+    _, err = capsys.readouterr()
+    assert "unrecognized arguments: --format json" in err
     assert "Traceback" not in err
 
 

@@ -2,6 +2,7 @@
 
 import cmath
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,8 @@ from equiloc.localization import (PreparedInner, character, chi_tilde,
                                   dh_inner, equivariant_todd_at_F,
                                   kirillov_check, rr_total)
 from equiloc.model import (FixedComponent, NormalBlock, bundle_power,
-                           cpn_linear, product, shift_moment)
+                           cpn_linear, product, shift_moment, trivial_cp1)
+from equiloc.quantize import classify, residue_term
 from equiloc.oracle import convolve
 from equiloc.ring import RingSpec
 from equiloc.zrational import LaurentPolynomial, NotAPolynomial, ZRational
@@ -74,6 +76,37 @@ def test_chi_tilde_point_closed_form_matches_ring_path():
             assert chi_tilde(F, m) == _ring_path(F, m)
 
 
+def _piece_presentations():
+    """Every builtin, and the product with a trivially acted-on sphere,
+    whose components have dim_F 4 and 2 (three and two chi_tilde pieces)."""
+    out = [builtin(name) for name in builtin_names()]
+    big = product(trivial_cp1(), builtin("cp001"))
+    assert sorted(len(F.chi_pieces) for F in big.components) == [2, 3]
+    return out + [big]
+
+
+def test_chi_tilde_pieces_match_ring_path():
+    for p in _piece_presentations():
+        for F in p.components:
+            for m in range(9):
+                assert chi_tilde(F, m) == _ring_path(F, m), (p.name, F.name)
+
+
+def test_residue_term_matches_ring_path_residue():
+    # each component is brought to moment zero by a shift of the moments
+    for p in _piece_presentations():
+        for J in sorted({F.moment for F in p.components}):
+            for F in shift_moment(p, -J).f_zero():
+                side = classify(F).side
+                for m in range(9):
+                    chi = _ring_path(F, m)
+                    plus = chi.shifted(-1).residue_at_zero()
+                    minus = chi.residue_at_infinity()
+                    want = {"plus": plus, "minus": minus,
+                            "avg": (plus + minus) / 2}[side]
+                    assert residue_term(F, m) == want, (p.name, F.name, m)
+
+
 def _gaussian_binomial(n, k):
     """[n choose k]_z by [n, k] = [n-1, k-1] + z^k [n-1, k]."""
     rows = [[{0: 1}] + [{} for _ in range(k)]]
@@ -125,7 +158,9 @@ def test_character_weight_support_bound():
 
 def test_inconsistent_data_fails_pole_cancellation():
     p = cpn_linear([0, 1], 1)
-    p.components[0].blocks[0].weight = 2    # breaks global consistency
+    F = p.components[0]
+    p.components[0] = replace(                # breaks global consistency
+        F, blocks=[replace(F.blocks[0], weight=2)] + F.blocks[1:])
     with pytest.raises(NotAPolynomial):
         character(p, 1)
 
@@ -283,9 +318,9 @@ def test_kirillov_uncalibrated_negative_control():
     # doubled must miss the rotation sphere's own character
     cp1 = builtin("cp1")
     q = builtin("cp1")
-    for F in q.components:
-        for block in F.blocks:
-            block.weight *= 2
+    q.components = [
+        replace(F, blocks=[replace(b, weight=2 * b.weight) for b in F.blocks])
+        for F in q.components]
     chi = character(cp1, 3).evaluate(cmath.exp(2j * cmath.pi * 0.1))
     assert abs(chi - dh_inner(cp1, "todd", 3, 0.1)) < 1e-8
     assert abs(chi - dh_inner(q, "todd", 3, 0.1)) > 0.1

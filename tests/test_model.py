@@ -1,5 +1,6 @@
 """Data model: validation diagnostics, document round-trips, builders."""
 
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,9 @@ def test_builders_validate_clean():
 
 def test_weight_zero_diagnostic():
     p = cpn_linear([0, 1], 1)
-    p.components[0].blocks[0].weight = 0
+    F = p.components[0]
+    p.components[0] = replace(
+        F, blocks=[replace(F.blocks[0], weight=0)] + F.blocks[1:])
     codes = [d.code for d in validate(p)]
     assert "WeightZero" in codes
 
@@ -39,7 +42,7 @@ def test_point_component_constraints():
                           [NormalBlock(1, [ring.zero()])])
     p = ManifoldPresentation("x", 2, [comp])
     assert validate(p) == []
-    comp.todd = ring.scalar(2)
+    p.components[0] = replace(comp, todd=ring.scalar(2))
     assert any(d.code == "PointToddNotOne" for d in validate(p))
 
 
@@ -90,6 +93,28 @@ def test_parse_rejects_mistyped_fields(old, new):
     assert old in text
     with pytest.raises(ParseError, match="must be"):
         parse(text.replace(old, new))
+
+
+# A zero denominator in a class expression or in an integral is an input
+# error, not an arithmetic one.
+ZERO_DENOMINATOR = [('"omega": "1 * h^1"', '"omega": "1/0 * h^1"'),
+                    ('"todd": "1 + 1 * h^1"', '"todd": "1 + 1/00 * h^1"'),
+                    ('"h^1": "1"', '"h^1": "1/0"')]
+
+
+@pytest.mark.parametrize("old, new", ZERO_DENOMINATOR)
+def test_parse_rejects_zero_denominator(old, new):
+    text = serialize(builtin("cp001"))
+    assert old in text
+    with pytest.raises(ParseError, match="components\\[0\\]"):
+        parse(text.replace(old, new))
+
+
+def test_normal_block_is_frozen():
+    block = builtin("cp1").components[0].blocks[0]
+    with pytest.raises(FrozenInstanceError):
+        block.weight = 2
+    assert block.weight == 1
 
 
 def test_minimal_point_document():

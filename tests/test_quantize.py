@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from equiloc import builtin
+from equiloc import builtin, builtin_names
 from equiloc.model import FixedComponent, NormalBlock, cpn_linear
 from equiloc.quantize import (Classification, NotIndefinite, Unsupported,
                               classify, exceptional_from_series,
@@ -66,30 +66,30 @@ def test_residue_term_indefinite_average():
 
 def test_exceptional_vanishing_cases():
     F = point_component("f", 0, [1, -1])
-    assert exceptional_term(F, 1) == 0        # l+ = l- = 1: below dim six
+    assert exceptional_term(F) == 0        # l+ = l- = 1: below dim six
     G = point_component("g", 0, [1, 1, -1])
-    assert exceptional_term(G, 1) == 0        # td identity at unit weights
+    assert exceptional_term(G) == 0        # td identity at unit weights
     H = point_component("h", 0, [1, -1, -1])
-    assert exceptional_term(H, 1) == 0
+    assert exceptional_term(H) == 0
 
 
 def test_exceptional_constant_rho_gives_zero():
     F = point_component("f", 0, [1, 1, -1])
-    assert exceptional_from_series(F, {0: Fraction(3)}, 1) == 0
+    assert exceptional_from_series(F, {0: Fraction(3)}) == 0
     # affine parts drop out identically too
-    assert exceptional_from_series(F, {0: Fraction(3), 1: Fraction(2)}, 1) == 0
+    assert exceptional_from_series(F, {0: Fraction(3), 1: Fraction(2)}) == 0
 
 
 def test_exceptional_errors():
     with pytest.raises(NotIndefinite):
-        exceptional_term(point_component("f", 0, [1, 2]), 1)
+        exceptional_term(point_component("f", 0, [1, 2]))
     ring = RingSpec((("h", 2),), 2, {(1,): Fraction(1)})
     F = FixedComponent("s", 2, 0, ring, ring.one() + ring.generator("h"),
                        ring.generator("h"),
                        [NormalBlock(1, [ring.zero()]),
                         NormalBlock(-1, [ring.zero()])])
     with pytest.raises(Unsupported):
-        exceptional_term(F, 1)
+        exceptional_term(F)
 
 
 def _sympy_exceptional(weights):
@@ -122,14 +122,14 @@ def test_exceptional_against_symbolic_oracle():
     # units-only shape: nonzero rho_4 pieces cancel exactly (td identity)
     F = point_component("f", 0, [1, 1, 1, 1, -1])
     want, rho = _sympy_exceptional([1, 1, 1, 1, -1])
-    got = exceptional_from_series(F, rho, 1)
+    got = exceptional_from_series(F, rho)
     assert got == want == 0
     # a mixed-magnitude shape exercises a genuinely nonzero kernel value
     G = point_component("g", 0, [2, 1, -1])
     want, rho = _sympy_exceptional([2, 1, -1])
-    got = exceptional_from_series(G, rho, 1)
+    got = exceptional_from_series(G, rho)
     assert got == want
-    assert got == exceptional_term(G, 1)
+    assert got == exceptional_term(G)
     assert got != 0
 
 
@@ -138,9 +138,9 @@ def test_exceptional_swap_symmetry_on_builtins():
     for weights in ([1, 1, -1], [1, -1, -1]):
         F = point_component("f", 0, weights)
         G = point_component("g", 0, [-w for w in weights])
-        a = exceptional_term(F, 1)
+        a = exceptional_term(F)
         # rho of G is rho of F at -u (td factors swap), so compare directly
-        b = exceptional_term(G, 1)
+        b = exceptional_term(G)
         assert a == b == 0
 
 
@@ -151,6 +151,17 @@ def test_regular_term_supplied_and_balance():
             rep = main_formula_report(p, m)
             assert rep.regular_tag == "supplied"
             assert rep.balance is True, (name, m, rep)
+
+
+def test_regular_term_is_the_supplied_integral():
+    for name in builtin_names():
+        p = builtin(name)
+        if p.quotient is None:
+            continue
+        q = p.quotient
+        for m in range(9):
+            want = ((q.omega0 * m).exp_nilpotent() * q.kappa_todd).integrate()
+            assert regular_term(p, m) == (want, "supplied"), (name, m)
 
 
 def test_regular_value_reduction():

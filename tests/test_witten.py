@@ -3,6 +3,7 @@
 import cmath
 import math
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -124,7 +125,9 @@ def test_witten_pair_linear_in_rho():
 
 def test_witten_pair_detects_inconsistent_data():
     p = builtin("cp1")
-    p.components[0].blocks[0].weight = 2
+    F = p.components[0]
+    p.components[0] = replace(
+        F, blocks=[replace(F.blocks[0], weight=2)] + F.blocks[1:])
     with pytest.raises(CancellationError):
         witten_pair(p, None, PHI, 3)
 
