@@ -15,7 +15,7 @@ from .model import (FixedComponent, ManifoldPresentation, NormalBlock,
 from .ring import GradedElement, RingSpec, todd_from_roots
 from .zrational import LaurentPolynomial, NotAPolynomial, ZRational
 from .localization import (character, chi_tilde, dh_inner,
-                           equivariant_todd_at_F, kirillov_check, rr_total)
+                           equivariant_todd_at_F, kirillov_check)
 from .quantize import (Classification, classify, exceptional_term,
                        main_formula_report, polynomiality_check,
                        regular_term, residue_term, rr_invariant)
@@ -30,6 +30,6 @@ __all__ = [
     "chi_tilde", "classify", "Classification", "cpn_linear", "dh_inner",
     "disjoint_union", "equivariant_todd_at_F", "exceptional_term",
     "kirillov_check", "main_formula_report", "parse", "polynomiality_check",
-    "product", "regular_term", "residue_term", "rr_invariant", "rr_total",
-    "serialize", "shift_moment", "todd_from_roots", "trivial_cp1", "validate",
+    "product", "regular_term", "residue_term", "rr_invariant", "serialize",
+    "shift_moment", "todd_from_roots", "trivial_cp1", "validate",
 ]

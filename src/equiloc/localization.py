@@ -48,8 +48,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 from .model import FixedComponent, ManifoldPresentation
 from .ring import GradedElement, RingSpec, todd_coefficient
-from .zrational import (LaurentPolynomial, NotAPolynomial, ZRational,
-                        scalar_sum)
+from .zrational import LaurentPolynomial, ZRational, scalar_sum
 
 
 # ---------------------------------------------------------------------------
@@ -76,10 +75,8 @@ def chi_tilde_pieces(F: FixedComponent) -> tuple[ZRational, ...]:
                 sign *= (-1) ** r
                 shift += k * r
             den[k] = den.get(k, 0) + r
-        point = RingSpec.point()
-        value = point.scalar(sign * F.todd.integrate())
-        return (ZRational(point, shift, {0: value}, den),)
-    acc = ZRational.from_element(F.todd)
+        return (ZRational(shift, {0: sign * F.todd.integrate()}, den),)
+    acc = ZRational(0, {0: F.todd}, {})
     for block in F.blocks:
         for root in block.chern_roots:
             acc = acc * ZRational.inv_one_minus(block.weight, root)
@@ -106,14 +103,6 @@ def character(p: ManifoldPresentation, m: int) -> LaurentPolynomial:
     """
     return scalar_sum(chi_tilde(F, m).shifted(m * F.moment)
                       for F in p.components).to_laurent_polynomial()
-
-
-def rr_total(p: ManifoldPresentation, m: int) -> int:
-    """RR(M, L^m): the character evaluated at z = 1."""
-    value = character(p, m).evaluate_at_one()
-    if value.denominator != 1:
-        raise NotAPolynomial(f"character sums to non-integer {value} at z=1")
-    return value.numerator
 
 
 # ---------------------------------------------------------------------------

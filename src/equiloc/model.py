@@ -217,12 +217,17 @@ def _ring_to_doc(ring: RingSpec) -> dict:
 
 
 def _ring_from_doc(doc: dict, where: str) -> RingSpec:
+    _typed(doc, dict, f"{where}: ring")
+    gens_doc = _typed(doc.get("generators", []), list, f"{where}: generators")
+    integrals = _typed(doc.get("integrals", {}), dict, f"{where}: integrals")
     try:
-        gens = [(g["name"], g["degree"]) for g in doc.get("generators", [])]
-        trunc = doc["truncation"]
+        gens = [(_typed(g["name"], str, "generator name"),
+                 _typed(g["degree"], int, "generator degree"))
+                for g in gens_doc]
+        trunc = _typed(doc["truncation"], int, "truncation")
         probe = RingSpec(gens, trunc, {})
         table = {}
-        for key, val in doc.get("integrals", {}).items():
+        for key, val in integrals.items():
             table[string_to_monomial(probe, key)] = Fraction(val)
         return RingSpec(gens, trunc, table)
     except (KeyError, TypeError, ValueError, ZeroDivisionError, RingError,
@@ -265,9 +270,12 @@ def serialize(p: ManifoldPresentation) -> str:
 
 
 def _typed(value, kind: type, what: str):
-    """`value` itself if its JSON type is `kind` (a bool is no integer)."""
+    """`value` itself if its JSON type is `kind` (a bool is no integer,
+    a number no string, a string no array)."""
     if type(value) is not kind:
-        raise ParseError(f"{what} must be {kind.__name__}, got {value!r}")
+        name = {str: "string", list: "array", dict: "object"}.get(
+            kind, kind.__name__)
+        raise ParseError(f"{what} must be {name}, got {value!r}")
     return value
 
 
@@ -275,8 +283,9 @@ def parse(text: str) -> ManifoldPresentation:
     """Parse and validate a presentation document.
 
     Raises ParseError with line/column info on syntax errors and with the
-    collected diagnostics when validation fails.  Integer and boolean
-    fields must have that JSON type: nothing is truncated or coerced.
+    collected diagnostics when validation fails.  Names, integers,
+    booleans, arrays and objects must have that JSON type: nothing is
+    truncated or coerced.
     """
     try:
         doc = json.loads(text)
@@ -287,11 +296,11 @@ def parse(text: str) -> ManifoldPresentation:
     if not isinstance(doc, dict):
         raise ParseError("document root must be an object")
     try:
-        name = str(doc["name"])
+        name = _typed(doc["name"], str, "name")
         dim_M = _typed(doc["dim_M"], int, "dim_M")
         free = _typed(doc.get("free_on_regular", True), bool,
                       "free_on_regular")
-        comps_doc = doc["components"]
+        comps_doc = _typed(doc["components"], list, "components")
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"missing or malformed top-level field: {e}") from e
     components = []
@@ -302,12 +311,14 @@ def parse(text: str) -> ManifoldPresentation:
             todd = string_to_element(ring, c["todd"])
             omega = string_to_element(ring, c["omega"])
             blocks = []
-            for b in c.get("blocks", []):
+            for b in _typed(c.get("blocks", []), list, f"{where}: blocks"):
                 weight = _typed(b["weight"], int, f"{where}: weight")
-                roots = [string_to_element(ring, r) for r in b["chern_roots"]]
+                roots = [string_to_element(ring, r) for r in
+                         _typed(b["chern_roots"], list,
+                                f"{where}: chern_roots")]
                 blocks.append(NormalBlock(weight, roots))
             components.append(FixedComponent(
-                name=str(c["name"]),
+                name=_typed(c["name"], str, f"{where}: name"),
                 dim_F=_typed(c["dim_F"], int, f"{where}: dim_F"),
                 moment=_typed(c["moment"], int, f"{where}: moment"),
                 ring=ring, todd=todd,
@@ -318,14 +329,17 @@ def parse(text: str) -> ManifoldPresentation:
                 RingError) as e:
             raise ParseError(f"{where}: {e}") from e
     quotient = None
-    if "quotient" in doc and doc["quotient"] is not None:
-        q = doc["quotient"]
+    q = doc.get("quotient")
+    if q is not None:
+        _typed(q, dict, "quotient")
         try:
             qring = _ring_from_doc(q["ring"], "quotient")
             quotient = QuotientData(
                 ring=qring,
                 omega0=string_to_element(qring, q["omega0"]),
                 kappa_todd=string_to_element(qring, q["kappa_todd"]))
+        except ParseError:
+            raise
         except (KeyError, TypeError, ValueError, ExpressionError,
                 RingError) as e:
             raise ParseError(f"quotient: {e}") from e

@@ -35,6 +35,7 @@ from typing import Optional
 
 from .localization import RhoMap, _rho_series
 from .model import FixedComponent, ManifoldPresentation
+from .zrational import NotAPolynomial
 from . import localization
 
 
@@ -70,10 +71,11 @@ def classify(F: FixedComponent) -> Classification:
 
 
 def rr_invariant(p: ManifoldPresentation, m: int) -> int:
-    """The multiplicity of the trivial weight in the index character."""
+    """The multiplicity of the trivial weight in the index character;
+    NotAPolynomial when it is not an integer (inconsistent data)."""
     c = localization.character(p, m).constant_term()
     if c.denominator != 1:
-        raise ArithmeticError(f"invariant multiplicity {c} is not an integer")
+        raise NotAPolynomial(f"invariant multiplicity {c} is not an integer")
     return c.numerator
 
 

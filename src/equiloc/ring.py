@@ -173,13 +173,11 @@ class GradedElement:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     def scalar_part(self) -> Fraction:
         return self.terms.get((0,) * len(self.ring.generators), Fraction(0))
-
-    def without_scalar(self) -> "GradedElement":
-        zero_mono = (0,) * len(self.ring.generators)
-        return GradedElement(
-            self.ring, {m: c for m, c in self.terms.items() if m != zero_mono})
 
     def __eq__(self, other):
         if not isinstance(other, GradedElement):

@@ -1,10 +1,15 @@
-"""Rational functions of a formal variable z with ring-valued numerators.
+"""Rational functions of a formal variable z.
 
 A ZRational is  z^shift * N(z) / prod_k (1 - z^k)^{m_k}  with k > 0 and the
-numerator a Laurent polynomial whose coefficients live in a truncated graded
-ring.  Every denominator produced by fixed-point localization has this shape
-once negative-weight factors are normalized away, which makes the residues
-at z = 0 and z = infinity purely mechanical series manipulations.
+numerator a Laurent polynomial whose coefficients are whatever the
+arithmetic multiplies: elements of a truncated graded ring while the
+ring-valued factors of a fixed component are multiplied out, then plain
+ints and Fractions once `integrate_over_F` has applied the ring's
+integration functional.  Every denominator produced by fixed-point
+localization has this shape once negative-weight factors are normalized
+away, which makes the residues at z = 0 and z = infinity purely mechanical
+series manipulations.  Those, and the division, need a scalar numerator;
+on ring-valued coefficients they raise RingError.
 
 The residue at infinity is defined operationally as the residue at zero of
 chi(1/z)/z; no contour-orientation convention enters anywhere.
@@ -12,11 +17,12 @@ chi(1/z)/z; no contour-orientation convention enters anywhere.
 The exact character runs on integers.  `scalar_sum` brings scalar pieces
 over one common denominator and scales their numerators by the lcm L of
 all their coefficient denominators, so the summed numerator is an integer
-Laurent polynomial over L.  `to_laurent_polynomial` divides the integer
-numerator one factor at a time: N = Q (1 - z^k) reads a[t] = q[t] - q[t-k],
-so Q is the strided prefix sum q[t] = a[t] + q[t-k], and the division is
-exact precisely when the last k entries of that prefix sum vanish.  Only
-the quotient is divided by L.
+Laurent polynomial over L, kept as ints when L = 1.
+`to_laurent_polynomial` divides the integer numerator one factor at a
+time: N = Q (1 - z^k) reads a[t] = q[t] - q[t-k], so Q is the strided
+prefix sum q[t] = a[t] + q[t-k], and the division is exact precisely when
+the last k entries of that prefix sum vanish.  Only the quotient is
+divided by L.
 """
 
 from __future__ import annotations
@@ -27,9 +33,10 @@ from itertools import accumulate
 from math import comb, lcm
 from typing import Iterable, Mapping, Union
 
-from .ring import GradedElement, RingError, RingSpec
+from .ring import GradedElement, RingError
 
 Rat = Union[int, Fraction]
+Coef = Union[int, Fraction, GradedElement]
 
 
 class NotAPolynomial(ArithmeticError):
@@ -40,18 +47,14 @@ class NotAPolynomial(ArithmeticError):
 
 
 class ZRational:
-    __slots__ = ("ring", "shift", "num", "den")
+    """z^shift * num / prod_k (1 - z^k)^den[k]; zero coefficients and
+    factors are dropped, and zero has shift 0 and no denominator."""
 
-    def __init__(self, ring: RingSpec, shift: int,
-                 num: Mapping[int, GradedElement],
+    __slots__ = ("shift", "num", "den")
+
+    def __init__(self, shift: int, num: Mapping[int, Coef],
                  den: Mapping[int, int]):
-        self.ring = ring
-        clean_num = {}
-        for j, coef in num.items():
-            if not coef.ring.same_as(ring):
-                raise RingError("numerator coefficient in wrong ring")
-            if not coef.is_zero():
-                clean_num[int(j)] = coef
+        clean_num = {int(j): c for j, c in num.items() if c}
         clean_den = {}
         for k, mult in den.items():
             if k <= 0:
@@ -66,24 +69,6 @@ class ZRational:
         self.shift = int(shift)
         self.num = clean_num
         self.den = clean_den
-
-    # -- constructors ----------------------------------------------------------
-
-    @staticmethod
-    def from_element(a: GradedElement) -> "ZRational":
-        return ZRational(a.ring, 0, {0: a}, {})
-
-    @staticmethod
-    def constant(ring: RingSpec, c: Rat) -> "ZRational":
-        return ZRational.from_element(ring.scalar(c))
-
-    @staticmethod
-    def zero(ring: RingSpec) -> "ZRational":
-        return ZRational(ring, 0, {}, {})
-
-    @staticmethod
-    def monomial(ring: RingSpec, power: int, c: Rat = 1) -> "ZRational":
-        return ZRational(ring, power, {0: ring.scalar(c)}, {})
 
     @staticmethod
     def inv_one_minus(k: int, a: GradedElement) -> "ZRational":
@@ -102,18 +87,15 @@ class ZRational:
         ring = a.ring
         if k < 0:
             inner = ZRational.inv_one_minus(-k, -a)
-            unit = (-a).exp_nilpotent() * Fraction(-1)
-            return inner.scale(unit).shifted(-k)
+            return inner.scale(-(-a).exp_nilpotent()).shifted(-k)
         u = a.exp_nilpotent() - ring.one()            # nilpotent
-        result = ZRational.zero(ring)
+        result = ZRational(0, {}, {})
         power = ring.one()
         j = 0
-        while True:
-            result = result + ZRational(ring, k * j, {0: power}, {k: j + 1})
+        while power:
+            result = result + ZRational(k * j, {0: power}, {k: j + 1})
             power = power * u
             j += 1
-            if power.is_zero():
-                break
         return result
 
     # -- structure -------------------------------------------------------------
@@ -125,19 +107,13 @@ class ZRational:
         """Multiply by z^j."""
         if self.is_zero():
             return self
-        return ZRational(self.ring, self.shift + j, self.num, self.den)
+        return ZRational(self.shift + j, self.num, self.den)
 
-    def scale(self, c: Union[Rat, GradedElement]) -> "ZRational":
-        if isinstance(c, GradedElement):
-            return ZRational(self.ring, self.shift,
-                             {j: v * c for j, v in self.num.items()}, self.den)
-        c = Fraction(c)
-        return ZRational(self.ring, self.shift,
-                         {j: v * c for j, v in self.num.items()}, self.den)
+    def scale(self, c: Coef) -> "ZRational":
+        return ZRational(self.shift, {j: v * c for j, v in self.num.items()},
+                         self.den)
 
     def __add__(self, other: "ZRational") -> "ZRational":
-        if not self.ring.same_as(other.ring):
-            raise RingError("operands live in different rings")
         if self.is_zero():
             return other
         if other.is_zero():
@@ -145,7 +121,7 @@ class ZRational:
         den = {k: max(self.den.get(k, 0), other.den.get(k, 0))
                for k in set(self.den) | set(other.den)}
         shift = min(self.shift, other.shift)
-        num: dict[int, GradedElement] = {}
+        num: dict[int, Coef] = {}
         for part in (self, other):
             extra = {k: den[k] - part.den.get(k, 0) for k in den}
             poly = _expand_factors(extra)
@@ -154,42 +130,33 @@ class ZRational:
                 for e, c in poly.items():
                     key = base + j + e
                     add = coef * c
-                    num[key] = num.get(key, self.ring.zero()) + add
-        return ZRational(self.ring, shift, num, den)
+                    num[key] = num[key] + add if key in num else add
+        return ZRational(shift, num, den)
 
     def __neg__(self) -> "ZRational":
-        return self.scale(Fraction(-1))
+        return self.scale(-1)
 
     def __sub__(self, other: "ZRational") -> "ZRational":
         return self + (-other)
 
     def __mul__(self, other: "ZRational") -> "ZRational":
-        if not self.ring.same_as(other.ring):
-            raise RingError("operands live in different rings")
-        if self.is_zero() or other.is_zero():
-            return ZRational.zero(self.ring)
         den = {k: self.den.get(k, 0) + other.den.get(k, 0)
                for k in set(self.den) | set(other.den)}
-        num: dict[int, GradedElement] = {}
+        num: dict[int, Coef] = {}
         for j1, c1 in self.num.items():
             for j2, c2 in other.num.items():
-                prod = c1 * c2
-                if prod.is_zero():
-                    continue
                 key = j1 + j2
-                num[key] = num.get(key, self.ring.zero()) + prod
-        return ZRational(self.ring, self.shift + other.shift, num, den)
+                prod = c1 * c2
+                num[key] = num[key] + prod if key in num else prod
+        return ZRational(self.shift + other.shift, num, den)
 
     def __eq__(self, other):
         if not isinstance(other, ZRational):
             return NotImplemented
-        return (self - other).is_zero_function()
+        return (self - other).is_zero()
 
     def __hash__(self):
         raise TypeError("ZRational is unhashable")
-
-    def is_zero_function(self) -> bool:
-        return all(c.is_zero() for c in self.num.values())
 
     def __repr__(self):
         den = "*".join(f"(1-z^{k})^{m}" for k, m in sorted(self.den.items()))
@@ -198,25 +165,18 @@ class ZRational:
     # -- passage to scalars ----------------------------------------------------
 
     def integrate_over_F(self) -> "ZRational":
-        """Apply the ring integration functional coefficient-wise.
+        """Apply the ring integration functional coefficient-wise; the
+        result has a scalar numerator."""
+        return ZRational(self.shift,
+                         {j: c.integrate() for j, c in self.num.items()},
+                         self.den)
 
-        The result lives over the point ring (a ScalarZRational)."""
-        point = RingSpec.point()
-        num = {}
-        for j, coef in self.num.items():
-            val = coef.integrate()
-            if val != 0:
-                num[j] = point.scalar(val)
-        return ZRational(point, self.shift, num, self.den)
-
-    def scalar_num(self) -> dict[int, Fraction]:
-        out = {}
-        for j, coef in self.num.items():
-            nonscalar = coef.without_scalar()
-            if not nonscalar.is_zero():
-                raise RingError("numerator is not scalar; integrate first")
-            out[j] = coef.scalar_part()
-        return out
+    def _scalar(self) -> dict[int, Rat]:
+        """The numerator, which the scalar operations below require to
+        hold ints and Fractions only."""
+        if any(isinstance(c, GradedElement) for c in self.num.values()):
+            raise RingError("numerator is not scalar; integrate first")
+        return self.num
 
     # -- expansion, division, residues ------------------------------------------
 
@@ -228,7 +188,7 @@ class ZRational:
         the strided prefix sum q[t] = a[t] + q[t-k], whose last k entries
         must vanish; the quotient is divided by L at the end.
         """
-        num = self.scalar_num()
+        num = self._scalar()
         if not num:
             return LaurentPolynomial({})
         scale = lcm(*(c.denominator for c in num.values()))
@@ -254,7 +214,7 @@ class ZRational:
 
     def series_coefficients(self, upto: int) -> dict[int, Fraction]:
         """Laurent coefficients at z = 0 for exponents <= upto (exact)."""
-        num = self.scalar_num()
+        num = self._scalar()
         if not num:
             return {}
         lo = self.shift + min(num)
@@ -276,16 +236,12 @@ class ZRational:
         return self.series_coefficients(-1).get(-1, Fraction(0))
 
     def substitute_inverse(self) -> "ZRational":
-        """The function z -> chi(1/z), renormalized into canonical form."""
-        sign = Fraction(1)
-        extra_shift = 0
-        for k, m in self.den.items():
-            # (1 - z^{-k})^{-m} = (-1)^m z^{km} (1 - z^k)^{-m}
-            if m % 2:
-                sign = -sign
-            extra_shift += k * m
+        """The function z -> chi(1/z), renormalized into canonical form:
+        (1 - z^{-k})^{-m} = (-1)^m z^{km} (1 - z^k)^{-m}."""
+        sign = (-1) ** sum(self.den.values())
+        extra_shift = sum(k * m for k, m in self.den.items())
         num = {-j: c * sign for j, c in self.num.items()}
-        return ZRational(self.ring, -self.shift + extra_shift, num, self.den)
+        return ZRational(-self.shift + extra_shift, num, self.den)
 
     def residue_at_infinity(self) -> Fraction:
         """Res_{z=0} of chi(1/z)/z, the change-of-variable form of Res at oo."""
@@ -293,25 +249,21 @@ class ZRational:
 
     def differentiate(self) -> "ZRational":
         """d/dz, staying in canonical form."""
-        ring = self.ring
         s = self.shift
         # d/dz [z^s N / D] = z^{s-1}(sN + zN')/D + z^s N sum_k m_k k z^{k-1}/((1-z^k) D)
-        main_num = {}
-        for j, c in self.num.items():
-            main_num[j] = main_num.get(j, ring.zero()) + c * Fraction(s + j)
-        result = ZRational(ring, s - 1, main_num, self.den)
+        result = ZRational(s - 1, {j: c * (s + j)
+                                   for j, c in self.num.items()}, self.den)
         for k, m in self.den.items():
             den = dict(self.den)
             den[k] = m + 1
-            num = {j: c * Fraction(m * k) for j, c in self.num.items()}
-            result = result + ZRational(ring, s + k - 1, num, den)
+            num = {j: c * (m * k) for j, c in self.num.items()}
+            result = result + ZRational(s + k - 1, num, den)
         return result
 
     def evaluate(self, z: complex) -> complex:
         """Float evaluation away from denominator zeros (cross-check only)."""
-        num = self.scalar_num()
         total = 0j
-        for j, c in num.items():
+        for j, c in self._scalar().items():
             total += complex(c) * z ** j
         total *= z ** self.shift
         for k, m in self.den.items():
@@ -326,19 +278,16 @@ def scalar_sum(parts: Iterable[ZRational]) -> ZRational:
     numerator is scaled to integers by the lcm L of all coefficient
     denominators, each distinct extra factor prod (1 - z^k)^{extra} is
     expanded once, and the products accumulate as ints by exponent; the
-    one result is built with coefficients (int sum) / L.
+    one result has the int sums as coefficients when L = 1 and
+    Fraction(sum, L) otherwise.
     """
-    point = RingSpec.point()
-    parts = [(q.shift, q.scalar_num(), q.den) for q in parts
-             if not q.is_zero()]
-    if not parts:
-        return ZRational.zero(point)
+    parts = [(q.shift, q._scalar(), q.den) for q in parts if q.num]
     den: dict[int, int] = {}
     for _, _, d in parts:
         for k, mult in d.items():
             den[k] = max(den.get(k, 0), mult)
     scale = lcm(*(c.denominator for _, num, _ in parts for c in num.values()))
-    shift = min(s for s, _, _ in parts)
+    shift = min((s for s, _, _ in parts), default=0)
     expanded: dict[tuple, dict[int, int]] = {}
     acc: dict[int, int] = defaultdict(int)
     for s, num, d in parts:
@@ -351,8 +300,9 @@ def scalar_sum(parts: Iterable[ZRational]) -> ZRational:
             base = s - shift + j
             for e, p in poly.items():
                 acc[base + e] += c * p
-    return ZRational(point, shift, {j: point.scalar(Fraction(v, scale))
-                                    for j, v in acc.items() if v}, den)
+    if scale > 1:
+        acc = {j: Fraction(v, scale) for j, v in acc.items()}
+    return ZRational(shift, acc, den)
 
 
 def _expand_factors(factors: Mapping[int, int]) -> dict[int, int]:
@@ -383,12 +333,13 @@ def _poly_mul_trunc(a: Mapping[int, Fraction], b: Mapping[int, Fraction],
 
 
 class LaurentPolynomial:
-    """Exact Laurent polynomial in z: exponent -> nonzero rational."""
+    """Exact Laurent polynomial in z: exponent -> nonzero rational, each
+    coefficient kept as given, an int or a Fraction."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Mapping[int, Rat]):
-        self.coeffs = {int(e): Fraction(c) for e, c in coeffs.items() if c}
+        self.coeffs = {int(e): c for e, c in coeffs.items() if c}
 
     def __eq__(self, other):
         if isinstance(other, LaurentPolynomial):
@@ -398,14 +349,14 @@ class LaurentPolynomial:
     def __hash__(self):
         return hash(tuple(sorted(self.coeffs.items())))
 
-    def coefficient(self, e: int) -> Fraction:
-        return self.coeffs.get(e, Fraction(0))
+    def coefficient(self, e: int) -> Rat:
+        return self.coeffs.get(e, 0)
 
-    def constant_term(self) -> Fraction:
+    def constant_term(self) -> Rat:
         return self.coefficient(0)
 
-    def evaluate_at_one(self) -> Fraction:
-        return sum(self.coeffs.values(), Fraction(0))
+    def evaluate_at_one(self) -> Rat:
+        return sum(self.coeffs.values())
 
     def evaluate(self, z: complex) -> complex:
         return sum(complex(c) * z ** e for e, c in self.coeffs.items())

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import equiloc
-from equiloc import builtin, cpn_linear, serialize
+from equiloc import builtin, cpn_linear, serialize, trivial_cp1
 from equiloc.cli import main
 
 PACKAGE = Path(equiloc.__file__).resolve().parent
@@ -144,6 +144,26 @@ def test_zero_denominator_exits_2(tmp_path, capsys, old, new):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("path, value", [
+    (("components",), 3),
+    (("components", 0, "ring"), []),
+    (("components", 0, "ring", "integrals"), []),
+    (("components", 0, "blocks", 0, "chern_roots"), "0")])
+def test_misshapen_container_exits_2(tmp_path, capsys, path, value):
+    doc = json.loads(serialize(builtin("cp001")))
+    *head, last = path
+    target = doc
+    for key in head:
+        target = target[key]
+    target[last] = value
+    file = tmp_path / "misshapen.json"
+    file.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "rr", "--input", str(file), "--m", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{last} must be" in err
+
+
 def test_missing_input_exits_2(capsys):
     code, _, err = run(capsys, "rr", "--m", "1")
     assert code == 2 and "required" in err
@@ -156,6 +176,18 @@ def test_inconsistent_input_exits_3(tmp_path, capsys):
     code, _, err = run(capsys, "rr", "--input", str(path), "--m", "1")
     assert code == 3
     assert "inconsistency" in err
+
+
+@pytest.mark.parametrize("command", ["main-formula", "rr"])
+def test_non_integer_multiplicity_exits_3(tmp_path, capsys, command):
+    # the sphere's integral halved: the character at m = 2 is 3/2
+    text = serialize(trivial_cp1()).replace('"h^1": "1"', '"h^1": "1/2"')
+    path = tmp_path / "half.json"
+    path.write_text(text)
+    code, out, err = run(capsys, command, "--input", str(path), "--m", "2")
+    assert code == 3 and out == ""
+    assert err.startswith("mathematical inconsistency: ")
+    assert err.count("\n") == 1 and "3/2" in err
 
 
 def test_verify_builtin_ok(capsys):

@@ -1,6 +1,6 @@
-"""The benchmark's recorded CLI outputs and traced names, read from
-perfbench/ and replayed in-process, so that a change to an output or to a
-traced name fails here first."""
+"""The benchmark's recorded CLI outputs, main-formula reports and traced
+names, read from perfbench/ and replayed in-process, so that a change to an
+output or to a traced name fails here first."""
 
 import importlib
 import importlib.util
@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from equiloc import main_formula_report, parse
 from equiloc.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -16,6 +17,8 @@ PERFBENCH = ROOT / "perfbench"
 
 with open(PERFBENCH / "golden" / "cli.json", encoding="utf-8") as fh:
     CLI_GOLDEN = json.load(fh)
+with open(PERFBENCH / "golden" / "formula.json", encoding="utf-8") as fh:
+    FORMULA_GOLDEN = json.load(fh)
 
 
 @pytest.mark.parametrize("command", sorted(CLI_GOLDEN))
@@ -26,6 +29,27 @@ def test_cli_output_matches_golden(command, capsys, monkeypatch):
     want = CLI_GOLDEN[command]
     assert code == want["exit"]
     assert capsys.readouterr().out == want["stdout"]
+
+
+@pytest.mark.parametrize("doc", sorted(FORMULA_GOLDEN))
+def test_main_formula_reports_match_golden(doc):
+    # every term of every report the formula-sweep workload can request
+    text = (ROOT / "src" / "equiloc" / "data" / f"{doc}.json").read_text(
+        encoding="utf-8")
+    p = parse(text)
+    recorded = FORMULA_GOLDEN[doc]
+    assert sorted(map(int, recorded)) == list(range(1, 41))
+    for m, want in recorded.items():
+        rep = main_formula_report(p, int(m))
+        got = {"rr": rep.rr,
+               "residue_terms": {k: [c, str(v)] for k, (c, v)
+                                 in rep.residue_terms.items()},
+               "exceptional_terms": {k: str(v) for k, v
+                                     in rep.exceptional_terms.items()},
+               "regular": [rep.regular_tag, str(rep.regular)],
+               "balance": rep.balance}
+        assert got == want, (doc, m)
+        assert type(rep.rr) is int
 
 
 def test_traced_names_resolve():

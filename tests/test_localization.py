@@ -11,7 +11,7 @@ from equiloc import builtin, builtin_names, builtin_oracle
 from equiloc.localization import (PreparedInner, character, chi_tilde,
                                   component_u_laurent, default_series_order,
                                   dh_inner, equivariant_todd_at_F,
-                                  kirillov_check, rr_total)
+                                  kirillov_check)
 from equiloc.model import (FixedComponent, NormalBlock, bundle_power,
                            cpn_linear, product, shift_moment, trivial_cp1)
 from equiloc.quantize import classify, residue_term
@@ -28,22 +28,17 @@ def point_component(name, moment, weights):
                           blocks)
 
 
-def zr(shift, num, den):
-    return ZRational(POINT, shift,
-                     {j: POINT.scalar(c) for j, c in num.items()}, den)
-
-
 # -- chi_tilde ----------------------------------------------------------------
 
 def test_chi_tilde_point_single_weight():
     F = point_component("f", 0, [1])
     for m in (0, 3):
-        assert chi_tilde(F, m) == zr(0, {0: 1}, {1: 1})
+        assert chi_tilde(F, m) == ZRational(0, {0: 1}, {1: 1})
 
 
 def test_chi_tilde_point_two_weights():
     F = point_component("f", 0, [1, -1])
-    assert chi_tilde(F, 1) == zr(1, {0: -1}, {1: 2})   # -z/(1-z)^2
+    assert chi_tilde(F, 1) == ZRational(1, {0: -1}, {1: 2})   # -z/(1-z)^2
 
 
 def test_chi_tilde_cp1_component():
@@ -51,14 +46,14 @@ def test_chi_tilde_cp1_component():
     # (m+1)/(1-z) - z/(1-z)^2, the sign of the z-term pinned by the oracle
     F = builtin("cp001").component("w0")
     m = 1
-    want = zr(0, {0: m + 1}, {1: 1}) + zr(1, {0: -1}, {1: 2})
+    want = ZRational(0, {0: m + 1}, {1: 1}) + ZRational(1, {0: -1}, {1: 2})
     assert chi_tilde(F, m) == want
 
 
 # -- character ----------------------------------------------------------------
 
 def _ring_path(F, m):
-    acc = ZRational.from_element(F.todd * (F.omega * m).exp_nilpotent())
+    acc = ZRational(0, {0: F.todd * (F.omega * m).exp_nilpotent()}, {})
     for block in F.blocks:
         for root in block.chern_roots:
             acc = acc * ZRational.inv_one_minus(block.weight, root)
@@ -183,19 +178,23 @@ def test_random_consistency_preserving_transforms():
 # -- totals -------------------------------------------------------------------
 
 def test_rr_total_worked_examples():
+    # RR(M, L^m) is the character at z = 1
     for m in range(0, 6):
-        assert rr_total(builtin("cp1"), m) == m + 1
-        assert rr_total(builtin("cp012"), m) == (m + 1) * (m + 2) // 2
+        assert character(builtin("cp1"), m).evaluate_at_one() == m + 1
+        assert (character(builtin("cp012"), m).evaluate_at_one()
+                == (m + 1) * (m + 2) // 2)
     two = product(cpn_linear([0, 1], 1), cpn_linear([0, 1], 1))
     for m in range(0, 4):
-        assert rr_total(two, m) == (m + 1) ** 2
+        assert character(two, m).evaluate_at_one() == (m + 1) ** 2
 
 
 def test_kunneth_consistency_at_z_equals_one():
     a, b = builtin("cp1"), builtin("cp012")
     p = product(a, b)
     for m in (1, 2, 3):
-        assert rr_total(p, m) == rr_total(a, m) * rr_total(b, m)
+        assert (character(p, m).evaluate_at_one()
+                == character(a, m).evaluate_at_one()
+                * character(b, m).evaluate_at_one())
         want = convolve(builtin_oracle("cp1", m), builtin_oracle("cp012", m))
         assert character(p, m) == want.to_laurent()
 

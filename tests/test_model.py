@@ -1,5 +1,6 @@
 """Data model: validation diagnostics, document round-trips, builders."""
 
+import json
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
@@ -108,6 +109,41 @@ def test_parse_rejects_zero_denominator(old, new):
     assert old in text
     with pytest.raises(ParseError, match="components\\[0\\]"):
         parse(text.replace(old, new))
+
+
+# Each array and object keeps its JSON shape: a container of the wrong
+# kind, or a string where an array belongs, is rejected, never iterated;
+# and a name or ring integer of the wrong type is not converted.
+MISSHAPEN = [(("components",), 3),
+             (("components", 0, "ring"), []),
+             (("components", 0, "ring", "integrals"), []),
+             (("components", 0, "blocks", 0, "chern_roots"), "0"),
+             (("components", 0, "blocks"), {}),
+             (("components", 0, "ring", "generators"), {}),
+             (("quotient",), []),
+             (("quotient", "ring"), "h"),
+             (("components", 0, "ring", "truncation"), "2"),
+             (("components", 0, "ring", "generators", 0, "degree"), "2"),
+             (("components", 0, "ring", "generators", 0, "name"), 5),
+             (("components", 0, "name"), ["w0"]),
+             (("name",), None)]
+
+
+def misshapen(path, value):
+    """cp001's document with the field at `path` set to `value`."""
+    doc = json.loads(serialize(builtin("cp001")))
+    *head, last = path
+    target = doc
+    for key in head:
+        target = target[key]
+    target[last] = value
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("path, value", MISSHAPEN)
+def test_parse_rejects_misshapen_fields(path, value):
+    with pytest.raises(ParseError, match=f"{path[-1]} must be "):
+        parse(misshapen(path, value))
 
 
 def test_normal_block_is_frozen():

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from equiloc import builtin, builtin_names
-from equiloc.model import FixedComponent, NormalBlock, cpn_linear
+from equiloc.model import (FixedComponent, NormalBlock, cpn_linear, parse,
+                           serialize, trivial_cp1)
 from equiloc.quantize import (Classification, NotIndefinite, Unsupported,
                               classify, exceptional_from_series,
                               exceptional_term, main_formula_report,
@@ -14,6 +15,7 @@ from equiloc.quantize import (Classification, NotIndefinite, Unsupported,
                               regular_term, residue_term, rr_invariant)
 from equiloc.quantize import exact_polynomial_fit
 from equiloc.ring import RingSpec
+from equiloc.zrational import NotAPolynomial
 
 POINT = RingSpec.point()
 
@@ -38,6 +40,16 @@ def test_rr_invariant_examples():
         assert rr_invariant(builtin("cp1"), m) == 1
         assert rr_invariant(builtin("cp001"), m) == m + 1
         assert rr_invariant(builtin("prod11"), m) == m + 1
+
+
+def test_rr_invariant_rejects_non_integer_multiplicity():
+    # the sphere's integral halved: the z^0 coefficient at m = 2 is 3/2
+    text = serialize(trivial_cp1()).replace('"h^1": "1"', '"h^1": "1/2"')
+    p = parse(text)
+    with pytest.raises(NotAPolynomial, match="3/2 is not an integer"):
+        rr_invariant(p, 2)
+    with pytest.raises(NotAPolynomial):
+        main_formula_report(p, 2)
 
 
 def test_residue_term_requires_moment_zero():

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equiloc.ring import RingSpec
-from equiloc.zrational import (LaurentPolynomial, NotAPolynomial, ZRational)
+from equiloc.ring import RingError, RingSpec
+from equiloc.zrational import (LaurentPolynomial, NotAPolynomial, ZRational,
+                               scalar_sum)
 
 POINT = RingSpec.point()
 
@@ -16,16 +17,11 @@ def cp1_ring():
     return RingSpec((("h", 2),), 2, {(1,): Fraction(1)})
 
 
-def zr(shift, num, den):
-    return ZRational(POINT, shift,
-                     {j: POINT.scalar(c) for j, c in num.items()}, den)
-
-
 def test_inv_one_minus_scalar_cases():
     one = POINT.zero()
-    assert ZRational.inv_one_minus(1, one) == zr(0, {0: 1}, {1: 1})
+    assert ZRational.inv_one_minus(1, one) == ZRational(0, {0: 1}, {1: 1})
     # 1 - z^{-1} = -z^{-1}(1 - z):  inverse is -z/(1-z)
-    assert ZRational.inv_one_minus(-1, one) == zr(1, {0: -1}, {1: 1})
+    assert ZRational.inv_one_minus(-1, one) == ZRational(1, {0: -1}, {1: 1})
 
 
 def test_inv_one_minus_rejects_bad_input():
@@ -42,8 +38,8 @@ def test_inv_one_minus_with_nilpotent():
     h = ring.generator("h")
     got = ZRational.inv_one_minus(1, h)
     # 1/(1-z) + z h/(1-z)^2
-    want = ZRational(ring, 0, {0: ring.one()}, {1: 1}) \
-        + ZRational(ring, 1, {0: h}, {1: 2})
+    want = ZRational(0, {0: ring.one()}, {1: 1}) \
+        + ZRational(1, {0: h}, {1: 2})
     assert got == want
 
 
@@ -54,17 +50,37 @@ def test_multiply_back(k, c):
     ring = cp1_ring()
     a = ring.generator("h") * c
     inv = ZRational.inv_one_minus(k, a)
-    factor = ZRational(ring, 0, {0: ring.one()}, {}) \
-        + ZRational(ring, k, {0: -(a.exp_nilpotent())}, {})
-    assert inv * factor == ZRational.from_element(ring.one())
+    factor = ZRational(0, {0: ring.one()}, {}) \
+        + ZRational(k, {0: -(a.exp_nilpotent())}, {})
+    assert inv * factor == ZRational(0, {0: ring.one()}, {})
+
+
+def test_mixed_rings_raise():
+    h = cp1_ring().generator("h")
+    x = RingSpec((("x", 2),), 2, {(1,): Fraction(1)}).generator("x")
+    f, g = ZRational.inv_one_minus(1, h), ZRational.inv_one_minus(1, x)
+    with pytest.raises(RingError):
+        f * g
+    with pytest.raises(RingError):
+        f + g
+
+
+def test_scalar_operations_need_integration():
+    f = ZRational.inv_one_minus(1, cp1_ring().generator("h"))
+    for op in (f.to_laurent_polynomial, f.residue_at_zero,
+               f.residue_at_infinity, lambda: scalar_sum([f])):
+        with pytest.raises(RingError, match="integrate first"):
+            op()
+    # integrating h to 1 leaves z/(1-z)^2, whose z^{-1} at 0 is 0
+    assert f.integrate_over_F().residue_at_zero() == 0
 
 
 def test_add_mul_examples():
-    one_minus_z = zr(0, {0: 1, 1: -1}, {})
-    inv = zr(0, {0: 1}, {1: 1})
-    assert inv * one_minus_z == zr(0, {0: 1}, {})
-    s = inv + zr(1, {0: 1}, {1: 1})
-    assert s == zr(0, {0: 1, 1: 1}, {1: 1})
+    one_minus_z = ZRational(0, {0: 1, 1: -1}, {})
+    inv = ZRational(0, {0: 1}, {1: 1})
+    assert inv * one_minus_z == ZRational(0, {0: 1}, {})
+    s = inv + ZRational(1, {0: 1}, {1: 1})
+    assert s == ZRational(0, {0: 1, 1: 1}, {1: 1})
 
 
 def test_integrate_over_F():
@@ -72,15 +88,15 @@ def test_integrate_over_F():
     h = ring.generator("h")
     m = 4
     elem = (h * Fraction(m)).exp_nilpotent() * (ring.one() + h)
-    f = ZRational(ring, 0, {0: elem}, {1: 1})
-    assert f.integrate_over_F() == zr(0, {0: m + 1}, {1: 1})
+    f = ZRational(0, {0: elem}, {1: 1})
+    assert f.integrate_over_F() == ZRational(0, {0: m + 1}, {1: 1})
     # with a nontrivial root factor: expand, integrate, check series in z.
     # Hand expansion: inv(1,h) e^{mh}(1+h) = 1/(1-z) + (m+1)h/(1-z)
     # + z h/(1-z)^2 before integration, so integrating h to 1 leaves
     # (m+1)/(1-z) + z/(1-z)^2.
     g = (ZRational.inv_one_minus(1, h)
-         * ZRational.from_element(elem)).integrate_over_F()
-    want = zr(0, {0: m + 1}, {1: 1}) + zr(1, {0: 1}, {1: 2})
+         * ZRational(0, {0: elem}, {})).integrate_over_F()
+    want = ZRational(0, {0: m + 1}, {1: 1}) + ZRational(1, {0: 1}, {1: 2})
     assert g == want
     series = g.series_coefficients(5)
     have = [series.get(j, Fraction(0)) for j in range(6)]
@@ -88,10 +104,20 @@ def test_integrate_over_F():
 
 
 def test_to_laurent_polynomial():
-    f = zr(0, {0: 1, 2: -1}, {1: 1})          # (1-z^2)/(1-z)
+    f = ZRational(0, {0: 1, 2: -1}, {1: 1})    # (1-z^2)/(1-z)
     assert f.to_laurent_polynomial() == LaurentPolynomial({0: 1, 1: 1})
     with pytest.raises(NotAPolynomial):
-        zr(0, {0: 1}, {1: 1}).to_laurent_polynomial()
+        ZRational(0, {0: 1}, {1: 1}).to_laurent_polynomial()
+
+
+def test_integer_numerators_stay_ints():
+    f = ZRational(0, {0: 1, 2: -1}, {1: 1})
+    assert scalar_sum([f, f]).num == {0: 2, 2: -2}
+    quotient = f.to_laurent_polynomial().coeffs
+    assert quotient == {0: 1, 1: 1}
+    assert all(type(c) is int for c in quotient.values())
+    half = ZRational(0, {0: Fraction(1, 2)}, {})
+    assert scalar_sum([half, half]).num == {0: 1}
 
 
 def _times_den(num, den):
@@ -122,7 +148,7 @@ def test_division_round_trip(num, den, shift, data):
         return
     product = _times_den(num, den)
     want = LaurentPolynomial({shift + j: c for j, c in num.items()})
-    assert zr(shift, product, den).to_laurent_polynomial() == want
+    assert ZRational(shift, product, den).to_laurent_polynomial() == want
     if not any(den.values()):
         return
     # z^e * delta is never divisible by a nonconstant prod (1 - z^k)^mult
@@ -130,13 +156,33 @@ def test_division_round_trip(num, den, shift, data):
     delta = data.draw(coefficients.filter(lambda c: c != 0))
     product[e] = product.get(e, 0) + delta
     with pytest.raises(NotAPolynomial):
-        zr(shift, product, den).to_laurent_polynomial()
+        ZRational(shift, product, den).to_laurent_polynomial()
+
+
+scalar_parts = st.builds(
+    ZRational, st.integers(min_value=-3, max_value=3),
+    st.dictionaries(st.integers(min_value=-3, max_value=3), coefficients,
+                    max_size=4),
+    st.dictionaries(st.integers(min_value=1, max_value=4),
+                    st.integers(min_value=0, max_value=2), max_size=3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(scalar_parts, max_size=5))
+def test_scalar_sum_is_the_fold(parts):
+    folded = ZRational(0, {}, {})
+    for q in parts:
+        folded = folded + q
+    total = scalar_sum(parts)
+    assert total == folded
+    if all(type(c) is int for q in parts for c in q.num.values()):
+        assert all(type(c) is int for c in total.num.values())
 
 
 def test_residue_at_zero_examples():
-    assert zr(-1, {0: 1}, {1: 1}).residue_at_zero() == 1
-    assert zr(0, {0: 1}, {1: 1}).residue_at_zero() == 0
-    assert zr(-1, {0: 1}, {1: 1, 2: 1}).residue_at_zero() == 1
+    assert ZRational(-1, {0: 1}, {1: 1}).residue_at_zero() == 1
+    assert ZRational(0, {0: 1}, {1: 1}).residue_at_zero() == 0
+    assert ZRational(-1, {0: 1}, {1: 1, 2: 1}).residue_at_zero() == 1
 
 
 def test_residue_at_infinity_examples():
@@ -144,11 +190,11 @@ def test_residue_at_infinity_examples():
     # with its only finite pole at 1 and no z^{-1} tail gives 0 (the value
     # that makes the fixed-locus reduction identities balance; a maximum
     # component never carries a plain 1/(1-z) anyway).
-    chi = zr(0, {0: 1}, {1: 1})               # 1/(1-z)
+    chi = ZRational(0, {0: 1}, {1: 1})         # 1/(1-z)
     assert chi.residue_at_infinity() == 0
-    chi2 = zr(1, {0: -1}, {1: 1})             # -z/(1-z) = 1/(1-z^{-1})
+    chi2 = ZRational(1, {0: -1}, {1: 1})       # -z/(1-z) = 1/(1-z^{-1})
     assert chi2.residue_at_infinity() == 1
-    const = zr(0, {0: Fraction(5, 2)}, {})
+    const = ZRational(0, {0: Fraction(5, 2)}, {})
     assert const.residue_at_infinity() == Fraction(5, 2)
 
 
@@ -156,10 +202,10 @@ def test_residue_prescriptions_on_max_components():
     # the two-sphere with its moment interval shifted to [-1, 0]: the
     # maximum sits at 0 with chi_tilde = -z^{m+1}... summed identity:
     # Res_infty of -z/(1-z) picks exactly the invariant count 1.
-    chi = zr(1, {0: -1}, {1: 1})
+    chi = ZRational(1, {0: -1}, {1: 1})
     assert chi.residue_at_infinity() == 1
     # weight -3 maximum: chi_tilde = -z^3/(1-z^3)
-    chi3 = zr(3, {0: -1}, {3: 1})
+    chi3 = ZRational(3, {0: -1}, {3: 1})
     assert chi3.residue_at_infinity() == 1
 
 
@@ -168,7 +214,7 @@ def test_residue_prescriptions_on_max_components():
                        st.fractions(min_value=-4, max_value=4,
                                     max_denominator=5), max_size=5))
 def test_polynomial_prescriptions_coincide(coeffs):
-    p = zr(0, coeffs, {})
+    p = ZRational(0, coeffs, {})
     const = LaurentPolynomial(coeffs).constant_term()
     assert p.shifted(-1).residue_at_zero() == const
     assert p.residue_at_infinity() == const
@@ -182,12 +228,12 @@ def test_polynomial_prescriptions_coincide(coeffs):
        st.dictionaries(st.integers(min_value=1, max_value=3),
                        st.integers(min_value=1, max_value=2), max_size=2))
 def test_residue_of_derivative_vanishes(shift, num, den):
-    f = zr(shift, num, den)
+    f = ZRational(shift, num, den)
     assert f.differentiate().residue_at_zero() == 0
 
 
 def test_series_matches_float_evaluation():
-    f = zr(-1, {0: 2, 1: 3}, {1: 2, 2: 1})
+    f = ZRational(-1, {0: 2, 1: 3}, {1: 2, 2: 1})
     z = 1e-3
     n = 8
     series = f.series_coefficients(n)
@@ -198,7 +244,7 @@ def test_series_matches_float_evaluation():
 
 
 def test_substitute_inverse_is_involutive_on_values():
-    f = zr(2, {0: 1, 1: -2}, {1: 1, 3: 1})
+    f = ZRational(2, {0: 1, 1: -2}, {1: 1, 3: 1})
     g = f.substitute_inverse()
     z = 0.37
     assert abs(g.evaluate(z) - f.evaluate(1 / z)) < 1e-12
