@@ -323,7 +323,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except SystemExit2 as e:
+    except (SystemExit2, quantize.Unsupported) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except NotAPolynomial as e:

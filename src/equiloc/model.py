@@ -279,6 +279,11 @@ def _typed(value, kind: type, what: str):
     return value
 
 
+def _expression(ring: RingSpec, value, what: str) -> GradedElement:
+    """A class expression, which must be a JSON string."""
+    return string_to_element(ring, _typed(value, str, what))
+
+
 def parse(text: str) -> ManifoldPresentation:
     """Parse and validate a presentation document.
 
@@ -308,14 +313,14 @@ def parse(text: str) -> ManifoldPresentation:
         where = f"components[{idx}]"
         try:
             ring = _ring_from_doc(c["ring"], where)
-            todd = string_to_element(ring, c["todd"])
-            omega = string_to_element(ring, c["omega"])
+            todd = _expression(ring, c["todd"], f"{where}: todd")
+            omega = _expression(ring, c["omega"], f"{where}: omega")
             blocks = []
             for b in _typed(c.get("blocks", []), list, f"{where}: blocks"):
                 weight = _typed(b["weight"], int, f"{where}: weight")
-                roots = [string_to_element(ring, r) for r in
-                         _typed(b["chern_roots"], list,
-                                f"{where}: chern_roots")]
+                roots = _typed(b["chern_roots"], list, f"{where}: chern_roots")
+                roots = [_expression(ring, r, f"{where}: chern root {i}")
+                         for i, r in enumerate(roots)]
                 blocks.append(NormalBlock(weight, roots))
             components.append(FixedComponent(
                 name=_typed(c["name"], str, f"{where}: name"),
@@ -336,8 +341,9 @@ def parse(text: str) -> ManifoldPresentation:
             qring = _ring_from_doc(q["ring"], "quotient")
             quotient = QuotientData(
                 ring=qring,
-                omega0=string_to_element(qring, q["omega0"]),
-                kappa_todd=string_to_element(qring, q["kappa_todd"]))
+                omega0=_expression(qring, q["omega0"], "quotient: omega0"),
+                kappa_todd=_expression(qring, q["kappa_todd"],
+                                       "quotient: kappa_todd"))
         except ParseError:
             raise
         except (KeyError, TypeError, ValueError, ExpressionError,

@@ -11,6 +11,17 @@ z^{-1} chi_tilde for a positive-definite component (local minimum of the
 moment map), the residue at infinity for a negative-definite one, and the
 average of the two for an indefinite one (`Classification.side`).
 
+The exceptional term of an isolated indefinite point with l+ positive and
+l- negative weights, the paper's local invariant of the singularity, has
+the closed form
+
+    rho_n (1/2 - 2^{-n} sum_{i=l+}^{n} C(n, i)) / prod |w|,  n = l+ + l- - 1,
+
+with rho_n the degree-n coefficient of the localized integrand.  The
+bracket is the u^{l+ - 1} v^{l- - 1} coefficient of
+[(u^n + v^n)/2 - ((u+v)/2)^n] / (u - v), read off by synthetic division
+(`exceptional_from_series`).
+
 The regular term is an integral over the regular stratum of the reduced
 space; it is computed from user-supplied quotient data when present and
 otherwise only reported as a tagged diagnostic (the difference of the other
@@ -114,29 +125,6 @@ def residue_term(F: FixedComponent, m: int) -> Fraction:
     return _polyval(F.residue_pieces, m)
 
 
-# Overall scale of the exceptional term.  The absolute normalization is not
-# exhibited numerically anywhere upstream; it is pinned operationally by the
-# balance identities in the acceptance suite, and `normalization_fit` below
-# reports the correction multiple if balance ever fails by a constant factor.
-EXCEPTIONAL_SCALE = Fraction(1)
-
-
-def _divide_by_u_minus_v(num: dict[tuple[int, int], Fraction],
-                         degree: int) -> dict[tuple[int, int], Fraction]:
-    """Exact division of a homogeneous bivariate polynomial by (u - v)."""
-    q: dict[tuple[int, int], Fraction] = {}
-    for i in range(degree, 0, -1):
-        j = degree - i
-        qc = num.get((i, j), Fraction(0)) + q.get((i, j - 1), Fraction(0))
-        if qc != 0:
-            q[(i - 1, j)] = qc
-    rem = num.get((0, degree), Fraction(0)) + q.get((0, degree - 1),
-                                                    Fraction(0))
-    if rem != 0:
-        raise ArithmeticError("numerator is not divisible by (u - v)")
-    return q
-
-
 def exceptional_term(F: FixedComponent, rho: RhoMap = "todd") -> Fraction:
     """Contribution of an isolated indefinite moment-zero component, with
     rho (by default the equivariant Todd class) as the localized integrand,
@@ -144,59 +132,43 @@ def exceptional_term(F: FixedComponent, rho: RhoMap = "todd") -> Fraction:
     normal rank less one at an isolated point.  It does not depend on m,
     since omega vanishes at a point; `FixedComponent.exceptional` keeps
     the Todd-class value."""
-    _exceptional_preconditions(F)
     scalar = _rho_series(F, rho, F.normal_rank() - 1).integrate_over_F()
     return exceptional_from_series(F, scalar)
-
-
-def _exceptional_preconditions(F: FixedComponent) -> None:
-    if F.moment != 0:
-        raise ValueError("exceptional terms require moment zero")
-    if classify(F) is not Classification.INDEFINITE:
-        raise NotIndefinite(f"component {F.name} is definite")
-    if F.dim_F != 0:
-        raise Unsupported(
-            "exceptional term for a positive-dimensional indefinite "
-            "component needs sphere-bundle connection data that a flat "
-            "presentation does not carry")
 
 
 def exceptional_from_series(F: FixedComponent,
                             rho: dict[int, Fraction]) -> Fraction:
     """The exceptional contribution for an arbitrary scalar series rho.
 
-    The kernel N(u, v) = (rho(u) + rho(v))/2 - rho((u+v)/2) is divided
-    exactly by (u - v) and the coefficient of u^{l+ - 1} v^{l- - 1} is
-    extracted, then weighted by 1/(prod of positive weights * prod of
-    |negative| weights).  Only the homogeneous part of rho of degree
-    l+ + l- - 1 can contribute; affine parts of rho drop out identically,
-    and l+ = l- = 1 (the only isolated shape possible below dimension six)
-    gives exactly 0.
+    It is the coefficient of u^{l+ - 1} v^{l- - 1} in the kernel
+    N(u, v) = (rho(u) + rho(v))/2 - rho((u+v)/2) divided by (u - v),
+    weighted by 1/(prod of positive weights * prod of |negative| weights).
+    Only the degree-n part of N, n = l+ + l- - 1, has quotient terms of
+    that degree, so only rho_n enters (affine parts of rho drop out):
+
+        N_n / rho_n = (u^n + v^n)/2 - ((u+v)/2)^n = sum_i a_i u^i v^{n-i},
+        a_i = [i = 0]/2 + [i = n]/2 - C(n, i)/2^n.
+
+    Synthetic division of N_n = Q (u - v) from the top gives Q's
+    coefficient of u^i v^{n-1-i} as a_{i+1} + ... + a_n, so the wanted one
+    (i = l+ - 1 >= 0) is 1/2 - 2^{-n} sum_{i=l+}^{n} C(n, i), which is 0
+    at l+ = l- = 1 (the only isolated shape possible below dimension six).
     """
-    _exceptional_preconditions(F)
+    if F.moment != 0:
+        raise ValueError("exceptional terms require moment zero")
+    if classify(F) is not Classification.INDEFINITE:
+        raise NotIndefinite(f"component {F.name} is definite")
+    if F.dim_F != 0:
+        raise Unsupported(
+            f"component {F.name}: the exceptional term of a "
+            "positive-dimensional indefinite component needs sphere-bundle "
+            "connection data that a flat presentation does not carry")
     pos = [w for w in F.weights() if w > 0]
     neg = [-w for w in F.weights() if w < 0]
-    lp, ln = len(pos), len(neg)
-    if lp == 1 and ln == 1:
-        return Fraction(0)
-    n = lp + ln - 1
-    rho_n = rho.get(n, Fraction(0))
-    if rho_n == 0:
-        return Fraction(0)
-    # N(u,v) restricted to its degree-n part: the only part whose quotient
-    # by (u - v) can carry the degree (lp-1, ln-1) coefficient.
-    half = Fraction(1, 2)
-    num: dict[tuple[int, int], Fraction] = {}
-    num[(n, 0)] = half
-    num[(0, n)] = num.get((0, n), Fraction(0)) + half
-    for i in range(n + 1):
-        c = -Fraction(math.comb(n, i), 2 ** n)
-        key = (i, n - i)
-        num[key] = num.get(key, Fraction(0)) + c
-    quotient = _divide_by_u_minus_v({k: v for k, v in num.items() if v != 0},
-                                    n)
-    coeff = quotient.get((lp - 1, ln - 1), Fraction(0))
-    return EXCEPTIONAL_SCALE * rho_n * coeff / math.prod(pos + neg)
+    n = len(pos) + len(neg) - 1
+    tail = sum(math.comb(n, i) for i in range(len(pos), n + 1))
+    coeff = Fraction(1, 2) - Fraction(tail, 2 ** n)
+    return rho.get(n, 0) * coeff / math.prod(pos + neg)
 
 
 def regular_term(p: ManifoldPresentation, m: int) -> tuple[Fraction, str]:
@@ -250,46 +222,6 @@ def main_formula_report(p: ManifoldPresentation, m: int) -> MainFormulaReport:
     return MainFormulaReport(m=m, rr=rr, residue_terms=residues,
                              exceptional_terms=exceptionals, regular=reg,
                              regular_tag=tag, balance=balance)
-
-
-@dataclass
-class NormalizationFit:
-    """Outcome of probing the exceptional-term normalization by balance."""
-    balanced: bool
-    multiple: Optional[Fraction]   # fitted correction, when identifiable
-    detail: str
-
-
-def normalization_fit(presentations, m_values) -> NormalizationFit:
-    """Check Theorem balance across presentations and moments; when it fails
-    by one constant rational multiple of the exceptional sum everywhere,
-    report that multiple instead of a bare failure."""
-    ratios = set()
-    bare_failure = False
-    for p in presentations:
-        for m in m_values:
-            rep = main_formula_report(p, m)
-            if rep.regular_tag != "supplied":
-                raise ValueError(
-                    f"{p.name} has no supplied quotient data")
-            needed = Fraction(rep.rr) - rep.regular - rep.residue_sum()
-            got = rep.exceptional_sum()
-            if needed == got:
-                continue
-            if got != 0:
-                ratios.add(needed / got)
-            else:
-                bare_failure = True
-    if not ratios and not bare_failure:
-        return NormalizationFit(True, None, "balance holds exactly")
-    if len(ratios) == 1 and not bare_failure:
-        mult = next(iter(ratios))
-        return NormalizationFit(
-            False, mult,
-            f"balance fails by the constant multiple {mult} of the "
-            "exceptional term; the scale constant should be multiplied by it")
-    return NormalizationFit(False, None,
-                            "balance fails and no constant multiple fits")
 
 
 def exact_polynomial_fit(points: list[tuple[int, Fraction]]) -> list[Fraction]:

@@ -295,8 +295,7 @@ def witten_pair(p: ManifoldPresentation, rho: RhoMap, phi: TestFunction,
 
 def expansion_rhs(p: ManifoldPresentation, phi: TestFunction, m: int,
                   rho: RhoMap = "todd",
-                  regular: Optional[complex] = None,
-                  drop: Sequence[str] = ()) -> complex:
+                  regular: Optional[complex] = None) -> complex:
     """The asymptotic expansion evaluated at m: reduced-space term plus,
     per moment-zero component, its exceptional contribution (indefinite
     case) and its Laurent data, to the series order that phi's support
@@ -305,7 +304,6 @@ def expansion_rhs(p: ManifoldPresentation, phi: TestFunction, m: int,
     When neither `regular` nor quotient data is given the reduced-space
     term is taken to be 0, which is exact precisely when the regular
     stratum at level zero is empty (the fixed-locus reduction situation).
-    `drop` removes named components from the sum (negative controls).
     """
     order = default_series_order(p, phi.delta2)
     if regular is not None:
@@ -315,8 +313,6 @@ def expansion_rhs(p: ManifoldPresentation, phi: TestFunction, m: int,
     else:
         total = 0j
     for F in p.f_zero():
-        if F.name in drop:
-            continue
         cls = classify(F)
         laurent = component_u_laurent(F, m, rho, order)
         total += pair_u_laurent(laurent, cls.side, phi)
@@ -339,8 +335,8 @@ class WittenCheckReport:
 
 def decay_check(p: ManifoldPresentation, phi: TestFunction,
                 m_list: Sequence[int], rho: RhoMap = "todd",
-                regular_for_m: Optional[Callable[[int], complex]] = None,
-                drop: Sequence[str] = ()) -> WittenCheckReport:
+                regular_for_m: Optional[Callable[[int], complex]] = None
+                ) -> WittenCheckReport:
     """Fit the decay exponent of |pairing - expansion| over a geometric list
     of moments.  Differences below 1e-16 are clipped to it before fitting,
     so that an exact agreement does not take the logarithm of 0."""
@@ -350,7 +346,7 @@ def decay_check(p: ManifoldPresentation, phi: TestFunction,
     for m in m_list:
         left = witten_pair(p, rho, phi, m)
         reg = regular_for_m(m) if regular_for_m is not None else None
-        right = expansion_rhs(p, phi, m, rho=rho, regular=reg, drop=drop)
+        right = expansion_rhs(p, phi, m, rho=rho, regular=reg)
         lhs.append(left)
         rhs.append(right)
         diffs.append(max(abs(left - right), 1e-16))

@@ -18,11 +18,14 @@ The exact character runs on integers.  `scalar_sum` brings scalar pieces
 over one common denominator and scales their numerators by the lcm L of
 all their coefficient denominators, so the summed numerator is an integer
 Laurent polynomial over L, kept as ints when L = 1.
-`to_laurent_polynomial` divides the integer numerator one factor at a
-time: N = Q (1 - z^k) reads a[t] = q[t] - q[t-k], so Q is the strided
-prefix sum q[t] = a[t] + q[t-k], and the division is exact precisely when
-the last k entries of that prefix sum vanish.  Only the quotient is
-divided by L.
+
+Series and division share one integer kernel.  N = Q (1 - z^k) reads
+a[t] = q[t] - q[t-k], so the series of N / (1 - z^k) is the strided prefix
+sum q[t] = a[t] + q[t-k], one factor at a time.  The Laurent series at
+z = 0, and so both residues, run it on the numerator cut off at the
+highest exponent wanted.  `to_laurent_polynomial` runs it over the
+numerator's own length: the division is exact precisely when the last
+deg D entries vanish.  Only the quotient is divided by L.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from itertools import accumulate
-from math import comb, lcm
+from math import lcm
 from typing import Iterable, Mapping, Union
 
 from .ring import GradedElement, RingError
@@ -183,30 +186,25 @@ class ZRational:
     def to_laurent_polynomial(self) -> "LaurentPolynomial":
         """Exact division; raises NotAPolynomial if poles fail to cancel.
 
-        The numerator is scaled to integers a[t] by the lcm L of its
-        coefficient denominators.  Each factor (1 - z^k) is divided out by
-        the strided prefix sum q[t] = a[t] + q[t-k], whose last k entries
-        must vanish; the quotient is divided by L at the end.
+        The numerator, scaled to integers by the lcm L of its coefficient
+        denominators, is expanded in series over its own length.  N is
+        divisible by the denominator D (of degree d) precisely when the
+        last d entries of that series vanish; the rest is the quotient,
+        divided by L at the end.
         """
         num = self._scalar()
         if not num:
             return LaurentPolynomial({})
-        scale = lcm(*(c.denominator for c in num.values()))
         lo = min(num)
-        a = [0] * (max(num) - lo + 1)
-        for j, c in num.items():
-            a[j - lo] = c.numerator * (scale // c.denominator)
-        if len(a) <= sum(k * mult for k, mult in self.den.items()):
+        length = max(num) - lo + 1
+        degree = sum(k * mult for k, mult in self.den.items())
+        if length <= degree:
             raise NotAPolynomial("numerator degree below denominator degree")
-        for k, mult in self.den.items():
-            for _ in range(mult):
-                for r in range(k):
-                    a[r::k] = accumulate(a[r::k])
-                if any(a[-k:]):
-                    raise NotAPolynomial(
-                        "poles at roots of unity fail to cancel; "
-                        "fixed-point data is inconsistent")
-                del a[-k:]
+        scale, a = _integer_series(num, lo, length, self.den)
+        if any(a[length - degree:]):
+            raise NotAPolynomial("poles at roots of unity fail to cancel; "
+                                 "fixed-point data is inconsistent")
+        del a[length - degree:]
         if scale > 1:
             a = [Fraction(q, scale) for q in a]
         base = self.shift + lo
@@ -217,19 +215,12 @@ class ZRational:
         num = self._scalar()
         if not num:
             return {}
-        lo = self.shift + min(num)
-        horizon = upto - lo
-        if horizon < 0:
+        lo = min(num)
+        base = self.shift + lo
+        if upto < base:
             return {}
-        series = {0: Fraction(1)}
-        for k, mult in self.den.items():
-            # (1 - z^k)^{-mult} = sum_j C(j+mult-1, mult-1) z^{kj}
-            factor = {k * j: Fraction(comb(j + mult - 1, mult - 1))
-                      for j in range(horizon // k + 1)}
-            series = _poly_mul_trunc(series, factor, horizon)
-        shifted_num = {self.shift + j - lo: c for j, c in num.items()}
-        full = _poly_mul_trunc(shifted_num, series, horizon)
-        return {e + lo: c for e, c in full.items() if c != 0 and e + lo <= upto}
+        scale, a = _integer_series(num, lo, upto - base + 1, self.den)
+        return {base + t: Fraction(q, scale) for t, q in enumerate(a) if q}
 
     def residue_at_zero(self) -> Fraction:
         """Coefficient of z^{-1} in the Laurent expansion at z = 0."""
@@ -318,18 +309,22 @@ def _expand_factors(factors: Mapping[int, int]) -> dict[int, int]:
     return {e: c for e, c in poly.items() if c != 0}
 
 
-def _poly_mul_trunc(a: Mapping[int, Fraction], b: Mapping[int, Fraction],
-                    horizon: int) -> dict[int, Fraction]:
-    out: dict[int, Fraction] = {}
-    for e1, c1 in a.items():
-        if e1 > horizon:
-            continue
-        for e2, c2 in b.items():
-            e = e1 + e2
-            if e > horizon:
-                continue
-            out[e] = out.get(e, Fraction(0)) + c1 * c2
-    return out
+def _integer_series(num: Mapping[int, Rat], lo: int, length: int,
+                    den: Mapping[int, int]) -> tuple[int, list[int]]:
+    """The lcm L of num's coefficient denominators, and the first `length`
+    series coefficients of L * num / prod_k (1 - z^k)^{den[k]} from
+    exponent lo up, as ints: each factor is divided out by the strided
+    prefix sum q[t] = a[t] + q[t-k], which reads no entry past t."""
+    scale = lcm(*(c.denominator for c in num.values()))
+    a = [0] * length
+    for j, c in num.items():
+        if j - lo < length:
+            a[j - lo] = c.numerator * (scale // c.denominator)
+    for k, mult in den.items():
+        for _ in range(mult):
+            for r in range(k):
+                a[r::k] = accumulate(a[r::k])
+    return scale, a
 
 
 class LaurentPolynomial:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import equiloc
-from equiloc import builtin, cpn_linear, serialize, trivial_cp1
+from equiloc import builtin, cpn_linear, product, serialize, trivial_cp1
 from equiloc.cli import main
 
 PACKAGE = Path(equiloc.__file__).resolve().parent
@@ -148,7 +148,10 @@ def test_zero_denominator_exits_2(tmp_path, capsys, old, new):
     (("components",), 3),
     (("components", 0, "ring"), []),
     (("components", 0, "ring", "integrals"), []),
-    (("components", 0, "blocks", 0, "chern_roots"), "0")])
+    (("components", 0, "blocks", 0, "chern_roots"), "0"),
+    (("components", 0, "todd"), 3),
+    (("components", 0, "blocks", 0, "chern_roots", 0), 0),
+    (("quotient", "omega0"), [])])
 def test_misshapen_container_exits_2(tmp_path, capsys, path, value):
     doc = json.loads(serialize(builtin("cp001")))
     *head, last = path
@@ -190,6 +193,19 @@ def test_non_integer_multiplicity_exits_3(tmp_path, capsys, command):
     assert err.count("\n") == 1 and "3/2" in err
 
 
+@pytest.mark.parametrize("command, m", [("main-formula", "1"),
+                                        ("witten-check", "8,16,32,64")])
+def test_unsupported_exceptional_exits_2(tmp_path, capsys, command, m):
+    # valid data with positive-dimensional indefinite moment-zero
+    # components, whose exceptional term a flat presentation cannot give
+    path = tmp_path / "product.json"
+    path.write_text(serialize(product(trivial_cp1(), builtin("dim6"))))
+    code, out, err = run(capsys, command, "--input", str(path), "--m", m)
+    assert code == 2 and out == ""
+    assert err.startswith("error: component ") and err.count("\n") == 1
+    assert "positive-dimensional indefinite" in err
+
+
 def test_verify_builtin_ok(capsys):
     code, out, err = run(capsys, "verify", "--builtin", "cp1")
     assert code == 0
@@ -221,6 +237,7 @@ def test_verify_reports_skipped_kirillov_check(tmp_path, capsys):
 NUMERIC_IMPORTS = """
 import contextlib, io, json, sys
 from equiloc.cli import main
+from equiloc.model import product
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
 print(json.dumps([code, [m for m in ("scipy", "numpy", "sympy")

@@ -113,7 +113,8 @@ def test_parse_rejects_zero_denominator(old, new):
 
 # Each array and object keeps its JSON shape: a container of the wrong
 # kind, or a string where an array belongs, is rejected, never iterated;
-# and a name or ring integer of the wrong type is not converted.
+# and a name, ring integer or class expression of the wrong type is not
+# converted.
 MISSHAPEN = [(("components",), 3),
              (("components", 0, "ring"), []),
              (("components", 0, "ring", "integrals"), []),
@@ -126,7 +127,12 @@ MISSHAPEN = [(("components",), 3),
              (("components", 0, "ring", "generators", 0, "degree"), "2"),
              (("components", 0, "ring", "generators", 0, "name"), 5),
              (("components", 0, "name"), ["w0"]),
-             (("name",), None)]
+             (("name",), None),
+             (("components", 0, "todd"), 3),
+             (("components", 0, "omega"), None),
+             (("components", 0, "blocks", 0, "chern_roots", 0), 0),
+             (("quotient", "omega0"), []),
+             (("quotient", "kappa_todd"), 1)]
 
 
 def misshapen(path, value):

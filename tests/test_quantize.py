@@ -1,6 +1,7 @@
 """Main-formula assembly: classification, residues, exceptional terms,
 regular term, balance and polynomiality."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from equiloc.model import (FixedComponent, NormalBlock, cpn_linear, parse,
 from equiloc.quantize import (Classification, NotIndefinite, Unsupported,
                               classify, exceptional_from_series,
                               exceptional_term, main_formula_report,
-                              normalization_fit, polynomiality_check,
+                              polynomiality_check,
                               regular_term, residue_term, rr_invariant)
 from equiloc.quantize import exact_polynomial_fit
 from equiloc.ring import RingSpec
@@ -93,6 +94,8 @@ def test_exceptional_constant_rho_gives_zero():
 
 
 def test_exceptional_errors():
+    with pytest.raises(ValueError, match="moment zero"):
+        exceptional_term(point_component("f", 1, [1, -1]))
     with pytest.raises(NotIndefinite):
         exceptional_term(point_component("f", 0, [1, 2]))
     ring = RingSpec((("h", 2),), 2, {(1,): Fraction(1)})
@@ -105,17 +108,21 @@ def test_exceptional_errors():
 
 
 def _sympy_exceptional(weights):
-    """Independent symbolic evaluation of the exceptional kernel."""
+    """Independent symbolic evaluation of the exceptional kernel: rho from
+    the reciprocal of the series (1 - e^{-y})/y = sum_k (-y)^k/(k+1)!,
+    and the kernel's quotient by (u - v) from sympy."""
     import sympy as sp
     pos = [w for w in weights if w > 0]
     neg = [-w for w in weights if w < 0]
     n = len(pos) + len(neg) - 1
     t = sp.symbols("t")
-    td = lambda y: y / (1 - sp.exp(-y))
-    rho_expr = sp.prod([td(-w * t) for w in weights])
-    rho_series = sp.series(rho_expr, t, 0, n + 1).removeO()
-    rho = {j: Fraction(str(sp.nsimplify(rho_series.coeff(t, j))))
-           for j in range(n + 1)}
+    inv = [sp.Rational((-1) ** k, math.factorial(k + 1)) for k in range(n + 1)]
+    td = [sp.Integer(1)]
+    for k in range(1, n + 1):
+        td.append(-sum(inv[i] * td[k - i] for i in range(1, k + 1)))
+    rho_series = sp.expand(sp.prod(
+        [sum(c * (-w * t) ** j for j, c in enumerate(td)) for w in weights]))
+    rho = {j: Fraction(str(rho_series.coeff(t, j))) for j in range(n + 1)}
     u, v = sp.symbols("u v")
     rho_poly = lambda arg: sum(sp.Rational(str(c)) * arg ** j
                                for j, c in rho.items())
@@ -131,18 +138,16 @@ def _sympy_exceptional(weights):
 
 
 def test_exceptional_against_symbolic_oracle():
-    # units-only shape: nonzero rho_4 pieces cancel exactly (td identity)
-    F = point_component("f", 0, [1, 1, 1, 1, -1])
-    want, rho = _sympy_exceptional([1, 1, 1, 1, -1])
-    got = exceptional_from_series(F, rho)
-    assert got == want == 0
-    # a mixed-magnitude shape exercises a genuinely nonzero kernel value
-    G = point_component("g", 0, [2, 1, -1])
-    want, rho = _sympy_exceptional([2, 1, -1])
-    got = exceptional_from_series(G, rho)
-    assert got == want
-    assert got == exceptional_term(G)
-    assert got != 0
+    # units-only shapes: nonzero rho_n pieces cancel exactly (td identity);
+    # mixed magnitudes exercise genuinely nonzero kernel values
+    zero = ([1, 1, 1, 1, -1], [1, 1, -1, -1])
+    nonzero = ([2, 1, -1], [3, 1, -2], [1, 1, 1, -2], [2, -1, -1, -3])
+    for weights in zero + nonzero:
+        F = point_component("f", 0, weights)
+        want, rho = _sympy_exceptional(weights)
+        got = exceptional_from_series(F, rho)
+        assert got == want == exceptional_term(F), weights
+        assert (got != 0) == (weights in nonzero), (weights, got)
 
 
 def test_exceptional_swap_symmetry_on_builtins():
@@ -192,37 +197,6 @@ def test_diagnostic_regular_term_prod11():
         assert reg == m + 1
     rep = main_formula_report(p, 3)
     assert rep.balance is None
-
-
-def test_normalization_fit_balanced():
-    fit = normalization_fit([builtin("dim6"), builtin("dim6b")],
-                            range(1, 7))
-    assert fit.balanced and fit.multiple is None
-
-
-def test_normalization_fit_reports_multiple():
-    # sabotage the supplied quotient data by a constant offset equal to
-    # twice a (synthetically nonzero) exceptional sum: the fitter must
-    # recover the multiple on a fabricated report rather than bare-fail.
-    from equiloc.quantize import MainFormulaReport
-    import equiloc.quantize as q
-
-    class Fake:
-        name = "fake"
-    reports = []
-
-    def fake_report(p, m):
-        return MainFormulaReport(
-            m=m, rr=10, residue_terms={}, exceptional_terms={"f": Fraction(2)},
-            regular=Fraction(4), regular_tag="supplied", balance=False)
-
-    orig = q.main_formula_report
-    q.main_formula_report = fake_report
-    try:
-        fit = q.normalization_fit([Fake()], [1, 2, 3])
-    finally:
-        q.main_formula_report = orig
-    assert not fit.balanced and fit.multiple == 3
 
 
 def test_polynomiality_contracts():

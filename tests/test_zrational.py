@@ -232,6 +232,27 @@ def test_residue_of_derivative_vanishes(shift, num, den):
     assert f.differentiate().residue_at_zero() == 0
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=-3, max_value=3),
+       st.dictionaries(st.integers(min_value=-3, max_value=4),
+                       st.fractions(min_value=-4, max_value=4,
+                                    max_denominator=5), max_size=5),
+       st.dictionaries(st.integers(min_value=1, max_value=4),
+                       st.integers(min_value=1, max_value=3), max_size=3),
+       st.integers(min_value=-8, max_value=12))
+def test_series_times_denominator_is_numerator(shift, num, den, upto):
+    series = ZRational(shift, num, den).series_coefficients(upto)
+    assert all(e <= upto for e in series)
+    # multiply back by prod (1 - z^k)^{m_k}: exact at every exponent <= upto
+    for k, mult in den.items():
+        for _ in range(mult):
+            series = {e: series.get(e, 0) - series.get(e - k, 0)
+                      for e in set(series) | {e + k for e in series}}
+    back = {e: c for e, c in series.items() if c and e <= upto}
+    want = {shift + j: c for j, c in num.items() if c and shift + j <= upto}
+    assert back == want
+
+
 def test_series_matches_float_evaluation():
     f = ZRational(-1, {0: 2, 1: 3}, {1: 2, 2: 1})
     z = 1e-3
