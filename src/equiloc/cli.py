@@ -151,8 +151,13 @@ def cmd_main_formula(args) -> int:
 
 
 def cmd_witten_check(args) -> int:
-    from . import witten  # the only command that loads scipy
     p = _load(args)
+    # read every exceptional term before scipy loads and the fit and the
+    # pairings run, so that an unsupported component fails at once
+    for F in p.f_zero():
+        if quantize.classify(F) is quantize.Classification.INDEFINITE:
+            F.exceptional
+    from . import witten  # the only command that loads scipy
     ms = _parse_m_spec(args.m)
     if len(ms) < 4 or min(ms) < 1:
         raise SystemExit2(

@@ -63,9 +63,20 @@ def chi_tilde_pieces(F: FixedComponent) -> tuple[ZRational, ...]:
     An isolated point (dim_F == 0) has zero Chern roots, so its one piece
     takes the closed form  z^shift * sign * int_F Td / prod_k (1 - z^|k|)^{r_k}:
     by 1/(1 - z^k) = -z^|k| / (1 - z^|k|), a block of weight k < 0 and rank
-    r contributes (-1)^r to sign and |k| r to shift.  Other components
-    multiply out the ring-valued factors 1/(1 - z^k e^a) once and integrate
-    that product against each divided power of omega_F.
+    r contributes (-1)^r to sign and |k| r to shift.  Points keep this form
+    because the general expansion below costs several times as much on the
+    many isolated points of a product such as (cp1)^8.
+
+    Other components expand each factor by nilpotency of its root a: for
+    k > 0, with v = e^a - 1,
+        1/(1 - z^k e^a) = sum_j z^{kj} v^j / (1 - z^k)^{j+1},
+    and for k < 0, with v = e^{-a} - 1, as 1 - z^k e^a is -z^k e^a times
+    1 - z^|k| e^{-a},
+        1/(1 - z^k e^a) = -z^|k| (1+v) sum_j z^{|k|j} v^j / (1 - z^|k|)^{j+1},
+    both sums ending where v^j vanishes.  The product of the expansions
+    keeps one ring-valued coefficient per z^s / prod (1 - z^k)^mult; each
+    piece integrates Td omega_F^j/j! against every coefficient, and
+    `scalar_sum` brings the results over one denominator.
     """
     if F.dim_F == 0:
         sign, shift, den = 1, 0, {}
@@ -76,12 +87,43 @@ def chi_tilde_pieces(F: FixedComponent) -> tuple[ZRational, ...]:
                 shift += k * r
             den[k] = den.get(k, 0) + r
         return (ZRational(shift, {0: sign * F.todd.integrate()}, den),)
-    acc = ZRational(0, {0: F.todd}, {})
+    terms = {(0, ()): F.ring.one()}
     for block in F.blocks:
         for root in block.chern_roots:
-            acc = acc * ZRational.inv_one_minus(block.weight, root)
-    return tuple(acc.scale(w).integrate_over_F()
-                 for w in F.omega.divided_powers())
+            factor = _factor_terms(block.weight, root)
+            nxt: dict[tuple, GradedElement] = {}
+            for (s, den), c in terms.items():
+                for t, k, mult, f in factor:
+                    d = dict(den)
+                    d[k] = d.get(k, 0) + mult
+                    key = (s + t, tuple(sorted(d.items())))
+                    term = c * f
+                    nxt[key] = nxt[key] + term if key in nxt else term
+            terms = nxt
+    return tuple(
+        scalar_sum(ZRational(s, {0: (c * tw).integrate()}, dict(den))
+                   for (s, den), c in terms.items())
+        for tw in (F.todd * w for w in F.omega.divided_powers()))
+
+
+def _factor_terms(weight: int, root: GradedElement) -> list[tuple]:
+    """The expansion of 1/(1 - z^weight e^root) in `chi_tilde_pieces`, as
+    terms (s, |weight|, mult, coefficient) of z^s / (1 - z^|weight|)^mult."""
+    k = abs(weight)
+    one = root.ring.one()
+    if weight > 0:
+        v = root.exp_nilpotent() - one
+        coef, start = one, 0
+    else:
+        v = (-root).exp_nilpotent() - one
+        coef, start = -(one + v), k
+    out = []
+    j = 0
+    while coef:
+        out.append((start + k * j, k, j + 1, coef))
+        coef = coef * v
+        j += 1
+    return out
 
 
 def chi_tilde(F: FixedComponent, m: int) -> ZRational:

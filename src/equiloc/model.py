@@ -15,7 +15,7 @@ polynomial matching the monomial enumeration oracle (see tests).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional
@@ -437,8 +437,7 @@ def trivial_cp1(d: int = 1) -> ManifoldPresentation:
 def shift_moment(p: ManifoldPresentation, s: int,
                  name: str | None = None) -> ManifoldPresentation:
     """Shift every moment value by the integer s (studying another level)."""
-    comps = [FixedComponent(F.name, F.dim_F, F.moment + s, F.ring, F.todd,
-                            F.omega, list(F.blocks)) for F in p.components]
+    comps = [replace(F, moment=F.moment + s) for F in p.components]
     return ManifoldPresentation(name=name or f"{p.name}+shift{s}",
                                 dim_M=p.dim_M, components=comps,
                                 free_on_regular=p.free_on_regular)
@@ -450,8 +449,7 @@ def bundle_power(p: ManifoldPresentation, k: int,
     moment map both scale by k."""
     if k < 1:
         raise ValueError("need k >= 1")
-    comps = [FixedComponent(F.name, F.dim_F, F.moment * k, F.ring, F.todd,
-                            F.omega * Fraction(k), list(F.blocks))
+    comps = [replace(F, moment=F.moment * k, omega=F.omega * Fraction(k))
              for F in p.components]
     return ManifoldPresentation(name=name or f"{p.name}^pow{k}",
                                 dim_M=p.dim_M, components=comps,
@@ -520,12 +518,8 @@ def disjoint_union(*ps: ManifoldPresentation,
     dim = ps[0].dim_M
     if any(p.dim_M != dim for p in ps):
         raise ValueError("disjoint union requires equal dim_M")
-    comps = []
-    for i, p in enumerate(ps):
-        for F in p.components:
-            comps.append(FixedComponent(f"p{i}.{F.name}", F.dim_F, F.moment,
-                                        F.ring, F.todd, F.omega,
-                                        list(F.blocks)))
+    comps = [replace(F, name=f"p{i}.{F.name}")
+             for i, p in enumerate(ps) for F in p.components]
     return ManifoldPresentation(
         name=name or "+".join(p.name for p in ps), dim_M=dim,
         components=comps,

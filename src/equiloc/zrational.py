@@ -1,20 +1,15 @@
 """Rational functions of a formal variable z.
 
 A ZRational is  z^shift * N(z) / prod_k (1 - z^k)^{m_k}  with k > 0 and the
-numerator a Laurent polynomial whose coefficients are whatever the
-arithmetic multiplies: elements of a truncated graded ring while the
-ring-valued factors of a fixed component are multiplied out, then plain
-ints and Fractions once `integrate_over_F` has applied the ring's
-integration functional.  Every denominator produced by fixed-point
-localization has this shape once negative-weight factors are normalized
-away, which makes the residues at z = 0 and z = infinity purely mechanical
-series manipulations.  Those, and the division, need a scalar numerator;
-on ring-valued coefficients they raise RingError.
+numerator N a Laurent polynomial whose coefficients are ints and Fractions.
+Every denominator produced by fixed-point localization has this shape once
+negative-weight factors are normalized away, which makes the residues at
+z = 0 and z = infinity purely mechanical series manipulations.
 
 The residue at infinity is defined operationally as the residue at zero of
 chi(1/z)/z; no contour-orientation convention enters anywhere.
 
-The exact character runs on integers.  `scalar_sum` brings scalar pieces
+The exact character runs on integers.  `scalar_sum` brings pieces
 over one common denominator and scales their numerators by the lcm L of
 all their coefficient denominators, so the summed numerator is an integer
 Laurent polynomial over L, kept as ints when L = 1.
@@ -36,10 +31,9 @@ from itertools import accumulate
 from math import lcm
 from typing import Iterable, Mapping, Union
 
-from .ring import GradedElement, RingError
+from .ring import RingError
 
 Rat = Union[int, Fraction]
-Coef = Union[int, Fraction, GradedElement]
 
 
 class NotAPolynomial(ArithmeticError):
@@ -55,7 +49,7 @@ class ZRational:
 
     __slots__ = ("shift", "num", "den")
 
-    def __init__(self, shift: int, num: Mapping[int, Coef],
+    def __init__(self, shift: int, num: Mapping[int, Rat],
                  den: Mapping[int, int]):
         clean_num = {int(j): c for j, c in num.items() if c}
         clean_den = {}
@@ -73,34 +67,6 @@ class ZRational:
         self.num = clean_num
         self.den = clean_den
 
-    @staticmethod
-    def inv_one_minus(k: int, a: GradedElement) -> "ZRational":
-        """(1 - z^k e^a)^{-1} for nonzero integer k and nilpotent a.
-
-        For k > 0 expand around the scalar factor:
-            1/(1 - z^k e^a) = sum_{j>=0} z^{kj} (e^a - 1)^j / (1-z^k)^{j+1},
-        a finite sum by nilpotency.  For k < 0 rewrite
-            1 - z^k e^a = -z^k e^a (1 - z^{-k} e^{-a})
-        and recurse, which contributes the unit -z^{-k} e^{-a}.
-        """
-        if k == 0:
-            raise RingError("inv_one_minus requires k != 0")
-        if a.scalar_part() != 0:
-            raise RingError("inv_one_minus requires a nilpotent exponent")
-        ring = a.ring
-        if k < 0:
-            inner = ZRational.inv_one_minus(-k, -a)
-            return inner.scale(-(-a).exp_nilpotent()).shifted(-k)
-        u = a.exp_nilpotent() - ring.one()            # nilpotent
-        result = ZRational(0, {}, {})
-        power = ring.one()
-        j = 0
-        while power:
-            result = result + ZRational(k * j, {0: power}, {k: j + 1})
-            power = power * u
-            j += 1
-        return result
-
     # -- structure -------------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -112,51 +78,14 @@ class ZRational:
             return self
         return ZRational(self.shift + j, self.num, self.den)
 
-    def scale(self, c: Coef) -> "ZRational":
+    def scale(self, c: Rat) -> "ZRational":
         return ZRational(self.shift, {j: v * c for j, v in self.num.items()},
                          self.den)
-
-    def __add__(self, other: "ZRational") -> "ZRational":
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        den = {k: max(self.den.get(k, 0), other.den.get(k, 0))
-               for k in set(self.den) | set(other.den)}
-        shift = min(self.shift, other.shift)
-        num: dict[int, Coef] = {}
-        for part in (self, other):
-            extra = {k: den[k] - part.den.get(k, 0) for k in den}
-            poly = _expand_factors(extra)
-            base = part.shift - shift
-            for j, coef in part.num.items():
-                for e, c in poly.items():
-                    key = base + j + e
-                    add = coef * c
-                    num[key] = num[key] + add if key in num else add
-        return ZRational(shift, num, den)
-
-    def __neg__(self) -> "ZRational":
-        return self.scale(-1)
-
-    def __sub__(self, other: "ZRational") -> "ZRational":
-        return self + (-other)
-
-    def __mul__(self, other: "ZRational") -> "ZRational":
-        den = {k: self.den.get(k, 0) + other.den.get(k, 0)
-               for k in set(self.den) | set(other.den)}
-        num: dict[int, Coef] = {}
-        for j1, c1 in self.num.items():
-            for j2, c2 in other.num.items():
-                key = j1 + j2
-                prod = c1 * c2
-                num[key] = num[key] + prod if key in num else prod
-        return ZRational(self.shift + other.shift, num, den)
 
     def __eq__(self, other):
         if not isinstance(other, ZRational):
             return NotImplemented
-        return (self - other).is_zero()
+        return scalar_sum([self, other.scale(-1)]).is_zero()
 
     def __hash__(self):
         raise TypeError("ZRational is unhashable")
@@ -164,22 +93,6 @@ class ZRational:
     def __repr__(self):
         den = "*".join(f"(1-z^{k})^{m}" for k, m in sorted(self.den.items()))
         return f"ZRational(z^{self.shift} * [{len(self.num)} terms] / {den or 1})"
-
-    # -- passage to scalars ----------------------------------------------------
-
-    def integrate_over_F(self) -> "ZRational":
-        """Apply the ring integration functional coefficient-wise; the
-        result has a scalar numerator."""
-        return ZRational(self.shift,
-                         {j: c.integrate() for j, c in self.num.items()},
-                         self.den)
-
-    def _scalar(self) -> dict[int, Rat]:
-        """The numerator, which the scalar operations below require to
-        hold ints and Fractions only."""
-        if any(isinstance(c, GradedElement) for c in self.num.values()):
-            raise RingError("numerator is not scalar; integrate first")
-        return self.num
 
     # -- expansion, division, residues ------------------------------------------
 
@@ -192,7 +105,7 @@ class ZRational:
         last d entries of that series vanish; the rest is the quotient,
         divided by L at the end.
         """
-        num = self._scalar()
+        num = self.num
         if not num:
             return LaurentPolynomial({})
         lo = min(num)
@@ -212,7 +125,7 @@ class ZRational:
 
     def series_coefficients(self, upto: int) -> dict[int, Fraction]:
         """Laurent coefficients at z = 0 for exponents <= upto (exact)."""
-        num = self._scalar()
+        num = self.num
         if not num:
             return {}
         lo = min(num)
@@ -238,23 +151,10 @@ class ZRational:
         """Res_{z=0} of chi(1/z)/z, the change-of-variable form of Res at oo."""
         return self.substitute_inverse().shifted(-1).residue_at_zero()
 
-    def differentiate(self) -> "ZRational":
-        """d/dz, staying in canonical form."""
-        s = self.shift
-        # d/dz [z^s N / D] = z^{s-1}(sN + zN')/D + z^s N sum_k m_k k z^{k-1}/((1-z^k) D)
-        result = ZRational(s - 1, {j: c * (s + j)
-                                   for j, c in self.num.items()}, self.den)
-        for k, m in self.den.items():
-            den = dict(self.den)
-            den[k] = m + 1
-            num = {j: c * (m * k) for j, c in self.num.items()}
-            result = result + ZRational(s + k - 1, num, den)
-        return result
-
     def evaluate(self, z: complex) -> complex:
         """Float evaluation away from denominator zeros (cross-check only)."""
         total = 0j
-        for j, c in self._scalar().items():
+        for j, c in self.num.items():
             total += complex(c) * z ** j
         total *= z ** self.shift
         for k, m in self.den.items():
@@ -263,7 +163,7 @@ class ZRational:
 
 
 def scalar_sum(parts: Iterable[ZRational]) -> ZRational:
-    """Sum of scalar ZRationals over one common denominator, in one pass.
+    """Sum of ZRationals over one common denominator, in one pass.
 
     The denominator takes the largest multiplicity of each k.  Every
     numerator is scaled to integers by the lcm L of all coefficient
@@ -272,7 +172,7 @@ def scalar_sum(parts: Iterable[ZRational]) -> ZRational:
     one result has the int sums as coefficients when L = 1 and
     Fraction(sum, L) otherwise.
     """
-    parts = [(q.shift, q._scalar(), q.den) for q in parts if q.num]
+    parts = [(q.shift, q.num, q.den) for q in parts if q.num]
     den: dict[int, int] = {}
     for _, _, d in parts:
         for k, mult in d.items():

@@ -206,6 +206,23 @@ def test_unsupported_exceptional_exits_2(tmp_path, capsys, command, m):
     assert "positive-dimensional indefinite" in err
 
 
+def test_witten_check_rejects_unsupported_before_pairing(tmp_path, capsys,
+                                                        monkeypatch):
+    # w0 is a CP^1 at moment 0 with weights -1, +1, +1: indefinite and
+    # positive-dimensional, so witten-check must fail before it pairs
+    from equiloc import witten
+
+    def no_pairing(*args, **kwargs):
+        raise AssertionError("witten_pair ran")
+
+    monkeypatch.setattr(witten, "witten_pair", no_pairing)
+    path = tmp_path / "cp2.json"
+    path.write_text(serialize(cpn_linear([-1, 0, 0, 1, 1], 1, shift=-1)))
+    code, out, err = run(capsys, "witten-check", "--input", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: component w0:") and err.count("\n") == 1
+
+
 def test_verify_builtin_ok(capsys):
     code, out, err = run(capsys, "verify", "--builtin", "cp1")
     assert code == 0

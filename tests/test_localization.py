@@ -4,8 +4,11 @@ import cmath
 import random
 from dataclasses import replace
 from fractions import Fraction
+from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equiloc import builtin, builtin_names, builtin_oracle
 from equiloc.localization import (PreparedInner, character, chi_tilde,
@@ -13,11 +16,13 @@ from equiloc.localization import (PreparedInner, character, chi_tilde,
                                   dh_inner, equivariant_todd_at_F,
                                   kirillov_check)
 from equiloc.model import (FixedComponent, NormalBlock, bundle_power,
-                           cpn_linear, product, shift_moment, trivial_cp1)
+                           cpn_linear, disjoint_union, product, shift_moment,
+                           trivial_cp1)
 from equiloc.quantize import classify, residue_term
-from equiloc.oracle import convolve
-from equiloc.ring import RingSpec
-from equiloc.zrational import LaurentPolynomial, NotAPolynomial, ZRational
+from equiloc.oracle import add, convolve, cpn_weights
+from equiloc.ring import RingSpec, bernoulli
+from equiloc.zrational import (LaurentPolynomial, NotAPolynomial, ZRational,
+                               scalar_sum)
 
 POINT = RingSpec.point()
 
@@ -46,21 +51,112 @@ def test_chi_tilde_cp1_component():
     # (m+1)/(1-z) - z/(1-z)^2, the sign of the z-term pinned by the oracle
     F = builtin("cp001").component("w0")
     m = 1
-    want = ZRational(0, {0: m + 1}, {1: 1}) + ZRational(1, {0: -1}, {1: 2})
+    want = scalar_sum([ZRational(0, {0: m + 1}, {1: 1}),
+                       ZRational(1, {0: -1}, {1: 2})])
     assert chi_tilde(F, m) == want
+
+
+def test_chi_tilde_nilpotent_root_example():
+    # on the sphere's ring, todd 1 + h, omega h and one root h of weight 1:
+    # 1/(1 - z e^h) = 1/(1-z) + z h/(1-z)^2 and e^{mh}(1 + h) = 1 + (m+1)h,
+    # so integrating h to 1 leaves (m+1)/(1-z) + z/(1-z)^2
+    ring = RingSpec((("h", 2),), 2, {(1,): Fraction(1)})
+    h = ring.generator("h")
+    F = FixedComponent("f", 2, 0, ring, ring.one() + h, h,
+                       [NormalBlock(1, [h])])
+    for m in range(5):
+        want = scalar_sum([ZRational(0, {0: m + 1}, {1: 1}),
+                           ZRational(1, {0: 1}, {1: 2})])
+        assert chi_tilde(F, m) == want
+        series = chi_tilde(F, m).series_coefficients(5)
+        assert [series.get(j, 0) for j in range(6)] == [m + 1 + j
+                                                        for j in range(6)]
+
+
+def test_chi_tilde_negative_weight_nilpotent_example():
+    # the same sphere with its root of weight -1: 1/(1 - z^-1 e^h) is
+    # -z e^{-h}/(1 - z e^{-h}) = -z(1 - h)(1/(1-z) - z h/(1-z)^2), and with
+    # 1 + (m+1)h integrating h to 1 leaves -m z/(1-z) + z^2/(1-z)^2
+    ring = RingSpec((("h", 2),), 2, {(1,): Fraction(1)})
+    h = ring.generator("h")
+    F = FixedComponent("f", 2, 0, ring, ring.one() + h, h,
+                       [NormalBlock(-1, [h])])
+    for m in range(5):
+        want = scalar_sum([ZRational(1, {0: -m}, {1: 1}),
+                           ZRational(2, {0: 1}, {1: 2})])
+        assert chi_tilde(F, m) == want
+        series = chi_tilde(F, m).series_coefficients(5)
+        assert [series.get(j, 0) for j in range(6)] == [0] + [j - 1 - m
+                                                              for j in
+                                                              range(1, 6)]
+
+
+def test_chi_tilde_single_weight_point_examples():
+    # 1/(1 - z) for weight 1; 1 - z^-1 = -z^-1 (1 - z) gives -z/(1-z) for
+    # weight -1; a rank-2 block of weight -2 gives z^4/(1-z^2)^2
+    for weight, rank, want in [(1, 1, ZRational(0, {0: 1}, {1: 1})),
+                               (-1, 1, ZRational(1, {0: -1}, {1: 1})),
+                               (-2, 2, ZRational(4, {0: 1}, {2: 2}))]:
+        F = FixedComponent("p", 0, 0, POINT, POINT.one(), POINT.zero(),
+                           [NormalBlock(weight, [POINT.zero()] * rank)])
+        for m in range(3):
+            assert chi_tilde(F, m) == want, (weight, rank, m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=-4, max_value=4).filter(lambda k: k != 0),
+       st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4),
+                min_size=1, max_size=2))
+def test_chi_tilde_single_block_matches_localization(k, coefficients):
+    # one normal block of weight k whose roots c h are arbitrary nilpotents,
+    # on either side of zero, against the localized integral
+    ring = RingSpec((("h", 2),), 2, {(1,): Fraction(1)})
+    h = ring.generator("h")
+    F = FixedComponent("f", 2, 0, ring, ring.one() + h, h,
+                       [NormalBlock(k, [h * c for c in coefficients])])
+    for m in range(5):
+        _assert_matches_localization(F, m)
 
 
 # -- character ----------------------------------------------------------------
 
-def _ring_path(F, m):
-    acc = ZRational(0, {0: F.todd * (F.omega * m).exp_nilpotent()}, {})
-    for block in F.blocks:
-        for root in block.chern_roots:
-            acc = acc * ZRational.inv_one_minus(block.weight, root)
-    return acc.integrate_over_F()
+def _u_laurent(chi, top):
+    """The u-Laurent coefficients of chi(e^u) up to u^top, exact, from
+    z^e = sum_n (e u)^n/n! and 1/(1 - e^{ku}) = -(1/ku) sum_n B_n (ku)^n/n!."""
+    poles = sum(chi.den.values())
+    length = top + poles + 1
+    series = [Fraction(0)] * length
+    for j, c in chi.num.items():
+        e = chi.shift + j
+        for n in range(length):
+            series[n] += c * Fraction(e ** n, factorial(n))
+    for k, mult in chi.den.items():
+        factor = [-bernoulli(n) * Fraction(k) ** (n - 1) / factorial(n)
+                  for n in range(length)]
+        for _ in range(mult):
+            series = [sum(series[i] * factor[n - i] for i in range(n + 1))
+                      for n in range(length)]
+    return {n - poles: c for n, c in enumerate(series) if c}
 
 
-def test_chi_tilde_point_closed_form_matches_ring_path():
+def _assert_matches_localization(F, m):
+    """chi_tilde(F, m) at z = e^u against the localized integral
+    int_F e^{m omega} Td_{S^1} / e_F, by td(y)/y = 1/(1 - e^{-y}).
+
+    A difference z^s Q(z)/D(z) with Q of span S whose u-expansion vanishes
+    up to u^{S + deg D} has Q = 0, so the coefficients up to `top` decide
+    equality; the localized series is exact up to its order less the
+    deepest pole, normal rank plus dim_F/2."""
+    chi = chi_tilde(F, m)
+    span = max(chi.num) - min(chi.num) if chi.num else 0
+    top = span + sum(k * mult for k, mult in chi.den.items()) + 1
+    order = top + F.normal_rank() + F.dim_F // 2
+    want = component_u_laurent(F, m, "todd", order)
+    assert _u_laurent(chi, top) == {j: c for j, c in want.items()
+                                    if j <= top}, (F.name, m)
+
+
+def test_chi_tilde_point_closed_form_matches_localization():
     cp1 = builtin("cp1")
     presentations = [cp1, builtin("cp012"), builtin("dim6"),
                      product(product(cp1, cp1), cp1)]
@@ -68,33 +164,35 @@ def test_chi_tilde_point_closed_form_matches_ring_path():
     assert any(w < 0 for F in points for w in F.weights())
     for F in points:
         for m in range(6):
-            assert chi_tilde(F, m) == _ring_path(F, m)
+            _assert_matches_localization(F, m)
 
 
 def _piece_presentations():
-    """Every builtin, and the product with a trivially acted-on sphere,
-    whose components have dim_F 4 and 2 (three and two chi_tilde pieces)."""
+    """Every builtin; the product with a trivially acted-on sphere, whose
+    components have dim_F 4 and 2 (three and two chi_tilde pieces); and a
+    CP^4 whose two CP^1 components have normal weights of both signs with
+    nonzero Chern roots."""
     out = [builtin(name) for name in builtin_names()]
     big = product(trivial_cp1(), builtin("cp001"))
     assert sorted(len(F.chi_pieces) for F in big.components) == [2, 3]
-    return out + [big]
+    return out + [big, cpn_linear([-1, 0, 0, 1, 1], 1)]
 
 
-def test_chi_tilde_pieces_match_ring_path():
+def test_chi_tilde_pieces_match_localization():
     for p in _piece_presentations():
         for F in p.components:
             for m in range(9):
-                assert chi_tilde(F, m) == _ring_path(F, m), (p.name, F.name)
+                _assert_matches_localization(F, m)
 
 
-def test_residue_term_matches_ring_path_residue():
+def test_residue_term_matches_chi_tilde_residue():
     # each component is brought to moment zero by a shift of the moments
     for p in _piece_presentations():
         for J in sorted({F.moment for F in p.components}):
             for F in shift_moment(p, -J).f_zero():
                 side = classify(F).side
                 for m in range(9):
-                    chi = _ring_path(F, m)
+                    chi = chi_tilde(F, m)
                     plus = chi.shifted(-1).residue_at_zero()
                     minus = chi.residue_at_infinity()
                     want = {"plus": plus, "minus": minus,
@@ -158,6 +256,49 @@ def test_inconsistent_data_fails_pole_cancellation():
         F, blocks=[replace(F.blocks[0], weight=2)] + F.blocks[1:])
     with pytest.raises(NotAPolynomial):
         character(p, 1)
+
+
+def _cpn_case(weights, d, shift):
+    return (cpn_linear(weights, d, shift),
+            lambda m: cpn_weights(weights, d, m, shift))
+
+
+def _compose(case, step):
+    """One builder applied to (presentation, oracle of m), oracle alongside."""
+    (p, oracle), (op, (q, other), k) = case, step
+    if op == "product":
+        return product(p, q), lambda m: convolve(oracle(m), other(m))
+    if op == "power":
+        return bundle_power(p, k), lambda m: oracle(k * m)
+    if op == "shift":
+        return shift_moment(p, k), lambda m: oracle(m).shifted(k * m)
+    return (disjoint_union(p, shift_moment(p, k)),
+            lambda m: add(oracle(m), oracle(m).shifted(k * m)))
+
+
+# repeated weights give positive-dimensional components whose normal
+# blocks have weights of both signs and nonzero Chern roots
+cpn_cases = st.builds(_cpn_case,
+                      st.lists(st.integers(min_value=0, max_value=3),
+                               min_size=2, max_size=5),
+                      st.integers(min_value=1, max_value=2),
+                      st.integers(min_value=-2, max_value=2))
+steps = st.tuples(st.sampled_from(["product", "power", "shift", "union"]),
+                  st.builds(_cpn_case,
+                            st.lists(st.integers(min_value=0, max_value=3),
+                                     min_size=2, max_size=3),
+                            st.just(1), st.just(0)),
+                  st.integers(min_value=1, max_value=2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cpn_cases, st.lists(steps, max_size=2))
+def test_composed_characters_match_oracle(case, ops):
+    for step in ops:
+        case = _compose(case, step)
+    p, oracle = case
+    for m in range(5):
+        assert character(p, m) == oracle(m).to_laurent(), (p.name, m)
 
 
 def test_random_consistency_preserving_transforms():

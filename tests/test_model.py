@@ -7,9 +7,9 @@ from pathlib import Path
 import pytest
 
 from equiloc.model import (FixedComponent, ManifoldPresentation, NormalBlock,
-                           ParseError, cpn_linear, disjoint_union, parse,
-                           product, projective_ring, serialize, shift_moment,
-                           trivial_cp1, validate)
+                           ParseError, bundle_power, cpn_linear,
+                           disjoint_union, parse, product, projective_ring,
+                           serialize, shift_moment, trivial_cp1, validate)
 from equiloc.ring import RingSpec
 from equiloc import builtin, builtin_names
 
@@ -157,6 +157,21 @@ def test_normal_block_is_frozen():
     with pytest.raises(FrozenInstanceError):
         block.weight = 2
     assert block.weight == 1
+
+
+def test_transformed_copies_start_without_pieces():
+    # dim6's moment-zero points are indefinite; their pieces are kept on F
+    p = builtin("dim6")
+    F = p.f_zero()[0]
+    F.exceptional, F.chi_pieces
+    assert {"exceptional", "chi_pieces"} <= vars(F).keys()
+    moved = shift_moment(p, 1).component(F.name)
+    assert "exceptional" not in vars(moved)
+    with pytest.raises(ValueError, match="moment zero"):
+        moved.exceptional
+    for q in (bundle_power(p, 2), disjoint_union(p, p)):
+        assert all(not vars(G).keys() & {"chi_pieces", "exceptional"}
+                   for G in q.components)
 
 
 def test_minimal_point_document():

@@ -48,6 +48,15 @@ def test_ring_spec_rejects_bad_data():
         RingSpec((("h", 2),), 4, {(1,): Fraction(1)})  # not top degree
 
 
+def test_mixed_rings_raise():
+    h = cp1_ring().generator("h")
+    x = RingSpec((("x", 2),), 2, {(1,): Fraction(1)}).generator("x")
+    with pytest.raises(RingError):
+        h * x
+    with pytest.raises(RingError):
+        h + x
+
+
 def test_add_identity_and_cancellation():
     ring = cp1_ring()
     h = ring.generator("h")
