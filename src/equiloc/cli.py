@@ -3,8 +3,10 @@
 Subcommands: rr, character, main-formula, witten-check, verify.
 Input is either --builtin NAME or --input FILE (a presentation document).
 Exit codes: 0 success, 1 verification failure (float cancellation in
-witten-check included), 2 input error, 3 mathematical inconsistency (poles
-fail to cancel).
+witten-check included), 2 input error (a weight or moment too large to
+compute with, and for witten-check a weight whose Todd series diverges on
+the bump's support, included), 3 mathematical inconsistency (poles fail
+to cancel).
 
 Only witten-check pairs numerically, so it is the only command that
 imports scipy (through `witten`), at its start: the exact commands skip
@@ -163,13 +165,13 @@ def cmd_witten_check(args) -> int:
         raise SystemExit2(
             f"--m {args.m}: the decay fit needs at least four m >= 1")
     phi = witten.TestFunction()
-    regular = None
-    if p.quotient is None:
-        fit = quantize.polynomiality_check(
-            p, 1, max(p.dim_M // 2 + 3, 6))
-        regular = lambda m: complex(fit.evaluate(m))
     try:
-        rep = witten.decay_check(p, phi, ms, regular_for_m=regular)
+        # the Todd series must converge on phi's support
+        localization.default_series_order(p, phi.delta2)
+    except ValueError as e:
+        raise SystemExit2(str(e))
+    try:
+        rep = witten.decay_check(p, phi, ms)
     except witten.CancellationError as e:
         # float cancellation in the pairing, not proof of bad data
         print(f"numeric failure: {e}", file=sys.stderr)
@@ -334,6 +336,11 @@ def main(argv=None) -> int:
     except NotAPolynomial as e:
         print(f"mathematical inconsistency: {e}", file=sys.stderr)
         return EXIT_MATH
+    except OverflowError as e:
+        # a weight or moment far beyond any index-sized series length
+        print(f"error: a weight or moment is too large: {e}",
+              file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

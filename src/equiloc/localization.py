@@ -16,35 +16,31 @@ polynomials in m of degree at most dim_F/2.  Their m-free coefficients
 (`FixedComponent.chi_pieces`); each m only sums them, then the one common
 denominator sum and division of `character` follow.
 
-Numeric side: the localized inner integrand of the Witten integral,
+Numeric side: the localized inner integrand of the Witten integral, with
+the equivariant Todd class Td_F as the one integrand,
 
-    dh_inner(x) = sum_F e^{2 pi i m x J(F)} int_F e^{m omega_F} rho_F(x)/e_F(x).
+    dh_inner(x) = sum_F e^{2 pi i m x J(F)} int_F e^{m omega_F} Td_F(x)/e_F(x).
 
 Normalization of the equivariant Euler class.  Internally every series is
 written in the variable u = 2 pi i x, which keeps all coefficients rational.
 A normal root of weight k and stored Chern root `a` contributes the factor
 y = -(k u + a) to e_F and the factor td(y) = y/(1-e^{-y}) to the
-equivariant Todd class.  This single sign is a calibration, fixed once by
-requiring that on the rotation sphere (cp1 builder) the localized sum with
-rho = 1 reproduce the exact pushforward integral
-
-    int_M e^{2 pi i m x J} e^{m omega} = int_0^1 e^{2 pi i m x t} m dt
-                                       = (e^{2 pi i m x} - 1)/(2 pi i x),
-
-which forces 1/e = 1/(-2 pi i x) at the minimum, and by the exact identity
-td(y)/y = 1/(1 - e^{-y}) which then reproduces each character factor
-1/(1 - z^k e^a) at z = e^{2 pi i x}.  Tests assert both pins, and a
-negative control perturbs the input: with every weight of the rotation
-sphere doubled, its localized integral no longer matches the character of
-the rotation sphere itself.
+equivariant Todd class.  This single sign is a calibration, fixed by the
+Kirillov identity: td(y)/y = 1/(1 - e^{-y}) is then the character factor
+1/(1 - z^k e^a) at z = e^{2 pi i x}, so the localized sum equals the
+character chi^(m)(e^{2 pi i x}) wherever the series converge.  Tests pin
+the identity exactly per component and numerically on the sum
+(`kirillov_check`), and a negative control perturbs the input: with every
+weight of the rotation sphere doubled, its localized integral no longer
+matches the character of the rotation sphere itself.
 """
 
 from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from math import comb, factorial
-from typing import Mapping, Optional, Sequence, Union
+from math import comb, factorial, log
+from typing import Mapping, Optional, Sequence
 
 from .model import FixedComponent, ManifoldPresentation
 from .ring import GradedElement, RingSpec, todd_coefficient
@@ -215,13 +211,9 @@ def _td_factor(ring: RingSpec, weight: int, root: GradedElement,
     return USeries(ring, coeffs, order)
 
 
-def equivariant_todd_at_F(F: FixedComponent,
-                          order: Optional[int] = None) -> USeries:
+def equivariant_todd_at_F(F: FixedComponent, order: int) -> USeries:
     """The equivariant Todd class restricted to F,
-    Td(F) * prod_{k,j} td(-(k u + a_kj)), truncated at u-order `order`
-    (default: twice the ambient dimension)."""
-    if order is None:
-        order = 2 * (F.dim_F + 2 * F.normal_rank())
+    Td(F) * prod_{k,j} td(-(k u + a_kj)), truncated at u-order `order`."""
     series = USeries.constant(F.ring, F.todd, order)
     for block in F.blocks:
         for root in block.chern_roots:
@@ -253,23 +245,17 @@ def euler_inverse(F: FixedComponent, order: int) -> USeries:
     return acc
 
 
-# None (rho = 1), "todd" (the equivariant Todd class) or one series per
-# component name
-RhoMap = Optional[Union[str, Mapping[str, USeries]]]
+def _rho_series(F: FixedComponent, order: int) -> USeries:
+    """The localized integrand rho_F at F: the equivariant Todd class.  A
+    step of its own, so that perfbench's traces time it as
+    `localization.rho_series`."""
+    return equivariant_todd_at_F(F, order)
 
 
-def _rho_series(F: FixedComponent, rho: RhoMap, order: int) -> USeries:
-    if rho is None:
-        return USeries.constant(F.ring, F.ring.one(), order)
-    if rho == "todd":
-        return equivariant_todd_at_F(F, order)
-    return rho[F.name]
-
-
-def component_u_laurent(F: FixedComponent, m: int, rho: RhoMap,
+def component_u_laurent(F: FixedComponent, m: int,
                         order: int) -> dict[int, Fraction]:
-    """Scalar u-Laurent coefficients of int_F e^{m omega} rho_F / e_F."""
-    series = _rho_series(F, rho, order)
+    """Scalar u-Laurent coefficients of int_F e^{m omega} Td_F / e_F."""
+    series = _rho_series(F, order)
     emw = USeries.constant(F.ring, (F.omega * Fraction(m)).exp_nilpotent(),
                            order)
     total = series * emw * euler_inverse(F, order)
@@ -290,14 +276,13 @@ class PreparedInner:
 
     __slots__ = ("terms", "m", "order", "frozen")
 
-    def __init__(self, p: ManifoldPresentation, m: int, rho: RhoMap,
-                 order: int):
+    def __init__(self, p: ManifoldPresentation, m: int, order: int):
         self.m = m
         self.order = order
         self.terms = []
         self.frozen = []
         for F in p.components:
-            laurent = component_u_laurent(F, m, rho, order)
+            laurent = component_u_laurent(F, m, order)
             self.terms.append((F.moment, laurent))
             if laurent:
                 lo = min(laurent)
@@ -342,31 +327,31 @@ class PreparedInner:
         return total
 
 
-def dh_inner(p: ManifoldPresentation, rho: RhoMap, m: int, x: float,
+def dh_inner(p: ManifoldPresentation, m: int, x: float,
              order: Optional[int] = None) -> complex:
     """One-shot evaluation of the localized inner Witten integrand."""
     if order is None:
         order = default_series_order(p, abs(x))
-    return PreparedInner(p, m, rho, order).evaluate(x)
+    return PreparedInner(p, m, order).evaluate(x)
 
 
-def default_series_order(p: ManifoldPresentation, x_max: float,
-                         tol: float = 1e-13) -> int:
-    """Truncation order making the td-series tail below `tol` at |x|<=x_max.
+def default_series_order(p: ManifoldPresentation, x_max: float) -> int:
+    """Truncation order making the td-series tail below 1e-13 at
+    |x| <= x_max.
 
     The series in u has radius set by the nearest pole of td(-(k u)), at
     |x| = 1/k, so the tail is controlled by (k_max * x_max)^order.
     """
-    import math
-    ratio = p.max_weight() * x_max
+    k = p.max_weight()
+    ratio = k * x_max
     floor_order = 2 * p.dim_M
     if ratio >= 0.97:
         raise ValueError(
-            f"|x| = {x_max} too close to a singular circle 1/k; "
-            "no convergent series order exists")
+            f"max weight {k}: |x| = {x_max} is too close to the singular "
+            f"circle |x| = 1/{k}; no convergent series order exists")
     if ratio <= 0:
         return floor_order
-    need = math.log(tol) / math.log(ratio)
+    need = log(1e-13) / log(ratio)
     return max(floor_order, int(need) + 2)
 
 
@@ -377,7 +362,7 @@ def kirillov_check(p: ManifoldPresentation, m: int,
     circles where some e^{2 pi i k x} degenerates)."""
     chi = character(p, m)
     order = default_series_order(p, max(abs(x) for x in x_samples))
-    prepared = PreparedInner(p, m, "todd", order)
+    prepared = PreparedInner(p, m, order)
     worst = 0.0
     for x in x_samples:
         z = cmath.exp(2j * cmath.pi * x)

@@ -164,7 +164,7 @@ def validate(p: ManifoldPresentation) -> list[Diagnostic]:
         if not isinstance(F.moment, int):
             bad("MomentNotInteger", where, f"moment = {F.moment!r}")
         for elem, label in ((F.todd, "todd"), (F.omega, "omega")):
-            if not elem.ring.same_as(F.ring):
+            if elem.ring != F.ring:
                 bad("WrongRing", where, f"{label} lives in a foreign ring")
         for mono in F.omega.terms:
             if F.ring.monomial_degree(mono) != 2:
@@ -185,7 +185,7 @@ def validate(p: ManifoldPresentation) -> list[Diagnostic]:
             if b.rank < 1:
                 bad("RankZero", bwhere, "block must have rank >= 1")
             for r in b.chern_roots:
-                if not r.ring.same_as(F.ring):
+                if r.ring != F.ring:
                     bad("WrongRing", bwhere, "chern root in a foreign ring")
                     continue
                 if any(F.ring.monomial_degree(m) != 2 for m in r.terms):
@@ -198,7 +198,7 @@ def validate(p: ManifoldPresentation) -> list[Diagnostic]:
             if q.ring.monomial_degree(mono) != 2:
                 bad("OmegaNotDegree2", where, "omega0 must be of pure degree 2")
         for elem, label in ((q.omega0, "omega0"), (q.kappa_todd, "kappa_todd")):
-            if not elem.ring.same_as(q.ring):
+            if elem.ring != q.ring:
                 bad("WrongRing", where, f"{label} lives in a foreign ring")
     return out
 

@@ -44,7 +44,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .localization import RhoMap, _rho_series
 from .model import FixedComponent, ManifoldPresentation
 from .zrational import NotAPolynomial
 from . import localization
@@ -125,14 +124,14 @@ def residue_term(F: FixedComponent, m: int) -> Fraction:
     return _polyval(F.residue_pieces, m)
 
 
-def exceptional_term(F: FixedComponent, rho: RhoMap = "todd") -> Fraction:
+def exceptional_term(F: FixedComponent) -> Fraction:
     """Contribution of an isolated indefinite moment-zero component, with
-    rho (by default the equivariant Todd class) as the localized integrand,
-    expanded to the one degree that contributes, l+ + l- - 1, which is the
-    normal rank less one at an isolated point.  It does not depend on m,
-    since omega vanishes at a point; `FixedComponent.exceptional` keeps
-    the Todd-class value."""
-    scalar = _rho_series(F, rho, F.normal_rank() - 1).integrate_over_F()
+    the equivariant Todd class as the localized integrand, expanded to the
+    one degree that contributes, l+ + l- - 1, which is the normal rank less
+    one at an isolated point.  It does not depend on m, since omega
+    vanishes at a point; `FixedComponent.exceptional` keeps it."""
+    scalar = localization.equivariant_todd_at_F(
+        F, F.normal_rank() - 1).integrate_over_F()
     return exceptional_from_series(F, scalar)
 
 

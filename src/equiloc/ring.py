@@ -103,13 +103,12 @@ class RingSpec:
     def monomial_degree(self, mono: tuple[int, ...]) -> int:
         return sum(e * d for e, d in zip(mono, self._gen_degrees))
 
-    def same_as(self, other: "RingSpec") -> bool:
-        return (self.generators == other.generators
-                and self.truncation_degree == other.truncation_degree
-                and self.integration_table == other.integration_table)
-
     def __eq__(self, other):
-        return isinstance(other, RingSpec) and self.same_as(other)
+        return self is other or (
+            isinstance(other, RingSpec)
+            and self.generators == other.generators
+            and self.truncation_degree == other.truncation_degree
+            and self.integration_table == other.integration_table)
 
     def __hash__(self):
         return hash((self.generators, self.truncation_degree,
@@ -141,9 +140,6 @@ class RingSpec:
                 return GradedElement(self, {tuple(expo): Fraction(1)})
         raise RingError(f"no generator named {name!r}")
 
-    def monomial(self, expo: tuple[int, ...], c: Rat = 1) -> "GradedElement":
-        return GradedElement(self, {tuple(expo): Fraction(c)})
-
 
 class GradedElement:
     """Element of a RingSpec: monomial -> nonzero rational, canonical form."""
@@ -167,7 +163,7 @@ class GradedElement:
     # -- basics ---------------------------------------------------------------
 
     def _check(self, other: "GradedElement"):
-        if not self.ring.same_as(other.ring):
+        if self.ring != other.ring:
             raise RingError("elements live in different rings")
 
     def is_zero(self) -> bool:
@@ -182,7 +178,7 @@ class GradedElement:
     def __eq__(self, other):
         if not isinstance(other, GradedElement):
             return NotImplemented
-        return self.ring.same_as(other.ring) and self.terms == other.terms
+        return self.ring == other.ring and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.ring, tuple(sorted(self.terms.items()))))
@@ -304,7 +300,7 @@ def todd_from_roots(ring: RingSpec,
     """prod_i r_i/(1 - e^{-r_i}), truncated in `ring`."""
     result = ring.one()
     for r in roots:
-        if not r.ring.same_as(ring):
+        if r.ring != ring:
             raise RingError("root lives in a different ring")
         result = result * todd_of_root(r)
     return result

@@ -1,8 +1,9 @@
 """Numerical evaluation of the oscillatory moment-map pairing and of its
 large-m expansion.
 
-The pairing is  <W_m(rho), phi> = int_R [localized inner integrand](x)
-phi(x) dx  for a smooth even bump phi that is identically 1 near 0.  The
+The pairing is  <W_m, phi> = int_R [localized inner integrand](x) phi(x) dx
+for a smooth even bump phi that is identically 1 near 0, the integrand
+being the equivariant Todd class localized to the fixed components.  The
 integrand has per-component poles at x = 0 that cancel in the sum; the
 evaluation therefore splits the axis into an inner disc, where the
 oscillatory factors are Taylor-expanded and the pole cancellation is
@@ -22,6 +23,9 @@ the boundary-value distributions
 the second line being the derivative relation d/dx x^{-k} = -k x^{-(k+1)}
 integrated against a test function, on the side its classification
 picks (`Classification.side`): indefinite components take the average.
+The expansion adds the exceptional terms (`FixedComponent.exceptional`)
+and the regular term of `quantize.regular_term`, the same terms that
+`main_formula_report` computes exactly.
 """
 
 from __future__ import annotations
@@ -33,11 +37,10 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from scipy.integrate import quad
 
-from .localization import (PreparedInner, RhoMap, component_u_laurent,
+from .localization import (PreparedInner, component_u_laurent,
                            default_series_order)
 from .model import ManifoldPresentation
-from .quantize import (Classification, classify, exceptional_term,
-                       regular_term)
+from .quantize import Classification, classify, regular_term
 
 
 class CancellationError(ArithmeticError):
@@ -160,26 +163,26 @@ def dist_pair(k: int, side: str, phi: TestFunction) -> complex:
     return value / math.factorial(k - 1)
 
 
-def eps_limit_pair(k: int, side: str, phi: TestFunction,
-                   eps_list: Optional[Sequence[float]] = None) -> complex:
+_EPS_LIST = [0.02 / 2 ** j for j in range(6)]
+
+
+def eps_limit_pair(k: int, side: str, phi: TestFunction) -> complex:
     """Independent oracle: lim_{eps->0+} int phi(x)/(x +- i eps)^k dx by
-    Richardson extrapolation in eps."""
+    Richardson extrapolation in eps over 0.02, 0.01, ..., 0.02/32."""
     if side == "avg":
-        return (eps_limit_pair(k, "plus", phi, eps_list)
-                + eps_limit_pair(k, "minus", phi, eps_list)) / 2
+        return (eps_limit_pair(k, "plus", phi)
+                + eps_limit_pair(k, "minus", phi)) / 2
     sign = 1.0 if side == "plus" else -1.0
-    if eps_list is None:
-        eps_list = [0.02 / 2 ** j for j in range(6)]
     values = []
-    for eps in eps_list:
+    for eps in _EPS_LIST:
         f = lambda x: phi(x) / (x + sign * 1j * eps) ** k
         values.append(complex_quad(f, -phi.delta2, phi.delta2,
                                    points=[0.0], epsabs=1e-13, limit=800))
     # Lagrange extrapolation of the smooth-in-eps values to eps = 0
     total = 0j
-    for i, (ei, vi) in enumerate(zip(eps_list, values)):
+    for i, (ei, vi) in enumerate(zip(_EPS_LIST, values)):
         w = 1.0
-        for j, ej in enumerate(eps_list):
+        for j, ej in enumerate(_EPS_LIST):
             if j != i:
                 w *= ej / (ej - ei)
         total += w * vi
@@ -221,25 +224,30 @@ def pair_u_laurent(laurent: Mapping[int, Fraction], side: str,
 # the pairing and its expansion
 
 
-def _adaptive_taylor_order(rate: float, floor: int, tol: float = 1e-13) -> int:
+def _adaptive_taylor_order(rate: float, floor: int) -> int:
+    """The least K >= floor (at most 400) whose Taylor remainder bound
+    rate^{K+1}/(K+1)! is at most 1e-13."""
     K = floor
     bound = rate ** (K + 1) / math.factorial(K + 1)
-    while bound > tol and K < 400:
+    while bound > 1e-13 and K < 400:
         K += 1
         bound *= rate / (K + 1)
     return K
 
 
-def witten_pair(p: ManifoldPresentation, rho: RhoMap, phi: TestFunction,
+def witten_pair(p: ManifoldPresentation, rho: str, phi: TestFunction,
                 m: int) -> complex:
-    """<W_m(rho), phi>: quadrature away from zero plus exact pole
-    cancellation and polynomial integration on the inner disc.
+    """<W_m, phi>: quadrature away from zero plus exact pole cancellation
+    and polynomial integration on the inner disc.  The integrand is the
+    equivariant Todd class, the only value `rho` accepts ("todd").
 
     The inner radius is m^{-1/2}/10, clipped to delta1/2, and the
     Taylor order is grown until the oscillatory remainder is negligible;
     the two evaluation pathways are then required to agree on the overlap
     annulus, which catches both inconsistent data and starved expansions.
     """
+    if rho != "todd":
+        raise ValueError(f"rho must be 'todd', got {rho!r}")
     if m < 0:
         raise ValueError("m must be nonnegative")
     eta = min(phi.delta1 / 2, m ** -0.5 / 10) if m else phi.delta1 / 2
@@ -252,7 +260,7 @@ def witten_pair(p: ManifoldPresentation, rho: RhoMap, phi: TestFunction,
     rate = 2 * math.pi * m * j_max * (2 * eta)
     inner_order = _adaptive_taylor_order(rate, floor=max(max_pole, 4))
     order = max(default_series_order(p, phi.delta2), inner_order)
-    prepared = PreparedInner(p, m, rho, order)
+    prepared = PreparedInner(p, m, order)
     K = inner_order + max_pole
     poly = prepared.laurent_sum(K)
     bad = {j: c for j, c in poly.items() if j < 0 and c != 0}
@@ -294,30 +302,27 @@ def witten_pair(p: ManifoldPresentation, rho: RhoMap, phi: TestFunction,
 
 
 def expansion_rhs(p: ManifoldPresentation, phi: TestFunction, m: int,
-                  rho: RhoMap = "todd",
                   regular: Optional[complex] = None) -> complex:
     """The asymptotic expansion evaluated at m: reduced-space term plus,
     per moment-zero component, its exceptional contribution (indefinite
     case) and its Laurent data, to the series order that phi's support
     needs, paired through the boundary distribution of its side.
 
-    When neither `regular` nor quotient data is given the reduced-space
-    term is taken to be 0, which is exact precisely when the regular
-    stratum at level zero is empty (the fixed-locus reduction situation).
+    The reduced-space term is `quantize.regular_term`: the supplied one
+    with quotient data, otherwise the diagnostic rr - residues -
+    exceptionals.  `regular`, when given, replaces it by a value the
+    caller already holds.
     """
     order = default_series_order(p, phi.delta2)
-    if regular is not None:
-        total = complex(regular)
-    elif p.quotient is not None:
-        total = complex(regular_term(p, m)[0])
-    else:
-        total = 0j
+    if regular is None:
+        regular = regular_term(p, m)[0]
+    total = complex(regular)
     for F in p.f_zero():
         cls = classify(F)
-        laurent = component_u_laurent(F, m, rho, order)
+        laurent = component_u_laurent(F, m, order)
         total += pair_u_laurent(laurent, cls.side, phi)
         if cls is Classification.INDEFINITE:
-            total += complex(exceptional_term(F, rho))
+            total += complex(F.exceptional)
     return total
 
 
@@ -334,9 +339,7 @@ class WittenCheckReport:
 
 
 def decay_check(p: ManifoldPresentation, phi: TestFunction,
-                m_list: Sequence[int], rho: RhoMap = "todd",
-                regular_for_m: Optional[Callable[[int], complex]] = None
-                ) -> WittenCheckReport:
+                m_list: Sequence[int]) -> WittenCheckReport:
     """Fit the decay exponent of |pairing - expansion| over a geometric list
     of moments.  Differences below 1e-16 are clipped to it before fitting,
     so that an exact agreement does not take the logarithm of 0."""
@@ -344,9 +347,8 @@ def decay_check(p: ManifoldPresentation, phi: TestFunction,
         raise ValueError("need at least four moments for a decay fit")
     lhs, rhs, diffs = [], [], []
     for m in m_list:
-        left = witten_pair(p, rho, phi, m)
-        reg = regular_for_m(m) if regular_for_m is not None else None
-        right = expansion_rhs(p, phi, m, rho=rho, regular=reg)
+        left = witten_pair(p, "todd", phi, m)
+        right = expansion_rhs(p, phi, m)
         lhs.append(left)
         rhs.append(right)
         diffs.append(max(abs(left - right), 1e-16))

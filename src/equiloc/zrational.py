@@ -31,8 +31,6 @@ from itertools import accumulate
 from math import lcm
 from typing import Iterable, Mapping, Union
 
-from .ring import RingError
-
 Rat = Union[int, Fraction]
 
 
@@ -55,9 +53,9 @@ class ZRational:
         clean_den = {}
         for k, mult in den.items():
             if k <= 0:
-                raise RingError("denominator factors must have k > 0")
+                raise ValueError("denominator factors must have k > 0")
             if mult < 0:
-                raise RingError("denominator multiplicities must be >= 0")
+                raise ValueError("denominator multiplicities must be >= 0")
             if mult:
                 clean_den[int(k)] = int(mult)
         if not clean_num:
@@ -150,16 +148,6 @@ class ZRational:
     def residue_at_infinity(self) -> Fraction:
         """Res_{z=0} of chi(1/z)/z, the change-of-variable form of Res at oo."""
         return self.substitute_inverse().shifted(-1).residue_at_zero()
-
-    def evaluate(self, z: complex) -> complex:
-        """Float evaluation away from denominator zeros (cross-check only)."""
-        total = 0j
-        for j, c in self.num.items():
-            total += complex(c) * z ** j
-        total *= z ** self.shift
-        for k, m in self.den.items():
-            total /= (1 - z ** k) ** m
-        return total
 
 
 def scalar_sum(parts: Iterable[ZRational]) -> ZRational:

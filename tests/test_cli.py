@@ -223,6 +223,53 @@ def test_witten_check_rejects_unsupported_before_pairing(tmp_path, capsys,
     assert err.startswith("error: component w0:") and err.count("\n") == 1
 
 
+def test_witten_check_rejects_a_divergent_weight_before_pairing(
+        tmp_path, capsys, monkeypatch):
+    # weight 5 puts the singular circle |x| = 1/5 inside the bump's
+    # support |x| <= 0.25, where the Todd series cannot converge
+    from equiloc import witten
+
+    def no_pairing(*args, **kwargs):
+        raise AssertionError("witten_pair ran")
+
+    monkeypatch.setattr(witten, "witten_pair", no_pairing)
+    path = tmp_path / "cp05.json"
+    path.write_text(serialize(cpn_linear([0, 5], 1)))
+    code, out, err = run(capsys, "witten-check", "--input", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: max weight 5:") and err.count("\n") == 1
+
+
+def test_witten_check_without_quotient_decays(tmp_path, capsys):
+    # no quotient data and a nonzero residue: the regular term is the
+    # diagnostic rr - residues - exceptionals, so the residues count once
+    path = tmp_path / "cp001.json"
+    path.write_text(serialize(cpn_linear([0, 0, 1], 1)))
+    code, out, _ = run(capsys, "witten-check", "--input", str(path),
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["exponent"] <= -3
+
+
+@pytest.mark.parametrize("command", ["rr", "character", "main-formula"])
+@pytest.mark.parametrize("path", [("components", 0, "blocks", 0, "weight"),
+                                  ("components", 1, "moment")])
+def test_huge_number_exits_2(tmp_path, capsys, command, path):
+    # 10**30 fails before any allocation: no series of that length exists
+    doc = json.loads(serialize(builtin("cp1")))
+    *head, last = path
+    target = doc
+    for key in head:
+        target = target[key]
+    target[last] = 10 ** 30
+    file = tmp_path / "huge.json"
+    file.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, "--input", str(file), "--m", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "too large" in err
+
+
 def test_verify_builtin_ok(capsys):
     code, out, err = run(capsys, "verify", "--builtin", "cp1")
     assert code == 0

@@ -151,7 +151,7 @@ def _assert_matches_localization(F, m):
     span = max(chi.num) - min(chi.num) if chi.num else 0
     top = span + sum(k * mult for k, mult in chi.den.items()) + 1
     order = top + F.normal_rank() + F.dim_F // 2
-    want = component_u_laurent(F, m, "todd", order)
+    want = component_u_laurent(F, m, order)
     assert _u_laurent(chi, top) == {j: c for j, c in want.items()
                                     if j <= top}, (F.name, m)
 
@@ -342,25 +342,20 @@ def test_kunneth_consistency_at_z_equals_one():
 
 # -- numeric localization ------------------------------------------------------
 
-def test_dh_inner_cp1_pushforward():
-    p = builtin("cp1")
-    for m in (1, 2, 8):
-        for x in (0.03, 0.1, 0.2, -0.15):
-            got = dh_inner(p, None, m, x)
-            want = (cmath.exp(2j * cmath.pi * m * x) - 1) / (2j * cmath.pi * x)
-            assert abs(got - want) < 1e-12
-
-
 def test_dh_inner_rejects_zero():
     with pytest.raises(ValueError):
-        dh_inner(builtin("cp1"), None, 1, 0.0)
+        dh_inner(builtin("cp1"), 1, 0.0)
 
 
-def test_dh_inner_m0_constant_rho_sums_to_zero_exactly():
-    # int_M 1 vanishes for dim M > 0: every Laurent coefficient cancels
-    for name in ("cp1", "cp001", "cp012", "prod11", "dim6"):
-        prep = PreparedInner(builtin(name), 0, None, 8)
-        assert prep.laurent_sum(8) == {}
+def test_dh_inner_m0_todd_is_regular_with_total_rr():
+    # at m = 0 the localized Todd class sums to the character chi^(0)(e^u):
+    # every pole cancels and the constant term is RR(M, L^0) = chi^(0)(1),
+    # 1 for a connected manifold and 3 for the three pieces of dgmw
+    for name in ("cp1", "cp001", "cp012", "prod11", "dim6", "dgmw"):
+        p = builtin(name)
+        poly = PreparedInner(p, 0, 8).laurent_sum(8)
+        assert min(poly) >= 0, name
+        assert poly[0] == character(p, 0).evaluate_at_one(), name
 
 
 def converting_evaluate(prepared, x):
@@ -389,7 +384,7 @@ def converting_evaluate(prepared, x):
 def test_frozen_evaluate_is_bit_identical_to_converting(name):
     p = builtin(name)
     for m in (0, 8, 64):
-        prepared = PreparedInner(p, m, "todd", 12)
+        prepared = PreparedInner(p, m, 12)
         for x in (0.004, 0.037, 0.1, 0.19, 0.25):
             assert prepared.evaluate(x) == converting_evaluate(prepared, x), \
                 (name, m, x)
@@ -399,16 +394,16 @@ def test_dh_inner_moment_shift_factor():
     p = builtin("cp001")
     q = shift_moment(p, 2)
     m, x = 3, 0.07
-    a = dh_inner(p, None, m, x)
-    b = dh_inner(q, None, m, x)
+    a = dh_inner(p, m, x)
+    b = dh_inner(q, m, x)
     assert abs(b - cmath.exp(2j * cmath.pi * m * x * 2) * a) < 1e-12
 
 
 def test_dh_inner_conjugate_symmetry():
     p = builtin("prod11")
     for x in (0.05, 0.13):
-        a = dh_inner(p, "todd", 2, x)
-        b = dh_inner(p, "todd", 2, -x)
+        a = dh_inner(p, 2, x)
+        b = dh_inner(p, 2, -x)
         assert abs(b - a.conjugate()) < 1e-11
 
 
@@ -433,7 +428,7 @@ def test_equivariant_todd_point_single_block():
 def test_component_laurent_cp1_minimum():
     # 1/(1 - e^u) = -1/u + 1/2 - u/12 + ...
     F = builtin("cp1").component("w0")
-    laurent = component_u_laurent(F, 0, "todd", 3)
+    laurent = component_u_laurent(F, 0, 3)
     assert laurent[-1] == -1
     assert laurent[0] == Fraction(1, 2)
     assert laurent[1] == Fraction(-1, 12)
@@ -462,14 +457,14 @@ def test_kirillov_uncalibrated_negative_control():
         replace(F, blocks=[replace(b, weight=2 * b.weight) for b in F.blocks])
         for F in q.components]
     chi = character(cp1, 3).evaluate(cmath.exp(2j * cmath.pi * 0.1))
-    assert abs(chi - dh_inner(cp1, "todd", 3, 0.1)) < 1e-8
-    assert abs(chi - dh_inner(q, "todd", 3, 0.1)) > 0.1
+    assert abs(chi - dh_inner(cp1, 3, 0.1)) < 1e-8
+    assert abs(chi - dh_inner(q, 3, 0.1)) > 0.1
 
 
 def test_series_order_is_stable_when_raised():
     p = builtin("cp001")
     base = default_series_order(p, 0.2)
-    a = dh_inner(p, "todd", 2, 0.2, order=base)
-    b = dh_inner(p, "todd", 2, 0.2, order=base + 10)
+    a = dh_inner(p, 2, 0.2, order=base)
+    b = dh_inner(p, 2, 0.2, order=base + 10)
     assert abs(a - b) < 1e-12 * max(1.0, abs(a))
 

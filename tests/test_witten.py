@@ -10,9 +10,8 @@ import pytest
 from scipy.integrate import quad
 
 from equiloc import builtin
-from equiloc.localization import USeries, character
+from equiloc.localization import character
 from equiloc.model import QuotientData
-from equiloc.quantize import polynomiality_check
 from equiloc.ring import RingSpec
 from equiloc.witten import (CancellationError, TestFunction, complex_quad,
                             decay_check, dist_pair, eps_limit_pair,
@@ -21,19 +20,6 @@ from equiloc.witten import (CancellationError, TestFunction, complex_quad,
 warnings.filterwarnings("ignore", message=".*roundoff.*")
 
 PHI = TestFunction()
-
-
-def direct_cp1_pairing(m, phi):
-    """Closed-form inner integral on the rotation sphere, quadrature only."""
-    def f(x):
-        y = 2 * math.pi * m * x
-        if abs(y) < 1e-6:
-            h = 1 + 1j * y / 2 - y * y / 6
-        else:
-            h = (cmath.exp(1j * y) - 1) / (1j * y)
-        return m * h * phi(x)
-    return complex_quad(f, -phi.delta2, phi.delta2,
-                        points=[-phi.delta1, phi.delta1])
 
 
 # -- the bump -----------------------------------------------------------------
@@ -99,30 +85,9 @@ def test_dist_pair_k2_is_real_and_negative():
 
 # -- the pairing ---------------------------------------------------------------
 
-def test_witten_pair_cp1_constant_rho():
-    p = builtin("cp1")
-    for m in (2, 8):
-        got = witten_pair(p, None, PHI, m)
-        want = direct_cp1_pairing(m, PHI)
-        assert abs(got - want) < 1e-9, m
-
-
-def test_witten_pair_rho_zero():
-    p = builtin("cp1")
-    zero = {F.name: USeries(F.ring, {}, 8) for F in p.components}
-    assert witten_pair(p, zero, PHI, 4) == 0
-    assert expansion_rhs(p, PHI, 4, rho=zero) == 0
-
-
-def test_witten_pair_linear_in_rho():
-    p = builtin("cp1")
-    ones = {F.name: USeries(F.ring, {0: F.ring.one()}, 30)
-            for F in p.components}
-    twos = {F.name: USeries(F.ring, {0: F.ring.scalar(2)}, 30)
-            for F in p.components}
-    a = witten_pair(p, ones, PHI, 6)
-    b = witten_pair(p, twos, PHI, 6)
-    assert abs(b - 2 * a) < 1e-10
+def test_witten_pair_takes_only_the_todd_class():
+    with pytest.raises(ValueError, match="todd"):
+        witten_pair(builtin("cp1"), None, PHI, 4)
 
 
 def test_witten_pair_detects_inconsistent_data():
@@ -131,7 +96,7 @@ def test_witten_pair_detects_inconsistent_data():
     p.components[0] = replace(
         F, blocks=[replace(F.blocks[0], weight=2)] + F.blocks[1:])
     with pytest.raises(CancellationError):
-        witten_pair(p, None, PHI, 3)
+        witten_pair(p, "todd", PHI, 3)
 
 
 def test_bump_dependence_is_captured_by_the_expansion():
@@ -174,10 +139,7 @@ def test_decay_cp1_negative_control():
 
 
 def test_decay_prod11_with_diagnostic_regular():
-    p = builtin("prod11")
-    fit = polynomiality_check(p, 1, 8)
-    rep = decay_check(p, PHI, [8, 16, 32, 64],
-                      regular_for_m=lambda m: complex(fit.evaluate(m)))
+    rep = decay_check(builtin("prod11"), PHI, [8, 16, 32, 64])
     assert rep.exponent <= -2
 
 

@@ -23,6 +23,13 @@ def test_to_laurent_polynomial():
         ZRational(0, {0: 1}, {1: 1}).to_laurent_polynomial()
 
 
+def test_denominator_factors_are_checked():
+    with pytest.raises(ValueError, match="k > 0"):
+        ZRational(0, {0: 1}, {0: 1})
+    with pytest.raises(ValueError, match=">= 0"):
+        ZRational(0, {0: 1}, {1: -1})
+
+
 def test_integer_numerators_stay_ints():
     f = ZRational(0, {0: 1, 2: -1}, {1: 1})
     assert scalar_sum([f, f]).num == {0: 2, 2: -2}
@@ -161,22 +168,32 @@ def test_series_times_denominator_is_numerator(shift, num, den, upto):
     assert back == want
 
 
-def test_series_matches_float_evaluation():
+def test_series_matches_direct_expansion():
+    # z^-1 (2 + 3z) / ((1-z)^2 (1-z^2)): 1/(1-z)^2 has the coefficients
+    # n + 1 and 1/(1-z^2) has 1 at every even n, so z^(n-1) has the
+    # coefficient sum over num_j z^j and even 2i <= n - j of n - j - 2i + 1
     f = ZRational(-1, {0: 2, 1: 3}, {1: 2, 2: 1})
-    z = 1e-3
-    n = 8
-    series = f.series_coefficients(n)
-    approx = sum(float(c) * z ** e for e, c in series.items())
-    exact = f.evaluate(z)
-    assert abs(approx - exact.real) <= 1e-12 * abs(exact.real)
-    assert abs(exact.imag) == 0
+    want = {n - 1: sum(c * (n - j - 2 * i + 1)
+                       for j, c in ((0, 2), (1, 3))
+                       for i in range((n - j) // 2 + 1))
+            for n in range(10)}
+    assert f.series_coefficients(8) == want
+
+
+def exact_value(f, z):
+    """f at a rational z away from the poles, in exact arithmetic."""
+    value = sum(c * z ** j for j, c in f.num.items()) * z ** f.shift
+    for k, mult in f.den.items():
+        value /= (1 - z ** k) ** mult
+    return value
 
 
 def test_substitute_inverse_is_involutive_on_values():
     f = ZRational(2, {0: 1, 1: -2}, {1: 1, 3: 1})
     g = f.substitute_inverse()
-    z = 0.37
-    assert abs(g.evaluate(z) - f.evaluate(1 / z)) < 1e-12
+    for z in (Fraction(37, 100), Fraction(-5, 3), Fraction(7, 2)):
+        assert exact_value(g, z) == exact_value(f, 1 / z)
+    assert g.substitute_inverse() == f
 
 
 def test_laurent_polynomial_printing():
