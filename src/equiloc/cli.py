@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from typing import Optional
 
@@ -161,9 +160,9 @@ def cmd_witten_check(args) -> int:
             F.exceptional
     from . import witten  # the only command that loads scipy
     ms = _parse_m_spec(args.m)
-    if len(ms) < 4 or min(ms) < 1:
+    if len(set(ms)) < 4 or min(ms) < 1:
         raise SystemExit2(
-            f"--m {args.m}: the decay fit needs at least four m >= 1")
+            f"--m {args.m}: the decay fit needs at least four distinct m >= 1")
     phi = witten.TestFunction()
     try:
         # the Todd series must converge on phi's support
@@ -191,8 +190,8 @@ def cmd_witten_check(args) -> int:
     return EXIT_OK
 
 
-def _verify_one(p: ManifoldPresentation, name: str, tolerance: float,
-                seed: int, with_oracle: bool) -> tuple[list[str], list[str]]:
+def _verify_one(p: ManifoldPresentation, name: str,
+                with_oracle: bool) -> tuple[list[str], list[str]]:
     """Run the invariant suite; returns failure and skipped-check
     descriptions."""
     failures = []
@@ -241,13 +240,11 @@ def _verify_one(p: ManifoldPresentation, name: str, tolerance: float,
     k = p.max_weight()
     if k < 9:
         dev = localization.kirillov_check(p, 2, [0.05, 0.1])
-        check("kirillov", dev < tolerance, f"deviation {dev:.2e}")
+        check("kirillov", dev < 1e-8, f"deviation {dev:.2e}")
     else:
         skipped.append(f"{name}: kirillov (max weight {k} >= 9)")
-    rng = random.Random(seed)
-    for trial in range(3):
-        s = rng.randint(-3, 3)
-        k = rng.randint(1, 2)
+    # a shift of either sign with a power, and a shift alone
+    for trial, (s, k) in enumerate(((3, 2), (-3, 2), (1, 1))):
         q = bundle_power(shift_moment(p, s), k)
         try:
             m = 2
@@ -272,8 +269,7 @@ def cmd_verify(args) -> int:
     failures = []
     skipped = []
     for name, p, with_oracle in targets:
-        fs, ss = _verify_one(p, name, args.tolerance, args.seed,
-                             with_oracle)
+        fs, ss = _verify_one(p, name, with_oracle)
         status = "ok" if not fs else "FAIL"
         print(f"verify {name}: {status}")
         failures.extend(fs)
@@ -317,10 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_witten_check)
     sp = sub.add_parser("verify", help="run the invariant suite")
     common(sp, m_default=None)
-    sp.add_argument("--seed", type=int, default=0,
-                    help="seed for randomized consistency checks")
-    sp.add_argument("--tolerance", type=float, default=1e-8,
-                    help="numeric tolerance for float cross-checks")
     sp.set_defaults(fn=cmd_verify)
     return ap
 

@@ -45,6 +45,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .model import FixedComponent, ManifoldPresentation
+from .ring import todd_coefficient
 from .zrational import NotAPolynomial
 from . import localization
 
@@ -129,10 +130,15 @@ def exceptional_term(F: FixedComponent) -> Fraction:
     the equivariant Todd class as the localized integrand, expanded to the
     one degree that contributes, l+ + l- - 1, which is the normal rank less
     one at an isolated point.  It does not depend on m, since omega
-    vanishes at a point; `FixedComponent.exceptional` keeps it."""
-    scalar = localization.equivariant_todd_at_F(
-        F, F.normal_rank() - 1).integrate_over_F()
-    return exceptional_from_series(F, scalar)
+    vanishes at a point; `FixedComponent.exceptional` keeps it.  At a
+    point, Td(F) = 1 and the integrand is prod_i td(-w_i u) in Fractions."""
+    n = F.normal_rank() - 1
+    rho = [Fraction(1)] + [Fraction(0)] * n
+    for w in F.weights():
+        factor = [todd_coefficient(q) * (-w) ** q for q in range(n + 1)]
+        rho = [sum(rho[i] * factor[q - i] for i in range(q + 1))
+               for q in range(n + 1)]
+    return exceptional_from_series(F, {n: rho[n]})
 
 
 def exceptional_from_series(F: FixedComponent,

@@ -14,15 +14,17 @@ complex once per (presentation, m, order), and `complex_quad` evaluates it
 once per distinct node, sharing the value between the real and the
 imaginary quad pass.
 
-The expansion side pairs each moment-zero component's Laurent data against
-the boundary-value distributions
+The expansion side pairs each power u^j = (2 pi i x)^j of a moment-zero
+component's Laurent data with phi, for j < 0 through the boundary value
+(x + i0)^j, (x - i0)^j or their average, on the side its classification
+picks (`Classification.side`).  phi is even and 1 on [-delta1, delta1], so
+every such pairing is one moment of phi, the Hadamard finite part for
+j < -1 (Gel'fand-Shilov, Generalized Functions I, ch. I, 3-4):
 
-    <x^{-1}_pm, psi> = int_0^inf (psi(x) - psi(-x))/x dx  -/+  i pi psi(0),
-    <x^{-k}_pm, psi> = <x^{-1}_pm, psi^{(k-1)}> / (k-1)!,
+    <x^j_pm, phi> = [j even] 2 (delta1^{j+1}/(j+1)
+                                + int_{delta1}^{delta2} x^j phi(x) dx)
+                    -/+ [j = -1] i pi.
 
-the second line being the derivative relation d/dx x^{-k} = -k x^{-(k+1)}
-integrated against a test function, on the side its classification
-picks (`Classification.side`): indefinite components take the average.
 The expansion adds the exceptional terms (`FixedComponent.exceptional`)
 and the regular term of `quantize.regular_term`, the same terms that
 `main_formula_report` computes exactly.
@@ -33,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from statistics import linear_regression
 from typing import Callable, Mapping, Optional, Sequence
 
 from scipy.integrate import quad
@@ -53,12 +56,15 @@ class CancellationError(ArithmeticError):
 
 class TestFunction:
     """Smooth even bump: 1 on [-delta1, delta1], 0 outside [-delta2, delta2],
-    glued by the standard exponential mollifier step.
+    glued by the standard exponential mollifier step f/(f + g), with
+    f = exp(-1/t), g = exp(-1/(1 - t)) and t = (delta2 - |x|)/(delta2 -
+    delta1).  Outside a thin guard strip around the gluing points the bump
+    is flat to far below double precision and takes the flat values.
 
-    Derivative evaluators of any order are generated symbolically once and
-    cached; outside a thin guard strip around the gluing points the bump is
-    flat to far below double precision and the evaluators return the flat
-    values directly.
+    The expansion pairs with phi through its moments (`moment`), each
+    computed once and cached.  Derivative evaluators of any order
+    (`derivative`) are generated symbolically once and cached; they serve
+    as an independent check of the distributions (the jump relation).
     """
 
     _GUARD = 0.002  # exp(-1/t) < 1e-217 here: flat for all practical orders
@@ -69,6 +75,21 @@ class TestFunction:
         self.delta1 = float(delta1)
         self.delta2 = float(delta2)
         self._lams: list[Callable[[float], float]] = []
+        self._moments: dict[int, float] = {}
+
+    def moment(self, j: int) -> float:
+        """int x^j phi(x) dx, the Hadamard finite part for j < -1: 0 for
+        odd j, else 2 (delta1^{j+1}/(j+1) + int_{delta1}^{delta2} x^j phi).
+        The glued part is one quad with a relative bound only, so that it
+        stays accurate where x^j is tiny (j near 100)."""
+        if j not in self._moments:
+            value = 0.0
+            if j % 2 == 0:
+                glued = quad(lambda x: x ** j * self(x), self.delta1,
+                             self.delta2, epsabs=0, epsrel=1e-13)[0]
+                value = 2 * (self.delta1 ** (j + 1) / (j + 1) + glued)
+            self._moments[j] = value
+        return self._moments[j]
 
     def _transition(self, j: int) -> Callable[[float], float]:
         """j-th derivative of the decreasing step on (delta1, delta2)."""
@@ -108,7 +129,9 @@ class TestFunction:
             return 0.0
         if t >= 1 - self._GUARD:
             return 1.0
-        return self._transition(0)(ax)
+        f = math.exp(-1 / t)
+        g = math.exp(-1 / (1 - t))
+        return f / (f + g)
 
 
 # ---------------------------------------------------------------------------
@@ -116,14 +139,13 @@ class TestFunction:
 
 
 def complex_quad(f: Callable[[float], complex], a: float, b: float,
-                 points: Optional[Sequence[float]] = None,
-                 epsabs: float = 1e-11, limit: int = 400) -> complex:
+                 points: Sequence[float], limit: int,
+                 epsabs: float = 1e-11) -> complex:
     """int_a^b f(x) dx as two real quad passes, one per part, that share a
     memo of f by node: each distinct node is evaluated once, and each pass
     sees the values it would see on its own."""
-    kwargs = dict(epsabs=epsabs, epsrel=1e-11, limit=limit)
-    if points is not None:
-        kwargs["points"] = [p for p in points if a < p < b]
+    kwargs = dict(epsabs=epsabs, epsrel=1e-11, limit=limit,
+                  points=[p for p in points if a < p < b])
     seen: dict[float, complex] = {}
 
     def value(x: float) -> complex:
@@ -141,26 +163,17 @@ def complex_quad(f: Callable[[float], complex], a: float, b: float,
 
 
 def dist_pair(k: int, side: str, phi: TestFunction) -> complex:
-    """<x^{-k}_side, phi> for side in {plus, minus, avg}."""
+    """<x^{-k}_side, phi> for side in {plus, minus, avg}: the finite-part
+    moment of phi, with the delta term -/+ i pi phi(0) for k = 1 only (the
+    delta^{(k-1)} term of k > 1 pairs with phi's flat top to 0)."""
     if k < 1:
         raise ValueError("k must be a positive integer")
     if side not in ("plus", "minus", "avg"):
         raise ValueError("side must be plus, minus or avg")
-    psi = phi.derivative(k - 1)
-    psi0 = psi(0.0)
-
-    def integrand(x: float) -> float:
-        return (psi(x) - psi(-x)) / x
-
-    pv = quad(integrand, 0.0, phi.delta2, points=[phi.delta1],
-              epsabs=1e-12, epsrel=1e-12, limit=300)[0]
-    if side == "plus":
-        value = pv - 1j * math.pi * psi0
-    elif side == "minus":
-        value = pv + 1j * math.pi * psi0
-    else:
-        value = complex(pv)
-    return value / math.factorial(k - 1)
+    value = complex(phi.moment(-k))
+    if k == 1 and side != "avg":
+        value += -1j * math.pi if side == "plus" else 1j * math.pi
+    return value
 
 
 _EPS_LIST = [0.02 / 2 ** j for j in range(6)]
@@ -194,29 +207,13 @@ _TWO_PI_I = 2j * math.pi
 
 def pair_u_laurent(laurent: Mapping[int, Fraction], side: str,
                    phi: TestFunction) -> complex:
-    """Pair a scalar Laurent series in u = 2 pi i x against phi: negative
-    powers through the boundary-value distributions, the analytic part by
-    direct quadrature of the truncated series."""
+    """Pair a scalar Laurent series in u = 2 pi i x against phi term by
+    term, sum_j c_j (2 pi i)^j <x^j_side, phi>: negative powers through
+    the boundary-value distributions, the others through phi's moments."""
     value = 0j
     for j, c in laurent.items():
-        if j < 0:
-            value += complex(c) * _TWO_PI_I ** j * dist_pair(-j, side, phi)
-    pos = sorted((j, complex(c)) for j, c in laurent.items() if j >= 0)
-    if pos:
-        top = pos[-1][0]
-        coeffs = [0j] * (top + 1)
-        for j, c in pos:
-            coeffs[j] = c
-
-        def f(x: float) -> complex:
-            u = _TWO_PI_I * x
-            acc = 0j
-            for c in reversed(coeffs):
-                acc = acc * u + c
-            return acc * phi(x)
-
-        value += complex_quad(f, -phi.delta2, phi.delta2,
-                              points=[-phi.delta1, phi.delta1])
+        pairing = dist_pair(-j, side, phi) if j < 0 else phi.moment(j)
+        value += complex(c) * _TWO_PI_I ** j * pairing
     return value
 
 
@@ -341,10 +338,11 @@ class WittenCheckReport:
 def decay_check(p: ManifoldPresentation, phi: TestFunction,
                 m_list: Sequence[int]) -> WittenCheckReport:
     """Fit the decay exponent of |pairing - expansion| over a geometric list
-    of moments.  Differences below 1e-16 are clipped to it before fitting,
-    so that an exact agreement does not take the logarithm of 0."""
-    if len(m_list) < 4:
-        raise ValueError("need at least four moments for a decay fit")
+    of distinct m: the least-squares slope of log|diff| on log m.
+    Differences below 1e-16 are clipped to it before fitting, so that an
+    exact agreement does not take the logarithm of 0."""
+    if len(set(m_list)) < 4:
+        raise ValueError("need at least four distinct m for a decay fit")
     lhs, rhs, diffs = [], [], []
     for m in m_list:
         left = witten_pair(p, "todd", phi, m)
@@ -352,7 +350,6 @@ def decay_check(p: ManifoldPresentation, phi: TestFunction,
         lhs.append(left)
         rhs.append(right)
         diffs.append(max(abs(left - right), 1e-16))
-    import numpy as np
-    slope = float(np.polyfit(np.log(np.array(m_list, dtype=float)),
-                             np.log(np.array(diffs)), 1)[0])
+    slope = linear_regression([math.log(m) for m in m_list],
+                              [math.log(d) for d in diffs]).slope
     return WittenCheckReport(list(m_list), lhs, rhs, diffs, slope)
