@@ -3,7 +3,7 @@
 Subcommands: rr, character, main-formula, witten-check, verify.
 Input is either --builtin NAME or --input FILE (a presentation document).
 Exit codes: 0 success, 1 verification failure (float cancellation in
-witten-check included), 2 input error (a weight or moment too large to
+witten-check included), 2 input error (a weight, moment or m too large to
 compute with, and for witten-check a weight whose Todd series diverges on
 the bump's support, included), 3 mathematical inconsistency (poles fail
 to cancel).
@@ -63,7 +63,7 @@ def _load(args) -> ManifoldPresentation:
         try:
             return bi.builtin(args.builtin)
         except KeyError as e:
-            raise SystemExit2(str(e))
+            raise SystemExit2(e.args[0])
     if args.input:
         try:
             with open(args.input, "r", encoding="utf-8") as fh:
@@ -328,10 +328,10 @@ def main(argv=None) -> int:
     except NotAPolynomial as e:
         print(f"mathematical inconsistency: {e}", file=sys.stderr)
         return EXIT_MATH
-    except OverflowError as e:
-        # a weight or moment far beyond any index-sized series length
-        print(f"error: a weight or moment is too large: {e}",
-              file=sys.stderr)
+    except (OverflowError, MemoryError) as e:
+        # a weight, moment or m far beyond any index-sized series length
+        print(f"error: a weight, moment or m is too large: "
+              f"{str(e) or type(e).__name__}", file=sys.stderr)
         return EXIT_INPUT
 
 

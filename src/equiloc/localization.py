@@ -21,6 +21,10 @@ the equivariant Todd class Td_F as the one integrand,
 
     dh_inner(x) = sum_F e^{2 pi i m x J(F)} int_F e^{m omega_F} Td_F(x)/e_F(x).
 
+Its exact u-series run on integer rows over one common denominator
+(`USeries`): products are integer Cauchy products, and a Fraction is formed
+once per power, by `integrate_over_F` or by `laurent_sum`'s one division.
+
 Normalization of the equivariant Euler class.  Internally every series is
 written in the variable u = 2 pi i x, which keeps all coefficients rational.
 A normal root of weight k and stored Chern root `a` contributes the factor
@@ -39,7 +43,10 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from math import comb, factorial, log
+from functools import lru_cache
+from itertools import zip_longest
+from math import comb, factorial, lcm, log
+from operator import add, mul
 from typing import Mapping, Optional, Sequence
 
 from .model import FixedComponent, ManifoldPresentation
@@ -148,67 +155,114 @@ def character(p: ManifoldPresentation, m: int) -> LaurentPolynomial:
 
 
 class USeries:
-    """Laurent series in u = 2 pi i x with GradedElement coefficients,
-    truncated above `order`; negative powers are always finitely many."""
+    """Laurent series in u = 2 pi i x with coefficients in F's ring,
+    truncated above `order`; negative powers are always finitely many.
 
-    __slots__ = ("ring", "coeffs", "order")
+    Stored as integer rows over one common denominator `den`: for each ring
+    monomial, the dense list of numerators of its coefficients at u^lo,
+    u^(lo+1), ..., ending at u^order or earlier (the rest are zero)."""
 
-    def __init__(self, ring: RingSpec, coeffs: Mapping[int, GradedElement],
-                 order: int):
-        self.ring = ring
-        self.order = order
-        self.coeffs = {int(j): c for j, c in coeffs.items()
-                       if j <= order and not c.is_zero()}
+    __slots__ = ("ring", "order", "lo", "den", "rows")
+
+    def __init__(self, ring: RingSpec, order: int, lo: int, den: int,
+                 rows: dict[tuple[int, ...], list[int]]):
+        self.ring, self.order, self.lo, self.den = ring, order, lo, den
+        self.rows = rows
+
+    @staticmethod
+    def from_elements(ring: RingSpec, coeffs: Mapping[int, GradedElement],
+                      order: int) -> "USeries":
+        """sum_j coeffs[j] u^j, truncated above `order`."""
+        coeffs = {j: c for j, c in coeffs.items() if j <= order and c}
+        lo, hi = min(coeffs, default=0), max(coeffs, default=0)
+        den = lcm(*(q.denominator for c in coeffs.values()
+                    for q in c.terms.values()))
+        rows: dict[tuple[int, ...], list[int]] = {}
+        for j, c in coeffs.items():
+            for mono, q in c.terms.items():
+                row = rows.setdefault(mono, [0] * (hi - lo + 1))
+                row[j - lo] = q.numerator * (den // q.denominator)
+        return USeries(ring, order, lo, den, rows)
 
     @staticmethod
     def constant(ring: RingSpec, elem: GradedElement, order: int) -> "USeries":
-        return USeries(ring, {0: elem}, order)
+        return USeries.from_elements(ring, {0: elem}, order)
 
     def __mul__(self, other: "USeries") -> "USeries":
+        """Per pair of monomials within the ring's truncation degree, the
+        Cauchy product of their rows, truncated at the lower order."""
+        ring = self.ring
         order = min(self.order, other.order)
-        out: dict[int, GradedElement] = {}
-        for j1, c1 in self.coeffs.items():
-            for j2, c2 in other.coeffs.items():
-                j = j1 + j2
-                if j > order:
+        lo = self.lo + other.lo
+        rows: dict[tuple[int, ...], list[int]] = {}
+        for m1, a in self.rows.items():
+            d1 = ring.monomial_degree(m1)
+            for m2, b in other.rows.items():
+                if d1 + ring.monomial_degree(m2) > ring.truncation_degree:
                     continue
-                prod = c1 * c2
-                if prod.is_zero():
-                    continue
-                if j in out:
-                    out[j] = out[j] + prod
-                else:
-                    out[j] = prod
-        return USeries(self.ring, out, order)
+                prod = _cauchy(a, b, order - lo + 1)
+                mono = tuple(map(add, m1, m2))
+                rows[mono] = [x + y for x, y in zip_longest(
+                    rows.get(mono, ()), prod, fillvalue=0)]
+        return USeries(ring, order, lo, self.den * other.den, rows)
 
     def integrate_over_F(self) -> dict[int, Fraction]:
-        out = {}
-        for j, c in self.coeffs.items():
-            val = c.integrate()
-            if val != 0:
-                out[j] = val
-        return out
+        """Pair the top-degree rows with the integration table."""
+        table = self.ring.integration_table
+        scale = lcm(*(w.denominator for w in table.values()))
+        total = [0] * max(map(len, self.rows.values()), default=0)
+        for mono, row in self.rows.items():
+            w = int(table.get(mono, 0) * scale)
+            for n, c in enumerate(row if w else ()):
+                total[n] += w * c
+        return {self.lo + n: Fraction(c, self.den * scale)
+                for n, c in enumerate(total) if c}
+
+
+def _cauchy(a: list[int], b: list[int], size: int) -> list[int]:
+    """The first `size` coefficients of the product of the integer
+    polynomials a and b (lowest power first), at most all of them."""
+    rb = b[::-1]
+    return [sum(map(mul, a[max(0, n + 1 - len(b)):n + 1],
+                    rb[max(0, len(b) - 1 - n):]))
+            for n in range(min(size, len(a) + len(b) - 1))]
+
+
+def _powers(x: GradedElement) -> list[GradedElement]:
+    """1, x, x^2, ... up to the last nonzero power of a nilpotent x."""
+    out = [x.ring.one()]
+    while out[-1] * x:
+        out.append(out[-1] * x)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _todd_numerators(size: int) -> tuple[int, tuple[int, ...]]:
+    """(D, T) with T[n] = D todd_coefficient(n) for n < size, D the lcm of
+    their denominators: a constant, kept per power-of-two size."""
+    coeffs = [todd_coefficient(n) for n in range(size)]
+    den = lcm(*(c.denominator for c in coeffs))
+    return den, tuple(c.numerator * (den // c.denominator) for c in coeffs)
 
 
 def _td_factor(ring: RingSpec, weight: int, root: GradedElement,
                order: int) -> USeries:
-    """td(y) for y = -(k u + a), as a USeries."""
-    nil = -root                     # nilpotent part of y
-    s = -Fraction(weight)           # u-coefficient of y
-    nilpowers = [ring.one()]
-    while not (nilpowers[-1] * nil).is_zero():
-        nilpowers.append(nilpowers[-1] * nil)
-    coeffs: dict[int, GradedElement] = {}
-    for q in range(order + 1):
-        acc = ring.zero()
-        for t in range(len(nilpowers)):
-            c = todd_coefficient(q + t) * comb(q + t, q)
-            if c != 0:
-                acc = acc + nilpowers[t] * c
-        acc = acc * (s ** q)
-        if not acc.is_zero():
-            coeffs[q] = acc
-    return USeries(ring, coeffs, order)
+    """td(y) for y = -(k u + a), as a USeries.  With b = -a, the coefficient
+    of u^q is (-k)^q sum_t todd_coefficient(q + t) C(q + t, q) b^t; each
+    row is built from the integer Todd table and the numerators of the
+    powers of b over their lcm d."""
+    nilpowers = _powers(-root)
+    tden, todd = _todd_numerators(1 << (order + len(nilpowers)).bit_length())
+    d = lcm(*(q.denominator for c in nilpowers for q in c.terms.values()))
+    rows: dict[tuple[int, ...], list[int]] = {}
+    for t, c in enumerate(nilpowers):
+        scaled = [todd[q + t] * comb(q + t, q) * (-weight) ** q
+                  for q in range(order + 1)]
+        for mono, q in c.terms.items():
+            num = q.numerator * (d // q.denominator)
+            rows[mono] = [x + num * y for x, y in zip_longest(
+                rows.get(mono, ()), scaled, fillvalue=0)]
+    return USeries(ring, order, 0, tden * d, rows)
 
 
 def equivariant_todd_at_F(F: FixedComponent, order: int) -> USeries:
@@ -227,21 +281,11 @@ def euler_inverse(F: FixedComponent, order: int) -> USeries:
     ring = F.ring
     acc = USeries.constant(ring, ring.one(), order)
     for block in F.blocks:
-        s = Fraction(block.weight)
         for root in block.chern_roots:
-            # 1/(-(s*u + a)) = sum_{t>=0} (-1/s)^{t+1} a^t u^{-(t+1)}
-            coeffs: dict[int, GradedElement] = {}
-            power = ring.one()
-            t = 0
-            while True:
-                c = power * ((Fraction(-1) / s) ** (t + 1))
-                if not c.is_zero():
-                    coeffs[-(t + 1)] = c
-                power = power * root
-                t += 1
-                if power.is_zero():
-                    break
-            acc = acc * USeries(ring, coeffs, order)
+            # 1/(-(k*u + a)) = sum_{t>=0} (-1/k)^{t+1} a^t u^{-(t+1)}
+            acc = acc * USeries.from_elements(ring, {
+                -(t + 1): power * Fraction(-1, block.weight) ** (t + 1)
+                for t, power in enumerate(_powers(root))}, order)
     return acc
 
 
@@ -292,20 +336,36 @@ class PreparedInner:
 
     def laurent_sum(self, taylor_order: int) -> dict[int, Fraction]:
         """Exact u-Laurent coefficients of the full sum, with each
-        oscillatory factor e^{m J u} Taylor-expanded to `taylor_order`."""
-        out: dict[int, Fraction] = {}
+        oscillatory factor e^{m J u} Taylor-expanded to `taylor_order` T.
+
+        Components that share a moment J are added first, and brought to
+        integers by the lcm L of all denominators.  Each distinct J takes
+        one integer Cauchy product with e_t = (mJ)^t T!/t!, t <= T, and the
+        sum is divided by T! L once."""
+        by_moment: dict[int, dict[int, Fraction]] = {}
         for J, laurent in self.terms:
-            mJ = Fraction(self.m * J)
-            for t in range(taylor_order + 1):
-                etc = mJ ** t / factorial(t)
-                if etc == 0 and t > 0:
-                    break
-                for j, c in laurent.items():
-                    key = j + t
-                    if key > self.order:
-                        continue
-                    out[key] = out.get(key, Fraction(0)) + etc * c
-        return {k: v for k, v in out.items() if v != 0}
+            acc = by_moment.setdefault(J, {})
+            for j, c in laurent.items():
+                acc[j] = acc.get(j, 0) + c
+        lo = min((j for laurent in by_moment.values() for j in laurent),
+                 default=self.order + 1)
+        size = self.order - lo + 1
+        scale = lcm(*(c.denominator for laurent in by_moment.values()
+                      for c in laurent.values()))
+        total = [0] * size
+        for J, laurent in by_moment.items():
+            row = [0] * (max(laurent, default=lo - 1) - lo + 1)
+            for j, c in laurent.items():
+                row[j - lo] = c.numerator * (scale // c.denominator)
+            mJ = self.m * J
+            e, fall = [], factorial(taylor_order)
+            for t in range(min(taylor_order, size - 1) + 1 if mJ else 1):
+                e.append(mJ ** t * fall)
+                fall //= t + 1
+            for n, c in enumerate(_cauchy(row, e, size)):
+                total[n] += c
+        scale *= factorial(taylor_order)
+        return {lo + n: Fraction(c, scale) for n, c in enumerate(total) if c}
 
     def evaluate(self, x: float) -> complex:
         """Horner per component over the frozen coefficients, then a

@@ -62,8 +62,8 @@ class TestFunction:
     is flat to far below double precision and takes the flat values.
 
     The expansion pairs with phi through its moments (`moment`), each
-    computed once and cached.  Derivative evaluators of any order
-    (`derivative`) are generated symbolically once and cached; they serve
+    computed once and cached.  Derivative evaluators (`derivative`) are
+    generated symbolically once per order asked for and cached; they serve
     as an independent check of the distributions (the jump relation).
     """
 
@@ -74,7 +74,7 @@ class TestFunction:
             raise ValueError("need 0 < delta1 < delta2")
         self.delta1 = float(delta1)
         self.delta2 = float(delta2)
-        self._lams: list[Callable[[float], float]] = []
+        self._lams: dict[int, Callable[[float], float]] = {}
         self._moments: dict[int, float] = {}
 
     def moment(self, j: int) -> float:
@@ -92,15 +92,15 @@ class TestFunction:
         return self._moments[j]
 
     def _transition(self, j: int) -> Callable[[float], float]:
-        """j-th derivative of the decreasing step on (delta1, delta2)."""
-        while len(self._lams) <= j:
+        """j-th derivative (j >= 1) of the decreasing step on (delta1,
+        delta2); only the orders asked for are built."""
+        if j not in self._lams:
             import sympy as sp
             x = sp.symbols("x", positive=True)
             t = (self.delta2 - x) / (self.delta2 - self.delta1)
             f = sp.exp(-1 / t)
             g = sp.exp(-1 / (1 - t))
-            expr = sp.diff(f / (f + g), x, len(self._lams))
-            self._lams.append(sp.lambdify(x, expr, "math"))
+            self._lams[j] = sp.lambdify(x, sp.diff(f / (f + g), x, j), "math")
         return self._lams[j]
 
     def derivative(self, j: int) -> Callable[[float], float]:

@@ -270,6 +270,22 @@ def test_huge_number_exits_2(tmp_path, capsys, command, path):
     assert "too large" in err
 
 
+@pytest.mark.parametrize("command", ["rr", "character", "main-formula"])
+def test_huge_m_exits_2(capsys, command):
+    # a series of length 10**15 cannot be allocated: MemoryError at once
+    code, out, err = run(capsys, command, "--builtin", "cp1", "--m",
+                         str(10 ** 15))
+    assert code == 2 and out == ""
+    assert err == "error: a weight, moment or m is too large: MemoryError\n"
+
+
+def test_unknown_builtin_message_is_not_quoted(capsys):
+    code, out, err = run(capsys, "rr", "--builtin", "nope")
+    assert code == 2 and out == ""
+    assert err == ("error: unknown builtin 'nope'; available: cp1, cp001, "
+                   "cp012, prod11, dgmw, dim6, dim6b, regval\n")
+
+
 def test_verify_builtin_ok(capsys):
     code, out, err = run(capsys, "verify", "--builtin", "cp1")
     assert code == 0

@@ -4,7 +4,7 @@ import cmath
 import random
 from dataclasses import replace
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +20,7 @@ from equiloc.model import (FixedComponent, NormalBlock, bundle_power,
                            trivial_cp1)
 from equiloc.quantize import classify, residue_term
 from equiloc.oracle import add, convolve, cpn_weights
-from equiloc.ring import RingSpec, bernoulli
+from equiloc.ring import RingSpec, bernoulli, todd_coefficient
 from equiloc.zrational import (LaurentPolynomial, NotAPolynomial, ZRational,
                                scalar_sum)
 
@@ -468,3 +468,128 @@ def test_series_order_is_stable_when_raised():
     b = dh_inner(p, 2, 0.2, order=base + 10)
     assert abs(a - b) < 1e-12 * max(1.0, abs(a))
 
+
+
+# -- integer u-series against the GradedElement oracle --------------------------
+#
+# The oracle keeps a u-series as {power: GradedElement}: each product is the
+# double loop over powers with ring products, each integral is
+# GradedElement.integrate, and the inner-disc sum runs one Fraction per
+# (component, Taylor term, power).  It shares no arithmetic with the integer
+# rows of `USeries` and `PreparedInner.laurent_sum`.
+
+def _oracle_mul(s1, s2, order):
+    out = {}
+    for j1, c1 in s1.items():
+        for j2, c2 in s2.items():
+            if j1 + j2 <= order:
+                prod = c1 * c2
+                out[j1 + j2] = out[j1 + j2] + prod if j1 + j2 in out else prod
+    return {j: c for j, c in out.items() if c}
+
+
+def _oracle_td_factor(ring, weight, root, order):
+    nilpowers = [ring.one()]
+    while nilpowers[-1] * (-root):
+        nilpowers.append(nilpowers[-1] * (-root))
+    out = {}
+    for q in range(order + 1):
+        acc = ring.zero()
+        for t, power in enumerate(nilpowers):
+            acc = acc + power * (todd_coefficient(q + t) * comb(q + t, q))
+        out[q] = acc * Fraction(-weight) ** q
+    return {j: c for j, c in out.items() if c}
+
+
+def _oracle_todd(F, order):
+    series = {0: F.todd}
+    for block in F.blocks:
+        for root in block.chern_roots:
+            series = _oracle_mul(series, _oracle_td_factor(
+                F.ring, block.weight, root, order), order)
+    return series
+
+
+def _oracle_laurent(F, m, order, todd):
+    series = _oracle_mul(todd, {0: (F.omega * m).exp_nilpotent()}, order)
+    for block in F.blocks:
+        for root in block.chern_roots:
+            inverse, power, t = {}, F.ring.one(), 0
+            while power:
+                inverse[-(t + 1)] = power * Fraction(-1, block.weight) ** (t + 1)
+                power, t = power * root, t + 1
+            series = _oracle_mul(series, inverse, order)
+    return _oracle_integrate(series)
+
+
+def _oracle_integrate(series):
+    return {j: c.integrate() for j, c in series.items() if c.integrate()}
+
+
+def _oracle_laurent_sum(prepared, taylor_order):
+    out = {}
+    for J, laurent in prepared.terms:
+        mJ = Fraction(prepared.m * J)
+        for t in range(taylor_order + 1 if mJ else 1):
+            etc = mJ ** t / factorial(t)
+            for j, c in laurent.items():
+                if j + t <= prepared.order:
+                    out[j + t] = out.get(j + t, 0) + etc * c
+    return {j: c for j, c in out.items() if c}
+
+
+def _rational_component():
+    """A component whose integration table, Chern roots and omega have
+    non-integer coefficients, so that every denominator the integer rows
+    carry is different from 1."""
+    ring = RingSpec([("h", 2)], 4, {(2,): Fraction(1, 2)})
+    h = ring.generator("h")
+    return FixedComponent("q", 4, 0, ring, ring.one() + h * Fraction(3, 7),
+                          h * Fraction(2, 5),
+                          [NormalBlock(1, [h * Fraction(1, 3)]),
+                           NormalBlock(-2, [h * Fraction(-5, 4)])])
+
+
+def test_integer_series_match_graded_oracle():
+    cases = 0
+    components = [F for p in _piece_presentations() for F in p.components]
+    for F in components + [_rational_component()]:
+            for order in (5, 23, 45, 106):
+                todd = _oracle_todd(F, order)
+                assert equivariant_todd_at_F(F, order).integrate_over_F() \
+                    == _oracle_integrate(todd), (F.name, order)
+                for m in (0, 1, 8, 32):
+                    assert component_u_laurent(F, m, order) == \
+                        _oracle_laurent(F, m, order, todd), \
+                        (F.name, m, order)
+                    cases += 1
+    assert cases > 600
+    # nonzero Chern roots with normal weights of both signs are covered
+    assert any(root for p in _piece_presentations() for F in p.components
+               for b in F.blocks for root in b.chern_roots)
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_laurent_sum_matches_fraction_oracle(name):
+    p = builtin(name)
+    for m, order, K in ((0, 8, 8), (3, 20, 30), (8, 45, 60), (64, 40, 200)):
+        prepared = PreparedInner(p, m, order)
+        assert prepared.laurent_sum(K) == _oracle_laurent_sum(prepared, K), \
+            (name, m, order, K)
+
+
+def test_integer_series_negative_control():
+    # one weight changed: the integer series of the perturbed component
+    # differ from the oracle's series of the original one
+    p = builtin("cp012")
+    F = p.components[0]
+    G = replace(F, blocks=[replace(F.blocks[0], weight=F.blocks[0].weight + 1)]
+                + F.blocks[1:])
+    assert component_u_laurent(F, 8, 23) == _oracle_laurent(
+        F, 8, 23, _oracle_todd(F, 23))
+    assert component_u_laurent(G, 8, 23) != _oracle_laurent(
+        F, 8, 23, _oracle_todd(F, 23))
+    q = builtin("cp012")
+    q.components[0] = G
+    assert PreparedInner(q, 8, 23).laurent_sum(30) != _oracle_laurent_sum(
+        PreparedInner(p, 8, 23), 30)

@@ -46,6 +46,17 @@ def test_bump_derivative_consistency():
             assert abs(fd - exact) <= 1e-6 * max(1.0, abs(exact)), (j, x)
 
 
+def test_bump_builds_only_the_derivative_orders_asked_for():
+    # order 0 is the closed form; asking for order 3 builds that lambda
+    # alone, and its values match those of the shared bump PHI
+    phi = TestFunction(PHI.delta1, PHI.delta2)
+    assert phi.derivative(0) == phi.__call__
+    d3 = phi.derivative(3)
+    assert [d3(x) for x in (0.13, 0.17, -0.21)] == \
+        [PHI.derivative(3)(x) for x in (0.13, 0.17, -0.21)]
+    assert list(phi._lams) == [3]
+
+
 def test_bump_flat_regions_have_zero_derivatives():
     for j in (1, 2, 5):
         dj = PHI.derivative(j)
