@@ -470,7 +470,7 @@ def test_series_order_is_stable_when_raised():
 
 
 
-# -- integer u-series against the GradedElement oracle --------------------------
+# -- integer u-series against the GradedElement oracle -------------------------
 #
 # The oracle keeps a u-series as {power: GradedElement}: each product is the
 # double loop over powers with ring products, each integral is
@@ -516,7 +516,8 @@ def _oracle_laurent(F, m, order, todd):
         for root in block.chern_roots:
             inverse, power, t = {}, F.ring.one(), 0
             while power:
-                inverse[-(t + 1)] = power * Fraction(-1, block.weight) ** (t + 1)
+                inverse[-(t + 1)] = power * Fraction(-1, block.weight) ** (
+                    t + 1)
                 power, t = power * root, t + 1
             series = _oracle_mul(series, inverse, order)
     return _oracle_integrate(series)
