@@ -24,16 +24,20 @@ the equivariant Todd class Td_F as the one integrand,
 Its exact u-series run on integer rows over one common denominator
 (`USeries`): products are integer Cauchy products, and a Fraction is formed
 once per power, by `integrate_over_F` or by `laurent_sum`'s one division.
+`equivariant_todd_at_F` is the one expansion of Td_F: the exceptional
+terms of `quantize` read their rho_n from it too.  Every walk over the
+powers of a nilpotent class, here and in `ring`, is `GradedElement.powers`.
 
 Normalization of the equivariant Euler class.  Internally every series is
 written in the variable u = 2 pi i x, which keeps all coefficients rational.
 A normal root of weight k and stored Chern root `a` contributes the factor
 y = -(k u + a) to e_F and the factor td(y) = y/(1-e^{-y}) to the
-equivariant Todd class.  This single sign is a calibration, fixed by the
-Kirillov identity: td(y)/y = 1/(1 - e^{-y}) is then the character factor
-1/(1 - z^k e^a) at z = e^{2 pi i x}, so the localized sum equals the
-character chi^(m)(e^{2 pi i x}) wherever the series converge.  Tests pin
-the identity exactly per component and numerically on the sum
+equivariant Todd class, in `_td_factor` and `euler_inverse` alone.  This
+single sign is a calibration, fixed by the Kirillov identity:
+td(y)/y = 1/(1 - e^{-y}) is then the character factor 1/(1 - z^k e^a) at
+z = e^{2 pi i x}, so the localized sum equals the character
+chi^(m)(e^{2 pi i x}) wherever the series converge.  Tests pin the
+identity exactly per component and numerically on the sum
 (`kirillov_check`), and a negative control perturbs the input: with every
 weight of the rotation sphere doubled, its localized integral no longer
 matches the character of the rotation sphere itself.
@@ -120,13 +124,8 @@ def _factor_terms(weight: int, root: GradedElement) -> list[tuple]:
     else:
         v = (-root).exp_nilpotent() - one
         coef, start = -(one + v), k
-    out = []
-    j = 0
-    while coef:
-        out.append((start + k * j, k, j + 1, coef))
-        coef = coef * v
-        j += 1
-    return out
+    return [(start + k * j, k, j + 1, coef * power)
+            for j, power in enumerate(v.powers())]
 
 
 def chi_tilde(F: FixedComponent, m: int) -> ZRational:
@@ -228,14 +227,6 @@ def _cauchy(a: list[int], b: list[int], size: int) -> list[int]:
             for n in range(min(size, len(a) + len(b) - 1))]
 
 
-def _powers(x: GradedElement) -> list[GradedElement]:
-    """1, x, x^2, ... up to the last nonzero power of a nilpotent x."""
-    out = [x.ring.one()]
-    while out[-1] * x:
-        out.append(out[-1] * x)
-    return out
-
-
 @lru_cache(maxsize=None)
 def _todd_numerators(size: int) -> tuple[int, tuple[int, ...]]:
     """(D, T) with T[n] = D todd_coefficient(n) for n < size, D the lcm of
@@ -251,7 +242,7 @@ def _td_factor(ring: RingSpec, weight: int, root: GradedElement,
     of u^q is (-k)^q sum_t todd_coefficient(q + t) C(q + t, q) b^t; each
     row is built from the integer Todd table and the numerators of the
     powers of b over their lcm d."""
-    nilpowers = _powers(-root)
+    nilpowers = (-root).powers()
     tden, todd = _todd_numerators(1 << (order + len(nilpowers)).bit_length())
     d = lcm(*(q.denominator for c in nilpowers for q in c.terms.values()))
     rows: dict[tuple[int, ...], list[int]] = {}
@@ -285,7 +276,7 @@ def euler_inverse(F: FixedComponent, order: int) -> USeries:
             # 1/(-(k*u + a)) = sum_{t>=0} (-1/k)^{t+1} a^t u^{-(t+1)}
             acc = acc * USeries.from_elements(ring, {
                 -(t + 1): power * Fraction(-1, block.weight) ** (t + 1)
-                for t, power in enumerate(_powers(root))}, order)
+                for t, power in enumerate(root.powers())}, order)
     return acc
 
 

@@ -434,24 +434,22 @@ def trivial_cp1(d: int = 1) -> ManifoldPresentation:
                                 components=[comp])
 
 
-def shift_moment(p: ManifoldPresentation, s: int,
-                 name: str | None = None) -> ManifoldPresentation:
+def shift_moment(p: ManifoldPresentation, s: int) -> ManifoldPresentation:
     """Shift every moment value by the integer s (studying another level)."""
     comps = [replace(F, moment=F.moment + s) for F in p.components]
-    return ManifoldPresentation(name=name or f"{p.name}+shift{s}",
+    return ManifoldPresentation(name=f"{p.name}+shift{s}",
                                 dim_M=p.dim_M, components=comps,
                                 free_on_regular=p.free_on_regular)
 
 
-def bundle_power(p: ManifoldPresentation, k: int,
-                 name: str | None = None) -> ManifoldPresentation:
+def bundle_power(p: ManifoldPresentation, k: int) -> ManifoldPresentation:
     """Replace the prequantizing bundle by its k-th power: omega and the
     moment map both scale by k."""
     if k < 1:
         raise ValueError("need k >= 1")
     comps = [replace(F, moment=F.moment * k, omega=F.omega * Fraction(k))
              for F in p.components]
-    return ManifoldPresentation(name=name or f"{p.name}^pow{k}",
+    return ManifoldPresentation(name=f"{p.name}^pow{k}",
                                 dim_M=p.dim_M, components=comps,
                                 free_on_regular=p.free_on_regular)
 

@@ -17,10 +17,11 @@ the closed form
 
     rho_n (1/2 - 2^{-n} sum_{i=l+}^{n} C(n, i)) / prod |w|,  n = l+ + l- - 1,
 
-with rho_n the degree-n coefficient of the localized integrand.  The
-bracket is the u^{l+ - 1} v^{l- - 1} coefficient of
-[(u^n + v^n)/2 - ((u+v)/2)^n] / (u - v), read off by synthetic division
-(`exceptional_from_series`).
+with rho_n the degree-n coefficient of the localized integrand: the
+equivariant Todd class of `localization.equivariant_todd_at_F`, the same
+series the numeric path integrates.  The bracket is the
+u^{l+ - 1} v^{l- - 1} coefficient of [(u^n + v^n)/2 - ((u+v)/2)^n] / (u - v),
+read off by synthetic division (`exceptional_from_series`).
 
 The regular term is an integral over the regular stratum of the reduced
 space; it is computed from user-supplied quotient data when present and
@@ -45,7 +46,6 @@ from fractions import Fraction
 from typing import Optional
 
 from .model import FixedComponent, ManifoldPresentation
-from .ring import todd_coefficient
 from .zrational import NotAPolynomial
 from . import localization
 
@@ -127,18 +127,14 @@ def residue_term(F: FixedComponent, m: int) -> Fraction:
 
 def exceptional_term(F: FixedComponent) -> Fraction:
     """Contribution of an isolated indefinite moment-zero component, with
-    the equivariant Todd class as the localized integrand, expanded to the
-    one degree that contributes, l+ + l- - 1, which is the normal rank less
-    one at an isolated point.  It does not depend on m, since omega
-    vanishes at a point; `FixedComponent.exceptional` keeps it.  At a
-    point, Td(F) = 1 and the integrand is prod_i td(-w_i u) in Fractions."""
+    rho_n read from the equivariant Todd class at F
+    (`localization.equivariant_todd_at_F`), expanded to the one degree that
+    contributes, n = l+ + l- - 1, which is the normal rank less one at an
+    isolated point.  It does not depend on m, since omega vanishes at a
+    point; `FixedComponent.exceptional` keeps it."""
     n = F.normal_rank() - 1
-    rho = [Fraction(1)] + [Fraction(0)] * n
-    for w in F.weights():
-        factor = [todd_coefficient(q) * (-w) ** q for q in range(n + 1)]
-        rho = [sum(rho[i] * factor[q - i] for i in range(q + 1))
-               for q in range(n + 1)]
-    return exceptional_from_series(F, {n: rho[n]})
+    return exceptional_from_series(
+        F, localization.equivariant_todd_at_F(F, n).integrate_over_F())
 
 
 def exceptional_from_series(F: FixedComponent,

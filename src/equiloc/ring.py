@@ -110,10 +110,6 @@ class RingSpec:
             and self.truncation_degree == other.truncation_degree
             and self.integration_table == other.integration_table)
 
-    def __hash__(self):
-        return hash((self.generators, self.truncation_degree,
-                     tuple(sorted(self.integration_table.items()))))
-
     def __repr__(self):
         gens = ", ".join(f"{n}:{d}" for n, d in self.generators)
         return f"RingSpec([{gens}], trunc={self.truncation_degree})"
@@ -180,9 +176,6 @@ class GradedElement:
             return NotImplemented
         return self.ring == other.ring and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((self.ring, tuple(sorted(self.terms.items()))))
-
     def __repr__(self):
         from .expressions import element_to_string
         return f"<{element_to_string(self)}>"
@@ -208,9 +201,6 @@ class GradedElement:
             other = self.ring.scalar(other)
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return GradedElement(
@@ -230,39 +220,31 @@ class GradedElement:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise RingError("negative powers are not defined")
-        result = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     # -- the operations the formulas need --------------------------------------
 
-    def divided_powers(self) -> list["GradedElement"]:
-        """x^j / j! for j = 0, 1, ... up to the last nonzero one, for a
-        nilpotent x (zero scalar part): the terms of exp(x), so that
-        exp(m x) = sum_j m^j x^j / j! is a polynomial in m."""
+    def powers(self) -> list["GradedElement"]:
+        """1, x, x^2, ... up to the last nonzero power of a nilpotent x: the
+        one walk over the powers of a class.  RingError on a nonzero scalar
+        part, whose powers never vanish; a zero scalar part leaves only
+        monomials of degree >= 2, so the walk ends by truncation."""
         if self.scalar_part() != 0:
             raise RingError("a nilpotent element must have zero scalar part")
         out = [self.ring.one()]
         while True:
-            term = out[-1] * self * Fraction(1, len(out))
+            term = out[-1] * self
             if term.is_zero():
                 return out
             out.append(term)
 
+    def divided_powers(self) -> list["GradedElement"]:
+        """x^j / j! over `powers`: the terms of exp(x), so that
+        exp(m x) = sum_j m^j x^j / j! is a polynomial in m."""
+        return [p * Fraction(1, factorial(j))
+                for j, p in enumerate(self.powers())]
+
     def exp_nilpotent(self) -> "GradedElement":
         """exp of a nilpotent element (zero scalar part); finite sum."""
-        result = self.ring.zero()
-        for term in self.divided_powers():
-            result = result + term
-        return result
+        return sum(self.divided_powers(), self.ring.zero())
 
     def integrate(self) -> Fraction:
         """Pair the top-degree part with the integration table."""
@@ -278,21 +260,11 @@ class GradedElement:
 
 def todd_of_root(root: GradedElement) -> GradedElement:
     """y/(1 - e^{-y}) for a single nilpotent degree-2 class y."""
-    if root.scalar_part() != 0:
-        raise RingError("Todd roots must be nilpotent")
     for mono in root.terms:
         if root.ring.monomial_degree(mono) != 2:
             raise RingError("Todd roots must be of pure degree 2")
-    result = root.ring.one()
-    power = root.ring.one()
-    n = 1
-    while True:
-        power = power * root
-        if power.is_zero():
-            break
-        result = result + power * todd_coefficient(n)
-        n += 1
-    return result
+    return sum((p * todd_coefficient(n) for n, p in enumerate(root.powers())),
+               root.ring.zero())
 
 
 def todd_from_roots(ring: RingSpec,

@@ -211,7 +211,7 @@ def pair_u_laurent(laurent: Mapping[int, Fraction], side: str,
     term, sum_j c_j (2 pi i)^j <x^j_side, phi>: negative powers through
     the boundary-value distributions, the others through phi's moments."""
     value = 0j
-    for j, c in laurent.items():
+    for j, c in sorted(laurent.items()):
         pairing = dist_pair(-j, side, phi) if j < 0 else phi.moment(j)
         value += complex(c) * _TWO_PI_I ** j * pairing
     return value
@@ -267,7 +267,7 @@ def witten_pair(p: ManifoldPresentation, rho: str, phi: TestFunction,
             "fixed-point data is inconsistent")
     # int_{-eta}^{eta} P(2 pi i x) dx with phi = 1 there: odd powers drop
     inner = 0j
-    for j, c in poly.items():
+    for j, c in sorted(poly.items()):
         if j % 2 == 0:
             inner += complex(c) * _TWO_PI_I ** j * 2 * eta ** (j + 1) / (j + 1)
 

@@ -229,9 +229,6 @@ class LaurentPolynomial:
             return self.coeffs == other.coeffs
         return NotImplemented
 
-    def __hash__(self):
-        return hash(tuple(sorted(self.coeffs.items())))
-
     def coefficient(self, e: int) -> Rat:
         return self.coeffs.get(e, 0)
 

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from equiloc import builtin, builtin_names, builtin_oracle
 from equiloc.localization import (PreparedInner, character, chi_tilde,
-                                  component_u_laurent, default_series_order,
+                                  chi_tilde_pieces, component_u_laurent,
+                                  default_series_order,
                                   dh_inner, equivariant_todd_at_F,
                                   kirillov_check)
 from equiloc.model import (FixedComponent, NormalBlock, bundle_power,
@@ -20,7 +21,7 @@ from equiloc.model import (FixedComponent, NormalBlock, bundle_power,
                            trivial_cp1)
 from equiloc.quantize import classify, residue_term
 from equiloc.oracle import add, convolve, cpn_weights
-from equiloc.ring import RingSpec, bernoulli, todd_coefficient
+from equiloc.ring import RingError, RingSpec, bernoulli, todd_coefficient
 from equiloc.zrational import (LaurentPolynomial, NotAPolynomial, ZRational,
                                scalar_sum)
 
@@ -432,6 +433,19 @@ def test_component_laurent_cp1_minimum():
     assert laurent[-1] == -1
     assert laurent[0] == Fraction(1, 2)
     assert laurent[1] == Fraction(-1, 12)
+
+
+def test_series_reject_roots_with_a_scalar_part():
+    # an unvalidated component whose Chern root is 1: every walk over the
+    # powers of the root raises instead of multiplying forever
+    F = builtin("cp001").component("w0")
+    F = replace(F, blocks=[replace(b, chern_roots=[F.ring.one()] * b.rank)
+                           for b in F.blocks])
+    for build in (lambda: equivariant_todd_at_F(F, 8),
+                  lambda: component_u_laurent(F, 1, 8),
+                  lambda: chi_tilde_pieces(F)):
+        with pytest.raises(RingError):
+            build()
 
 
 def test_kirillov_check_builders():

@@ -141,13 +141,20 @@ def test_exceptional_against_symbolic_oracle():
     # units-only shapes: nonzero rho_n pieces cancel exactly (td identity);
     # mixed magnitudes exercise genuinely nonzero kernel values
     zero = ([1, 1, 1, 1, -1], [1, 1, -1, -1])
-    nonzero = ([2, 1, -1], [3, 1, -2], [1, 1, 1, -2], [2, -1, -1, -3])
+    nonzero = ([2, 1, -1], [3, 1, -2], [1, 1, 1, -2], [2, -1, -1, -3],
+               [4, 2, 1, 1, -3], [4, 3, 1, 1, -2, -1],
+               [1, 2, -1, -3, -4, -2])
+    # rho_4 and rho_5 enter for the last three
+    known = {(4, 2, 1, 1, -3): Fraction(-1463, 55296),
+             (4, 3, 1, 1, -2, -1): Fraction(25, 2048),
+             (1, 2, -1, -3, -4, -2): Fraction(2695, 221184)}
     for weights in zero + nonzero:
         F = point_component("f", 0, weights)
         want, rho = _sympy_exceptional(weights)
         got = exceptional_from_series(F, rho)
         assert got == want == exceptional_term(F), weights
         assert (got != 0) == (weights in nonzero), (weights, got)
+        assert known.get(tuple(weights), got) == got, (weights, got)
 
 
 def test_exceptional_swap_symmetry_on_builtins():

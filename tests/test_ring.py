@@ -90,6 +90,23 @@ def test_exp_nilpotent_examples():
         cp1.one().exp_nilpotent()
 
 
+def test_powers_walk_to_the_last_nonzero_power():
+    cp2 = cp2_ring()
+    h = cp2.generator("h")
+    x = h * 3
+    assert x.powers() == [cp2.one(), x, x * x]
+    assert cp2.zero().powers() == [cp2.one()]
+    assert x.divided_powers() == [cp2.one(), x, x * x * Fraction(1, 2)]
+
+
+def test_powers_reject_a_nonzero_scalar_part():
+    # the powers of 1 + h never vanish: the walk must refuse, not loop
+    cp1 = cp1_ring()
+    for x in (cp1.one(), cp1.one() + cp1.generator("h"), cp1.scalar(-2)):
+        with pytest.raises(RingError):
+            x.powers()
+
+
 def test_integrate_examples():
     point = RingSpec.point()
     assert point.one().integrate() == 1

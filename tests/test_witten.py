@@ -11,8 +11,8 @@ from scipy.integrate import quad
 
 from equiloc import builtin
 from equiloc.builtins import builtin_names
-from equiloc.localization import (character, component_u_laurent,
-                                  default_series_order)
+from equiloc.localization import (PreparedInner, character,
+                                  component_u_laurent, default_series_order)
 from equiloc.model import QuotientData
 from equiloc.quantize import classify
 from equiloc.ring import RingSpec
@@ -215,6 +215,35 @@ def test_pair_u_laurent_matches_quadrature(name, m):
         got = pair_u_laurent(laurent, side, PHI)
         want = quadrature_pair(laurent, side, PHI)
         assert abs(got - want) <= 1e-12 * abs(want), (F.name, got, want)
+
+
+@pytest.mark.parametrize("m", [8, 32])
+def test_pair_u_laurent_does_not_depend_on_dict_order(m):
+    # the float sum runs over ascending powers whatever order the exact
+    # dict was built in
+    for name in builtin_names():
+        p = builtin(name)
+        order = default_series_order(p, PHI.delta2)
+        for F in p.f_zero():
+            laurent = component_u_laurent(F, m, order)
+            side = classify(F).side
+            ascending = dict(sorted(laurent.items()))
+            descending = dict(sorted(laurent.items(), reverse=True))
+            assert (pair_u_laurent(descending, side, PHI)
+                    == pair_u_laurent(ascending, side, PHI)), (name, F.name)
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_witten_pair_does_not_depend_on_dict_order(name, monkeypatch):
+    # the inner-disc sum, with the exact Laurent sum handed over descending
+    p = builtin(name)
+    want = [witten_pair(p, "todd", PHI, m) for m in (1, 4, 8)]
+    laurent_sum = PreparedInner.laurent_sum
+    monkeypatch.setattr(
+        PreparedInner, "laurent_sum",
+        lambda self, K: dict(sorted(laurent_sum(self, K).items(),
+                                    reverse=True)))
+    assert [witten_pair(p, "todd", PHI, m) for m in (1, 4, 8)] == want
 
 
 # -- quadrature ---------------------------------------------------------------
