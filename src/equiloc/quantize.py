@@ -15,7 +15,7 @@ The exceptional term of an isolated indefinite point with l+ positive and
 l- negative weights, the paper's local invariant of the singularity, has
 the closed form
 
-    rho_n (1/2 - 2^{-n} sum_{i=l+}^{n} C(n, i)) / prod |w|,  n = l+ + l- - 1,
+    rho_n (1/2 - 2^{-n} sum_{i=l+}^{n} C(n, i)) / prod (-w),  n = l+ + l- - 1,
 
 with rho_n the degree-n coefficient of the localized integrand: the
 equivariant Todd class of `localization.equivariant_todd_at_F`, the same
@@ -143,7 +143,7 @@ def exceptional_from_series(F: FixedComponent,
 
     It is the coefficient of u^{l+ - 1} v^{l- - 1} in the kernel
     N(u, v) = (rho(u) + rho(v))/2 - rho((u+v)/2) divided by (u - v),
-    weighted by 1/(prod of positive weights * prod of |negative| weights).
+    weighted by 1/prod(-w) over all the weights.
     Only the degree-n part of N, n = l+ + l- - 1, has quotient terms of
     that degree, so only rho_n enters (affine parts of rho drop out):
 
@@ -152,8 +152,20 @@ def exceptional_from_series(F: FixedComponent,
 
     Synthetic division of N_n = Q (u - v) from the top gives Q's
     coefficient of u^i v^{n-1-i} as a_{i+1} + ... + a_n, so the wanted one
-    (i = l+ - 1 >= 0) is 1/2 - 2^{-n} sum_{i=l+}^{n} C(n, i), which is 0
-    at l+ = l- = 1 (the only isolated shape possible below dimension six).
+    (i = l+ - 1 >= 0) is 1/2 - p with p = 2^{-n} sum_{i=l+}^{n} C(n, i),
+    which is 0 at l+ = l- = 1 (the only isolated shape possible below
+    dimension six).
+
+    The weight 1/prod(-w) fixes the orientation: the term is
+    (1/2 - p) r_F, with r_F = rho_n / prod(-w) the u-residue of the
+    point's localized Todd integrand.  Reversing the circle action
+    (t -> 1/t) negates every weight and moment and keeps M, L and the
+    reduced space, so rr, the regular term and the residue sum do not
+    change, and neither may the exceptional sum.  Reversal swaps l+ and
+    l-, so p becomes 1 - p, and sends rho(u) to rho(-u), so r_F becomes
+    -r_F: the product is unchanged.  Dividing by prod |w| instead gives
+    (-1)^{l+} (1/2 - p) r_F, which flips sign under reversal when n is
+    even.
     """
     if F.moment != 0:
         raise ValueError("exceptional terms require moment zero")
@@ -164,12 +176,11 @@ def exceptional_from_series(F: FixedComponent,
             f"component {F.name}: the exceptional term of a "
             "positive-dimensional indefinite component needs sphere-bundle "
             "connection data that a flat presentation does not carry")
-    pos = [w for w in F.weights() if w > 0]
-    neg = [-w for w in F.weights() if w < 0]
-    n = len(pos) + len(neg) - 1
-    tail = sum(math.comb(n, i) for i in range(len(pos), n + 1))
+    ws = F.weights()
+    n = len(ws) - 1
+    tail = sum(math.comb(n, i) for i in range(sum(w > 0 for w in ws), n + 1))
     coeff = Fraction(1, 2) - Fraction(tail, 2 ** n)
-    return rho.get(n, 0) * coeff / math.prod(pos + neg)
+    return rho.get(n, 0) * coeff / math.prod(-w for w in ws)
 
 
 def regular_term(p: ManifoldPresentation, m: int) -> tuple[Fraction, str]:

@@ -134,7 +134,8 @@ def test_mistyped_field_exits_2(tmp_path, capsys, old, new):
 
 @pytest.mark.parametrize("old, new", [
     ('"omega": "1 * h^1"', '"omega": "1/0 * h^1"'),
-    ('"h^1": "1"', '"h^1": "1/0"')])
+    ('"h^1": "1"', '"h^1": "1/0"'),
+    ('"omega": "1 * h^1"', '"omega": "h *"')])
 def test_zero_denominator_exits_2(tmp_path, capsys, old, new):
     path = tmp_path / "zero_denominator.json"
     path.write_text(serialize(builtin("cp001")).replace(old, new))

@@ -1,5 +1,6 @@
 """Mutated builtin documents: the parser accepts or rejects them cleanly,
-and the exact commands answer them with an exit code, never a traceback."""
+and the exact commands answer them with an exit code, never a traceback.
+Documents rewritten in an equivalent form give the same results."""
 
 import contextlib
 import copy
@@ -7,11 +8,13 @@ import io
 import json
 import os
 import tempfile
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equiloc import builtin, builtin_names, parse, serialize
+from equiloc import (builtin, builtin_names, character, main_formula_report,
+                     parse, product, serialize)
 from equiloc.cli import main
 from equiloc.model import ParseError
 
@@ -78,3 +81,105 @@ def test_mutated_document_round_trips_or_is_rejected(text):
             assert code in expected, (command, code)
     finally:
         os.unlink(path)
+
+
+# the builtins, and a product whose classes and keys have two generators
+PRESENTATIONS = {name: builtin(name) for name in builtin_names()}
+PRESENTATIONS["cp001^2"] = product(builtin("cp001"), builtin("cp001"))
+
+
+def space(r):
+    return r.choice(("", " ", "  "))
+
+
+def factor(r, text):
+    """`g^e` with whitespace around `^`, or `g` for `g^1`."""
+    if text.endswith("^1") and r.random() < 0.5:
+        return text[:-2]
+    return text.replace("^", space(r) + "^" + space(r))
+
+
+def rewrite(r, canonical):
+    """A canonical class string in an equal form: terms and factors
+    reordered, whitespace around every token, a coefficient p/q written
+    kp/kq, a coefficient 1 or a power 1 left out, and a term c * x split
+    into c/2 * x + c/2 * x (so `2 * h^1` may read `h + h` or `4/2 * h`)."""
+    terms = []
+    for term in canonical.replace(" - ", " + -").split(" + "):
+        coef, *factors = term.split(" * ")
+        coef = Fraction(coef)
+        for c in [coef / 2] * 2 if r.random() < 0.3 else [coef]:
+            k = r.choice((1, 1, 2, 3))
+            tokens = [f"{abs(c.numerator) * k}/{c.denominator * k}"
+                      if k > 1 else str(abs(c))]
+            if abs(c) == 1 and factors and r.random() < 0.5:
+                tokens = []
+            tokens += [factor(r, f) for f in factors]
+            r.shuffle(tokens)
+            terms.append(("-" if c < 0 else "+",
+                          (space(r) + "*" + space(r)).join(tokens)))
+    r.shuffle(terms)
+    text = ""
+    for i, (sign, body) in enumerate(terms):
+        if i or sign == "-" or r.random() < 0.3:
+            text += space(r) + sign
+        text += space(r) + body
+    return text + space(r)
+
+
+def rewrite_ring(r, ring):
+    items = []
+    for key, value in ring["integrals"].items():
+        factors = [factor(r, f) for f in key.split("*")]
+        r.shuffle(factors)
+        items.append(((space(r) + "*" + space(r)).join(factors),
+                      rewrite(r, value)))
+    r.shuffle(items)
+    ring["integrals"] = dict(items)
+
+
+@st.composite
+def equivalent_documents(draw):
+    """A document with its components, blocks and roots reordered, its
+    components renamed and every class, key and integral rewritten in an
+    equal form; with the new-to-old name map."""
+    r = draw(st.randoms(use_true_random=False))
+    name = draw(st.sampled_from(sorted(PRESENTATIONS)))
+    doc = json.loads(serialize(PRESENTATIONS[name]))
+    components = doc["components"]
+    fresh = [f"c{i}" for i in range(len(components))]
+    r.shuffle(fresh)
+    names = {}
+    for c, new in zip(components, fresh):
+        names[new], c["name"] = c["name"], new
+        c["todd"], c["omega"] = rewrite(r, c["todd"]), rewrite(r, c["omega"])
+        rewrite_ring(r, c["ring"])
+        for b in c["blocks"]:
+            b["chern_roots"] = [rewrite(r, x) for x in b["chern_roots"]]
+            r.shuffle(b["chern_roots"])
+        r.shuffle(c["blocks"])
+    r.shuffle(components)
+    if "quotient" in doc:
+        q = doc["quotient"]
+        q["omega0"], q["kappa_todd"] = (rewrite(r, q["omega0"]),
+                                        rewrite(r, q["kappa_todd"]))
+        rewrite_ring(r, q["ring"])
+    return name, json.dumps(doc), names
+
+
+@settings(max_examples=60, deadline=None)
+@given(equivalent_documents())
+def test_equivalent_document_gives_the_same_results(case):
+    name, text, names = case
+    p, q = PRESENTATIONS[name], parse(text)
+    for F in q.components:
+        G = p.component(names[F.name])
+        assert (F.ring, F.todd, F.omega) == (G.ring, G.todd, G.omega)
+    for m in range(4):
+        assert character(q, m) == character(p, m), m
+        a, b = main_formula_report(p, m), main_formula_report(q, m)
+        assert (b.rr, b.regular, b.regular_tag, b.balance) \
+            == (a.rr, a.regular, a.regular_tag, a.balance), m
+        for terms in ("residue_terms", "exceptional_terms"):
+            renamed = {names[k]: v for k, v in getattr(b, terms).items()}
+            assert renamed == getattr(a, terms), (m, terms)

@@ -80,12 +80,16 @@ def test_parse_rejects_fractional_weight():
 
 
 # Each field keeps its JSON type: a float, a string or a boolean where an
-# integer belongs (and a string for free_on_regular) is rejected.
+# integer belongs (and a string for free_on_regular) is rejected, and so is
+# anything but a string for an integral.
 MISTYPED = [('"moment": 1,', '"moment": 1.7,'),
             ('"free_on_regular": true', '"free_on_regular": "false"'),
             ('"weight": 1', '"weight": true'),
             ('"dim_M": 2', '"dim_M": 2.0'),
-            ('"dim_F": 0', '"dim_F": "0"')]
+            ('"dim_F": 0', '"dim_F": "0"'),
+            ('"1": "1"', '"1": 0.1'),
+            ('"1": "1"', '"1": true'),
+            ('"1": "1"', '"1": 1')]
 
 
 @pytest.mark.parametrize("old, new", MISTYPED)
@@ -97,10 +101,20 @@ def test_parse_rejects_mistyped_fields(old, new):
 
 
 # A zero denominator in a class expression or in an integral is an input
-# error, not an arithmetic one.
+# error, not an arithmetic one.  So is a number outside the grammar's ASCII
+# `p` and `p/q`, a `*` with no factor after it, or a second integral key
+# for one monomial: nothing is coerced and nothing silently overwritten.
 ZERO_DENOMINATOR = [('"omega": "1 * h^1"', '"omega": "1/0 * h^1"'),
                     ('"todd": "1 + 1 * h^1"', '"todd": "1 + 1/00 * h^1"'),
-                    ('"h^1": "1"', '"h^1": "1/0"')]
+                    ('"h^1": "1"', '"h^1": "1/0"'),
+                    ('"h^1": "1"', '"h^1": "1.5"'),
+                    ('"h^1": "1"', '"h^1": "1e0"'),
+                    ('"h^1": "1"', '"h^1": "1_0"'),
+                    ('"h^1": "1"', '"h^1": "\u0663"'),
+                    ('"h^1": "1"', '"h^1": "1", "h * 1": "1"'),
+                    ('"omega": "1 * h^1"', '"omega": "h *"'),
+                    ('"omega": "1 * h^1"', '"omega": "1 * h^1 * * 1"'),
+                    ('"omega": "1 * h^1"', '"omega": "\u0663 * h^1"')]
 
 
 @pytest.mark.parametrize("old, new", ZERO_DENOMINATOR)

@@ -2,6 +2,7 @@
 regular term, balance and polynomiality."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -131,10 +132,8 @@ def _sympy_exceptional(weights):
     quotient = sp.cancel(N / (u - v))
     coeff = sp.Poly(sp.expand(quotient), u, v).coeff_monomial(
         u ** (len(pos) - 1) * v ** (len(neg) - 1))
-    orbifold = 1
-    for w in pos + neg:
-        orbifold *= w
-    return Fraction(str(coeff)) / orbifold, rho
+    # the orientation: 1/prod(-w), not 1/prod |w| (see the reversal tests)
+    return Fraction(str(coeff)) / math.prod(-w for w in weights), rho
 
 
 def test_exceptional_against_symbolic_oracle():
@@ -157,15 +156,43 @@ def test_exceptional_against_symbolic_oracle():
         assert known.get(tuple(weights), got) == got, (weights, got)
 
 
+def reverse(p):
+    """p with the circle action reversed (t -> 1/t): every moment and every
+    normal weight negated; Chern roots and quotient data kept."""
+    return replace(p, name=f"{p.name}-reversed", components=[
+        replace(F, moment=-F.moment,
+                blocks=[replace(b, weight=-b.weight) for b in F.blocks])
+        for F in p.components])
+
+
+# moment-zero points of weights [-1, 1, 2] and [-2, 1, 3]: orbifold
+# reductions, each with a nonzero exceptional term
+X1 = cpn_linear([-1, 0, 1, 2], 1, shift=-1)
+X2 = cpn_linear([-2, 0, 1, 3], 1, shift=-2)
+
+
 def test_exceptional_swap_symmetry_on_builtins():
-    # swapping the sign lists together with u -> -u in rho fixes the value
-    for weights in ([1, 1, -1], [1, -1, -1]):
-        F = point_component("f", 0, weights)
-        G = point_component("g", 0, [-w for w in weights])
-        a = exceptional_term(F)
-        # rho of G is rho of F at -u (td factors swap), so compare directly
-        b = exceptional_term(G)
-        assert a == b == 0
+    # negating every weight swaps l+ and l- and sends rho(u) to rho(-u);
+    # the term keeps its value, zero on the builtins' unit weights and
+    # nonzero on the orbifold shapes, whether n is odd or even
+    for weights in ([1, 1, -1], [1, -1, -1], [2, 1, -1], [3, 1, -2],
+                    [1, 1, 1, -2], [2, -1, -1, -3], [4, 2, 1, 1, -3]):
+        a = exceptional_term(point_component("f", 0, weights))
+        b = exceptional_term(point_component("g", 0, [-w for w in weights]))
+        assert a == b, weights
+        assert (a == 0) == (max(map(abs, weights)) == 1), weights
+    assert X1.component("w0").exceptional == Fraction(1, 32)
+    assert X2.component("w0").exceptional == Fraction(-1, 288)
+
+
+@pytest.mark.parametrize("p", [builtin(name) for name in builtin_names()]
+                         + [X1, X2], ids=lambda p: p.name)
+def test_reversal_keeps_every_term(p):
+    q = reverse(p)
+    for m in range(4):
+        a, b = main_formula_report(p, m), main_formula_report(q, m)
+        assert (b.rr, b.residue_sum(), b.exceptional_sum(), b.regular) \
+            == (a.rr, a.residue_sum(), a.exceptional_sum(), a.regular), m
 
 
 def test_regular_term_supplied_and_balance():
