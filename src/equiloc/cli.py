@@ -2,16 +2,15 @@
 
 Subcommands: rr, character, main-formula, witten-check, verify.
 Input is either --builtin NAME or --input FILE (a presentation document).
-Exit codes: 0 success, 1 verification failure (float cancellation in
-witten-check included), 2 input error (a weight, moment or m too large to
-compute with, and for witten-check a weight whose Todd series diverges on
-the bump's support, included), 3 mathematical inconsistency (poles fail
-to cancel).
+Exit codes: 0 success, 1 verification failure (float cancellation or an
+unsettled quadrature in witten-check included), 2 input error (a weight,
+moment or m too large to compute with, and for witten-check a weight whose
+Todd series diverges on the bump's support, included), 3 mathematical
+inconsistency (poles fail to cancel).
 
 Only witten-check pairs numerically, so it is the only command that
-imports scipy (through `witten`), at its start: the exact commands skip
-the 0.6-0.9 s that import adds to process start-up on a 2-core Linux
-machine.
+imports numpy (through `witten`), at its start: the exact commands skip
+the cost of that import.
 """
 
 from __future__ import annotations
@@ -153,12 +152,12 @@ def cmd_main_formula(args) -> int:
 
 def cmd_witten_check(args) -> int:
     p = _load(args)
-    # read every exceptional term before scipy loads and the fit and the
+    # read every exceptional term before numpy loads and the fit and the
     # pairings run, so that an unsupported component fails at once
     for F in p.f_zero():
         if quantize.classify(F) is quantize.Classification.INDEFINITE:
             F.exceptional
-    from . import witten  # the only command that loads scipy
+    from . import witten  # the only command that loads numpy
     ms = _parse_m_spec(args.m)
     if len(set(ms)) < 4 or min(ms) < 1:
         raise SystemExit2(

@@ -52,7 +52,9 @@ def _term(names: Sequence[str], text: str) -> tuple[Fraction, tuple[int, ...]]:
 
 
 def string_to_element(ring: RingSpec, text: str) -> GradedElement:
-    """Parse a polynomial expression into a GradedElement of `ring`."""
+    """Parse a polynomial expression into a GradedElement of `ring`; a
+    nonzero term above the ring's truncation degree is an error, never
+    dropped."""
     names = tuple(name for name, _ in ring.generators)
     first, *rest = _SIGN.split(text)
     pieces = rest if rest and not first.strip() else ["+", first, *rest]
@@ -60,7 +62,15 @@ def string_to_element(ring: RingSpec, text: str) -> GradedElement:
     for sign, body in zip(pieces[::2], pieces[1::2]):
         coef, mono = _term(names, body)
         terms[mono] = terms.get(mono, 0) + (coef if sign == "+" else -coef)
-    return GradedElement(ring, terms)
+    elem = GradedElement(ring, terms)
+    # the element drops the terms above the truncation degree
+    for mono, coef in terms.items():
+        if coef and mono not in elem.terms:
+            raise ExpressionError(
+                f"term {monomial_to_string(ring, mono)} of degree "
+                f"{ring.monomial_degree(mono)} is above the truncation "
+                f"degree {ring.truncation_degree}")
+    return elem
 
 
 def string_to_monomial(names: Sequence[str], text: str) -> tuple[int, ...]:

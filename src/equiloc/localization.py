@@ -358,19 +358,19 @@ class PreparedInner:
         scale *= factorial(taylor_order)
         return {lo + n: Fraction(c, scale) for n, c in enumerate(total) if c}
 
-    def evaluate(self, x: float) -> complex:
-        """Horner per component over the frozen coefficients, then a
-        Kahan-compensated sum over components in document order."""
-        if x == 0:
-            raise ValueError("the localized integrand is singular at x = 0")
-        u = 2j * cmath.pi * x
-        total = 0j
-        comp = 0j
+    def evaluate(self, u, z):
+        """The integrand at u = 2 pi i x, given z = e^u: per component
+        z^{mJ} u^lo times the Horner sum of its frozen coefficients (kept in
+        place, so that arrays take no temporaries), then a Kahan-compensated
+        sum over components in document order.  Only arithmetic touches u
+        and z: Python complex or numpy arrays alike."""
+        total = comp = 0 * u
         for mJ, lo, coeffs in self.frozen:
-            acc = 0j
+            acc = 0 * u
             for c in coeffs:
-                acc = acc * u + c
-            term = cmath.exp(mJ * u) * acc * u ** lo
+                acc *= u
+                acc += c
+            term = z ** mJ * acc * u ** lo
             y = term - comp
             t = total + y
             comp = (t - total) - y
@@ -381,9 +381,12 @@ class PreparedInner:
 def dh_inner(p: ManifoldPresentation, m: int, x: float,
              order: Optional[int] = None) -> complex:
     """One-shot evaluation of the localized inner Witten integrand."""
+    if x == 0:
+        raise ValueError("the localized integrand is singular at x = 0")
     if order is None:
         order = default_series_order(p, abs(x))
-    return PreparedInner(p, m, order).evaluate(x)
+    u = 2j * cmath.pi * x
+    return PreparedInner(p, m, order).evaluate(u, cmath.exp(u))
 
 
 def default_series_order(p: ManifoldPresentation, x_max: float) -> int:
@@ -416,8 +419,9 @@ def kirillov_check(p: ManifoldPresentation, m: int,
     prepared = PreparedInner(p, m, order)
     worst = 0.0
     for x in x_samples:
-        z = cmath.exp(2j * cmath.pi * x)
+        u = 2j * cmath.pi * x
+        z = cmath.exp(u)
         lhs = chi.evaluate(z)
-        rhs = prepared.evaluate(x)
+        rhs = prepared.evaluate(u, z)
         worst = max(worst, abs(lhs - rhs))
     return worst

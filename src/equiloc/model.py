@@ -20,8 +20,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
-from .expressions import (element_to_string, monomial_to_string,
-                          string_to_element, string_to_monomial)
+from .expressions import (ExpressionError, element_to_string,
+                          monomial_to_string, string_to_element,
+                          string_to_monomial)
 from .ring import GradedElement, RingSpec, todd_from_roots
 
 
@@ -281,8 +282,22 @@ def _typed(value, kind: type, what: str):
 
 
 def _expression(ring: RingSpec, value, what: str) -> GradedElement:
-    """A class expression, which must be a JSON string."""
-    return string_to_element(ring, _typed(value, str, what))
+    """A class expression, which must be a JSON string; its errors name
+    the field."""
+    try:
+        return string_to_element(ring, _typed(value, str, what))
+    except ExpressionError as e:
+        raise ParseError(f"{what}: {e}") from e
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object; a key repeated within it is an error."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ParseError(f"repeated key {key!r}")
+        doc[key] = value
+    return doc
 
 
 def parse(text: str) -> ManifoldPresentation:
@@ -291,10 +306,11 @@ def parse(text: str) -> ManifoldPresentation:
     Raises ParseError with line/column info on syntax errors and with the
     collected diagnostics when validation fails.  Names, integers,
     booleans, arrays and objects must have that JSON type: nothing is
-    truncated or coerced.
+    truncated or coerced.  A key repeated within one object and a class
+    term above its ring's truncation degree are errors too.
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
         raise ParseError(
             f"syntax error at line {e.lineno}, column {e.colno}: {e.msg}"

@@ -8,11 +8,10 @@ integrand has per-component poles at x = 0 that cancel in the sum; the
 evaluation therefore splits the axis into an inner disc, where the
 oscillatory factors are Taylor-expanded and the pole cancellation is
 performed exactly in rational arithmetic, and the remaining annulus, which
-is handled by adaptive quadrature.  There the integrand is
-`PreparedInner.evaluate`, which runs over coefficients frozen to Python
-complex once per (presentation, m, order), and `complex_quad` evaluates it
-once per distinct node, sharing the value between the real and the
-imaginary quad pass.
+is handled by composite Gauss-Legendre quadrature (`complex_quad`).  There
+the integrand is `PreparedInner.evaluate`, which runs over coefficients
+frozen to Python complex once per (presentation, m, order); phi is even, so
+one call on a numpy array takes every node of a level at x and at -x.
 
 The expansion side pairs each power u^j = (2 pi i x)^j of a moment-zero
 component's Laurent data with phi, for j < 0 through the boundary value
@@ -38,7 +37,7 @@ from fractions import Fraction
 from statistics import linear_regression
 from typing import Callable, Mapping, Optional, Sequence
 
-from scipy.integrate import quad
+import numpy as np
 
 from .localization import (PreparedInner, component_u_laurent,
                            default_series_order)
@@ -62,9 +61,10 @@ class TestFunction:
     is flat to far below double precision and takes the flat values.
 
     The expansion pairs with phi through its moments (`moment`), each
-    computed once and cached.  Derivative evaluators (`derivative`) are
-    generated symbolically once per order asked for and cached; they serve
-    as an independent check of the distributions (the jump relation).
+    computed once from a fixed 64-panel table (`at_nodes`) and cached.
+    Derivative evaluators (`derivative`) are generated symbolically once
+    per order asked for and cached; they serve as an independent check of
+    the distributions (the jump relation).
     """
 
     _GUARD = 0.002  # exp(-1/t) < 1e-217 here: flat for all practical orders
@@ -76,19 +76,25 @@ class TestFunction:
         self.delta2 = float(delta2)
         self._lams: dict[int, Callable[[float], float]] = {}
         self._moments: dict[int, float] = {}
+        self._tables: dict[int, np.ndarray] = {}
+
+    def at_nodes(self, panels: int) -> np.ndarray:
+        """phi at the nodes of the `panels`-panel rule on [delta1, delta2]
+        (`_gauss_rule`), kept per panel count."""
+        if panels not in self._tables:
+            x, _ = _gauss_rule(self.delta1, self.delta2, panels)
+            self._tables[panels] = np.array([self(v) for v in x])
+        return self._tables[panels]
 
     def moment(self, j: int) -> float:
         """int x^j phi(x) dx, the Hadamard finite part for j < -1: 0 for
-        odd j, else 2 (delta1^{j+1}/(j+1) + int_{delta1}^{delta2} x^j phi).
-        The glued part is one quad with a relative bound only, so that it
-        stays accurate where x^j is tiny (j near 100)."""
+        odd j, else 2 (delta1^{j+1}/(j+1) + int_{delta1}^{delta2} x^j phi),
+        the glued part by the 64-panel rule."""
         if j not in self._moments:
-            value = 0.0
-            if j % 2 == 0:
-                glued = quad(lambda x: x ** j * self(x), self.delta1,
-                             self.delta2, epsabs=0, epsrel=1e-13)[0]
-                value = 2 * (self.delta1 ** (j + 1) / (j + 1) + glued)
-            self._moments[j] = value
+            x, w = _gauss_rule(self.delta1, self.delta2, 64)
+            glued = float(np.dot(w * self.at_nodes(64), x ** j))
+            self._moments[j] = 0.0 if j % 2 else 2 * (
+                self.delta1 ** (j + 1) / (j + 1) + glued)
         return self._moments[j]
 
     def _transition(self, j: int) -> Callable[[float], float]:
@@ -138,24 +144,35 @@ class TestFunction:
 # quadrature helpers
 
 
-def complex_quad(f: Callable[[float], complex], a: float, b: float,
-                 points: Sequence[float], limit: int,
-                 epsabs: float = 1e-11) -> complex:
-    """int_a^b f(x) dx as two real quad passes, one per part, that share a
-    memo of f by node: each distinct node is evaluated once, and each pass
-    sees the values it would see on its own."""
-    kwargs = dict(epsabs=epsabs, epsrel=1e-11, limit=limit,
-                  points=[p for p in points if a < p < b])
-    seen: dict[float, complex] = {}
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_MAX_PANELS = 4096
 
-    def value(x: float) -> complex:
-        if x not in seen:
-            seen[x] = f(x)
-        return seen[x]
 
-    re = quad(lambda x: value(x).real, a, b, **kwargs)[0]
-    im = quad(lambda x: value(x).imag, a, b, **kwargs)[0]
-    return re + 1j * im
+def _gauss_rule(a: float, b: float, panels: int) -> tuple:
+    """Nodes and weights of the composite 16-point Gauss-Legendre rule on
+    `panels` equal panels of [a, b]."""
+    half = (b - a) / (2 * panels)
+    x = a + half * (2 * np.arange(panels)[:, None] + 1 + _GL_NODES)
+    return x.ravel(), np.tile(half * _GL_WEIGHTS, panels)
+
+
+def complex_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
+                 panels: int) -> complex:
+    """int_a^b f(x) dx by `_gauss_rule`, with the panel count doubled until
+    two levels agree within 1e-11 max(1, |value|); f takes the whole node
+    array of a level at once.  A rule that has not settled by 4096 panels
+    raises CancellationError."""
+    last = diff = math.nan
+    while panels <= _MAX_PANELS:
+        x, w = _gauss_rule(a, b, panels)
+        value = complex(np.dot(w, f(x)))
+        diff = abs(value - last)
+        if diff <= 1e-11 * max(1.0, abs(value)):
+            return value
+        last, panels = value, 2 * panels
+    raise CancellationError(
+        f"quadrature on [{a}, {b}] has not settled at {panels // 2} "
+        f"panels: the last two levels differ by {diff:.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -174,32 +191,6 @@ def dist_pair(k: int, side: str, phi: TestFunction) -> complex:
     if k == 1 and side != "avg":
         value += -1j * math.pi if side == "plus" else 1j * math.pi
     return value
-
-
-_EPS_LIST = [0.02 / 2 ** j for j in range(6)]
-
-
-def eps_limit_pair(k: int, side: str, phi: TestFunction) -> complex:
-    """Independent oracle: lim_{eps->0+} int phi(x)/(x +- i eps)^k dx by
-    Richardson extrapolation in eps over 0.02, 0.01, ..., 0.02/32."""
-    if side == "avg":
-        return (eps_limit_pair(k, "plus", phi)
-                + eps_limit_pair(k, "minus", phi)) / 2
-    sign = 1.0 if side == "plus" else -1.0
-    values = []
-    for eps in _EPS_LIST:
-        f = lambda x: phi(x) / (x + sign * 1j * eps) ** k
-        values.append(complex_quad(f, -phi.delta2, phi.delta2,
-                                   points=[0.0], epsabs=1e-13, limit=800))
-    # Lagrange extrapolation of the smooth-in-eps values to eps = 0
-    total = 0j
-    for i, (ei, vi) in enumerate(zip(_EPS_LIST, values)):
-        w = 1.0
-        for j, ej in enumerate(_EPS_LIST):
-            if j != i:
-                w *= ej / (ej - ei)
-        total += w * vi
-    return total
 
 
 _TWO_PI_I = 2j * math.pi
@@ -242,6 +233,8 @@ def witten_pair(p: ManifoldPresentation, rho: str, phi: TestFunction,
     Taylor order is grown until the oscillatory remainder is negligible;
     the two evaluation pathways are then required to agree on the overlap
     annulus, which catches both inconsistent data and starved expansions.
+    The annulus eta < |x| < delta2 folds onto x > 0 and splits at delta1:
+    phi is 1 on [eta, delta1] and tabulated per panel count beyond.
     """
     if rho != "todd":
         raise ValueError(f"rho must be 'todd', got {rho!r}")
@@ -271,31 +264,32 @@ def witten_pair(p: ManifoldPresentation, rho: str, phi: TestFunction,
         if j % 2 == 0:
             inner += complex(c) * _TWO_PI_I ** j * 2 * eta ** (j + 1) / (j + 1)
 
-    top = max(poly, default=0)
-
-    def poly_eval(x: float) -> complex:
-        u = _TWO_PI_I * x
-        acc = 0j
-        for j in range(top, -1, -1):
-            acc = acc * u + complex(poly.get(j, 0))
-        return acc
-
-    for x0 in (eta, 1.5 * eta):
-        direct = prepared.evaluate(x0)
-        series = poly_eval(x0)
-        if abs(direct - series) > 1e-9 * max(1.0, abs(direct)):
+    x0 = np.array([eta, 1.5 * eta])
+    u0 = _TWO_PI_I * x0
+    direct = prepared.evaluate(u0, np.exp(u0))
+    series = np.polyval([complex(poly.get(j, 0))
+                         for j in range(max(poly, default=0), -1, -1)], u0)
+    for x, d, s in zip(x0, direct, series):
+        if abs(d - s) > 1e-9 * max(1.0, abs(d)):
             raise CancellationError(
-                f"evaluation pathways disagree at x = {x0}: "
-                f"|{direct} - {series}|; expansion starved or data bad")
+                f"evaluation pathways disagree at x = {x}: |{d} - {s}|; "
+                "expansion starved or data bad")
 
-    def outer(x: float) -> complex:
-        return prepared.evaluate(x) * phi(x)
+    def folded(x: np.ndarray) -> np.ndarray:
+        # phi is even: the integrand at x and at -x in one evaluation
+        u = _TWO_PI_I * np.concatenate((x, -x))
+        both = prepared.evaluate(u, np.exp(u))
+        return both[:len(x)] + both[len(x):]
 
-    pieces = complex_quad(outer, eta, phi.delta2, points=[phi.delta1],
-                          limit=600)
-    pieces += complex_quad(outer, -phi.delta2, -eta, points=[-phi.delta1],
-                           limit=600)
-    return inner + pieces
+    def glued(x: np.ndarray) -> np.ndarray:
+        return folded(x) * phi.at_nodes(len(x) // len(_GL_NODES))
+
+    # the first level follows the fastest oscillation e^{2 pi i m J x};
+    # the bump's glue needs 4 panels whatever m is
+    panels = max(1, round(m * j_max * phi.delta2 / 8))
+    flat = complex_quad(folded, eta, phi.delta1, panels)
+    return inner + flat + complex_quad(glued, phi.delta1, phi.delta2,
+                                       max(panels, 4))
 
 
 def expansion_rhs(p: ManifoldPresentation, phi: TestFunction, m: int,

@@ -43,7 +43,8 @@ from equiloc.quantize import (classify, Classification, exceptional_term,
                               main_formula_report, polynomiality_check,
                               regular_term, residue_term, rr_invariant)
 from equiloc.ring import RingSpec
-from equiloc.witten import TestFunction, decay_check, dist_pair, eps_limit_pair
+from equiloc.witten import TestFunction, decay_check, dist_pair
+from quad_oracles import eps_limit_pair
 
 warnings.filterwarnings("ignore", message=".*roundoff.*")
 

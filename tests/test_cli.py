@@ -145,6 +145,21 @@ def test_zero_denominator_exits_2(tmp_path, capsys, old, new):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ('"omega": "1 * h^1"', '"omega": "1 * h^1 + 7 * h^3"',
+     "error: components[0]: omega: term h^3 of degree 6 is above the "
+     "truncation degree 2"),
+    ('"h^1": "1"', '"h^1": "1", "h^1": "5"', "error: repeated key 'h^1'")])
+def test_dropped_or_overwritten_input_exits_2(tmp_path, capsys, old, new,
+                                              message):
+    # a class term above the truncation degree, or the second of two equal
+    # keys, used to parse with exit 0
+    path = tmp_path / "cp001.json"
+    path.write_text(serialize(builtin("cp001")).replace(old, new))
+    code, out, err = run(capsys, "rr", "--input", str(path), "--m", "1")
+    assert (code, out, err) == (2, "", message + "\n")
+
+
 @pytest.mark.parametrize("path, value", [
     (("components",), 3),
     (("components", 0, "ring"), []),
@@ -348,13 +363,13 @@ def test_exact_commands_load_no_numeric_stack(argv):
     assert numeric_imports(*argv) == (0, [])
 
 
-def test_witten_check_loads_scipy():
-    # positive control: the harness above does see a scipy import; the
-    # bump and its moments are closed forms and quad, so sympy stays out
+def test_witten_check_loads_numpy_not_scipy_or_sympy():
+    # positive control: the harness above does see a numpy import; the
+    # quadrature is numpy's Gauss-Legendre rule and the bump a closed form,
+    # so neither scipy nor sympy loads
     code, loaded = numeric_imports("witten-check", "--builtin", "cp1",
                                    "--m", "8,12,16,24")
-    assert code == 0 and "scipy" in loaded
-    assert "sympy" not in loaded
+    assert (code, loaded) == (0, ["numpy"])
 
 
 def test_witten_check_cli(capsys):

@@ -6,6 +6,7 @@ from dataclasses import replace
 from fractions import Fraction
 from math import comb, factorial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -359,11 +360,10 @@ def test_dh_inner_m0_todd_is_regular_with_total_rr():
         assert poly[0] == character(p, 0).evaluate_at_one(), name
 
 
-def converting_evaluate(prepared, x):
+def converting_evaluate(prepared, u, z):
     """The integrand over the exact `terms`, each coefficient converted
     with complex(Fraction) on every call: Horner from the highest power to
     the lowest, then a Kahan sum over components in document order."""
-    u = 2j * cmath.pi * x
     total = 0j
     comp = 0j
     for J, laurent in prepared.terms:
@@ -373,7 +373,7 @@ def converting_evaluate(prepared, x):
         acc = 0j
         for j in range(max(laurent), lo - 1, -1):
             acc = acc * u + complex(laurent.get(j, Fraction(0)))
-        term = cmath.exp(prepared.m * J * u) * acc * u ** lo
+        term = z ** (prepared.m * J) * acc * u ** lo
         y = term - comp
         t = total + y
         comp = (t - total) - y
@@ -381,14 +381,42 @@ def converting_evaluate(prepared, x):
     return total
 
 
+XS = (0.004, 0.037, 0.1, 0.19, 0.25)
+
+
 @pytest.mark.parametrize("name", builtin_names())
 def test_frozen_evaluate_is_bit_identical_to_converting(name):
     p = builtin(name)
     for m in (0, 8, 64):
         prepared = PreparedInner(p, m, 12)
-        for x in (0.004, 0.037, 0.1, 0.19, 0.25):
-            assert prepared.evaluate(x) == converting_evaluate(prepared, x), \
-                (name, m, x)
+        for x in XS:
+            u = 2j * cmath.pi * x
+            z = cmath.exp(u)
+            assert (prepared.evaluate(u, z)
+                    == converting_evaluate(prepared, u, z)), (name, m, x)
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_evaluate_on_arrays_matches_complex(name):
+    # the same arithmetic on one numpy array of nodes as on each Python
+    # complex node alone.  The components cancel near x = 0, so the bound
+    # is relative to the largest component term; m stays below the |mJ| =
+    # 100 from which CPython and numpy take different general powers
+    p = builtin(name)
+    xs = XS + tuple(-v for v in XS)
+    u = 2j * np.pi * np.array(xs)
+    for m in (0, 8, 32):
+        prepared = PreparedInner(p, m, 12)
+        got = prepared.evaluate(u, np.exp(u))
+        for i, v in enumerate(xs):
+            ui = 2j * cmath.pi * v
+            zi = cmath.exp(ui)
+            want = prepared.evaluate(ui, zi)
+            scale = max(abs(zi ** mJ * ui ** lo)
+                        * abs(sum(c * ui ** k for k, c in
+                                  enumerate(reversed(coeffs))))
+                        for mJ, lo, coeffs in prepared.frozen)
+            assert abs(got[i] - want) <= 1e-15 * scale, (name, m, v)
 
 
 def test_dh_inner_moment_shift_factor():

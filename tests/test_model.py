@@ -1,6 +1,7 @@
 """Data model: validation diagnostics, document round-trips, builders."""
 
 import json
+import re
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
@@ -123,6 +124,48 @@ def test_parse_rejects_zero_denominator(old, new):
     assert old in text
     with pytest.raises(ParseError, match="components\\[0\\]"):
         parse(text.replace(old, new))
+
+
+# A class term above the ring's truncation degree is an input error that
+# names its field, never dropped; cp001's w0 is truncated at degree 2.
+ABOVE_TRUNCATION = [
+    ('"omega": "1 * h^1"', '"omega": "1 * h^1 + 7 * h^3"',
+     "omega: term h^3 of degree 6"),
+    ('"todd": "1 + 1 * h^1"', '"todd": "1 + 1 * h^1 + 4 * h^2"',
+     "todd: term h^2 of degree 4"),
+    ('"-1 * h^1"', '"-1 * h^1 + 1 * h^2"',
+     "chern root 0: term h^2 of degree 4")]
+
+
+@pytest.mark.parametrize("old, new, message", ABOVE_TRUNCATION)
+def test_parse_rejects_terms_above_truncation(old, new, message):
+    text = serialize(builtin("cp001"))
+    assert text.count(old) == 1
+    with pytest.raises(ParseError, match=re.escape(
+            f"components[0]: {message} is above the truncation degree 2")):
+        parse(text.replace(old, new))
+
+
+def test_parse_keeps_terms_that_cancel_above_truncation():
+    text = serialize(builtin("cp001")).replace(
+        '"omega": "1 * h^1"', '"omega": "1 * h^1 + 1 * h^3 - 1 * h^3"')
+    assert parse(text).components[0].omega == \
+        builtin("cp001").components[0].omega
+
+
+# A key repeated within one JSON object is an input error that names the
+# key; the last value never silently wins.
+REPEATED_KEYS = [('"h^1": "1"', '"h^1": "1", "h^1": "5"', "h^1"),
+                 ('"moment": 0,', '"moment": 0, "moment": 1,', "moment"),
+                 ('"weight": 1', '"weight": 1, "weight": 1', "weight")]
+
+
+@pytest.mark.parametrize("old, new, key", REPEATED_KEYS)
+def test_parse_rejects_repeated_keys(old, new, key):
+    text = serialize(builtin("cp001"))
+    assert old in text
+    with pytest.raises(ParseError, match=re.escape(f"repeated key '{key}'")):
+        parse(text.replace(old, new, 1))
 
 
 # Each array and object keeps its JSON shape: a container of the wrong

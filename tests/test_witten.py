@@ -6,19 +6,22 @@ import warnings
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from equiloc import builtin
+from equiloc import builtin, witten
 from equiloc.builtins import builtin_names
+from equiloc.cli import main
 from equiloc.localization import (PreparedInner, character,
                                   component_u_laurent, default_series_order)
 from equiloc.model import QuotientData
 from equiloc.quantize import classify
 from equiloc.ring import RingSpec
 from equiloc.witten import (CancellationError, TestFunction, complex_quad,
-                            decay_check, dist_pair, eps_limit_pair,
-                            expansion_rhs, pair_u_laurent, witten_pair)
+                            decay_check, dist_pair, expansion_rhs,
+                            pair_u_laurent, witten_pair)
+from quad_oracles import eps_limit_pair, scipy_complex_quad
 
 
 PHI = TestFunction()
@@ -71,6 +74,17 @@ def test_dist_pair_trivial_cases():
     assert abs(dist_pair(1, "plus", PHI) - (-1j * math.pi)) < 1e-12
     assert abs(dist_pair(1, "minus", PHI) - (1j * math.pi)) < 1e-12
     assert abs(dist_pair(1, "avg", PHI)) < 1e-12
+
+
+def test_moments_match_adaptive_quad():
+    # the fixed 64-panel table against scipy's adaptive quad, relative
+    # bound only, so that it holds where x^j is tiny (j near 110)
+    for j in range(-8, 111, 2):
+        glued = quad(lambda x: x ** j * PHI(x), PHI.delta1, PHI.delta2,
+                     epsabs=0, epsrel=1e-13)[0]
+        want = 2 * (PHI.delta1 ** (j + 1) / (j + 1) + glued)
+        assert abs(PHI.moment(j) - want) <= 1e-14 * abs(want), j
+    assert PHI.moment(3) == PHI.moment(-5) == 0
 
 
 def test_jump_relation():
@@ -171,8 +185,9 @@ def test_pair_u_laurent_constant():
     # a bare constant pairs to c * integral of phi
     c = Fraction(3, 2)
     got = pair_u_laurent({0: c}, "plus", PHI)
-    mass = complex_quad(lambda x: complex(PHI(x)), -PHI.delta2, PHI.delta2,
-                        points=[-PHI.delta1, PHI.delta1], limit=400)
+    mass = scipy_complex_quad(lambda x: complex(PHI(x)), -PHI.delta2,
+                              PHI.delta2, points=[-PHI.delta1, PHI.delta1],
+                              limit=400)
     assert abs(got - float(c) * mass) < 1e-10
 
 
@@ -199,8 +214,9 @@ def quadrature_pair(laurent, side, phi):
         return acc * phi(x)
 
     if top >= 0:
-        value += complex_quad(f, -phi.delta2, phi.delta2,
-                              points=[-phi.delta1, phi.delta1], limit=400)
+        value += scipy_complex_quad(f, -phi.delta2, phi.delta2,
+                                    points=[-phi.delta1, phi.delta1],
+                                    limit=400)
     return value
 
 
@@ -248,20 +264,49 @@ def test_witten_pair_does_not_depend_on_dict_order(name, monkeypatch):
 
 # -- quadrature ---------------------------------------------------------------
 
-def test_complex_quad_evaluates_each_node_once():
-    nodes = []
+def test_complex_quad_matches_a_closed_form():
+    # int_{-1}^{2} e^{i w x} dx = (e^{2 i w} - e^{-i w}) / (i w), with
+    # about a hundred oscillations over the interval
+    for w in (7.0, 200.0):
+        got = complex_quad(lambda x: np.exp(1j * w * x), -1.0, 2.0, 1)
+        want = (cmath.exp(2j * w) - cmath.exp(-1j * w)) / (1j * w)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), w
+
+
+def test_complex_quad_calls_f_once_per_level():
+    sizes = []
 
     def f(x):
-        nodes.append(x)
-        return cmath.exp(7j * x) / (1 + x * x)
+        sizes.append(x.shape)
+        return np.exp(7j * x) / (1 + x * x)
 
-    got = complex_quad(f, -1.0, 2.0, points=[0.5, 3.0], limit=400)
-    assert len(nodes) == len(set(nodes))
-    # the same two passes without the shared memo
-    kwargs = dict(epsabs=1e-11, epsrel=1e-11, limit=400, points=[0.5])
-    re = quad(lambda x: f(x).real, -1.0, 2.0, **kwargs)[0]
-    im = quad(lambda x: f(x).imag, -1.0, 2.0, **kwargs)[0]
-    assert got == re + 1j * im
+    complex_quad(f, -1.0, 2.0, 2)
+    # one call per level on the whole node array, the panel count doubled
+    assert len(sizes) >= 2
+    assert sizes == [(16 * 2 ** (i + 1),) for i in range(len(sizes))]
+
+
+def test_complex_quad_raises_at_the_panel_cap():
+    # 1/sqrt(x) at the end point converges like the root of the panel
+    # width: no two levels up to 4096 panels agree within 1e-11
+    with pytest.raises(CancellationError, match="4096 panels"):
+        complex_quad(lambda x: 1 / np.sqrt(x), 0.0, 1.0, 1)
+
+
+def test_witten_check_reports_the_panel_cap_as_a_numeric_failure(
+        monkeypatch, capsys):
+    # the integrand perturbed by 1/sqrt(x - a), which no level settles
+    settled = witten.complex_quad
+
+    def perturbed(f, a, b, panels):
+        return settled(lambda x: f(x) + 1 / np.sqrt(x - a), a, b, panels)
+
+    monkeypatch.setattr(witten, "complex_quad", perturbed)
+    code = main(["witten-check", "--builtin", "cp1", "--m", "8,12,16,24"])
+    _, err = capsys.readouterr()
+    assert code == 1
+    assert err.startswith("numeric failure: quadrature on ")
+    assert "4096 panels" in err and err.count("\n") == 1
 
 
 # -- the Fourier form of the pairing ------------------------------------------
