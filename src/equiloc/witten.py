@@ -62,19 +62,18 @@ class TestFunction:
 
     The expansion pairs with phi through its moments (`moment`), each
     computed once from a fixed 64-panel table (`at_nodes`) and cached.
-    Derivative evaluators (`derivative`) are generated symbolically once
-    per order asked for and cached; they serve as an independent check of
-    the distributions (the jump relation).
+    Its derivatives (`derivative`) come from Taylor-mode arithmetic on the
+    step, O(j^2) float operations per value and no cache; they serve as an
+    independent check of the distributions (the jump relation).
     """
 
     _GUARD = 0.002  # exp(-1/t) < 1e-217 here: flat for all practical orders
 
     def __init__(self, delta1: float = 0.1, delta2: float = 0.25):
-        if not 0 < delta1 < delta2:
-            raise ValueError("need 0 < delta1 < delta2")
+        if not 0 < delta1 < delta2 < math.inf:
+            raise ValueError("need 0 < delta1 < delta2 < inf")
         self.delta1 = float(delta1)
         self.delta2 = float(delta2)
-        self._lams: dict[int, Callable[[float], float]] = {}
         self._moments: dict[int, float] = {}
         self._tables: dict[int, np.ndarray] = {}
 
@@ -97,30 +96,37 @@ class TestFunction:
                 self.delta1 ** (j + 1) / (j + 1) + glued)
         return self._moments[j]
 
-    def _transition(self, j: int) -> Callable[[float], float]:
-        """j-th derivative (j >= 1) of the decreasing step on (delta1,
-        delta2); only the orders asked for are built."""
-        if j not in self._lams:
-            import sympy as sp
-            x = sp.symbols("x", positive=True)
-            t = (self.delta2 - x) / (self.delta2 - self.delta1)
-            f = sp.exp(-1 / t)
-            g = sp.exp(-1 / (1 - t))
-            self._lams[j] = sp.lambdify(x, sp.diff(f / (f + g), x, j), "math")
-        return self._lams[j]
-
     def derivative(self, j: int) -> Callable[[float], float]:
+        """phi^{(j)} for an int j >= 0, by Taylor-mode arithmetic on the step
+        s = 1/(1 + e^h), h = 1/t - 1/(1 - t) (Griewank-Walther, Evaluating
+        Derivatives, ch. 13).  In tau = t - t0 the coefficients of h are
+        geometric.  With g = +-h signed so that g0 <= 0, E = e^{g - g0}
+        follows n E_n = sum_k k g_k E_{n-k}, r = 1/(1 + e^{g0} E) the
+        reciprocal recurrence, and s is r or 1 - r: nothing overflows, and
+        e^{g0} <= 1 damps E's large coefficients in the reciprocal."""
+        if not isinstance(j, int) or j < 0:
+            raise ValueError(f"derivative order must be an int >= 0: {j!r}")
         if j == 0:
             return self.__call__
         width = self.delta2 - self.delta1
 
         def deriv(x: float) -> float:
-            ax = abs(x)
-            t = (self.delta2 - ax) / width
+            t = (self.delta2 - abs(x)) / width
             if t <= self._GUARD or t >= 1 - self._GUARD:
                 return 0.0
-            value = self._transition(j)(ax)
-            return value if x >= 0 else (-1.0) ** j * value
+            a, b = 1 / t, 1 / (1 - t)
+            sign = 1.0 if a <= b else -1.0
+            kg = [sign * k * ((-a) ** k * a - b ** (k + 1))
+                  for k in range(j + 1)]
+            p = math.exp(-abs(a - b))
+            E, r = [1.0], [1 / (1 + p)]
+            for n in range(1, j + 1):
+                E.append(sum(kg[k] * E[n - k] for k in range(1, n + 1)) / n)
+                r.append(-p * r[0] * sum(E[k] * r[n - k]
+                                         for k in range(1, n + 1)))
+            # dtau/dx = -1/width for x > 0, and phi^{(j)} has parity (-1)^j
+            value = sign * math.factorial(j) * r[j] / (-width) ** j
+            return value if x >= 0 else (-1) ** j * value
 
         return deriv
 

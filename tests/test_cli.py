@@ -341,16 +341,21 @@ print(json.dumps([code, [m for m in ("scipy", "numpy", "sympy")
 """
 
 
-def numeric_imports(*argv):
+def fresh_interpreter(script, *argv):
+    """Run `script` in a new interpreter and decode the JSON it prints."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(PACKAGE.parent)] + ([env["PYTHONPATH"]]
                                  if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, "-c", NUMERIC_IMPORTS, *argv],
+    proc = subprocess.run([sys.executable, "-c", script, *argv],
                           capture_output=True, text=True, env=env,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
-    return tuple(json.loads(proc.stdout))
+    return json.loads(proc.stdout)
+
+
+def numeric_imports(*argv):
+    return tuple(fresh_interpreter(NUMERIC_IMPORTS, *argv))
 
 
 @pytest.mark.parametrize("argv", [
@@ -370,6 +375,23 @@ def test_witten_check_loads_numpy_not_scipy_or_sympy():
     code, loaded = numeric_imports("witten-check", "--builtin", "cp1",
                                    "--m", "8,12,16,24")
     assert (code, loaded) == (0, ["numpy"])
+
+
+BUMP_DERIVATIVES = """
+import json, sys
+from equiloc.witten import TestFunction
+phi = TestFunction()
+print(json.dumps([[phi.derivative(j)(0.17) for j in (1, 2, 3)],
+                  "sympy" in sys.modules]))
+"""
+
+
+def test_bump_derivatives_load_no_sympy():
+    # the derivatives behind the jump relation are float Taylor-mode
+    # arithmetic, so evaluating them leaves sympy unloaded
+    values, sympy_loaded = fresh_interpreter(BUMP_DERIVATIVES)
+    assert all(v != 0 for v in values)
+    assert not sympy_loaded
 
 
 def test_witten_check_cli(capsys):

@@ -6,6 +6,7 @@ import warnings
 from dataclasses import replace
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -49,15 +50,51 @@ def test_bump_derivative_consistency():
             assert abs(fd - exact) <= 1e-6 * max(1.0, abs(exact)), (j, x)
 
 
-def test_bump_builds_only_the_derivative_orders_asked_for():
-    # order 0 is the closed form; asking for order 3 builds that lambda
-    # alone, and its values match those of the shared bump PHI
-    phi = TestFunction(PHI.delta1, PHI.delta2)
-    assert phi.derivative(0) == phi.__call__
-    d3 = phi.derivative(3)
-    assert [d3(x) for x in (0.13, 0.17, -0.21)] == \
-        [PHI.derivative(3)(x) for x in (0.13, 0.17, -0.21)]
-    assert list(phi._lams) == [3]
+def _step_derivative_oracle(phi, j, x):
+    """phi^{(j)}(x) from mpmath's 40-digit numerical diff of the step
+    f/(f + g), independent of the Taylor-mode recurrences."""
+    with mpmath.workdps(40):
+        d2 = mpmath.mpf(phi.delta2)
+        width = mpmath.mpf(phi.delta2 - phi.delta1)
+
+        def step(y):
+            t = (d2 - y) / width
+            f, g = mpmath.exp(-1 / t), mpmath.exp(-1 / (1 - t))
+            return f / (f + g)
+
+        value = float(mpmath.diff(step, mpmath.mpf(abs(x)), j))
+    return value if x >= 0 else (-1) ** j * value
+
+
+def test_bump_derivatives_match_mpmath():
+    # order 0 is the closed form; orders 1..8 against the oracle across the
+    # glue, on both sides of both guard edges and at mirrored points,
+    # relative to the order's largest |value|
+    assert PHI.derivative(0) == PHI.__call__
+    width = PHI.delta2 - PHI.delta1
+    xs = [PHI.delta1 + width * (i + 0.5) / 40 for i in range(40)]
+    for t in (PHI._GUARD, 1 - PHI._GUARD):
+        xs += [PHI.delta2 - width * t * (1 + e) for e in (-1e-9, 1e-9)]
+    xs += [-x for x in xs[::3]]
+    for j in range(1, 9):
+        dj = PHI.derivative(j)
+        want = [_step_derivative_oracle(PHI, j, x) for x in xs]
+        scale = max(abs(v) for v in want)
+        err = max(abs(dj(x) - v) for x, v in zip(xs, want))
+        assert err <= (1e-13 if j <= 4 else 1e-10) * scale, (j, err / scale)
+
+
+@pytest.mark.parametrize("deltas", [(0.1, math.inf), (0.1, math.nan),
+                                    (0.25, 0.1)])
+def test_bump_rejects_a_bad_support(deltas):
+    with pytest.raises(ValueError, match="delta1 < delta2"):
+        TestFunction(*deltas)
+
+
+@pytest.mark.parametrize("j", [-1, 1.5, 2.0, "3"])
+def test_bump_derivative_rejects_a_bad_order(j):
+    with pytest.raises(ValueError, match="derivative order"):
+        PHI.derivative(j)
 
 
 def test_bump_flat_regions_have_zero_derivatives():
@@ -105,8 +142,8 @@ def test_dist_pair_against_eps_limit():
 
 @pytest.mark.parametrize("side", ["plus", "minus", "avg"])
 def test_dist_pair_high_orders_integrate_cleanly(side):
-    # a component of normal rank k pairs with x^{-k}; k >= 6 used to warn
-    # from roundoff in the symbolic derivatives of order k - 1
+    # a component of normal rank k pairs with x^{-k}: one finite-part moment
+    # of phi for every k, so high orders raise no quadrature warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         values = [dist_pair(k, side, PHI) for k in range(1, 9)]
