@@ -1,135 +1,38 @@
 """Named example presentations and their enumeration oracles.
 
-Every builtin is generated by the builders in `model`; the exact documents
-shipped under data/ are serializations of these objects, and a test pins
-the two against each other.  Each entry also knows how to produce its
-ground-truth weight multiset by monomial enumeration, so the acceptance
-suite can compare characters coefficient by coefficient.
+Each builtin is the document shipped as data/<name>.json, parsed afresh on
+every call.  The tests keep the recipes that wrote these documents from the
+builders in `model` and pin the two against each other.  Each entry also
+knows how to produce its ground-truth weight multiset by monomial
+enumeration, so the acceptance suite can compare characters coefficient by
+coefficient.
 """
 
 from __future__ import annotations
 
+from pathlib import Path
+
 from . import oracle
-from .model import (ManifoldPresentation, QuotientData, cpn_linear,
-                    disjoint_union, product, projective_ring, shift_moment,
-                    trivial_cp1)
+from .model import ManifoldPresentation, parse
 from .oracle import WeightMultiset
-from .ring import RingSpec, todd_from_roots
+
+_DATA = Path(__file__).parent / "data"
+
+_NAMES = ("cp1", "cp001", "cp012", "prod11", "dgmw", "dim6", "dim6b",
+          "regval")
 
 
-def _zero_quotient() -> QuotientData:
-    """Quotient data of an empty regular stratum: everything integrates to 0."""
-    ring = RingSpec.point()
-    return QuotientData(ring=ring, omega0=ring.zero(), kappa_todd=ring.zero())
-
-
-def _point_quotient() -> QuotientData:
-    """A reduced space that is a single free point with trivial bundle."""
-    ring = RingSpec.point()
-    return QuotientData(ring=ring, omega0=ring.zero(), kappa_todd=ring.one())
-
-
-def _cp2_quotient() -> QuotientData:
-    """The projective plane with its hyperplane class and Todd class."""
-    ring = projective_ring(3)
-    h = ring.generator("h")
-    return QuotientData(ring=ring, omega0=h,
-                        kappa_todd=todd_from_roots(ring, [h, h, h]))
-
-
-def _cp1_pos() -> ManifoldPresentation:
-    return cpn_linear([0, 1], 1)
-
-
-def _cp1_neg() -> ManifoldPresentation:
-    return shift_moment(cpn_linear([0, 1], 1), -1)
-
-
-def build_cp1() -> ManifoldPresentation:
-    p = _cp1_pos()
-    p.name = "cp1"
-    p.quotient = _zero_quotient()
-    return p
-
-
-def build_cp001() -> ManifoldPresentation:
-    p = cpn_linear([0, 0, 1], 1)
-    p.name = "cp001"
-    p.quotient = _zero_quotient()
-    return p
-
-
-def build_cp012() -> ManifoldPresentation:
-    p = cpn_linear([0, 1, 2], 1)
-    p.name = "cp012"
-    p.quotient = _zero_quotient()
-    return p
-
-
-def build_prod11() -> ManifoldPresentation:
-    p = product(_cp1_pos(), _cp1_neg())
-    p.name = "prod11"
-    return p
-
-
-def build_dgmw() -> ManifoldPresentation:
-    """Moment-zero locus equal to the fixed-point set, in three pieces:
-    a projective plane whose minimum is a sphere, plus two sphere-times-
-    trivial-sphere pieces placing weights +2 and -3 at moment zero."""
-    piece1 = cpn_linear([0, 0, 1], 1)
-    piece2 = product(cpn_linear([0, 2], 1), trivial_cp1(1))
-    piece3 = product(shift_moment(cpn_linear([0, 3], 1), -3), trivial_cp1(1))
-    p = disjoint_union(piece1, piece2, piece3, name="dgmw")
-    p.quotient = _zero_quotient()
-    return p
-
-
-def build_dim6() -> ManifoldPresentation:
-    p = product(product(_cp1_pos(), _cp1_pos()), _cp1_neg())
-    p.name = "dim6"
-    p.quotient = _cp2_quotient()
-    return p
-
-
-def build_dim6b() -> ManifoldPresentation:
-    p = product(product(_cp1_pos(), _cp1_neg()), _cp1_neg())
-    p.name = "dim6b"
-    p.quotient = _cp2_quotient()
-    return p
-
-
-def build_regval() -> ManifoldPresentation:
-    """Zero is a regular value: the square of the hyperplane bundle on the
-    rotation sphere, with the moment interval shifted to [-1, 1]."""
-    p = shift_moment(cpn_linear([0, 1], 2), -1)
-    p.name = "regval"
-    p.quotient = _point_quotient()
-    return p
-
-
-_BUILDERS = {
-    "cp1": build_cp1,
-    "cp001": build_cp001,
-    "cp012": build_cp012,
-    "prod11": build_prod11,
-    "dgmw": build_dgmw,
-    "dim6": build_dim6,
-    "dim6b": build_dim6b,
-    "regval": build_regval,
-}
-
-
-def builtin_names() -> list[str]:
-    return list(_BUILDERS)
+def builtin_names() -> tuple[str, ...]:
+    return _NAMES
 
 
 def builtin(name: str) -> ManifoldPresentation:
-    try:
-        return _BUILDERS[name]()
-    except KeyError:
+    """A fresh presentation parsed from data/<name>.json: presentations are
+    mutable, so no two calls share one."""
+    if name not in _NAMES:
         raise KeyError(
-            f"unknown builtin {name!r}; available: {', '.join(_BUILDERS)}"
-        ) from None
+            f"unknown builtin {name!r}; available: {', '.join(_NAMES)}")
+    return parse((_DATA / f"{name}.json").read_text(encoding="utf-8"))
 
 
 # ---------------------------------------------------------------------------

@@ -318,14 +318,24 @@ def test_verify_inconsistent_exits_1(tmp_path, capsys):
     assert "pole-cancellation" in err
 
 
-def test_verify_reports_skipped_kirillov_check(tmp_path, capsys):
-    # weight 9 at the sample x = 0.1 is past the check's convergence margin
+def test_verify_runs_no_float_check(tmp_path, capsys):
+    # every check verify runs is exact, so a weight of 9, whose Todd
+    # series in x diverges at |x| = 1/9, skips none
     path = tmp_path / "cp09.json"
     path.write_text(serialize(cpn_linear([0, 9], 1)))
     code, out, err = run(capsys, "verify", "--input", str(path))
-    assert code == 0
-    assert out == "verify cpn[0,9]d1: ok\n"
-    assert err == "SKIP cpn[0,9]d1: kirillov (max weight 9 >= 9)\n"
+    assert (code, out, err) == (0, "verify cpn[0,9]d1: ok\n", "")
+
+
+@pytest.mark.parametrize("path", ["missing.json", "cp1.json"])
+def test_verify_all_with_input_exits_2(tmp_path, capsys, path):
+    # --builtin all names its inputs itself, so any --input beside it is
+    # an error, whether or not the file exists
+    (tmp_path / "cp1.json").write_text(serialize(builtin("cp1")))
+    code, out, err = run(capsys, "verify", "--builtin", "all",
+                         "--input", str(tmp_path / path))
+    assert (code, out, err) == (
+        2, "", "error: specify exactly one of --builtin / --input\n")
 
 
 # Runs main(argv) in a fresh interpreter, then prints its exit code and
@@ -401,13 +411,22 @@ def test_witten_check_cli(capsys):
     assert "decay exponent" in out
 
 
-@pytest.mark.parametrize("spec", ["abc", "3:1", "1,,2", "-1", "1:x"])
+@pytest.mark.parametrize("spec", ["abc", "3:1", "1,,2", "-1", "1:x", "1_0",
+                                  "\u0663", "+3", "3:\u0661"])
 def test_malformed_m_exits_2(capsys, spec):
     code, out, err = run(capsys, "rr", "--builtin", "cp1", "--m", spec)
     assert code == 2
     assert out == ""
     assert err.startswith("error: --m") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_m_accepts_whitespace_around_numbers(capsys):
+    code, out, _ = run(capsys, "rr", "--builtin", "cp1", "--m", " 2 , 3 ")
+    assert code == 0 and out == ("m=2 rr_invariant=1 rr_total=3\n"
+                                 "m=3 rr_invariant=1 rr_total=4\n")
+    code, out, _ = run(capsys, "rr", "--builtin", "cp1", "--m", "2: 3")
+    assert code == 0 and out.count("\n") == 2
 
 
 @pytest.mark.parametrize("spec", ["8", "8,16,32", "0,8,16,32",
@@ -434,8 +453,8 @@ def test_witten_check_cancellation_is_a_numeric_failure(capsys):
 @pytest.mark.parametrize("option", [("--tolerance", "1e-3"),
                                     ("--seed", "3")])
 def test_seed_and_tolerance_are_rejected(capsys, command, option):
-    # verify's coherence trials and its Kirillov bound are fixed, and no
-    # other command has a seed or a tolerance
+    # verify's coherence trials are fixed, and no other command has a seed
+    # or a tolerance
     m = [] if command == "verify" else ["--m", "2"]
     with pytest.raises(SystemExit) as exc:
         main([command, "--builtin", "cp1", *m, *option])

@@ -8,10 +8,10 @@ from pathlib import Path
 import pytest
 
 from equiloc.model import (FixedComponent, ManifoldPresentation, NormalBlock,
-                           ParseError, bundle_power, cpn_linear,
+                           ParseError, QuotientData, bundle_power, cpn_linear,
                            disjoint_union, parse, product, projective_ring,
                            serialize, shift_moment, trivial_cp1, validate)
-from equiloc.ring import RingSpec
+from equiloc.ring import RingSpec, todd_from_roots
 from equiloc import builtin, builtin_names
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "equiloc" / "data"
@@ -54,11 +54,96 @@ def test_round_trip_stability():
         assert serialize(parse(text)) == text
 
 
+# The recipes that wrote the shipped documents: the documents are the
+# builtins' only source, and these keep the model builders they came from
+# from drifting.
+
+def zero_quotient() -> QuotientData:
+    """An empty regular stratum: everything integrates to 0."""
+    ring = RingSpec.point()
+    return QuotientData(ring=ring, omega0=ring.zero(), kappa_todd=ring.zero())
+
+
+def point_quotient() -> QuotientData:
+    """A reduced space that is a single free point with trivial bundle."""
+    ring = RingSpec.point()
+    return QuotientData(ring=ring, omega0=ring.zero(), kappa_todd=ring.one())
+
+
+def cp2_quotient() -> QuotientData:
+    """The projective plane with its hyperplane class and Todd class."""
+    ring = projective_ring(3)
+    h = ring.generator("h")
+    return QuotientData(ring=ring, omega0=h,
+                        kappa_todd=todd_from_roots(ring, [h, h, h]))
+
+
+def cp1_pos() -> ManifoldPresentation:
+    return cpn_linear([0, 1], 1)
+
+
+def cp1_neg() -> ManifoldPresentation:
+    return shift_moment(cpn_linear([0, 1], 1), -1)
+
+
+def named(p: ManifoldPresentation, name: str,
+          quotient=None) -> ManifoldPresentation:
+    p.name = name
+    if quotient is not None:
+        p.quotient = quotient
+    return p
+
+
+RECIPES = {
+    "cp1": lambda: named(cp1_pos(), "cp1", zero_quotient()),
+    "cp001": lambda: named(cpn_linear([0, 0, 1], 1), "cp001",
+                           zero_quotient()),
+    "cp012": lambda: named(cpn_linear([0, 1, 2], 1), "cp012",
+                           zero_quotient()),
+    "prod11": lambda: named(product(cp1_pos(), cp1_neg()), "prod11"),
+    # moment-zero locus equal to the fixed-point set, in three pieces: a
+    # projective plane whose minimum is a sphere, plus two sphere-times-
+    # trivial-sphere pieces placing weights +2 and -3 at moment zero
+    "dgmw": lambda: named(disjoint_union(
+        cpn_linear([0, 0, 1], 1),
+        product(cpn_linear([0, 2], 1), trivial_cp1(1)),
+        product(shift_moment(cpn_linear([0, 3], 1), -3), trivial_cp1(1))),
+        "dgmw", zero_quotient()),
+    "dim6": lambda: named(product(product(cp1_pos(), cp1_pos()), cp1_neg()),
+                          "dim6", cp2_quotient()),
+    "dim6b": lambda: named(product(product(cp1_pos(), cp1_neg()), cp1_neg()),
+                           "dim6b", cp2_quotient()),
+    # zero is a regular value: the square of the hyperplane bundle on the
+    # rotation sphere, with the moment interval shifted to [-1, 1]
+    "regval": lambda: named(shift_moment(cpn_linear([0, 1], 2), -1),
+                            "regval", point_quotient()),
+}
+
+
 def test_shipped_documents_match_builders():
-    for name in builtin_names():
+    assert list(RECIPES) == list(builtin_names())
+    for name, recipe in RECIPES.items():
         doc = (DATA / f"{name}.json").read_text()
-        assert doc == serialize(builtin(name))
+        assert doc == serialize(recipe())
         assert serialize(parse(doc)) == doc
+
+
+def test_builtin_names_are_the_shipped_documents():
+    # no document is orphaned and none is missing
+    assert set(builtin_names()) == {path.stem
+                                    for path in DATA.glob("*.json")}
+    assert len(set(builtin_names())) == len(builtin_names())
+
+
+def test_builtin_calls_return_independent_presentations():
+    for name in builtin_names():
+        want = serialize(builtin(name))
+        p = builtin(name)
+        p.name = "renamed"
+        p.components[0] = replace(p.components[0], moment=99)
+        assert serialize(builtin(name)) == want
+        q = builtin(name)
+        assert q is not p and q.components[0] is not p.components[0]
 
 
 def test_parse_syntax_error_reports_position():
