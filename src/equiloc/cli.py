@@ -6,7 +6,8 @@ Exit codes: 0 success, 1 verification failure (float cancellation or an
 unsettled quadrature in witten-check included), 2 input error (a weight,
 moment or m too large to compute with, and for witten-check a weight whose
 Todd series diverges on the bump's support, included), 3 mathematical
-inconsistency (poles fail to cancel).
+inconsistency (poles fail to cancel, or a character coefficient is not an
+integer) on every exact command.
 
 Only witten-check pairs numerically, so it is the only command that
 imports numpy (through `witten`), at its start: the exact commands skip
@@ -23,9 +24,8 @@ from typing import Optional
 
 from . import builtins as bi
 from . import localization, quantize
-from .model import (ManifoldPresentation, ParseError, bundle_power, parse,
-                    serialize, shift_moment, validate)
-from .zrational import LaurentPolynomial, NotAPolynomial
+from .model import ManifoldPresentation, ParseError, parse
+from .zrational import NotAPolynomial
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -80,10 +80,7 @@ def _load(args) -> ManifoldPresentation:
         try:
             return parse(text)
         except ParseError as e:
-            msg = str(e)
-            for d in e.diagnostics:
-                msg += f"\n  {d}"
-            raise SystemExit2(msg)
+            raise SystemExit2(str(e))
     raise SystemExit2("an input is required: --builtin NAME or --input FILE")
 
 
@@ -98,10 +95,6 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
     else:
         for line in text_lines:
             print(line)
-
-
-def _laurent_json(poly: LaurentPolynomial) -> dict:
-    return {str(e): c for e, c in sorted(poly.as_integer_coeffs().items())}
 
 
 def _per_m(step):
@@ -122,8 +115,8 @@ def _per_m(step):
 
 @_per_m
 def cmd_rr(p: ManifoldPresentation, m: int) -> tuple[dict, str]:
-    coeffs = localization.character(p, m).as_integer_coeffs()
-    rr, total = coeffs.get(0, 0), sum(coeffs.values())
+    chi = localization.character(p, m)
+    rr, total = chi.constant_term(), chi.evaluate_at_one()
     return ({"rr_invariant": rr, "rr_total": total},
             f"m={m} rr_invariant={rr} rr_total={total}")
 
@@ -131,7 +124,8 @@ def cmd_rr(p: ManifoldPresentation, m: int) -> tuple[dict, str]:
 @_per_m
 def cmd_character(p: ManifoldPresentation, m: int) -> tuple[dict, str]:
     chi = localization.character(p, m)
-    return {"coefficients": _laurent_json(chi)}, f"m={m}: {chi}"
+    coeffs = {str(e): c for e, c in chi.as_integer_coeffs().items()}
+    return {"coefficients": coeffs}, f"m={m}: {chi}"
 
 
 @_per_m
@@ -195,7 +189,9 @@ def cmd_witten_check(args) -> int:
 
 def _verify_one(p: ManifoldPresentation, name: str,
                 with_oracle: bool) -> list[str]:
-    """Run the invariant suite; returns the failure descriptions."""
+    """Run the checks that depend on the document; returns the failure
+    descriptions.  The division certifies that poles cancel and that every
+    character coefficient is an integer."""
     failures = []
 
     def check(label: str, ok: bool, detail: str = ""):
@@ -203,14 +199,6 @@ def _verify_one(p: ManifoldPresentation, name: str,
             failures.append(f"{name}: {label}" + (f" ({detail})" if detail
                                                   else ""))
 
-    diags = validate(p)
-    check("validation", not diags, "; ".join(map(str, diags)))
-    if diags:
-        return failures
-    try:
-        check("round-trip", serialize(parse(serialize(p))) == serialize(p))
-    except ParseError as e:
-        check("round-trip", False, str(e))
     try:
         for m in range(0, 7):
             chi = localization.character(p, m)
@@ -223,32 +211,16 @@ def _verify_one(p: ManifoldPresentation, name: str,
             jmax = max(F.moment for F in p.components)
             check(f"weight-support m={m}",
                   chi.coeffs == {} or (lo >= m * jmin and hi <= m * jmax))
-            check(f"integer-character m={m}",
-                  all(c.denominator == 1 for c in chi.coeffs.values()))
+        if p.free_on_regular:
+            fit = quantize.polynomiality_check(p, 1, p.dim_M // 2 + 3)
+            check("polynomiality", fit.max_residual() == 0,
+                  f"residual {fit.max_residual()}")
+        if p.quotient is not None:
+            for m in range(1, 5):
+                rep = quantize.main_formula_report(p, m)
+                check(f"main-formula balance m={m}", rep.balance is True)
     except NotAPolynomial as e:
         failures.append(f"{name}: pole-cancellation ({e})")
-        return failures
-    if p.free_on_regular:
-        fit = quantize.polynomiality_check(p, 1, p.dim_M // 2 + 3)
-        check("polynomiality", fit.max_residual() == 0,
-              f"residual {fit.max_residual()}")
-    if p.quotient is not None:
-        for m in range(1, 5):
-            rep = quantize.main_formula_report(p, m)
-            check(f"main-formula balance m={m}", rep.balance is True)
-    # a shift of either sign with a power, and a shift alone
-    for trial, (s, k) in enumerate(((3, 2), (-3, 2), (1, 1))):
-        q = bundle_power(shift_moment(p, s), k)
-        try:
-            m = 2
-            chi_q = localization.character(q, m)
-            chi_p = localization.character(bundle_power(p, k), m)
-            shifted = LaurentPolynomial(
-                {e + m * k * s: c for e, c in chi_p.coeffs.items()})
-            check(f"shift/power coherence trial {trial}", chi_q == shifted)
-        except NotAPolynomial as e:
-            failures.append(
-                f"{name}: pole-cancellation under transform ({e})")
     return failures
 
 

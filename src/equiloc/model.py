@@ -149,8 +149,12 @@ def validate(p: ManifoldPresentation) -> list[Diagnostic]:
         bad("DimensionOdd", p.name, f"dim_M = {p.dim_M} must be even and >= 0")
     if not p.components:
         bad("NoComponents", p.name, "presentation has no fixed components")
+    seen = set()
     for F in p.components:
         where = f"{p.name}/{F.name}"
+        if F.name in seen:
+            bad("DuplicateName", where, "an earlier component has this name")
+        seen.add(F.name)
         if F.dim_F < 0 or F.dim_F % 2 != 0:
             bad("DimensionOdd", where, f"dim_F = {F.dim_F}")
         if F.dim_F != F.ring.truncation_degree:

@@ -29,9 +29,6 @@ class WeightMultiset:
         self.counts = {int(w): int(c) for w, c in (counts or {}).items()
                        if c != 0}
 
-    def total(self) -> int:
-        return sum(self.counts.values())
-
     def __eq__(self, other):
         if isinstance(other, WeightMultiset):
             return self.counts == other.counts

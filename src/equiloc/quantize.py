@@ -46,7 +46,6 @@ from fractions import Fraction
 from typing import Optional
 
 from .model import FixedComponent, ManifoldPresentation
-from .zrational import NotAPolynomial
 from . import localization
 
 
@@ -82,12 +81,8 @@ def classify(F: FixedComponent) -> Classification:
 
 
 def rr_invariant(p: ManifoldPresentation, m: int) -> int:
-    """The multiplicity of the trivial weight in the index character;
-    NotAPolynomial when it is not an integer (inconsistent data)."""
-    c = localization.character(p, m).constant_term()
-    if c.denominator != 1:
-        raise NotAPolynomial(f"invariant multiplicity {c} is not an integer")
-    return c.numerator
+    """The multiplicity of the trivial weight in the index character."""
+    return localization.character(p, m).constant_term()
 
 
 def _polyval(coeffs, m: int) -> Fraction:

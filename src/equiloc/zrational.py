@@ -20,7 +20,8 @@ sum q[t] = a[t] + q[t-k], one factor at a time.  The Laurent series at
 z = 0, and so both residues, run it on the numerator cut off at the
 highest exponent wanted.  `to_laurent_polynomial` runs it over the
 numerator's own length: the division is exact precisely when the last
-deg D entries vanish.  Only the quotient is divided by L.
+deg D entries vanish.  Only the quotient is divided by L, which must
+divide each of its entries: a character's coefficients are multiplicities.
 """
 
 from __future__ import annotations
@@ -85,9 +86,6 @@ class ZRational:
             return NotImplemented
         return scalar_sum([self, other.scale(-1)]).is_zero()
 
-    def __hash__(self):
-        raise TypeError("ZRational is unhashable")
-
     def __repr__(self):
         den = "*".join(f"(1-z^{k})^{m}" for k, m in sorted(self.den.items()))
         return f"ZRational(z^{self.shift} * [{len(self.num)} terms] / {den or 1})"
@@ -95,13 +93,14 @@ class ZRational:
     # -- expansion, division, residues ------------------------------------------
 
     def to_laurent_polynomial(self) -> "LaurentPolynomial":
-        """Exact division; raises NotAPolynomial if poles fail to cancel.
+        """Exact division; raises NotAPolynomial if poles fail to cancel or
+        a quotient coefficient is not an integer.
 
         The numerator, scaled to integers by the lcm L of its coefficient
         denominators, is expanded in series over its own length.  N is
         divisible by the denominator D (of degree d) precisely when the
         last d entries of that series vanish; the rest is the quotient,
-        divided by L at the end.
+        whose entries L must divide.
         """
         num = self.num
         if not num:
@@ -116,9 +115,14 @@ class ZRational:
             raise NotAPolynomial("poles at roots of unity fail to cancel; "
                                  "fixed-point data is inconsistent")
         del a[length - degree:]
-        if scale > 1:
-            a = [Fraction(q, scale) for q in a]
         base = self.shift + lo
+        if scale > 1:
+            for t, q in enumerate(a):
+                if q % scale:
+                    raise NotAPolynomial(
+                        f"coefficient of z^{base + t} is {Fraction(q, scale)}"
+                        ", not an integer")
+            a = [q // scale for q in a]
         return LaurentPolynomial({base + t: q for t, q in enumerate(a)})
 
     def series_coefficients(self, upto: int) -> dict[int, Fraction]:
@@ -216,12 +220,11 @@ def _integer_series(num: Mapping[int, Rat], lo: int, length: int,
 
 
 class LaurentPolynomial:
-    """Exact Laurent polynomial in z: exponent -> nonzero rational, each
-    coefficient kept as given, an int or a Fraction."""
+    """Exact Laurent polynomial in z: exponent -> nonzero int."""
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Mapping[int, Rat]):
+    def __init__(self, coeffs: Mapping[int, int]):
         self.coeffs = {int(e): c for e, c in coeffs.items() if c}
 
     def __eq__(self, other):
@@ -229,13 +232,13 @@ class LaurentPolynomial:
             return self.coeffs == other.coeffs
         return NotImplemented
 
-    def coefficient(self, e: int) -> Rat:
+    def coefficient(self, e: int) -> int:
         return self.coeffs.get(e, 0)
 
-    def constant_term(self) -> Rat:
+    def constant_term(self) -> int:
         return self.coefficient(0)
 
-    def evaluate_at_one(self) -> Rat:
+    def evaluate_at_one(self) -> int:
         return sum(self.coeffs.values())
 
     def evaluate(self, z: complex) -> complex:
@@ -247,13 +250,8 @@ class LaurentPolynomial:
         return (min(self.coeffs), max(self.coeffs))
 
     def as_integer_coeffs(self) -> dict[int, int]:
-        out = {}
-        for e, c in sorted(self.coeffs.items()):
-            if c.denominator != 1:
-                raise NotAPolynomial(
-                    f"coefficient of z^{e} is {c}, not an integer")
-            out[e] = c.numerator
-        return out
+        """The coefficients by ascending exponent."""
+        return dict(sorted(self.coeffs.items()))
 
     def __repr__(self):
         return f"LaurentPolynomial({self})"

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import equiloc
-from equiloc import builtin, cpn_linear, product, serialize, trivial_cp1
+from equiloc import (builtin, cpn_linear, disjoint_union, parse, product,
+                     serialize, shift_moment, trivial_cp1)
 from equiloc.cli import main
 
 PACKAGE = Path(equiloc.__file__).resolve().parent
@@ -197,16 +198,68 @@ def test_inconsistent_input_exits_3(tmp_path, capsys):
     assert "inconsistency" in err
 
 
-@pytest.mark.parametrize("command", ["main-formula", "rr"])
+HALF_SPHERE = serialize(trivial_cp1()).replace('"h^1": "1"', '"h^1": "1/2"')
+
+
+@pytest.mark.parametrize("command", ["main-formula", "rr", "character"])
 def test_non_integer_multiplicity_exits_3(tmp_path, capsys, command):
     # the sphere's integral halved: the character at m = 2 is 3/2
-    text = serialize(trivial_cp1()).replace('"h^1": "1"', '"h^1": "1/2"')
     path = tmp_path / "half.json"
-    path.write_text(text)
+    path.write_text(HALF_SPHERE)
     code, out, err = run(capsys, command, "--input", str(path), "--m", "2")
     assert code == 3 and out == ""
     assert err.startswith("mathematical inconsistency: ")
     assert err.count("\n") == 1 and "3/2" in err
+
+
+def half_sphere_off_z0(tmp_path):
+    """cp1 beside the half sphere at moment 1: at m = 2 the z^0
+    coefficient is an integer and the z^2 coefficient 5/2 is not."""
+    p = disjoint_union(builtin("cp1"), shift_moment(parse(HALF_SPHERE), 1))
+    path = tmp_path / "off_z0.json"
+    path.write_text(serialize(p))
+    return path
+
+
+@pytest.mark.parametrize("command", ["main-formula", "rr", "character"])
+def test_non_integer_coefficient_off_z0_exits_3(tmp_path, capsys, command):
+    path = half_sphere_off_z0(tmp_path)
+    code, out, err = run(capsys, command, "--input", str(path), "--m", "2")
+    assert (code, out, err) == (
+        3, "", "mathematical inconsistency: coefficient of z^2 is 5/2, "
+        "not an integer\n")
+
+
+def test_verify_non_integer_character_exits_1(tmp_path, capsys):
+    code, out, err = run(capsys, "verify", "--input",
+                         str(half_sphere_off_z0(tmp_path)))
+    assert code == 1 and out.endswith(": FAIL\n")
+    assert err.count("\n") == 1 and "not an integer" in err
+
+
+def test_duplicate_component_name_exits_2(tmp_path, capsys):
+    # residue terms are keyed by component name: a second p0.w0 used to
+    # drop a term and report balance=FALSE with exit 0
+    doc = json.loads(serialize(builtin("dgmw")))
+    doc["components"][5]["name"] = "p0.w0"
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "main-formula", "--input", str(path),
+                         "--m", "1")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "[DuplicateName] dgmw/p0.w0" in err
+
+
+def test_validation_diagnostics_print_once(tmp_path, capsys):
+    doc = json.loads(serialize(builtin("cp1")))
+    doc["dim_M"] = 3
+    doc["components"][0]["blocks"][0]["weight"] = 0
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "rr", "--input", str(path), "--m", "1")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    assert "[DimensionOdd]" in err and "[WeightZero]" in err
 
 
 @pytest.mark.parametrize("command, m", [("main-formula", "1"),
@@ -453,8 +506,8 @@ def test_witten_check_cancellation_is_a_numeric_failure(capsys):
 @pytest.mark.parametrize("option", [("--tolerance", "1e-3"),
                                     ("--seed", "3")])
 def test_seed_and_tolerance_are_rejected(capsys, command, option):
-    # verify's coherence trials are fixed, and no other command has a seed
-    # or a tolerance
+    # verify's checks draw nothing at random, and no command has a seed or
+    # a tolerance
     m = [] if command == "verify" else ["--m", "2"]
     with pytest.raises(SystemExit) as exc:
         main([command, "--builtin", "cp1", *m, *option])

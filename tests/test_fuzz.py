@@ -74,13 +74,18 @@ def test_mutated_document_round_trips_or_is_rejected(text):
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+        codes = {}
         for command in ("rr", "character", "main-formula"):
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
                 code = main([command, "--input", path, "--m", "2"])
             assert code in expected, (command, code)
+            codes[command] = code
     finally:
         os.unlink(path)
+    # all three divide the same character first
+    assert codes["rr"] == codes["character"], codes
+    assert (codes["main-formula"] == 3) == (codes["rr"] == 3), codes
 
 
 # the builtins, and a product whose classes and keys have two generators

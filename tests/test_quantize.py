@@ -48,7 +48,7 @@ def test_rr_invariant_rejects_non_integer_multiplicity():
     # the sphere's integral halved: the z^0 coefficient at m = 2 is 3/2
     text = serialize(trivial_cp1()).replace('"h^1": "1"', '"h^1": "1/2"')
     p = parse(text)
-    with pytest.raises(NotAPolynomial, match="3/2 is not an integer"):
+    with pytest.raises(NotAPolynomial, match="3/2, not an integer"):
         rr_invariant(p, 2)
     with pytest.raises(NotAPolynomial):
         main_formula_report(p, 2)
