@@ -27,8 +27,7 @@ def builtin_names() -> tuple[str, ...]:
 
 
 def builtin(name: str) -> ManifoldPresentation:
-    """A fresh presentation parsed from data/<name>.json: presentations are
-    mutable, so no two calls share one."""
+    """A presentation parsed afresh from data/<name>.json."""
     if name not in _NAMES:
         raise KeyError(
             f"unknown builtin {name!r}; available: {', '.join(_NAMES)}")

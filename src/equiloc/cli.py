@@ -220,7 +220,7 @@ def _verify_one(p: ManifoldPresentation, name: str,
                 rep = quantize.main_formula_report(p, m)
                 check(f"main-formula balance m={m}", rep.balance is True)
     except NotAPolynomial as e:
-        failures.append(f"{name}: pole-cancellation ({e})")
+        failures.append(f"{name}: character division ({e})")
     return failures
 
 

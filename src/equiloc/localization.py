@@ -13,8 +13,9 @@ whose z^0 coefficient is the invariant Riemann-Roch number.  omega_F is
 nilpotent, so e^{m omega_F} = sum_j m^j omega_F^j/j! and chi_tilde_F are
 polynomials in m of degree at most dim_F/2.  Their m-free coefficients
 (`chi_tilde_pieces`) are built once per component and kept on it
-(`FixedComponent.chi_pieces`); each m only sums them, then the one common
-denominator sum and division of `character` follow.
+(`FixedComponent.chi_pieces`); components of one moment J, which share
+z^{mJ}, also keep them summed (`ManifoldPresentation.moment_groups`), so
+each m sums one chi_tilde per moment level and divides once.
 
 Numeric side: the localized inner integrand of the Witten integral, with
 the equivariant Todd class Td_F as the one integrand,
@@ -53,7 +54,7 @@ from math import comb, factorial, lcm, log
 from operator import add, mul
 from typing import Mapping, Optional, Sequence
 
-from .model import FixedComponent, ManifoldPresentation
+from .model import FixedComponent, ManifoldPresentation, MomentGroup
 from .ring import GradedElement, RingSpec, todd_coefficient
 from .zrational import LaurentPolynomial, ZRational, scalar_sum
 
@@ -128,9 +129,10 @@ def _factor_terms(weight: int, root: GradedElement) -> list[tuple]:
             for j, power in enumerate(v.powers())]
 
 
-def chi_tilde(F: FixedComponent, m: int) -> ZRational:
-    """The component character function sum_j m^j P_j as a scalar
-    ZRational, from the pieces kept on F (`FixedComponent.chi_pieces`)."""
+def chi_tilde(F: FixedComponent | MomentGroup, m: int) -> ZRational:
+    """The character function sum_j m^j P_j as a scalar ZRational, from
+    the pieces kept on a component (`FixedComponent.chi_pieces`) or summed
+    over a moment level (`MomentGroup.chi_pieces`)."""
     if m < 0:
         raise ValueError("m must be nonnegative")
     pieces = F.chi_pieces
@@ -140,13 +142,14 @@ def chi_tilde(F: FixedComponent, m: int) -> ZRational:
 
 
 def character(p: ManifoldPresentation, m: int) -> LaurentPolynomial:
-    """Exact Laurent-polynomial character of the index representation.
+    """Exact Laurent-polynomial character of the index representation,
+    summing one chi_tilde per moment level (`moment_groups`).
 
     Raises NotAPolynomial when the per-component poles fail to cancel,
     which certifies the fixed-point data inconsistent.
     """
-    return scalar_sum(chi_tilde(F, m).shifted(m * F.moment)
-                      for F in p.components).to_laurent_polynomial()
+    return scalar_sum(chi_tilde(G, m).shifted(m * G.moment)
+                      for G in p.moment_groups).to_laurent_polynomial()
 
 
 # ---------------------------------------------------------------------------

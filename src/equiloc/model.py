@@ -24,6 +24,7 @@ from .expressions import (ExpressionError, element_to_string,
                           monomial_to_string, string_to_element,
                           string_to_monomial)
 from .ring import GradedElement, RingSpec, todd_from_roots
+from .zrational import scalar_sum
 
 
 class ParseError(ValueError):
@@ -66,7 +67,7 @@ class FixedComponent:
     ring: RingSpec
     todd: GradedElement
     omega: GradedElement
-    blocks: list[NormalBlock]
+    blocks: tuple[NormalBlock, ...]
 
     def normal_rank(self) -> int:
         return sum(b.rank for b in self.blocks)
@@ -111,13 +112,34 @@ class QuotientData:
                      for w in self.omega0.divided_powers())
 
 
-@dataclass
+@dataclass(frozen=True)
+class MomentGroup:
+    """The components at one moment: chi_pieces[j] sums their P_j."""
+    moment: int
+    chi_pieces: tuple
+
+
+@dataclass(frozen=True)
 class ManifoldPresentation:
     name: str
     dim_M: int
-    components: list[FixedComponent]
+    components: tuple[FixedComponent, ...]
     free_on_regular: bool = True
     quotient: Optional[QuotientData] = None
+
+    @cached_property
+    def moment_groups(self) -> tuple[MomentGroup, ...]:
+        """One group per distinct moment, ascending, kept on first use (a
+        `dataclasses.replace` copy starts without); a lone component's
+        pieces are its own `chi_pieces`."""
+        by_moment: dict[int, list[tuple]] = {}
+        for F in self.components:
+            by_moment.setdefault(F.moment, []).append(F.chi_pieces)
+        return tuple(
+            MomentGroup(J, pieces[0] if len(pieces) == 1 else tuple(
+                scalar_sum(P[j] for P in pieces if j < len(P))
+                for j in range(max(map(len, pieces)))))
+            for J, pieces in sorted(by_moment.items()))
 
     def f_zero(self) -> list[FixedComponent]:
         """Components sitting inside the zero level of the moment map."""
@@ -348,7 +370,7 @@ def parse(text: str) -> ManifoldPresentation:
                 dim_F=_typed(c["dim_F"], int, f"{where}: dim_F"),
                 moment=_typed(c["moment"], int, f"{where}: moment"),
                 ring=ring, todd=todd,
-                omega=omega, blocks=blocks))
+                omega=omega, blocks=tuple(blocks)))
         except ParseError:
             raise
         except (KeyError, TypeError, ValueError) as e:
@@ -368,7 +390,8 @@ def parse(text: str) -> ManifoldPresentation:
             raise
         except (KeyError, TypeError, ValueError) as e:
             raise ParseError(f"quotient: {e}") from e
-    p = ManifoldPresentation(name=name, dim_M=dim_M, components=components,
+    p = ManifoldPresentation(name=name, dim_M=dim_M,
+                             components=tuple(components),
                              free_on_regular=free, quotient=quotient)
     diagnostics = validate(p)
     if diagnostics:
@@ -422,14 +445,15 @@ def cpn_linear(weights: list[int], d: int,
             todd = ring.one()
             omega = ring.zero()
             root = ring.zero()
-        blocks = [NormalBlock(wp - w, [root] * weights.count(wp))
-                  for wp in values if wp != w]
+        blocks = tuple(NormalBlock(wp - w, [root] * weights.count(wp))
+                       for wp in values if wp != w)
         components.append(FixedComponent(
             name=f"w{w}", dim_F=2 * (r - 1), moment=d * (w - w_min) + shift,
             ring=ring, todd=todd, omega=omega, blocks=blocks))
     wstr = ",".join(str(w) for w in weights)
     name = f"cpn[{wstr}]d{d}" + (f"s{shift}" if shift else "")
-    return ManifoldPresentation(name=name, dim_M=2 * n, components=components)
+    return ManifoldPresentation(name=name, dim_M=2 * n,
+                                components=tuple(components))
 
 
 def point_manifold() -> ManifoldPresentation:
@@ -437,8 +461,8 @@ def point_manifold() -> ManifoldPresentation:
     products."""
     ring = RingSpec.point()
     comp = FixedComponent(name="pt", dim_F=0, moment=0, ring=ring,
-                          todd=ring.one(), omega=ring.zero(), blocks=[])
-    return ManifoldPresentation(name="point", dim_M=0, components=[comp])
+                          todd=ring.one(), omega=ring.zero(), blocks=())
+    return ManifoldPresentation(name="point", dim_M=0, components=(comp,))
 
 
 def trivial_cp1(d: int = 1) -> ManifoldPresentation:
@@ -448,14 +472,14 @@ def trivial_cp1(d: int = 1) -> ManifoldPresentation:
     h = ring.generator("h")
     comp = FixedComponent(
         name="total", dim_F=2, moment=0, ring=ring,
-        todd=todd_from_roots(ring, [h] * 2), omega=h * Fraction(d), blocks=[])
+        todd=todd_from_roots(ring, [h] * 2), omega=h * Fraction(d), blocks=())
     return ManifoldPresentation(name=f"trivial_cp1_d{d}", dim_M=2,
-                                components=[comp])
+                                components=(comp,))
 
 
 def shift_moment(p: ManifoldPresentation, s: int) -> ManifoldPresentation:
     """Shift every moment value by the integer s (studying another level)."""
-    comps = [replace(F, moment=F.moment + s) for F in p.components]
+    comps = tuple(replace(F, moment=F.moment + s) for F in p.components)
     return ManifoldPresentation(name=f"{p.name}+shift{s}",
                                 dim_M=p.dim_M, components=comps,
                                 free_on_regular=p.free_on_regular)
@@ -466,8 +490,8 @@ def bundle_power(p: ManifoldPresentation, k: int) -> ManifoldPresentation:
     moment map both scale by k."""
     if k < 1:
         raise ValueError("need k >= 1")
-    comps = [replace(F, moment=F.moment * k, omega=F.omega * Fraction(k))
-             for F in p.components]
+    comps = tuple(replace(F, moment=F.moment * k, omega=F.omega * Fraction(k))
+                  for F in p.components)
     return ManifoldPresentation(name=f"{p.name}^pow{k}",
                                 dim_M=p.dim_M, components=comps,
                                 free_on_regular=p.free_on_regular)
@@ -520,10 +544,10 @@ def product(p: ManifoldPresentation,
                 name=f"{F.name}*{G.name}", dim_F=F.dim_F + G.dim_F,
                 moment=F.moment + G.moment, ring=ring,
                 todd=liftF(F.todd) * liftG(G.todd),
-                omega=liftF(F.omega) + liftG(G.omega), blocks=blocks))
+                omega=liftF(F.omega) + liftG(G.omega), blocks=tuple(blocks)))
     return ManifoldPresentation(
         name=f"({p.name})x({q.name})", dim_M=p.dim_M + q.dim_M,
-        components=components,
+        components=tuple(components),
         free_on_regular=p.free_on_regular and q.free_on_regular)
 
 
@@ -535,8 +559,8 @@ def disjoint_union(*ps: ManifoldPresentation,
     dim = ps[0].dim_M
     if any(p.dim_M != dim for p in ps):
         raise ValueError("disjoint union requires equal dim_M")
-    comps = [replace(F, name=f"p{i}.{F.name}")
-             for i, p in enumerate(ps) for F in p.components]
+    comps = tuple(replace(F, name=f"p{i}.{F.name}")
+                  for i, p in enumerate(ps) for F in p.components)
     return ManifoldPresentation(
         name=name or "+".join(p.name for p in ps), dim_M=dim,
         components=comps,

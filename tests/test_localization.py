@@ -2,13 +2,13 @@
 
 import cmath
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 from math import comb, factorial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from equiloc import builtin, builtin_names, builtin_oracle
@@ -17,6 +17,7 @@ from equiloc.localization import (PreparedInner, character, chi_tilde,
                                   default_series_order,
                                   dh_inner, equivariant_todd_at_F,
                                   kirillov_check)
+import equiloc.localization as localization
 from equiloc.model import (FixedComponent, NormalBlock, bundle_power,
                            cpn_linear, disjoint_union, product, shift_moment,
                            trivial_cp1)
@@ -253,9 +254,9 @@ def test_character_weight_support_bound():
 
 def test_inconsistent_data_fails_pole_cancellation():
     p = cpn_linear([0, 1], 1)
-    F = p.components[0]
-    p.components[0] = replace(                # breaks global consistency
-        F, blocks=[replace(F.blocks[0], weight=2)] + F.blocks[1:])
+    F, *rest = p.components
+    G = replace(F, blocks=(replace(F.blocks[0], weight=2), *F.blocks[1:]))
+    p = replace(p, components=(G, *rest))    # breaks global consistency
     with pytest.raises(NotAPolynomial):
         character(p, 1)
 
@@ -316,6 +317,105 @@ def test_random_consistency_preserving_transforms():
         else:
             p = bundle_power(p, rng.randint(1, 3))
         character(p, rng.randint(0, 2))    # must not raise
+
+
+# -- moment groups ------------------------------------------------------------
+
+def _per_component_character(p, m):
+    """The oracle of the grouping: one shifted chi_tilde per component."""
+    return scalar_sum(chi_tilde(F, m).shifted(m * F.moment)
+                      for F in p.components).to_laurent_polynomial()
+
+
+def _cp1_power(k):
+    p = cp1 = builtin("cp1")
+    for _ in range(k - 1):
+        p = product(p, cp1)
+    return p
+
+
+@settings(max_examples=40, deadline=None)
+@given(cpn_cases, st.lists(steps, min_size=1, max_size=2))
+def test_moment_groups_sum_like_the_components(case, ops):
+    for step in ops:
+        case = _compose(case, step)
+    p, _ = case
+    assume(len(p.moment_groups) < len(p.components))    # a shared moment
+    moments = [G.moment for G in p.moment_groups]
+    assert moments == sorted({F.moment for F in p.components})
+    for m in range(13):
+        assert character(p, m) == _per_component_character(p, m), (p.name, m)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_cp1_powers_match_convolution(k):
+    p = _cp1_power(k)
+    assert [G.moment for G in p.moment_groups] == list(range(k + 1))
+    for m in range(13):
+        want = builtin_oracle("cp1", m)
+        for _ in range(k - 1):
+            want = convolve(want, builtin_oracle("cp1", m))
+        assert character(p, m) == want.to_laurent(), (k, m)
+
+
+def test_lone_component_keeps_its_own_pieces():
+    p = _cp1_power(2)
+    lowest, middle, _ = p.moment_groups
+    assert lowest.chi_pieces is p.components[0].chi_pieces
+    assert all(middle.chi_pieces is not F.chi_pieces for F in p.components)
+
+
+def test_grouping_keeps_inconsistent_data_inconsistent():
+    # one weight of one of the two J = 1 points of (cp1)^2 doubled: the
+    # group sum must not hide the poles that fail to cancel
+    p = _cp1_power(2)
+    i = next(i for i, F in enumerate(p.components) if F.moment == 1)
+    F = p.components[i]
+    G = replace(F, blocks=(replace(F.blocks[0], weight=2 * F.blocks[0].weight),
+                           *F.blocks[1:]))
+    q = replace(p, components=p.components[:i] + (G,) + p.components[i + 1:])
+    assert len(q.moment_groups) == 3
+    for m in (1, 2, 5):
+        with pytest.raises(NotAPolynomial) as grouped:
+            character(q, m)
+        with pytest.raises(NotAPolynomial) as single:
+            _per_component_character(q, m)
+        assert str(grouped.value) == str(single.value)
+
+
+def test_replaced_presentation_regroups():
+    p = _cp1_power(2)
+    groups = p.moment_groups
+    q = replace(p, components=shift_moment(p, 3).components)
+    assert [G.moment for G in q.moment_groups] == [3, 4, 5]
+    assert p.moment_groups is groups
+    assert character(q, 2) == _per_component_character(q, 2)
+
+
+def test_presentation_is_frozen():
+    p = _cp1_power(2)
+    with pytest.raises(FrozenInstanceError):
+        p.name = "renamed"
+    with pytest.raises(FrozenInstanceError):
+        p.components = ()
+    with pytest.raises(TypeError):
+        p.components[0] = p.components[1]
+    with pytest.raises(TypeError):
+        p.components[0].blocks[0] = p.components[1].blocks[0]
+
+
+@pytest.mark.parametrize("p, calls", [(_cp1_power(8), 9),
+                                      (cpn_linear(list(range(11)), 1), 11)])
+def test_character_takes_one_chi_tilde_per_moment(monkeypatch, p, calls):
+    seen = []
+
+    def counted(F, m):
+        seen.append(F)
+        return chi_tilde(F, m)
+
+    monkeypatch.setattr(localization, "chi_tilde", counted)
+    character(p, 6)
+    assert len(seen) == calls
 
 
 # -- totals -------------------------------------------------------------------
@@ -494,10 +594,10 @@ def test_kirillov_uncalibrated_negative_control():
     # the localized integral of the rotation sphere with every weight
     # doubled must miss the rotation sphere's own character
     cp1 = builtin("cp1")
-    q = builtin("cp1")
-    q.components = [
-        replace(F, blocks=[replace(b, weight=2 * b.weight) for b in F.blocks])
-        for F in q.components]
+    q = replace(cp1, components=tuple(
+        replace(F, blocks=tuple(replace(b, weight=2 * b.weight)
+                                for b in F.blocks))
+        for F in cp1.components))
     chi = character(cp1, 3).evaluate(cmath.exp(2j * cmath.pi * 0.1))
     assert abs(chi - dh_inner(cp1, 3, 0.1)) < 1e-8
     assert abs(chi - dh_inner(q, 3, 0.1)) > 0.1
@@ -626,13 +726,12 @@ def test_integer_series_negative_control():
     # differ from the oracle's series of the original one
     p = builtin("cp012")
     F = p.components[0]
-    G = replace(F, blocks=[replace(F.blocks[0], weight=F.blocks[0].weight + 1)]
-                + F.blocks[1:])
+    G = replace(F, blocks=(replace(F.blocks[0], weight=F.blocks[0].weight + 1),
+                           *F.blocks[1:]))
     assert component_u_laurent(F, 8, 23) == _oracle_laurent(
         F, 8, 23, _oracle_todd(F, 23))
     assert component_u_laurent(G, 8, 23) != _oracle_laurent(
         F, 8, 23, _oracle_todd(F, 23))
-    q = builtin("cp012")
-    q.components[0] = G
+    q = replace(p, components=(G, *p.components[1:]))
     assert PreparedInner(q, 8, 23).laurent_sum(30) != _oracle_laurent_sum(
         PreparedInner(p, 8, 23), 30)

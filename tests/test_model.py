@@ -24,16 +24,15 @@ def test_builders_validate_clean():
 
 def test_weight_zero_diagnostic():
     p = cpn_linear([0, 1], 1)
-    F = p.components[0]
-    p.components[0] = replace(
-        F, blocks=[replace(F.blocks[0], weight=0)] + F.blocks[1:])
+    F, *rest = p.components
+    G = replace(F, blocks=(replace(F.blocks[0], weight=0), *F.blocks[1:]))
+    p = replace(p, components=(G, *rest))
     codes = [d.code for d in validate(p)]
     assert "WeightZero" in codes
 
 
 def test_dimension_mismatch_diagnostic():
-    p = cpn_linear([0, 1], 1)
-    p.dim_M = 4
+    p = replace(cpn_linear([0, 1], 1), dim_M=4)
     codes = [d.code for d in validate(p)]
     assert "DimensionMismatch" in codes
 
@@ -42,9 +41,9 @@ def test_point_component_constraints():
     ring = RingSpec.point()
     comp = FixedComponent("pt", 0, 0, ring, ring.one(), ring.zero(),
                           [NormalBlock(1, [ring.zero()])])
-    p = ManifoldPresentation("x", 2, [comp])
+    p = ManifoldPresentation("x", 2, (comp,))
     assert validate(p) == []
-    p.components[0] = replace(comp, todd=ring.scalar(2))
+    p = replace(p, components=(replace(comp, todd=ring.scalar(2)),))
     assert any(d.code == "PointToddNotOne" for d in validate(p))
 
 
@@ -88,10 +87,7 @@ def cp1_neg() -> ManifoldPresentation:
 
 def named(p: ManifoldPresentation, name: str,
           quotient=None) -> ManifoldPresentation:
-    p.name = name
-    if quotient is not None:
-        p.quotient = quotient
-    return p
+    return replace(p, name=name, quotient=quotient)
 
 
 RECIPES = {
@@ -138,9 +134,9 @@ def test_builtin_names_are_the_shipped_documents():
 def test_builtin_calls_return_independent_presentations():
     for name in builtin_names():
         want = serialize(builtin(name))
-        p = builtin(name)
-        p.name = "renamed"
-        p.components[0] = replace(p.components[0], moment=99)
+        p = replace(builtin(name), name="renamed")
+        p = replace(p, components=(replace(p.components[0], moment=99),
+                                   *p.components[1:]))
         assert serialize(builtin(name)) == want
         q = builtin(name)
         assert q is not p and q.components[0] is not p.components[0]

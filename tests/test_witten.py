@@ -167,9 +167,9 @@ def test_witten_pair_takes_only_the_todd_class():
 
 def test_witten_pair_detects_inconsistent_data():
     p = builtin("cp1")
-    F = p.components[0]
-    p.components[0] = replace(
-        F, blocks=[replace(F.blocks[0], weight=2)] + F.blocks[1:])
+    F, *rest = p.components
+    G = replace(F, blocks=(replace(F.blocks[0], weight=2), *F.blocks[1:]))
+    p = replace(p, components=(G, *rest))
     with pytest.raises(CancellationError):
         witten_pair(p, "todd", PHI, 3)
 
