@@ -335,11 +335,11 @@ def _cp1_power(k):
 
 
 @settings(max_examples=40, deadline=None)
-@given(cpn_cases, st.lists(steps, min_size=1, max_size=2))
-def test_moment_groups_sum_like_the_components(case, ops):
+@given(cpn_cases, st.lists(steps, max_size=2), st.integers(0, 2))
+def test_moment_groups_sum_like_the_components(case, ops, k):
     for step in ops:
         case = _compose(case, step)
-    p, _ = case
+    p = disjoint_union(case[0], shift_moment(case[0], k))
     assume(len(p.moment_groups) < len(p.components))    # a shared moment
     moments = [G.moment for G in p.moment_groups]
     assert moments == sorted({F.moment for F in p.components})
