@@ -210,7 +210,7 @@ def _verify_one(p: ManifoldPresentation, name: str,
             jmin = min(F.moment for F in p.components)
             jmax = max(F.moment for F in p.components)
             check(f"weight-support m={m}",
-                  chi.coeffs == {} or (lo >= m * jmin and hi <= m * jmax))
+                  not chi.row or (lo >= m * jmin and hi <= m * jmax))
         if p.free_on_regular:
             fit = quantize.polynomiality_check(p, 1, p.dim_M // 2 + 3)
             check("polynomiality", fit.max_residual() == 0,

@@ -49,7 +49,7 @@ class Diagnostic:
 class NormalBlock:
     """One isotypic block of the normal bundle: nonzero weight, rank >= 1."""
     weight: int
-    chern_roots: list[GradedElement]
+    chern_roots: tuple[GradedElement, ...]
 
     @property
     def rank(self) -> int:
@@ -362,8 +362,8 @@ def parse(text: str) -> ManifoldPresentation:
             for b in _typed(c.get("blocks", []), list, f"{where}: blocks"):
                 weight = _typed(b["weight"], int, f"{where}: weight")
                 roots = _typed(b["chern_roots"], list, f"{where}: chern_roots")
-                roots = [_expression(ring, r, f"{where}: chern root {i}")
-                         for i, r in enumerate(roots)]
+                roots = tuple(_expression(ring, r, f"{where}: chern root {i}")
+                              for i, r in enumerate(roots))
                 blocks.append(NormalBlock(weight, roots))
             components.append(FixedComponent(
                 name=_typed(c["name"], str, f"{where}: name"),
@@ -445,7 +445,7 @@ def cpn_linear(weights: list[int], d: int,
             todd = ring.one()
             omega = ring.zero()
             root = ring.zero()
-        blocks = tuple(NormalBlock(wp - w, [root] * weights.count(wp))
+        blocks = tuple(NormalBlock(wp - w, (root,) * weights.count(wp))
                        for wp in values if wp != w)
         components.append(FixedComponent(
             name=f"w{w}", dim_F=2 * (r - 1), moment=d * (w - w_min) + shift,
@@ -536,9 +536,9 @@ def product(p: ManifoldPresentation,
             total = n1 + n2
             liftF = lambda e: _embed(e, ring, 0, total)
             liftG = lambda e: _embed(e, ring, n1, total)
-            blocks = [NormalBlock(b.weight, [liftF(r) for r in b.chern_roots])
+            blocks = [NormalBlock(b.weight, tuple(map(liftF, b.chern_roots)))
                       for b in F.blocks]
-            blocks += [NormalBlock(b.weight, [liftG(r) for r in b.chern_roots])
+            blocks += [NormalBlock(b.weight, tuple(map(liftG, b.chern_roots)))
                        for b in G.blocks]
             components.append(FixedComponent(
                 name=f"{F.name}*{G.name}", dim_F=F.dim_F + G.dim_F,

@@ -12,22 +12,27 @@ chi(1/z)/z; no contour-orientation convention enters anywhere.
 The exact character runs on integers.  `scalar_sum` brings pieces
 over one common denominator and scales their numerators by the lcm L of
 all their coefficient denominators, so the summed numerator is an integer
-Laurent polynomial over L, kept as ints when L = 1.
+Laurent polynomial over L, kept as ints when L = 1.  The expansion of each
+extra factor prod (1 - z^k)^{m_k} it multiplies in depends only on the
+m-free shapes, so it is kept per shape as a tuple.
 
 Series and division share one integer kernel.  N = Q (1 - z^k) reads
 a[t] = q[t] - q[t-k], so the series of N / (1 - z^k) is the strided prefix
-sum q[t] = a[t] + q[t-k], one factor at a time.  The Laurent series at
+sum q[t] = a[t] + q[t-k]; the mult passes of a factor (1 - z^k)^mult run
+chained on one slice per residue class mod k.  The Laurent series at
 z = 0, and so both residues, run it on the numerator cut off at the
 highest exponent wanted.  `to_laurent_polynomial` runs it over the
 numerator's own length: the division is exact precisely when the last
 deg D entries vanish.  Only the quotient is divided by L, which must
 divide each of its entries: a character's coefficients are multiplicities.
+The quotient row is the LaurentPolynomial itself, a dense row of ints.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 from math import lcm
 from typing import Iterable, Mapping, Union
@@ -104,7 +109,7 @@ class ZRational:
         """
         num = self.num
         if not num:
-            return LaurentPolynomial({})
+            return LaurentPolynomial.from_row(0, ())
         lo = min(num)
         length = max(num) - lo + 1
         degree = sum(k * mult for k, mult in self.den.items())
@@ -123,7 +128,8 @@ class ZRational:
                         f"coefficient of z^{base + t} is {Fraction(q, scale)}"
                         ", not an integer")
             a = [q // scale for q in a]
-        return LaurentPolynomial({base + t: q for t, q in enumerate(a)})
+        # nonzero ends: N's lowest term, and N's top term over D's (+-1)
+        return LaurentPolynomial.from_row(base, a)
 
     def series_coefficients(self, upto: int) -> dict[int, Fraction]:
         """Laurent coefficients at z = 0 for exponents <= upto (exact)."""
@@ -159,10 +165,10 @@ def scalar_sum(parts: Iterable[ZRational]) -> ZRational:
 
     The denominator takes the largest multiplicity of each k.  Every
     numerator is scaled to integers by the lcm L of all coefficient
-    denominators, each distinct extra factor prod (1 - z^k)^{extra} is
-    expanded once, and the products accumulate as ints by exponent; the
-    one result has the int sums as coefficients when L = 1 and
-    Fraction(sum, L) otherwise.
+    denominators, each extra factor prod (1 - z^k)^{extra} comes expanded
+    from `_expand_factors`, which keeps it per shape across calls, and the
+    products accumulate as ints by exponent; the one result has the int
+    sums as coefficients when L = 1 and Fraction(sum, L) otherwise.
     """
     parts = [(q.shift, q.num, q.den) for q in parts if q.num]
     den: dict[int, int] = {}
@@ -171,34 +177,32 @@ def scalar_sum(parts: Iterable[ZRational]) -> ZRational:
             den[k] = max(den.get(k, 0), mult)
     scale = lcm(*(c.denominator for _, num, _ in parts for c in num.values()))
     shift = min((s for s, _, _ in parts), default=0)
-    expanded: dict[tuple, dict[int, int]] = {}
     acc: dict[int, int] = defaultdict(int)
     for s, num, d in parts:
-        extra = tuple((k, den[k] - d.get(k, 0)) for k in den)
-        poly = expanded.get(extra)
-        if poly is None:
-            poly = expanded[extra] = _expand_factors(dict(extra))
+        poly = _expand_factors(tuple((k, den[k] - d.get(k, 0)) for k in den))
         for j, c in num.items():
             c = c.numerator * (scale // c.denominator)
             base = s - shift + j
-            for e, p in poly.items():
+            for e, p in poly:
                 acc[base + e] += c * p
     if scale > 1:
         acc = {j: Fraction(v, scale) for j, v in acc.items()}
     return ZRational(shift, acc, den)
 
 
-def _expand_factors(factors: Mapping[int, int]) -> dict[int, int]:
-    """prod_k (1 - z^k)^{m_k} expanded exactly."""
+@lru_cache(maxsize=1024)
+def _expand_factors(factors: tuple[tuple[int, int], ...]) -> tuple:
+    """prod_k (1 - z^k)^{m_k} for the pairs (k, m_k), expanded exactly into
+    (exponent, coefficient) pairs; a tuple, since every caller shares it."""
     poly = {0: 1}
-    for k, mult in factors.items():
+    for k, mult in factors:
         for _ in range(mult):
             nxt: dict[int, int] = {}
             for e, c in poly.items():
                 nxt[e] = nxt.get(e, 0) + c
                 nxt[e + k] = nxt.get(e + k, 0) - c
             poly = nxt
-    return {e: c for e, c in poly.items() if c != 0}
+    return tuple((e, c) for e, c in poly.items() if c)
 
 
 def _integer_series(num: Mapping[int, Rat], lo: int, length: int,
@@ -206,62 +210,84 @@ def _integer_series(num: Mapping[int, Rat], lo: int, length: int,
     """The lcm L of num's coefficient denominators, and the first `length`
     series coefficients of L * num / prod_k (1 - z^k)^{den[k]} from
     exponent lo up, as ints: each factor is divided out by the strided
-    prefix sum q[t] = a[t] + q[t-k], which reads no entry past t."""
+    prefix sum q[t] = a[t] + q[t-k], which reads no entry past t, and the
+    mult sums of (1 - z^k)^mult are chained on one slice per class mod k."""
     scale = lcm(*(c.denominator for c in num.values()))
     a = [0] * length
     for j, c in num.items():
         if j - lo < length:
             a[j - lo] = c.numerator * (scale // c.denominator)
     for k, mult in den.items():
-        for _ in range(mult):
-            for r in range(k):
-                a[r::k] = accumulate(a[r::k])
+        for r in range(k):
+            column = a[r::k]
+            for _ in range(mult):
+                column = accumulate(column)
+            a[r::k] = column
     return scale, a
 
 
 class LaurentPolynomial:
-    """Exact Laurent polynomial in z: exponent -> nonzero int."""
+    """Exact Laurent polynomial in z: the int coefficients of z^lo,
+    z^(lo+1), ... in `row`, whose ends are nonzero (zero: lo = 0, empty row).
+    `coeffs` is the {exponent: nonzero coefficient} view, built when asked."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("lo", "row")
 
     def __init__(self, coeffs: Mapping[int, int]):
-        self.coeffs = {int(e): c for e, c in coeffs.items() if c}
+        coeffs = {int(e): c for e, c in coeffs.items() if c}
+        self.lo = lo = min(coeffs, default=0)
+        self.row = tuple(coeffs.get(e, 0)
+                         for e in range(lo, max(coeffs, default=lo - 1) + 1))
+
+    @classmethod
+    def from_row(cls, lo: int, row: Iterable[int]) -> "LaurentPolynomial":
+        """sum_t row[t] z^(lo + t), for a row with nonzero ends."""
+        poly = cls.__new__(cls)
+        poly.lo, poly.row = lo, tuple(row)
+        return poly
+
+    @property
+    def coeffs(self) -> dict[int, int]:
+        """The nonzero coefficients by ascending exponent."""
+        lo = self.lo
+        return {lo + t: c for t, c in enumerate(self.row) if c}
 
     def __eq__(self, other):
         if isinstance(other, LaurentPolynomial):
-            return self.coeffs == other.coeffs
+            return self.lo == other.lo and self.row == other.row
         return NotImplemented
 
     def coefficient(self, e: int) -> int:
-        return self.coeffs.get(e, 0)
+        t = e - self.lo
+        return self.row[t] if 0 <= t < len(self.row) else 0
 
     def constant_term(self) -> int:
         return self.coefficient(0)
 
     def evaluate_at_one(self) -> int:
-        return sum(self.coeffs.values())
+        return sum(self.row)
 
     def evaluate(self, z: complex) -> complex:
         return sum(complex(c) * z ** e for e, c in self.coeffs.items())
 
     def support(self) -> tuple[int, int]:
-        if not self.coeffs:
+        if not self.row:
             return (0, 0)
-        return (min(self.coeffs), max(self.coeffs))
+        return (self.lo, self.lo + len(self.row) - 1)
 
     def as_integer_coeffs(self) -> dict[int, int]:
         """The coefficients by ascending exponent."""
-        return dict(sorted(self.coeffs.items()))
+        return self.coeffs
 
     def __repr__(self):
         return f"LaurentPolynomial({self})"
 
     def __str__(self):
-        if not self.coeffs:
+        coeffs = self.coeffs
+        if not coeffs:
             return "0"
         parts = []
-        for e in sorted(self.coeffs):
-            c = self.coeffs[e]
+        for e, c in coeffs.items():
             if e == 0:
                 body = str(abs(c))
             else:

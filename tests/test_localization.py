@@ -31,7 +31,7 @@ POINT = RingSpec.point()
 
 
 def point_component(name, moment, weights):
-    blocks = [NormalBlock(w, [POINT.zero()]) for w in weights]
+    blocks = [NormalBlock(w, (POINT.zero(),)) for w in weights]
     return FixedComponent(name, 0, moment, POINT, POINT.one(), POINT.zero(),
                           blocks)
 
@@ -66,7 +66,7 @@ def test_chi_tilde_nilpotent_root_example():
     ring = RingSpec((("h", 2),), 2, {(1,): Fraction(1)})
     h = ring.generator("h")
     F = FixedComponent("f", 2, 0, ring, ring.one() + h, h,
-                       [NormalBlock(1, [h])])
+                       [NormalBlock(1, (h,))])
     for m in range(5):
         want = scalar_sum([ZRational(0, {0: m + 1}, {1: 1}),
                            ZRational(1, {0: 1}, {1: 2})])
@@ -83,7 +83,7 @@ def test_chi_tilde_negative_weight_nilpotent_example():
     ring = RingSpec((("h", 2),), 2, {(1,): Fraction(1)})
     h = ring.generator("h")
     F = FixedComponent("f", 2, 0, ring, ring.one() + h, h,
-                       [NormalBlock(-1, [h])])
+                       [NormalBlock(-1, (h,))])
     for m in range(5):
         want = scalar_sum([ZRational(1, {0: -m}, {1: 1}),
                            ZRational(2, {0: 1}, {1: 2})])
@@ -101,7 +101,7 @@ def test_chi_tilde_single_weight_point_examples():
                                (-1, 1, ZRational(1, {0: -1}, {1: 1})),
                                (-2, 2, ZRational(4, {0: 1}, {2: 2}))]:
         F = FixedComponent("p", 0, 0, POINT, POINT.one(), POINT.zero(),
-                           [NormalBlock(weight, [POINT.zero()] * rank)])
+                           [NormalBlock(weight, (POINT.zero(),) * rank)])
         for m in range(3):
             assert chi_tilde(F, m) == want, (weight, rank, m)
 
@@ -116,7 +116,7 @@ def test_chi_tilde_single_block_matches_localization(k, coefficients):
     ring = RingSpec((("h", 2),), 2, {(1,): Fraction(1)})
     h = ring.generator("h")
     F = FixedComponent("f", 2, 0, ring, ring.one() + h, h,
-                       [NormalBlock(k, [h * c for c in coefficients])])
+                       [NormalBlock(k, tuple(h * c for c in coefficients))])
     for m in range(5):
         _assert_matches_localization(F, m)
 
@@ -567,7 +567,7 @@ def test_series_reject_roots_with_a_scalar_part():
     # an unvalidated component whose Chern root is 1: every walk over the
     # powers of the root raises instead of multiplying forever
     F = builtin("cp001").component("w0")
-    F = replace(F, blocks=[replace(b, chern_roots=[F.ring.one()] * b.rank)
+    F = replace(F, blocks=[replace(b, chern_roots=(F.ring.one(),) * b.rank)
                            for b in F.blocks])
     for build in (lambda: equivariant_todd_at_F(F, 8),
                   lambda: component_u_laurent(F, 1, 8),
@@ -689,8 +689,8 @@ def _rational_component():
     h = ring.generator("h")
     return FixedComponent("q", 4, 0, ring, ring.one() + h * Fraction(3, 7),
                           h * Fraction(2, 5),
-                          [NormalBlock(1, [h * Fraction(1, 3)]),
-                           NormalBlock(-2, [h * Fraction(-5, 4)])])
+                          [NormalBlock(1, (h * Fraction(1, 3),)),
+                           NormalBlock(-2, (h * Fraction(-5, 4),))])
 
 
 def test_integer_series_match_graded_oracle():

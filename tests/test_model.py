@@ -40,7 +40,7 @@ def test_dimension_mismatch_diagnostic():
 def test_point_component_constraints():
     ring = RingSpec.point()
     comp = FixedComponent("pt", 0, 0, ring, ring.one(), ring.zero(),
-                          [NormalBlock(1, [ring.zero()])])
+                          [NormalBlock(1, (ring.zero(),))])
     p = ManifoldPresentation("x", 2, (comp,))
     assert validate(p) == []
     p = replace(p, components=(replace(comp, todd=ring.scalar(2)),))
@@ -333,11 +333,21 @@ def test_cpn_linear_structure():
     cp1_comp = q.component("w0")
     assert cp1_comp.dim_F == 2 and cp1_comp.weights() == [1]
     h = cp1_comp.ring.generator("h")
-    assert cp1_comp.blocks[0].chern_roots == [-h]
+    assert cp1_comp.blocks[0].chern_roots == (-h,)
     point = q.component("w1")
     assert point.weights() == [-1, -1]
     with pytest.raises(ValueError):
         cpn_linear([0], 1)
+
+
+def test_chern_roots_cannot_be_edited_in_place():
+    # an edit in place would leave the pieces kept on the frozen
+    # component stale
+    p = cpn_linear([0, 0, 1], 1)
+    for q in (p, parse(serialize(p)), product(p, p)):
+        F = q.components[0]
+        with pytest.raises(TypeError):
+            F.blocks[0].chern_roots[0] = F.ring.zero()
 
 
 def test_cpn_linear_moment_normalization():

@@ -23,7 +23,7 @@ POINT = RingSpec.point()
 
 
 def point_component(name, moment, weights):
-    blocks = [NormalBlock(w, [POINT.zero()]) for w in weights]
+    blocks = [NormalBlock(w, (POINT.zero(),)) for w in weights]
     return FixedComponent(name, 0, moment, POINT, POINT.one(), POINT.zero(),
                           blocks)
 
@@ -102,8 +102,8 @@ def test_exceptional_errors():
     ring = RingSpec((("h", 2),), 2, {(1,): Fraction(1)})
     F = FixedComponent("s", 2, 0, ring, ring.one() + ring.generator("h"),
                        ring.generator("h"),
-                       [NormalBlock(1, [ring.zero()]),
-                        NormalBlock(-1, [ring.zero()])])
+                       [NormalBlock(1, (ring.zero(),)),
+                        NormalBlock(-1, (ring.zero(),))])
     with pytest.raises(Unsupported):
         exceptional_term(F)
 

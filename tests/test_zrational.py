@@ -7,8 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from equiloc import oracle
+from equiloc.localization import character
+from equiloc.model import (cpn_linear, parse, product, serialize,
+                           shift_moment, trivial_cp1)
 from equiloc.zrational import (LaurentPolynomial, NotAPolynomial, ZRational,
-                               scalar_sum)
+                               _expand_factors, scalar_sum)
 
 
 def test_scalar_sum_example():
@@ -213,3 +217,106 @@ def test_laurent_polynomial_printing():
     assert str(p) == "z^-1 + 2 + z"
     assert p.evaluate_at_one() == 4
     assert p.as_integer_coeffs() == {-1: 1, 0: 2, 1: 1}
+
+
+def _check_row(chi):
+    """The dense row against the dict view it stands for."""
+    coeffs = chi.coeffs
+    assert 0 not in coeffs.values()
+    assert all(type(c) is int for c in coeffs.values())
+    assert LaurentPolynomial(coeffs) == chi
+    assert chi.as_integer_coeffs() == coeffs
+    assert list(coeffs) == sorted(coeffs)
+    assert chi.evaluate_at_one() == sum(coeffs.values())
+    lo, hi = chi.support()
+    if coeffs:
+        assert (lo, hi) == (min(coeffs), max(coeffs))
+        assert chi.row[0] and chi.row[-1]
+        assert len(chi.row) == hi - lo + 1
+    else:
+        assert (lo, hi) == (0, 0) and chi.row == ()
+    for e in range(lo - 3, hi + 4):
+        assert chi.coefficient(e) == coeffs.get(e, 0)
+    assert chi.constant_term() == coeffs.get(0, 0)
+
+
+def test_dense_row_edge_cases():
+    # an interior zero: CP^1 with weights 0, 2 at m = 1 is 1 + z^2
+    chi = character(cpn_linear([0, 2], 1), 1)
+    assert (chi.lo, chi.row) == (0, (1, 0, 1))
+    assert chi.coeffs == {0: 1, 2: 1} and chi.coefficient(1) == 0
+    # negative exponents
+    chi = character(shift_moment(cpn_linear([0, 1], 1), -2), 1)
+    assert chi == LaurentPolynomial({-2: 1, -1: 1})
+    # zero, as a division and as a mapping
+    f = ZRational(0, {0: 1, 2: -1}, {1: 1})
+    zero = scalar_sum([f, f.scale(-1)]).to_laurent_polynomial()
+    assert zero == LaurentPolynomial({}) == LaurentPolynomial({3: 0})
+    assert str(zero) == "0" and zero.coeffs == {}
+    for chi in (character(cpn_linear([0, 2], 1), 1), zero,
+                LaurentPolynomial({-4: 2, 0: 0, 3: -1})):
+        _check_row(chi)
+    assert LaurentPolynomial.from_row(-1, [1, 0, 2]) == LaurentPolynomial(
+        {-1: 1, 1: 2})
+    assert LaurentPolynomial({0: 1}) != LaurentPolynomial({1: 1})
+
+
+cpn_args = st.tuples(
+    st.lists(st.integers(min_value=-2, max_value=3), min_size=2,
+             max_size=3),
+    st.integers(min_value=1, max_value=2),
+    st.integers(min_value=-3, max_value=3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(cpn_args, st.one_of(st.none(), cpn_args),
+       st.integers(min_value=-3, max_value=3),
+       st.integers(min_value=0, max_value=3))
+def test_dense_row_matches_enumeration(first, second, s, m):
+    # cpn_linear, product and shift_moment against monomial enumeration
+    p = cpn_linear(*first)
+    want = oracle.cpn_weights(*first[:2], m, first[2])
+    if second is not None:
+        p = product(p, cpn_linear(*second))
+        want = oracle.convolve(want, oracle.cpn_weights(*second[:2], m,
+                                                       second[2]))
+    chi = character(shift_moment(p, s), m)
+    assert chi == want.shifted(m * s).to_laurent()
+    _check_row(chi)
+
+
+def test_fused_passes_reject_an_uncancelled_double_factor():
+    # cpn11's summed character over one more (1 - z)^2: the chained passes
+    # of the doubled factor leave a remainder
+    chi = character(cpn_linear(list(range(11)), 1), 3)
+    num = chi.coeffs
+    for _ in range(3):
+        num = {e: num.get(e, 0) - num.get(e - 1, 0)
+               for e in set(num) | {e + 1 for e in num}}
+    assert ZRational(0, num, {1: 3}).to_laurent_polynomial() == chi
+    with pytest.raises(NotAPolynomial, match="^poles at roots of unity fail "
+                       "to cancel; fixed-point data is inconsistent$"):
+        ZRational(0, num, {1: 5}).to_laurent_polynomial()
+
+
+def test_fused_passes_reject_a_non_integral_document():
+    # the sphere's integral halved (z^0 coefficient 3/2 at m = 2), times
+    # cpn11, whose denominators carry factors of multiplicity 2
+    half = parse(serialize(trivial_cp1()).replace('"h^1": "1"',
+                                                  '"h^1": "1/2"'))
+    p = product(half, cpn_linear(list(range(11)), 1))
+    assert any(mult > 1 for G in p.moment_groups
+               for P in G.chi_pieces for mult in P.den.values())
+    with pytest.raises(NotAPolynomial,
+                       match="^coefficient of z\\^0 is 3/2, not an integer$"):
+        character(p, 2)
+
+
+def test_kept_expansions_are_immutable():
+    poly = _expand_factors(((1, 2), (3, 0)))
+    assert poly == ((0, 1), (1, -2), (2, 1))
+    assert _expand_factors(((1, 2), (3, 0))) is poly
+    with pytest.raises(TypeError):
+        poly[0] = (0, 2)
+    with pytest.raises(TypeError):
+        poly[0][1] = 2
