@@ -14,8 +14,9 @@ nilpotent, so e^{m omega_F} = sum_j m^j omega_F^j/j! and chi_tilde_F are
 polynomials in m of degree at most dim_F/2.  Their m-free coefficients
 (`chi_tilde_pieces`) are built once per component and kept on it
 (`FixedComponent.chi_pieces`); components of one moment J, which share
-z^{mJ}, also keep them summed (`ManifoldPresentation.moment_groups`), so
-each m sums one chi_tilde per moment level and divides once.
+z^{mJ}, keep them summed as int rows over one denominator and scale
+(`ManifoldPresentation.moment_groups`), so one m adds those rows times
+powers of m at their shifts mJ and divides once.
 
 Numeric side: the localized inner integrand of the Witten integral, with
 the equivariant Todd class Td_F as the one integrand,
@@ -56,7 +57,8 @@ from typing import Mapping, Optional, Sequence
 
 from .model import FixedComponent, ManifoldPresentation, MomentGroup
 from .ring import GradedElement, RingSpec, todd_coefficient
-from .zrational import LaurentPolynomial, ZRational, scalar_sum
+from .zrational import (LaurentPolynomial, ZRational, linear_sum,
+                        over_one_denominator, scalar_sum)
 
 
 # ---------------------------------------------------------------------------
@@ -64,16 +66,16 @@ from .zrational import LaurentPolynomial, ZRational, scalar_sum
 
 
 def chi_tilde_pieces(F: FixedComponent) -> tuple[ZRational, ...]:
-    """The m-free pieces P_0..P_d of chi_tilde_F, d = dim_F/2 at most:
+    """The m-free pieces P_0..P_d of chi_tilde_F, d = dim_F/2 at most, over
+    one denominator and scale (`over_one_denominator`):
 
         P_j = int_F Td(F) omega_F^j/j! prod_{k,i} 1/(1 - z^k e^{a_ki}).
 
-    An isolated point (dim_F == 0) has zero Chern roots, so its one piece
-    takes the closed form  z^shift * sign * int_F Td / prod_k (1 - z^|k|)^{r_k}:
+    When every normal Chern root vanishes (at a point, say), P_j takes the
+    closed form  z^shift sign int_F Td omega^j/j! / prod_k (1 - z^|k|)^{r_k}:
     by 1/(1 - z^k) = -z^|k| / (1 - z^|k|), a block of weight k < 0 and rank
-    r contributes (-1)^r to sign and |k| r to shift.  Points keep this form
-    because the general expansion below costs several times as much on the
-    many isolated points of a product such as (cp1)^8.
+    r contributes (-1)^r to sign and |k| r to shift.  The general expansion
+    below costs several times as much, as on the many points of (cp1)^8.
 
     Other components expand each factor by nilpotency of its root a: for
     k > 0, with v = e^a - 1,
@@ -86,7 +88,7 @@ def chi_tilde_pieces(F: FixedComponent) -> tuple[ZRational, ...]:
     piece integrates Td omega_F^j/j! against every coefficient, and
     `scalar_sum` brings the results over one denominator.
     """
-    if F.dim_F == 0:
+    if not any(root for block in F.blocks for root in block.chern_roots):
         sign, shift, den = 1, 0, {}
         for block in F.blocks:
             k, r = abs(block.weight), block.rank
@@ -94,7 +96,11 @@ def chi_tilde_pieces(F: FixedComponent) -> tuple[ZRational, ...]:
                 sign *= (-1) ** r
                 shift += k * r
             den[k] = den.get(k, 0) + r
-        return (ZRational(shift, {0: sign * F.todd.integrate()}, den),)
+        if F.dim_F == 0:
+            return (ZRational(shift, {0: sign * F.todd.integrate()}, den),)
+        return over_one_denominator(
+            ZRational(shift, {0: sign * (F.todd * w).integrate()}, den)
+            for w in F.omega.divided_powers())
     terms = {(0, ()): F.ring.one()}
     for block in F.blocks:
         for root in block.chern_roots:
@@ -108,7 +114,7 @@ def chi_tilde_pieces(F: FixedComponent) -> tuple[ZRational, ...]:
                     term = c * f
                     nxt[key] = nxt[key] + term if key in nxt else term
             terms = nxt
-    return tuple(
+    return over_one_denominator(
         scalar_sum(ZRational(s, {0: (c * tw).integrate()}, dict(den))
                    for (s, den), c in terms.items())
         for tw in (F.todd * w for w in F.omega.divided_powers()))
@@ -132,13 +138,14 @@ def _factor_terms(weight: int, root: GradedElement) -> list[tuple]:
 def chi_tilde(F: FixedComponent | MomentGroup, m: int) -> ZRational:
     """The character function sum_j m^j P_j as a scalar ZRational, from
     the pieces kept on a component (`FixedComponent.chi_pieces`) or summed
-    over a moment level (`MomentGroup.chi_pieces`)."""
+    over a moment level (`MomentGroup.chi_pieces`), which share one
+    denominator and scale: their rows times the powers of m, added."""
     if m < 0:
         raise ValueError("m must be nonnegative")
     pieces = F.chi_pieces
     if len(pieces) == 1:
         return pieces[0]
-    return scalar_sum(P.scale(m ** j) for j, P in enumerate(pieces))
+    return linear_sum((m ** j, 0, P) for j, P in enumerate(pieces))
 
 
 def character(p: ManifoldPresentation, m: int) -> LaurentPolynomial:
@@ -148,7 +155,7 @@ def character(p: ManifoldPresentation, m: int) -> LaurentPolynomial:
     Raises NotAPolynomial when the per-component poles fail to cancel,
     which certifies the fixed-point data inconsistent.
     """
-    return scalar_sum(chi_tilde(G, m).shifted(m * G.moment)
+    return linear_sum((1, m * G.moment, chi_tilde(G, m))
                       for G in p.moment_groups).to_laurent_polynomial()
 
 

@@ -24,7 +24,7 @@ from .expressions import (ExpressionError, element_to_string,
                           monomial_to_string, string_to_element,
                           string_to_monomial)
 from .ring import GradedElement, RingSpec, todd_from_roots
-from .zrational import scalar_sum
+from .zrational import linear_sum, over_one_denominator
 
 
 class ParseError(ValueError):
@@ -85,8 +85,14 @@ class FixedComponent:
         return chi_tilde_pieces(self)
 
     @cached_property
-    def residue_pieces(self) -> tuple[Fraction, ...]:
-        """The residue prescription applied to each of `chi_pieces`."""
+    def classification(self):
+        """`quantize.classify` of this component."""
+        from .quantize import classify
+        return classify(self)
+
+    @cached_property
+    def residue_pieces(self) -> tuple[tuple[int, ...], int]:
+        """(n, d), m-free: the residue term is sum_j m^j n_j / d."""
         from .quantize import residue_pieces
         return residue_pieces(self)
 
@@ -105,11 +111,12 @@ class QuotientData:
     kappa_todd: GradedElement
 
     @cached_property
-    def regular_pieces(self) -> tuple[Fraction, ...]:
-        """int kappa omega0^j / j! for j = 0..d, so that the regular term
-        int e^{m omega0} kappa is sum_j m^j times the j-th entry."""
-        return tuple((self.kappa_todd * w).integrate()
-                     for w in self.omega0.divided_powers())
+    def regular_pieces(self) -> tuple[tuple[int, ...], int]:
+        """(n, d) with n_j / d = int kappa omega0^j / j!, so that the regular
+        term int e^{m omega0} kappa is sum_j m^j n_j / d."""
+        from .quantize import over_lcm
+        return over_lcm((self.kappa_todd * w).integrate()
+                        for w in self.omega0.divided_powers())
 
 
 @dataclass(frozen=True)
@@ -130,16 +137,17 @@ class ManifoldPresentation:
     @cached_property
     def moment_groups(self) -> tuple[MomentGroup, ...]:
         """One group per distinct moment, ascending, kept on first use (a
-        `dataclasses.replace` copy starts without); a lone component's
-        pieces are its own `chi_pieces`."""
-        by_moment: dict[int, list[tuple]] = {}
+        `dataclasses.replace` copy starts without); all pieces share one
+        denominator and scale (`over_one_denominator`)."""
+        rows = iter(over_one_denominator(
+            P for F in self.components for P in F.chi_pieces))
+        sums: dict[int, dict[int, list]] = {}    # J -> j -> terms, j ascending
         for F in self.components:
-            by_moment.setdefault(F.moment, []).append(F.chi_pieces)
-        return tuple(
-            MomentGroup(J, pieces[0] if len(pieces) == 1 else tuple(
-                scalar_sum(P[j] for P in pieces if j < len(P))
-                for j in range(max(map(len, pieces)))))
-            for J, pieces in sorted(by_moment.items()))
+            level = sums.setdefault(F.moment, {})
+            for j, P in zip(range(len(F.chi_pieces)), rows):
+                level.setdefault(j, []).append((1, 0, P))
+        return tuple(MomentGroup(J, tuple(map(linear_sum, level.values())))
+                     for J, level in sorted(sums.items()))
 
     def f_zero(self) -> list[FixedComponent]:
         """Components sitting inside the zero level of the moment map."""
@@ -242,7 +250,11 @@ def _ring_to_doc(ring: RingSpec) -> dict:
     }
 
 
-def _ring_from_doc(doc: dict, where: str) -> RingSpec:
+def _ring_from_doc(doc: dict, where: str, memo: dict) -> RingSpec:
+    """A ring block, parsed once per JSON text (false, 0, "0" differ)."""
+    text = json.dumps(doc)
+    if text in memo:
+        return memo[text]
     _typed(doc, dict, f"{where}: ring")
     gens_doc = _typed(doc.get("generators", []), list, f"{where}: generators")
     integrals = _typed(doc.get("integrals", {}), dict, f"{where}: integrals")
@@ -253,12 +265,14 @@ def _ring_from_doc(doc: dict, where: str) -> RingSpec:
         names = [name for name, _ in gens]
         table = {}
         for key, val in integrals.items():
-            value = _expression(RingSpec.point(), val, f"integral {key!r}")
+            value = _expression(RingSpec.point(), val, f"integral {key!r}",
+                                memo)
             table[string_to_monomial(names, key)] = value.scalar_part()
         if len(table) < len(integrals):
             raise ParseError("two integral keys name the same monomial")
-        return RingSpec(gens, _typed(doc["truncation"], int, "truncation"),
-                        table)
+        memo[text] = RingSpec(
+            gens, _typed(doc["truncation"], int, "truncation"), table)
+        return memo[text]
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"{where}: bad ring: {e}") from e
 
@@ -307,13 +321,17 @@ def _typed(value, kind: type, what: str):
     return value
 
 
-def _expression(ring: RingSpec, value, what: str) -> GradedElement:
-    """A class expression, which must be a JSON string; its errors name
-    the field."""
-    try:
-        return string_to_element(ring, _typed(value, str, what))
-    except ExpressionError as e:
-        raise ParseError(f"{what}: {e}") from e
+def _expression(ring: RingSpec, value, what: str,
+                memo: dict) -> GradedElement:
+    """A class expression, which must be a JSON string, parsed once per
+    (ring, string) in `memo`; its errors name the field."""
+    key = (id(ring), _typed(value, str, what))
+    if key not in memo:
+        try:
+            memo[key] = string_to_element(ring, value)
+        except ExpressionError as e:
+            raise ParseError(f"{what}: {e}") from e
+    return memo[key]
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -333,7 +351,8 @@ def parse(text: str) -> ManifoldPresentation:
     collected diagnostics when validation fails.  Names, integers,
     booleans, arrays and objects must have that JSON type: nothing is
     truncated or coerced.  A key repeated within one object and a class
-    term above its ring's truncation degree are errors too.
+    term above its ring's truncation degree are errors too.  Each distinct
+    ring block and class string is parsed once per call.
     """
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
@@ -351,19 +370,20 @@ def parse(text: str) -> ManifoldPresentation:
         comps_doc = _typed(doc["components"], list, "components")
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"missing or malformed top-level field: {e}") from e
+    memo: dict = {}    # rings and class expressions, for this call only
     components = []
     for idx, c in enumerate(comps_doc):
         where = f"components[{idx}]"
         try:
-            ring = _ring_from_doc(c["ring"], where)
-            todd = _expression(ring, c["todd"], f"{where}: todd")
-            omega = _expression(ring, c["omega"], f"{where}: omega")
+            ring = _ring_from_doc(c["ring"], where, memo)
+            todd = _expression(ring, c["todd"], f"{where}: todd", memo)
+            omega = _expression(ring, c["omega"], f"{where}: omega", memo)
             blocks = []
             for b in _typed(c.get("blocks", []), list, f"{where}: blocks"):
                 weight = _typed(b["weight"], int, f"{where}: weight")
                 roots = _typed(b["chern_roots"], list, f"{where}: chern_roots")
-                roots = tuple(_expression(ring, r, f"{where}: chern root {i}")
-                              for i, r in enumerate(roots))
+                roots = tuple(_expression(ring, r, f"{where}: chern root {i}",
+                                          memo) for i, r in enumerate(roots))
                 blocks.append(NormalBlock(weight, roots))
             components.append(FixedComponent(
                 name=_typed(c["name"], str, f"{where}: name"),
@@ -380,12 +400,13 @@ def parse(text: str) -> ManifoldPresentation:
     if q is not None:
         _typed(q, dict, "quotient")
         try:
-            qring = _ring_from_doc(q["ring"], "quotient")
+            qring = _ring_from_doc(q["ring"], "quotient", memo)
             quotient = QuotientData(
                 ring=qring,
-                omega0=_expression(qring, q["omega0"], "quotient: omega0"),
+                omega0=_expression(qring, q["omega0"], "quotient: omega0",
+                                   memo),
                 kappa_todd=_expression(qring, q["kappa_todd"],
-                                       "quotient: kappa_todd"))
+                                       "quotient: kappa_todd", memo))
         except ParseError:
             raise
         except (KeyError, TypeError, ValueError) as e:

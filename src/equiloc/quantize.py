@@ -34,7 +34,8 @@ residue term has the residues of the pieces of chi_tilde as coefficients
 (`FixedComponent.residue_pieces`); the exceptional term of an isolated
 point does not depend on m (`FixedComponent.exceptional`); the supplied
 regular term int e^{m omega0} kappa has the coefficients
-int kappa omega0^j/j! (`QuotientData.regular_pieces`).
+int kappa omega0^j/j! (`QuotientData.regular_pieces`); all as int numerators
+over one denominator, so one m costs int Horner sums and a Fraction a value.
 """
 
 from __future__ import annotations
@@ -85,18 +86,25 @@ def rr_invariant(p: ManifoldPresentation, m: int) -> int:
     return localization.character(p, m).constant_term()
 
 
-def _polyval(coeffs, m: int) -> Fraction:
-    """sum_j m^j coeffs[j], by Horner."""
-    acc = Fraction(0)
-    for c in reversed(coeffs):
+def over_lcm(coeffs) -> tuple[tuple[int, ...], int]:
+    """(n, d): the rationals c_j as int numerators n_j over their lcm d."""
+    coeffs = [Fraction(c) for c in coeffs]
+    d = math.lcm(*(c.denominator for c in coeffs))
+    return tuple(c.numerator * (d // c.denominator) for c in coeffs), d
+
+
+def _at(poly: tuple[tuple[int, ...], int], m: int) -> Fraction:
+    """sum_j m^j n_j / d for poly = (n, d): an int Horner sum, one Fraction."""
+    acc = 0
+    for c in reversed(poly[0]):
         acc = acc * m + c
-    return acc
+    return Fraction(acc, poly[1])
 
 
-def residue_pieces(F: FixedComponent) -> tuple[Fraction, ...]:
+def residue_pieces(F: FixedComponent) -> tuple[tuple[int, ...], int]:
     """The residue prescription of F's classification side applied to each
-    m-free piece of chi_tilde (residues are linear)."""
-    side = classify(F).side
+    m-free piece of chi_tilde (residues are linear), over one denominator."""
+    side = F.classification.side
 
     def residue(P):
         if side == "plus":
@@ -106,18 +114,18 @@ def residue_pieces(F: FixedComponent) -> tuple[Fraction, ...]:
         return (P.shifted(-1).residue_at_zero()
                 + P.residue_at_infinity()) / 2
 
-    return tuple(residue(P) for P in F.chi_pieces)
+    return over_lcm(residue(P) for P in F.chi_pieces)
 
 
 def residue_term(F: FixedComponent, m: int) -> Fraction:
     """The residue prescription applied to chi_tilde of a moment-zero
     component, dispatched on its classification: a polynomial in m whose
-    coefficients are kept on F (`FixedComponent.residue_pieces`)."""
+    integer coefficients are kept on F (`FixedComponent.residue_pieces`)."""
     if F.moment != 0:
         raise ValueError(
             f"component {F.name} has moment {F.moment}; residue terms are "
             "defined for moment-zero components only")
-    return _polyval(F.residue_pieces, m)
+    return _at(F.residue_pieces, m)
 
 
 def exceptional_term(F: FixedComponent) -> Fraction:
@@ -164,7 +172,7 @@ def exceptional_from_series(F: FixedComponent,
     """
     if F.moment != 0:
         raise ValueError("exceptional terms require moment zero")
-    if classify(F) is not Classification.INDEFINITE:
+    if F.classification is not Classification.INDEFINITE:
         raise NotIndefinite(f"component {F.name} is definite")
     if F.dim_F != 0:
         raise Unsupported(
@@ -186,7 +194,7 @@ def regular_term(p: ManifoldPresentation, m: int) -> tuple[Fraction, str]:
     if p.quotient is None:
         rep = main_formula_report(p, m)
         return rep.regular, rep.regular_tag
-    return _polyval(p.quotient.regular_pieces, m), "supplied"
+    return _at(p.quotient.regular_pieces, m), "supplied"
 
 
 @dataclass
@@ -214,18 +222,20 @@ def main_formula_report(p: ManifoldPresentation, m: int) -> MainFormulaReport:
     residues = {}
     exceptionals = {}
     for F in p.f_zero():
-        cls = classify(F)
+        cls = F.classification
         residues[F.name] = (cls.value, residue_term(F, m))
         if cls is Classification.INDEFINITE:
             exceptionals[F.name] = F.exceptional
-    rest = sum((v for _, v in residues.values()), Fraction(0)) \
-        + sum(exceptionals.values(), Fraction(0))
+    rest = [v for _, v in residues.values()] + [*exceptionals.values()]
+    d = math.prod(v.denominator for v in rest)
+    diagnostic = Fraction(rr * d - sum(v.numerator * (d // v.denominator)
+                                       for v in rest), d)
     balance: Optional[bool] = None
     if p.quotient is None:
-        reg, tag = rr - rest, "diagnostic"
+        reg, tag = diagnostic, "diagnostic"
     else:
         reg, tag = regular_term(p, m)
-        balance = reg + rest == rr
+        balance = reg == diagnostic
     return MainFormulaReport(m=m, rr=rr, residue_terms=residues,
                              exceptional_terms=exceptionals, regular=reg,
                              regular_tag=tag, balance=balance)
@@ -268,7 +278,7 @@ class PolynomialFit:
         return d
 
     def evaluate(self, m: int) -> Fraction:
-        return _polyval(self.coefficients, m)
+        return _at(over_lcm(self.coefficients), m)
 
     def max_residual(self) -> Fraction:
         return max((abs(r) for r in self.residuals.values()),

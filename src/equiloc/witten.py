@@ -42,7 +42,7 @@ import numpy as np
 from .localization import (PreparedInner, component_u_laurent,
                            default_series_order)
 from .model import ManifoldPresentation
-from .quantize import Classification, classify, regular_term
+from .quantize import Classification, regular_term
 
 
 class CancellationError(ArithmeticError):
@@ -315,7 +315,7 @@ def expansion_rhs(p: ManifoldPresentation, phi: TestFunction, m: int,
         regular = regular_term(p, m)[0]
     total = complex(regular)
     for F in p.f_zero():
-        cls = classify(F)
+        cls = F.classification
         laurent = component_u_laurent(F, m, order)
         total += pair_u_laurent(laurent, cls.side, phi)
         if cls is Classification.INDEFINITE:

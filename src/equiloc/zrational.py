@@ -1,41 +1,39 @@
 """Rational functions of a formal variable z.
 
-A ZRational is  z^shift * N(z) / prod_k (1 - z^k)^{m_k}  with k > 0 and the
-numerator N a Laurent polynomial whose coefficients are ints and Fractions.
-Every denominator produced by fixed-point localization has this shape once
-negative-weight factors are normalized away, which makes the residues at
-z = 0 and z = infinity purely mechanical series manipulations.
+A ZRational is  z^shift * N(z) / (L * prod_k (1 - z^k)^{m_k})  with k > 0,
+N a dense row of ints and L an int scale.  Every denominator produced by
+fixed-point localization has this shape once negative-weight factors are
+normalized away, which makes the residues at z = 0 and z = infinity purely
+mechanical series manipulations.
 
 The residue at infinity is defined operationally as the residue at zero of
 chi(1/z)/z; no contour-orientation convention enters anywhere.
 
-The exact character runs on integers.  `scalar_sum` brings pieces
-over one common denominator and scales their numerators by the lcm L of
-all their coefficient denominators, so the summed numerator is an integer
-Laurent polynomial over L, kept as ints when L = 1.  The expansion of each
-extra factor prod (1 - z^k)^{m_k} it multiplies in depends only on the
-m-free shapes, so it is kept per shape as a tuple.
+The exact character runs on integers.  A presentation keeps every
+chi_tilde piece over one denominator D, the largest multiplicity of each k,
+and one scale L, the lcm of the pieces' own (`over_one_denominator`), so
+one m costs row additions (`linear_sum`) and one division: no Fraction, no
+dict and no factor expansion.
 
 Series and division share one integer kernel.  N = Q (1 - z^k) reads
 a[t] = q[t] - q[t-k], so the series of N / (1 - z^k) is the strided prefix
 sum q[t] = a[t] + q[t-k]; the mult passes of a factor (1 - z^k)^mult run
 chained on one slice per residue class mod k.  The Laurent series at
-z = 0, and so both residues, run it on the numerator cut off at the
-highest exponent wanted.  `to_laurent_polynomial` runs it over the
-numerator's own length: the division is exact precisely when the last
-deg D entries vanish.  Only the quotient is divided by L, which must
-divide each of its entries: a character's coefficients are multiplicities.
-The quotient row is the LaurentPolynomial itself, a dense row of ints.
+z = 0, and so both residues, run it on the row cut off at the highest
+exponent wanted.  `to_laurent_polynomial` runs it over the row's own
+length: the division is exact precisely when the last deg D entries
+vanish.  Only the quotient is divided by L, which must divide each of its
+entries: a character's coefficients are multiplicities.  The quotient row
+is the LaurentPolynomial itself, a dense row of ints.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from fractions import Fraction
-from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import lcm
-from typing import Iterable, Mapping, Union
+from operator import add, mul, sub
+from typing import Iterable, Mapping, Sequence, Union
 
 Rat = Union[int, Fraction]
 
@@ -48,52 +46,65 @@ class NotAPolynomial(ArithmeticError):
 
 
 class ZRational:
-    """z^shift * num / prod_k (1 - z^k)^den[k]; zero coefficients and
-    factors are dropped, and zero has shift 0 and no denominator."""
+    """z^shift * sum_t row[t] z^t / (scale * prod_k (1 - z^k)^den[k]), the
+    row a tuple with nonzero ends; zero has shift 0, an empty row, scale 1
+    and no denominator."""
 
-    __slots__ = ("shift", "num", "den")
+    __slots__ = ("shift", "row", "scale", "den")
 
     def __init__(self, shift: int, num: Mapping[int, Rat],
                  den: Mapping[int, int]):
-        clean_num = {int(j): c for j, c in num.items() if c}
-        clean_den = {}
         for k, mult in den.items():
             if k <= 0:
                 raise ValueError("denominator factors must have k > 0")
             if mult < 0:
                 raise ValueError("denominator multiplicities must be >= 0")
-            if mult:
-                clean_den[int(k)] = int(mult)
-        if not clean_num:
-            shift = 0
-            clean_den = {}
-        self.shift = int(shift)
-        self.num = clean_num
-        self.den = clean_den
+        num = {int(j): c for j, c in num.items() if c}
+        scale = lcm(*(c.denominator for c in num.values()))
+        lo = min(num, default=0)
+        row = [0] * (max(num, default=lo - 1) - lo + 1)
+        for j, c in num.items():
+            row[j - lo] = c.numerator * (scale // c.denominator)
+        self.shift, self.row, self.scale, self.den = (
+            int(shift) + lo, tuple(row), scale,
+            {int(k): int(mult) for k, mult in den.items() if mult}
+        ) if row else (0, (), 1, {})
+
+    @classmethod
+    def from_row(cls, shift: int, row: Sequence[int], scale: int,
+                 den: dict[int, int]) -> "ZRational":
+        """The ZRational of a row, zero ends allowed; den is not copied."""
+        lo, hi = 0, len(row)
+        while hi and not row[hi - 1]:
+            hi -= 1
+        while lo < hi and not row[lo]:
+            lo += 1
+        q = cls.__new__(cls)
+        q.shift, q.row, q.scale, q.den = (0, (), 1, {}) if lo == hi else (
+            shift + lo, tuple(row[lo:hi]), scale, den)
+        return q
+
+    @property
+    def num(self) -> dict[int, Rat]:
+        """The nonzero coefficients of N / L, keyed from shift."""
+        return {t: c if self.scale == 1 else Fraction(c, self.scale)
+                for t, c in enumerate(self.row) if c}
 
     # -- structure -------------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.num
-
     def shifted(self, j: int) -> "ZRational":
         """Multiply by z^j."""
-        if self.is_zero():
-            return self
-        return ZRational(self.shift + j, self.num, self.den)
-
-    def scale(self, c: Rat) -> "ZRational":
-        return ZRational(self.shift, {j: v * c for j, v in self.num.items()},
-                         self.den)
+        return linear_sum([(1, j, self)])
 
     def __eq__(self, other):
         if not isinstance(other, ZRational):
             return NotImplemented
-        return scalar_sum([self, other.scale(-1)]).is_zero()
+        a, b = over_one_denominator([self, other])
+        return (a.shift, a.row) == (b.shift, b.row)
 
     def __repr__(self):
         den = "*".join(f"(1-z^{k})^{m}" for k, m in sorted(self.den.items()))
-        return f"ZRational(z^{self.shift} * [{len(self.num)} terms] / {den or 1})"
+        return f"ZRational(z^{self.shift} * [{len(self.row)} terms] / {den or 1})"
 
     # -- expansion, division, residues ------------------------------------------
 
@@ -101,26 +112,24 @@ class ZRational:
         """Exact division; raises NotAPolynomial if poles fail to cancel or
         a quotient coefficient is not an integer.
 
-        The numerator, scaled to integers by the lcm L of its coefficient
-        denominators, is expanded in series over its own length.  N is
+        The integer row is expanded in series over its own length.  It is
         divisible by the denominator D (of degree d) precisely when the
         last d entries of that series vanish; the rest is the quotient,
-        whose entries L must divide.
+        whose entries the scale L must divide.
         """
-        num = self.num
-        if not num:
+        row, scale = self.row, self.scale
+        if not row:
             return LaurentPolynomial.from_row(0, ())
-        lo = min(num)
-        length = max(num) - lo + 1
+        length = len(row)
         degree = sum(k * mult for k, mult in self.den.items())
         if length <= degree:
             raise NotAPolynomial("numerator degree below denominator degree")
-        scale, a = _integer_series(num, lo, length, self.den)
+        a = _integer_series(row, length, self.den)
         if any(a[length - degree:]):
             raise NotAPolynomial("poles at roots of unity fail to cancel; "
                                  "fixed-point data is inconsistent")
         del a[length - degree:]
-        base = self.shift + lo
+        base = self.shift
         if scale > 1:
             for t, q in enumerate(a):
                 if q % scale:
@@ -133,15 +142,12 @@ class ZRational:
 
     def series_coefficients(self, upto: int) -> dict[int, Fraction]:
         """Laurent coefficients at z = 0 for exponents <= upto (exact)."""
-        num = self.num
-        if not num:
+        base = self.shift
+        if not self.row or upto < base:
             return {}
-        lo = min(num)
-        base = self.shift + lo
-        if upto < base:
-            return {}
-        scale, a = _integer_series(num, lo, upto - base + 1, self.den)
-        return {base + t: Fraction(q, scale) for t, q in enumerate(a) if q}
+        a = _integer_series(self.row, upto - base + 1, self.den)
+        return {base + t: Fraction(q, self.scale) for t, q in enumerate(a)
+                if q}
 
     def residue_at_zero(self) -> Fraction:
         """Coefficient of z^{-1} in the Laurent expansion at z = 0."""
@@ -152,78 +158,74 @@ class ZRational:
         (1 - z^{-k})^{-m} = (-1)^m z^{km} (1 - z^k)^{-m}."""
         sign = (-1) ** sum(self.den.values())
         extra_shift = sum(k * m for k, m in self.den.items())
-        num = {-j: c * sign for j, c in self.num.items()}
-        return ZRational(-self.shift + extra_shift, num, self.den)
+        return ZRational.from_row(
+            extra_shift - self.shift - len(self.row) + 1,
+            [sign * c for c in reversed(self.row)], self.scale, self.den)
 
     def residue_at_infinity(self) -> Fraction:
         """Res_{z=0} of chi(1/z)/z, the change-of-variable form of Res at oo."""
         return self.substitute_inverse().shifted(-1).residue_at_zero()
 
 
-def scalar_sum(parts: Iterable[ZRational]) -> ZRational:
-    """Sum of ZRationals over one common denominator, in one pass.
-
-    The denominator takes the largest multiplicity of each k.  Every
-    numerator is scaled to integers by the lcm L of all coefficient
-    denominators, each extra factor prod (1 - z^k)^{extra} comes expanded
-    from `_expand_factors`, which keeps it per shape across calls, and the
-    products accumulate as ints by exponent; the one result has the int
-    sums as coefficients when L = 1 and Fraction(sum, L) otherwise.
-    """
-    parts = [(q.shift, q.num, q.den) for q in parts if q.num]
+def over_one_denominator(parts: Iterable[ZRational]) -> tuple[ZRational, ...]:
+    """The parts, in order, over the largest multiplicity of each k and
+    the lcm L of their scales: a row is scaled by L over its own and times
+    each missing (1 - z^k) by the strided difference b[t] = a[t] - a[t-k];
+    a part already over both, and a zero, is kept as it is."""
+    parts = tuple(parts)
     den: dict[int, int] = {}
-    for _, _, d in parts:
-        for k, mult in d.items():
+    for q in parts:
+        for k, mult in q.den.items():
             den[k] = max(den.get(k, 0), mult)
-    scale = lcm(*(c.denominator for _, num, _ in parts for c in num.values()))
-    shift = min((s for s, _, _ in parts), default=0)
-    acc: dict[int, int] = defaultdict(int)
-    for s, num, d in parts:
-        poly = _expand_factors(tuple((k, den[k] - d.get(k, 0)) for k in den))
-        for j, c in num.items():
-            c = c.numerator * (scale // c.denominator)
-            base = s - shift + j
-            for e, p in poly:
-                acc[base + e] += c * p
-    if scale > 1:
-        acc = {j: Fraction(v, scale) for j, v in acc.items()}
-    return ZRational(shift, acc, den)
+    scale = lcm(*(q.scale for q in parts))
+    out = []
+    for q in parts:
+        if q.row and (q.den != den or q.scale != scale):
+            row = [v * (scale // q.scale) for v in q.row]
+            for k, mult in den.items():
+                for _ in range(mult - q.den.get(k, 0)):
+                    row = list(map(sub, row + [0] * k, [0] * k + row))
+            q = ZRational.from_row(q.shift, row, scale, den)
+        out.append(q)
+    return tuple(out)
 
 
-@lru_cache(maxsize=1024)
-def _expand_factors(factors: tuple[tuple[int, int], ...]) -> tuple:
-    """prod_k (1 - z^k)^{m_k} for the pairs (k, m_k), expanded exactly into
-    (exponent, coefficient) pairs; a tuple, since every caller shares it."""
-    poly = {0: 1}
-    for k, mult in factors:
-        for _ in range(mult):
-            nxt: dict[int, int] = {}
-            for e, c in poly.items():
-                nxt[e] = nxt.get(e, 0) + c
-                nxt[e + k] = nxt.get(e + k, 0) - c
-            poly = nxt
-    return tuple((e, c) for e, c in poly.items() if c)
+def scalar_sum(parts: Iterable[ZRational]) -> ZRational:
+    """Sum of ZRationals: `linear_sum` over `over_one_denominator`."""
+    return linear_sum((1, 0, q) for q in over_one_denominator(parts))
 
 
-def _integer_series(num: Mapping[int, Rat], lo: int, length: int,
-                    den: Mapping[int, int]) -> tuple[int, list[int]]:
-    """The lcm L of num's coefficient denominators, and the first `length`
-    series coefficients of L * num / prod_k (1 - z^k)^{den[k]} from
-    exponent lo up, as ints: each factor is divided out by the strided
-    prefix sum q[t] = a[t] + q[t-k], which reads no entry past t, and the
-    mult sums of (1 - z^k)^mult are chained on one slice per class mod k."""
-    scale = lcm(*(c.denominator for c in num.values()))
-    a = [0] * length
-    for j, c in num.items():
-        if j - lo < length:
-            a[j - lo] = c.numerator * (scale // c.denominator)
+def linear_sum(terms: Iterable[tuple[int, int, ZRational]]) -> ZRational:
+    """sum c z^s q over triples (c, s, q) whose nonzero q share one
+    denominator and scale: the rows times c, added into one int row."""
+    terms = [(c, s + q.shift, q) for c, s, q in terms if c and q.row]
+    if not terms:
+        return ZRational(0, {}, {})
+    lo = min(s for _, s, _ in terms)
+    acc = [0] * (max(s + len(q.row) for _, s, q in terms) - lo)
+    for c, s, q in terms:
+        t, n = s - lo, len(q.row)
+        row = q.row if c == 1 else map(mul, q.row, repeat(c))
+        acc[t:t + n] = map(add, acc[t:t + n], row)
+    return ZRational.from_row(lo, acc, terms[0][2].scale, terms[0][2].den)
+
+
+def _integer_series(row: Sequence[int], length: int,
+                    den: Mapping[int, int]) -> list[int]:
+    """The first `length` series coefficients of sum_t row[t] z^t /
+    prod_k (1 - z^k)^{den[k]}, as ints: each factor is divided out by the
+    strided prefix sum q[t] = a[t] + q[t-k], which reads no entry past t,
+    and the mult sums of (1 - z^k)^mult are chained on one slice per class
+    mod k."""
+    a = list(row[:length])
+    a += [0] * (length - len(a))
     for k, mult in den.items():
         for r in range(k):
             column = a[r::k]
             for _ in range(mult):
                 column = accumulate(column)
             a[r::k] = column
-    return scale, a
+    return a
 
 
 class LaurentPolynomial:

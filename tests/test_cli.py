@@ -531,3 +531,29 @@ def test_verify_has_no_format_option(capsys):
     _, err = capsys.readouterr()
     assert "unrecognized arguments: --format json" in err
     assert "Traceback" not in err
+
+
+# A later component repeats an earlier ring block, retyped: a parse that
+# reused the earlier ring for an equal-looking block (False == 0, True == 1)
+# would accept it.
+RETYPED_RING = [
+    (lambda ring: ring.update(truncation=False),
+     "truncation must be int, got False"),
+    (lambda ring: ring["generators"][0].update(degree=True),
+     "generator degree must be int, got True"),
+    (lambda ring: ring["integrals"].update({"h^1": 1}),
+     "integral 'h^1' must be string, got 1")]
+
+
+@pytest.mark.parametrize("edit, message", RETYPED_RING)
+def test_retyped_repeated_ring_block_exits_2(capsys, tmp_path, edit,
+                                             message):
+    doc = json.loads(serialize(cpn_linear([0, 0, 1, 1], 1)))
+    first, second = doc["components"]
+    assert first["ring"] == second["ring"]
+    edit(second["ring"])
+    path = tmp_path / "retyped.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "rr", "--input", str(path), "--m", "1")
+    assert (code, out) == (2, "")
+    assert err == f"error: components[1]: bad ring: {message}\n"

@@ -181,6 +181,24 @@ def _piece_presentations():
     return out + [big, cpn_linear([-1, 0, 0, 1, 1], 1)]
 
 
+def test_zero_root_components_take_the_closed_form(monkeypatch):
+    # every component whose normal Chern roots vanish, points included:
+    # the closed form against the localized integral, and against the
+    # general expansion, which `any` forced true selects
+    presentations = [builtin("dgmw"), builtin("cp001"), builtin("dim6"),
+                     product(trivial_cp1(2), builtin("cp012"))]
+    zero_root = [F for p in presentations for F in p.components
+                 if not any(r for b in F.blocks for r in b.chern_roots)]
+    assert len(zero_root) >= 14 and {F.dim_F for F in zero_root} == {0, 2}
+    closed = [chi_tilde_pieces(F) for F in zero_root]
+    for F, pieces in zip(zero_root, closed):
+        assert len(pieces) == F.dim_F // 2 + 1
+        for m in range(5):
+            _assert_matches_localization(F, m)
+    monkeypatch.setattr(localization, "any", lambda _: True, raising=False)
+    assert [chi_tilde_pieces(F) for F in zero_root] == closed
+
+
 def test_chi_tilde_pieces_match_localization():
     for p in _piece_presentations():
         for F in p.components:
@@ -358,11 +376,100 @@ def test_cp1_powers_match_convolution(k):
         assert character(p, m) == want.to_laurent(), (k, m)
 
 
+def _outcome(f, p, m):
+    """f(p, m), or the message of the NotAPolynomial it raises."""
+    try:
+        return f(p, m)
+    except NotAPolynomial as e:
+        return f"NotAPolynomial: {e}"
+
+
+def _perturbed(p, kind, pick):
+    """p with one normal weight doubled, or one moment raised by 1."""
+    i = pick % len(p.components)
+    F = p.components[i]
+    if kind == "moment" or not F.blocks:
+        G = replace(F, moment=F.moment + 1)
+    else:
+        j = pick // len(p.components) % len(F.blocks)
+        b = replace(F.blocks[j], weight=2 * F.blocks[j].weight)
+        G = replace(F, blocks=F.blocks[:j] + (b,) + F.blocks[j + 1:])
+    return replace(p, components=p.components[:i] + (G,)
+                   + p.components[i + 1:])
+
+
+builders = st.tuples(st.sampled_from(["product", "trivial", "shift",
+                                      "power"]),
+                     st.lists(st.integers(min_value=0, max_value=2),
+                              min_size=2, max_size=3),
+                     st.integers(min_value=1, max_value=2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=3), min_size=2,
+                max_size=4),
+       st.integers(min_value=1, max_value=2),
+       st.integers(min_value=-2, max_value=2),
+       st.lists(builders, max_size=2),
+       st.sampled_from(["weight", "moment"]),
+       st.integers(min_value=0, max_value=10 ** 6))
+def test_character_matches_the_per_component_sum(weights, d, shift, steps,
+                                                  kind, pick):
+    # the rows kept over one denominator against one chi_tilde per
+    # component summed afresh, at m = 0 (where only P_0 counts) and up
+    p = cpn_linear(weights, d, shift)
+    for op, other, k in steps:
+        if op == "product":
+            p = product(p, cpn_linear(other, 1))
+        elif op == "trivial":
+            p = product(trivial_cp1(k), p)
+        elif op == "shift":
+            p = shift_moment(p, k)
+        else:
+            p = bundle_power(p, k)
+    q = _perturbed(p, kind, pick)
+    for m in range(13):
+        assert character(p, m) == _per_component_character(p, m), m
+        assert _outcome(character, q, m) \
+            == _outcome(_per_component_character, q, m), (kind, m)
+
+
+@pytest.mark.parametrize("p", [
+    product(trivial_cp1(), cpn_linear([0, 1, 3], 1)),
+    product(cpn_linear([0, 0, 1], 1), cpn_linear([0, 2], 1)),
+    bundle_power(shift_moment(cpn_linear([0, 1, 1, 2], 1), -1), 2)])
+@pytest.mark.parametrize("kind", ["weight", "moment"])
+def test_perturbed_compositions_fail_alike(p, kind):
+    # every component in turn: the grouped character raises what the
+    # per-component sum raises, and raises at all for some m
+    for pick in range(len(p.components)):
+        q = _perturbed(p, kind, pick)
+        outcomes = [_outcome(character, q, m) for m in range(1, 6)]
+        assert outcomes == [_outcome(_per_component_character, q, m)
+                            for m in range(1, 6)]
+        assert any(isinstance(o, str) for o in outcomes), (kind, pick)
+
+
 def test_lone_component_keeps_its_own_pieces():
-    p = _cp1_power(2)
-    lowest, middle, _ = p.moment_groups
-    assert lowest.chi_pieces is p.components[0].chi_pieces
-    assert all(middle.chi_pieces is not F.chi_pieces for F in p.components)
+    # every level's pieces lie over the presentation's one denominator D
+    # (the largest multiplicity of each k over all components) and scale;
+    # a lone component's level equals its own pieces, a shared level their
+    # sum
+    for p in (_cp1_power(2), builtin("dgmw"), product(trivial_cp1(2),
+                                                      builtin("cp001"))):
+        pieces = [P for G in p.moment_groups for P in G.chi_pieces]
+        D = {}
+        for F in p.components:
+            for k, mult in F.chi_pieces[0].den.items():
+                D[k] = max(D.get(k, 0), mult)
+        assert all((P.den, P.scale) == (D, pieces[0].scale) for P in pieces)
+        for G in p.moment_groups:
+            level = [F for F in p.components if F.moment == G.moment]
+            for m in range(4):
+                assert chi_tilde(G, m) == scalar_sum(
+                    chi_tilde(F, m) for F in level), (p.name, m)
+            if len(level) == 1:
+                assert G.chi_pieces == level[0].chi_pieces
 
 
 def test_grouping_keeps_inconsistent_data_inconsistent():

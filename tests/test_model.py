@@ -142,6 +142,30 @@ def test_builtin_calls_return_independent_presentations():
         assert q is not p and q.components[0] is not p.components[0]
 
 
+def test_parse_reads_each_distinct_block_once_per_call():
+    # one RingSpec per distinct ring block and one element per distinct
+    # (ring, class string) within a call; nothing shared between calls
+    text = serialize(builtin("dim6"))
+    p, q = parse(text), parse(text)
+    rings = {id(F.ring) for F in p.components}
+    assert len(rings) == 1 and id(p.quotient.ring) not in rings
+    roots = {id(r) for F in p.components for b in F.blocks
+             for r in b.chern_roots}
+    assert len(roots) == 1
+    assert p.components[0].todd is p.components[1].todd
+
+    def objects(p):
+        out = []
+        for F in p.components:
+            out += [F.ring, F.todd, F.omega]
+            out += [r for b in F.blocks for r in b.chern_roots]
+        return out + [p.quotient.ring, p.quotient.omega0,
+                      p.quotient.kappa_todd]
+
+    assert not {id(x) for x in objects(p)} & {id(x) for x in objects(q)}
+    assert serialize(p) == serialize(q) == text
+
+
 def test_parse_syntax_error_reports_position():
     with pytest.raises(ParseError) as err:
         parse("{ not json }")

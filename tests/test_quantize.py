@@ -266,3 +266,73 @@ def test_dgmw_identity_with_definite_components_only():
     for m in range(0, 9):
         total = sum(residue_term(F, m) for F in p.f_zero())
         assert total == rr_invariant(p, m)
+
+
+def _fraction_horner(coeffs, m):
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * m + c
+    return acc
+
+
+def _fraction_residues(F):
+    """The residue prescription of F's side on each chi_tilde piece, as
+    Fractions."""
+    plus = [P.shifted(-1).residue_at_zero() for P in F.chi_pieces]
+    minus = [P.residue_at_infinity() for P in F.chi_pieces]
+    side = classify(F).side
+    if side == "plus":
+        return plus
+    if side == "minus":
+        return minus
+    return [(a + b) / 2 for a, b in zip(plus, minus)]
+
+
+@pytest.mark.parametrize("p", [builtin(name) for name in builtin_names()]
+                         + [cpn_linear([-1, 0, 1, 2], 1, shift=-1),
+                            cpn_linear([-2, 0, 1, 3], 1, shift=-2)],
+                         ids=lambda p: p.name)
+def test_integer_report_terms_match_fraction_pieces(p):
+    # the int numerators over one denominator against a Fraction Horner sum
+    # of the Fraction pieces, term by term and through the whole report, on
+    # every builtin and on two documents with nonzero exceptional terms
+    regular = None
+    if p.quotient is not None:
+        q = p.quotient
+        regular = [(q.kappa_todd * w).integrate()
+                   for w in q.omega0.divided_powers()]
+    for m in range(41):
+        rep = main_formula_report(p, m)
+        rest = Fraction(0)
+        for F in p.f_zero():
+            assert F.classification is classify(F)
+            want = _fraction_horner(_fraction_residues(F), m)
+            assert residue_term(F, m) == want
+            assert rep.residue_terms[F.name] == (classify(F).value, want)
+            rest += want
+            if classify(F) is Classification.INDEFINITE:
+                rest += exceptional_term(F)
+        assert rep.residue_sum() + rep.exceptional_sum() == rest
+        if regular is None:
+            assert (rep.regular, rep.regular_tag) == (rep.rr - rest,
+                                                      "diagnostic")
+            assert rep.balance is None
+        else:
+            assert regular_term(p, m) == (_fraction_horner(regular, m),
+                                          "supplied")
+            assert rep.regular == _fraction_horner(regular, m)
+            assert rep.balance is (rep.regular + rest == rep.rr) is True
+    with pytest.raises(ValueError, match="m must be nonnegative"):
+        main_formula_report(p, -1)
+
+
+def test_report_balance_fails_on_a_wrong_regular_term():
+    # dim6's supplied kappa plus h^2, whose integral is 1: the regular
+    # term moves by 1 at every m and the balance reads False
+    p = builtin("dim6")
+    h = p.quotient.ring.generator("h")
+    q = replace(p.quotient, kappa_todd=p.quotient.kappa_todd + h * h)
+    for m in range(5):
+        rep = main_formula_report(replace(p, quotient=q), m)
+        assert rep.balance is False
+        assert rep.regular == main_formula_report(p, m).regular + 1

@@ -12,7 +12,7 @@ from equiloc.localization import character
 from equiloc.model import (cpn_linear, parse, product, serialize,
                            shift_moment, trivial_cp1)
 from equiloc.zrational import (LaurentPolynomial, NotAPolynomial, ZRational,
-                               _expand_factors, scalar_sum)
+                               over_one_denominator, scalar_sum)
 
 
 def test_scalar_sum_example():
@@ -250,7 +250,7 @@ def test_dense_row_edge_cases():
     assert chi == LaurentPolynomial({-2: 1, -1: 1})
     # zero, as a division and as a mapping
     f = ZRational(0, {0: 1, 2: -1}, {1: 1})
-    zero = scalar_sum([f, f.scale(-1)]).to_laurent_polynomial()
+    zero = scalar_sum([f, ZRational(0, {0: -1, 2: 1}, {1: 1})]).to_laurent_polynomial()
     assert zero == LaurentPolynomial({}) == LaurentPolynomial({3: 0})
     assert str(zero) == "0" and zero.coeffs == {}
     for chi in (character(cpn_linear([0, 2], 1), 1), zero,
@@ -312,11 +312,32 @@ def test_fused_passes_reject_a_non_integral_document():
         character(p, 2)
 
 
-def test_kept_expansions_are_immutable():
-    poly = _expand_factors(((1, 2), (3, 0)))
-    assert poly == ((0, 1), (1, -2), (2, 1))
-    assert _expand_factors(((1, 2), (3, 0))) is poly
+def test_rows_over_one_denominator_are_immutable():
+    # 1/(1-z) over (1-z)^2 (1-z^3) and the scale 2 of a half: its row is
+    # multiplied by 2 (1-z)(1-z^3); a part already over D and L is kept
+    half = ZRational(0, {0: Fraction(1, 2)}, {1: 2, 3: 1})
+    one = ZRational(0, {0: 1}, {1: 1})
+    zero = ZRational(0, {}, {})
+    kept, moved, still = over_one_denominator([half, one, zero])
+    assert kept is half and still is zero
+    assert (moved.shift, moved.row, moved.scale) == (0, (2, -2, 0, -2, 2), 2)
+    assert moved.den == {1: 2, 3: 1} and moved == one
     with pytest.raises(TypeError):
-        poly[0] = (0, 2)
-    with pytest.raises(TypeError):
-        poly[0][1] = 2
+        moved.row[0] = 3
+
+
+def test_sums_trim_cancelled_ends():
+    # rows that cancel at either end leave a row with nonzero ends, so the
+    # quotient of the division is a canonical LaurentPolynomial
+    f = ZRational(0, {0: 1, 1: 1, 2: 1}, {})
+    low = scalar_sum([f, ZRational(0, {0: -1}, {})])
+    assert (low.shift, low.row) == (1, (1, 1))
+    high = scalar_sum([f, ZRational(2, {0: -1}, {})])
+    assert (high.shift, high.row) == (0, (1, 1))
+    both = scalar_sum([f, ZRational(0, {0: -1, 2: -1}, {})])
+    assert (both.shift, both.row, both.num) == (1, (1,), {0: 1})
+    g = ZRational(0, {0: 1, 1: -1, 2: 1}, {1: 1})
+    chi = scalar_sum([g, ZRational(0, {0: -1}, {1: 1})])
+    assert chi.to_laurent_polynomial() == LaurentPolynomial({1: -1})
+    zero = scalar_sum([f, ZRational(0, {0: -1, 1: -1, 2: -1}, {})])
+    assert (zero.shift, zero.row, zero.scale, zero.den) == (0, (), 1, {})
