@@ -62,12 +62,16 @@ class FixedComponent:
     computed on first use and kept on the instance; a perturbed copy
     (`dataclasses.replace`) starts without them."""
     name: str
-    dim_F: int
     moment: int
     ring: RingSpec
     todd: GradedElement
     omega: GradedElement
     blocks: tuple[NormalBlock, ...]
+
+    @property
+    def dim_F(self) -> int:
+        """The real dimension of F, the truncation degree of its ring."""
+        return self.ring.truncation_degree
 
     def normal_rank(self) -> int:
         return sum(b.rank for b in self.blocks)
@@ -131,7 +135,6 @@ class ManifoldPresentation:
     name: str
     dim_M: int
     components: tuple[FixedComponent, ...]
-    free_on_regular: bool = True
     quotient: Optional[QuotientData] = None
 
     @cached_property
@@ -185,12 +188,6 @@ def validate(p: ManifoldPresentation) -> list[Diagnostic]:
         if F.name in seen:
             bad("DuplicateName", where, "an earlier component has this name")
         seen.add(F.name)
-        if F.dim_F < 0 or F.dim_F % 2 != 0:
-            bad("DimensionOdd", where, f"dim_F = {F.dim_F}")
-        if F.dim_F != F.ring.truncation_degree:
-            bad("RingTruncationMismatch", where,
-                f"dim_F = {F.dim_F} but ring truncation is "
-                f"{F.ring.truncation_degree}")
         if F.dim_F + 2 * F.normal_rank() != p.dim_M:
             bad("DimensionMismatch", where,
                 f"dim_F + 2*rank = {F.dim_F + 2 * F.normal_rank()} "
@@ -255,13 +252,15 @@ def _ring_from_doc(doc: dict, where: str, memo: dict) -> RingSpec:
     text = json.dumps(doc)
     if text in memo:
         return memo[text]
-    _typed(doc, dict, f"{where}: ring")
+    _fields(doc, "ring", f"{where}: ring")
     gens_doc = _typed(doc.get("generators", []), list, f"{where}: generators")
     integrals = _typed(doc.get("integrals", {}), dict, f"{where}: integrals")
     try:
-        gens = [(_typed(g["name"], str, "generator name"),
-                 _typed(g["degree"], int, "generator degree"))
-                for g in gens_doc]
+        gens = []
+        for i, g in enumerate(gens_doc):
+            _fields(g, "generator", f"generators[{i}]")
+            gens.append((_typed(g["name"], str, "generator name"),
+                         _typed(g["degree"], int, "generator degree")))
         names = [name for name, _ in gens]
         table = {}
         for key, val in integrals.items():
@@ -283,11 +282,9 @@ def serialize(p: ManifoldPresentation) -> str:
     doc: dict = {
         "name": p.name,
         "dim_M": p.dim_M,
-        "free_on_regular": p.free_on_regular,
         "components": [
             {
                 "name": F.name,
-                "dim_F": F.dim_F,
                 "moment": F.moment,
                 "ring": _ring_to_doc(F.ring),
                 "todd": element_to_string(F.todd),
@@ -321,6 +318,25 @@ def _typed(value, kind: type, what: str):
     return value
 
 
+# the keys `parse` reads in each kind of object; any other key is an error
+_KEYS = {"document": {"name", "dim_M", "components", "quotient"},
+         "component": {"name", "moment", "ring", "todd", "omega", "blocks"},
+         "block": {"weight", "chern_roots"}, "generator": {"name", "degree"},
+         "ring": {"generators", "truncation", "integrals"},
+         "quotient": {"ring", "omega0", "kappa_todd"}}
+
+
+def _fields(doc, kind: str, what: str) -> dict:
+    """`doc` itself if it is a JSON object with no key but those `parse`
+    reads in a `kind` object: a misspelt or retired key is never ignored."""
+    keys = _KEYS[kind]
+    if not keys.issuperset(_typed(doc, dict, what)):
+        raise ParseError(
+            f"{what} has unknown key {min(doc.keys() - keys)!r} "
+            f"(a {kind} reads {', '.join(sorted(keys))})")
+    return doc
+
+
 def _expression(ring: RingSpec, value, what: str,
                 memo: dict) -> GradedElement:
     """A class expression, which must be a JSON string, parsed once per
@@ -350,9 +366,10 @@ def parse(text: str) -> ManifoldPresentation:
     Raises ParseError with line/column info on syntax errors and with the
     collected diagnostics when validation fails.  Names, integers,
     booleans, arrays and objects must have that JSON type: nothing is
-    truncated or coerced.  A key repeated within one object and a class
-    term above its ring's truncation degree are errors too.  Each distinct
-    ring block and class string is parsed once per call.
+    truncated or coerced.  A key repeated within one object, a key `parse`
+    does not read (named with its path) and a class term above its ring's
+    truncation degree are errors too.  Each distinct ring block and class
+    string is parsed once per call.
     """
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
@@ -360,13 +377,10 @@ def parse(text: str) -> ManifoldPresentation:
         raise ParseError(
             f"syntax error at line {e.lineno}, column {e.colno}: {e.msg}"
         ) from e
-    if not isinstance(doc, dict):
-        raise ParseError("document root must be an object")
+    _fields(doc, "document", "document")
     try:
         name = _typed(doc["name"], str, "name")
         dim_M = _typed(doc["dim_M"], int, "dim_M")
-        free = _typed(doc.get("free_on_regular", True), bool,
-                      "free_on_regular")
         comps_doc = _typed(doc["components"], list, "components")
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"missing or malformed top-level field: {e}") from e
@@ -374,12 +388,15 @@ def parse(text: str) -> ManifoldPresentation:
     components = []
     for idx, c in enumerate(comps_doc):
         where = f"components[{idx}]"
+        _fields(c, "component", where)
         try:
             ring = _ring_from_doc(c["ring"], where, memo)
             todd = _expression(ring, c["todd"], f"{where}: todd", memo)
             omega = _expression(ring, c["omega"], f"{where}: omega", memo)
             blocks = []
-            for b in _typed(c.get("blocks", []), list, f"{where}: blocks"):
+            blocks_doc = _typed(c.get("blocks", []), list, f"{where}: blocks")
+            for j, b in enumerate(blocks_doc):
+                _fields(b, "block", f"{where}: blocks[{j}]")
                 weight = _typed(b["weight"], int, f"{where}: weight")
                 roots = _typed(b["chern_roots"], list, f"{where}: chern_roots")
                 roots = tuple(_expression(ring, r, f"{where}: chern root {i}",
@@ -387,7 +404,6 @@ def parse(text: str) -> ManifoldPresentation:
                 blocks.append(NormalBlock(weight, roots))
             components.append(FixedComponent(
                 name=_typed(c["name"], str, f"{where}: name"),
-                dim_F=_typed(c["dim_F"], int, f"{where}: dim_F"),
                 moment=_typed(c["moment"], int, f"{where}: moment"),
                 ring=ring, todd=todd,
                 omega=omega, blocks=tuple(blocks)))
@@ -398,7 +414,7 @@ def parse(text: str) -> ManifoldPresentation:
     quotient = None
     q = doc.get("quotient")
     if q is not None:
-        _typed(q, dict, "quotient")
+        _fields(q, "quotient", "quotient")
         try:
             qring = _ring_from_doc(q["ring"], "quotient", memo)
             quotient = QuotientData(
@@ -413,7 +429,7 @@ def parse(text: str) -> ManifoldPresentation:
             raise ParseError(f"quotient: {e}") from e
     p = ManifoldPresentation(name=name, dim_M=dim_M,
                              components=tuple(components),
-                             free_on_regular=free, quotient=quotient)
+                             quotient=quotient)
     diagnostics = validate(p)
     if diagnostics:
         raise ParseError(
@@ -469,7 +485,7 @@ def cpn_linear(weights: list[int], d: int,
         blocks = tuple(NormalBlock(wp - w, (root,) * weights.count(wp))
                        for wp in values if wp != w)
         components.append(FixedComponent(
-            name=f"w{w}", dim_F=2 * (r - 1), moment=d * (w - w_min) + shift,
+            name=f"w{w}", moment=d * (w - w_min) + shift,
             ring=ring, todd=todd, omega=omega, blocks=blocks))
     wstr = ",".join(str(w) for w in weights)
     name = f"cpn[{wstr}]d{d}" + (f"s{shift}" if shift else "")
@@ -481,7 +497,7 @@ def point_manifold() -> ManifoldPresentation:
     """The one-point manifold with the trivial action: the unit for
     products."""
     ring = RingSpec.point()
-    comp = FixedComponent(name="pt", dim_F=0, moment=0, ring=ring,
+    comp = FixedComponent(name="pt", moment=0, ring=ring,
                           todd=ring.one(), omega=ring.zero(), blocks=())
     return ManifoldPresentation(name="point", dim_M=0, components=(comp,))
 
@@ -492,7 +508,7 @@ def trivial_cp1(d: int = 1) -> ManifoldPresentation:
     ring = projective_ring(2)
     h = ring.generator("h")
     comp = FixedComponent(
-        name="total", dim_F=2, moment=0, ring=ring,
+        name="total", moment=0, ring=ring,
         todd=todd_from_roots(ring, [h] * 2), omega=h * Fraction(d), blocks=())
     return ManifoldPresentation(name=f"trivial_cp1_d{d}", dim_M=2,
                                 components=(comp,))
@@ -502,8 +518,7 @@ def shift_moment(p: ManifoldPresentation, s: int) -> ManifoldPresentation:
     """Shift every moment value by the integer s (studying another level)."""
     comps = tuple(replace(F, moment=F.moment + s) for F in p.components)
     return ManifoldPresentation(name=f"{p.name}+shift{s}",
-                                dim_M=p.dim_M, components=comps,
-                                free_on_regular=p.free_on_regular)
+                                dim_M=p.dim_M, components=comps)
 
 
 def bundle_power(p: ManifoldPresentation, k: int) -> ManifoldPresentation:
@@ -514,8 +529,7 @@ def bundle_power(p: ManifoldPresentation, k: int) -> ManifoldPresentation:
     comps = tuple(replace(F, moment=F.moment * k, omega=F.omega * Fraction(k))
                   for F in p.components)
     return ManifoldPresentation(name=f"{p.name}^pow{k}",
-                                dim_M=p.dim_M, components=comps,
-                                free_on_regular=p.free_on_regular)
+                                dim_M=p.dim_M, components=comps)
 
 
 def _embed(elem: GradedElement, ring: RingSpec, offset: int,
@@ -562,14 +576,13 @@ def product(p: ManifoldPresentation,
             blocks += [NormalBlock(b.weight, tuple(map(liftG, b.chern_roots)))
                        for b in G.blocks]
             components.append(FixedComponent(
-                name=f"{F.name}*{G.name}", dim_F=F.dim_F + G.dim_F,
+                name=f"{F.name}*{G.name}",
                 moment=F.moment + G.moment, ring=ring,
                 todd=liftF(F.todd) * liftG(G.todd),
                 omega=liftF(F.omega) + liftG(G.omega), blocks=tuple(blocks)))
     return ManifoldPresentation(
         name=f"({p.name})x({q.name})", dim_M=p.dim_M + q.dim_M,
-        components=tuple(components),
-        free_on_regular=p.free_on_regular and q.free_on_regular)
+        components=tuple(components))
 
 
 def disjoint_union(*ps: ManifoldPresentation,
@@ -584,5 +597,4 @@ def disjoint_union(*ps: ManifoldPresentation,
                   for i, p in enumerate(ps) for F in p.components)
     return ManifoldPresentation(
         name=name or "+".join(p.name for p in ps), dim_M=dim,
-        components=comps,
-        free_on_regular=all(p.free_on_regular for p in ps))
+        components=comps)

@@ -268,7 +268,6 @@ def exact_polynomial_fit(points: list[tuple[int, Fraction]]) -> list[Fraction]:
 @dataclass
 class PolynomialFit:
     coefficients: list[Fraction]       # ascending powers of m
-    fitted_at: list[int]
     residuals: dict[int, Fraction]     # m -> value - fit(m)
 
     def degree(self) -> int:
@@ -288,8 +287,8 @@ class PolynomialFit:
 def polynomiality_check(p: ManifoldPresentation, m_min: int,
                         m_max: int) -> PolynomialFit:
     """Fit rr_invariant exactly on the first dim_M/2 + 1 moments and report
-    the deviations at the remaining ones; a presentation with a free action
-    on the regular stratum must have residual identically zero."""
+    the deviations at the remaining ones.  rr is a quasi-polynomial whose
+    period divides lcm |weights|, so the residual is 0 where that is 1."""
     degree_cap = p.dim_M // 2
     if m_max - m_min < degree_cap + 2:
         raise ValueError(
@@ -298,7 +297,7 @@ def polynomiality_check(p: ManifoldPresentation, m_min: int,
     values = {m: Fraction(rr_invariant(p, m)) for m in ms}
     anchor = ms[:degree_cap + 1]
     coeffs = exact_polynomial_fit([(m, values[m]) for m in anchor])
-    fit = PolynomialFit(coefficients=coeffs, fitted_at=anchor, residuals={})
+    fit = PolynomialFit(coefficients=coeffs, residuals={})
     for m in ms[degree_cap + 1:]:
         fit.residuals[m] = values[m] - fit.evaluate(m)
     return fit

@@ -22,8 +22,7 @@ tolerance is pinned here, not deferred.  Criteria:
     the fit to >= -1; runtime < 60 s;
  8. distribution identities: the jump relation to 1e-8 for k in 1..3 and
     the eps-limit oracle to 1e-6;
- 9. polynomiality: exact fit residual 0 on every free-on-regular builtin,
-    m in 1..10;
+ 9. polynomiality: exact fit residual 0 on every builtin, m in 1..10;
 10. localization consistency: the character at e^{2 pi i x} agrees with the
     equivariant integral to 1e-8 on cp1, cp001, prod11 at
     x in {0.05, 0.1, 0.2}, m in 1..4.
@@ -155,17 +154,11 @@ def test_acceptance_8_distribution_identities():
 
 
 def test_acceptance_9_polynomiality():
-    checked = []
     for name in builtin_names():
-        p = builtin(name)
-        if not p.free_on_regular:
-            continue
-        fit = polynomiality_check(p, 1, 10)
+        fit = polynomiality_check(builtin(name), 1, 10)
         assert fit.max_residual() == 0, (name, fit.residuals)
-        checked.append(name)
-    assert checked
     print(f"\nACCEPTANCE 9 [polynomiality residual 0 on "
-          f"{', '.join(checked)}; m=1..10]: PASS")
+          f"{', '.join(builtin_names())}; m=1..10]: PASS")
 
 
 def test_acceptance_10_kirillov_consistency():

@@ -120,10 +120,10 @@ def test_invalid_document_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("old, new", [
     ('"moment": 1,', '"moment": 1.7,'),
-    ('"free_on_regular": true', '"free_on_regular": "false"'),
+    ('"name": "w0"', '"name": 0'),
     ('"weight": 1', '"weight": true'),
     ('"dim_M": 2', '"dim_M": 2.0'),
-    ('"dim_F": 0', '"dim_F": "0"')])
+    ('"truncation": 0', '"truncation": false')])
 def test_mistyped_field_exits_2(tmp_path, capsys, old, new):
     path = tmp_path / "mistyped.json"
     path.write_text(serialize(builtin("cp1")).replace(old, new))
@@ -381,6 +381,53 @@ def test_verify_runs_no_float_check(tmp_path, capsys):
     path.write_text(serialize(cpn_linear([0, 9], 1)))
     code, out, err = run(capsys, "verify", "--input", str(path))
     assert (code, out, err) == (0, "verify cpn[0,9]d1: ok\n", "")
+
+
+@pytest.mark.parametrize("weights, shift", [([-1, 0, 1, 2], -1),
+                                            ([-2, 0, 1, 3], -2)])
+def test_verify_passes_orbifold_reductions(tmp_path, capsys, weights, shift):
+    # rr(m) of these reductions is a quasi-polynomial of period 6 and 30,
+    # which a single polynomial fit used to report as a failure
+    p = cpn_linear(weights, 1, shift=shift)
+    path = tmp_path / "orbifold.json"
+    path.write_text(serialize(p))
+    code, out, err = run(capsys, "verify", "--input", str(path))
+    assert (code, out, err) == (0, f"verify {p.name}: ok\n", "")
+
+
+def retired_free_on_regular(doc):
+    doc["free_on_regular"] = True
+
+
+def retired_dim_F(doc):
+    doc["components"][1]["dim_F"] = 0
+
+
+def misspelt_quotient(doc):
+    doc["quotent"] = doc.pop("quotient")
+
+
+def block_comment(doc):
+    doc["components"][0]["blocks"][0]["comment"] = "the weight-1 line"
+
+
+# A key parse does not read is an input error that names the key and the
+# object holding it, never silently dropped: a misspelt "quotient" would
+# otherwise turn the supplied regular term into a diagnostic.
+@pytest.mark.parametrize("edit, where, key", [
+    (retired_free_on_regular, "document", "free_on_regular"),
+    (retired_dim_F, "components[1]", "dim_F"),
+    (misspelt_quotient, "document", "quotent"),
+    (block_comment, "components[0]: blocks[0]", "comment")])
+def test_unknown_key_exits_2(tmp_path, capsys, edit, where, key):
+    doc = json.loads(serialize(builtin("cp1")))
+    edit(doc)
+    path = tmp_path / "unknown.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "main-formula", "--input", str(path),
+                         "--m", "1")
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith(f"error: {where} has unknown key '{key}' (a ")
 
 
 @pytest.mark.parametrize("path", ["missing.json", "cp1.json"])

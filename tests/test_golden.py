@@ -1,6 +1,7 @@
-"""The benchmark's recorded CLI outputs, main-formula reports and traced
-names, read from perfbench/ and replayed in-process, so that a change to an
-output or to a traced name fails here first."""
+"""The benchmark's recorded CLI outputs, main-formula reports, traced names
+and required spans, read from perfbench/ and replayed in-process, so that a
+change to an output, a traced name or a span the trace gate needs fails
+here first."""
 
 import importlib
 import importlib.util
@@ -68,3 +69,27 @@ def test_traced_names_resolve():
         if owner is None or attr not in vars(owner):
             missing.append(f"{modname}:{path}")
     assert tracer.TARGETS and not missing
+
+
+@pytest.mark.parametrize("workload", ["character-scaled", "formula-sweep",
+                                      "pairing"])
+def test_required_spans_fire(workload, monkeypatch):
+    # the ops of one pass run under the benchmark's tracer, until every
+    # span the workload requires has fired
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    tracer = importlib.import_module("tracer")
+    w = workloads.WORKLOADS[workload](ROOT, 1)
+    w.setup()
+    t = tracer.Tracer()
+    t.install()
+    try:
+        fired = set()
+        for op in w.pass_ops(0):
+            w.run(op)
+            fired.update(span[0] for span in t.spans)
+            if fired.issuperset(w.required_spans):
+                break
+    finally:
+        t.uninstall()
+    assert sorted(set(w.required_spans) - fired) == []

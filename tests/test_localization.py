@@ -32,7 +32,7 @@ POINT = RingSpec.point()
 
 def point_component(name, moment, weights):
     blocks = [NormalBlock(w, (POINT.zero(),)) for w in weights]
-    return FixedComponent(name, 0, moment, POINT, POINT.one(), POINT.zero(),
+    return FixedComponent(name, moment, POINT, POINT.one(), POINT.zero(),
                           blocks)
 
 
@@ -65,7 +65,7 @@ def test_chi_tilde_nilpotent_root_example():
     # so integrating h to 1 leaves (m+1)/(1-z) + z/(1-z)^2
     ring = RingSpec((("h", 2),), 2, {(1,): Fraction(1)})
     h = ring.generator("h")
-    F = FixedComponent("f", 2, 0, ring, ring.one() + h, h,
+    F = FixedComponent("f", 0, ring, ring.one() + h, h,
                        [NormalBlock(1, (h,))])
     for m in range(5):
         want = scalar_sum([ZRational(0, {0: m + 1}, {1: 1}),
@@ -82,7 +82,7 @@ def test_chi_tilde_negative_weight_nilpotent_example():
     # 1 + (m+1)h integrating h to 1 leaves -m z/(1-z) + z^2/(1-z)^2
     ring = RingSpec((("h", 2),), 2, {(1,): Fraction(1)})
     h = ring.generator("h")
-    F = FixedComponent("f", 2, 0, ring, ring.one() + h, h,
+    F = FixedComponent("f", 0, ring, ring.one() + h, h,
                        [NormalBlock(-1, (h,))])
     for m in range(5):
         want = scalar_sum([ZRational(1, {0: -m}, {1: 1}),
@@ -100,7 +100,7 @@ def test_chi_tilde_single_weight_point_examples():
     for weight, rank, want in [(1, 1, ZRational(0, {0: 1}, {1: 1})),
                                (-1, 1, ZRational(1, {0: -1}, {1: 1})),
                                (-2, 2, ZRational(4, {0: 1}, {2: 2}))]:
-        F = FixedComponent("p", 0, 0, POINT, POINT.one(), POINT.zero(),
+        F = FixedComponent("p", 0, POINT, POINT.one(), POINT.zero(),
                            [NormalBlock(weight, (POINT.zero(),) * rank)])
         for m in range(3):
             assert chi_tilde(F, m) == want, (weight, rank, m)
@@ -115,7 +115,7 @@ def test_chi_tilde_single_block_matches_localization(k, coefficients):
     # on either side of zero, against the localized integral
     ring = RingSpec((("h", 2),), 2, {(1,): Fraction(1)})
     h = ring.generator("h")
-    F = FixedComponent("f", 2, 0, ring, ring.one() + h, h,
+    F = FixedComponent("f", 0, ring, ring.one() + h, h,
                        [NormalBlock(k, tuple(h * c for c in coefficients))])
     for m in range(5):
         _assert_matches_localization(F, m)
@@ -646,7 +646,7 @@ def test_dh_inner_conjugate_symmetry():
 # -- equivariant Todd and the Kirillov identity --------------------------------
 
 def test_equivariant_todd_point_no_blocks():
-    F = FixedComponent("pt", 0, 0, POINT, POINT.one(), POINT.zero(), [])
+    F = FixedComponent("pt", 0, POINT, POINT.one(), POINT.zero(), [])
     assert equivariant_todd_at_F(F, 6).integrate_over_F() == {0: Fraction(1)}
 
 
@@ -794,7 +794,7 @@ def _rational_component():
     carry is different from 1."""
     ring = RingSpec([("h", 2)], 4, {(2,): Fraction(1, 2)})
     h = ring.generator("h")
-    return FixedComponent("q", 4, 0, ring, ring.one() + h * Fraction(3, 7),
+    return FixedComponent("q", 0, ring, ring.one() + h * Fraction(3, 7),
                           h * Fraction(2, 5),
                           [NormalBlock(1, (h * Fraction(1, 3),)),
                            NormalBlock(-2, (h * Fraction(-5, 4),))])

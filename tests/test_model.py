@@ -39,7 +39,7 @@ def test_dimension_mismatch_diagnostic():
 
 def test_point_component_constraints():
     ring = RingSpec.point()
-    comp = FixedComponent("pt", 0, 0, ring, ring.one(), ring.zero(),
+    comp = FixedComponent("pt", 0, ring, ring.one(), ring.zero(),
                           [NormalBlock(1, (ring.zero(),))])
     p = ManifoldPresentation("x", 2, (comp,))
     assert validate(p) == []
@@ -186,13 +186,13 @@ def test_parse_rejects_fractional_weight():
 
 
 # Each field keeps its JSON type: a float, a string or a boolean where an
-# integer belongs (and a string for free_on_regular) is rejected, and so is
-# anything but a string for an integral.
+# integer belongs (and a number for a name) is rejected, and so is anything
+# but a string for an integral.
 MISTYPED = [('"moment": 1,', '"moment": 1.7,'),
-            ('"free_on_regular": true', '"free_on_regular": "false"'),
+            ('"name": "w0"', '"name": 0'),
             ('"weight": 1', '"weight": true'),
             ('"dim_M": 2', '"dim_M": 2.0'),
-            ('"dim_F": 0', '"dim_F": "0"'),
+            ('"truncation": 0', '"truncation": false'),
             ('"1": "1"', '"1": 0.1'),
             ('"1": "1"', '"1": true'),
             ('"1": "1"', '"1": 1')]
@@ -338,8 +338,8 @@ def test_transformed_copies_start_without_pieces():
 
 def test_minimal_point_document():
     text = """
-    {"name": "pt", "dim_M": 2, "free_on_regular": true,
-     "components": [{"name": "p", "dim_F": 0, "moment": 0,
+    {"name": "pt", "dim_M": 2,
+     "components": [{"name": "p", "moment": 0,
        "ring": {"generators": [], "truncation": 0, "integrals": {"1": "1"}},
        "todd": "1", "omega": "0",
        "blocks": [{"weight": 2, "chern_roots": ["0"]}]}]}

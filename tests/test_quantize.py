@@ -6,10 +6,13 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from equiloc import builtin, builtin_names
-from equiloc.model import (FixedComponent, NormalBlock, cpn_linear, parse,
-                           serialize, trivial_cp1)
+from equiloc.model import (FixedComponent, NormalBlock, bundle_power,
+                           cpn_linear, parse, product, serialize,
+                           shift_moment, trivial_cp1)
 from equiloc.quantize import (Classification, NotIndefinite, Unsupported,
                               classify, exceptional_from_series,
                               exceptional_term, main_formula_report,
@@ -24,7 +27,7 @@ POINT = RingSpec.point()
 
 def point_component(name, moment, weights):
     blocks = [NormalBlock(w, (POINT.zero(),)) for w in weights]
-    return FixedComponent(name, 0, moment, POINT, POINT.one(), POINT.zero(),
+    return FixedComponent(name, moment, POINT, POINT.one(), POINT.zero(),
                           blocks)
 
 
@@ -100,7 +103,7 @@ def test_exceptional_errors():
     with pytest.raises(NotIndefinite):
         exceptional_term(point_component("f", 0, [1, 2]))
     ring = RingSpec((("h", 2),), 2, {(1,): Fraction(1)})
-    F = FixedComponent("s", 2, 0, ring, ring.one() + ring.generator("h"),
+    F = FixedComponent("s", 0, ring, ring.one() + ring.generator("h"),
                        ring.generator("h"),
                        [NormalBlock(1, (ring.zero(),)),
                         NormalBlock(-1, (ring.zero(),))])
@@ -336,3 +339,72 @@ def test_report_balance_fails_on_a_wrong_regular_term():
         rep = main_formula_report(replace(p, quotient=q), m)
         assert rep.balance is False
         assert rep.regular == main_formula_report(p, m).regular + 1
+
+
+# Evidence that verify's retired checks could not fail.  For m >= 1 the sum
+# over F of Res_0 z^{mJ_F - 1} chi_tilde_F, rr(m) when the data is
+# consistent, is per class of m mod lcm|w| a polynomial of degree at most
+# dim_M/2 from m = 1 on, whatever the Todd class, omega and moments: each
+# piece z^s N/D has 0 <= s and top exponent <= deg D, so a component
+# contributes 0 (J > 0), a polynomial (J = 0) or the quasi-polynomial of
+# the series of N/D (J < 0).  So a polynomiality check fails only where
+# the period exceeds 1, and the character's support, which the division
+# confines to the pieces' exponents, cannot leave m [min J, max J].
+SCALES = (Fraction(1, 2), Fraction(-1), Fraction(2), Fraction(1, 3))
+
+
+@st.composite
+def perturbed_compositions(draw):
+    """A cpn_linear, perhaps times another, shifted or squared, with the
+    Todd class, omega or moment of some components perturbed: most of
+    these are inconsistent."""
+    def factor():
+        weights = draw(st.lists(st.integers(-2, 2), min_size=2, max_size=3))
+        return cpn_linear(weights, draw(st.sampled_from((1, 2))),
+                          shift=draw(st.integers(-3, 1)))
+
+    p = factor()
+    if draw(st.booleans()):
+        p = product(p, factor())
+    p = shift_moment(p, draw(st.integers(-2, 2)))
+    p = bundle_power(p, draw(st.sampled_from((1, 1, 2))))
+    comps = []
+    for F in p.components:
+        c = draw(st.sampled_from(SCALES))
+        classes = [F.ring.generator(n) for n, _ in F.ring.generators]
+        kind = draw(st.sampled_from(("none", "todd", "omega", "moment")))
+        if kind == "todd":
+            F = replace(F, todd=F.todd + draw(
+                st.sampled_from(classes + [F.ring.one()])) * c)
+        elif kind == "omega" and classes:
+            F = replace(F, omega=F.omega + draw(st.sampled_from(classes)) * c)
+        elif kind == "moment":
+            F = replace(F, moment=F.moment + draw(st.sampled_from((-1, 1, 2))))
+        comps.append(F)
+    return replace(p, components=tuple(comps))
+
+
+def residue_sum(p, m):
+    return sum((m ** j * P.shifted(m * F.moment - 1).residue_at_zero()
+                for F in p.components for j, P in enumerate(F.chi_pieces)),
+               Fraction(0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(perturbed_compositions())
+@example(cpn_linear([-1, 0, 1, 2], 1, shift=-1))
+@example(cpn_linear([-2, 0, 1, 3], 1, shift=-2))
+def test_residue_sum_is_a_quasi_polynomial_on_any_data(p):
+    for F in p.components:
+        for P in F.chi_pieces:
+            assert not P.row or 0 <= P.shift and P.shift + len(P.row) - 1 \
+                <= sum(k * mult for k, mult in P.den.items())
+    period = math.lcm(*(abs(b.weight) for F in p.components
+                        for b in F.blocks))
+    d = p.dim_M // 2
+    for r in range(1, period + 1):
+        # d + 3 samples of class r: its (d + 1)-th differences vanish
+        values = [residue_sum(p, r + i * period) for i in range(d + 3)]
+        for _ in range(d + 1):
+            values = [b - a for a, b in zip(values, values[1:])]
+        assert values == [0, 0], (p.name, r)
