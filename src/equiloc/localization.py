@@ -23,23 +23,25 @@ the equivariant Todd class Td_F as the one integrand,
 
     dh_inner(x) = sum_F e^{2 pi i m x J(F)} int_F e^{m omega_F} Td_F(x)/e_F(x).
 
-Its exact u-series run on integer rows over one common denominator
-(`USeries`): products are integer Cauchy products, and a Fraction is formed
-once per power, by `integrate_over_F` or by `laurent_sum`'s one division.
-`equivariant_todd_at_F` is the one expansion of Td_F: the exceptional
-terms of `quantize` read their rho_n from it too.  Every walk over the
-powers of a nilpotent class, here and in `ring`, is `GradedElement.powers`.
+Its exact u-series are integer rows over one denominator, exact up to the
+order asked for.  Where every normal Chern root vanishes, Td_F/e_F is the
+closed form prod_k td(-k u)/(-k u) from a constant table of Todd powers
+(`normal_todd`), whose product the exceptional terms of `quantize` read
+too; other components multiply `USeries` by integer Cauchy products.
+`PreparedInner` adds the components of each moment level into one row, so
+evaluation runs one Horner pass per level.  Every walk over the powers of a
+nilpotent class, here and in `ring`, is `GradedElement.powers`.
 
 Normalization of the equivariant Euler class.  Internally every series is
 written in the variable u = 2 pi i x, which keeps all coefficients rational.
 A normal root of weight k and stored Chern root `a` contributes the factor
 y = -(k u + a) to e_F and the factor td(y) = y/(1-e^{-y}) to the
-equivariant Todd class, in `_td_factor` and `euler_inverse` alone.  This
-single sign is a calibration, fixed by the Kirillov identity:
-td(y)/y = 1/(1 - e^{-y}) is then the character factor 1/(1 - z^k e^a) at
-z = e^{2 pi i x}, so the localized sum equals the character
-chi^(m)(e^{2 pi i x}) wherever the series converge.  Tests pin the
-identity exactly per component and numerically on the sum
+equivariant Todd class, in `_td_factor` and `euler_inverse`, and with a = 0
+in `normal_todd` and `_u_rows`.  This single sign is a calibration, fixed
+by the Kirillov identity: td(y)/y = 1/(1 - e^{-y}) is then the character
+factor 1/(1 - z^k e^a) at z = e^{2 pi i x}, so the localized sum equals the
+character chi^(m)(e^{2 pi i x}) wherever the series converge.  Tests pin
+the identity exactly per component and numerically on the sum
 (`kirillov_check`), and a negative control perturbs the input: with every
 weight of the rotation sphere doubled, its localized integral no longer
 matches the character of the rotation sphere itself.
@@ -51,7 +53,7 @@ import cmath
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
-from math import comb, factorial, lcm, log
+from math import comb, factorial, gcd, lcm, log, prod
 from operator import add, mul
 from typing import Mapping, Optional, Sequence
 
@@ -215,8 +217,9 @@ class USeries:
                     rows.get(mono, ()), prod, fillvalue=0)]
         return USeries(ring, order, lo, self.den * other.den, rows)
 
-    def integrate_over_F(self) -> dict[int, Fraction]:
-        """Pair the top-degree rows with the integration table."""
+    def integrate_over_F(self) -> tuple[int, int, list[int]]:
+        """Pair the top-degree rows with the integration table: (lo, d, R),
+        with R[n] / d the scalar coefficient of u^(lo+n)."""
         table = self.ring.integration_table
         scale = lcm(*(w.denominator for w in table.values()))
         total = [0] * max(map(len, self.rows.values()), default=0)
@@ -224,8 +227,7 @@ class USeries:
             w = int(table.get(mono, 0) * scale)
             for n, c in enumerate(row if w else ()):
                 total[n] += w * c
-        return {self.lo + n: Fraction(c, self.den * scale)
-                for n, c in enumerate(total) if c}
+        return self.lo, self.den * scale, total
 
 
 def _cauchy(a: list[int], b: list[int], size: int) -> list[int]:
@@ -238,12 +240,22 @@ def _cauchy(a: list[int], b: list[int], size: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _todd_numerators(size: int) -> tuple[int, tuple[int, ...]]:
-    """(D, T) with T[n] = D todd_coefficient(n) for n < size, D the lcm of
-    their denominators: a constant, kept per power-of-two size."""
+def _todd_powers(r: int, size: int) -> tuple[int, tuple[int, ...]]:
+    """(D, P) with P[n] / D the u^n coefficient of td(u)^r, r >= 1, for
+    n < size: a constant, kept per (r, power-of-two size)."""
+    if r > 1:
+        den, row = _todd_powers(r - 1, size)
+        tden, todd = _todd_powers(1, size)
+        return _reduced(den * tden, _cauchy(row, todd, size))
     coeffs = [todd_coefficient(n) for n in range(size)]
     den = lcm(*(c.denominator for c in coeffs))
     return den, tuple(c.numerator * (den // c.denominator) for c in coeffs)
+
+
+def _reduced(den: int, row: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """den and row divided by their gcd."""
+    g = gcd(den, *row)
+    return den // g, tuple(c // g for c in row)
 
 
 def _td_factor(ring: RingSpec, weight: int, root: GradedElement,
@@ -253,7 +265,8 @@ def _td_factor(ring: RingSpec, weight: int, root: GradedElement,
     row is built from the integer Todd table and the numerators of the
     powers of b over their lcm d."""
     nilpowers = (-root).powers()
-    tden, todd = _todd_numerators(1 << (order + len(nilpowers)).bit_length())
+    size = 1 << (order + len(nilpowers)).bit_length()
+    tden, todd = _todd_powers(1, size)
     d = lcm(*(q.denominator for c in nilpowers for q in c.terms.values()))
     rows: dict[tuple[int, ...], list[int]] = {}
     for t, c in enumerate(nilpowers):
@@ -290,97 +303,123 @@ def euler_inverse(F: FixedComponent, order: int) -> USeries:
     return acc
 
 
+def normal_todd(weights: Sequence[int],
+                top: int) -> tuple[int, tuple[int, ...]]:
+    """(d, R) with R[n] / d the u^n coefficient, n <= top, of prod_k td(-k u)
+    over normal weights k with vanishing roots: per distinct k, of rank r,
+    td(u)^r (`_todd_powers`) with u^n scaled by (-k)^n, Cauchy multiplied."""
+    size, den, row = 1 << top.bit_length(), 1, None
+    for k in set(weights):
+        pden, prow = _todd_powers(weights.count(k), size)
+        scaled = [c * (-k) ** n for n, c in enumerate(prow[:top + 1])]
+        den *= pden
+        row = scaled if row is None else _cauchy(row, scaled, top + 1)
+    return _reduced(den, row or [1])
+
+
 def _rho_series(F: FixedComponent, order: int) -> USeries:
-    """The localized integrand rho_F at F: the equivariant Todd class.  A
-    step of its own, so that perfbench's traces time it as
-    `localization.rho_series`."""
+    """The localized integrand rho_F: `equivariant_todd_at_F`, as a step of
+    its own that traces time as `localization.rho_series`."""
     return equivariant_todd_at_F(F, order)
+
+
+def _u_rows(components: Sequence[FixedComponent], m: int,
+            order: int) -> list[tuple[int, int, int, Sequence[int]]]:
+    """(J, lo, d, R) with R[n] / d the u^(lo+n) coefficient of
+    int_F e^{m omega} Td_F / e_F, exact for every lo + n <= order.  When
+    every normal Chern root vanishes, at every point say, this is
+    int_F Td e^{m omega} times prod_k td(-k u)/(-k u) (`normal_todd`), one
+    row per moment and weights; other components take the USeries product
+    of `_rho_series`, e^{m omega} and `euler_inverse`.  The pole of 1/e_F
+    shifts the factors down, so they are kept to order plus its depth."""
+    out, volumes = [], {}
+    for F in components:
+        if not any(root for block in F.blocks for root in block.chern_roots):
+            key = (F.moment, tuple(sorted(F.weights())))
+            volumes[key] = volumes.get(key, 0) + sum(
+                m ** j * (F.todd * w).integrate()
+                for j, w in enumerate(F.omega.divided_powers()))
+            continue
+        top = order + sum(len(root.powers()) for block in F.blocks
+                          for root in block.chern_roots)
+        emw = USeries.constant(
+            F.ring, (F.omega * Fraction(m)).exp_nilpotent(), top)
+        lo, den, row = (_rho_series(F, top) * emw
+                        * euler_inverse(F, order)).integrate_over_F()
+        out.append((F.moment, lo, *_reduced(den, row)))
+    for (J, weights), volume in volumes.items():
+        den, row = normal_todd(weights, order + len(weights))
+        volume /= prod(-k for k in weights)
+        out.append((J, -len(weights), den * volume.denominator,
+                    [volume.numerator * c for c in row]))
+    return out
 
 
 def component_u_laurent(F: FixedComponent, m: int,
                         order: int) -> dict[int, Fraction]:
-    """Scalar u-Laurent coefficients of int_F e^{m omega} Td_F / e_F."""
-    series = _rho_series(F, order)
-    emw = USeries.constant(F.ring, (F.omega * Fraction(m)).exp_nilpotent(),
-                           order)
-    total = series * emw * euler_inverse(F, order)
-    return total.integrate_over_F()
+    """Scalar u-Laurent coefficients of int_F e^{m omega} Td_F / e_F, each
+    one exact, up to u^order (`_u_rows`)."""
+    [(_, lo, den, row)] = _u_rows([F], m, order)
+    return {lo + n: Fraction(c, den) for n, c in enumerate(row) if c}
 
 
 class PreparedInner:
-    """The localized integrand with per-component Laurent data frozen,
-    ready for repeated numeric evaluation.
+    """The localized integrand with its Laurent data frozen per moment
+    level, ready for repeated numeric evaluation.
 
-    `terms` keeps the exact (moment, Laurent coefficients) per component
-    for `laurent_sum`.  For `evaluate`, each nonempty component is also
-    frozen once, in document order, into (m*J, lowest power, dense list of
-    its coefficients as Python complex from the highest power down to the
-    lowest, zeros included).  complex(Fraction) is correctly rounded, so
-    converting once yields the same floats as converting on every call.
+    `levels` keeps (J, R) per distinct moment J, ascending: R[n] / den is
+    the exact u^(lo+n) coefficient, lo + n <= order, of the components at J
+    added.  `frozen` keeps (m*J, the floats R[n] / den from u^order down to
+    u^lo) per nonzero level for `evaluate`: int / int is correctly rounded,
+    so converting once yields the same floats as converting on every call.
     """
 
-    __slots__ = ("terms", "m", "order", "frozen")
+    __slots__ = ("m", "order", "lo", "den", "levels", "frozen")
 
     def __init__(self, p: ManifoldPresentation, m: int, order: int):
-        self.m = m
-        self.order = order
-        self.terms = []
-        self.frozen = []
-        for F in p.components:
-            laurent = component_u_laurent(F, m, order)
-            self.terms.append((F.moment, laurent))
-            if laurent:
-                lo = min(laurent)
-                coeffs = [complex(laurent.get(j, Fraction(0)))
-                          for j in range(max(laurent), lo - 1, -1)]
-                self.frozen.append((m * F.moment, lo, coeffs))
+        self.m, self.order = m, order
+        parts = _u_rows(p.components, m, order)
+        self.lo = min((lo for _, lo, _, _ in parts), default=0)
+        self.den = lcm(*(den for _, _, den, _ in parts))
+        sums: dict[int, list[int]] = {}
+        for J, lo, den, row in parts:
+            acc = sums.setdefault(J, [0] * (order - self.lo + 1))
+            scale = self.den // den
+            for n, c in enumerate(row, lo - self.lo):
+                acc[n] += scale * c
+        self.levels = sorted(sums.items())
+        self.frozen = [(m * J, [c / self.den for c in reversed(row)])
+                       for J, row in self.levels if any(row)]
 
     def laurent_sum(self, taylor_order: int) -> dict[int, Fraction]:
         """Exact u-Laurent coefficients of the full sum, with each
-        oscillatory factor e^{m J u} Taylor-expanded to `taylor_order` T.
-
-        Components that share a moment J are added first, and brought to
-        integers by the lcm L of all denominators.  Each distinct J takes
-        one integer Cauchy product with e_t = (mJ)^t T!/t!, t <= T, and the
-        sum is divided by T! L once."""
-        by_moment: dict[int, dict[int, Fraction]] = {}
-        for J, laurent in self.terms:
-            acc = by_moment.setdefault(J, {})
-            for j, c in laurent.items():
-                acc[j] = acc.get(j, 0) + c
-        lo = min((j for laurent in by_moment.values() for j in laurent),
-                 default=self.order + 1)
-        size = self.order - lo + 1
-        scale = lcm(*(c.denominator for laurent in by_moment.values()
-                      for c in laurent.values()))
+        oscillatory factor e^{m J u} Taylor-expanded to `taylor_order` T:
+        per level one integer Cauchy product of its row with
+        e_t = (mJ)^t T!/t!, t <= T, and the sum divided by T! den once."""
+        size, fact = self.order - self.lo + 1, factorial(taylor_order)
         total = [0] * size
-        for J, laurent in by_moment.items():
-            row = [0] * (max(laurent, default=lo - 1) - lo + 1)
-            for j, c in laurent.items():
-                row[j - lo] = c.numerator * (scale // c.denominator)
+        for J, row in self.levels:
             mJ = self.m * J
-            e, fall = [], factorial(taylor_order)
-            for t in range(min(taylor_order, size - 1) + 1 if mJ else 1):
-                e.append(mJ ** t * fall)
-                fall //= t + 1
-            for n, c in enumerate(_cauchy(row, e, size)):
-                total[n] += c
-        scale *= factorial(taylor_order)
-        return {lo + n: Fraction(c, scale) for n, c in enumerate(total) if c}
+            e = [mJ ** t * (fact // factorial(t))
+                 for t in range(min(taylor_order, size - 1) + 1 if mJ else 1)]
+            total = list(map(add, total, _cauchy(row, e, size)))
+        return {self.lo + n: Fraction(c, self.den * fact)
+                for n, c in enumerate(total) if c}
 
     def evaluate(self, u, z):
-        """The integrand at u = 2 pi i x, given z = e^u: per component
-        z^{mJ} u^lo times the Horner sum of its frozen coefficients (kept in
-        place, so that arrays take no temporaries), then a Kahan-compensated
-        sum over components in document order.  Only arithmetic touches u
-        and z: Python complex or numpy arrays alike."""
+        """The integrand at u = 2 pi i x, given z = e^u: per level z^{mJ}
+        u^lo times the Horner sum of its frozen coefficients (kept in place,
+        so that arrays take no temporaries), then a Kahan-compensated sum
+        over the levels, ascending.  Only arithmetic touches u and z: Python
+        complex or numpy arrays alike."""
         total = comp = 0 * u
-        for mJ, lo, coeffs in self.frozen:
+        ulo = u ** self.lo
+        for mJ, coeffs in self.frozen:
             acc = 0 * u
             for c in coeffs:
                 acc *= u
                 acc += c
-            term = z ** mJ * acc * u ** lo
+            term = z ** mJ * acc * ulo
             y = term - comp
             t = total + y
             comp = (t - total) - y

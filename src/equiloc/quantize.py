@@ -17,9 +17,9 @@ the closed form
 
     rho_n (1/2 - 2^{-n} sum_{i=l+}^{n} C(n, i)) / prod (-w),  n = l+ + l- - 1,
 
-with rho_n the degree-n coefficient of the localized integrand: the
-equivariant Todd class of `localization.equivariant_todd_at_F`, the same
-series the numeric path integrates.  The bracket is the
+with rho_n the degree-n coefficient of the localized integrand: the normal
+Todd product prod td(-w u) of `localization.normal_todd`, the same product
+the numeric path integrates at a point.  The bracket is the
 u^{l+ - 1} v^{l- - 1} coefficient of [(u^n + v^n)/2 - ((u+v)/2)^n] / (u - v),
 read off by synthetic division (`exceptional_from_series`).
 
@@ -130,14 +130,14 @@ def residue_term(F: FixedComponent, m: int) -> Fraction:
 
 def exceptional_term(F: FixedComponent) -> Fraction:
     """Contribution of an isolated indefinite moment-zero component, with
-    rho_n read from the equivariant Todd class at F
-    (`localization.equivariant_todd_at_F`), expanded to the one degree that
+    rho_n read from int_F Td(F) times the normal Todd product of F's weights
+    (`localization.normal_todd`), expanded to the one degree that
     contributes, n = l+ + l- - 1, which is the normal rank less one at an
     isolated point.  It does not depend on m, since omega vanishes at a
     point; `FixedComponent.exceptional` keeps it."""
-    n = F.normal_rank() - 1
-    return exceptional_from_series(
-        F, localization.equivariant_todd_at_F(F, n).integrate_over_F())
+    den, row = localization.normal_todd(F.weights(), F.normal_rank() - 1)
+    return exceptional_from_series(F, {n: F.todd.integrate() * Fraction(
+        c, den) for n, c in enumerate(row)})
 
 
 def exceptional_from_series(F: FixedComponent,

@@ -9,9 +9,10 @@ evaluation therefore splits the axis into an inner disc, where the
 oscillatory factors are Taylor-expanded and the pole cancellation is
 performed exactly in rational arithmetic, and the remaining annulus, which
 is handled by composite Gauss-Legendre quadrature (`complex_quad`).  There
-the integrand is `PreparedInner.evaluate`, which runs over coefficients
-frozen to Python complex once per (presentation, m, order); phi is even, so
-one call on a numpy array takes every node of a level at x and at -x.
+the integrand is `PreparedInner.evaluate`: one Horner pass per moment J
+over the exact sum of the components at J, frozen to floats once per
+(presentation, m, order); phi is even, so one call on a numpy array takes
+every node of a quadrature level at x and at -x.
 
 The expansion side pairs each power u^j = (2 pi i x)^j of a moment-zero
 component's Laurent data with phi, for j < 0 through the boundary value

@@ -170,6 +170,52 @@ def test_chi_tilde_point_closed_form_matches_localization():
             _assert_matches_localization(F, m)
 
 
+def _assert_exact_at_every_power(p, m, order):
+    """Every power component_u_laurent returns, up to u^order, against the
+    expansion of chi_tilde; and each moment level of PreparedInner against
+    the sum of those expansions over the components at that moment."""
+    levels = {}
+    for F in p.components:
+        want = _u_laurent(chi_tilde(F, m), order)
+        assert component_u_laurent(F, m, order) == want, (p.name, F.name)
+        acc = levels.setdefault(F.moment, {})
+        for j, c in want.items():
+            acc[j] = acc.get(j, 0) + c
+    prepared = PreparedInner(p, m, order)
+    assert [J for J, _ in prepared.levels] == sorted(levels)
+    for J, row in prepared.levels:
+        assert {prepared.lo + n: Fraction(c, prepared.den)
+                for n, c in enumerate(row) if c} \
+            == {j: c for j, c in levels[J].items() if c}, (p.name, J)
+
+
+@pytest.mark.parametrize("p", [builtin(name) for name in builtin_names()] + [
+    cpn_linear([-1, 0, 1, 2], 1, shift=-1),
+    product(trivial_cp1(), builtin("dim6"))], ids=lambda p: p.name)
+def test_component_u_laurent_is_exact_at_every_power(p):
+    # the top powers once lacked the factors' terms beyond the order, which
+    # the u^-r of the Euler class shifts down
+    for m in (0, 3, 8):
+        for order in (4, 12):
+            _assert_exact_at_every_power(p, m, order)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(min_value=-2, max_value=3), min_size=2,
+                max_size=4),
+       st.integers(min_value=1, max_value=2),
+       st.lists(st.lists(st.integers(min_value=-1, max_value=2), min_size=2,
+                         max_size=3), max_size=1),
+       st.integers(min_value=0, max_value=6))
+def test_u_laurent_exact_on_random_compositions(weights, d, others, m):
+    # repeated weights give components with nonzero Chern roots, which take
+    # the USeries path; points take the closed form
+    p = cpn_linear(weights, d)
+    for other in others:
+        p = product(p, cpn_linear(other, 1))
+    _assert_exact_at_every_power(p, m, 9)
+
+
 def _piece_presentations():
     """Every builtin; the product with a trivially acted-on sphere, whose
     components have dim_F 4 and 2 (three and two chi_tilde pieces); and a
@@ -568,19 +614,18 @@ def test_dh_inner_m0_todd_is_regular_with_total_rr():
 
 
 def converting_evaluate(prepared, u, z):
-    """The integrand over the exact `terms`, each coefficient converted
-    with complex(Fraction) on every call: Horner from the highest power to
-    the lowest, then a Kahan sum over components in document order."""
+    """The integrand over the exact `levels`, each coefficient converted
+    with complex(Fraction) on every call: per level, Horner from u^order
+    down to u^lo, then a Kahan sum over the levels, ascending."""
     total = 0j
     comp = 0j
-    for J, laurent in prepared.terms:
-        if not laurent:
+    for J, row in prepared.levels:
+        if not any(row):
             continue
-        lo = min(laurent)
         acc = 0j
-        for j in range(max(laurent), lo - 1, -1):
-            acc = acc * u + complex(laurent.get(j, Fraction(0)))
-        term = z ** (prepared.m * J) * acc * u ** lo
+        for c in reversed(row):
+            acc = acc * u + complex(Fraction(c, prepared.den))
+        term = z ** (prepared.m * J) * acc * u ** prepared.lo
         y = term - comp
         t = total + y
         comp = (t - total) - y
@@ -619,10 +664,10 @@ def test_evaluate_on_arrays_matches_complex(name):
             ui = 2j * cmath.pi * v
             zi = cmath.exp(ui)
             want = prepared.evaluate(ui, zi)
-            scale = max(abs(zi ** mJ * ui ** lo)
+            scale = max(abs(zi ** mJ * ui ** prepared.lo)
                         * abs(sum(c * ui ** k for k, c in
                                   enumerate(reversed(coeffs))))
-                        for mJ, lo, coeffs in prepared.frozen)
+                        for mJ, coeffs in prepared.frozen)
             assert abs(got[i] - want) <= 1e-15 * scale, (name, m, v)
 
 
@@ -645,15 +690,21 @@ def test_dh_inner_conjugate_symmetry():
 
 # -- equivariant Todd and the Kirillov identity --------------------------------
 
+def _todd_series(F, order):
+    """equivariant_todd_at_F integrated over F, as {power: Fraction}."""
+    lo, den, row = equivariant_todd_at_F(F, order).integrate_over_F()
+    return {lo + n: Fraction(c, den) for n, c in enumerate(row) if c}
+
+
 def test_equivariant_todd_point_no_blocks():
     F = FixedComponent("pt", 0, POINT, POINT.one(), POINT.zero(), [])
-    assert equivariant_todd_at_F(F, 6).integrate_over_F() == {0: Fraction(1)}
+    assert _todd_series(F, 6) == {0: Fraction(1)}
 
 
 def test_equivariant_todd_point_single_block():
     # td(-u) = 1 - u/2 + u^2/12 - ...
     F = point_component("pt", 0, [1])
-    series = equivariant_todd_at_F(F, 4).integrate_over_F()
+    series = _todd_series(F, 4)
     assert series[0] == 1
     assert series[1] == Fraction(-1, 2)
     assert series[2] == Fraction(1, 12)
@@ -759,8 +810,17 @@ def _oracle_todd(F, order):
     return series
 
 
+def _oracle_top(F, order):
+    """order plus a bound on the depth of 1/e_F's pole: one power of u per
+    normal root and per power of it up to the ring's truncation degree."""
+    return order + F.normal_rank() * (F.ring.truncation_degree + 1)
+
+
 def _oracle_laurent(F, m, order, todd):
-    series = _oracle_mul(todd, {0: (F.omega * m).exp_nilpotent()}, order)
+    """Every coefficient up to u^order exact, from `todd` kept to
+    `_oracle_top`."""
+    top = _oracle_top(F, order)
+    series = _oracle_mul(todd, {0: (F.omega * m).exp_nilpotent()}, top)
     for block in F.blocks:
         for root in block.chern_roots:
             inverse, power, t = {}, F.ring.one(), 0
@@ -768,22 +828,25 @@ def _oracle_laurent(F, m, order, todd):
                 inverse[-(t + 1)] = power * Fraction(-1, block.weight) ** (
                     t + 1)
                 power, t = power * root, t + 1
-            series = _oracle_mul(series, inverse, order)
-    return _oracle_integrate(series)
+            series = _oracle_mul(series, inverse, top)
+    return {j: c for j, c in _oracle_integrate(series).items() if j <= order}
 
 
 def _oracle_integrate(series):
     return {j: c.integrate() for j, c in series.items() if c.integrate()}
 
 
-def _oracle_laurent_sum(prepared, taylor_order):
+def _oracle_laurent_sum(p, m, order, taylor_order):
+    """The inner-disc sum one component at a time, in Fractions, with no
+    moment levels and no common denominator."""
     out = {}
-    for J, laurent in prepared.terms:
-        mJ = Fraction(prepared.m * J)
+    for F in p.components:
+        mJ = Fraction(m * F.moment)
+        laurent = component_u_laurent(F, m, order)
         for t in range(taylor_order + 1 if mJ else 1):
             etc = mJ ** t / factorial(t)
             for j, c in laurent.items():
-                if j + t <= prepared.order:
+                if j + t <= order:
                     out[j + t] = out.get(j + t, 0) + etc * c
     return {j: c for j, c in out.items() if c}
 
@@ -805,9 +868,10 @@ def test_integer_series_match_graded_oracle():
     components = [F for p in _piece_presentations() for F in p.components]
     for F in components + [_rational_component()]:
             for order in (5, 23, 45, 106):
-                todd = _oracle_todd(F, order)
-                assert equivariant_todd_at_F(F, order).integrate_over_F() \
-                    == _oracle_integrate(todd), (F.name, order)
+                todd = _oracle_todd(F, _oracle_top(F, order))
+                assert _todd_series(F, order) == _oracle_integrate(
+                    {j: c for j, c in todd.items() if j <= order}), \
+                    (F.name, order)
                 for m in (0, 1, 8, 32):
                     assert component_u_laurent(F, m, order) == \
                         _oracle_laurent(F, m, order, todd), \
@@ -823,9 +887,8 @@ def test_integer_series_match_graded_oracle():
 def test_laurent_sum_matches_fraction_oracle(name):
     p = builtin(name)
     for m, order, K in ((0, 8, 8), (3, 20, 30), (8, 45, 60), (64, 40, 200)):
-        prepared = PreparedInner(p, m, order)
-        assert prepared.laurent_sum(K) == _oracle_laurent_sum(prepared, K), \
-            (name, m, order, K)
+        assert PreparedInner(p, m, order).laurent_sum(K) \
+            == _oracle_laurent_sum(p, m, order, K), (name, m, order, K)
 
 
 def test_integer_series_negative_control():
@@ -835,10 +898,11 @@ def test_integer_series_negative_control():
     F = p.components[0]
     G = replace(F, blocks=(replace(F.blocks[0], weight=F.blocks[0].weight + 1),
                            *F.blocks[1:]))
-    assert component_u_laurent(F, 8, 23) == _oracle_laurent(
-        F, 8, 23, _oracle_todd(F, 23))
-    assert component_u_laurent(G, 8, 23) != _oracle_laurent(
-        F, 8, 23, _oracle_todd(F, 23))
+    todd = _oracle_todd(F, _oracle_top(F, 23))
+    assert component_u_laurent(F, 8, 23) == _oracle_laurent(F, 8, 23, todd)
+    assert component_u_laurent(G, 8, 23) != _oracle_laurent(F, 8, 23, todd)
     q = replace(p, components=(G, *p.components[1:]))
-    assert PreparedInner(q, 8, 23).laurent_sum(30) != _oracle_laurent_sum(
-        PreparedInner(p, 8, 23), 30)
+    assert PreparedInner(p, 8, 23).laurent_sum(30) \
+        == _oracle_laurent_sum(p, 8, 23, 30)
+    assert PreparedInner(q, 8, 23).laurent_sum(30) \
+        != _oracle_laurent_sum(p, 8, 23, 30)

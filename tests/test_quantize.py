@@ -18,6 +18,7 @@ from equiloc.quantize import (Classification, NotIndefinite, Unsupported,
                               exceptional_term, main_formula_report,
                               polynomiality_check,
                               regular_term, residue_term, rr_invariant)
+from equiloc.localization import equivariant_todd_at_F
 from equiloc.quantize import exact_polynomial_fit
 from equiloc.ring import RingSpec
 from equiloc.zrational import NotAPolynomial
@@ -157,6 +158,35 @@ def test_exceptional_against_symbolic_oracle():
         assert got == want == exceptional_term(F), weights
         assert (got != 0) == (weights in nonzero), (weights, got)
         assert known.get(tuple(weights), got) == got, (weights, got)
+
+
+# the isolated indefinite moment-zero points of the builtins, of X1 and of
+# cpn_linear([-3, -1, 0, 2, 4], 1, shift=-2), with the exceptional terms
+# that the equivariant Todd series `equivariant_todd_at_F` gave before they
+# were read from the normal Todd product
+ISOLATED_INDEFINITE = [
+    ("dim6", "w0*w0*w1", 0), ("dim6", "w0*w1*w0", 0),
+    ("dim6", "w1*w0*w0", 0), ("dim6b", "w0*w1*w1", 0),
+    ("dim6b", "w1*w0*w1", 0), ("dim6b", "w1*w1*w0", 0),
+    ("prod11", "w0*w1", 0), ("prod11", "w1*w0", 0),
+    ("X1", "w0", Fraction(1, 32)), ("cpn5", "w-1", Fraction(7, 384))]
+
+
+def test_exceptional_terms_of_the_isolated_indefinite_points():
+    presentations = {n: builtin(n) for n in builtin_names()}
+    presentations["X1"] = cpn_linear([-1, 0, 1, 2], 1, shift=-1)
+    presentations["cpn5"] = cpn_linear([-3, -1, 0, 2, 4], 1, shift=-2)
+    found = {(n, F.name) for n, p in presentations.items()
+             for F in p.f_zero()
+             if F.dim_F == 0 and classify(F) is Classification.INDEFINITE}
+    assert found == {(n, c) for n, c, _ in ISOLATED_INDEFINITE}
+    for name, comp, want in ISOLATED_INDEFINITE:
+        F = presentations[name].component(comp)
+        lo, den, row = equivariant_todd_at_F(
+            F, F.normal_rank() - 1).integrate_over_F()
+        series = {lo + n: Fraction(c, den) for n, c in enumerate(row)}
+        assert exceptional_term(F) == want, (name, comp)
+        assert exceptional_from_series(F, series) == want, (name, comp)
 
 
 def reverse(p):

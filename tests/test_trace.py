@@ -17,7 +17,9 @@ import workloads  # noqa: E402
 
 OPS = {"character-scaled": ("cp1^8/m=2", ("cp1^8", 2)),
        "formula-sweep": ("dim6/m=1:10", ("dim6", 1)),
-       "pairing": ("cp1/m=8", ("cp1", 8))}
+       # cp001 has a component with nonzero Chern roots: points take the
+       # closed form, which calls no equivariant Todd series
+       "pairing": ("cp001/m=8", ("cp001", 8))}
 
 
 @pytest.mark.parametrize("name", sorted(OPS))

@@ -358,7 +358,9 @@ def bump_transform(n, phi):
 
 
 @pytest.mark.parametrize("name,m", [("cp1", 8), ("cp012", 8),
-                                    ("prod11", 8), ("regval", 64)])
+                                    ("prod11", 8), ("regval", 64),
+                                    ("dim6", 8), ("dim6b", 8),
+                                    ("cp001", 16), ("dgmw", 8)])
 def test_witten_pair_matches_fourier_form(name, m):
     # Kirillov: for rho = todd the integrand is chi_m(e^{2 pi i x}) on the
     # support of phi, so the pairing is sum_n c_n phi_hat(n)
