@@ -369,9 +369,9 @@ class PreparedInner:
 
     `levels` keeps (J, R) per distinct moment J, ascending: R[n] / den is
     the exact u^(lo+n) coefficient, lo + n <= order, of the components at J
-    added.  `frozen` keeps (m*J, the floats R[n] / den from u^order down to
-    u^lo) per nonzero level for `evaluate`: int / int is correctly rounded,
-    so converting once yields the same floats as converting on every call.
+    added.  `frozen` keeps, per nonzero level, m*J and R[n] / den as complex
+    from u^order down to u^lo: int / int is correctly rounded, so converting
+    once yields the same floats as converting on every call.
     """
 
     __slots__ = ("m", "order", "lo", "den", "levels", "frozen")
@@ -388,7 +388,7 @@ class PreparedInner:
             for n, c in enumerate(row, lo - self.lo):
                 acc[n] += scale * c
         self.levels = sorted(sums.items())
-        self.frozen = [(m * J, [c / self.den for c in reversed(row)])
+        self.frozen = [(m * J, [complex(c / self.den) for c in reversed(row)])
                        for J, row in self.levels if any(row)]
 
     def laurent_sum(self, taylor_order: int) -> dict[int, Fraction]:
