@@ -193,8 +193,8 @@ def _assert_exact_at_every_power(p, m, order):
     cpn_linear([-1, 0, 1, 2], 1, shift=-1),
     product(trivial_cp1(), builtin("dim6"))], ids=lambda p: p.name)
 def test_component_u_laurent_is_exact_at_every_power(p):
-    # the top powers once lacked the factors' terms beyond the order, which
-    # the u^-r of the Euler class shifts down
+    # the top powers need the factors' terms beyond the order, which the
+    # u^-r of the Euler class shifts down
     for m in (0, 3, 8):
         for order in (4, 12):
             _assert_exact_at_every_power(p, m, order)

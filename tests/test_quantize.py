@@ -161,9 +161,9 @@ def test_exceptional_against_symbolic_oracle():
 
 
 # the isolated indefinite moment-zero points of the builtins, of X1 and of
-# cpn_linear([-3, -1, 0, 2, 4], 1, shift=-2), with the exceptional terms
-# that the equivariant Todd series `equivariant_todd_at_F` gave before they
-# were read from the normal Todd product
+# cpn_linear([-3, -1, 0, 2, 4], 1, shift=-2), with their exceptional terms,
+# read through the normal Todd product and through the equivariant Todd
+# series `equivariant_todd_at_F` alike
 ISOLATED_INDEFINITE = [
     ("dim6", "w0*w0*w1", 0), ("dim6", "w0*w1*w0", 0),
     ("dim6", "w1*w0*w0", 0), ("dim6b", "w0*w1*w1", 0),
