@@ -74,10 +74,11 @@ def chi_tilde_pieces(F: FixedComponent) -> tuple[ZRational, ...]:
         P_j = int_F Td(F) omega_F^j/j! prod_{k,i} 1/(1 - z^k e^{a_ki}).
 
     When every normal Chern root vanishes (at a point, say), P_j takes the
-    closed form  z^shift sign int_F Td omega^j/j! / prod_k (1 - z^|k|)^{r_k}:
-    by 1/(1 - z^k) = -z^|k| / (1 - z^|k|), a block of weight k < 0 and rank
-    r contributes (-1)^r to sign and |k| r to shift.  The general expansion
-    below costs several times as much, as on the many points of (cp1)^8.
+    closed form  z^shift sign v_j / prod_k (1 - z^|k|)^{r_k}, v_j from
+    `FixedComponent.volume_pieces`: by 1/(1 - z^k) = -z^|k| / (1 - z^|k|),
+    a block of weight k < 0 and rank r contributes (-1)^r to sign and |k| r
+    to shift.  The general expansion below costs several times as much, as
+    on the many points of (cp1)^8.
 
     Other components expand each factor by nilpotency of its root a: for
     k > 0, with v = e^a - 1,
@@ -98,11 +99,8 @@ def chi_tilde_pieces(F: FixedComponent) -> tuple[ZRational, ...]:
                 sign *= (-1) ** r
                 shift += k * r
             den[k] = den.get(k, 0) + r
-        if F.dim_F == 0:
-            return (ZRational(shift, {0: sign * F.todd.integrate()}, den),)
-        return over_one_denominator(
-            ZRational(shift, {0: sign * (F.todd * w).integrate()}, den)
-            for w in F.omega.divided_powers())
+        return over_one_denominator(ZRational(shift, {0: sign * v}, den)
+                                    for v in F.volume_pieces)
     terms = {(0, ()): F.ring.one()}
     for block in F.blocks:
         for root in block.chern_roots:
@@ -303,11 +301,12 @@ def euler_inverse(F: FixedComponent, order: int) -> USeries:
     return acc
 
 
-def normal_todd(weights: Sequence[int],
+@lru_cache(maxsize=None)
+def normal_todd(weights: tuple[int, ...],
                 top: int) -> tuple[int, tuple[int, ...]]:
     """(d, R) with R[n] / d the u^n coefficient, n <= top, of prod_k td(-k u)
-    over normal weights k with vanishing roots: per distinct k, of rank r,
-    td(u)^r (`_todd_powers`) with u^n scaled by (-k)^n, Cauchy multiplied."""
+    over sorted normal weights k with vanishing roots: per distinct k, of
+    rank r, td(u)^r (`_todd_powers`) scaled by (-k)^n, Cauchy multiplied."""
     size, den, row = 1 << top.bit_length(), 1, None
     for k in set(weights):
         pden, prow = _todd_powers(weights.count(k), size)
@@ -326,19 +325,18 @@ def _rho_series(F: FixedComponent, order: int) -> USeries:
 def _u_rows(components: Sequence[FixedComponent], m: int,
             order: int) -> list[tuple[int, int, int, Sequence[int]]]:
     """(J, lo, d, R) with R[n] / d the u^(lo+n) coefficient of
-    int_F e^{m omega} Td_F / e_F, exact for every lo + n <= order.  When
+    int_F e^{m omega} Td_F / e_F, exact for every lo + n <= order.  Where
     every normal Chern root vanishes, at every point say, this is
-    int_F Td e^{m omega} times prod_k td(-k u)/(-k u) (`normal_todd`), one
-    row per moment and weights; other components take the USeries product
-    of `_rho_series`, e^{m omega} and `euler_inverse`.  The pole of 1/e_F
-    shifts the factors down, so they are kept to order plus its depth."""
+    sum_j m^j v_j (`FixedComponent.volume_pieces`) times prod_k td(-k u) /
+    (-k u) (`normal_todd`), one row per moment and weights; others take the
+    USeries product of `_rho_series`, e^{m omega} and `euler_inverse`, kept
+    to order plus the depth of 1/e_F's pole, which shifts them down."""
     out, volumes = [], {}
     for F in components:
         if not any(root for block in F.blocks for root in block.chern_roots):
             key = (F.moment, tuple(sorted(F.weights())))
             volumes[key] = volumes.get(key, 0) + sum(
-                m ** j * (F.todd * w).integrate()
-                for j, w in enumerate(F.omega.divided_powers()))
+                m ** j * v for j, v in enumerate(F.volume_pieces))
             continue
         top = order + sum(len(root.powers()) for block in F.blocks
                           for root in block.chern_roots)
@@ -371,7 +369,8 @@ class PreparedInner:
     the exact u^(lo+n) coefficient, lo + n <= order, of the components at J
     added.  `frozen` keeps, per nonzero level, m*J and R[n] / den as complex
     from u^order down to u^lo: int / int is correctly rounded, so converting
-    once yields the same floats as converting on every call.
+    once yields the same floats as converting on every call.  As z^{mJ} is
+    exact, `order` is the td-series order of the radius (whatever m is).
     """
 
     __slots__ = ("m", "order", "lo", "den", "levels", "frozen")
@@ -391,18 +390,19 @@ class PreparedInner:
         self.frozen = [(m * J, [complex(c / self.den) for c in reversed(row)])
                        for J, row in self.levels if any(row)]
 
-    def laurent_sum(self, taylor_order: int) -> dict[int, Fraction]:
-        """Exact u-Laurent coefficients of the full sum, with each
-        oscillatory factor e^{m J u} Taylor-expanded to `taylor_order` T:
-        per level one integer Cauchy product of its row with
-        e_t = (mJ)^t T!/t!, t <= T, and the sum divided by T! den once."""
-        size, fact = self.order - self.lo + 1, factorial(taylor_order)
+    def laurent_sum(self, taylor: int, order: int) -> dict[int, Fraction]:
+        """u-Laurent coefficients of the sum up to u^order, e^{m J u} Taylor
+        expanded to u^T, T = `taylor`: per level one integer Cauchy product of
+        its row with e_t = (mJ)^t T!/t!, t <= T, over T! den once.  Exact up
+        to the rows' order; above it, without the rows' higher terms."""
+        size, fact = order - self.lo + 1, factorial(taylor)
         total = [0] * size
         for J, row in self.levels:
             mJ = self.m * J
             e = [mJ ** t * (fact // factorial(t))
-                 for t in range(min(taylor_order, size - 1) + 1 if mJ else 1)]
-            total = list(map(add, total, _cauchy(row, e, size)))
+                 for t in range(min(taylor, size - 1) + 1 if mJ else 1)]
+            for n, c in enumerate(_cauchy(row, e, size)):
+                total[n] += c
         return {self.lo + n: Fraction(c, self.den * fact)
                 for n, c in enumerate(total) if c}
 

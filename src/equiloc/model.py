@@ -83,6 +83,14 @@ class FixedComponent:
         return out
 
     @cached_property
+    def volume_pieces(self) -> tuple[Fraction, ...]:
+        """v_j = int_F Td omega^j/j!: int_F Td e^{m omega} = sum_j m^j v_j."""
+        if not self.omega:    # every point: one piece, and no ring products
+            return (self.todd.integrate(),)
+        return tuple((self.todd * w).integrate()
+                     for w in self.omega.divided_powers())
+
+    @cached_property
     def chi_pieces(self) -> tuple:
         """P_0..P_d with chi_tilde(F, m) = sum_j m^j P_j."""
         from .localization import chi_tilde_pieces
@@ -174,9 +182,16 @@ class ManifoldPresentation:
 def validate(p: ManifoldPresentation) -> list[Diagnostic]:
     """Check every structural invariant; empty list means valid."""
     out: list[Diagnostic] = []
+    verdicts: dict = {}    # once per call for each ring and (class, ring)
 
     def bad(code, where, message):
         out.append(Diagnostic(code, where, message))
+
+    def off_degree_2(c, ring):
+        key = (id(c), id(ring))
+        if key not in verdicts:
+            verdicts[key] = sum(ring.monomial_degree(x) != 2 for x in c.terms)
+        return verdicts[key]
 
     if p.dim_M < 0 or p.dim_M % 2 != 0:
         bad("DimensionOdd", p.name, f"dim_M = {p.dim_M} must be even and >= 0")
@@ -197,15 +212,15 @@ def validate(p: ManifoldPresentation) -> list[Diagnostic]:
         for elem, label in ((F.todd, "todd"), (F.omega, "omega")):
             if elem.ring != F.ring:
                 bad("WrongRing", where, f"{label} lives in a foreign ring")
-        for mono in F.omega.terms:
-            if F.ring.monomial_degree(mono) != 2:
-                bad("OmegaNotDegree2", where,
-                    "omega must be of pure degree 2")
+        for _ in range(off_degree_2(F.omega, F.ring)):
+            bad("OmegaNotDegree2", where, "omega must be of pure degree 2")
         if F.dim_F == 0:
             if F.ring.generators:
                 bad("PointRingNotTrivial", where,
                     "zero-dimensional component must carry the point ring")
-            if F.todd != F.ring.one():
+            if id(F.ring) not in verdicts:
+                verdicts[id(F.ring)] = F.ring.one()
+            if F.todd != verdicts[id(F.ring)]:
                 bad("PointToddNotOne", where, "todd must equal 1 at a point")
             if not F.omega.is_zero():
                 bad("PointOmegaNotZero", where, "omega must vanish at a point")
@@ -218,16 +233,14 @@ def validate(p: ManifoldPresentation) -> list[Diagnostic]:
             for r in b.chern_roots:
                 if r.ring != F.ring:
                     bad("WrongRing", bwhere, "chern root in a foreign ring")
-                    continue
-                if any(F.ring.monomial_degree(m) != 2 for m in r.terms):
+                elif off_degree_2(r, F.ring):
                     bad("RootNotDegree2", bwhere,
                         "chern roots must be of pure degree 2")
     if p.quotient is not None:
         q = p.quotient
         where = f"{p.name}/quotient"
-        for mono in q.omega0.terms:
-            if q.ring.monomial_degree(mono) != 2:
-                bad("OmegaNotDegree2", where, "omega0 must be of pure degree 2")
+        for _ in range(off_degree_2(q.omega0, q.ring)):
+            bad("OmegaNotDegree2", where, "omega0 must be of pure degree 2")
         for elem, label in ((q.omega0, "omega0"), (q.kappa_todd, "kappa_todd")):
             if elem.ring != q.ring:
                 bad("WrongRing", where, f"{label} lives in a foreign ring")

@@ -135,7 +135,8 @@ def exceptional_term(F: FixedComponent) -> Fraction:
     contributes, n = l+ + l- - 1, which is the normal rank less one at an
     isolated point.  It does not depend on m, since omega vanishes at a
     point; `FixedComponent.exceptional` keeps it."""
-    den, row = localization.normal_todd(F.weights(), F.normal_rank() - 1)
+    den, row = localization.normal_todd(tuple(sorted(F.weights())),
+                                        F.normal_rank() - 1)
     return exceptional_from_series(F, {n: F.todd.integrate() * Fraction(
         c, den) for n, c in enumerate(row)})
 

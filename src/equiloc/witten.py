@@ -10,9 +10,9 @@ oscillatory factors are Taylor-expanded and the pole cancellation is
 performed exactly in rational arithmetic, and the remaining annulus, which
 is handled by composite Gauss-Legendre quadrature (`complex_quad`).  There
 the integrand is `PreparedInner.evaluate`: one Horner pass per moment J
-over the exact sum of the components at J, frozen to floats once per
-(presentation, m, order); phi is even, so one call on a numpy array takes
-every node of a quadrature level at x and at -x.
+over the exact sum of the components at J, kept to the annulus's m-free
+td-series order, as z^{mJ} is exact; phi is even, so one call on a numpy
+array takes every node of a quadrature level at x and at -x.
 
 The expansion side pairs each power u^j = (2 pi i x)^j of a moment-zero
 component's Laurent data with phi, for j < 0 through the boundary value
@@ -236,10 +236,12 @@ def witten_pair(p: ManifoldPresentation, rho: str, phi: TestFunction,
     and polynomial integration on the inner disc.  The integrand is the
     equivariant Todd class, the only value `rho` accepts ("todd").
 
-    The inner radius is m^{-1/2}/10, clipped to delta1/2, and the
-    Taylor order is grown until the oscillatory remainder is negligible;
-    the two evaluation pathways are then required to agree on the overlap
-    annulus, which catches both inconsistent data and starved expansions.
+    The inner radius is m^{-1/2}/10, clipped to delta1/2.  The rows stop
+    at the annulus order (`default_series_order` at delta2); on the disc
+    their Taylor product with e^{mJu} runs to the inner order, grown until
+    the oscillatory remainder is negligible.  The two evaluation pathways
+    must agree on the overlap annulus, which catches both inconsistent
+    data and starved expansions.
     The annulus eta < |x| < delta2 folds onto x > 0 and splits at delta1:
     phi is 1 on [eta, delta1] and tabulated per panel count beyond.
     """
@@ -251,15 +253,13 @@ def witten_pair(p: ManifoldPresentation, rho: str, phi: TestFunction,
     j_max = max((abs(F.moment) for F in p.components), default=0)
     max_pole = max(((p.dim_M - F.dim_F) // 2 for F in p.components),
                    default=0)
-    # the combined series e^{mJu} L(u) must be kept to the degree where the
-    # oscillatory growth (2 pi m J |x|)^n / n! has died off, not merely to
-    # the order the outer quadrature radius requires
+    # the inner sum e^{mJu} L(u) runs to where (2 pi m J |x|)^n / n! dies
     rate = 2 * math.pi * m * j_max * (2 * eta)
     inner_order = _adaptive_taylor_order(rate, floor=max(max_pole, 4))
-    order = max(default_series_order(p, phi.delta2), inner_order)
-    prepared = PreparedInner(p, m, order)
+    annulus_order = default_series_order(p, phi.delta2)
+    prepared = PreparedInner(p, m, annulus_order)
     K = inner_order + max_pole
-    poly = prepared.laurent_sum(K)
+    poly = prepared.laurent_sum(K, max(annulus_order, inner_order))
     bad = {j: c for j, c in poly.items() if j < 0 and c != 0}
     if bad:
         raise CancellationError(

@@ -47,6 +47,37 @@ def test_point_component_constraints():
     assert any(d.code == "PointToddNotOne" for d in validate(p))
 
 
+def test_shared_bad_classes_are_reported_per_component():
+    # each bad class is held by two components (a ring, a root, an omega
+    # and a Todd class shared as `parse` shares them) and is reported for
+    # both, in component order, as one check per component would
+    ring = projective_ring(3)
+    h = ring.generator("h")
+    foreign = RingSpec.point().zero()
+    F = FixedComponent("a", 0, ring, ring.one(), h + h * h,
+                       (NormalBlock(1, (h * h,)), NormalBlock(2, (foreign,))))
+    pt = RingSpec.point()
+    P = FixedComponent("p", 1, pt, pt.scalar(2), pt.zero(),
+                       (NormalBlock(-1, (pt.zero(),) * 4),))
+    p = ManifoldPresentation("x", 8, (F, replace(F, name="b"), P,
+                                      replace(P, name="q")))
+    assert [(d.code, d.where) for d in validate(p)] == [
+        ("OmegaNotDegree2", "x/a"), ("RootNotDegree2", "x/a/block0"),
+        ("WrongRing", "x/a/block1"),
+        ("OmegaNotDegree2", "x/b"), ("RootNotDegree2", "x/b/block0"),
+        ("WrongRing", "x/b/block1"),
+        ("PointToddNotOne", "x/p"), ("PointToddNotOne", "x/q")]
+    # through parse: every point of dim6 holds the one class "1"
+    text = serialize(builtin("dim6")).replace('"todd": "1"', '"todd": "2"')
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert [d.code for d in err.value.diagnostics] \
+        == ["PointToddNotOne"] * 8
+    assert [d.where for d in err.value.diagnostics] \
+        == [f"{builtin('dim6').name}/{F.name}"
+            for F in builtin("dim6").components]
+
+
 def test_round_trip_stability():
     for name in builtin_names():
         text = serialize(builtin(name))
@@ -334,6 +365,18 @@ def test_transformed_copies_start_without_pieces():
     for q in (bundle_power(p, 2), disjoint_union(p, p)):
         assert all(not vars(G).keys() & {"chi_pieces", "exceptional"}
                    for G in q.components)
+
+
+def test_replaced_component_recomputes_volume_pieces():
+    # int_F Td omega^j/j! on the sphere with omega = d h: (1, d)
+    F = trivial_cp1().components[0]
+    assert F.volume_pieces == (1, 1) and "volume_pieces" in vars(F)
+    G = replace(F, omega=F.omega * 3)
+    assert "volume_pieces" not in vars(G)
+    assert G.volume_pieces == (1, 3)
+    for m in range(4):
+        assert sum(m ** j * v for j, v in enumerate(G.volume_pieces)) \
+            == (G.todd * (G.omega * m).exp_nilpotent()).integrate()
 
 
 def test_minimal_point_document():

@@ -16,7 +16,7 @@ from equiloc.builtins import builtin_names
 from equiloc.cli import main
 from equiloc.localization import (PreparedInner, character,
                                   component_u_laurent, default_series_order)
-from equiloc.model import QuotientData
+from equiloc.model import QuotientData, cpn_linear, product, trivial_cp1
 from equiloc.quantize import classify
 from equiloc.ring import RingSpec
 from equiloc.witten import (CancellationError, TestFunction, complex_quad,
@@ -294,9 +294,45 @@ def test_witten_pair_does_not_depend_on_dict_order(name, monkeypatch):
     laurent_sum = PreparedInner.laurent_sum
     monkeypatch.setattr(
         PreparedInner, "laurent_sum",
-        lambda self, K: dict(sorted(laurent_sum(self, K).items(),
-                                    reverse=True)))
+        lambda *args, **kwargs: dict(sorted(
+            laurent_sum(*args, **kwargs).items(), reverse=True)))
     assert [witten_pair(p, "todd", PHI, m) for m in (1, 4, 8)] == want
+
+
+@pytest.mark.parametrize("p", [builtin(name) for name in builtin_names()] + [
+    cpn_linear([-1, 0, 1, 2], 1, shift=-1),
+    product(trivial_cp1(), builtin("dim6"))], ids=lambda p: p.name)
+def test_inner_sum_from_annulus_rows_is_exact(p, monkeypatch):
+    # witten_pair keeps its rows to the annulus order N_a, whatever m is;
+    # the inner-disc sum built from them equals, coefficient by coefficient
+    # up to u^N_a, the one built from rows kept to the inner order
+    calls = []
+    laurent_sum = PreparedInner.laurent_sum
+
+    def spy(self, taylor, order):
+        calls.append((self, taylor, order))
+        return laurent_sum(self, taylor, order)
+
+    monkeypatch.setattr(PreparedInner, "laurent_sum", spy)
+    for m in (0, 3, 8, 64):
+        try:
+            witten_pair(p, "todd", PHI, m)
+        except CancellationError:
+            pass
+    annulus = default_series_order(p, PHI.delta2)
+    assert [prepared.m for prepared, _, _ in calls] == [0, 3, 8, 64]
+    assert len({len(row) for prepared, _, _ in calls
+                for _, row in prepared.levels}) == 1
+    # the inner order passes the annulus order by m = 64, except where a
+    # weight of 3 (dgmw, X1) puts the annulus order at 106
+    assert any(order > annulus for _, _, order in calls) or annulus > 100
+    for prepared, K, order in calls:
+        assert prepared.order == annulus
+        want = laurent_sum(PreparedInner(p, prepared.m, order), K, order)
+        got = laurent_sum(prepared, K, order)
+        assert {j: c for j, c in got.items() if j <= annulus} \
+            == {j: c for j, c in want.items() if j <= annulus}, \
+            (p.name, prepared.m)
 
 
 # -- quadrature ---------------------------------------------------------------
