@@ -28,9 +28,10 @@ order asked for.  Where every normal Chern root vanishes, Td_F/e_F is the
 closed form prod_k td(-k u)/(-k u) from a constant table of Todd powers
 (`normal_todd`), whose product the exceptional terms of `quantize` read
 too; other components multiply `USeries` by integer Cauchy products.
-`PreparedInner` adds the components of each moment level into one row, so
-evaluation runs one Horner pass per level.  Every walk over the powers of a
-nilpotent class, here and in `ring`, is `GradedElement.powers`.
+`PreparedInner` adds the components of each moment level into one row and
+evaluates every level at once, as a table of the powers of 2 pi x times one
+matrix of the rows.  Every walk over the powers of a nilpotent class, here
+and in `ring`, is `GradedElement.powers`.
 
 Normalization of the equivariant Euler class.  Internally every series is
 written in the variable u = 2 pi i x, which keeps all coefficients rational.
@@ -52,8 +53,8 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from itertools import zip_longest
-from math import comb, factorial, gcd, lcm, log, prod
+from itertools import accumulate, repeat, zip_longest
+from math import comb, gcd, lcm, log, prod
 from operator import add, mul
 from typing import Mapping, Optional, Sequence
 
@@ -367,64 +368,78 @@ class PreparedInner:
 
     `levels` keeps (J, R) per distinct moment J, ascending: R[n] / den is
     the exact u^(lo+n) coefficient, lo + n <= order, of the components at J
-    added.  `frozen` keeps, per nonzero level, m*J and R[n] / den as complex
-    from u^order down to u^lo: int / int is correctly rounded, so converting
-    once yields the same floats as converting on every call.  As z^{mJ} is
-    exact, `order` is the td-series order of the radius (whatever m is).
+    added.  `frozen` keeps, over the nonzero levels l, the vector of m*J and
+    one complex matrix C[n, l] = R_l[n] / den * i^(lo+n), so that a level at
+    real x is (2 pi x)^(lo..order) times column l: int / int is correctly
+    rounded, so converting once yields the same floats as converting on
+    every call.  As z^{mJ} is exact, `order` is the td-series order of the
+    radius (whatever m is).
     """
 
     __slots__ = ("m", "order", "lo", "den", "levels", "frozen")
 
     def __init__(self, p: ManifoldPresentation, m: int, order: int):
+        import numpy as np
         self.m, self.order = m, order
         parts = _u_rows(p.components, m, order)
         self.lo = min((lo for _, lo, _, _ in parts), default=0)
         self.den = lcm(*(den for _, _, den, _ in parts))
+        size = order - self.lo + 1
         sums: dict[int, list[int]] = {}
         for J, lo, den, row in parts:
-            acc = sums.setdefault(J, [0] * (order - self.lo + 1))
+            acc = sums.setdefault(J, [0] * size)
             scale = self.den // den
             for n, c in enumerate(row, lo - self.lo):
                 acc[n] += scale * c
         self.levels = sorted(sums.items())
-        self.frozen = [(m * J, [complex(c / self.den) for c in reversed(row)])
-                       for J, row in self.levels if any(row)]
+        live = [(J, row) for J, row in self.levels if any(row)]
+        units = np.array((1, 1j, -1, -1j))[np.arange(self.lo, order + 1) % 4]
+        matrix = np.array([[row[n] / self.den for _, row in live]
+                           for n in range(size)])
+        self.frozen = (np.array([m * J for J, _ in live], dtype=float),
+                       matrix * units[:, None])
 
     def laurent_sum(self, taylor: int, order: int) -> dict[int, Fraction]:
         """u-Laurent coefficients of the sum up to u^order, e^{m J u} Taylor
         expanded to u^T, T = `taylor`: per level one integer Cauchy product of
         its row with e_t = (mJ)^t T!/t!, t <= T, over T! den once.  Exact up
         to the rows' order; above it, without the rows' higher terms."""
-        size, fact = order - self.lo + 1, factorial(taylor)
+        size = order - self.lo + 1
+        # T!/t! for t = T down to 0, one running product
+        falling = list(accumulate(range(taylor, 0, -1), mul, initial=1))
         total = [0] * size
         for J, row in self.levels:
             mJ = self.m * J
-            e = [mJ ** t * (fact // factorial(t))
-                 for t in range(min(taylor, size - 1) + 1 if mJ else 1)]
+            top = min(taylor, size - 1) if mJ else 0
+            e = list(map(mul, accumulate(repeat(mJ, top), mul, initial=1),
+                         reversed(falling[taylor - top:])))
             for n, c in enumerate(_cauchy(row, e, size)):
                 total[n] += c
-        return {self.lo + n: Fraction(c, self.den * fact)
+        return {self.lo + n: Fraction(c, self.den * falling[-1])
                 for n, c in enumerate(total) if c}
 
-    def evaluate(self, u, z):
-        """The integrand at u = 2 pi i x, given z = e^u: per level z^{mJ}
-        u^lo times the Horner sum of its frozen coefficients (kept in place,
-        so that arrays take no temporaries), then a Kahan-compensated sum
-        over the levels, ascending.  Only arithmetic touches u and z: Python
-        complex or numpy arrays alike."""
-        total = comp = 0 * u
-        ulo = u ** self.lo
-        for mJ, coeffs in self.frozen:
-            acc = 0 * u
-            for c in coeffs:
-                acc *= u
-                acc += c
-            term = z ** mJ * acc * ulo
+    def evaluate(self, x):
+        """The integrand at real x, a float or an array: per level e^{2 pi i
+        mJ x} times the level's Laurent sum, all levels at once as the table
+        of powers (2 pi x)^(lo..order), built by one cumprod, times `frozen`'s
+        matrix; then a Kahan-compensated sum over the levels, ascending."""
+        import numpy as np
+        mJ, C = self.frozen
+        t = 2 * np.pi * np.asarray(x, dtype=float)
+        powers = np.empty(t.shape + (len(C),))
+        # numpy's pow is not odd in its base, so t^lo is |t|^lo signed
+        powers[..., 0] = abs(t) ** self.lo
+        powers[..., 0] *= np.sign(t) ** (self.lo % 2)
+        powers[..., 1:] = t[..., None]
+        np.cumprod(powers, axis=-1, out=powers)
+        terms = np.exp(1j * np.multiply.outer(t, mJ)) * (powers @ C)
+        total = comp = np.zeros(t.shape, dtype=complex)
+        for term in np.moveaxis(terms, -1, 0):
             y = term - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-        return total
+            s = total + y
+            comp = (s - total) - y
+            total = s
+        return total[()]
 
 
 def dh_inner(p: ManifoldPresentation, m: int, x: float,
@@ -434,8 +449,7 @@ def dh_inner(p: ManifoldPresentation, m: int, x: float,
         raise ValueError("the localized integrand is singular at x = 0")
     if order is None:
         order = default_series_order(p, abs(x))
-    u = 2j * cmath.pi * x
-    return PreparedInner(p, m, order).evaluate(u, cmath.exp(u))
+    return complex(PreparedInner(p, m, order).evaluate(x))
 
 
 def default_series_order(p: ManifoldPresentation, x_max: float) -> int:
@@ -466,11 +480,6 @@ def kirillov_check(p: ManifoldPresentation, m: int,
     chi = character(p, m)
     order = default_series_order(p, max(abs(x) for x in x_samples))
     prepared = PreparedInner(p, m, order)
-    worst = 0.0
-    for x in x_samples:
-        u = 2j * cmath.pi * x
-        z = cmath.exp(u)
-        lhs = chi.evaluate(z)
-        rhs = prepared.evaluate(u, z)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    rhs = prepared.evaluate(x_samples)
+    return max(abs(chi.evaluate(cmath.exp(2j * cmath.pi * x)) - r)
+               for x, r in zip(x_samples, rhs))

@@ -9,10 +9,13 @@ evaluation therefore splits the axis into an inner disc, where the
 oscillatory factors are Taylor-expanded and the pole cancellation is
 performed exactly in rational arithmetic, and the remaining annulus, which
 is handled by composite Gauss-Legendre quadrature (`complex_quad`).  There
-the integrand is `PreparedInner.evaluate`: one Horner pass per moment J
-over the exact sum of the components at J, kept to the annulus's m-free
-td-series order, as z^{mJ} is exact; phi is even, so one call on a numpy
-array takes every node of a quadrature level at x and at -x.
+the integrand is `PreparedInner.evaluate`: a table of the powers of 2 pi x
+times one matrix that holds, per moment J, the exact sum of the components
+at J, kept to the annulus's m-free td-series order, as e^{2 pi i mJx} is
+exact.  Those sums are real series in u = 2 pi i x, so the integrand at -x
+is the conjugate of that at x; phi is even, so the annulus folds onto
+x > 0 as twice the real part, and one call on a numpy array takes every
+node of a quadrature level.
 
 The expansion side pairs each power u^j = (2 pi i x)^j of a moment-zero
 component's Laurent data with phi, for j < 0 through the boundary value
@@ -242,7 +245,8 @@ def witten_pair(p: ManifoldPresentation, rho: str, phi: TestFunction,
     the oscillatory remainder is negligible.  The two evaluation pathways
     must agree on the overlap annulus, which catches both inconsistent
     data and starved expansions.
-    The annulus eta < |x| < delta2 folds onto x > 0 and splits at delta1:
+    The annulus eta < |x| < delta2 folds onto x > 0, where the integrand
+    plus its value at -x is twice its real part, and splits at delta1:
     phi is 1 on [eta, delta1] and tabulated per panel count beyond.
     """
     if rho != "todd":
@@ -266,16 +270,16 @@ def witten_pair(p: ManifoldPresentation, rho: str, phi: TestFunction,
             f"inner expansion keeps singular powers {sorted(bad)}: "
             "fixed-point data is inconsistent")
     # int_{-eta}^{eta} P(2 pi i x) dx with phi = 1 there: odd powers drop
+    coeffs = [complex(poly.get(j, 0))
+              for j in range(max(poly, default=-1) + 1)]
     inner = 0j
-    for j, c in sorted(poly.items()):
-        if j % 2 == 0:
-            inner += complex(c) * _TWO_PI_I ** j * 2 * eta ** (j + 1) / (j + 1)
+    for j, c in enumerate(coeffs):
+        if j % 2 == 0 and c:
+            inner += c * _TWO_PI_I ** j * 2 * eta ** (j + 1) / (j + 1)
 
     x0 = np.array([eta, 1.5 * eta])
-    u0 = _TWO_PI_I * x0
-    direct = prepared.evaluate(u0, np.exp(u0))
-    series = np.polyval([complex(poly.get(j, 0))
-                         for j in range(max(poly, default=0), -1, -1)], u0)
+    direct = prepared.evaluate(x0)
+    series = np.polyval(coeffs[::-1], _TWO_PI_I * x0)
     for x, d, s in zip(x0, direct, series):
         if abs(d - s) > 1e-9 * max(1.0, abs(d)):
             raise CancellationError(
@@ -283,10 +287,9 @@ def witten_pair(p: ManifoldPresentation, rho: str, phi: TestFunction,
                 "expansion starved or data bad")
 
     def folded(x: np.ndarray) -> np.ndarray:
-        # phi is even: the integrand at x and at -x in one evaluation
-        u = _TWO_PI_I * np.concatenate((x, -x))
-        both = prepared.evaluate(u, np.exp(u))
-        return both[:len(x)] + both[len(x):]
+        # the rows are real, so the integrand at -x is the conjugate of
+        # that at x, and phi is even
+        return 2 * prepared.evaluate(x).real
 
     def glued(x: np.ndarray) -> np.ndarray:
         return folded(x) * phi.at_nodes(len(x) // len(_GL_NODES))
