@@ -145,9 +145,10 @@ def rewrite_ring(r, ring):
 
 @st.composite
 def equivalent_documents(draw):
-    """A document with its components, blocks and roots reordered, its
-    components renamed and every class, key and integral rewritten in an
-    equal form; with the new-to-old name map."""
+    """A document with its components, blocks and roots reordered, a block
+    of rank 2 or more at times split in two of the same weight that divide
+    its roots, its components renamed and every class, key and integral
+    rewritten in an equal form; with the new-to-old name map."""
     r = draw(st.randoms(use_true_random=False))
     name = draw(st.sampled_from(sorted(PRESENTATIONS)))
     doc = json.loads(serialize(PRESENTATIONS[name]))
@@ -162,6 +163,13 @@ def equivalent_documents(draw):
         for b in c["blocks"]:
             b["chern_roots"] = [rewrite(r, x) for x in b["chern_roots"]]
             r.shuffle(b["chern_roots"])
+        for b in list(c["blocks"]):
+            roots = b["chern_roots"]
+            if len(roots) > 1 and r.random() < 0.5:
+                cut = r.randrange(1, len(roots))
+                b["chern_roots"] = roots[:cut]
+                c["blocks"].append({"weight": b["weight"],
+                                    "chern_roots": roots[cut:]})
         r.shuffle(c["blocks"])
     r.shuffle(components)
     if "quotient" in doc:

@@ -631,23 +631,29 @@ def test_dh_inner_m0_todd_is_regular_with_total_rr():
         assert poly[0] == character(p, 0).evaluate_at_one(), name
 
 
-def converting_evaluate(prepared, u, z):
+def converting_evaluate(prepared, x):
     """The integrand over the exact `levels`, each coefficient converted
-    with complex(Fraction) on every call: per level, Horner from u^order
-    down to u^lo, then a Kahan sum over the levels, ascending."""
-    total = 0j
-    comp = 0j
-    for J, row in prepared.levels:
-        if not any(row):
-            continue
-        acc = 0j
-        for c in reversed(row):
-            acc = acc * u + complex(Fraction(c, prepared.den))
-        term = z ** (prepared.m * J) * acc * u ** prepared.lo
+    with complex(Fraction) and multiplied by i^(lo+n) on every call, then
+    the arithmetic of `evaluate`: the power table of 2 pi x, one matrix
+    product, e^{2 pi i mJ x} and a Kahan sum over the levels, ascending."""
+    live = [(J, row) for J, row in prepared.levels if any(row)]
+    matrix = np.array([[complex(Fraction(row[n], prepared.den))
+                        * 1j ** (prepared.lo + n) for _, row in live]
+                       for n in range(prepared.order - prepared.lo + 1)])
+    t = 2 * np.pi * np.asarray(x, dtype=float)
+    powers = np.empty(t.shape + (len(matrix),))
+    powers[..., 0] = abs(t) ** prepared.lo
+    powers[..., 0] *= np.sign(t) ** (prepared.lo % 2)
+    powers[..., 1:] = t[..., None]
+    np.cumprod(powers, axis=-1, out=powers)
+    moments = np.array([prepared.m * J for J, _ in live], dtype=float)
+    terms = np.exp(1j * np.multiply.outer(t, moments)) * (powers @ matrix)
+    total = comp = np.zeros(t.shape, dtype=complex)
+    for term in np.moveaxis(terms, -1, 0):
         y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
+        s = total + y
+        comp = (s - total) - y
+        total = s
     return total
 
 
@@ -656,37 +662,60 @@ XS = (0.004, 0.037, 0.1, 0.19, 0.25)
 
 @pytest.mark.parametrize("name", builtin_names())
 def test_frozen_evaluate_is_bit_identical_to_converting(name):
+    # at the annulus order the numerators pass 2^53, where converting them
+    # to float before dividing would round twice
     p = builtin(name)
+    xs = np.array(XS + tuple(-v for v in XS))
     for m in (0, 8, 64):
-        prepared = PreparedInner(p, m, 12)
-        for x in XS:
-            u = 2j * cmath.pi * x
-            z = cmath.exp(u)
-            assert (prepared.evaluate(u, z)
-                    == converting_evaluate(prepared, u, z)), (name, m, x)
+        for order in (12, default_series_order(p, 0.25)):
+            prepared = PreparedInner(p, m, order)
+            assert np.array_equal(prepared.evaluate(xs),
+                                  converting_evaluate(prepared, xs)), \
+                (name, m, order)
+            for x in xs:
+                assert (prepared.evaluate(x)
+                        == converting_evaluate(prepared, x)), (name, m, x)
+
+
+def _largest_level_term(prepared, x):
+    """max over the levels of |sum_n R[n] / den (2 pi i x)^(lo+n)|, the
+    size of the terms that cancel in the sum; |e^{2 pi i mJ x}| = 1."""
+    u = 2j * cmath.pi * x
+    return max(abs(sum(complex(Fraction(c, prepared.den))
+                       * u ** (prepared.lo + n) for n, c in enumerate(row)))
+               for _, row in prepared.levels)
 
 
 @pytest.mark.parametrize("name", builtin_names())
 def test_evaluate_on_arrays_matches_complex(name):
-    # the same arithmetic on one numpy array of nodes as on each Python
-    # complex node alone.  The components cancel near x = 0, so the bound
-    # is relative to the largest component term; m stays below the |mJ| =
-    # 100 from which CPython and numpy take different general powers
+    # one array of nodes at the annulus order against the complex value
+    # chi_m(e^{2 pi i x}) of the exact character (Kirillov), which shares
+    # no code with `evaluate`.  The levels cancel near x = 0, so the bound
+    # is relative to the largest level term; the worst case, dim6 at
+    # m = 64 and x = 0.25, is about 3e-12 of it
     p = builtin(name)
     xs = XS + tuple(-v for v in XS)
-    u = 2j * np.pi * np.array(xs)
-    for m in (0, 8, 32):
-        prepared = PreparedInner(p, m, 12)
-        got = prepared.evaluate(u, np.exp(u))
-        for i, v in enumerate(xs):
-            ui = 2j * cmath.pi * v
-            zi = cmath.exp(ui)
-            want = prepared.evaluate(ui, zi)
-            scale = max(abs(zi ** mJ * ui ** prepared.lo)
-                        * abs(sum(c * ui ** k for k, c in
-                                  enumerate(reversed(coeffs))))
-                        for mJ, coeffs in prepared.frozen)
-            assert abs(got[i] - want) <= 1e-15 * scale, (name, m, v)
+    for m in (0, 8, 64):
+        chi = character(p, m)
+        prepared = PreparedInner(p, m, default_series_order(p, 0.25))
+        got = prepared.evaluate(np.array(xs))
+        for x, value in zip(xs, got):
+            want = chi.evaluate(cmath.exp(2j * cmath.pi * x))
+            scale = max(1.0, _largest_level_term(prepared, x))
+            assert abs(value - want) <= 1e-11 * scale, (name, m, x)
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_evaluate_at_minus_x_is_the_conjugate(name):
+    # the levels' rows are real series in u = 2 pi i x, which is what lets
+    # `witten_pair` fold the annulus onto x > 0 as twice the real part
+    p = builtin(name)
+    order = default_series_order(p, 0.25)
+    x = np.linspace(0.004, 0.25, 125)
+    for m in (0, 8, 64):
+        prepared = PreparedInner(p, m, order)
+        assert np.array_equal(prepared.evaluate(-x),
+                              prepared.evaluate(x).conjugate()), (name, m)
 
 
 def test_dh_inner_moment_shift_factor():
