@@ -75,7 +75,7 @@ def _load(args) -> ManifoldPresentation:
         try:
             with open(args.input, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as e:
+        except (OSError, UnicodeDecodeError) as e:
             raise SystemExit2(f"cannot read {args.input}: {e}")
         try:
             return parse(text)

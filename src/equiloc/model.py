@@ -15,15 +15,16 @@ polynomial matching the monomial enumeration oracle (see tests).
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
-from .expressions import (ExpressionError, element_to_string,
+from .expressions import (element_to_string,
                           monomial_to_string, string_to_element,
                           string_to_monomial)
-from .ring import GradedElement, RingSpec, todd_from_roots
+from .ring import GradedElement, RingError, RingSpec, todd_from_roots
 from .zrational import linear_sum, over_one_denominator
 
 
@@ -182,16 +183,12 @@ class ManifoldPresentation:
 def validate(p: ManifoldPresentation) -> list[Diagnostic]:
     """Check every structural invariant; empty list means valid."""
     out: list[Diagnostic] = []
-    verdicts: dict = {}    # once per call for each ring and (class, ring)
 
     def bad(code, where, message):
         out.append(Diagnostic(code, where, message))
 
-    def off_degree_2(c, ring):
-        key = (id(c), id(ring))
-        if key not in verdicts:
-            verdicts[key] = sum(ring.monomial_degree(x) != 2 for x in c.terms)
-        return verdicts[key]
+    def off_degree_2(c, ring):    # the terms of c not of degree 2
+        return [x for x in c.terms if ring.monomial_degree(x) != 2]
 
     if p.dim_M < 0 or p.dim_M % 2 != 0:
         bad("DimensionOdd", p.name, f"dim_M = {p.dim_M} must be even and >= 0")
@@ -212,15 +209,13 @@ def validate(p: ManifoldPresentation) -> list[Diagnostic]:
         for elem, label in ((F.todd, "todd"), (F.omega, "omega")):
             if elem.ring != F.ring:
                 bad("WrongRing", where, f"{label} lives in a foreign ring")
-        for _ in range(off_degree_2(F.omega, F.ring)):
+        for _ in off_degree_2(F.omega, F.ring):
             bad("OmegaNotDegree2", where, "omega must be of pure degree 2")
         if F.dim_F == 0:
             if F.ring.generators:
                 bad("PointRingNotTrivial", where,
                     "zero-dimensional component must carry the point ring")
-            if id(F.ring) not in verdicts:
-                verdicts[id(F.ring)] = F.ring.one()
-            if F.todd != verdicts[id(F.ring)]:
+            if F.todd != F.ring.one():
                 bad("PointToddNotOne", where, "todd must equal 1 at a point")
             if not F.omega.is_zero():
                 bad("PointOmegaNotZero", where, "omega must vanish at a point")
@@ -239,7 +234,7 @@ def validate(p: ManifoldPresentation) -> list[Diagnostic]:
     if p.quotient is not None:
         q = p.quotient
         where = f"{p.name}/quotient"
-        for _ in range(off_degree_2(q.omega0, q.ring)):
+        for _ in off_degree_2(q.omega0, q.ring):
             bad("OmegaNotDegree2", where, "omega0 must be of pure degree 2")
         for elem, label in ((q.omega0, "omega0"), (q.kappa_todd, "kappa_todd")):
             if elem.ring != q.ring:
@@ -260,33 +255,33 @@ def _ring_to_doc(ring: RingSpec) -> dict:
     }
 
 
-def _ring_from_doc(doc: dict, where: str, memo: dict) -> RingSpec:
-    """A ring block, parsed once per JSON text (false, 0, "0" differ)."""
+def _ring_from_doc(doc, where: str, memo: dict) -> RingSpec:
+    """The ring block of the object at `where`, parsed once per JSON text
+    (false, 0, "0" differ)."""
     text = json.dumps(doc)
     if text in memo:
         return memo[text]
-    _fields(doc, "ring", f"{where}: ring")
-    gens_doc = _typed(doc.get("generators", []), list, f"{where}: generators")
-    integrals = _typed(doc.get("integrals", {}), dict, f"{where}: integrals")
+    where += ": ring"
+    gens_doc, truncation, integrals = _read(doc, "ring", where)
+    gens = [_read(g, "generator", f"{where}: generators[{i}]")
+            for i, g in enumerate(gens_doc)]
+    names = [name for name, _ in gens]
+    table = {}
+    for key, val in integrals.items():
+        value = _expression(RingSpec.point(), val,
+                            f"{where}: integral {key!r}", memo)
+        try:
+            mono = string_to_monomial(names, key)
+        except ValueError as e:
+            raise ParseError(f"{where}: integral key {key!r}: {e}") from e
+        table[mono] = value.scalar_part()
+    if len(table) < len(integrals):
+        raise ParseError(f"{where}: two integral keys name the same monomial")
     try:
-        gens = []
-        for i, g in enumerate(gens_doc):
-            _fields(g, "generator", f"generators[{i}]")
-            gens.append((_typed(g["name"], str, "generator name"),
-                         _typed(g["degree"], int, "generator degree")))
-        names = [name for name, _ in gens]
-        table = {}
-        for key, val in integrals.items():
-            value = _expression(RingSpec.point(), val, f"integral {key!r}",
-                                memo)
-            table[string_to_monomial(names, key)] = value.scalar_part()
-        if len(table) < len(integrals):
-            raise ParseError("two integral keys name the same monomial")
-        memo[text] = RingSpec(
-            gens, _typed(doc["truncation"], int, "truncation"), table)
-        return memo[text]
-    except (KeyError, TypeError, ValueError) as e:
-        raise ParseError(f"{where}: bad ring: {e}") from e
+        memo[text] = RingSpec(gens, truncation, table)
+    except RingError as e:
+        raise ParseError(f"{where}: {e}") from e
+    return memo[text]
 
 
 def serialize(p: ManifoldPresentation) -> str:
@@ -331,34 +326,58 @@ def _typed(value, kind: type, what: str):
     return value
 
 
-# the keys `parse` reads in each kind of object; any other key is an error
-_KEYS = {"document": {"name", "dim_M", "components", "quotient"},
-         "component": {"name", "moment", "ring", "todd", "omega", "blocks"},
-         "block": {"weight", "chern_roots"}, "generator": {"name", "degree"},
-         "ring": {"generators", "truncation", "integrals"},
-         "quotient": {"ring", "omega0", "kappa_todd"}}
+# The document format: for each kind of object, the keys `parse` reads, in
+# order, with each key's JSON type, or (type, default) for an optional key.
+# Any other key is an error.
+_FIELDS = {
+    "document": {"name": str, "dim_M": int, "components": list,
+                 "quotient": (dict, None)},
+    "component": {"name": str, "moment": int, "ring": dict, "todd": str,
+                  "omega": str, "blocks": (list, [])},
+    "block": {"weight": int, "chern_roots": list},
+    "generator": {"name": str, "degree": int},
+    "ring": {"generators": (list, []), "truncation": int,
+             "integrals": (dict, {})},
+    "quotient": {"ring": dict, "omega0": str, "kappa_todd": str}}
+_ABSENT = object()    # the value `_read` sees for a key the object lacks
 
 
-def _fields(doc, kind: str, what: str) -> dict:
-    """`doc` itself if it is a JSON object with no key but those `parse`
-    reads in a `kind` object: a misspelt or retired key is never ignored."""
-    keys = _KEYS[kind]
-    if not keys.issuperset(_typed(doc, dict, what)):
+def _read(doc, kind: str, where: str) -> list:
+    """The values of a `kind` object's keys in `_FIELDS` order, an absent
+    optional key (or a null one whose default is null) as its default; an
+    unknown key, a missing key or a mistyped value names its path."""
+    fields = _FIELDS[kind]
+    if type(doc) is not dict or not fields.keys() >= doc.keys():
+        _typed(doc, dict, where or kind)
         raise ParseError(
-            f"{what} has unknown key {min(doc.keys() - keys)!r} "
-            f"(a {kind} reads {', '.join(sorted(keys))})")
-    return doc
+            f"{where or kind} has unknown key "
+            f"{min(doc.keys() - fields.keys())!r} "
+            f"(a {kind} reads {', '.join(sorted(fields))})")
+    values = []
+    for key, spec in fields.items():
+        value = doc.get(key, _ABSENT)
+        if type(value) is not spec:    # optional, absent or mistyped
+            want, default = spec if type(spec) is tuple else (spec, _ABSENT)
+            if value is _ABSENT or (value is None and default is None):
+                if default is _ABSENT:
+                    raise ParseError(f"{where or kind} has no key {key!r}")
+                value = default
+            elif type(value) is not want:
+                _typed(value, want, f"{where}: {key}" if where else key)
+        values.append(value)
+    return values
 
 
 def _expression(ring: RingSpec, value, what: str,
                 memo: dict) -> GradedElement:
     """A class expression, which must be a JSON string, parsed once per
-    (ring, string) in `memo`; its errors name the field."""
+    (ring, string) in `memo`; its errors name the field, and so does a
+    coefficient or power past int()'s digit limit (a ValueError)."""
     key = (id(ring), _typed(value, str, what))
     if key not in memo:
         try:
             memo[key] = string_to_element(ring, value)
-        except ExpressionError as e:
+        except ValueError as e:
             raise ParseError(f"{what}: {e}") from e
     return memo[key]
 
@@ -377,12 +396,11 @@ def parse(text: str) -> ManifoldPresentation:
     """Parse and validate a presentation document.
 
     Raises ParseError with line/column info on syntax errors and with the
-    collected diagnostics when validation fails.  Names, integers,
-    booleans, arrays and objects must have that JSON type: nothing is
-    truncated or coerced.  A key repeated within one object, a key `parse`
-    does not read (named with its path) and a class term above its ring's
-    truncation degree are errors too.  Each distinct ring block and class
-    string is parsed once per call.
+    collected diagnostics when validation fails.  Each object is read
+    through `_FIELDS`: an unknown or missing key, or a value of another
+    JSON type, is an error that names its path; nothing is coerced.  A
+    repeated key and a class term above its ring's truncation degree are
+    errors too.  Each distinct ring block and class string is parsed once.
     """
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
@@ -390,59 +408,39 @@ def parse(text: str) -> ManifoldPresentation:
         raise ParseError(
             f"syntax error at line {e.lineno}, column {e.colno}: {e.msg}"
         ) from e
-    _fields(doc, "document", "document")
-    try:
-        name = _typed(doc["name"], str, "name")
-        dim_M = _typed(doc["dim_M"], int, "dim_M")
-        comps_doc = _typed(doc["components"], list, "components")
-    except (KeyError, TypeError, ValueError) as e:
-        raise ParseError(f"missing or malformed top-level field: {e}") from e
+    except ParseError:    # a repeated key, from `_unique_keys`
+        raise
+    except RecursionError as e:
+        raise ParseError("syntax error: nested too deeply") from e
+    except ValueError as e:    # an integer literal past int()'s digit limit
+        raise ParseError(f"an integer has more than "
+                         f"{sys.get_int_max_str_digits()} digits") from e
+    name, dim_M, comps_doc, q = _read(doc, "document", "")
     memo: dict = {}    # rings and class expressions, for this call only
     components = []
     for idx, c in enumerate(comps_doc):
         where = f"components[{idx}]"
-        _fields(c, "component", where)
-        try:
-            ring = _ring_from_doc(c["ring"], where, memo)
-            todd = _expression(ring, c["todd"], f"{where}: todd", memo)
-            omega = _expression(ring, c["omega"], f"{where}: omega", memo)
-            blocks = []
-            blocks_doc = _typed(c.get("blocks", []), list, f"{where}: blocks")
-            for j, b in enumerate(blocks_doc):
-                _fields(b, "block", f"{where}: blocks[{j}]")
-                weight = _typed(b["weight"], int, f"{where}: weight")
-                roots = _typed(b["chern_roots"], list, f"{where}: chern_roots")
-                roots = tuple(_expression(ring, r, f"{where}: chern root {i}",
-                                          memo) for i, r in enumerate(roots))
-                blocks.append(NormalBlock(weight, roots))
-            components.append(FixedComponent(
-                name=_typed(c["name"], str, f"{where}: name"),
-                moment=_typed(c["moment"], int, f"{where}: moment"),
-                ring=ring, todd=todd,
-                omega=omega, blocks=tuple(blocks)))
-        except ParseError:
-            raise
-        except (KeyError, TypeError, ValueError) as e:
-            raise ParseError(f"{where}: {e}") from e
+        cname, moment, ring, todd, omega, blocks_doc = _read(
+            c, "component", where)
+        ring = _ring_from_doc(ring, where, memo)
+        blocks = []
+        for j, b in enumerate(blocks_doc):
+            weight, roots = _read(b, "block", f"{where}: blocks[{j}]")
+            blocks.append(NormalBlock(weight, tuple(
+                _expression(ring, r, f"{where}: chern root {i}", memo)
+                for i, r in enumerate(roots))))
+        components.append(FixedComponent(
+            cname, moment, ring,
+            _expression(ring, todd, f"{where}: todd", memo),
+            _expression(ring, omega, f"{where}: omega", memo), tuple(blocks)))
     quotient = None
-    q = doc.get("quotient")
     if q is not None:
-        _fields(q, "quotient", "quotient")
-        try:
-            qring = _ring_from_doc(q["ring"], "quotient", memo)
-            quotient = QuotientData(
-                ring=qring,
-                omega0=_expression(qring, q["omega0"], "quotient: omega0",
-                                   memo),
-                kappa_todd=_expression(qring, q["kappa_todd"],
-                                       "quotient: kappa_todd", memo))
-        except ParseError:
-            raise
-        except (KeyError, TypeError, ValueError) as e:
-            raise ParseError(f"quotient: {e}") from e
-    p = ManifoldPresentation(name=name, dim_M=dim_M,
-                             components=tuple(components),
-                             quotient=quotient)
+        ring, omega0, kappa_todd = _read(q, "quotient", "quotient")
+        ring = _ring_from_doc(ring, "quotient", memo)
+        quotient = QuotientData(
+            ring, _expression(ring, omega0, "quotient: omega0", memo),
+            _expression(ring, kappa_todd, "quotient: kappa_todd", memo))
+    p = ManifoldPresentation(name, dim_M, tuple(components), quotient)
     diagnostics = validate(p)
     if diagnostics:
         raise ParseError(
@@ -598,8 +596,7 @@ def product(p: ManifoldPresentation,
         components=tuple(components))
 
 
-def disjoint_union(*ps: ManifoldPresentation,
-                   name: str | None = None) -> ManifoldPresentation:
+def disjoint_union(*ps: ManifoldPresentation) -> ManifoldPresentation:
     """Union of presentations of equal dimension (component lists merge)."""
     if not ps:
         raise ValueError("need at least one presentation")
@@ -608,6 +605,5 @@ def disjoint_union(*ps: ManifoldPresentation,
         raise ValueError("disjoint union requires equal dim_M")
     comps = tuple(replace(F, name=f"p{i}.{F.name}")
                   for i, p in enumerate(ps) for F in p.components)
-    return ManifoldPresentation(
-        name=name or "+".join(p.name for p in ps), dim_M=dim,
-        components=comps)
+    return ManifoldPresentation(name="+".join(p.name for p in ps), dim_M=dim,
+                                components=comps)

@@ -430,6 +430,31 @@ def test_unknown_key_exits_2(tmp_path, capsys, edit, where, key):
     assert err.startswith(f"error: {where} has unknown key '{key}' (a ")
 
 
+def long_number(where):
+    """cp001's document with a number of 5,000 digits, past int()'s
+    default limit of 4,300, as a JSON integer or in a class string."""
+    text = serialize(builtin("cp001"))
+    old = {"moment": '"moment": 1,', "class": '"omega": "1 * h^1"'}[where]
+    return text.replace(old, old.replace("1", "1" + "0" * 4999, 1)).encode()
+
+
+# Each input that cannot be read as a document is one error line with
+# exit 2, never a traceback.
+@pytest.mark.parametrize("content, message", [
+    (b"\xff\xfe", "cannot read "),
+    (b"[" * 100_000, "syntax error: nested too deeply"),
+    (long_number("moment"), "an integer has more than 4300 digits"),
+    (long_number("class"), "components[0]: omega: Exceeds the limit")],
+    ids=["not-utf-8", "deep", "long-integer", "long-coefficient"])
+def test_unreadable_input_exits_2(tmp_path, capsys, content, message):
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "rr", "--input", str(path), "--m", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("path", ["missing.json", "cp1.json"])
 def test_verify_all_with_input_exits_2(tmp_path, capsys, path):
     # --builtin all names its inputs itself, so any --input beside it is
@@ -587,7 +612,7 @@ RETYPED_RING = [
     (lambda ring: ring.update(truncation=False),
      "truncation must be int, got False"),
     (lambda ring: ring["generators"][0].update(degree=True),
-     "generator degree must be int, got True"),
+     "generators[0]: degree must be int, got True"),
     (lambda ring: ring["integrals"].update({"h^1": 1}),
      "integral 'h^1' must be string, got 1")]
 
@@ -603,4 +628,4 @@ def test_retyped_repeated_ring_block_exits_2(capsys, tmp_path, edit,
     path.write_text(json.dumps(doc), encoding="utf-8")
     code, out, err = run(capsys, "rr", "--input", str(path), "--m", "1")
     assert (code, out) == (2, "")
-    assert err == f"error: components[1]: bad ring: {message}\n"
+    assert err == f"error: components[1]: ring: {message}\n"

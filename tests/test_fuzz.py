@@ -141,14 +141,17 @@ def rewrite_ring(r, ring):
                       rewrite(r, value)))
     r.shuffle(items)
     ring["integrals"] = dict(items)
+    if not ring["generators"] and r.random() < 0.5:
+        del ring["generators"]    # a point ring's, read as its default
 
 
 @st.composite
 def equivalent_documents(draw):
     """A document with its components, blocks and roots reordered, a block
     of rank 2 or more at times split in two of the same weight that divide
-    its roots, its components renamed and every class, key and integral
-    rewritten in an equal form; with the new-to-old name map."""
+    its roots, its components renamed, every class, key and integral
+    rewritten in an equal form and at times a point ring's empty
+    `generators` left out; with the new-to-old name map."""
     r = draw(st.randoms(use_true_random=False))
     name = draw(st.sampled_from(sorted(PRESENTATIONS)))
     doc = json.loads(serialize(PRESENTATIONS[name]))

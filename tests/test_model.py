@@ -3,18 +3,21 @@
 import json
 import re
 from dataclasses import FrozenInstanceError, replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from equiloc.model import (FixedComponent, ManifoldPresentation, NormalBlock,
-                           ParseError, QuotientData, bundle_power, cpn_linear,
-                           disjoint_union, parse, product, projective_ring,
-                           serialize, shift_moment, trivial_cp1, validate)
+from equiloc.model import (_FIELDS, FixedComponent, ManifoldPresentation,
+                           NormalBlock, ParseError, QuotientData,
+                           bundle_power, cpn_linear, disjoint_union, parse,
+                           product, projective_ring, serialize, shift_moment,
+                           trivial_cp1, validate)
 from equiloc.ring import RingSpec, todd_from_roots
 from equiloc import builtin, builtin_names
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "equiloc" / "data"
+CP001 = serialize(builtin("cp001"))
 
 
 def test_builders_validate_clean():
@@ -45,6 +48,35 @@ def test_point_component_constraints():
     assert validate(p) == []
     p = replace(p, components=(replace(comp, todd=ring.scalar(2)),))
     assert any(d.code == "PointToddNotOne" for d in validate(p))
+
+
+def no_components(doc):
+    doc["components"] = []
+
+
+def rank_zero_block(doc):
+    doc["components"][0]["blocks"][0]["chern_roots"] = []
+
+
+def generator_at_a_point(doc):
+    # w1 is a point: its truncation-0 ring may carry no generator
+    doc["components"][1]["ring"]["generators"] = [{"name": "h", "degree": 2}]
+
+
+@pytest.mark.parametrize("edit, code", [
+    (no_components, "NoComponents"), (rank_zero_block, "RankZero"),
+    (generator_at_a_point, "PointRingNotTrivial")])
+def test_parse_reports_structural_diagnostics(edit, code):
+    doc = json.loads(CP001)
+    edit(doc)
+    with pytest.raises(ParseError) as err:
+        parse(json.dumps(doc))
+    assert code in [d.code for d in err.value.diagnostics]
+
+
+def test_moment_not_integer_diagnostic():
+    p = shift_moment(builtin("cp001"), Fraction(1, 2))
+    assert [d.code for d in validate(p)] == ["MomentNotInteger"] * 2
 
 
 def test_shared_bad_classes_are_reported_per_component():
@@ -325,7 +357,8 @@ MISSHAPEN = [(("components",), 3),
              (("components", 0, "omega"), None),
              (("components", 0, "blocks", 0, "chern_roots", 0), 0),
              (("quotient", "omega0"), []),
-             (("quotient", "kappa_todd"), 1)]
+             (("quotient", "kappa_todd"), 1),
+             (("components", 0, "blocks"), None)]
 
 
 def misshapen(path, value):
@@ -343,6 +376,81 @@ def misshapen(path, value):
 def test_parse_rejects_misshapen_fields(path, value):
     with pytest.raises(ParseError, match=f"{path[-1]} must be "):
         parse(misshapen(path, value))
+
+
+def node(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+# One object of each kind in cp001's document, and the path that names it.
+OBJECTS = [((), "document"),
+           (("components", 0), "components[0]"),
+           (("components", 0, "blocks", 0), "components[0]: blocks[0]"),
+           (("components", 0, "ring"), "components[0]: ring"),
+           (("components", 0, "ring", "generators", 0),
+            "components[0]: ring: generators[0]"),
+           (("quotient",), "quotient")]
+# The optional keys, each at a place where its default is valid but for
+# the blocks, and that default.
+OPTIONAL = [((), "quotient", None),
+            (("components", 0), "blocks", []),
+            (("components", 1, "ring"), "generators", []),
+            (("components", 1, "ring"), "integrals", {}),
+            (("quotient", "ring"), "generators", [])]
+REQUIRED = [(path, where, key) for path, where in OBJECTS
+            for key in sorted(node(json.loads(CP001), path))
+            if key not in {key for _, key, _ in OPTIONAL}]
+
+
+@pytest.mark.parametrize("path, where, key", REQUIRED,
+                         ids=[f"{where}-{key}" for _, where, key in REQUIRED])
+def test_parse_names_a_missing_required_key(path, where, key):
+    doc = json.loads(CP001)
+    del node(doc, path)[key]
+    with pytest.raises(ParseError) as err:
+        parse(json.dumps(doc))
+    assert str(err.value) == f"{where} has no key {key!r}"
+
+
+def outcome(doc):
+    """The canonical document `parse` reads from `doc`, or its error."""
+    try:
+        return serialize(parse(json.dumps(doc)))
+    except ParseError as e:
+        return f"ParseError: {e}"
+
+
+@pytest.mark.parametrize("path, key, default", OPTIONAL,
+                         ids=[".".join(map(str, path + (key,)))
+                              for path, key, _ in OPTIONAL])
+def test_absent_optional_key_reads_as_its_default(path, key, default):
+    doc = json.loads(CP001)
+    node(doc, path)[key] = default
+    written = outcome(doc)
+    del node(doc, path)[key]
+    assert outcome(doc) == written
+    # only a component without blocks is invalid in cp001
+    assert written.startswith("ParseError") == (key == "blocks")
+
+
+def test_readme_lists_the_keys_parse_reads():
+    # the README sentence "The keys read are: ..." against `_FIELDS`: each
+    # kind's keys in order, an optional one with its default
+    text = " ".join((DATA.parents[2] / "README.md").read_text().split())
+    sentence = re.search(r"The keys read are: (.*?)\. ", text).group(1)
+    listed = {}
+    for clause in sentence.split("; "):
+        keys, kind = re.fullmatch(r"(.*) in (?:a|the) (\w+)", clause).groups()
+        listed[kind] = [
+            (key, json.loads(default) if default else "required")
+            for key, default in re.findall(
+                r"`(\w+)`(?: \(default `([^`]*)`\))?", keys)]
+    assert listed == {
+        kind: [(key, spec[1] if type(spec) is tuple else "required")
+               for key, spec in fields.items()]
+        for kind, fields in _FIELDS.items()}
 
 
 def test_normal_block_is_frozen():
