@@ -14,11 +14,10 @@ from .model import (FixedComponent, ManifoldPresentation, NormalBlock,
                     serialize, shift_moment, trivial_cp1, validate)
 from .ring import GradedElement, RingSpec, todd_from_roots
 from .zrational import LaurentPolynomial, NotAPolynomial, ZRational
-from .localization import (character, chi_tilde, dh_inner,
-                           equivariant_todd_at_F, kirillov_check)
+from .localization import character, chi_tilde
 from .quantize import (Classification, classify, exceptional_term,
-                       main_formula_report, polynomiality_check,
-                       regular_term, residue_term, rr_invariant)
+                       main_formula_report, regular_term, residue_term,
+                       rr_invariant)
 from .builtins import builtin, builtin_names, builtin_oracle
 
 __version__ = "0.1.0"
@@ -27,9 +26,8 @@ __all__ = [
     "FixedComponent", "ManifoldPresentation", "NormalBlock", "QuotientData",
     "GradedElement", "RingSpec", "LaurentPolynomial", "NotAPolynomial",
     "ZRational", "builtin", "builtin_names", "builtin_oracle", "character",
-    "chi_tilde", "classify", "Classification", "cpn_linear", "dh_inner",
-    "disjoint_union", "equivariant_todd_at_F", "exceptional_term",
-    "kirillov_check", "main_formula_report", "parse", "polynomiality_check",
+    "chi_tilde", "classify", "Classification", "cpn_linear",
+    "disjoint_union", "exceptional_term", "main_formula_report", "parse",
     "product", "regular_term", "residue_term", "rr_invariant", "serialize",
     "shift_moment", "todd_from_roots", "trivial_cp1", "validate",
 ]

@@ -13,6 +13,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from . import oracle
+from .expressions import brief
 from .model import ManifoldPresentation, parse
 from .oracle import WeightMultiset
 
@@ -30,7 +31,8 @@ def builtin(name: str) -> ManifoldPresentation:
     """A presentation parsed afresh from data/<name>.json."""
     if name not in _NAMES:
         raise KeyError(
-            f"unknown builtin {name!r}; available: {', '.join(_NAMES)}")
+            f"unknown builtin {brief(repr(name))}; available: "
+            f"{', '.join(_NAMES)}")
     return parse((_DATA / f"{name}.json").read_text(encoding="utf-8"))
 
 

@@ -24,6 +24,7 @@ from typing import Optional
 
 from . import builtins as bi
 from . import localization, quantize
+from .expressions import brief
 from .model import ManifoldPresentation, ParseError, parse
 from .zrational import NotAPolynomial
 
@@ -47,19 +48,20 @@ def _parse_m_spec(spec: str) -> list[int]:
             raise ValueError(s)
         return int(s)
 
+    where = f"--m {brief(spec)}"
     try:
         if ":" in spec:
             lo, hi = spec.split(":", 1)
             ms = list(range(integer(lo), integer(hi) + 1))
             if not ms:
-                raise SystemExit2(f"--m {spec}: empty m range")
+                raise SystemExit2(f"{where}: empty m range")
         else:
             ms = [integer(s) for s in spec.split(",")]
     except ValueError:
         raise SystemExit2(
-            f"--m {spec}: expected INT, A:B or a comma list of integers")
+            f"{where}: expected INT, A:B or a comma list of integers")
     if min(ms) < 0:
-        raise SystemExit2(f"--m {spec}: m must be nonnegative")
+        raise SystemExit2(f"{where}: m must be nonnegative")
     return ms
 
 
@@ -124,7 +126,7 @@ def cmd_rr(p: ManifoldPresentation, m: int) -> tuple[dict, str]:
 @_per_m
 def cmd_character(p: ManifoldPresentation, m: int) -> tuple[dict, str]:
     chi = localization.character(p, m)
-    coeffs = {str(e): c for e, c in chi.as_integer_coeffs().items()}
+    coeffs = {str(e): c for e, c in chi.coeffs.items()}
     return {"coefficients": coeffs}, f"m={m}: {chi}"
 
 
@@ -153,13 +155,13 @@ def cmd_witten_check(args) -> int:
     # read every exceptional term before numpy loads and the fit and the
     # pairings run, so that an unsupported component fails at once
     for F in p.f_zero():
-        if quantize.classify(F) is quantize.Classification.INDEFINITE:
+        if F.classification is quantize.Classification.INDEFINITE:
             F.exceptional
     from . import witten  # the only command that loads numpy
     ms = _parse_m_spec(args.m)
     if len(set(ms)) < 4 or min(ms) < 1:
-        raise SystemExit2(
-            f"--m {args.m}: the decay fit needs at least four distinct m >= 1")
+        raise SystemExit2(f"--m {brief(args.m)}: the decay fit needs at "
+                          "least four distinct m >= 1")
     phi = witten.TestFunction()
     try:
         # the Todd series must converge on phi's support

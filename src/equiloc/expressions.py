@@ -14,6 +14,7 @@ graded-lexicographic order, so serialized documents are bit-stable.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from typing import Sequence
 
@@ -28,6 +29,22 @@ class ExpressionError(ValueError):
     """Raised on malformed polynomial or monomial strings."""
 
 
+def brief(text: str) -> str:
+    """`text`, or its first 32 characters and its length when longer: an
+    error line quotes an input in full only when it is short."""
+    return text if len(text) <= 32 else (
+        f"{text[:32]}... ({len(text)} characters)")
+
+
+def _integer(digits: str) -> int:
+    """int(digits); past int()'s digit limit, an error with the count."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ExpressionError(f"a number has {len(digits)} digits, more "
+                              f"than {sys.get_int_max_str_digits()}") from None
+
+
 def _term(names: Sequence[str], text: str) -> tuple[Fraction, tuple[int, ...]]:
     """The coefficient and the exponents of one term over `names`."""
     num, den = 1, 1
@@ -35,19 +52,20 @@ def _term(names: Sequence[str], text: str) -> tuple[Fraction, tuple[int, ...]]:
     for factor in text.split("*"):
         m = _FACTOR.fullmatch(factor)
         if m is None:
-            raise ExpressionError(
-                f"expected p, p/q or a generator in term {text.strip()!r}")
+            raise ExpressionError("expected p, p/q or a generator in term "
+                                  + brief(repr(text.strip())))
         p, q, name, power = m.groups()
         if p is not None:
-            num *= int(p)
+            num *= _integer(p)
             if q is not None:
-                den *= int(q)
+                den *= _integer(q)
                 if den == 0:
-                    raise ExpressionError(f"zero denominator in {p}/{q}")
+                    raise ExpressionError(
+                        f"zero denominator in {brief(f'{p}/{q}')}")
         elif name in names:
-            expo[names.index(name)] += int(power or 1)
+            expo[names.index(name)] += _integer(power or "1")
         else:
-            raise ExpressionError(f"unknown generator {name!r}")
+            raise ExpressionError(f"unknown generator {brief(repr(name))}")
     return Fraction(num, den), tuple(expo)
 
 
@@ -67,9 +85,9 @@ def string_to_element(ring: RingSpec, text: str) -> GradedElement:
     for mono, coef in terms.items():
         if coef and mono not in elem.terms:
             raise ExpressionError(
-                f"term {monomial_to_string(ring, mono)} of degree "
-                f"{ring.monomial_degree(mono)} is above the truncation "
-                f"degree {ring.truncation_degree}")
+                f"term {brief(monomial_to_string(ring, mono))} of degree "
+                f"{brief(str(ring.monomial_degree(mono)))} is above the "
+                f"truncation degree {ring.truncation_degree}")
     return elem
 
 
@@ -77,7 +95,8 @@ def string_to_monomial(names: Sequence[str], text: str) -> tuple[int, ...]:
     """The exponents of a monomial key over the generator `names`."""
     coef, mono = _term(tuple(names), text)
     if coef != 1:
-        raise ExpressionError(f"monomial {text!r} has coefficient {coef}")
+        raise ExpressionError(
+            f"monomial {brief(repr(text))} has a coefficient other than 1")
     return mono
 
 

@@ -194,10 +194,6 @@ class USeries:
                 row[j - lo] = q.numerator * (den // q.denominator)
         return USeries(ring, order, lo, den, rows)
 
-    @staticmethod
-    def constant(ring: RingSpec, elem: GradedElement, order: int) -> "USeries":
-        return USeries.from_elements(ring, {0: elem}, order)
-
     def __mul__(self, other: "USeries") -> "USeries":
         """Per pair of monomials within the ring's truncation degree, the
         Cauchy product of their rows, truncated at the lower order."""
@@ -281,7 +277,7 @@ def _td_factor(ring: RingSpec, weight: int, root: GradedElement,
 def equivariant_todd_at_F(F: FixedComponent, order: int) -> USeries:
     """The equivariant Todd class restricted to F,
     Td(F) * prod_{k,j} td(-(k u + a_kj)), truncated at u-order `order`."""
-    series = USeries.constant(F.ring, F.todd, order)
+    series = USeries.from_elements(F.ring, {0: F.todd}, order)
     for block in F.blocks:
         for root in block.chern_roots:
             series = series * _td_factor(F.ring, block.weight, root, order)
@@ -292,7 +288,7 @@ def euler_inverse(F: FixedComponent, order: int) -> USeries:
     """1/e_F(u) = prod_{k,j} 1/(-(k u + a_kj)): a finite Laurent tail in 1/u
     times nilpotent corrections, truncated at u-order `order`."""
     ring = F.ring
-    acc = USeries.constant(ring, ring.one(), order)
+    acc = USeries.from_elements(ring, {0: ring.one()}, order)
     for block in F.blocks:
         for root in block.chern_roots:
             # 1/(-(k*u + a)) = sum_{t>=0} (-1/k)^{t+1} a^t u^{-(t+1)}
@@ -341,8 +337,8 @@ def _u_rows(components: Sequence[FixedComponent], m: int,
             continue
         top = order + sum(len(root.powers()) for block in F.blocks
                           for root in block.chern_roots)
-        emw = USeries.constant(
-            F.ring, (F.omega * Fraction(m)).exp_nilpotent(), top)
+        emw = USeries.from_elements(
+            F.ring, {0: (F.omega * Fraction(m)).exp_nilpotent()}, top)
         lo, den, row = (_rho_series(F, top) * emw
                         * euler_inverse(F, order)).integrate_over_F()
         out.append((F.moment, lo, *_reduced(den, row)))

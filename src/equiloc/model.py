@@ -21,9 +21,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
-from .expressions import (element_to_string,
-                          monomial_to_string, string_to_element,
-                          string_to_monomial)
+from .expressions import (brief, element_to_string, monomial_to_string,
+                          string_to_element, string_to_monomial)
 from .ring import GradedElement, RingError, RingSpec, todd_from_roots
 from .zrational import linear_sum, over_one_denominator
 
@@ -217,7 +216,7 @@ def validate(p: ManifoldPresentation) -> list[Diagnostic]:
                     "zero-dimensional component must carry the point ring")
             if F.todd != F.ring.one():
                 bad("PointToddNotOne", where, "todd must equal 1 at a point")
-            if not F.omega.is_zero():
+            if F.omega:
                 bad("PointOmegaNotZero", where, "omega must vanish at a point")
         for i, b in enumerate(F.blocks):
             bwhere = f"{where}/block{i}"
@@ -268,12 +267,13 @@ def _ring_from_doc(doc, where: str, memo: dict) -> RingSpec:
     names = [name for name, _ in gens]
     table = {}
     for key, val in integrals.items():
+        key_text = brief(repr(key))
         value = _expression(RingSpec.point(), val,
-                            f"{where}: integral {key!r}", memo)
+                            f"{where}: integral {key_text}", memo)
         try:
             mono = string_to_monomial(names, key)
         except ValueError as e:
-            raise ParseError(f"{where}: integral key {key!r}: {e}") from e
+            raise ParseError(f"{where}: integral key {key_text}: {e}") from e
         table[mono] = value.scalar_part()
     if len(table) < len(integrals):
         raise ParseError(f"{where}: two integral keys name the same monomial")
@@ -322,7 +322,7 @@ def _typed(value, kind: type, what: str):
     if type(value) is not kind:
         name = {str: "string", list: "array", dict: "object"}.get(
             kind, kind.__name__)
-        raise ParseError(f"{what} must be {name}, got {value!r}")
+        raise ParseError(f"{what} must be {name}, got {brief(repr(value))}")
     return value
 
 
@@ -351,7 +351,7 @@ def _read(doc, kind: str, where: str) -> list:
         _typed(doc, dict, where or kind)
         raise ParseError(
             f"{where or kind} has unknown key "
-            f"{min(doc.keys() - fields.keys())!r} "
+            f"{brief(repr(min(doc.keys() - fields.keys())))} "
             f"(a {kind} reads {', '.join(sorted(fields))})")
     values = []
     for key, spec in fields.items():
@@ -371,8 +371,7 @@ def _read(doc, kind: str, where: str) -> list:
 def _expression(ring: RingSpec, value, what: str,
                 memo: dict) -> GradedElement:
     """A class expression, which must be a JSON string, parsed once per
-    (ring, string) in `memo`; its errors name the field, and so does a
-    coefficient or power past int()'s digit limit (a ValueError)."""
+    (ring, string) in `memo`; its errors name the field."""
     key = (id(ring), _typed(value, str, what))
     if key not in memo:
         try:
@@ -387,7 +386,7 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     doc = {}
     for key, value in pairs:
         if key in doc:
-            raise ParseError(f"repeated key {key!r}")
+            raise ParseError(f"repeated key {brief(repr(key))}")
         doc[key] = value
     return doc
 
@@ -483,21 +482,14 @@ def cpn_linear(weights: list[int], d: int,
     for w in values:
         r = weights.count(w)
         ring = projective_ring(r)
-        if r > 1:
-            h = ring.generator("h")
-            todd = todd_from_roots(ring, [h] * r)
-            omega = h * Fraction(d)
-            # stored roots are the negated Chern roots of O(1)^{rank}
-            root = -h
-        else:
-            todd = ring.one()
-            omega = ring.zero()
-            root = ring.zero()
-        blocks = tuple(NormalBlock(wp - w, (root,) * weights.count(wp))
+        h = ring.generator("h") if r > 1 else ring.zero()
+        # stored roots are the negated Chern roots of O(1)^{rank}
+        blocks = tuple(NormalBlock(wp - w, (-h,) * weights.count(wp))
                        for wp in values if wp != w)
         components.append(FixedComponent(
-            name=f"w{w}", moment=d * (w - w_min) + shift,
-            ring=ring, todd=todd, omega=omega, blocks=blocks))
+            name=f"w{w}", moment=d * (w - w_min) + shift, ring=ring,
+            todd=todd_from_roots(ring, [h] * r), omega=h * Fraction(d),
+            blocks=blocks))
     wstr = ",".join(str(w) for w in weights)
     name = f"cpn[{wstr}]d{d}" + (f"s{shift}" if shift else "")
     return ManifoldPresentation(name=name, dim_M=2 * n,

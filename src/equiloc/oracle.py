@@ -85,8 +85,3 @@ def add(a: WeightMultiset, b: WeightMultiset) -> WeightMultiset:
     for w, c in b.counts.items():
         counts[w] = counts.get(w, 0) + c
     return WeightMultiset(counts)
-
-
-def invariant_count(ws: WeightMultiset) -> int:
-    """Multiplicity of weight zero."""
-    return ws.counts.get(0, 0)

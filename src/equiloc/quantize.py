@@ -68,10 +68,6 @@ class Unsupported(NotImplementedError):
     not representable in a flat presentation."""
 
 
-class NotIndefinite(ValueError):
-    pass
-
-
 def classify(F: FixedComponent) -> Classification:
     ws = F.weights()
     if all(w > 0 for w in ws):
@@ -174,7 +170,8 @@ def exceptional_from_series(F: FixedComponent,
     if F.moment != 0:
         raise ValueError("exceptional terms require moment zero")
     if F.classification is not Classification.INDEFINITE:
-        raise NotIndefinite(f"component {F.name} is definite")
+        raise ValueError(f"component {F.name} is {F.classification.value}; "
+                         "exceptional terms require an indefinite one")
     if F.dim_F != 0:
         raise Unsupported(
             f"component {F.name}: the exceptional term of a "
@@ -262,7 +259,6 @@ def exact_polynomial_fit(points: list[tuple[int, Fraction]]) -> list[Fraction]:
             new[d] -= c * xs[i]
         new[0] += dd[i]
         coeffs = new
-    coeffs += [Fraction(0)] * (n - len(coeffs))
     return coeffs
 
 
@@ -271,18 +267,8 @@ class PolynomialFit:
     coefficients: list[Fraction]       # ascending powers of m
     residuals: dict[int, Fraction]     # m -> value - fit(m)
 
-    def degree(self) -> int:
-        d = len(self.coefficients) - 1
-        while d > 0 and self.coefficients[d] == 0:
-            d -= 1
-        return d
-
     def evaluate(self, m: int) -> Fraction:
         return _at(over_lcm(self.coefficients), m)
-
-    def max_residual(self) -> Fraction:
-        return max((abs(r) for r in self.residuals.values()),
-                   default=Fraction(0))
 
 
 def polynomiality_check(p: ManifoldPresentation, m_min: int,

@@ -41,17 +41,11 @@ def bernoulli(n: int) -> Fraction:
 
 @lru_cache(maxsize=None)
 def todd_coefficient(n: int) -> Fraction:
-    """Coefficient of y^n in y/(1 - e^{-y}).
+    """Coefficient of y^n in y/(1 - e^{-y}): B_n / n!, except +1/2 at n = 1.
 
     The series is 1 + y/2 + sum_{j>=1} B_{2j} y^{2j} / (2j)!.
     """
-    if n == 0:
-        return Fraction(1)
-    if n == 1:
-        return Fraction(1, 2)
-    if n % 2 == 1:
-        return Fraction(0)
-    return bernoulli(n) / factorial(n)
+    return Fraction(1, 2) if n == 1 else bernoulli(n) / factorial(n)
 
 
 class RingSpec:
@@ -73,10 +67,10 @@ class RingSpec:
         names = [n for n, _ in gens]
         if len(set(names)) != len(names):
             raise RingError("duplicate generator names")
-        for name, deg in gens:
+        for i, (_, deg) in enumerate(gens):
             if deg < 2 or deg % 2 != 0:
                 raise RingError(
-                    f"generator {name!r} has degree {deg}; must be even and >= 2")
+                    f"generators[{i}] has degree {deg}; must be even and >= 2")
         if truncation_degree < 0 or truncation_degree % 2 != 0:
             raise RingError("truncation_degree must be even and >= 0")
         self.generators = gens
@@ -88,8 +82,9 @@ class RingSpec:
             if len(mono) != len(gens):
                 raise RingError("integration table key has wrong arity")
             if self.monomial_degree(mono) != truncation_degree:
-                raise RingError(
-                    f"integration table key {mono} does not have top degree")
+                from .expressions import brief
+                raise RingError(f"integration table key {brief(str(mono))} "
+                                "does not have top degree")
             table[mono] = Fraction(val)
         self.integration_table = table
 
@@ -123,9 +118,6 @@ class RingSpec:
         return self.scalar(1)
 
     def scalar(self, c: Rat) -> "GradedElement":
-        c = Fraction(c)
-        if c == 0:
-            return self.zero()
         return GradedElement(self, {(0,) * len(self.generators): c})
 
     def generator(self, name: str) -> "GradedElement":
@@ -162,9 +154,6 @@ class GradedElement:
         if self.ring != other.ring:
             raise RingError("elements live in different rings")
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -197,8 +186,6 @@ class GradedElement:
         return GradedElement(self.ring, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ring.scalar(other)
         return self + (-other)
 
     def __mul__(self, other):
@@ -232,7 +219,7 @@ class GradedElement:
         out = [self.ring.one()]
         while True:
             term = out[-1] * self
-            if term.is_zero():
+            if not term:
                 return out
             out.append(term)
 

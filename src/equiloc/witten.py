@@ -36,7 +36,7 @@ and the regular term of `quantize.regular_term`, the same terms that
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from statistics import linear_regression
 from typing import Callable, Mapping, Optional, Sequence
@@ -332,11 +332,8 @@ class WittenCheckReport:
     m_values: list[int]
     lhs: list[complex]
     rhs: list[complex]
-    diffs: list[float] = field(default_factory=list)
-    exponent: float = 0.0
-
-    def max_diff(self) -> float:
-        return max(self.diffs, default=0.0)
+    diffs: list[float]
+    exponent: float
 
 
 def decay_check(p: ManifoldPresentation, phi: TestFunction,

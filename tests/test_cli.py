@@ -444,7 +444,8 @@ def long_number(where):
     (b"\xff\xfe", "cannot read "),
     (b"[" * 100_000, "syntax error: nested too deeply"),
     (long_number("moment"), "an integer has more than 4300 digits"),
-    (long_number("class"), "components[0]: omega: Exceeds the limit")],
+    (long_number("class"),
+     "components[0]: omega: a number has 5000 digits, more than 4300")],
     ids=["not-utf-8", "deep", "long-integer", "long-coefficient"])
 def test_unreadable_input_exits_2(tmp_path, capsys, content, message):
     path = tmp_path / "unreadable.json"
@@ -453,6 +454,51 @@ def test_unreadable_input_exits_2(tmp_path, capsys, content, message):
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def edited(old, new):
+    """cp001's document with the first `old` in it replaced by `new`."""
+    text = serialize(builtin("cp001"))
+    assert old in text
+    return text.replace(old, new, 1)
+
+
+GENERATOR = '{\n            "degree": 2,\n            "name": "h"\n          }'
+LONG = 5000
+
+
+# An error line quotes the first few dozen characters of a long input value
+# and its length, and a number past int()'s digit limit by its digit count;
+# a document is read by `rr --input`.
+@pytest.mark.parametrize("document, argv", [
+    (edited('"h^1": "1"', '"h^1' + "0" * (LONG - 1) + '": "1"'), ()),
+    (json.dumps("\n" * LONG), ()),
+    (edited('"dim_M": 4', '"dim_M": 4, "' + "k" * LONG + '": 1'), ()),
+    (edited('"1 * h^1"', '"1 * ' + "g" * LONG + '"'), ()),
+    (edited('"moment": 1', '"moment": "' + "1" * LONG + '"'), ()),
+    (edited(GENERATOR, "[" * 900 + "]" * 900), ()),
+    (edited('"1 * h^1"', '"1' + "0" * (LONG - 1) + ' * h^1"'), ()),
+    (edited('"dim_M": 4', 2 * ('"' + "k" * LONG + '": 1, ') + '"dim_M": 4'),
+     ()),
+    (edited('"h^1": "1"', '"h^' + "1" * 4000 + '": "1"'), ()),
+    (edited('"1 * h^1"', '"1 * h^' + "1" * 4000 + '"'), ()),
+    (None, ("rr", "--builtin", "x" * LONG)),
+    (None, ("rr", "--builtin", "cp1", "--m", "y" * LONG)),
+    (None, ("witten-check", "--builtin", "cp1", "--m", ",".join("8" * LONG)))],
+    ids=["integral-key-digits", "string-document", "unknown-key",
+         "unknown-generator", "string-moment", "nested-generator",
+         "coefficient-digits", "repeated-key", "integral-key-degree",
+         "term-degree", "builtin", "m-spec", "witten-check-m"])
+def test_error_line_is_bounded(tmp_path, capsys, document, argv):
+    path = tmp_path / "long.json"
+    if document is not None:
+        path.write_text(document)
+        argv = ("rr", "--input", str(path), "--m", "1")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err.rstrip("\n")) <= 200 and "Traceback" not in err
+    assert "set_int_max_str_digits" not in err
 
 
 @pytest.mark.parametrize("path", ["missing.json", "cp1.json"])

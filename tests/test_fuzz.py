@@ -10,13 +10,16 @@ import os
 import tempfile
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equiloc import (builtin, builtin_names, character, main_formula_report,
-                     parse, product, serialize)
+from equiloc import (builtin, builtin_names, character, cpn_linear,
+                     main_formula_report, parse, product, serialize,
+                     shift_moment, trivial_cp1)
 from equiloc.cli import main
-from equiloc.model import ParseError
+from equiloc.model import ParseError, bundle_power
+from equiloc.quantize import Unsupported
 
 DOCS = {name: json.loads(serialize(builtin(name)))
         for name in builtin_names()}
@@ -146,15 +149,33 @@ def rewrite_ring(r, ring):
 
 
 @st.composite
+def built_presentations(draw):
+    """`cpn_linear` of three to five weights in -2..2 with a repeat, so that
+    blocks of either sign carry nonzero Chern roots, then shifted, raised
+    to a bundle power or multiplied by a trivially acted CP^1."""
+    weights = draw(st.lists(st.integers(-2, 2), min_size=2, max_size=4))
+    weights.append(draw(st.sampled_from(weights)))
+    p = cpn_linear(weights, draw(st.integers(1, 2)))
+    step = draw(st.sampled_from(("shift", "power", "product")))
+    if step == "shift":
+        return shift_moment(p, draw(st.integers(-3, 3)))
+    if step == "power":
+        return bundle_power(p, draw(st.integers(2, 3)))
+    return product(p, trivial_cp1())
+
+
+@st.composite
 def equivalent_documents(draw):
-    """A document with its components, blocks and roots reordered, a block
-    of rank 2 or more at times split in two of the same weight that divide
-    its roots, its components renamed, every class, key and integral
-    rewritten in an equal form and at times a point ring's empty
-    `generators` left out; with the new-to-old name map."""
+    """A builtin or builder-made presentation and its document with its
+    components, blocks and roots reordered, a block of rank 2 or more at
+    times split in two of the same weight that divide its roots, its
+    components renamed, every class, key and integral rewritten in an
+    equal form and at times a point ring's empty `generators` left out;
+    with the new-to-old name map."""
     r = draw(st.randoms(use_true_random=False))
-    name = draw(st.sampled_from(sorted(PRESENTATIONS)))
-    doc = json.loads(serialize(PRESENTATIONS[name]))
+    p = draw(st.sampled_from(sorted(PRESENTATIONS)).map(PRESENTATIONS.get)
+             | built_presentations())
+    doc = json.loads(serialize(p))
     components = doc["components"]
     fresh = [f"c{i}" for i in range(len(components))]
     r.shuffle(fresh)
@@ -180,20 +201,26 @@ def equivalent_documents(draw):
         q["omega0"], q["kappa_todd"] = (rewrite(r, q["omega0"]),
                                         rewrite(r, q["kappa_todd"]))
         rewrite_ring(r, q["ring"])
-    return name, json.dumps(doc), names
+    return p, json.dumps(doc), names
 
 
 @settings(max_examples=60, deadline=None)
 @given(equivalent_documents())
 def test_equivalent_document_gives_the_same_results(case):
-    name, text, names = case
-    p, q = PRESENTATIONS[name], parse(text)
+    p, text, names = case
+    q = parse(text)
     for F in q.components:
         G = p.component(names[F.name])
         assert (F.ring, F.todd, F.omega) == (G.ring, G.todd, G.omega)
     for m in range(4):
         assert character(q, m) == character(p, m), m
-        a, b = main_formula_report(p, m), main_formula_report(q, m)
+        try:
+            a = main_formula_report(p, m)
+        except Unsupported:    # an indefinite component of positive
+            with pytest.raises(Unsupported):    # dimension at moment 0
+                main_formula_report(q, m)
+            continue
+        b = main_formula_report(q, m)
         assert (b.rr, b.regular, b.regular_tag, b.balance) \
             == (a.rr, a.regular, a.regular_tag, a.balance), m
         for terms in ("residue_terms", "exceptional_terms"):

@@ -75,21 +75,23 @@ def test_traced_names_resolve():
                                       "pairing"])
 def test_required_spans_fire(workload, monkeypatch):
     # the ops of one pass run under the benchmark's tracer, until every
-    # span the workload requires has fired
+    # span the workload requires has fired; each op's result must pass the
+    # workload's check against its reference
     monkeypatch.syspath_prepend(str(PERFBENCH))
     workloads = importlib.import_module("workloads")
     tracer = importlib.import_module("tracer")
     w = workloads.WORKLOADS[workload](ROOT, 1)
     w.setup()
-    t = tracer.Tracer()
-    t.install()
-    try:
-        fired = set()
-        for op in w.pass_ops(0):
-            w.run(op)
-            fired.update(span[0] for span in t.spans)
-            if fired.issuperset(w.required_spans):
-                break
-    finally:
-        t.uninstall()
+    fired = set()
+    for op in w.pass_ops(0):
+        t = tracer.Tracer()
+        t.install()
+        try:
+            result = w.run(op)
+        finally:
+            t.uninstall()
+        assert w.check(result, w.reference(op)) is None, op.id
+        fired.update(span[0] for span in t.spans)
+        if fired.issuperset(w.required_spans):
+            break
     assert sorted(set(w.required_spans) - fired) == []

@@ -13,10 +13,9 @@ from equiloc import builtin, builtin_names
 from equiloc.model import (FixedComponent, NormalBlock, bundle_power,
                            cpn_linear, parse, product, serialize,
                            shift_moment, trivial_cp1)
-from equiloc.quantize import (Classification, NotIndefinite, Unsupported,
-                              classify, exceptional_from_series,
-                              exceptional_term, main_formula_report,
-                              polynomiality_check,
+from equiloc.quantize import (Classification, Unsupported, classify,
+                              exceptional_from_series, exceptional_term,
+                              main_formula_report, polynomiality_check,
                               regular_term, residue_term, rr_invariant)
 from equiloc.localization import equivariant_todd_at_F
 from equiloc.quantize import exact_polynomial_fit
@@ -101,7 +100,7 @@ def test_exceptional_constant_rho_gives_zero():
 def test_exceptional_errors():
     with pytest.raises(ValueError, match="moment zero"):
         exceptional_term(point_component("f", 1, [1, -1]))
-    with pytest.raises(NotIndefinite):
+    with pytest.raises(ValueError, match="component f is positive-definite"):
         exceptional_term(point_component("f", 0, [1, 2]))
     ring = RingSpec((("h", 2),), 2, {(1,): Fraction(1)})
     F = FixedComponent("s", 0, ring, ring.one() + ring.generator("h"),
@@ -268,13 +267,11 @@ def test_diagnostic_regular_term_prod11():
 
 def test_polynomiality_contracts():
     fit = polynomiality_check(builtin("cp1"), 1, 8)
-    assert fit.coefficients[0] == 1 and fit.degree() == 0
-    assert fit.max_residual() == 0
+    assert fit.coefficients == [1, 0] and not any(fit.residuals.values())
     fit = polynomiality_check(builtin("prod11"), 1, 8)
-    assert fit.coefficients[:2] == [1, 1] and fit.degree() == 1
-    assert fit.max_residual() == 0
+    assert fit.coefficients == [1, 1, 0] and not any(fit.residuals.values())
     fit = polynomiality_check(builtin("cp012"), 1, 8)
-    assert fit.degree() <= 1 and fit.max_residual() == 0
+    assert fit.coefficients[2] == 0 and not any(fit.residuals.values())
     with pytest.raises(ValueError):
         polynomiality_check(builtin("cp1"), 1, 2)
 
