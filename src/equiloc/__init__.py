@@ -15,9 +15,8 @@ from .model import (FixedComponent, ManifoldPresentation, NormalBlock,
 from .ring import GradedElement, RingSpec, todd_from_roots
 from .zrational import LaurentPolynomial, NotAPolynomial, ZRational
 from .localization import character, chi_tilde
-from .quantize import (Classification, classify, exceptional_term,
-                       main_formula_report, regular_term, residue_term,
-                       rr_invariant)
+from .quantize import (Classification, exceptional_term, main_formula_report,
+                       regular_term, residue_term, rr_invariant)
 from .builtins import builtin, builtin_names, builtin_oracle
 
 __version__ = "0.1.0"
@@ -26,7 +25,7 @@ __all__ = [
     "FixedComponent", "ManifoldPresentation", "NormalBlock", "QuotientData",
     "GradedElement", "RingSpec", "LaurentPolynomial", "NotAPolynomial",
     "ZRational", "builtin", "builtin_names", "builtin_oracle", "character",
-    "chi_tilde", "classify", "Classification", "cpn_linear",
+    "chi_tilde", "Classification", "cpn_linear",
     "disjoint_union", "exceptional_term", "main_formula_report", "parse",
     "product", "regular_term", "residue_term", "rr_invariant", "serialize",
     "shift_moment", "todd_from_roots", "trivial_cp1", "validate",

@@ -13,9 +13,9 @@ from __future__ import annotations
 from pathlib import Path
 
 from . import oracle
-from .expressions import brief
 from .model import ManifoldPresentation, parse
 from .oracle import WeightMultiset
+from .ring import brief
 
 _DATA = Path(__file__).parent / "data"
 

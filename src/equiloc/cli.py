@@ -20,12 +20,11 @@ import argparse
 import json
 import re
 import sys
-from typing import Optional
 
 from . import builtins as bi
 from . import localization, quantize
-from .expressions import brief
 from .model import ManifoldPresentation, ParseError, parse
+from .ring import brief
 from .zrational import NotAPolynomial
 
 EXIT_OK = 0
@@ -231,14 +230,25 @@ def cmd_verify(args) -> int:
     return EXIT_OK if not failures else EXIT_VERIFY
 
 
+# (name, handler, default --m, help); verify (no --m) fixes its m and
+# prints text only
+_COMMANDS = (
+    ("rr", cmd_rr, "0:8", "invariant and total Riemann-Roch numbers"),
+    ("character", cmd_character, "0:8", "the index character in z"),
+    ("main-formula", cmd_main_formula, "1:6",
+     "residue/exceptional/regular decomposition"),
+    ("witten-check", cmd_witten_check, "8,16,32,64",
+     "pairing vs expansion decay fit"),
+    ("verify", cmd_verify, None, "run the invariant suite"))
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="equiloc",
         description="invariant Riemann-Roch numbers from fixed-point data")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(sp, m_default: Optional[str] = "0:8"):
-        # verify (m_default None) fixes its m and prints text only
+    for name, fn, m_default, help_text in _COMMANDS:
+        sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--builtin", help="named example presentation")
         sp.add_argument("--input", help="presentation document (JSON)")
         if m_default is not None:
@@ -246,24 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="bundle power: INT, A:B range, or comma list")
             sp.add_argument("--format", choices=("text", "json"),
                             default="text")
-
-    sp = sub.add_parser("rr", help="invariant and total Riemann-Roch numbers")
-    common(sp)
-    sp.set_defaults(fn=cmd_rr)
-    sp = sub.add_parser("character", help="the index character in z")
-    common(sp)
-    sp.set_defaults(fn=cmd_character)
-    sp = sub.add_parser("main-formula",
-                        help="residue/exceptional/regular decomposition")
-    common(sp, m_default="1:6")
-    sp.set_defaults(fn=cmd_main_formula)
-    sp = sub.add_parser("witten-check",
-                        help="pairing vs expansion decay fit")
-    common(sp, m_default="8,16,32,64")
-    sp.set_defaults(fn=cmd_witten_check)
-    sp = sub.add_parser("verify", help="run the invariant suite")
-    common(sp, m_default=None)
-    sp.set_defaults(fn=cmd_verify)
+        sp.set_defaults(fn=fn)
     return ap
 
 

@@ -60,7 +60,7 @@ from typing import Mapping, Optional, Sequence
 
 from .model import FixedComponent, ManifoldPresentation, MomentGroup
 from .ring import GradedElement, RingSpec, todd_coefficient
-from .zrational import (LaurentPolynomial, ZRational, linear_sum,
+from .zrational import (LaurentPolynomial, ZRational, linear_sum, over_lcm,
                         over_one_denominator, scalar_sum)
 
 
@@ -81,13 +81,12 @@ def chi_tilde_pieces(F: FixedComponent) -> tuple[ZRational, ...]:
     to shift.  The general expansion below costs several times as much, as
     on the many points of (cp1)^8.
 
-    Other components expand each factor by nilpotency of its root a: for
-    k > 0, with v = e^a - 1,
-        1/(1 - z^k e^a) = sum_j z^{kj} v^j / (1 - z^k)^{j+1},
-    and for k < 0, with v = e^{-a} - 1, as 1 - z^k e^a is -z^k e^a times
-    1 - z^|k| e^{-a},
-        1/(1 - z^k e^a) = -z^|k| (1+v) sum_j z^{|k|j} v^j / (1 - z^|k|)^{j+1},
-    both sums ending where v^j vanishes.  The product of the expansions
+    Other components expand each factor by nilpotency of its root a: with
+    e = e^a for k > 0 and e = e^{-a} for k < 0 (as 1 - z^k e^a is -z^k e^a
+    times 1 - z^|k| e^{-a}), and v = e - 1,
+        1/(1 - z^k e^a) = c z^s sum_j z^{|k|j} v^j / (1 - z^|k|)^{j+1},
+    where (c, s) is (1, 0) for k > 0 and (-e, |k|) for k < 0, the sum
+    ending where v^j vanishes.  The product of the expansions
     keeps one ring-valued coefficient per z^s / prod (1 - z^k)^mult; each
     piece integrates Td omega_F^j/j! against every coefficient, and
     `scalar_sum` brings the results over one denominator.
@@ -125,15 +124,10 @@ def _factor_terms(weight: int, root: GradedElement) -> list[tuple]:
     """The expansion of 1/(1 - z^weight e^root) in `chi_tilde_pieces`, as
     terms (s, |weight|, mult, coefficient) of z^s / (1 - z^|weight|)^mult."""
     k = abs(weight)
-    one = root.ring.one()
-    if weight > 0:
-        v = root.exp_nilpotent() - one
-        coef, start = one, 0
-    else:
-        v = (-root).exp_nilpotent() - one
-        coef, start = -(one + v), k
+    e = (root if weight > 0 else -root).exp_nilpotent()
+    coef, start = (1, 0) if weight > 0 else (-e, k)
     return [(start + k * j, k, j + 1, coef * power)
-            for j, power in enumerate(v.powers())]
+            for j, power in enumerate((e - 1).powers())]
 
 
 def chi_tilde(F: FixedComponent | MomentGroup, m: int) -> ZRational:
@@ -242,9 +236,8 @@ def _todd_powers(r: int, size: int) -> tuple[int, tuple[int, ...]]:
         den, row = _todd_powers(r - 1, size)
         tden, todd = _todd_powers(1, size)
         return _reduced(den * tden, _cauchy(row, todd, size))
-    coeffs = [todd_coefficient(n) for n in range(size)]
-    den = lcm(*(c.denominator for c in coeffs))
-    return den, tuple(c.numerator * (den // c.denominator) for c in coeffs)
+    row, den = over_lcm(map(todd_coefficient, range(size)))
+    return den, row
 
 
 def _reduced(den: int, row: Sequence[int]) -> tuple[int, tuple[int, ...]]:

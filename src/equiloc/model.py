@@ -21,10 +21,10 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
-from .expressions import (brief, element_to_string, monomial_to_string,
-                          string_to_element, string_to_monomial)
-from .ring import GradedElement, RingError, RingSpec, todd_from_roots
-from .zrational import linear_sum, over_one_denominator
+from .ring import (GradedElement, RingError, RingSpec, brief,
+                   element_to_string, monomial_to_string, string_to_element,
+                   string_to_monomial, todd_from_roots)
+from .zrational import linear_sum, over_lcm, over_one_denominator
 
 
 class ParseError(ValueError):
@@ -98,9 +98,15 @@ class FixedComponent:
 
     @cached_property
     def classification(self):
-        """`quantize.classify` of this component."""
-        from .quantize import classify
-        return classify(self)
+        """Positive- or negative-definite when every weight is positive or
+        every weight is negative, otherwise indefinite."""
+        from .quantize import Classification
+        ws = self.weights()
+        if all(w > 0 for w in ws):
+            return Classification.POSITIVE_DEFINITE
+        if all(w < 0 for w in ws):
+            return Classification.NEGATIVE_DEFINITE
+        return Classification.INDEFINITE
 
     @cached_property
     def residue_pieces(self) -> tuple[tuple[int, ...], int]:
@@ -126,7 +132,6 @@ class QuotientData:
     def regular_pieces(self) -> tuple[tuple[int, ...], int]:
         """(n, d) with n_j / d = int kappa omega0^j / j!, so that the regular
         term int e^{m omega0} kappa is sum_j m^j n_j / d."""
-        from .quantize import over_lcm
         return over_lcm((self.kappa_todd * w).integrate()
                         for w in self.omega0.divided_powers())
 

@@ -47,6 +47,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .model import FixedComponent, ManifoldPresentation
+from .zrational import over_lcm
 from . import localization
 
 
@@ -68,25 +69,9 @@ class Unsupported(NotImplementedError):
     not representable in a flat presentation."""
 
 
-def classify(F: FixedComponent) -> Classification:
-    ws = F.weights()
-    if all(w > 0 for w in ws):
-        return Classification.POSITIVE_DEFINITE
-    if all(w < 0 for w in ws):
-        return Classification.NEGATIVE_DEFINITE
-    return Classification.INDEFINITE
-
-
 def rr_invariant(p: ManifoldPresentation, m: int) -> int:
     """The multiplicity of the trivial weight in the index character."""
     return localization.character(p, m).constant_term()
-
-
-def over_lcm(coeffs) -> tuple[tuple[int, ...], int]:
-    """(n, d): the rationals c_j as int numerators n_j over their lcm d."""
-    coeffs = [Fraction(c) for c in coeffs]
-    d = math.lcm(*(c.denominator for c in coeffs))
-    return tuple(c.numerator * (d // c.denominator) for c in coeffs), d
 
 
 def _at(poly: tuple[tuple[int, ...], int], m: int) -> Fraction:

@@ -38,6 +38,14 @@ from typing import Iterable, Mapping, Sequence, Union
 Rat = Union[int, Fraction]
 
 
+def over_lcm(coeffs: Iterable[Rat]) -> tuple[tuple[int, ...], int]:
+    """(n, d): the ints or Fractions c_j as int numerators n_j over the
+    lcm d of their denominators."""
+    coeffs = tuple(coeffs)
+    d = lcm(*(c.denominator for c in coeffs))
+    return tuple(c.numerator * (d // c.denominator) for c in coeffs), d
+
+
 class NotAPolynomial(ArithmeticError):
     """Exact division left a remainder: poles fail to cancel.
 
@@ -60,13 +68,11 @@ class ZRational:
             if mult < 0:
                 raise ValueError("denominator multiplicities must be >= 0")
         num = {int(j): c for j, c in num.items() if c}
-        scale = lcm(*(c.denominator for c in num.values()))
         lo = min(num, default=0)
-        row = [0] * (max(num, default=lo - 1) - lo + 1)
-        for j, c in num.items():
-            row[j - lo] = c.numerator * (scale // c.denominator)
+        row, scale = over_lcm(num.get(j, 0)
+                              for j in range(lo, max(num, default=lo - 1) + 1))
         self.shift, self.row, self.scale, self.den = (
-            int(shift) + lo, tuple(row), scale,
+            int(shift) + lo, row, scale,
             {int(k): int(mult) for k, mult in den.items() if mult}
         ) if row else (0, (), 1, {})
 

@@ -37,7 +37,7 @@ from fractions import Fraction
 from equiloc import builtin, builtin_names, builtin_oracle
 from equiloc.localization import character, kirillov_check
 from equiloc.model import QuotientData
-from equiloc.quantize import (classify, Classification, exceptional_term,
+from equiloc.quantize import (Classification, exceptional_term,
                               main_formula_report, polynomiality_check,
                               regular_term, residue_term, rr_invariant)
 from equiloc.ring import RingSpec
@@ -97,7 +97,7 @@ def test_acceptance_5_indefinite_dim4_balance():
         assert rr_invariant(p, m) == builtin_oracle(
             "prod11", m).counts.get(0, 0) == m + 1
     for F in p.f_zero():
-        assert classify(F) is Classification.INDEFINITE
+        assert F.classification is Classification.INDEFINITE
         assert exceptional_term(F) == 0
     fit = polynomiality_check(p, 1, 6)
     diag = [Fraction(rr_invariant(p, m))

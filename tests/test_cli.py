@@ -482,13 +482,15 @@ LONG = 5000
      ()),
     (edited('"h^1": "1"', '"h^' + "1" * 4000 + '": "1"'), ()),
     (edited('"1 * h^1"', '"1 * h^' + "1" * 4000 + '"'), ()),
+    (edited('"1 * h^1"', '"1 * h^' + "9" * 4300 + '"'), ()),
     (None, ("rr", "--builtin", "x" * LONG)),
     (None, ("rr", "--builtin", "cp1", "--m", "y" * LONG)),
     (None, ("witten-check", "--builtin", "cp1", "--m", ",".join("8" * LONG)))],
     ids=["integral-key-digits", "string-document", "unknown-key",
          "unknown-generator", "string-moment", "nested-generator",
          "coefficient-digits", "repeated-key", "integral-key-degree",
-         "term-degree", "builtin", "m-spec", "witten-check-m"])
+         "term-degree", "term-degree-digits", "builtin", "m-spec",
+         "witten-check-m"])
 def test_error_line_is_bounded(tmp_path, capsys, document, argv):
     path = tmp_path / "long.json"
     if document is not None:

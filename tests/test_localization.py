@@ -21,7 +21,7 @@ import equiloc.localization as localization
 from equiloc.model import (FixedComponent, NormalBlock, bundle_power,
                            cpn_linear, disjoint_union, product, shift_moment,
                            trivial_cp1)
-from equiloc.quantize import classify, residue_term
+from equiloc.quantize import residue_term
 from equiloc.oracle import add, convolve, cpn_weights
 from equiloc.ring import RingError, RingSpec, bernoulli, todd_coefficient
 from equiloc.zrational import (LaurentPolynomial, NotAPolynomial, ZRational,
@@ -275,7 +275,7 @@ def test_residue_term_matches_chi_tilde_residue():
     for p in _piece_presentations():
         for J in sorted({F.moment for F in p.components}):
             for F in shift_moment(p, -J).f_zero():
-                side = classify(F).side
+                side = F.classification.side
                 for m in range(9):
                     chi = chi_tilde(F, m)
                     plus = chi.shifted(-1).residue_at_zero()

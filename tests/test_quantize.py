@@ -13,7 +13,7 @@ from equiloc import builtin, builtin_names
 from equiloc.model import (FixedComponent, NormalBlock, bundle_power,
                            cpn_linear, parse, product, serialize,
                            shift_moment, trivial_cp1)
-from equiloc.quantize import (Classification, Unsupported, classify,
+from equiloc.quantize import (Classification, Unsupported,
                               exceptional_from_series, exceptional_term,
                               main_formula_report, polynomiality_check,
                               regular_term, residue_term, rr_invariant)
@@ -32,11 +32,11 @@ def point_component(name, moment, weights):
 
 
 def test_classify():
-    assert classify(point_component("a", 0, [1, 2])) \
+    assert point_component("a", 0, [1, 2]).classification \
         is Classification.POSITIVE_DEFINITE
-    assert classify(point_component("b", 0, [-3])) \
+    assert point_component("b", 0, [-3]).classification \
         is Classification.NEGATIVE_DEFINITE
-    assert classify(point_component("c", 0, [1, -1])) \
+    assert point_component("c", 0, [1, -1]).classification \
         is Classification.INDEFINITE
 
 
@@ -177,7 +177,7 @@ def test_exceptional_terms_of_the_isolated_indefinite_points():
     presentations["cpn5"] = cpn_linear([-3, -1, 0, 2, 4], 1, shift=-2)
     found = {(n, F.name) for n, p in presentations.items()
              for F in p.f_zero()
-             if F.dim_F == 0 and classify(F) is Classification.INDEFINITE}
+             if F.dim_F == 0 and F.classification is Classification.INDEFINITE}
     assert found == {(n, c) for n, c, _ in ISOLATED_INDEFINITE}
     for name, comp, want in ISOLATED_INDEFINITE:
         F = presentations[name].component(comp)
@@ -310,7 +310,7 @@ def _fraction_residues(F):
     Fractions."""
     plus = [P.shifted(-1).residue_at_zero() for P in F.chi_pieces]
     minus = [P.residue_at_infinity() for P in F.chi_pieces]
-    side = classify(F).side
+    side = F.classification.side
     if side == "plus":
         return plus
     if side == "minus":
@@ -335,12 +335,11 @@ def test_integer_report_terms_match_fraction_pieces(p):
         rep = main_formula_report(p, m)
         rest = Fraction(0)
         for F in p.f_zero():
-            assert F.classification is classify(F)
             want = _fraction_horner(_fraction_residues(F), m)
             assert residue_term(F, m) == want
-            assert rep.residue_terms[F.name] == (classify(F).value, want)
+            assert rep.residue_terms[F.name] == (F.classification.value, want)
             rest += want
-            if classify(F) is Classification.INDEFINITE:
+            if F.classification is Classification.INDEFINITE:
                 rest += exceptional_term(F)
         assert rep.residue_sum() + rep.exceptional_sum() == rest
         if regular is None:

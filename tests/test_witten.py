@@ -17,7 +17,6 @@ from equiloc.cli import main
 from equiloc.localization import (PreparedInner, character,
                                   component_u_laurent, default_series_order)
 from equiloc.model import QuotientData, cpn_linear, product, trivial_cp1
-from equiloc.quantize import classify
 from equiloc.ring import RingSpec
 from equiloc.witten import (CancellationError, TestFunction, complex_quad,
                             decay_check, dist_pair, expansion_rhs,
@@ -264,7 +263,7 @@ def test_pair_u_laurent_matches_quadrature(name, m):
     order = default_series_order(p, PHI.delta2)
     for F in p.f_zero():
         laurent = component_u_laurent(F, m, order)
-        side = classify(F).side
+        side = F.classification.side
         got = pair_u_laurent(laurent, side, PHI)
         want = quadrature_pair(laurent, side, PHI)
         assert abs(got - want) <= 1e-12 * abs(want), (F.name, got, want)
@@ -279,7 +278,7 @@ def test_pair_u_laurent_does_not_depend_on_dict_order(m):
         order = default_series_order(p, PHI.delta2)
         for F in p.f_zero():
             laurent = component_u_laurent(F, m, order)
-            side = classify(F).side
+            side = F.classification.side
             ascending = dict(sorted(laurent.items()))
             descending = dict(sorted(laurent.items(), reverse=True))
             assert (pair_u_laurent(descending, side, PHI)
