@@ -117,7 +117,7 @@ def _per_m(step):
 @_per_m
 def cmd_rr(p: ManifoldPresentation, m: int) -> tuple[dict, str]:
     chi = localization.character(p, m)
-    rr, total = chi.constant_term(), chi.evaluate_at_one()
+    rr, total = chi.coefficient(0), chi.evaluate_at_one()
     return ({"rr_invariant": rr, "rr_total": total},
             f"m={m} rr_invariant={rr} rr_total={total}")
 
@@ -199,8 +199,7 @@ def _verify_one(p: ManifoldPresentation, name: str,
     try:
         for m in range(0, 7):
             chi = localization.character(p, m)
-            if with_oracle and chi != (
-                    want := bi.builtin_oracle(name, m).to_laurent()):
+            if with_oracle and chi != (want := bi.builtin_oracle(name, m)):
                 failures.append(f"{name}: oracle m={m} (character {chi} != "
                                 f"oracle {want})")
         for m in range(1, 5) if p.quotient is not None else ():

@@ -25,7 +25,7 @@ the equivariant Todd class Td_F as the one integrand,
 
 Its exact u-series are integer rows over one denominator, exact up to the
 order asked for.  Where every normal Chern root vanishes, Td_F/e_F is the
-closed form prod_k td(-k u)/(-k u) from a constant table of Todd powers
+closed form prod_k td(-k u)/(-k u) from one constant Todd row
 (`normal_todd`), whose product the exceptional terms of `quantize` read
 too; other components multiply `USeries` by integer Cauchy products.
 `PreparedInner` adds the components of each moment level into one row and
@@ -229,13 +229,9 @@ def _cauchy(a: list[int], b: list[int], size: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _todd_powers(r: int, size: int) -> tuple[int, tuple[int, ...]]:
-    """(D, P) with P[n] / D the u^n coefficient of td(u)^r, r >= 1, for
-    n < size: a constant, kept per (r, power-of-two size)."""
-    if r > 1:
-        den, row = _todd_powers(r - 1, size)
-        tden, todd = _todd_powers(1, size)
-        return _reduced(den * tden, _cauchy(row, todd, size))
+def _todd_row(size: int) -> tuple[int, tuple[int, ...]]:
+    """(D, P) with P[n] / D the u^n coefficient of td(u) for n < size: a
+    constant, kept per power-of-two size."""
     row, den = over_lcm(map(todd_coefficient, range(size)))
     return den, row
 
@@ -254,7 +250,7 @@ def _td_factor(ring: RingSpec, weight: int, root: GradedElement,
     powers of b over their lcm d."""
     nilpowers = (-root).powers()
     size = 1 << (order + len(nilpowers)).bit_length()
-    tden, todd = _todd_powers(1, size)
+    tden, todd = _todd_row(size)
     d = lcm(*(q.denominator for c in nilpowers for q in c.terms.values()))
     rows: dict[tuple[int, ...], list[int]] = {}
     for t, c in enumerate(nilpowers):
@@ -295,15 +291,14 @@ def euler_inverse(F: FixedComponent, order: int) -> USeries:
 def normal_todd(weights: tuple[int, ...],
                 top: int) -> tuple[int, tuple[int, ...]]:
     """(d, R) with R[n] / d the u^n coefficient, n <= top, of prod_k td(-k u)
-    over sorted normal weights k with vanishing roots: per distinct k, of
-    rank r, td(u)^r (`_todd_powers`) scaled by (-k)^n, Cauchy multiplied."""
-    size, den, row = 1 << top.bit_length(), 1, None
-    for k in set(weights):
-        pden, prow = _todd_powers(weights.count(k), size)
-        scaled = [c * (-k) ** n for n, c in enumerate(prow[:top + 1])]
-        den *= pden
-        row = scaled if row is None else _cauchy(row, scaled, top + 1)
-    return _reduced(den, row or [1])
+    over sorted normal weights k with vanishing roots: per weight k, the
+    row of td(u) (`_todd_row`) scaled by (-k)^n, Cauchy multiplied."""
+    tden, todd = _todd_row(1 << top.bit_length())
+    row = [1]
+    for k in weights:
+        scaled = [c * (-k) ** n for n, c in enumerate(todd[:top + 1])]
+        row = _cauchy(row, scaled, top + 1)
+    return _reduced(tden ** len(weights), row)
 
 
 def _rho_series(F: FixedComponent, order: int) -> USeries:
@@ -448,7 +443,8 @@ def default_series_order(p: ManifoldPresentation, x_max: float) -> int:
     The series in u has radius set by the nearest pole of td(-(k u)), at
     |x| = 1/k, so the tail is controlled by (k_max * x_max)^order.
     """
-    k = p.max_weight()
+    k = max((abs(b.weight) for F in p.components for b in F.blocks),
+            default=1)
     ratio = k * x_max
     floor_order = 2 * p.dim_M
     if ratio >= 0.97:

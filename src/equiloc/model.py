@@ -14,6 +14,7 @@ polynomial matching the monomial enumeration oracle (see tests).
 
 from __future__ import annotations
 
+import enum
 import json
 import sys
 from dataclasses import dataclass, replace
@@ -54,6 +55,19 @@ class NormalBlock:
     @property
     def rank(self) -> int:
         return len(self.chern_roots)
+
+
+class Classification(enum.Enum):
+    POSITIVE_DEFINITE = "positive-definite"
+    NEGATIVE_DEFINITE = "negative-definite"
+    INDEFINITE = "indefinite"
+
+    @property
+    def side(self) -> str:
+        """The residue, and the boundary value of the Witten expansion:
+        plus (at z = 0, x^{-k}_+), minus (at infinity, x^{-k}_-) or avg."""
+        return {"positive-definite": "plus",
+                "negative-definite": "minus"}.get(self.value, "avg")
 
 
 @dataclass(frozen=True)
@@ -97,10 +111,9 @@ class FixedComponent:
         return chi_tilde_pieces(self)
 
     @cached_property
-    def classification(self):
+    def classification(self) -> Classification:
         """Positive- or negative-definite when every weight is positive or
         every weight is negative, otherwise indefinite."""
-        from .quantize import Classification
         ws = self.weights()
         if all(w > 0 for w in ws):
             return Classification.POSITIVE_DEFINITE
@@ -175,10 +188,6 @@ class ManifoldPresentation:
                 return F
         raise KeyError(name)
 
-    def max_weight(self) -> int:
-        return max((abs(b.weight) for F in self.components
-                    for b in F.blocks), default=1)
-
 
 # ---------------------------------------------------------------------------
 # validation
@@ -215,10 +224,12 @@ def validate(p: ManifoldPresentation) -> list[Diagnostic]:
                 bad("WrongRing", where, f"{label} lives in a foreign ring")
         for _ in off_degree_2(F.omega, F.ring):
             bad("OmegaNotDegree2", where, "omega must be of pure degree 2")
+        if not any(F.ring.integration_table.values()):
+            bad("IntegralsZero", where, "the ring integrates everything to 0")
         if F.dim_F == 0:
-            if F.ring.generators:
-                bad("PointRingNotTrivial", where,
-                    "zero-dimensional component must carry the point ring")
+            if F.ring != RingSpec.point():
+                bad("PointRingNotTrivial", where, "zero-dimensional component "
+                    "must carry the point ring, whose integral is 1")
             if F.todd != F.ring.one():
                 bad("PointToddNotOne", where, "todd must equal 1 at a point")
             if F.omega:
@@ -238,6 +249,8 @@ def validate(p: ManifoldPresentation) -> list[Diagnostic]:
     if p.quotient is not None:
         q = p.quotient
         where = f"{p.name}/quotient"
+        if not any(q.ring.integration_table.values()):
+            bad("IntegralsZero", where, "the ring integrates everything to 0")
         for _ in off_degree_2(q.omega0, q.ring):
             bad("OmegaNotDegree2", where, "omega0 must be of pure degree 2")
         for elem, label in ((q.omega0, "omega0"), (q.kappa_todd, "kappa_todd")):
@@ -341,8 +354,7 @@ _FIELDS = {
                   "omega": str, "blocks": (list, [])},
     "block": {"weight": int, "chern_roots": list},
     "generator": {"name": str, "degree": int},
-    "ring": {"generators": (list, []), "truncation": int,
-             "integrals": (dict, {})},
+    "ring": {"generators": (list, []), "truncation": int, "integrals": dict},
     "quotient": {"ring": dict, "omega0": str, "kappa_todd": str}}
 _ABSENT = object()    # the value `_read` sees for a key the object lacks
 
@@ -511,15 +523,12 @@ def point_manifold() -> ManifoldPresentation:
 
 
 def trivial_cp1(d: int = 1) -> ManifoldPresentation:
-    """CP^1 with the trivial action: the whole manifold is one fixed
-    component at moment 0, with no normal blocks."""
-    ring = projective_ring(2)
-    h = ring.generator("h")
-    comp = FixedComponent(
-        name="total", moment=0, ring=ring,
-        todd=todd_from_roots(ring, [h] * 2), omega=h * Fraction(d), blocks=())
+    """CP^1 with the trivial action: the one component of
+    cpn_linear([0, 0], d), renamed `total`, at moment 0 with no normal
+    blocks."""
+    [F] = cpn_linear([0, 0], d).components
     return ManifoldPresentation(name=f"trivial_cp1_d{d}", dim_M=2,
-                                components=(comp,))
+                                components=(replace(F, name="total"),))
 
 
 def shift_moment(p: ManifoldPresentation, s: int) -> ManifoldPresentation:

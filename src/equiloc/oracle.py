@@ -20,29 +20,12 @@ class OracleLimit(ValueError):
     """Requested enumeration exceeds the documented desk-scale caps."""
 
 
-class WeightMultiset:
-    """Finite multiset of integer weights: weight -> multiplicity."""
+class WeightMultiset(LaurentPolynomial):
+    """Finite multiset of integer weights: the character it is, with
+    `counts` its {weight: multiplicity} view."""
 
-    __slots__ = ("counts",)
-
-    def __init__(self, counts: dict[int, int] | None = None):
-        self.counts = {int(w): int(c) for w, c in (counts or {}).items()
-                       if c != 0}
-
-    def __eq__(self, other):
-        if isinstance(other, WeightMultiset):
-            return self.counts == other.counts
-        return NotImplemented
-
-    def __repr__(self):
-        inner = ", ".join(f"{w}: {c}" for w, c in sorted(self.counts.items()))
-        return "WeightMultiset({%s})" % inner
-
-    def shifted(self, s: int) -> "WeightMultiset":
-        return WeightMultiset({w + s: c for w, c in self.counts.items()})
-
-    def to_laurent(self) -> LaurentPolynomial:
-        return LaurentPolynomial(dict(self.counts))
+    __slots__ = ()
+    counts = LaurentPolynomial.coeffs
 
 
 def cpn_weights(weights: list[int], d: int, m: int,

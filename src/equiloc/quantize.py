@@ -40,28 +40,14 @@ over one denominator, so one m costs int Horner sums and a Fraction a value.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .model import FixedComponent, ManifoldPresentation
+from .model import Classification, FixedComponent, ManifoldPresentation
 from .zrational import over_lcm
 from . import localization
-
-
-class Classification(enum.Enum):
-    POSITIVE_DEFINITE = "positive-definite"
-    NEGATIVE_DEFINITE = "negative-definite"
-    INDEFINITE = "indefinite"
-
-    @property
-    def side(self) -> str:
-        """The residue, and the boundary value of the Witten expansion:
-        plus (at z = 0, x^{-k}_+), minus (at infinity, x^{-k}_-) or avg."""
-        return {"positive-definite": "plus",
-                "negative-definite": "minus"}.get(self.value, "avg")
 
 
 class Unsupported(NotImplementedError):
@@ -71,7 +57,7 @@ class Unsupported(NotImplementedError):
 
 def rr_invariant(p: ManifoldPresentation, m: int) -> int:
     """The multiplicity of the trivial weight in the index character."""
-    return localization.character(p, m).constant_term()
+    return localization.character(p, m).coefficient(0)
 
 
 def _at(poly: tuple[tuple[int, ...], int], m: int) -> Fraction:
@@ -111,15 +97,15 @@ def residue_term(F: FixedComponent, m: int) -> Fraction:
 
 def exceptional_term(F: FixedComponent) -> Fraction:
     """Contribution of an isolated indefinite moment-zero component, with
-    rho_n read from int_F Td(F) times the normal Todd product of F's weights
-    (`localization.normal_todd`), expanded to the one degree that
-    contributes, n = l+ + l- - 1, which is the normal rank less one at an
-    isolated point.  It does not depend on m, since omega vanishes at a
-    point; `FixedComponent.exceptional` keeps it."""
-    den, row = localization.normal_todd(tuple(sorted(F.weights())),
-                                        F.normal_rank() - 1)
-    return exceptional_from_series(F, {n: F.todd.integrate() * Fraction(
-        c, den) for n, c in enumerate(row)})
+    rho_n read from the normal Todd product of F's weights
+    (`localization.normal_todd`) at the one degree that contributes,
+    n = l+ + l- - 1, which is the normal rank less one at an isolated
+    point, where int_F Td(F) is 1 (`model.validate`).  It does not depend
+    on m, since omega vanishes at a point; `FixedComponent.exceptional`
+    keeps it."""
+    n = F.normal_rank() - 1
+    den, row = localization.normal_todd(tuple(sorted(F.weights())), n)
+    return exceptional_from_series(F, {n: Fraction(row[n], den)})
 
 
 def exceptional_from_series(F: FixedComponent,

@@ -36,11 +36,7 @@ Rat = Union[int, Fraction]
 
 
 class RingError(ValueError):
-    """Raised on malformed ring data or cross-ring arithmetic."""
-
-
-class ExpressionError(ValueError):
-    """Raised on malformed polynomial or monomial strings."""
+    """Raised on malformed ring data, text or cross-ring arithmetic."""
 
 
 def brief(text: str) -> str:
@@ -268,23 +264,18 @@ class GradedElement:
         return total
 
 
-def todd_of_root(root: GradedElement) -> GradedElement:
-    """y/(1 - e^{-y}) for a single nilpotent degree-2 class y."""
-    for mono in root.terms:
-        if root.ring.monomial_degree(mono) != 2:
-            raise RingError("Todd roots must be of pure degree 2")
-    return sum((p * todd_coefficient(n) for n, p in enumerate(root.powers())),
-               root.ring.zero())
-
-
 def todd_from_roots(ring: RingSpec,
                     roots: Iterable[GradedElement]) -> GradedElement:
-    """prod_i r_i/(1 - e^{-r_i}), truncated in `ring`."""
+    """prod_i r_i/(1 - e^{-r_i}), truncated in `ring`, for nilpotent
+    classes r_i of pure degree 2."""
     result = ring.one()
     for r in roots:
         if r.ring != ring:
             raise RingError("root lives in a different ring")
-        result = result * todd_of_root(r)
+        if any(ring.monomial_degree(mono) != 2 for mono in r.terms):
+            raise RingError("Todd roots must be of pure degree 2")
+        result = result * sum((p * todd_coefficient(n)
+                               for n, p in enumerate(r.powers())), ring.zero())
     return result
 
 
@@ -302,8 +293,8 @@ def _integer(digits: str) -> int:
     try:
         return int(digits)
     except ValueError:
-        raise ExpressionError(f"a number has {len(digits)} digits, more "
-                              f"than {sys.get_int_max_str_digits()}") from None
+        raise RingError(f"a number has {len(digits)} digits, more "
+                        f"than {sys.get_int_max_str_digits()}") from None
 
 
 def _term(names: Sequence[str], text: str) -> tuple[Fraction, tuple[int, ...]]:
@@ -313,20 +304,20 @@ def _term(names: Sequence[str], text: str) -> tuple[Fraction, tuple[int, ...]]:
     for factor in text.split("*"):
         m = _FACTOR.fullmatch(factor)
         if m is None:
-            raise ExpressionError("expected p, p/q or a generator in term "
-                                  + brief(repr(text.strip())))
+            raise RingError("expected p, p/q or a generator in term "
+                            + brief(repr(text.strip())))
         p, q, name, power = m.groups()
         if p is not None:
             num *= _integer(p)
             if q is not None:
                 den *= _integer(q)
                 if den == 0:
-                    raise ExpressionError(
+                    raise RingError(
                         f"zero denominator in {brief(f'{p}/{q}')}")
         elif name in names:
             expo[names.index(name)] += _integer(power or "1")
         else:
-            raise ExpressionError(f"unknown generator {brief(repr(name))}")
+            raise RingError(f"unknown generator {brief(repr(name))}")
     return Fraction(num, den), tuple(expo)
 
 
@@ -347,7 +338,7 @@ def string_to_element(ring: RingSpec, text: str) -> GradedElement:
     for mono, coef in terms.items():
         if coef and mono not in elem.terms:
             degree = str(Decimal(ring.monomial_degree(mono)))
-            raise ExpressionError(
+            raise RingError(
                 f"term {brief(monomial_to_string(ring, mono))} of degree "
                 f"{brief(degree)} is above the truncation degree "
                 f"{ring.truncation_degree}")
@@ -358,7 +349,7 @@ def string_to_monomial(names: Sequence[str], text: str) -> tuple[int, ...]:
     """The exponents of a monomial key over the generator `names`."""
     coef, mono = _term(tuple(names), text)
     if coef != 1:
-        raise ExpressionError(
+        raise RingError(
             f"monomial {brief(repr(text))} has a coefficient other than 1")
     return mono
 

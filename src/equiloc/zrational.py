@@ -269,9 +269,6 @@ class LaurentPolynomial:
         t = e - self.lo
         return self.row[t] if 0 <= t < len(self.row) else 0
 
-    def constant_term(self) -> int:
-        return self.coefficient(0)
-
     def evaluate_at_one(self) -> int:
         return sum(self.row)
 

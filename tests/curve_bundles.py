@@ -7,12 +7,14 @@ twisted by a degree-D bundle from the curve.  The sections of its m-th
 power are Sym^m of the dual sum, so by Riemann-Roch on the curve the
 character is
 
-    sum over a in N^{n+1}, |a| = m, of z^{sum a_i w_i - m w_c}
+    sum over a in N^{n+1}, |a| = m, of z^{sum a_i w_i - m t}
     (m D + sum a_i n_i + 1 - g),
 
-with the level moved to the fixed surface c (Grothendieck's P(E);
-Hartshorne, Algebraic Geometry, II.7 and IV.1).  The fixed components are
-n + 1 copies of the curve.  F_i has moment w_i - w_c, ring h (degree 2,
+with the level moved to t, an integer in [min w, max w]: a fixed surface's
+moment, or one strictly between two, where the reduced space is an
+orbifold (Grothendieck's P(E); Hartshorne, Algebraic Geometry, II.7 and
+IV.1).  The fixed components are n + 1 copies of the curve.  F_i has
+moment w_i - t, ring h (degree 2,
 int h = 1), Todd class 1 + (1 - g) h, omega (D + n_i) h, and one block
 per j != i of weight w_j - w_i and stored root (n_j - n_i) h.
 """
@@ -28,10 +30,10 @@ def _linear(a: int, b: int) -> str:
     return f"{a} {'-' if b < 0 else '+'} {abs(b)} * h^1" if b else str(a)
 
 
-def document(g: int, weights, degrees, D: int, level: int,
+def document(g: int, weights, degrees, D: int, t: int,
              bump: int | None = None) -> str:
     """The presentation of the bundle as a document, moments measured from
-    the surface `level`; with `bump` = i, the first normal root of F_i is
+    the level t; with `bump` = i, the first normal root of F_i is
     raised by h, which leaves data whose poles fail to cancel."""
     ring = {"generators": [{"degree": 2, "name": "h"}], "truncation": 2,
             "integrals": {"h^1": "1"}}
@@ -44,14 +46,14 @@ def document(g: int, weights, degrees, D: int, level: int,
                 blocks.append({"weight": wj - w,
                                "chern_roots": [_linear(0, root)]})
         components.append({
-            "name": f"s{i}", "moment": w - weights[level], "ring": ring,
+            "name": f"s{i}", "moment": w - t, "ring": ring,
             "todd": _linear(1, 1 - g), "omega": _linear(0, D + n),
             "blocks": blocks})
     return json.dumps({"name": f"bundle_g{g}", "dim_M": 2 * len(weights),
                        "components": components})
 
 
-def enumerated_character(g: int, weights, degrees, D: int, level: int,
+def enumerated_character(g: int, weights, degrees, D: int, t: int,
                          m: int) -> dict[int, int]:
     """{exponent: nonzero coefficient} of the character at m, by summing
     Riemann-Roch on the curve over the monomials of degree m."""
@@ -61,7 +63,7 @@ def enumerated_character(g: int, weights, degrees, D: int, level: int,
     for bars in combinations(range(m + r - 1), r - 1):
         edges = (-1, *bars, m + r - 1)
         a = [edges[i + 1] - edges[i] - 1 for i in range(r)]
-        e = sum(x * w for x, w in zip(a, weights)) - m * weights[level]
+        e = sum(x * w for x, w in zip(a, weights)) - m * t
         out[e] = out.get(e, 0) + m * D + sum(
             x * n for x, n in zip(a, degrees)) + 1 - g
     return {e: c for e, c in out.items() if c}

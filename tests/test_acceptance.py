@@ -53,7 +53,7 @@ def test_acceptance_1_oracle_equivalence():
         p = builtin(name)
         for m in range(0, 9):
             got = character(p, m)
-            want = builtin_oracle(name, m).to_laurent()
+            want = builtin_oracle(name, m)
             assert got == want, f"{name} m={m}: {got} != {want}"
     elapsed = time.monotonic() - start
     assert elapsed < 5.0, f"oracle sweep took {elapsed:.1f}s"

@@ -198,6 +198,35 @@ def test_inconsistent_input_exits_3(tmp_path, capsys):
     assert "inconsistency" in err
 
 
+# Rings that integrate wrongly used to parse with exit 0 and wrong numbers:
+# cp1 with both point integrals "2" read rr_invariant 2 at m = 1 (it is 1),
+# with both "0" read 0, and trivial_cp1 without integrals read 0 at m = 3
+# (it is 4).
+@pytest.mark.parametrize("p, where, integrals, message", [
+    (builtin("cp1"), "components", {"1": "2"},
+     "[PointRingNotTrivial] cp1/w0: "),
+    (builtin("cp1"), "components", {"1": "0"}, "[IntegralsZero] cp1/w0: "),
+    (trivial_cp1(), "components", {},
+     "[IntegralsZero] trivial_cp1_d1/total: "),
+    (trivial_cp1(), "components", None,
+     "error: components[0]: ring has no key 'integrals'\n"),
+    (builtin("regval"), "quotient", {}, "[IntegralsZero] regval/quotient: ")],
+    ids=["point-2", "point-0", "empty", "missing", "quotient-empty"])
+def test_ring_that_integrates_wrongly_exits_2(tmp_path, capsys, p, where,
+                                              integrals, message):
+    doc = json.loads(serialize(p))
+    for obj in [doc["quotient"]] if where == "quotient" else doc[where]:
+        if integrals is None:
+            del obj["ring"]["integrals"]
+        else:
+            obj["ring"]["integrals"] = integrals
+    path = tmp_path / "integrals.json"
+    path.write_text(json.dumps(doc))
+    for m in ("1", "3"):
+        code, out, err = run(capsys, "rr", "--input", str(path), "--m", m)
+        assert (code, out) == (2, "") and message in err
+
+
 HALF_SPHERE = serialize(trivial_cp1()).replace('"h^1": "1"', '"h^1": "1/2"')
 
 

@@ -1,6 +1,7 @@
 """Projective bundles over curves (`curve_bundles`) against their
 enumerated characters: fixed surfaces with nonzero normal roots of both
-signs, moments measured from one of the surfaces."""
+signs, moments measured from a level anywhere between the least and the
+greatest surface moment, orbifold levels between two surfaces included."""
 
 import io
 import tempfile
@@ -18,13 +19,14 @@ from equiloc.model import parse, serialize
 
 @st.composite
 def bundles(draw):
-    """(g, weights, degrees, D, level) and the surface whose root to bump."""
+    """(g, weights, degrees, D, t) and the surface whose root to bump."""
     weights = draw(st.lists(st.integers(-4, 4), min_size=2, max_size=4,
                             unique=True))
     r = len(weights)
     case = (draw(st.integers(0, 4)), weights,
             draw(st.lists(st.integers(-3, 3), min_size=r, max_size=r)),
-            draw(st.integers(0, 3)), draw(st.integers(0, r - 1)))
+            draw(st.integers(0, 3)),
+            draw(st.integers(min(weights), max(weights))))
     return case, draw(st.integers(0, r - 1))
 
 

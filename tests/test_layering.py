@@ -1,7 +1,7 @@
-"""The package's import layering: modules import one another at their top,
-in one direction (ring and zrational, then model, localization, quantize,
-witten and the front ends), and an import made inside a function is a
-deliberate backward or deferred one.  `DEFERRED` names every such import,
+"""The package's import layering: modules import one another at their top
+in one direction, each only modules before it in `ORDER`, so that a new
+top-level cycle shows up as a failure; an import made inside a function is
+a deliberate backward or deferred one.  `DEFERRED` names every such import,
 so that a new one shows up as a change to it."""
 
 import ast
@@ -11,30 +11,48 @@ import equiloc
 
 PACKAGE = Path(equiloc.__file__).parent
 
+# every module but `__init__`, which imports the public names of them all
+ORDER = ("ring", "zrational", "oracle", "model", "localization", "quantize",
+         "builtins", "witten", "cli")
+
 # (module, imported from, name): the cached pieces of a frozen component,
 # which `model` keeps but `localization` and `quantize` compute, and the
 # numeric pairing, which only witten-check loads (with numpy)
 DEFERRED = {
     ("model", "localization", "chi_tilde_pieces"),
-    ("model", "quantize", "Classification"),
     ("model", "quantize", "residue_pieces"),
     ("model", "quantize", "exceptional_term"),
     ("cli", "", "witten"),
 }
 
 
-def deferred_imports(path: Path) -> set[tuple[str, str, str]]:
-    """The relative imports made inside a function of the module at path."""
-    out = set()
-    for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            for node in ast.walk(fn):
-                if isinstance(node, ast.ImportFrom) and node.level:
-                    out.update((path.stem, node.module or "", alias.name)
-                               for alias in node.names)
-    return out
+def relative_imports(path: Path) -> tuple[set, set]:
+    """The relative imports of the module at path, as (module, imported
+    from, name): those made at its top, and those made inside a function."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    inside = {node for fn in ast.walk(tree)
+              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for node in ast.walk(fn)}
+    top, deferred = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            (deferred if node in inside else top).update(
+                (path.stem, node.module or "", alias.name)
+                for alias in node.names)
+    return top, deferred
 
 
 def test_imports_inside_functions_are_the_listed_ones():
-    found = set().union(*map(deferred_imports, PACKAGE.glob("*.py")))
+    found = set().union(*(relative_imports(path)[1]
+                          for path in PACKAGE.glob("*.py")))
     assert found == DEFERRED
+
+
+def test_modules_import_only_earlier_ones_at_their_top():
+    paths = [path for path in PACKAGE.glob("*.py") if path.stem != "__init__"]
+    assert sorted(path.stem for path in paths) == sorted(ORDER)
+    for path in paths:
+        # `from .x import y` imports x, `from . import x` imports x itself
+        imported = {source or name
+                    for _, source, name in relative_imports(path)[0]}
+        assert imported <= set(ORDER[:ORDER.index(path.stem)]), path.stem

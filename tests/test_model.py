@@ -397,7 +397,6 @@ OBJECTS = [((), "document"),
 OPTIONAL = [((), "quotient", None),
             (("components", 0), "blocks", []),
             (("components", 1, "ring"), "generators", []),
-            (("components", 1, "ring"), "integrals", {}),
             (("quotient", "ring"), "generators", [])]
 REQUIRED = [(path, where, key) for path, where in OBJECTS
             for key in sorted(node(json.loads(CP001), path))

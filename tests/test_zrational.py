@@ -237,7 +237,7 @@ def _check_row(chi):
         assert (lo, hi) == (0, 0) and chi.row == ()
     for e in range(lo - 3, hi + 4):
         assert chi.coefficient(e) == coeffs.get(e, 0)
-    assert chi.constant_term() == coeffs.get(0, 0)
+    assert chi.coefficient(0) == coeffs.get(0, 0)
 
 
 def test_dense_row_edge_cases():
@@ -281,7 +281,8 @@ def test_dense_row_matches_enumeration(first, second, s, m):
         want = oracle.convolve(want, oracle.cpn_weights(*second[:2], m,
                                                        second[2]))
     chi = character(shift_moment(p, s), m)
-    assert chi == want.shifted(m * s).to_laurent()
+    assert chi == oracle.WeightMultiset(
+        {e + m * s: c for e, c in want.counts.items()})
     _check_row(chi)
 
 
