@@ -50,11 +50,10 @@ matches the character of the rotation sphere itself.
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, repeat, zip_longest
-from math import comb, gcd, lcm, log, prod
+from math import comb, cos, gcd, lcm, log, pi, prod, sin
 from operator import add, mul
 from typing import Mapping, Optional, Sequence
 
@@ -466,5 +465,5 @@ def kirillov_check(p: ManifoldPresentation, m: int,
     order = default_series_order(p, max(abs(x) for x in x_samples))
     prepared = PreparedInner(p, m, order)
     rhs = prepared.evaluate(x_samples)
-    return max(abs(chi.evaluate(cmath.exp(2j * cmath.pi * x)) - r)
-               for x, r in zip(x_samples, rhs))
+    return max(abs(chi.evaluate(complex(cos(2 * pi * x), sin(2 * pi * x)))
+                   - r) for x, r in zip(x_samples, rhs))

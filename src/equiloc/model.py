@@ -17,7 +17,6 @@ from __future__ import annotations
 import enum
 import json
 import sys
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional
@@ -36,8 +35,48 @@ class ParseError(ValueError):
         self.diagnostics = diagnostics or []
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Record:
+    """A frozen value record: a subclass lists its fields as annotations, in
+    order, and compares, hashes and prints by them.  `__dict__` also keeps
+    `cached_property` pieces, which a `replace` copy starts without.  Records
+    built per parse or per m store their fields in their own `__init__`."""
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(vars(cls).get("__annotations__", ()))
+
+    def __init__(self, *values, **named):
+        state = vars(self)
+        state.update(zip(self._fields, values), **named)
+        if (len(state) != len(values) + len(named)
+                or state.keys() != set(self._fields)):
+            raise TypeError(f"{type(self).__name__} takes {self._fields}")
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        same = type(other) is type(self)
+        return self._values() == other._values() if same else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+def replace(record: Record, **changes) -> Record:
+    """A copy of `record` with `changes`; an unknown field is a TypeError."""
+    fields = {f: getattr(record, f) for f in record._fields}
+    return type(record)(**(fields | changes))
+
+
+class Diagnostic(Record):
     code: str
     where: str
     message: str
@@ -46,11 +85,13 @@ class Diagnostic:
         return f"[{self.code}] {self.where}: {self.message}"
 
 
-@dataclass(frozen=True)
-class NormalBlock:
+class NormalBlock(Record):
     """One isotypic block of the normal bundle: nonzero weight, rank >= 1."""
     weight: int
     chern_roots: tuple[GradedElement, ...]
+
+    def __init__(self, weight, chern_roots):
+        vars(self).update(weight=weight, chern_roots=chern_roots)
 
     @property
     def rank(self) -> int:
@@ -70,17 +111,20 @@ class Classification(enum.Enum):
                 "negative-definite": "minus"}.get(self.value, "avg")
 
 
-@dataclass(frozen=True)
-class FixedComponent:
+class FixedComponent(Record):
     """One fixed component.  It is frozen, so the m-free pieces below are
     computed on first use and kept on the instance; a perturbed copy
-    (`dataclasses.replace`) starts without them."""
+    (`replace`) starts without them."""
     name: str
     moment: int
     ring: RingSpec
     todd: GradedElement
     omega: GradedElement
     blocks: tuple[NormalBlock, ...]
+
+    def __init__(self, name, moment, ring, todd, omega, blocks):
+        vars(self).update(name=name, moment=moment, ring=ring, todd=todd,
+                          omega=omega, blocks=blocks)
 
     @property
     def dim_F(self) -> int:
@@ -134,8 +178,7 @@ class FixedComponent:
         return exceptional_term(self)
 
 
-@dataclass(frozen=True)
-class QuotientData:
+class QuotientData(Record):
     """User-supplied geometry of the regular stratum of the quotient."""
     ring: RingSpec
     omega0: GradedElement
@@ -149,24 +192,26 @@ class QuotientData:
                         for w in self.omega0.divided_powers())
 
 
-@dataclass(frozen=True)
-class MomentGroup:
+class MomentGroup(Record):
     """The components at one moment: chi_pieces[j] sums their P_j."""
     moment: int
     chi_pieces: tuple
 
 
-@dataclass(frozen=True)
-class ManifoldPresentation:
+class ManifoldPresentation(Record):
     name: str
     dim_M: int
     components: tuple[FixedComponent, ...]
-    quotient: Optional[QuotientData] = None
+    quotient: Optional[QuotientData]
+
+    def __init__(self, name, dim_M, components, quotient=None):
+        vars(self).update(name=name, dim_M=dim_M, components=components,
+                          quotient=quotient)
 
     @cached_property
     def moment_groups(self) -> tuple[MomentGroup, ...]:
         """One group per distinct moment, ascending, kept on first use (a
-        `dataclasses.replace` copy starts without); all pieces share one
+        `replace` copy starts without); all pieces share one
         denominator and scale (`over_one_denominator`)."""
         rows = iter(over_one_denominator(
             P for F in self.components for P in F.chi_pieces))

@@ -41,11 +41,10 @@ over one denominator, so one m costs int Horner sums and a Fraction a value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .model import Classification, FixedComponent, ManifoldPresentation
+from .model import Classification, FixedComponent, ManifoldPresentation, Record
 from .zrational import over_lcm
 from . import localization
 
@@ -166,8 +165,7 @@ def regular_term(p: ManifoldPresentation, m: int) -> tuple[Fraction, str]:
     return _at(p.quotient.regular_pieces, m), "supplied"
 
 
-@dataclass
-class MainFormulaReport:
+class MainFormulaReport(Record):
     m: int
     rr: int
     residue_terms: dict[str, tuple[str, Fraction]]
@@ -175,6 +173,12 @@ class MainFormulaReport:
     regular: Fraction
     regular_tag: str
     balance: Optional[bool]
+
+    def __init__(self, m, rr, residue_terms, exceptional_terms, regular,
+                 regular_tag, balance):
+        vars(self).update(m=m, rr=rr, residue_terms=residue_terms,
+                          exceptional_terms=exceptional_terms, regular=regular,
+                          regular_tag=regular_tag, balance=balance)
 
     def residue_sum(self) -> Fraction:
         return sum((v for _, v in self.residue_terms.values()), Fraction(0))
@@ -205,9 +209,7 @@ def main_formula_report(p: ManifoldPresentation, m: int) -> MainFormulaReport:
     else:
         reg, tag = regular_term(p, m)
         balance = reg == diagnostic
-    return MainFormulaReport(m=m, rr=rr, residue_terms=residues,
-                             exceptional_terms=exceptionals, regular=reg,
-                             regular_tag=tag, balance=balance)
+    return MainFormulaReport(m, rr, residues, exceptionals, reg, tag, balance)
 
 
 def exact_polynomial_fit(points: list[tuple[int, Fraction]]) -> list[Fraction]:
@@ -233,8 +235,7 @@ def exact_polynomial_fit(points: list[tuple[int, Fraction]]) -> list[Fraction]:
     return coeffs
 
 
-@dataclass
-class PolynomialFit:
+class PolynomialFit(Record):
     coefficients: list[Fraction]       # ascending powers of m
     residuals: dict[int, Fraction]     # m -> value - fit(m)
 

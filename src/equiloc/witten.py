@@ -36,7 +36,6 @@ and the regular term of `quantize.regular_term`, the same terms that
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from statistics import linear_regression
 from typing import Callable, Mapping, Optional, Sequence
@@ -45,7 +44,7 @@ import numpy as np
 
 from .localization import (PreparedInner, component_u_laurent,
                            default_series_order)
-from .model import ManifoldPresentation
+from .model import ManifoldPresentation, Record
 from .quantize import Classification, regular_term
 
 
@@ -327,8 +326,7 @@ def expansion_rhs(p: ManifoldPresentation, phi: TestFunction, m: int,
     return total
 
 
-@dataclass
-class WittenCheckReport:
+class WittenCheckReport(Record):
     m_values: list[int]
     lhs: list[complex]
     rhs: list[complex]

@@ -31,12 +31,11 @@ tolerance is pinned here, not deferred.  Criteria:
 import math
 import time
 import warnings
-from dataclasses import replace
 from fractions import Fraction
 
 from equiloc import builtin, builtin_names, builtin_oracle
 from equiloc.localization import character, kirillov_check
-from equiloc.model import QuotientData
+from equiloc.model import QuotientData, replace
 from equiloc.quantize import (Classification, exceptional_term,
                               main_formula_report, polynomiality_check,
                               regular_term, residue_term, rr_invariant)

@@ -2,17 +2,19 @@
 
 import json
 import re
-from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from equiloc.model import (_FIELDS, FixedComponent, ManifoldPresentation,
-                           NormalBlock, ParseError, QuotientData,
-                           bundle_power, cpn_linear, disjoint_union, parse,
-                           product, projective_ring, serialize, shift_moment,
-                           trivial_cp1, validate)
+from equiloc.model import (_FIELDS, Diagnostic, FixedComponent,
+                           ManifoldPresentation, NormalBlock, ParseError,
+                           QuotientData, Record, bundle_power, cpn_linear,
+                           disjoint_union, parse, product, projective_ring,
+                           replace, serialize, shift_moment, trivial_cp1,
+                           validate)
+from equiloc.quantize import main_formula_report, polynomiality_check
+from equiloc.witten import WittenCheckReport
 from equiloc.ring import RingSpec, todd_from_roots
 from equiloc import builtin, builtin_names
 
@@ -452,11 +454,65 @@ def test_readme_lists_the_keys_parse_reads():
         for kind, fields in _FIELDS.items()}
 
 
-def test_normal_block_is_frozen():
-    block = builtin("cp1").components[0].blocks[0]
-    with pytest.raises(FrozenInstanceError):
-        block.weight = 2
-    assert block.weight == 1
+# One instance of every record class, by class name.
+RECORDS = {
+    "Diagnostic": lambda: Diagnostic("WeightZero", "cp1/w0", "bad weight"),
+    "NormalBlock": lambda: builtin("cp1").components[0].blocks[0],
+    "FixedComponent": lambda: builtin("cp1").components[0],
+    "QuotientData": lambda: builtin("dim6").quotient,
+    "MomentGroup": lambda: builtin("cp1").moment_groups[0],
+    "ManifoldPresentation": lambda: builtin("cp1"),
+    "MainFormulaReport": lambda: main_formula_report(builtin("dim6"), 2),
+    "PolynomialFit": lambda: polynomiality_check(builtin("cp1"), 0, 4),
+    "WittenCheckReport": lambda: WittenCheckReport(
+        [8, 16], [1j, 2j], [1j, 2j], [1e-16, 1e-16], 0.0)}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_are_frozen(name):
+    record = RECORDS[name]()
+    assert type(record).__name__ == name
+    for field in record._fields:
+        value = getattr(record, field)
+        with pytest.raises(AttributeError):
+            setattr(record, field, value)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        assert getattr(record, field) is value
+    copy = replace(record)
+    assert copy == record and copy is not record
+    assert repr(copy) == repr(record) and repr(record).startswith(name + "(")
+
+
+def test_every_record_class_is_checked():
+    assert {cls.__name__ for cls in Record.__subclasses__()} == RECORDS.keys()
+
+
+def test_record_equality_and_hash_follow_the_fields():
+    a = NormalBlock(1, (RingSpec.point().zero(),))
+    assert a == NormalBlock(1, (RingSpec.point().zero(),))
+    assert a != NormalBlock(2, a.chern_roots) and a != (1, a.chern_roots)
+    d = Diagnostic("c", "w", "m")
+    assert d == Diagnostic(code="c", where="w", message="m")
+    assert hash(d) == hash(Diagnostic("c", "w", "m"))
+    assert d != Diagnostic("c", "w", "n")
+
+
+def test_replace_rejects_unknown_or_missing_fields():
+    F = builtin("dim6").f_zero()[0]
+    F.exceptional, F.residue_pieces
+    with pytest.raises(TypeError):
+        replace(F, weight=2)
+    with pytest.raises(TypeError):
+        replace(Diagnostic("c", "w", "m"), severity="high")
+    with pytest.raises(TypeError):
+        Diagnostic("c", "w")
+    with pytest.raises(TypeError):
+        Diagnostic("c", "w", "m", code="d")
+    G = replace(F, name="moved")
+    assert G.name == "moved" and G.blocks is F.blocks
+    assert vars(G).keys() == set(G._fields)
+    assert G.exceptional == F.exceptional
 
 
 def test_transformed_copies_start_without_pieces():

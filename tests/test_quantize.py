@@ -2,7 +2,6 @@
 regular term, balance and polynomiality."""
 
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,7 +10,7 @@ from hypothesis import strategies as st
 
 from equiloc import builtin, builtin_names
 from equiloc.model import (FixedComponent, NormalBlock, bundle_power,
-                           cpn_linear, parse, product, serialize,
+                           cpn_linear, parse, product, replace, serialize,
                            shift_moment, trivial_cp1)
 from equiloc.quantize import (Classification, Unsupported,
                               exceptional_from_series, exceptional_term,

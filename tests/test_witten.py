@@ -3,7 +3,6 @@
 import cmath
 import math
 import warnings
-from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
@@ -16,7 +15,8 @@ from equiloc.builtins import builtin_names
 from equiloc.cli import main
 from equiloc.localization import (PreparedInner, character,
                                   component_u_laurent, default_series_order)
-from equiloc.model import QuotientData, cpn_linear, product, trivial_cp1
+from equiloc.model import (QuotientData, cpn_linear, product, replace,
+                           trivial_cp1)
 from equiloc.ring import RingSpec
 from equiloc.witten import (CancellationError, TestFunction, complex_quad,
                             decay_check, dist_pair, expansion_rhs,
