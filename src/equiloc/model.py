@@ -37,33 +37,33 @@ class ParseError(ValueError):
 
 class Record:
     """A frozen value record: a subclass lists its fields as annotations, in
-    order, and compares, hashes and prints by them.  `__dict__` also keeps
-    `cached_property` pieces, which a `replace` copy starts without.  Records
-    built per parse or per m store their fields in their own `__init__`."""
+    order, a default as the annotation's value, and compares and prints by
+    them; records are not hashable.  `__dict__` also keeps `cached_property`
+    pieces, which a `replace` copy starts without."""
 
     def __init_subclass__(cls):
-        cls._fields = tuple(vars(cls).get("__annotations__", ()))
+        own = vars(cls)
+        cls._fields = tuple(own.get("__annotations__", ()))
+        cls._defaults = {f: own[f] for f in cls._fields if f in own}
 
     def __init__(self, *values, **named):
         state = vars(self)
-        state.update(zip(self._fields, values), **named)
-        if (len(state) != len(values) + len(named)
-                or state.keys() != set(self._fields)):
-            raise TypeError(f"{type(self).__name__} takes {self._fields}")
+        state.update(zip(self._fields, values))
+        if named or len(values) != len(self._fields):    # names or defaults
+            clash = len(state) < len(values) or state.keys() & named
+            state.update(self._defaults | state | named)
+            if clash or state.keys() != set(self._fields):
+                raise TypeError(f"{type(self).__name__} takes {self._fields}")
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"cannot assign to field {name!r}")
     __delattr__ = __setattr__
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, f) for f in self._fields)
-
     def __eq__(self, other):
-        same = type(other) is type(self)
-        return self._values() == other._values() if same else NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
+        if type(other) is not type(self):
+            return NotImplemented
+        return ([getattr(self, f) for f in self._fields]
+                == [getattr(other, f) for f in self._fields])
 
     def __repr__(self):
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
@@ -89,9 +89,6 @@ class NormalBlock(Record):
     """One isotypic block of the normal bundle: nonzero weight, rank >= 1."""
     weight: int
     chern_roots: tuple[GradedElement, ...]
-
-    def __init__(self, weight, chern_roots):
-        vars(self).update(weight=weight, chern_roots=chern_roots)
 
     @property
     def rank(self) -> int:
@@ -121,10 +118,6 @@ class FixedComponent(Record):
     todd: GradedElement
     omega: GradedElement
     blocks: tuple[NormalBlock, ...]
-
-    def __init__(self, name, moment, ring, todd, omega, blocks):
-        vars(self).update(name=name, moment=moment, ring=ring, todd=todd,
-                          omega=omega, blocks=blocks)
 
     @property
     def dim_F(self) -> int:
@@ -202,11 +195,7 @@ class ManifoldPresentation(Record):
     name: str
     dim_M: int
     components: tuple[FixedComponent, ...]
-    quotient: Optional[QuotientData]
-
-    def __init__(self, name, dim_M, components, quotient=None):
-        vars(self).update(name=name, dim_M=dim_M, components=components,
-                          quotient=quotient)
+    quotient: Optional[QuotientData] = None
 
     @cached_property
     def moment_groups(self) -> tuple[MomentGroup, ...]:
@@ -347,36 +336,22 @@ def _ring_from_doc(doc, where: str, memo: dict) -> RingSpec:
     return memo[text]
 
 
+def _to_doc(value):
+    """The JSON value `serialize` writes for a record (its fields, a None
+    one left out), a class or a ring; tuples are JSON arrays already."""
+    if isinstance(value, GradedElement):
+        return element_to_string(value)
+    if isinstance(value, RingSpec):
+        return _ring_to_doc(value)
+    return {f: getattr(value, f) for f in value._fields
+            if getattr(value, f) is not None}
+
+
 def serialize(p: ManifoldPresentation) -> str:
-    """Bit-exact canonical serialization: sorted keys, reduced rationals,
+    """Bit-exact canonical serialization: each record an object of its
+    fields (`_FIELDS` reads the same keys), sorted keys, reduced rationals,
     graded-lex term order in polynomial strings."""
-    doc: dict = {
-        "name": p.name,
-        "dim_M": p.dim_M,
-        "components": [
-            {
-                "name": F.name,
-                "moment": F.moment,
-                "ring": _ring_to_doc(F.ring),
-                "todd": element_to_string(F.todd),
-                "omega": element_to_string(F.omega),
-                "blocks": [
-                    {"weight": b.weight,
-                     "chern_roots": [element_to_string(r)
-                                     for r in b.chern_roots]}
-                    for b in F.blocks
-                ],
-            }
-            for F in p.components
-        ],
-    }
-    if p.quotient is not None:
-        doc["quotient"] = {
-            "ring": _ring_to_doc(p.quotient.ring),
-            "omega0": element_to_string(p.quotient.omega0),
-            "kappa_todd": element_to_string(p.quotient.kappa_todd),
-        }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(p, default=_to_doc, sort_keys=True, indent=2) + "\n"
 
 
 def _typed(value, kind: type, what: str):

@@ -174,12 +174,6 @@ class MainFormulaReport(Record):
     regular_tag: str
     balance: Optional[bool]
 
-    def __init__(self, m, rr, residue_terms, exceptional_terms, regular,
-                 regular_tag, balance):
-        vars(self).update(m=m, rr=rr, residue_terms=residue_terms,
-                          exceptional_terms=exceptional_terms, regular=regular,
-                          regular_tag=regular_tag, balance=balance)
-
     def residue_sum(self) -> Fraction:
         return sum((v for _, v in self.residue_terms.values()), Fraction(0))
 
@@ -256,7 +250,6 @@ def polynomiality_check(p: ManifoldPresentation, m_min: int,
     values = {m: Fraction(rr_invariant(p, m)) for m in ms}
     anchor = ms[:degree_cap + 1]
     coeffs = exact_polynomial_fit([(m, values[m]) for m in anchor])
-    fit = PolynomialFit(coefficients=coeffs, residuals={})
-    for m in ms[degree_cap + 1:]:
-        fit.residuals[m] = values[m] - fit.evaluate(m)
-    return fit
+    poly = over_lcm(coeffs)
+    return PolynomialFit(coeffs, {m: values[m] - _at(poly, m)
+                                  for m in ms[degree_cap + 1:]})

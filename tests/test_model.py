@@ -454,6 +454,15 @@ def test_readme_lists_the_keys_parse_reads():
         for kind, fields in _FIELDS.items()}
 
 
+def test_document_keys_are_the_record_fields():
+    # `serialize` writes each record's fields as its object's keys, and
+    # `parse` reads `_FIELDS`: the two lists are the same, in order
+    for kind, cls in (("document", ManifoldPresentation),
+                      ("component", FixedComponent), ("block", NormalBlock),
+                      ("quotient", QuotientData)):
+        assert tuple(_FIELDS[kind]) == cls._fields
+
+
 # One instance of every record class, by class name.
 RECORDS = {
     "Diagnostic": lambda: Diagnostic("WeightZero", "cp1/w0", "bad weight"),
@@ -486,6 +495,9 @@ def test_records_are_frozen(name):
 
 def test_every_record_class_is_checked():
     assert {cls.__name__ for cls in Record.__subclasses__()} == RECORDS.keys()
+    # every record is built by `Record.__init__` and none is hashable
+    for cls in Record.__subclasses__():
+        assert not vars(cls).keys() & {"__init__", "__hash__"}, cls
 
 
 def test_record_equality_and_hash_follow_the_fields():
@@ -494,8 +506,10 @@ def test_record_equality_and_hash_follow_the_fields():
     assert a != NormalBlock(2, a.chern_roots) and a != (1, a.chern_roots)
     d = Diagnostic("c", "w", "m")
     assert d == Diagnostic(code="c", where="w", message="m")
-    assert hash(d) == hash(Diagnostic("c", "w", "m"))
     assert d != Diagnostic("c", "w", "n")
+    for make in RECORDS.values():
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(make())
 
 
 def test_replace_rejects_unknown_or_missing_fields():
@@ -509,6 +523,13 @@ def test_replace_rejects_unknown_or_missing_fields():
         Diagnostic("c", "w")
     with pytest.raises(TypeError):
         Diagnostic("c", "w", "m", code="d")
+    with pytest.raises(TypeError):
+        Diagnostic("c", "w", "m", "extra")
+    p = builtin("dim6")
+    assert ManifoldPresentation(p.name, p.dim_M, p.components).quotient is None
+    with pytest.raises(TypeError):
+        ManifoldPresentation(p.name, p.dim_M, p.components, p.quotient,
+                             quotient=p.quotient)
     G = replace(F, name="moved")
     assert G.name == "moved" and G.blocks is F.blocks
     assert vars(G).keys() == set(G._fields)
