@@ -10,8 +10,7 @@ expansion of the associated oscillatory pairing, cross-verified numerically.
 """
 
 from .model import (FixedComponent, ManifoldPresentation, NormalBlock,
-                    QuotientData, cpn_linear, disjoint_union, parse, product,
-                    serialize, shift_moment, trivial_cp1, validate)
+                    QuotientData, parse, serialize, validate)
 from .ring import GradedElement, RingSpec, todd_from_roots
 from .zrational import LaurentPolynomial, NotAPolynomial, ZRational
 from .localization import character, chi_tilde
@@ -30,3 +29,11 @@ __all__ = [
     "product", "regular_term", "residue_term", "rr_invariant", "serialize",
     "shift_moment", "todd_from_roots", "trivial_cp1", "validate",
 ]
+
+
+def __getattr__(name):    # PEP 562: no command calls the builders
+    if name not in ("cpn_linear", "disjoint_union", "product",
+                    "shift_moment", "trivial_cp1"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import builders
+    return getattr(builders, name)

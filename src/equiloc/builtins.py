@@ -2,10 +2,9 @@
 
 Each builtin is the document shipped as data/<name>.json, parsed afresh on
 every call.  The tests keep the recipes that wrote these documents from the
-builders in `model` and pin the two against each other.  Each entry also
-knows how to produce its ground-truth weight multiset by monomial
-enumeration, so the acceptance suite can compare characters coefficient by
-coefficient.
+`builders` and pin the two against each other.  Each entry also knows how
+to produce its ground-truth weight multiset by monomial enumeration, so
+the acceptance suite can compare characters coefficient by coefficient.
 """
 
 from __future__ import annotations
@@ -40,10 +39,6 @@ def builtin(name: str) -> ManifoldPresentation:
 # enumeration oracles
 
 
-def _triv(m: int) -> WeightMultiset:
-    return oracle.cpn_weights([0, 0], 1, m)
-
-
 def builtin_oracle(name: str, m: int) -> WeightMultiset:
     """Ground-truth weight multiset of a builtin's section space."""
     cpw = oracle.cpn_weights
@@ -58,8 +53,8 @@ def builtin_oracle(name: str, m: int) -> WeightMultiset:
         return conv(cpw([0, 1], 1, m), cpw([0, 1], 1, m, shift=-1))
     if name == "dgmw":
         piece1 = cpw([0, 0, 1], 1, m)
-        piece2 = conv(cpw([0, 2], 1, m), _triv(m))
-        piece3 = conv(cpw([0, 3], 1, m, shift=-3), _triv(m))
+        piece2 = conv(cpw([0, 2], 1, m), cpw([0, 0], 1, m))
+        piece3 = conv(cpw([0, 3], 1, m, shift=-3), cpw([0, 0], 1, m))
         return oracle.add(oracle.add(piece1, piece2), piece3)
     if name == "dim6":
         two = conv(cpw([0, 1], 1, m), cpw([0, 1], 1, m))

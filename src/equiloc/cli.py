@@ -10,8 +10,8 @@ inconsistency (poles fail to cancel, or a character coefficient is not an
 integer) on every exact command.
 
 Only witten-check pairs numerically, so it is the only command that
-imports numpy (through `witten`), at its start: the exact commands skip
-the cost of that import.
+imports numpy and the pairing's u-series (`useries`, through `witten`):
+the exact commands skip that import, and no command loads the builders.
 """
 
 from __future__ import annotations
@@ -164,7 +164,7 @@ def cmd_witten_check(args) -> int:
     phi = witten.TestFunction()
     try:
         # the Todd series must converge on phi's support
-        localization.default_series_order(p, phi.delta2)
+        witten.default_series_order(p, phi.delta2)
     except ValueError as e:
         raise SystemExit2(str(e))
     try:

@@ -6,9 +6,9 @@ with integration table, its Todd class and symplectic class, and the
 isotypic blocks of its normal bundle as (weight, Chern roots) pairs.
 
 Sign convention for stored Chern roots: a root `a` is defined so that the
-fixed-point character factor is 1/(1 - z^k e^a).  Builders therefore emit
-the *negated* usual Chern roots of each block; the convention is pinned by
-the requirement that the character of cpn_linear([0,0,1],1) is a Laurent
+fixed-point character factor is 1/(1 - z^k e^a).  The `builders` therefore
+emit the *negated* usual Chern roots of each block; the convention is pinned
+by the requirement that the character of cpn_linear([0,0,1],1) is a Laurent
 polynomial matching the monomial enumeration oracle (see tests).
 """
 
@@ -23,7 +23,7 @@ from typing import Optional
 
 from .ring import (GradedElement, RingError, RingSpec, brief,
                    element_to_string, monomial_to_string, string_to_element,
-                   string_to_monomial, todd_from_roots)
+                   string_to_monomial)
 from .zrational import linear_sum, over_lcm, over_one_denominator
 
 
@@ -298,12 +298,13 @@ def validate(p: ManifoldPresentation) -> list[Diagnostic]:
 
 
 def _ring_to_doc(ring: RingSpec) -> dict:
-    return {
-        "generators": [{"name": n, "degree": d} for n, d in ring.generators],
-        "truncation": ring.truncation_degree,
-        "integrals": {monomial_to_string(ring, m): str(v)
-                      for m, v in sorted(ring.integration_table.items())},
-    }
+    """A ring's object, keyed by `_FIELDS["ring"]` and each generator's by
+    `_FIELDS["generator"]`, in order."""
+    integrals = {monomial_to_string(ring, m): str(v)
+                 for m, v in sorted(ring.integration_table.items())}
+    return dict(zip(_FIELDS["ring"], (
+        [dict(zip(_FIELDS["generator"], g)) for g in ring.generators],
+        ring.truncation_degree, integrals)))
 
 
 def _ring_from_doc(doc, where: str, memo: dict) -> RingSpec:
@@ -484,152 +485,3 @@ def parse(text: str) -> ManifoldPresentation:
             + "; ".join(str(d) for d in diagnostics),
             diagnostics=diagnostics)
     return p
-
-
-# ---------------------------------------------------------------------------
-# builders
-
-
-def projective_ring(r: int) -> RingSpec:
-    """Cohomology ring of CP^{r-1}: one generator h, h^{r-1} integrates to 1."""
-    if r < 1:
-        raise ValueError("need r >= 1")
-    if r == 1:
-        return RingSpec.point()
-    mono = (r - 1,)
-    return RingSpec((("h", 2),), 2 * (r - 1), {mono: Fraction(1)})
-
-
-def cpn_linear(weights: list[int], d: int,
-               shift: int = 0) -> ManifoldPresentation:
-    """CP^n with the linear circle action of the given weights and L the
-    d-th power of the hyperplane bundle.
-
-    Components are the grouped coordinate subspaces for each distinct weight
-    value; moments are normalized so the minimum is `shift` (default 0).
-    """
-    if len(weights) < 2:
-        raise ValueError("need at least two weights (n >= 1)")
-    if d < 1:
-        raise ValueError("need d >= 1")
-    n = len(weights) - 1
-    w_min = min(weights)
-    values = sorted(set(weights))
-    components = []
-    for w in values:
-        r = weights.count(w)
-        ring = projective_ring(r)
-        h = ring.generator("h") if r > 1 else ring.zero()
-        # stored roots are the negated Chern roots of O(1)^{rank}
-        blocks = tuple(NormalBlock(wp - w, (-h,) * weights.count(wp))
-                       for wp in values if wp != w)
-        components.append(FixedComponent(
-            name=f"w{w}", moment=d * (w - w_min) + shift, ring=ring,
-            todd=todd_from_roots(ring, [h] * r), omega=h * Fraction(d),
-            blocks=blocks))
-    wstr = ",".join(str(w) for w in weights)
-    name = f"cpn[{wstr}]d{d}" + (f"s{shift}" if shift else "")
-    return ManifoldPresentation(name=name, dim_M=2 * n,
-                                components=tuple(components))
-
-
-def point_manifold() -> ManifoldPresentation:
-    """The one-point manifold with the trivial action: the unit for
-    products."""
-    ring = RingSpec.point()
-    comp = FixedComponent(name="pt", moment=0, ring=ring,
-                          todd=ring.one(), omega=ring.zero(), blocks=())
-    return ManifoldPresentation(name="point", dim_M=0, components=(comp,))
-
-
-def trivial_cp1(d: int = 1) -> ManifoldPresentation:
-    """CP^1 with the trivial action: the one component of
-    cpn_linear([0, 0], d), renamed `total`, at moment 0 with no normal
-    blocks."""
-    [F] = cpn_linear([0, 0], d).components
-    return ManifoldPresentation(name=f"trivial_cp1_d{d}", dim_M=2,
-                                components=(replace(F, name="total"),))
-
-
-def shift_moment(p: ManifoldPresentation, s: int) -> ManifoldPresentation:
-    """Shift every moment value by the integer s (studying another level)."""
-    comps = tuple(replace(F, moment=F.moment + s) for F in p.components)
-    return ManifoldPresentation(name=f"{p.name}+shift{s}",
-                                dim_M=p.dim_M, components=comps)
-
-
-def bundle_power(p: ManifoldPresentation, k: int) -> ManifoldPresentation:
-    """Replace the prequantizing bundle by its k-th power: omega and the
-    moment map both scale by k."""
-    if k < 1:
-        raise ValueError("need k >= 1")
-    comps = tuple(replace(F, moment=F.moment * k, omega=F.omega * Fraction(k))
-                  for F in p.components)
-    return ManifoldPresentation(name=f"{p.name}^pow{k}",
-                                dim_M=p.dim_M, components=comps)
-
-
-def _embed(elem: GradedElement, ring: RingSpec, offset: int,
-           total: int) -> GradedElement:
-    terms = {}
-    for mono, c in elem.terms.items():
-        key = (0,) * offset + mono + (0,) * (total - offset - len(mono))
-        terms[key] = c
-    return GradedElement(ring, terms)
-
-
-def _tensor_rings(r1: RingSpec, r2: RingSpec) -> RingSpec:
-    used = {n for n, _ in r1.generators}
-    gens2 = []
-    for n, deg in r2.generators:
-        new = n
-        i = 2
-        while new in used:
-            new = f"{n}_{i}"
-            i += 1
-        used.add(new)
-        gens2.append((new, deg))
-    return RingSpec(tuple(r1.generators) + tuple(gens2),
-                    r1.truncation_degree + r2.truncation_degree,
-                    {m1 + m2: v1 * v2
-                     for m1, v1 in r1.integration_table.items()
-                     for m2, v2 in r2.integration_table.items()})
-
-
-def product(p: ManifoldPresentation,
-            q: ManifoldPresentation) -> ManifoldPresentation:
-    """Product presentation: components are pairs, moments add, rings tensor,
-    Todd/omega/blocks pull back and merge."""
-    components = []
-    for F in p.components:
-        for G in q.components:
-            ring = _tensor_rings(F.ring, G.ring)
-            n1, n2 = len(F.ring.generators), len(G.ring.generators)
-            total = n1 + n2
-            liftF = lambda e: _embed(e, ring, 0, total)
-            liftG = lambda e: _embed(e, ring, n1, total)
-            blocks = [NormalBlock(b.weight, tuple(map(liftF, b.chern_roots)))
-                      for b in F.blocks]
-            blocks += [NormalBlock(b.weight, tuple(map(liftG, b.chern_roots)))
-                       for b in G.blocks]
-            components.append(FixedComponent(
-                name=f"{F.name}*{G.name}",
-                moment=F.moment + G.moment, ring=ring,
-                todd=liftF(F.todd) * liftG(G.todd),
-                omega=liftF(F.omega) + liftG(G.omega), blocks=tuple(blocks)))
-    return ManifoldPresentation(
-        name=f"({p.name})x({q.name})", dim_M=p.dim_M + q.dim_M,
-        components=tuple(components))
-
-
-def disjoint_union(*ps: ManifoldPresentation) -> ManifoldPresentation:
-    """Union of presentations of equal dimension (component lists merge)."""
-    if not ps:
-        raise ValueError("need at least one presentation")
-    dim = ps[0].dim_M
-    if any(p.dim_M != dim for p in ps):
-        raise ValueError("disjoint union requires equal dim_M")
-    comps = tuple(replace(F, name=f"p{i}.{F.name}")
-                  for i, p in enumerate(ps) for F in p.components)
-    return ManifoldPresentation(name="+".join(p.name for p in ps), dim_M=dim,
-                                components=comps)

@@ -42,10 +42,9 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .localization import (PreparedInner, component_u_laurent,
-                           default_series_order)
 from .model import ManifoldPresentation, Record
 from .quantize import Classification, regular_term
+from .useries import PreparedInner, component_u_laurent, default_series_order
 
 
 class CancellationError(ArithmeticError):

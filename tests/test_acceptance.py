@@ -34,13 +34,14 @@ import warnings
 from fractions import Fraction
 
 from equiloc import builtin, builtin_names, builtin_oracle
-from equiloc.localization import character, kirillov_check
+from equiloc.localization import character
 from equiloc.model import QuotientData, replace
 from equiloc.quantize import (Classification, exceptional_term,
                               main_formula_report, polynomiality_check,
                               regular_term, residue_term, rr_invariant)
 from equiloc.ring import RingSpec
 from equiloc.witten import TestFunction, decay_check, dist_pair
+from localized import kirillov_check
 from quad_oracles import eps_limit_pair
 
 warnings.filterwarnings("ignore", message=".*roundoff.*")

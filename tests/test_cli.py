@@ -1,5 +1,6 @@
 """Command-line interface: reports, schemas, exit codes, determinism."""
 
+import functools
 import json
 import os
 import subprocess
@@ -547,16 +548,18 @@ NUMERIC = ("scipy", "numpy", "sympy")
 # Standard modules an exact command has no use for: dataclasses imports
 # inspect, ast and dis, and execs the methods of every class it decorates.
 UNUSED_STDLIB = ("dataclasses", "inspect", "cmath")
+# The package's modules that no exact command calls: the builders and the
+# pairing's u-series.
+LAZY = ("equiloc.builders", "equiloc.useries")
 
 # Runs main(argv) in a fresh interpreter, then prints its exit code and
 # which of the modules above the run left loaded.
 NUMERIC_IMPORTS = f"""
 import contextlib, io, json, sys
 from equiloc.cli import main
-from equiloc.model import product
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps([code, [m for m in {NUMERIC + UNUSED_STDLIB!r}
+print(json.dumps([code, [m for m in {NUMERIC + UNUSED_STDLIB + LAZY!r}
                          if m in sys.modules]]))
 """
 
@@ -574,26 +577,59 @@ def fresh_interpreter(script, *argv):
     return json.loads(proc.stdout)
 
 
+@functools.lru_cache(maxsize=None)
 def numeric_imports(*argv):
-    return tuple(fresh_interpreter(NUMERIC_IMPORTS, *argv))
+    """(exit code, the modules above left loaded) of one command, run once
+    for all the tests that read it."""
+    code, loaded = fresh_interpreter(NUMERIC_IMPORTS, *argv)
+    return code, tuple(loaded)
 
 
-@pytest.mark.parametrize("argv", [
+EXACT_COMMANDS = [
     ("rr", "--builtin", "dim6", "--m", "0:3"),
     ("character", "--builtin", "dim6", "--m", "2"),
     ("main-formula", "--input", str(PACKAGE / "data" / "dim6.json"),
      "--m", "1:3"),
-    ("verify", "--builtin", "dim6")])
+    ("verify", "--builtin", "dim6")]
+WITTEN_CHECK = ("witten-check", "--builtin", "cp1", "--m", "8,12,16,24")
+
+
+@pytest.mark.parametrize("argv", EXACT_COMMANDS)
 def test_exact_commands_load_no_numeric_stack(argv):
-    assert numeric_imports(*argv) == (0, [])
+    code, loaded = numeric_imports(*argv)
+    assert (code, [m for m in loaded if m not in LAZY]) == (0, [])
+
+
+@pytest.mark.parametrize("argv", EXACT_COMMANDS)
+def test_exact_commands_load_neither_builders_nor_useries(argv):
+    code, loaded = numeric_imports(*argv)
+    assert (code, [m for m in loaded if m in LAZY]) == (0, [])
+
+
+def test_witten_check_loads_useries_not_builders():
+    # positive control: the pairing's u-series do load, through witten
+    code, loaded = numeric_imports(*WITTEN_CHECK)
+    assert (code, [m for m in loaded if m in LAZY]) == (0, ["equiloc.useries"])
+
+
+BUILDER_IMPORTS = f"""
+import json, sys
+from equiloc import product
+print(json.dumps([m for m in {NUMERIC + LAZY!r} if m in sys.modules]))
+"""
+
+
+def test_public_builders_load_on_first_use():
+    # `equiloc` re-exports the builders lazily: the first one asked for
+    # loads their module, and nothing of the pairing with it
+    assert fresh_interpreter(BUILDER_IMPORTS) == ["equiloc.builders"]
 
 
 def test_witten_check_loads_numpy_not_scipy_or_sympy():
     # positive control: the harness above does see a numpy import; the
     # quadrature is numpy's Gauss-Legendre rule and the bump a closed form,
     # so neither scipy nor sympy loads (numpy itself imports inspect)
-    code, loaded = numeric_imports("witten-check", "--builtin", "cp1",
-                                   "--m", "8,12,16,24")
+    code, loaded = numeric_imports(*WITTEN_CHECK)
     assert (code, [m for m in loaded if m in NUMERIC]) == (0, ["numpy"])
 
 

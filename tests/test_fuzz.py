@@ -14,11 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equiloc import (builtin, builtin_names, character, cpn_linear,
-                     main_formula_report, parse, product, serialize,
-                     shift_moment, trivial_cp1)
+from equiloc import (builtin, builtin_names, character,
+                     main_formula_report, parse, serialize)
+from equiloc.builders import (bundle_power, cpn_linear, product,
+                              shift_moment, trivial_cp1)
 from equiloc.cli import main
-from equiloc.model import ParseError, bundle_power
+from equiloc.model import ParseError
 from equiloc.quantize import Unsupported
 
 DOCS = {name: json.loads(serialize(builtin(name)))

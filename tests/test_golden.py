@@ -54,6 +54,9 @@ def test_main_formula_reports_match_golden(doc):
 
 
 def test_traced_names_resolve():
+    # each target as `Tracer.install` resolves it: a module function by
+    # `getattr` (so a module `__getattr__` forward counts), a method in its
+    # class's own `__dict__`
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracer", PERFBENCH / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
@@ -66,7 +69,11 @@ def test_traced_names_resolve():
         *classes, attr = path.split(".")
         for name in classes:
             owner = getattr(owner, name, None)
-        if owner is None or attr not in vars(owner):
+        if classes:
+            found = owner is not None and attr in vars(owner)
+        else:
+            found = callable(getattr(owner, attr, None))
+        if not found:
             missing.append(f"{modname}:{path}")
     assert tracer.TARGETS and not missing
 

@@ -12,17 +12,22 @@ import equiloc
 PACKAGE = Path(equiloc.__file__).parent
 
 # every module but `__init__`, which imports the public names of them all
-ORDER = ("ring", "zrational", "oracle", "model", "localization", "quantize",
-         "builtins", "witten", "cli")
+ORDER = ("ring", "zrational", "oracle", "model", "builders", "localization",
+         "useries", "quantize", "builtins", "witten", "cli")
 
 # (module, imported from, name): the cached pieces of a frozen component,
-# which `model` keeps but `localization` and `quantize` compute, and the
-# numeric pairing, which only witten-check loads (with numpy)
+# which `model` keeps but `localization` and `quantize` compute; the
+# numeric pairing, which only witten-check loads (with numpy); and the
+# modules no exact command calls, which a module `__getattr__` (PEP 562)
+# loads on first use: the builders that `equiloc` re-exports and the
+# u-series that `localization` still forwards
 DEFERRED = {
     ("model", "localization", "chi_tilde_pieces"),
     ("model", "quantize", "residue_pieces"),
     ("model", "quantize", "exceptional_term"),
     ("cli", "", "witten"),
+    ("__init__", "", "builders"),
+    ("localization", "", "useries"),
 }
 
 

@@ -11,20 +11,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from equiloc import builtin, builtin_names, builtin_oracle
-from equiloc.localization import (PreparedInner, character, chi_tilde,
-                                  chi_tilde_pieces, component_u_laurent,
-                                  default_series_order,
-                                  dh_inner, equivariant_todd_at_F,
-                                  kirillov_check)
+from equiloc.builders import (bundle_power, cpn_linear, disjoint_union,
+                              product, shift_moment, trivial_cp1)
+from equiloc.localization import character, chi_tilde, chi_tilde_pieces
 import equiloc.localization as localization
-from equiloc.model import (FixedComponent, NormalBlock, bundle_power,
-                           cpn_linear, disjoint_union, product, replace,
-                           shift_moment, trivial_cp1)
+from equiloc.model import FixedComponent, NormalBlock, replace
 from equiloc.quantize import residue_term
 from equiloc.oracle import WeightMultiset, add, convolve, cpn_weights
 from equiloc.ring import RingError, RingSpec, bernoulli, todd_coefficient
+from equiloc.useries import (PreparedInner, component_u_laurent,
+                             default_series_order, equivariant_todd_at_F)
 from equiloc.zrational import (LaurentPolynomial, NotAPolynomial, ZRational,
                                scalar_sum)
+from localized import dh_inner, kirillov_check
 
 POINT = RingSpec.point()
 

@@ -7,12 +7,13 @@ from pathlib import Path
 
 import pytest
 
+from equiloc.builders import (bundle_power, cpn_linear, disjoint_union,
+                              product, projective_ring, shift_moment,
+                              trivial_cp1)
 from equiloc.model import (_FIELDS, Diagnostic, FixedComponent,
                            ManifoldPresentation, NormalBlock, ParseError,
-                           QuotientData, Record, bundle_power, cpn_linear,
-                           disjoint_union, parse, product, projective_ring,
-                           replace, serialize, shift_moment, trivial_cp1,
-                           validate)
+                           QuotientData, Record, _ring_to_doc, parse,
+                           replace, serialize, validate)
 from equiloc.quantize import main_formula_report, polynomiality_check
 from equiloc.witten import WittenCheckReport
 from equiloc.ring import RingSpec, todd_from_roots
@@ -463,6 +464,25 @@ def test_document_keys_are_the_record_fields():
         assert tuple(_FIELDS[kind]) == cls._fields
 
 
+def test_serialized_ring_keys_are_the_fields():
+    # a ring is no record: `serialize` writes its object and each
+    # generator's with the keys `parse` reads, in `_FIELDS` order
+    p = builtin("dim6")
+    rings = [F.ring for F in p.components] + [p.quotient.ring]
+    assert any(ring.generators for ring in rings)
+    for ring in rings:
+        doc = _ring_to_doc(ring)
+        assert tuple(doc) == tuple(_FIELDS["ring"])
+        for gen in doc["generators"]:
+            assert tuple(gen) == tuple(_FIELDS["generator"])
+    text = json.loads(serialize(p))
+    for obj in [c["ring"] for c in text["components"]] + [
+            text["quotient"]["ring"]]:
+        assert obj.keys() == _FIELDS["ring"].keys()
+        assert all(g.keys() == _FIELDS["generator"].keys()
+                   for g in obj["generators"])
+
+
 # One instance of every record class, by class name.
 RECORDS = {
     "Diagnostic": lambda: Diagnostic("WeightZero", "cp1/w0", "bad weight"),
@@ -632,7 +652,7 @@ def test_disjoint_union_requires_equal_dim():
 
 def test_product_unit_and_associativity():
     from equiloc.localization import character
-    from equiloc.model import point_manifold
+    from equiloc.builders import point_manifold
     x = cpn_linear([0, 1, 2], 1)
     unit = product(x, point_manifold())
     assert unit.dim_M == x.dim_M

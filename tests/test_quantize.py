@@ -9,14 +9,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from equiloc import builtin, builtin_names
-from equiloc.model import (FixedComponent, NormalBlock, bundle_power,
-                           cpn_linear, parse, product, replace, serialize,
-                           shift_moment, trivial_cp1)
+from equiloc.builders import (bundle_power, cpn_linear, product,
+                              shift_moment, trivial_cp1)
+from equiloc.model import (FixedComponent, NormalBlock, parse, replace,
+                           serialize)
 from equiloc.quantize import (Classification, Unsupported,
                               exceptional_from_series, exceptional_term,
                               main_formula_report, polynomiality_check,
                               regular_term, residue_term, rr_invariant)
-from equiloc.localization import equivariant_todd_at_F
+from equiloc.useries import equivariant_todd_at_F
 from equiloc.quantize import exact_polynomial_fit
 from equiloc.ring import RingSpec
 from equiloc.zrational import NotAPolynomial

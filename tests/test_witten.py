@@ -11,13 +11,14 @@ import pytest
 from scipy.integrate import quad
 
 from equiloc import builtin, witten
+from equiloc.builders import cpn_linear, product, trivial_cp1
 from equiloc.builtins import builtin_names
 from equiloc.cli import main
-from equiloc.localization import (PreparedInner, character,
-                                  component_u_laurent, default_series_order)
-from equiloc.model import (QuotientData, cpn_linear, product, replace,
-                           trivial_cp1)
+from equiloc.localization import character
+from equiloc.model import QuotientData, replace
 from equiloc.ring import RingSpec
+from equiloc.useries import (PreparedInner, component_u_laurent,
+                             default_series_order)
 from equiloc.witten import (CancellationError, TestFunction, complex_quad,
                             decay_check, dist_pair, expansion_rhs,
                             pair_u_laurent, witten_pair)

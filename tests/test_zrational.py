@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from equiloc import oracle
 from equiloc.localization import character
-from equiloc.model import (cpn_linear, parse, product, serialize,
-                           shift_moment, trivial_cp1)
+from equiloc.builders import cpn_linear, product, shift_moment, trivial_cp1
+from equiloc.model import parse, serialize
 from equiloc.zrational import (LaurentPolynomial, NotAPolynomial, ZRational,
                                over_one_denominator, scalar_sum)
 
