@@ -723,6 +723,53 @@ def test_verify_has_no_format_option(capsys):
     assert "Traceback" not in err
 
 
+# (argv, exit code, `error:` lines) as argparse reported them, before the
+# cli parsed its argv itself; help exits 0 without an error line.
+ARGV_ROWS = [
+    ((), 2, ["equiloc: error: the following arguments are required: "
+             "command"]),
+    (("nosuch",), 2, ["equiloc: error: argument command: invalid choice: "
+                      "'nosuch' (choose from 'rr', 'character', "
+                      "'main-formula', 'witten-check', 'verify')"]),
+    (("rr", "--format", "xml"), 2, [
+        "equiloc rr: error: argument --format: invalid choice: 'xml' "
+        "(choose from 'text', 'json')"]),
+    (("rr", "--m"), 2, ["equiloc rr: error: argument --m: expected one "
+                        "argument"]),
+    (("rr", "--builtin", "--m", "1"), 2, [
+        "equiloc rr: error: argument --builtin: expected one argument"]),
+    (("verify", "--builtin", "cp1", "--m", "2"), 2, [
+        "equiloc: error: unrecognized arguments: --m 2"]),
+    (("rr", "--builtin", "cp1", "--m=2"), 0, []),
+    (("rr", "--builtin=cp1", "--m", "2"), 0, []),
+    (("rr", "--builtin", "cp1", "--m", "1", "--m", "2"), 0, []),
+    (("rr", "--builtin", "cp1", "--m", "-1"), 2, [
+        "error: --m -1: m must be nonnegative"]),
+    (("rr", "-h"), 0, []),
+    (("--help",), 0, []),
+    (("rr", "--builtin", "cp1", "--m", "3:1"), 2, [
+        "error: --m 3:1: empty m range"]),
+    (("rr", "--builtin", "cp1", "--m", "abc"), 2, [
+        "error: --m abc: expected INT, A:B or a comma list of integers"]),
+]
+
+
+@pytest.mark.parametrize("argv, code, errors", ARGV_ROWS,
+                         ids=[" ".join(argv) or "(none)"
+                              for argv, _, _ in ARGV_ROWS])
+def test_argv_rows(capsys, argv, code, errors):
+    try:
+        got = main(list(argv))
+    except SystemExit as exc:
+        got = exc.code
+    out, err = capsys.readouterr()
+    assert (got, [line for line in err.splitlines()
+                  if "error:" in line]) == (code, errors)
+    assert "Traceback" not in err
+    if code == 0 and not {"-h", "--help"} & set(argv):
+        assert out == "m=2 rr_invariant=1 rr_total=3\n"
+
+
 # A later component repeats an earlier ring block, retyped: a parse that
 # reused the earlier ring for an equal-looking block (False == 0, True == 1)
 # would accept it.
