@@ -9,14 +9,11 @@ the reduced-space term from supplied quotient data), and the asymptotic
 expansion of the associated oscillatory pairing, cross-verified numerically.
 """
 
-from .model import (FixedComponent, ManifoldPresentation, NormalBlock,
-                    QuotientData, parse, serialize, validate)
+from .model import (Classification, FixedComponent, ManifoldPresentation,
+                    NormalBlock, QuotientData, parse, serialize, validate)
 from .ring import GradedElement, RingSpec, todd_from_roots
 from .zrational import LaurentPolynomial, NotAPolynomial, ZRational
 from .localization import character, chi_tilde
-from .quantize import (Classification, exceptional_term, main_formula_report,
-                       regular_term, residue_term, rr_invariant)
-from .builtins import builtin, builtin_names, builtin_oracle
 
 __version__ = "0.1.0"
 
@@ -30,10 +27,19 @@ __all__ = [
     "shift_moment", "todd_from_roots", "trivial_cp1", "validate",
 ]
 
+# name -> module, for the modules that not every command runs: each loads
+# on first use of one of its names or of the module itself (PEP 562)
+_LAZY = {name: module for module, names in (
+    ("quantize", ("exceptional_term", "main_formula_report", "regular_term",
+                  "residue_term", "rr_invariant")),
+    ("builtins", ("builtin", "builtin_names", "builtin_oracle")),
+    ("builders", ("cpn_linear", "disjoint_union", "product", "shift_moment",
+                  "trivial_cp1"))) for name in (module, *names)}
 
-def __getattr__(name):    # PEP 562: no command calls the builders
-    if name not in ("cpn_linear", "disjoint_union", "product",
-                    "shift_moment", "trivial_cp1"):
+
+def __getattr__(name):
+    from importlib import import_module
+    if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import builders
-    return getattr(builders, name)
+    module = import_module(f".{_LAZY[name]}", __name__)
+    return module if name == _LAZY[name] else getattr(module, name)

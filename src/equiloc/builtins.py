@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from . import oracle
 from .model import ManifoldPresentation, parse
-from .oracle import WeightMultiset
 from .ring import brief
 
 _DATA = Path(__file__).parent / "data"
@@ -39,8 +37,9 @@ def builtin(name: str) -> ManifoldPresentation:
 # enumeration oracles
 
 
-def builtin_oracle(name: str, m: int) -> WeightMultiset:
-    """Ground-truth weight multiset of a builtin's section space."""
+def builtin_oracle(name: str, m: int):
+    """Ground-truth `oracle.WeightMultiset` of a builtin's section space."""
+    from . import oracle
     cpw = oracle.cpn_weights
     conv = oracle.convolve
     if name == "cp1":

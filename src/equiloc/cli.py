@@ -9,32 +9,26 @@ Todd series diverges on the bump's support, included), 3 mathematical
 inconsistency (poles fail to cancel, or a character coefficient is not an
 integer) on every exact command.
 
-Only witten-check pairs numerically, so it is the only command that
-imports numpy and the pairing's u-series (`useries`, through `witten`):
-the exact commands skip that import, and no command loads the builders.
+Every command loads `model`, `ring`, `zrational` and `localization`, and
+`builtins` for a --builtin input; main-formula and verify add `quantize`
+(verify of a builtin also `oracle`), witten-check numpy and the u-series
+(`useries`, through `witten`).  None loads the builders or argparse.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import sys
+from types import SimpleNamespace
 
-from . import builtins as bi
-from . import localization, quantize
-from .model import ManifoldPresentation, ParseError, parse
+from . import localization
+from .model import (Classification, ManifoldPresentation, ParseError,
+                    Unsupported, parse)
 from .ring import brief
 from .zrational import NotAPolynomial
 
-EXIT_OK = 0
-EXIT_VERIFY = 1
-EXIT_INPUT = 2
-EXIT_MATH = 3
-
-
-def _complex_obj(z: complex) -> dict:
-    return {"im": z.imag, "re": z.real}
+EXIT_OK, EXIT_VERIFY, EXIT_INPUT, EXIT_MATH = range(4)
 
 
 def _parse_m_spec(spec: str) -> list[int]:
@@ -68,6 +62,7 @@ def _load(args) -> ManifoldPresentation:
     if args.builtin and args.input:
         raise SystemExit2("specify exactly one of --builtin / --input")
     if args.builtin:
+        from . import builtins as bi
         try:
             return bi.builtin(args.builtin)
         except KeyError as e:
@@ -75,11 +70,9 @@ def _load(args) -> ManifoldPresentation:
     if args.input:
         try:
             with open(args.input, "r", encoding="utf-8") as fh:
-                text = fh.read()
+                return parse(fh.read())
         except (OSError, UnicodeDecodeError) as e:
             raise SystemExit2(f"cannot read {args.input}: {e}")
-        try:
-            return parse(text)
         except ParseError as e:
             raise SystemExit2(str(e))
     raise SystemExit2("an input is required: --builtin NAME or --input FILE")
@@ -90,12 +83,8 @@ class SystemExit2(Exception):
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
-    if args.format == "json":
-        print(json.dumps(payload, sort_keys=True, separators=(",", ": "),
-                         indent=1))
-    else:
-        for line in text_lines:
-            print(line)
+    print(json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=1)
+          if args.format == "json" else "\n".join(text_lines))
 
 
 def _per_m(step):
@@ -103,13 +92,10 @@ def _per_m(step):
     (record, text line) for each m of --m."""
     def cmd(args) -> int:
         p = _load(args)
-        results = []
-        lines = []
-        for m in _parse_m_spec(args.m):
-            record, line = step(p, m)
-            results.append({"m": m, **record})
-            lines.append(line)
-        _emit(args, {"input": p.name, "results": results}, lines)
+        rows = [(m, *step(p, m)) for m in _parse_m_spec(args.m)]
+        _emit(args, {"input": p.name, "results": [
+            {"m": m, **record} for m, record, _ in rows]},
+            [line for _, _, line in rows])
         return EXIT_OK
     return cmd
 
@@ -131,17 +117,16 @@ def cmd_character(p: ManifoldPresentation, m: int) -> tuple[dict, str]:
 
 @_per_m
 def cmd_main_formula(p: ManifoldPresentation, m: int) -> tuple[dict, str]:
+    from . import quantize
     rep = quantize.main_formula_report(p, m)
     record = {
-        "rr_invariant": rep.rr,
+        "rr_invariant": rep.rr, "balance": rep.balance,
         "residue_terms": {
             name: {"classification": cls, "value": str(v)}
             for name, (cls, v) in sorted(rep.residue_terms.items())},
         "exceptional_terms": {
             name: str(v) for name, v in sorted(rep.exceptional_terms.items())},
-        "regular_term": {"tag": rep.regular_tag, "value": str(rep.regular)},
-        "balance": rep.balance,
-    }
+        "regular_term": {"tag": rep.regular_tag, "value": str(rep.regular)}}
     bal = {True: "balance=true", False: "balance=FALSE",
            None: "balance=n/a(diagnostic)"}[rep.balance]
     return record, (f"m={m} rr={rep.rr} residues={rep.residue_sum()} "
@@ -154,7 +139,7 @@ def cmd_witten_check(args) -> int:
     # read every exceptional term before numpy loads and the fit and the
     # pairings run, so that an unsupported component fails at once
     for F in p.f_zero():
-        if F.classification is quantize.Classification.INDEFINITE:
+        if F.classification is Classification.INDEFINITE:
             F.exceptional
     from . import witten  # the only command that loads numpy
     ms = _parse_m_spec(args.m)
@@ -173,14 +158,10 @@ def cmd_witten_check(args) -> int:
         # float cancellation in the pairing, not proof of bad data
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_VERIFY
-    payload = {
-        "input": p.name,
-        "m_values": rep.m_values,
-        "lhs": [_complex_obj(z) for z in rep.lhs],
-        "rhs": [_complex_obj(z) for z in rep.rhs],
-        "diffs": rep.diffs,
-        "exponent": rep.exponent,
-    }
+    payload = {"input": p.name, "m_values": rep.m_values, "diffs": rep.diffs,
+               "exponent": rep.exponent, **{
+                   side: [{"im": z.imag, "re": z.real} for z in values]
+                   for side, values in (("lhs", rep.lhs), ("rhs", rep.rhs))}}
     lines = [f"m={m} |lhs-rhs|={d:.3e}"
              for m, d in zip(rep.m_values, rep.diffs)]
     lines.append(f"decay exponent: {rep.exponent:.3f}")
@@ -188,18 +169,19 @@ def cmd_witten_check(args) -> int:
     return EXIT_OK
 
 
-def _verify_one(p: ManifoldPresentation, name: str,
-                with_oracle: bool) -> list[str]:
+def _verify_one(p: ManifoldPresentation, oracle) -> list[str]:
     """Run the checks that depend on the document; returns the failure
     descriptions.  The division certifies that poles cancel and that every
     character coefficient is an integer; a builtin's character must equal
-    its enumeration oracle, and supplied quotient data must balance the
-    main formula."""
+    its enumeration oracle (oracle(name, m), None for a document), and
+    supplied quotient data must balance the main formula."""
+    from . import quantize
+    name = p.name
     failures = []
     try:
         for m in range(0, 7):
             chi = localization.character(p, m)
-            if with_oracle and chi != (want := bi.builtin_oracle(name, m)):
+            if oracle and chi != (want := oracle(name, m)):
                 failures.append(f"{name}: oracle m={m} (character {chi} != "
                                 f"oracle {want})")
         for m in range(1, 5) if p.quotient is not None else ():
@@ -211,18 +193,16 @@ def _verify_one(p: ManifoldPresentation, name: str,
 
 
 def cmd_verify(args) -> int:
-    if args.builtin == "all":
-        if args.input:
-            raise SystemExit2("specify exactly one of --builtin / --input")
-        targets = [(n, bi.builtin(n), True) for n in bi.builtin_names()]
+    if args.builtin:    # a builtin is checked against its enumeration oracle
+        from . import builtins as bi
+    if args.builtin == "all" and not args.input:    # else _load refuses both
+        targets = [bi.builtin(n) for n in bi.builtin_names()]
     else:
-        p = _load(args)
-        targets = [(p.name, p, args.builtin is not None
-                    and args.builtin in bi.builtin_names())]
+        targets = [_load(args)]
     failures = []
-    for name, p, with_oracle in targets:
-        fs = _verify_one(p, name, with_oracle)
-        print(f"verify {name}: {'ok' if not fs else 'FAIL'}")
+    for p in targets:
+        fs = _verify_one(p, bi.builtin_oracle if args.builtin else None)
+        print(f"verify {p.name}: {'ok' if not fs else 'FAIL'}")
         failures.extend(fs)
     for f in failures:
         print(f"FAIL {f}", file=sys.stderr)
@@ -241,30 +221,71 @@ _COMMANDS = (
     ("verify", cmd_verify, None, "run the invariant suite"))
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="equiloc",
-        description="invariant Riemann-Roch numbers from fixed-point data")
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name, fn, m_default, help_text in _COMMANDS:
-        sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--builtin", help="named example presentation")
-        sp.add_argument("--input", help="presentation document (JSON)")
-        if m_default is not None:
-            sp.add_argument("--m", default=m_default,
-                            help="bundle power: INT, A:B range, or comma list")
-            sp.add_argument("--format", choices=("text", "json"),
-                            default="text")
-        sp.set_defaults(fn=fn)
-    return ap
+# (option, metavar, help); verify takes the first two only
+_OPTIONS = (("--builtin", "BUILTIN", "named example presentation"),
+            ("--input", "INPUT", "presentation document (JSON)"),
+            ("--m", "M", "bundle power: INT, A:B range, or comma list"),
+            ("--format", "{text,json}", "text (the default) or json"))
+
+
+def _exit(code: int, *lines: str) -> None:
+    """Help on stdout with exit 0, or an argv error on stderr with exit 2."""
+    print("\n".join(lines), file=sys.stderr if code else sys.stdout)
+    raise SystemExit(code)
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """COMMAND, then `--option VALUE`, `--option=VALUE` or -h, as argparse
+    read them but unabbreviated: a repeated option's last value counts, and
+    a separate value starts with '-' only as a negative number or spaced."""
+    names = [c[0] for c in _COMMANDS]
+    usage = f"usage: equiloc [-h] {{{','.join(names)}}} ..."
+    if argv[:1] in (["-h"], ["--help"]):
+        _exit(EXIT_OK, usage, "", "invariant Riemann-Roch numbers from "
+              "fixed-point data", "", *(f"  {n:<22}{t}"
+                                        for n, *_, t in _COMMANDS))
+    if not argv or argv[0] not in names:
+        _exit(EXIT_INPUT, usage, "equiloc: error: " + (
+            f"argument command: invalid choice: {argv[0]!r} (choose from "
+            f"{', '.join(map(repr, names))})" if argv else
+            "the following arguments are required: command"))
+    name, fn, m_default, about = _COMMANDS[names.index(argv[0])]
+    options = _OPTIONS[:2 if m_default is None else 4]
+    command_usage = " ".join([f"usage: equiloc {name} [-h]",
+                              *(f"[{o} {v}]" for o, v, _ in options)])
+    args = SimpleNamespace(fn=fn, m=m_default, builtin=None, input=None,
+                           format="text")
+    extras, tokens = [], iter(argv[1:])
+    for token in tokens:
+        option, eq, value = token.partition("=")
+        if token in ("-h", "--help"):
+            _exit(EXIT_OK, command_usage, "", about, "", *(
+                f"  {o + ' ' + v:<22}{t}" for o, v, t in options))
+        elif option not in [o for o, _, _ in options]:
+            extras.append(token)
+            continue
+        value = value if eq else next(tokens, None)
+        if not eq and (value is None or re.fullmatch(
+                r"-(?!\d+$|\d*\.\d+$)[^ ]+", value)):
+            error = "expected one argument"
+        elif option == "--format" and value not in ("text", "json"):
+            error = f"invalid choice: {value!r} (choose from 'text', 'json')"
+        else:
+            setattr(args, option[2:], value)
+            continue
+        _exit(EXIT_INPUT, command_usage,
+              f"equiloc {name}: error: argument {option}: {error}")
+    if extras:
+        _exit(EXIT_INPUT, usage, "equiloc: error: unrecognized arguments: "
+              + " ".join(extras))
+    return args
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.fn(args)
-    except (SystemExit2, quantize.Unsupported) as e:
+    except (SystemExit2, Unsupported) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except NotAPolynomial as e:

@@ -35,6 +35,11 @@ class ParseError(ValueError):
         self.diagnostics = diagnostics or []
 
 
+class Unsupported(NotImplementedError):
+    """Exceptional data for a positive-dimensional indefinite component is
+    not representable in a flat presentation."""
+
+
 class Record:
     """A frozen value record: a subclass lists its fields as annotations, in
     order, a default as the annotation's value, and compares and prints by

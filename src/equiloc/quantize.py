@@ -44,14 +44,10 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-from .model import Classification, FixedComponent, ManifoldPresentation, Record
+from .model import (Classification, FixedComponent, ManifoldPresentation,
+                    Record, Unsupported)
 from .zrational import over_lcm
 from . import localization
-
-
-class Unsupported(NotImplementedError):
-    """Exceptional data for a positive-dimensional indefinite component is
-    not representable in a flat presentation."""
 
 
 def rr_invariant(p: ManifoldPresentation, m: int) -> int:

@@ -546,11 +546,14 @@ def test_verify_all_with_input_exits_2(tmp_path, capsys, path):
 
 NUMERIC = ("scipy", "numpy", "sympy")
 # Standard modules an exact command has no use for: dataclasses imports
-# inspect, ast and dis, and execs the methods of every class it decorates.
-UNUSED_STDLIB = ("dataclasses", "inspect", "cmath")
+# inspect, ast and dis, and execs the methods of every class it decorates;
+# argparse, with gettext, cost more than the parse itself.
+UNUSED_STDLIB = ("dataclasses", "inspect", "cmath", "argparse", "gettext")
 # The package's modules that no exact command calls: the builders and the
 # pairing's u-series.
 LAZY = ("equiloc.builders", "equiloc.useries")
+# The package's modules that a command loads only when it runs them.
+ON_DEMAND = ("equiloc.quantize", "equiloc.builtins", "equiloc.oracle")
 
 # Runs main(argv) in a fresh interpreter, then prints its exit code and
 # which of the modules above the run left loaded.
@@ -559,7 +562,8 @@ import contextlib, io, json, sys
 from equiloc.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps([code, [m for m in {NUMERIC + UNUSED_STDLIB + LAZY!r}
+print(json.dumps([code, [m for m in {NUMERIC + UNUSED_STDLIB + LAZY +
+                                    ON_DEMAND!r}
                          if m in sys.modules]]))
 """
 
@@ -597,13 +601,27 @@ WITTEN_CHECK = ("witten-check", "--builtin", "cp1", "--m", "8,12,16,24")
 @pytest.mark.parametrize("argv", EXACT_COMMANDS)
 def test_exact_commands_load_no_numeric_stack(argv):
     code, loaded = numeric_imports(*argv)
-    assert (code, [m for m in loaded if m not in LAZY]) == (0, [])
+    unused = NUMERIC + UNUSED_STDLIB
+    assert (code, [m for m in loaded if m in unused]) == (0, [])
 
 
 @pytest.mark.parametrize("argv", EXACT_COMMANDS)
 def test_exact_commands_load_neither_builders_nor_useries(argv):
     code, loaded = numeric_imports(*argv)
     assert (code, [m for m in loaded if m in LAZY]) == (0, [])
+
+
+# rr and character of a builtin run neither the formula nor the oracle, and
+# main-formula of a document reads no builtin; verify of a builtin, the
+# positive control, loads all three.
+@pytest.mark.parametrize("argv, modules", [
+    (EXACT_COMMANDS[0], ["equiloc.builtins"]),
+    (EXACT_COMMANDS[1], ["equiloc.builtins"]),
+    (EXACT_COMMANDS[2], ["equiloc.quantize"]),
+    (EXACT_COMMANDS[3], list(ON_DEMAND))], ids=lambda v: v[0])
+def test_exact_commands_load_only_the_modules_they_run(argv, modules):
+    code, loaded = numeric_imports(*argv)
+    assert (code, [m for m in loaded if m in ON_DEMAND]) == (0, modules)
 
 
 def test_witten_check_loads_useries_not_builders():
@@ -617,6 +635,30 @@ import json, sys
 from equiloc import product
 print(json.dumps([m for m in {NUMERIC + LAZY!r} if m in sys.modules]))
 """
+
+
+LAZY_PACKAGE = """
+import json, sys
+import equiloc
+eager = sorted(m for m in sys.modules if m.startswith("equiloc."))
+# a bare `import equiloc`, then a module read as an attribute
+found = [callable(equiloc.quantize.main_formula_report),
+         callable(equiloc.builtins.builtin),
+         all(getattr(equiloc, name) is not None for name in equiloc.__all__)]
+try:
+    equiloc.nosuch
+except AttributeError as e:
+    found.append(str(e))
+print(json.dumps([eager, found]))
+"""
+
+
+def test_lazy_package_resolves_every_public_name():
+    eager, found = fresh_interpreter(LAZY_PACKAGE)
+    assert eager == ["equiloc.localization", "equiloc.model", "equiloc.ring",
+                     "equiloc.zrational"]
+    assert found == [True, True, True,
+                     "module 'equiloc' has no attribute 'nosuch'"]
 
 
 def test_public_builders_load_on_first_use():
@@ -723,8 +765,8 @@ def test_verify_has_no_format_option(capsys):
     assert "Traceback" not in err
 
 
-# (argv, exit code, `error:` lines) as argparse reported them, before the
-# cli parsed its argv itself; help exits 0 without an error line.
+# (argv, exit code, `error:` lines): every row but the last reads as it did
+# when argparse parsed the argv; help exits 0 without an error line.
 ARGV_ROWS = [
     ((), 2, ["equiloc: error: the following arguments are required: "
              "command"]),
@@ -751,6 +793,9 @@ ARGV_ROWS = [
         "error: --m 3:1: empty m range"]),
     (("rr", "--builtin", "cp1", "--m", "abc"), 2, [
         "error: --m abc: expected INT, A:B or a comma list of integers"]),
+    # argparse took an abbreviated option (--form for --format) with exit 0
+    (("rr", "--builtin", "cp1", "--form", "json"), 2, [
+        "equiloc: error: unrecognized arguments: --form json"]),
 ]
 
 
@@ -768,6 +813,30 @@ def test_argv_rows(capsys, argv, code, errors):
     assert "Traceback" not in err
     if code == 0 and not {"-h", "--help"} & set(argv):
         assert out == "m=2 rr_invariant=1 rr_total=3\n"
+
+
+def help_text(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert (exc.value.code, err) == (0, "")
+    return out
+
+
+def test_help_is_built_from_the_command_table(capsys):
+    from equiloc.cli import _COMMANDS
+    out = help_text(capsys, "--help")
+    assert out.startswith("usage: equiloc [-h] "
+                          "{rr,character,main-formula,witten-check,verify}")
+    for name, _, _, about in _COMMANDS:
+        assert f"  {name} " in out and about in out
+    rr = help_text(capsys, "rr", "--builtin", "cp1", "-h")
+    assert rr.startswith("usage: equiloc rr [-h] [--builtin BUILTIN] "
+                         "[--input INPUT] [--m M] [--format {text,json}]\n")
+    assert "invariant and total Riemann-Roch numbers" in rr
+    verify = help_text(capsys, "verify", "--help")
+    assert "--builtin" in verify and "--input" in verify
+    assert "--m" not in verify and "--format" not in verify
 
 
 # A later component repeats an earlier ring block, retyped: a parse that

@@ -17,16 +17,21 @@ ORDER = ("ring", "zrational", "oracle", "model", "builders", "localization",
 
 # (module, imported from, name): the cached pieces of a frozen component,
 # which `model` keeps but `localization` and `quantize` compute; the
-# numeric pairing, which only witten-check loads (with numpy); and the
-# modules no exact command calls, which a module `__getattr__` (PEP 562)
-# loads on first use: the builders that `equiloc` re-exports and the
-# u-series that `localization` still forwards
+# numeric pairing, which only witten-check loads (with numpy); the modules
+# a command loads only when it runs them: `quantize` for main-formula and
+# verify, `builtins` for a --builtin input, and the enumeration `oracle`
+# for verify of a builtin; and the u-series that `localization` still
+# forwards through a module `__getattr__` (PEP 562).  `equiloc/__init__`
+# loads its lazy modules by name (`import_module`), which no import
+# statement shows; `tests/test_cli.py` pins them.
 DEFERRED = {
     ("model", "localization", "chi_tilde_pieces"),
     ("model", "quantize", "residue_pieces"),
     ("model", "quantize", "exceptional_term"),
     ("cli", "", "witten"),
-    ("__init__", "", "builders"),
+    ("cli", "", "quantize"),
+    ("cli", "", "builtins"),
+    ("builtins", "", "oracle"),
     ("localization", "", "useries"),
 }
 
