@@ -38,8 +38,8 @@ _LAZY = {name: module for module, names in (
 
 
 def __getattr__(name):
-    from importlib import import_module
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = import_module(f".{_LAZY[name]}", __name__)
+    __import__(f"{__name__}.{_LAZY[name]}")    # -X importtime logs this path
+    module = globals()[_LAZY[name]]    # the import bound it here
     return module if name == _LAZY[name] else getattr(module, name)

@@ -661,6 +661,24 @@ def test_lazy_package_resolves_every_public_name():
                      "module 'equiloc' has no attribute 'nosuch'"]
 
 
+# The benchmark's traced cli.import_s reads `-X importtime`, which logs an
+# import that goes through `__import__` and not one through importlib.
+LAZY_IMPORTTIME = """
+import json, subprocess, sys
+err = subprocess.run([sys.executable, "-X", "importtime", "-c",
+                      "import equiloc; equiloc.quantize; equiloc.builtin"],
+                     capture_output=True, text=True, check=True).stderr
+print(json.dumps(sorted(line.split("|")[-1].strip()
+                        for line in err.splitlines() if "equiloc." in line)))
+"""
+
+
+def test_lazy_modules_show_in_importtime():
+    assert fresh_interpreter(LAZY_IMPORTTIME) == [
+        "equiloc.builtins", "equiloc.localization", "equiloc.model",
+        "equiloc.quantize", "equiloc.ring", "equiloc.zrational"]
+
+
 def test_public_builders_load_on_first_use():
     # `equiloc` re-exports the builders lazily: the first one asked for
     # loads their module, and nothing of the pairing with it
