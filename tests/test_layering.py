@@ -11,7 +11,7 @@ import equiloc
 
 PACKAGE = Path(equiloc.__file__).parent
 
-# every module but `__init__`, which imports the public names of them all
+# every module but `__init__`, which exports the public names of them all
 ORDER = ("ring", "zrational", "oracle", "model", "builders", "localization",
          "useries", "quantize", "builtins", "witten", "cli")
 
@@ -22,7 +22,7 @@ ORDER = ("ring", "zrational", "oracle", "model", "builders", "localization",
 # verify, `builtins` for a --builtin input, and the enumeration `oracle`
 # for verify of a builtin; and the u-series that `localization` still
 # forwards through a module `__getattr__` (PEP 562).  `equiloc/__init__`
-# loads its lazy modules by name (`import_module`), which no import
+# loads its lazy modules by name (`__import__`), which no import
 # statement shows; `tests/test_cli.py` pins them.
 DEFERRED = {
     ("model", "localization", "chi_tilde_pieces"),
