@@ -24,17 +24,17 @@ from __future__ import annotations
 import json
 from itertools import combinations
 
+from equiloc.oracle import WeightMultiset
+
 
 def _linear(a: int, b: int) -> str:
     """a + b h in the document grammar, a negative b as `a - |b| * h^1`."""
     return f"{a} {'-' if b < 0 else '+'} {abs(b)} * h^1" if b else str(a)
 
 
-def document(g: int, weights, degrees, D: int, t: int,
-             bump: int | None = None) -> str:
+def document(g: int, weights, degrees, D: int, t: int) -> str:
     """The presentation of the bundle as a document, moments measured from
-    the level t; with `bump` = i, the first normal root of F_i is
-    raised by h, which leaves data whose poles fail to cancel."""
+    the level t."""
     ring = {"generators": [{"degree": 2, "name": "h"}], "truncation": 2,
             "integrals": {"h^1": "1"}}
     components = []
@@ -42,9 +42,8 @@ def document(g: int, weights, degrees, D: int, t: int,
         blocks = []
         for j, (wj, nj) in enumerate(zip(weights, degrees)):
             if j != i:
-                root = nj - n + (bump == i and not blocks)
                 blocks.append({"weight": wj - w,
-                               "chern_roots": [_linear(0, root)]})
+                               "chern_roots": [_linear(0, nj - n)]})
         components.append({
             "name": f"s{i}", "moment": w - t, "ring": ring,
             "todd": _linear(1, 1 - g), "omega": _linear(0, D + n),
@@ -54,9 +53,9 @@ def document(g: int, weights, degrees, D: int, t: int,
 
 
 def enumerated_character(g: int, weights, degrees, D: int, t: int,
-                         m: int) -> dict[int, int]:
-    """{exponent: nonzero coefficient} of the character at m, by summing
-    Riemann-Roch on the curve over the monomials of degree m."""
+                         m: int) -> WeightMultiset:
+    """The character at m, by summing Riemann-Roch on the curve over the
+    monomials of degree m."""
     out: dict[int, int] = {}
     r = len(weights)
     # compositions of m into r parts, as bars among m + r - 1 places
@@ -66,4 +65,4 @@ def enumerated_character(g: int, weights, degrees, D: int, t: int,
         e = sum(x * w for x, w in zip(a, weights)) - m * t
         out[e] = out.get(e, 0) + m * D + sum(
             x * n for x, n in zip(a, degrees)) + 1 - g
-    return {e: c for e, c in out.items() if c}
+    return WeightMultiset(out)

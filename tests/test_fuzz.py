@@ -16,11 +16,11 @@ from hypothesis import strategies as st
 
 from equiloc import (builtin, builtin_names, character,
                      main_formula_report, parse, serialize)
-from equiloc.builders import (bundle_power, cpn_linear, product,
-                              shift_moment, trivial_cp1)
+from equiloc.builders import cpn_linear, product, trivial_cp1
 from equiloc.cli import main
 from equiloc.model import ParseError
 from equiloc.quantize import Unsupported
+import families
 
 DOCS = {name: json.loads(serialize(builtin(name)))
         for name in builtin_names()}
@@ -92,9 +92,13 @@ def test_mutated_document_round_trips_or_is_rejected(text):
     assert (codes["main-formula"] == 3) == (codes["rr"] == 3), codes
 
 
-# the builtins, and a product whose classes and keys have two generators
+# the builtins; a product whose classes and keys have two generators; and
+# a repeated weight times a trivially acted CP^1, whose indefinite
+# component at moment 0 has positive dimension
 PRESENTATIONS = {name: builtin(name) for name in builtin_names()}
 PRESENTATIONS["cp001^2"] = product(builtin("cp001"), builtin("cp001"))
+PRESENTATIONS["cp0112xS2"] = product(cpn_linear([0, 1, 1, 2], 1, shift=-1),
+                                     trivial_cp1())
 
 
 def space(r):
@@ -150,32 +154,16 @@ def rewrite_ring(r, ring):
 
 
 @st.composite
-def built_presentations(draw):
-    """`cpn_linear` of three to five weights in -2..2 with a repeat, so that
-    blocks of either sign carry nonzero Chern roots, then shifted, raised
-    to a bundle power or multiplied by a trivially acted CP^1."""
-    weights = draw(st.lists(st.integers(-2, 2), min_size=2, max_size=4))
-    weights.append(draw(st.sampled_from(weights)))
-    p = cpn_linear(weights, draw(st.integers(1, 2)))
-    step = draw(st.sampled_from(("shift", "power", "product")))
-    if step == "shift":
-        return shift_moment(p, draw(st.integers(-3, 3)))
-    if step == "power":
-        return bundle_power(p, draw(st.integers(2, 3)))
-    return product(p, trivial_cp1())
-
-
-@st.composite
 def equivalent_documents(draw):
-    """A builtin or builder-made presentation and its document with its
-    components, blocks and roots reordered, a block of rank 2 or more at
-    times split in two of the same weight that divide its roots, its
-    components renamed, every class, key and integral rewritten in an
-    equal form and at times a point ring's empty `generators` left out;
-    with the new-to-old name map."""
+    """A presentation of `PRESENTATIONS` or a composed case of `families`,
+    and its document with its components, blocks and roots reordered, a
+    block of rank 2 or more at times split in two of the same weight that
+    divide its roots, its components renamed, every class, key and
+    integral rewritten in an equal form and at times a point ring's empty
+    `generators` left out; with the new-to-old name map."""
     r = draw(st.randoms(use_true_random=False))
     p = draw(st.sampled_from(sorted(PRESENTATIONS)).map(PRESENTATIONS.get)
-             | built_presentations())
+             | families.cases().map(lambda case: case.presentation))
     doc = json.loads(serialize(p))
     components = doc["components"]
     fresh = [f"c{i}" for i in range(len(components))]

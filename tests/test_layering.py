@@ -2,7 +2,8 @@
 in one direction, each only modules before it in `ORDER`, so that a new
 top-level cycle shows up as a failure; an import made inside a function is
 a deliberate backward or deferred one.  `DEFERRED` names every such import,
-so that a new one shows up as a change to it."""
+so that a new one shows up as a change to it.  The tests' oracle families
+stand apart from the modules that compute characters."""
 
 import ast
 from pathlib import Path
@@ -66,3 +67,21 @@ def test_modules_import_only_earlier_ones_at_their_top():
         imported = {source or name
                     for _, source, name in relative_imports(path)[0]}
         assert imported <= set(ORDER[:ORDER.index(path.stem)]), path.stem
+
+
+def test_oracles_share_no_code_with_the_character():
+    # no name in the oracle families reads a module that computes
+    # characters, or a function that does
+    forbidden = {"localization", "quantize", "useries", "witten",
+                 "character", "chi_tilde", "to_laurent_polynomial"}
+    for name in ("families.py", "curve_bundles.py"):
+        tree = ast.parse(Path(__file__).with_name(name).read_text(
+            encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                used = set((node.module or "").split("."))
+            elif isinstance(node, ast.alias):
+                used = set(node.name.split("."))
+            else:
+                used = {getattr(node, "id", None), getattr(node, "attr", None)}
+            assert not used & forbidden, (name, node.lineno)

@@ -1,7 +1,6 @@
 """Fixed-point engine: exact characters, numeric localization, calibration."""
 
 import cmath
-import random
 from fractions import Fraction
 from math import comb, factorial, prod
 
@@ -11,18 +10,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from equiloc import builtin, builtin_names, builtin_oracle
-from equiloc.builders import (bundle_power, cpn_linear, disjoint_union,
-                              product, shift_moment, trivial_cp1)
+from equiloc.builders import (bundle_power, cpn_linear, product,
+                              shift_moment, trivial_cp1)
 from equiloc.localization import character, chi_tilde, chi_tilde_pieces
 import equiloc.localization as localization
 from equiloc.model import FixedComponent, NormalBlock, replace
 from equiloc.quantize import residue_term
-from equiloc.oracle import WeightMultiset, add, convolve, cpn_weights
+from equiloc.oracle import convolve
 from equiloc.ring import RingError, RingSpec, bernoulli, todd_coefficient
 from equiloc.useries import (PreparedInner, component_u_laurent,
                              default_series_order, equivariant_todd_at_F)
 from equiloc.zrational import (LaurentPolynomial, NotAPolynomial, ZRational,
                                scalar_sum)
+import families
 from localized import dh_inner, kirillov_check
 
 POINT = RingSpec.point()
@@ -199,19 +199,11 @@ def test_component_u_laurent_is_exact_at_every_power(p):
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.lists(st.integers(min_value=-2, max_value=3), min_size=2,
-                max_size=4),
-       st.integers(min_value=1, max_value=2),
-       st.lists(st.lists(st.integers(min_value=-1, max_value=2), min_size=2,
-                         max_size=3), max_size=1),
-       st.integers(min_value=0, max_value=6))
-def test_u_laurent_exact_on_random_compositions(weights, d, others, m):
-    # repeated weights give components with nonzero Chern roots, which take
-    # the USeries path; points take the closed form
-    p = cpn_linear(weights, d)
-    for other in others:
-        p = product(p, cpn_linear(other, 1))
-    _assert_exact_at_every_power(p, m, 9)
+@given(families.cases(), st.integers(min_value=0, max_value=6))
+def test_u_laurent_exact_on_random_compositions(case, m):
+    # components with nonzero Chern roots take the USeries path; points
+    # take the closed form
+    _assert_exact_at_every_power(case.presentation, m, 9)
 
 
 @settings(max_examples=60, deadline=None)
@@ -340,64 +332,12 @@ def test_inconsistent_data_fails_pole_cancellation():
         character(p, 1)
 
 
-def _cpn_case(weights, d, shift):
-    return (cpn_linear(weights, d, shift),
-            lambda m: cpn_weights(weights, d, m, shift))
-
-
-def _compose(case, step):
-    """One builder applied to (presentation, oracle of m), oracle alongside."""
-    (p, oracle), (op, (q, other), k) = case, step
-    if op == "product":
-        return product(p, q), lambda m: convolve(oracle(m), other(m))
-    if op == "power":
-        return bundle_power(p, k), lambda m: oracle(k * m)
-    if op == "shift":
-        return shift_moment(p, k), lambda m: WeightMultiset(
-            {e + k * m: c for e, c in oracle(m).counts.items()})
-    return (disjoint_union(p, shift_moment(p, k)),
-            lambda m: add(oracle(m), WeightMultiset(
-                {e + k * m: c for e, c in oracle(m).counts.items()})))
-
-
-# repeated weights give positive-dimensional components whose normal
-# blocks have weights of both signs and nonzero Chern roots
-cpn_cases = st.builds(_cpn_case,
-                      st.lists(st.integers(min_value=0, max_value=3),
-                               min_size=2, max_size=5),
-                      st.integers(min_value=1, max_value=2),
-                      st.integers(min_value=-2, max_value=2))
-steps = st.tuples(st.sampled_from(["product", "power", "shift", "union"]),
-                  st.builds(_cpn_case,
-                            st.lists(st.integers(min_value=0, max_value=3),
-                                     min_size=2, max_size=3),
-                            st.just(1), st.just(0)),
-                  st.integers(min_value=1, max_value=2))
-
-
 @settings(max_examples=60, deadline=None)
-@given(cpn_cases, st.lists(steps, max_size=2))
-def test_composed_characters_match_oracle(case, ops):
-    for step in ops:
-        case = _compose(case, step)
-    p, oracle = case
+@given(families.cases())
+def test_composed_characters_match_oracle(case):
+    p = case.presentation
     for m in range(5):
-        assert character(p, m) == oracle(m), (p.name, m)
-
-
-def test_random_consistency_preserving_transforms():
-    rng = random.Random(7)
-    bases = ["cp1", "cp001", "cp012", "prod11"]
-    for _ in range(100):
-        p = builtin(rng.choice(bases))
-        op = rng.randrange(3)
-        if op == 0:
-            p = shift_moment(p, rng.randint(-4, 4))
-        elif op == 1:
-            p = product(p, builtin(rng.choice(["cp1", "prod11"])))
-        else:
-            p = bundle_power(p, rng.randint(1, 3))
-        character(p, rng.randint(0, 2))    # must not raise
+        assert character(p, m) == case.oracle(m), (p.name, m)
 
 
 # -- moment groups ------------------------------------------------------------
@@ -416,11 +356,9 @@ def _cp1_power(k):
 
 
 @settings(max_examples=40, deadline=None)
-@given(cpn_cases, st.lists(steps, max_size=2), st.integers(0, 2))
-def test_moment_groups_sum_like_the_components(case, ops, k):
-    for step in ops:
-        case = _compose(case, step)
-    p = disjoint_union(case[0], shift_moment(case[0], k))
+@given(families.cases(), st.integers(0, 2))
+def test_moment_groups_sum_like_the_components(case, k):
+    p = families.union(case, families.shift(case, k)).presentation
     assume(len(p.moment_groups) < len(p.components))    # a shared moment
     moments = [G.moment for G in p.moment_groups]
     assert moments == sorted({F.moment for F in p.components})
@@ -461,35 +399,13 @@ def _perturbed(p, kind, pick):
                    + p.components[i + 1:])
 
 
-builders = st.tuples(st.sampled_from(["product", "trivial", "shift",
-                                      "power"]),
-                     st.lists(st.integers(min_value=0, max_value=2),
-                              min_size=2, max_size=3),
-                     st.integers(min_value=1, max_value=2))
-
-
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.integers(min_value=0, max_value=3), min_size=2,
-                max_size=4),
-       st.integers(min_value=1, max_value=2),
-       st.integers(min_value=-2, max_value=2),
-       st.lists(builders, max_size=2),
-       st.sampled_from(["weight", "moment"]),
+@given(families.cases(), st.sampled_from(["weight", "moment"]),
        st.integers(min_value=0, max_value=10 ** 6))
-def test_character_matches_the_per_component_sum(weights, d, shift, steps,
-                                                  kind, pick):
+def test_character_matches_the_per_component_sum(case, kind, pick):
     # the rows kept over one denominator against one chi_tilde per
     # component summed afresh, at m = 0 (where only P_0 counts) and up
-    p = cpn_linear(weights, d, shift)
-    for op, other, k in steps:
-        if op == "product":
-            p = product(p, cpn_linear(other, 1))
-        elif op == "trivial":
-            p = product(trivial_cp1(k), p)
-        elif op == "shift":
-            p = shift_moment(p, k)
-        else:
-            p = bundle_power(p, k)
+    p = case.presentation
     q = _perturbed(p, kind, pick)
     for m in range(13):
         assert character(p, m) == _per_component_character(p, m), m

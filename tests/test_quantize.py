@@ -9,8 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from equiloc import builtin, builtin_names
-from equiloc.builders import (bundle_power, cpn_linear, product,
-                              shift_moment, trivial_cp1)
+from equiloc.builders import cpn_linear, trivial_cp1
 from equiloc.model import (FixedComponent, NormalBlock, parse, replace,
                            serialize)
 from equiloc.quantize import (Classification, Unsupported,
@@ -21,6 +20,7 @@ from equiloc.useries import equivariant_todd_at_F
 from equiloc.quantize import exact_polynomial_fit
 from equiloc.ring import RingSpec
 from equiloc.zrational import NotAPolynomial
+import families
 
 POINT = RingSpec.point()
 
@@ -381,19 +381,11 @@ SCALES = (Fraction(1, 2), Fraction(-1), Fraction(2), Fraction(1, 3))
 
 @st.composite
 def perturbed_compositions(draw):
-    """A cpn_linear, perhaps times another, shifted or squared, with the
-    Todd class, omega or moment of some components perturbed: most of
-    these are inconsistent."""
-    def factor():
-        weights = draw(st.lists(st.integers(-2, 2), min_size=2, max_size=3))
-        return cpn_linear(weights, draw(st.sampled_from((1, 2))),
-                          shift=draw(st.integers(-3, 1)))
-
-    p = factor()
-    if draw(st.booleans()):
-        p = product(p, factor())
-    p = shift_moment(p, draw(st.integers(-2, 2)))
-    p = bundle_power(p, draw(st.sampled_from((1, 1, 2))))
+    """A composed presentation with the Todd class, omega or moment of
+    some components perturbed: most of these are inconsistent.  Its period
+    is at most 12, since the property samples every class of m."""
+    p = draw(families.cases().map(lambda case: case.presentation)
+             .filter(lambda p: period(p) <= 12))
     comps = []
     for F in p.components:
         c = draw(st.sampled_from(SCALES))
@@ -408,6 +400,10 @@ def perturbed_compositions(draw):
             F = replace(F, moment=F.moment + draw(st.sampled_from((-1, 1, 2))))
         comps.append(F)
     return replace(p, components=tuple(comps))
+
+
+def period(p):
+    return math.lcm(*(abs(b.weight) for F in p.components for b in F.blocks))
 
 
 def residue_sum(p, m):
@@ -425,12 +421,10 @@ def test_residue_sum_is_a_quasi_polynomial_on_any_data(p):
         for P in F.chi_pieces:
             assert not P.row or 0 <= P.shift and P.shift + len(P.row) - 1 \
                 <= sum(k * mult for k, mult in P.den.items())
-    period = math.lcm(*(abs(b.weight) for F in p.components
-                        for b in F.blocks))
-    d = p.dim_M // 2
-    for r in range(1, period + 1):
+    d, n = p.dim_M // 2, period(p)
+    for r in range(1, n + 1):
         # d + 3 samples of class r: its (d + 1)-th differences vanish
-        values = [residue_sum(p, r + i * period) for i in range(d + 3)]
+        values = [residue_sum(p, r + i * n) for i in range(d + 3)]
         for _ in range(d + 1):
             values = [b - a for a, b in zip(values, values[1:])]
         assert values == [0, 0], (p.name, r)

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equiloc import oracle
 from equiloc.localization import character
 from equiloc.builders import cpn_linear, product, shift_moment, trivial_cp1
 from equiloc.model import parse, serialize
 from equiloc.zrational import (LaurentPolynomial, NotAPolynomial, ZRational,
                                over_one_denominator, scalar_sum)
+import families
 
 
 def test_scalar_sum_example():
@@ -261,28 +261,12 @@ def test_dense_row_edge_cases():
     assert LaurentPolynomial({0: 1}) != LaurentPolynomial({1: 1})
 
 
-cpn_args = st.tuples(
-    st.lists(st.integers(min_value=-2, max_value=3), min_size=2,
-             max_size=3),
-    st.integers(min_value=1, max_value=2),
-    st.integers(min_value=-3, max_value=3))
-
-
 @settings(max_examples=40, deadline=None)
-@given(cpn_args, st.one_of(st.none(), cpn_args),
-       st.integers(min_value=-3, max_value=3),
-       st.integers(min_value=0, max_value=3))
-def test_dense_row_matches_enumeration(first, second, s, m):
-    # cpn_linear, product and shift_moment against monomial enumeration
-    p = cpn_linear(*first)
-    want = oracle.cpn_weights(*first[:2], m, first[2])
-    if second is not None:
-        p = product(p, cpn_linear(*second))
-        want = oracle.convolve(want, oracle.cpn_weights(*second[:2], m,
-                                                       second[2]))
-    chi = character(shift_moment(p, s), m)
-    assert chi == oracle.WeightMultiset(
-        {e + m * s: c for e, c in want.counts.items()})
+@given(families.cases(), st.integers(min_value=0, max_value=3))
+def test_dense_row_matches_enumeration(case, m):
+    # composed presentations against their enumerated characters
+    chi = character(case.presentation, m)
+    assert chi == case.oracle(m)
     _check_row(chi)
 
 
