@@ -1,6 +1,7 @@
 """Fixed-point engine: exact characters, numeric localization, calibration."""
 
 import cmath
+import random
 from fractions import Fraction
 from math import comb, factorial, prod
 
@@ -338,6 +339,27 @@ def test_composed_characters_match_oracle(case):
     p = case.presentation
     for m in range(5):
         assert character(p, m) == case.oracle(m), (p.name, m)
+
+
+def test_random_consistency_preserving_transforms():
+    rng = random.Random(7)
+
+    def base(name):
+        return families.Case(builtin(name),
+                             lambda m: builtin_oracle(name, m))
+
+    for _ in range(100):
+        case = base(rng.choice(["cp1", "cp001", "cp012", "prod11"]))
+        op = rng.randrange(3)
+        if op == 0:
+            case = families.shift(case, rng.randint(-4, 4))
+        elif op == 1:
+            case = families.product(case, base(rng.choice(["cp1", "prod11"])))
+        else:
+            case = families.power(case, rng.randint(1, 3))
+        m = rng.randint(0, 2)
+        assert character(case.presentation, m) == case.oracle(m), \
+            (case.presentation.name, m)
 
 
 # -- moment groups ------------------------------------------------------------
