@@ -7,7 +7,7 @@ unsettled quadrature in witten-check included), 2 input error (a weight,
 moment or m too large to compute with, and for witten-check a weight whose
 Todd series diverges on the bump's support, included), 3 mathematical
 inconsistency (poles fail to cancel, or a character coefficient is not an
-integer) on every exact command.
+integer) on every command but verify, which counts it a failed check.
 
 Every command loads `model`, `ring`, `zrational` and `localization`, and
 `builtins` for a --builtin input; main-formula and verify add `quantize`

@@ -46,11 +46,10 @@ def chi_tilde_pieces(F: FixedComponent) -> tuple[ZRational, ...]:
         P_j = int_F Td(F) omega_F^j/j! prod_{k,i} 1/(1 - z^k e^{a_ki}).
 
     When every normal Chern root vanishes (at a point, say), P_j takes the
-    closed form  z^shift sign v_j / prod_k (1 - z^|k|)^{r_k}, v_j from
+    closed form  z^shift sign v_j / prod_k (1 - z^|k|), v_j from
     `FixedComponent.volume_pieces`: by 1/(1 - z^k) = -z^|k| / (1 - z^|k|),
-    a block of weight k < 0 and rank r contributes (-1)^r to sign and |k| r
-    to shift.  The general expansion below costs several times as much, as
-    on the many points of (cp1)^8.
+    each k < 0 negates sign and adds |k| to shift.  The general expansion
+    below costs several times as much, as on the many points of (cp1)^8.
 
     Other components expand each factor by nilpotency of its root a: with
     e = e^a for k > 0 and e = e^{-a} for k < 0 (as 1 - z^k e^a is -z^k e^a
@@ -62,29 +61,26 @@ def chi_tilde_pieces(F: FixedComponent) -> tuple[ZRational, ...]:
     piece integrates Td omega_F^j/j! against every coefficient, and
     `scalar_sum` brings the results over one denominator.
     """
-    if not any(root for block in F.blocks for root in block.chern_roots):
+    if not any(root for _, root in F.normal):
         sign, shift, den = 1, 0, {}
-        for block in F.blocks:
-            k, r = abs(block.weight), block.rank
-            if block.weight < 0:
-                sign *= (-1) ** r
-                shift += k * r
-            den[k] = den.get(k, 0) + r
+        for k, _ in F.normal:
+            if k < 0:
+                sign, shift = -sign, shift - k
+            den[abs(k)] = den.get(abs(k), 0) + 1
         return over_one_denominator(ZRational(shift, {0: sign * v}, den)
                                     for v in F.volume_pieces)
     terms = {(0, ()): F.ring.one()}
-    for block in F.blocks:
-        for root in block.chern_roots:
-            factor = _factor_terms(block.weight, root)
-            nxt: dict[tuple, GradedElement] = {}
-            for (s, den), c in terms.items():
-                for t, k, mult, f in factor:
-                    d = dict(den)
-                    d[k] = d.get(k, 0) + mult
-                    key = (s + t, tuple(sorted(d.items())))
-                    term = c * f
-                    nxt[key] = nxt[key] + term if key in nxt else term
-            terms = nxt
+    for weight, root in F.normal:
+        factor = _factor_terms(weight, root)
+        nxt: dict[tuple, GradedElement] = {}
+        for (s, den), c in terms.items():
+            for t, k, mult, f in factor:
+                d = dict(den)
+                d[k] = d.get(k, 0) + mult
+                key = (s + t, tuple(sorted(d.items())))
+                term = c * f
+                nxt[key] = nxt[key] + term if key in nxt else term
+        terms = nxt
     return over_one_denominator(
         scalar_sum(ZRational(s, {0: (c * tw).integrate()}, dict(den))
                    for (s, den), c in terms.items())

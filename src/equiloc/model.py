@@ -91,13 +91,10 @@ class Diagnostic(Record):
 
 
 class NormalBlock(Record):
-    """One isotypic block of the normal bundle: nonzero weight, rank >= 1."""
+    """One isotypic block of the normal bundle: a nonzero weight and at
+    least one Chern root.  The engine reads `FixedComponent.normal`."""
     weight: int
     chern_roots: tuple[GradedElement, ...]
-
-    @property
-    def rank(self) -> int:
-        return len(self.chern_roots)
 
 
 class Classification(enum.Enum):
@@ -129,14 +126,15 @@ class FixedComponent(Record):
         """The real dimension of F, the truncation degree of its ring."""
         return self.ring.truncation_degree
 
-    def normal_rank(self) -> int:
-        return sum(b.rank for b in self.blocks)
+    @cached_property
+    def normal(self) -> tuple[tuple[int, GradedElement], ...]:
+        """(weight, stored root) per normal direction, in block order: every
+        term of the formula is a product over these."""
+        return tuple((b.weight, root) for b in self.blocks
+                     for root in b.chern_roots)
 
     def weights(self) -> list[int]:
-        out = []
-        for b in self.blocks:
-            out.extend([b.weight] * b.rank)
-        return out
+        return [k for k, _ in self.normal]
 
     @cached_property
     def volume_pieces(self) -> tuple[Fraction, ...]:
@@ -252,9 +250,9 @@ def validate(p: ManifoldPresentation) -> list[Diagnostic]:
         if F.name in seen:
             bad("DuplicateName", where, "an earlier component has this name")
         seen.add(F.name)
-        if F.dim_F + 2 * F.normal_rank() != p.dim_M:
+        if F.dim_F + 2 * len(F.normal) != p.dim_M:
             bad("DimensionMismatch", where,
-                f"dim_F + 2*rank = {F.dim_F + 2 * F.normal_rank()} "
+                f"dim_F + 2*rank = {F.dim_F + 2 * len(F.normal)} "
                 f"!= dim_M = {p.dim_M}")
         if not isinstance(F.moment, int):
             bad("MomentNotInteger", where, f"moment = {F.moment!r}")
@@ -277,7 +275,7 @@ def validate(p: ManifoldPresentation) -> list[Diagnostic]:
             bwhere = f"{where}/block{i}"
             if b.weight == 0:
                 bad("WeightZero", bwhere, "normal weight must be nonzero")
-            if b.rank < 1:
+            if not b.chern_roots:
                 bad("RankZero", bwhere, "block must have rank >= 1")
             for r in b.chern_roots:
                 if r.ring != F.ring:

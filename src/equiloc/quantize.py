@@ -98,7 +98,7 @@ def exceptional_term(F: FixedComponent) -> Fraction:
     point, where int_F Td(F) is 1 (`model.validate`).  It does not depend
     on m, since omega vanishes at a point; `FixedComponent.exceptional`
     keeps it."""
-    n = F.normal_rank() - 1
+    n = len(F.normal) - 1
     den, row = localization.normal_todd(tuple(sorted(F.weights())), n)
     return exceptional_from_series(F, {n: Fraction(row[n], den)})
 

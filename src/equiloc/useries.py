@@ -130,9 +130,8 @@ def equivariant_todd_at_F(F: FixedComponent, order: int) -> USeries:
     """The equivariant Todd class restricted to F,
     Td(F) * prod_{k,j} td(-(k u + a_kj)), truncated at u-order `order`."""
     series = USeries.from_elements(F.ring, {0: F.todd}, order)
-    for block in F.blocks:
-        for root in block.chern_roots:
-            series = series * _td_factor(F.ring, block.weight, root, order)
+    for k, root in F.normal:
+        series = series * _td_factor(F.ring, k, root, order)
     return series
 
 
@@ -141,12 +140,11 @@ def euler_inverse(F: FixedComponent, order: int) -> USeries:
     times nilpotent corrections, truncated at u-order `order`."""
     ring = F.ring
     acc = USeries.from_elements(ring, {0: ring.one()}, order)
-    for block in F.blocks:
-        for root in block.chern_roots:
-            # 1/(-(k*u + a)) = sum_{t>=0} (-1/k)^{t+1} a^t u^{-(t+1)}
-            acc = acc * USeries.from_elements(ring, {
-                -(t + 1): power * Fraction(-1, block.weight) ** (t + 1)
-                for t, power in enumerate(root.powers())}, order)
+    for k, root in F.normal:
+        # 1/(-(k*u + a)) = sum_{t>=0} (-1/k)^{t+1} a^t u^{-(t+1)}
+        acc = acc * USeries.from_elements(ring, {
+            -(t + 1): power * Fraction(-1, k) ** (t + 1)
+            for t, power in enumerate(root.powers())}, order)
     return acc
 
 
@@ -167,13 +165,12 @@ def _u_rows(components: Sequence[FixedComponent], m: int,
     to order plus the depth of 1/e_F's pole, which shifts them down."""
     out, volumes = [], {}
     for F in components:
-        if not any(root for block in F.blocks for root in block.chern_roots):
+        if not any(root for _, root in F.normal):
             key = (F.moment, tuple(sorted(F.weights())))
             volumes[key] = volumes.get(key, 0) + sum(
                 m ** j * v for j, v in enumerate(F.volume_pieces))
             continue
-        top = order + sum(len(root.powers()) for block in F.blocks
-                          for root in block.chern_roots)
+        top = order + sum(len(root.powers()) for _, root in F.normal)
         emw = USeries.from_elements(
             F.ring, {0: (F.omega * Fraction(m)).exp_nilpotent()}, top)
         lo, den, row = (_rho_series(F, top) * emw
@@ -282,8 +279,7 @@ def default_series_order(p: ManifoldPresentation, x_max: float) -> int:
     The series in u has radius set by the nearest pole of td(-(k u)), at
     |x| = 1/k, so the tail is controlled by (k_max * x_max)^order.
     """
-    k = max((abs(b.weight) for F in p.components for b in F.blocks),
-            default=1)
+    k = max((abs(w) for F in p.components for w, _ in F.normal), default=1)
     ratio = k * x_max
     floor_order = 2 * p.dim_M
     if ratio >= 0.97:

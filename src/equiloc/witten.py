@@ -45,10 +45,11 @@ import numpy as np
 from .model import ManifoldPresentation, Record
 from .quantize import Classification, regular_term
 from .useries import PreparedInner, component_u_laurent, default_series_order
+from .zrational import NotAPolynomial
 
 
 class CancellationError(ArithmeticError):
-    """Pole cancellation failed: inconsistent data or starved expansion."""
+    """The pairing lost precision to float error, never proof of bad data."""
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +241,9 @@ def witten_pair(p: ManifoldPresentation, rho: str, phi: TestFunction,
     The inner radius is m^{-1/2}/10, clipped to delta1/2.  The rows stop
     at the annulus order (`default_series_order` at delta2); on the disc
     their Taylor product with e^{mJu} runs to the inner order, grown until
-    the oscillatory remainder is negligible.  The two evaluation pathways
-    must agree on the overlap annulus, which catches both inconsistent
-    data and starved expansions.
+    the oscillatory remainder is negligible.  Its singular powers are exact
+    (`NotAPolynomial` if any is nonzero); the two evaluation pathways must
+    agree on the overlap annulus up to float error (`CancellationError`).
     The annulus eta < |x| < delta2 folds onto x > 0, where the integrand
     plus its value at -x is twice its real part, and splits at delta1:
     phi is 1 on [eta, delta1] and tabulated per panel count beyond.
@@ -253,8 +254,7 @@ def witten_pair(p: ManifoldPresentation, rho: str, phi: TestFunction,
         raise ValueError("m must be nonnegative")
     eta = min(phi.delta1 / 2, m ** -0.5 / 10) if m else phi.delta1 / 2
     j_max = max((abs(F.moment) for F in p.components), default=0)
-    max_pole = max(((p.dim_M - F.dim_F) // 2 for F in p.components),
-                   default=0)
+    max_pole = max((len(F.normal) for F in p.components), default=0)
     # the inner sum e^{mJu} L(u) runs to where (2 pi m J |x|)^n / n! dies
     rate = 2 * math.pi * m * j_max * (2 * eta)
     inner_order = _adaptive_taylor_order(rate, floor=max(max_pole, 4))
@@ -264,7 +264,7 @@ def witten_pair(p: ManifoldPresentation, rho: str, phi: TestFunction,
     poly = prepared.laurent_sum(K, max(annulus_order, inner_order))
     bad = {j: c for j, c in poly.items() if j < 0 and c != 0}
     if bad:
-        raise CancellationError(
+        raise NotAPolynomial(
             f"inner expansion keeps singular powers {sorted(bad)}: "
             "fixed-point data is inconsistent")
     # int_{-eta}^{eta} P(2 pi i x) dx with phi = 1 there: odd powers drop
@@ -282,7 +282,7 @@ def witten_pair(p: ManifoldPresentation, rho: str, phi: TestFunction,
         if abs(d - s) > 1e-9 * max(1.0, abs(d)):
             raise CancellationError(
                 f"evaluation pathways disagree at x = {x}: |{d} - {s}|; "
-                "expansion starved or data bad")
+                "precision lost")
 
     def folded(x: np.ndarray) -> np.ndarray:
         # the rows are real, so the integrand at -x is the conjugate of

@@ -190,13 +190,21 @@ def test_missing_input_exits_2(capsys):
     assert code == 2 and "required" in err
 
 
-def test_inconsistent_input_exits_3(tmp_path, capsys):
+@pytest.mark.parametrize("command, code", [
+    ("rr", 3), ("character", 3), ("main-formula", 3), ("witten-check", 3),
+    ("verify", 1)])
+def test_inconsistent_input_exit_codes(tmp_path, capsys, command, code):
+    # cp1 with a weight doubled: the character's poles fail to cancel, and
+    # so do the exact singular powers of witten-check's inner disc; verify
+    # counts it a failed check
     text = serialize(builtin("cp1")).replace('"weight": 1', '"weight": 2')
     path = tmp_path / "inconsistent.json"
     path.write_text(text)
-    code, _, err = run(capsys, "rr", "--input", str(path), "--m", "1")
-    assert code == 3
-    assert "inconsistency" in err
+    got, out, err = run(capsys, command, "--input", str(path))
+    assert got == code
+    if code == 3:
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("mathematical inconsistency: ")
 
 
 # Rings that integrate wrongly used to parse with exit 0 and wrong numbers:

@@ -2,8 +2,9 @@
 in one direction, each only modules before it in `ORDER`, so that a new
 top-level cycle shows up as a failure; an import made inside a function is
 a deliberate backward or deferred one.  `DEFERRED` names every such import,
-so that a new one shows up as a change to it.  The tests' oracle families
-stand apart from the modules that compute characters."""
+so that a new one shows up as a change to it.  Only the modules that read
+and write documents see a component's normal blocks.  The tests' oracle
+families stand apart from the modules that compute characters."""
 
 import ast
 from pathlib import Path
@@ -67,6 +68,20 @@ def test_modules_import_only_earlier_ones_at_their_top():
         imported = {source or name
                     for _, source, name in relative_imports(path)[0]}
         assert imported <= set(ORDER[:ORDER.index(path.stem)]), path.stem
+
+
+# the modules that read and write the document's normal blocks; the
+# engine walks `FixedComponent.normal`, one (weight, root) per direction
+DOCUMENT_SHAPE = {"model", "builders"}
+
+
+def test_only_the_document_modules_read_normal_blocks():
+    readers = {path.stem for path in PACKAGE.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text(
+                   encoding="utf-8")))
+               if isinstance(node, ast.Attribute)
+               and node.attr in ("blocks", "chern_roots")}
+    assert readers == DOCUMENT_SHAPE
 
 
 def test_oracles_share_no_code_with_the_character():

@@ -152,7 +152,7 @@ def _assert_matches_localization(F, m):
     chi = chi_tilde(F, m)
     span = max(chi.num) - min(chi.num) if chi.num else 0
     top = span + sum(k * mult for k, mult in chi.den.items()) + 1
-    order = top + F.normal_rank() + F.dim_F // 2
+    order = top + len(F.normal) + F.dim_F // 2
     want = component_u_laurent(F, m, order)
     assert _u_laurent(chi, top) == {j: c for j, c in want.items()
                                     if j <= top}, (F.name, m)
@@ -709,8 +709,9 @@ def test_series_reject_roots_with_a_scalar_part():
     # an unvalidated component whose Chern root is 1: every walk over the
     # powers of the root raises instead of multiplying forever
     F = builtin("cp001").component("w0")
-    F = replace(F, blocks=[replace(b, chern_roots=(F.ring.one(),) * b.rank)
-                           for b in F.blocks])
+    F = replace(F, blocks=[
+        replace(b, chern_roots=(F.ring.one(),) * len(b.chern_roots))
+        for b in F.blocks])
     for build in (lambda: equivariant_todd_at_F(F, 8),
                   lambda: component_u_laurent(F, 1, 8),
                   lambda: chi_tilde_pieces(F)):
@@ -797,7 +798,7 @@ def _oracle_todd(F, order):
 def _oracle_top(F, order):
     """order plus a bound on the depth of 1/e_F's pole: one power of u per
     normal root and per power of it up to the ring's truncation degree."""
-    return order + F.normal_rank() * (F.ring.truncation_degree + 1)
+    return order + len(F.normal) * (F.ring.truncation_degree + 1)
 
 
 def _oracle_laurent(F, m, order, todd):

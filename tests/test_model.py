@@ -6,7 +6,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
+import families
 from equiloc.builders import (bundle_power, cpn_linear, disjoint_union,
                               product, projective_ring, shift_moment,
                               trivial_cp1)
@@ -16,7 +18,7 @@ from equiloc.model import (_FIELDS, Diagnostic, FixedComponent,
                            replace, serialize, validate)
 from equiloc.quantize import main_formula_report, polynomiality_check
 from equiloc.witten import WittenCheckReport
-from equiloc.ring import RingSpec, todd_from_roots
+from equiloc.ring import RingSpec, element_to_string, todd_from_roots
 from equiloc import builtin, builtin_names
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "equiloc" / "data"
@@ -609,6 +611,28 @@ def test_cpn_linear_structure():
     assert point.weights() == [-1, -1]
     with pytest.raises(ValueError):
         cpn_linear([0], 1)
+
+
+def assert_normal_follows_the_document(p):
+    """Each component's normal directions are its document's (weight,
+    Chern root) pairs in block and root order, half its codimension."""
+    docs = json.loads(serialize(p))["components"]
+    for F, doc in zip(p.components, docs):
+        assert [(k, element_to_string(r)) for k, r in F.normal] == [
+            (b["weight"], r) for b in doc["blocks"]
+            for r in b["chern_roots"]], (p.name, F.name)
+        assert len(F.normal) == (p.dim_M - F.dim_F) // 2, (p.name, F.name)
+
+
+def test_normal_follows_the_document_on_builtins():
+    for name in builtin_names():
+        assert_normal_follows_the_document(builtin(name))
+
+
+@settings(max_examples=40, deadline=None)
+@given(families.cases())
+def test_normal_follows_the_document_on_composed_cases(case):
+    assert_normal_follows_the_document(case.presentation)
 
 
 def test_chern_roots_cannot_be_edited_in_place():
