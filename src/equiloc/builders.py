@@ -48,13 +48,6 @@ def cpn_linear(weights: list[int], d: int,
     return ManifoldPresentation(name, 2 * len(weights) - 2, tuple(components))
 
 
-def point_manifold() -> ManifoldPresentation:
-    """The one-point manifold, trivial action: the unit for products."""
-    ring = RingSpec.point()
-    comp = FixedComponent("pt", 0, ring, ring.one(), ring.zero(), ())
-    return ManifoldPresentation("point", 0, (comp,))
-
-
 def trivial_cp1(d: int = 1) -> ManifoldPresentation:
     """CP^1 with the trivial action: the one component of
     cpn_linear([0, 0], d), renamed `total`, at moment 0 with no normal

@@ -7,7 +7,8 @@ unsettled quadrature in witten-check included), 2 input error (a weight,
 moment or m too large to compute with, and for witten-check a weight whose
 Todd series diverges on the bump's support, included), 3 mathematical
 inconsistency (poles fail to cancel, or a character coefficient is not an
-integer) on every command but verify, which counts it a failed check.
+integer), from the one division of the character that every command
+makes at each m; verify counts it a failed check.
 
 Every command loads `model`, `ring`, `zrational` and `localization`, and
 `builtins` for a --builtin input; main-formula and verify add `quantize`
@@ -23,8 +24,7 @@ import sys
 from types import SimpleNamespace
 
 from . import localization
-from .model import (Classification, ManifoldPresentation, ParseError,
-                    Unsupported, parse)
+from .model import ManifoldPresentation, ParseError, Unsupported, parse
 from .ring import brief
 from .zrational import NotAPolynomial
 
@@ -136,11 +136,6 @@ def cmd_main_formula(p: ManifoldPresentation, m: int) -> tuple[dict, str]:
 
 def cmd_witten_check(args) -> int:
     p = _load(args)
-    # read every exceptional term before numpy loads and the fit and the
-    # pairings run, so that an unsupported component fails at once
-    for F in p.f_zero():
-        if F.classification is Classification.INDEFINITE:
-            F.exceptional
     from . import witten  # the only command that loads numpy
     ms = _parse_m_spec(args.m)
     if len(set(ms)) < 4 or min(ms) < 1:

@@ -42,10 +42,10 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
+from .localization import character
 from .model import ManifoldPresentation, Record
 from .quantize import Classification, regular_term
 from .useries import PreparedInner, component_u_laurent, default_series_order
-from .zrational import NotAPolynomial
 
 
 class CancellationError(ArithmeticError):
@@ -241,9 +241,11 @@ def witten_pair(p: ManifoldPresentation, rho: str, phi: TestFunction,
     The inner radius is m^{-1/2}/10, clipped to delta1/2.  The rows stop
     at the annulus order (`default_series_order` at delta2); on the disc
     their Taylor product with e^{mJu} runs to the inner order, grown until
-    the oscillatory remainder is negligible.  Its singular powers are exact
-    (`NotAPolynomial` if any is nonzero); the two evaluation pathways must
-    agree on the overlap annulus up to float error (`CancellationError`).
+    the oscillatory remainder is negligible.  It divides `character(p, m)`
+    first (`NotAPolynomial`), as every command does: the integrand is
+    chi_m(e^u) (Kirillov), so the disc then has no singular powers.  Its
+    pathways must agree on the overlap annulus up to float error
+    (`CancellationError`).
     The annulus eta < |x| < delta2 folds onto x > 0, where the integrand
     plus its value at -x is twice its real part, and splits at delta1:
     phi is 1 on [eta, delta1] and tabulated per panel count beyond.
@@ -252,6 +254,7 @@ def witten_pair(p: ManifoldPresentation, rho: str, phi: TestFunction,
         raise ValueError(f"rho must be 'todd', got {rho!r}")
     if m < 0:
         raise ValueError("m must be nonnegative")
+    character(p, m)
     eta = min(phi.delta1 / 2, m ** -0.5 / 10) if m else phi.delta1 / 2
     j_max = max((abs(F.moment) for F in p.components), default=0)
     max_pole = max((len(F.normal) for F in p.components), default=0)
@@ -262,11 +265,6 @@ def witten_pair(p: ManifoldPresentation, rho: str, phi: TestFunction,
     prepared = PreparedInner(p, m, annulus_order)
     K = inner_order + max_pole
     poly = prepared.laurent_sum(K, max(annulus_order, inner_order))
-    bad = {j: c for j, c in poly.items() if j < 0 and c != 0}
-    if bad:
-        raise NotAPolynomial(
-            f"inner expansion keeps singular powers {sorted(bad)}: "
-            "fixed-point data is inconsistent")
     # int_{-eta}^{eta} P(2 pi i x) dx with phi = 1 there: odd powers drop
     coeffs = [complex(poly.get(j, 0))
               for j in range(max(poly, default=-1) + 1)]
@@ -338,13 +336,14 @@ def decay_check(p: ManifoldPresentation, phi: TestFunction,
     """Fit the decay exponent of |pairing - expansion| over a geometric list
     of distinct m: the least-squares slope of log|diff| on log m.
     Differences below 1e-16 are clipped to it before fitting, so that an
-    exact agreement does not take the logarithm of 0."""
+    exact agreement does not take the logarithm of 0.  At each m the exact
+    side, `expansion_rhs`, runs before the pairing."""
     if len(set(m_list)) < 4:
         raise ValueError("need at least four distinct m for a decay fit")
     lhs, rhs, diffs = [], [], []
     for m in m_list:
-        left = witten_pair(p, "todd", phi, m)
         right = expansion_rhs(p, phi, m)
+        left = witten_pair(p, "todd", phi, m)
         lhs.append(left)
         rhs.append(right)
         diffs.append(max(abs(left - right), 1e-16))

@@ -190,21 +190,39 @@ def test_missing_input_exits_2(capsys):
     assert code == 2 and "required" in err
 
 
-@pytest.mark.parametrize("command, code", [
-    ("rr", 3), ("character", 3), ("main-formula", 3), ("witten-check", 3),
-    ("verify", 1)])
-def test_inconsistent_input_exit_codes(tmp_path, capsys, command, code):
-    # cp1 with a weight doubled: the character's poles fail to cancel, and
-    # so do the exact singular powers of witten-check's inner disc; verify
-    # counts it a failed check
-    text = serialize(builtin("cp1")).replace('"weight": 1', '"weight": 2')
+# cp1 with a weight doubled; with both doubled, chi = (1 - z^{m+2})/(1 - z^2)
+# keeps a pole at z = -1 for odd m only
+ONE_DOUBLED = (('"weight": 1', '"weight": 2'),)
+BOTH_DOUBLED = ONE_DOUBLED + (('"weight": -1', '"weight": -2'),)
+
+
+@pytest.mark.parametrize("command, code, doubled, argv", [
+    *(pytest.param(command, code, ONE_DOUBLED, (), id=f"{command}-{code}")
+      for command, code in (("rr", 3), ("character", 3), ("main-formula", 3),
+                            ("witten-check", 3), ("verify", 1))),
+    pytest.param("witten-check", 3, BOTH_DOUBLED, ("--m", "9,17,33,65"),
+                 id="witten-check-both-doubled-odd-m"),
+    pytest.param("witten-check", 0, BOTH_DOUBLED, (),
+                 id="witten-check-both-doubled-even-m")])
+def test_inconsistent_input_exit_codes(tmp_path, capsys, command, code,
+                                       doubled, argv):
+    # the character's poles fail to cancel: every command but verify exits
+    # 3 from the same division, witten-check at every m of --m (its pairing
+    # alone passed both weights doubled at odd m); verify counts it a failed
+    # check.  At the default even m the doubled character divides.
+    text = serialize(builtin("cp1"))
+    for old, new in doubled:
+        text = text.replace(old, new)
     path = tmp_path / "inconsistent.json"
     path.write_text(text)
-    got, out, err = run(capsys, command, "--input", str(path))
+    got, out, err = run(capsys, command, "--input", str(path), *argv)
     assert got == code
+    if code == 0:
+        assert err == "" and "decay exponent" in out
     if code == 3:
         assert out == "" and err.count("\n") == 1
-        assert err.startswith("mathematical inconsistency: ")
+        assert err.startswith("mathematical inconsistency: poles at roots "
+                              "of unity fail to cancel; ")
 
 
 # Rings that integrate wrongly used to parse with exit 0 and wrong numbers:

@@ -3,8 +3,10 @@ in one direction, each only modules before it in `ORDER`, so that a new
 top-level cycle shows up as a failure; an import made inside a function is
 a deliberate backward or deferred one.  `DEFERRED` names every such import,
 so that a new one shows up as a change to it.  Only the modules that read
-and write documents see a component's normal blocks.  The tests' oracle
-families stand apart from the modules that compute characters."""
+and write documents see a component's normal blocks.  Only the division
+in `zrational` raises `NotAPolynomial`, the one certificate of inconsistent
+data.  The tests' oracle families stand apart from the modules that
+compute characters."""
 
 import ast
 from pathlib import Path
@@ -82,6 +84,21 @@ def test_only_the_document_modules_read_normal_blocks():
                if isinstance(node, ast.Attribute)
                and node.attr in ("blocks", "chern_roots")}
     assert readers == DOCUMENT_SHAPE
+
+
+def test_only_the_division_raises_not_a_polynomial():
+    # every command's exit 3 comes from dividing the character, so no
+    # other module certifies the data inconsistent a second way
+    raisers = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) \
+                    else node.exc
+                if "NotAPolynomial" in (getattr(exc, "id", None),
+                                        getattr(exc, "attr", None)):
+                    raisers.add(path.stem)
+    assert raisers == {"zrational"}
 
 
 def test_oracles_share_no_code_with_the_character():

@@ -674,9 +674,15 @@ def test_disjoint_union_requires_equal_dim():
         disjoint_union(cpn_linear([0, 1], 1), cpn_linear([0, 1, 2], 1))
 
 
+def point_manifold() -> ManifoldPresentation:
+    """The one-point manifold, trivial action: the unit for products."""
+    ring = RingSpec.point()
+    comp = FixedComponent("pt", 0, ring, ring.one(), ring.zero(), ())
+    return ManifoldPresentation("point", 0, (comp,))
+
+
 def test_product_unit_and_associativity():
     from equiloc.localization import character
-    from equiloc.builders import point_manifold
     x = cpn_linear([0, 1, 2], 1)
     unit = product(x, point_manifold())
     assert unit.dim_M == x.dim_M
