@@ -73,8 +73,6 @@ def _load(args) -> ManifoldPresentation:
                 return parse(fh.read())
         except (OSError, UnicodeDecodeError) as e:
             raise SystemExit2(f"cannot read {args.input}: {e}")
-        except ParseError as e:
-            raise SystemExit2(str(e))
     raise SystemExit2("an input is required: --builtin NAME or --input FILE")
 
 
@@ -280,7 +278,7 @@ def main(argv=None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.fn(args)
-    except (SystemExit2, Unsupported) as e:
+    except (SystemExit2, ParseError, Unsupported) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except NotAPolynomial as e:

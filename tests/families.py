@@ -16,8 +16,19 @@ from hypothesis import strategies as st
 from curve_bundles import document, enumerated_character
 from equiloc import builders
 from equiloc.builtins import builtin, builtin_names, builtin_oracle
-from equiloc.model import ManifoldPresentation, parse
+from equiloc.model import (FixedComponent, ManifoldPresentation,
+                           NormalBlock, parse)
 from equiloc.oracle import WeightMultiset, add, convolve, cpn_weights
+from equiloc.ring import RingSpec
+
+POINT = RingSpec.point()
+
+
+def point_component(name, moment, weights):
+    """An isolated fixed point with the given normal weights."""
+    blocks = [NormalBlock(w, (POINT.zero(),)) for w in weights]
+    return FixedComponent(name, moment, POINT, POINT.one(), POINT.zero(),
+                          blocks)
 
 
 class Case(NamedTuple):

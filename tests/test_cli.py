@@ -13,6 +13,8 @@ import equiloc
 from equiloc import (builtin, cpn_linear, disjoint_union, parse, product,
                      serialize, shift_moment, trivial_cp1)
 from equiloc.cli import main
+from equiloc.model import ParseError
+from documents import DUPLICATE_NAME, LONG, LONG_VALUES, REJECTED, edited
 
 PACKAGE = Path(equiloc.__file__).resolve().parent
 
@@ -21,6 +23,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_input(capsys, tmp_path, text, command, *argv):
+    """`run` of `command --input FILE *argv`, FILE holding `text`."""
+    path = tmp_path / "input.json"
+    path.write_text(text, encoding="utf-8")
+    return run(capsys, command, "--input", str(path), *argv)
 
 
 def test_rr_text(capsys):
@@ -96,93 +105,25 @@ def test_main_formula_json(capsys):
 
 
 def test_input_file_roundtrip(tmp_path, capsys):
-    path = tmp_path / "p.json"
-    path.write_text(serialize(builtin("cp1")))
-    code, out, _ = run(capsys, "rr", "--input", str(path), "--m", "5")
+    code, out, _ = run_input(capsys, tmp_path, serialize(builtin("cp1")),
+                             "rr", "--m", "5")
     assert code == 0 and "rr_total=6" in out
 
 
-def test_bad_input_exits_2(tmp_path, capsys):
-    path = tmp_path / "bad.json"
-    path.write_text("{ definitely not json")
-    code, _, err = run(capsys, "rr", "--input", str(path), "--m", "1")
-    assert code == 2
-    assert "syntax error" in err
-
-
-def test_invalid_document_exits_2(tmp_path, capsys):
-    text = serialize(builtin("cp1")).replace('"weight": 1', '"weight": 0')
-    path = tmp_path / "zero.json"
-    path.write_text(text)
-    code, _, err = run(capsys, "rr", "--input", str(path), "--m", "1")
-    assert code == 2
-    assert "WeightZero" in err
-
-
-@pytest.mark.parametrize("old, new", [
-    ('"moment": 1,', '"moment": 1.7,'),
-    ('"name": "w0"', '"name": 0'),
-    ('"weight": 1', '"weight": true'),
-    ('"dim_M": 2', '"dim_M": 2.0'),
-    ('"truncation": 0', '"truncation": false')])
-def test_mistyped_field_exits_2(tmp_path, capsys, old, new):
-    path = tmp_path / "mistyped.json"
-    path.write_text(serialize(builtin("cp1")).replace(old, new))
-    code, out, err = run(capsys, "rr", "--input", str(path), "--m", "1")
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and "must be" in err
-    assert "Traceback" not in err
-
-
-@pytest.mark.parametrize("old, new", [
-    ('"omega": "1 * h^1"', '"omega": "1/0 * h^1"'),
-    ('"h^1": "1"', '"h^1": "1/0"'),
-    ('"omega": "1 * h^1"', '"omega": "h *"')])
-def test_zero_denominator_exits_2(tmp_path, capsys, old, new):
-    path = tmp_path / "zero_denominator.json"
-    path.write_text(serialize(builtin("cp001")).replace(old, new))
-    code, out, err = run(capsys, "rr", "--input", str(path), "--m", "1")
-    assert code == 2 and out == ""
-    assert err.startswith("error: components[0]") and err.count("\n") == 1
-    assert "Traceback" not in err
-
-
-@pytest.mark.parametrize("old, new, message", [
-    ('"omega": "1 * h^1"', '"omega": "1 * h^1 + 7 * h^3"',
-     "error: components[0]: omega: term h^3 of degree 6 is above the "
-     "truncation degree 2"),
-    ('"h^1": "1"', '"h^1": "1", "h^1": "5"', "error: repeated key 'h^1'")])
-def test_dropped_or_overwritten_input_exits_2(tmp_path, capsys, old, new,
-                                              message):
-    # a class term above the truncation degree, or the second of two equal
-    # keys, used to parse with exit 0
-    path = tmp_path / "cp001.json"
-    path.write_text(serialize(builtin("cp001")).replace(old, new))
-    code, out, err = run(capsys, "rr", "--input", str(path), "--m", "1")
-    assert (code, out, err) == (2, "", message + "\n")
-
-
-@pytest.mark.parametrize("path, value", [
-    (("components",), 3),
-    (("components", 0, "ring"), []),
-    (("components", 0, "ring", "integrals"), []),
-    (("components", 0, "blocks", 0, "chern_roots"), "0"),
-    (("components", 0, "todd"), 3),
-    (("components", 0, "blocks", 0, "chern_roots", 0), 0),
-    (("quotient", "omega0"), [])])
-def test_misshapen_container_exits_2(tmp_path, capsys, path, value):
-    doc = json.loads(serialize(builtin("cp001")))
-    *head, last = path
-    target = doc
-    for key in head:
-        target = target[key]
-    target[last] = value
-    file = tmp_path / "misshapen.json"
-    file.write_text(json.dumps(doc))
-    code, out, err = run(capsys, "rr", "--input", str(file), "--m", "1")
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert f"{last} must be" in err
+# Every document `parse` rejects is one `error:` line, the ParseError's
+# message, with exit 2 and no output; one row also goes through every other
+# command.
+@pytest.mark.parametrize("row, command", [
+    *((row, "rr") for row in REJECTED),
+    *((DUPLICATE_NAME, command) for command in (
+        "character", "main-formula", "witten-check", "verify"))],
+    ids=lambda value: getattr(value, "id", value))
+def test_rejected_document_exits_2(tmp_path, capsys, row, command):
+    with pytest.raises(ParseError) as err:
+        parse(row.text)
+    m = ("--m", "1") if command == "rr" else ()
+    assert run_input(capsys, tmp_path, row.text, command, *m) == (
+        2, "", f"error: {err.value}\n")
 
 
 def test_missing_input_exits_2(capsys):
@@ -213,9 +154,7 @@ def test_inconsistent_input_exit_codes(tmp_path, capsys, command, code,
     text = serialize(builtin("cp1"))
     for old, new in doubled:
         text = text.replace(old, new)
-    path = tmp_path / "inconsistent.json"
-    path.write_text(text)
-    got, out, err = run(capsys, command, "--input", str(path), *argv)
+    got, out, err = run_input(capsys, tmp_path, text, command, *argv)
     assert got == code
     if code == 0:
         assert err == "" and "decay exponent" in out
@@ -225,99 +164,39 @@ def test_inconsistent_input_exit_codes(tmp_path, capsys, command, code,
                               "of unity fail to cancel; ")
 
 
-# Rings that integrate wrongly used to parse with exit 0 and wrong numbers:
-# cp1 with both point integrals "2" read rr_invariant 2 at m = 1 (it is 1),
-# with both "0" read 0, and trivial_cp1 without integrals read 0 at m = 3
-# (it is 4).
-@pytest.mark.parametrize("p, where, integrals, message", [
-    (builtin("cp1"), "components", {"1": "2"},
-     "[PointRingNotTrivial] cp1/w0: "),
-    (builtin("cp1"), "components", {"1": "0"}, "[IntegralsZero] cp1/w0: "),
-    (trivial_cp1(), "components", {},
-     "[IntegralsZero] trivial_cp1_d1/total: "),
-    (trivial_cp1(), "components", None,
-     "error: components[0]: ring has no key 'integrals'\n"),
-    (builtin("regval"), "quotient", {}, "[IntegralsZero] regval/quotient: ")],
-    ids=["point-2", "point-0", "empty", "missing", "quotient-empty"])
-def test_ring_that_integrates_wrongly_exits_2(tmp_path, capsys, p, where,
-                                              integrals, message):
-    doc = json.loads(serialize(p))
-    for obj in [doc["quotient"]] if where == "quotient" else doc[where]:
-        if integrals is None:
-            del obj["ring"]["integrals"]
-        else:
-            obj["ring"]["integrals"] = integrals
-    path = tmp_path / "integrals.json"
-    path.write_text(json.dumps(doc))
-    for m in ("1", "3"):
-        code, out, err = run(capsys, "rr", "--input", str(path), "--m", m)
-        assert (code, out) == (2, "") and message in err
-
-
 HALF_SPHERE = serialize(trivial_cp1()).replace('"h^1": "1"', '"h^1": "1/2"')
 
 
 @pytest.mark.parametrize("command", ["main-formula", "rr", "character"])
 def test_non_integer_multiplicity_exits_3(tmp_path, capsys, command):
     # the sphere's integral halved: the character at m = 2 is 3/2
-    path = tmp_path / "half.json"
-    path.write_text(HALF_SPHERE)
-    code, out, err = run(capsys, command, "--input", str(path), "--m", "2")
+    code, out, err = run_input(capsys, tmp_path, HALF_SPHERE, command,
+                               "--m", "2")
     assert code == 3 and out == ""
     assert err.startswith("mathematical inconsistency: ")
     assert err.count("\n") == 1 and "3/2" in err
 
 
-def half_sphere_off_z0(tmp_path):
-    """cp1 beside the half sphere at moment 1: at m = 2 the z^0
-    coefficient is an integer and the z^2 coefficient 5/2 is not."""
-    p = disjoint_union(builtin("cp1"), shift_moment(parse(HALF_SPHERE), 1))
-    path = tmp_path / "off_z0.json"
-    path.write_text(serialize(p))
-    return path
+# cp1 beside the half sphere at moment 1: at m = 2 the z^0 coefficient is
+# an integer and the z^2 coefficient 5/2 is not.
+OFF_Z0 = serialize(disjoint_union(builtin("cp1"),
+                                  shift_moment(parse(HALF_SPHERE), 1)))
 
 
 @pytest.mark.parametrize("command", ["main-formula", "rr", "character"])
 def test_non_integer_coefficient_off_z0_exits_3(tmp_path, capsys, command):
-    path = half_sphere_off_z0(tmp_path)
-    code, out, err = run(capsys, command, "--input", str(path), "--m", "2")
+    code, out, err = run_input(capsys, tmp_path, OFF_Z0, command, "--m", "2")
     assert (code, out, err) == (
         3, "", "mathematical inconsistency: coefficient of z^2 is 5/2, "
         "not an integer\n")
 
 
 def test_verify_non_integer_character_exits_1(tmp_path, capsys):
-    code, out, err = run(capsys, "verify", "--input",
-                         str(half_sphere_off_z0(tmp_path)))
+    code, out, err = run_input(capsys, tmp_path, OFF_Z0, "verify")
     assert code == 1 and out.endswith(": FAIL\n")
     assert err.count("\n") == 1
     assert err.endswith(": character division (coefficient of z^0 is 3/2, "
                         "not an integer)\n")
-
-
-def test_duplicate_component_name_exits_2(tmp_path, capsys):
-    # residue terms are keyed by component name: a second p0.w0 used to
-    # drop a term and report balance=FALSE with exit 0
-    doc = json.loads(serialize(builtin("dgmw")))
-    doc["components"][5]["name"] = "p0.w0"
-    path = tmp_path / "dup.json"
-    path.write_text(json.dumps(doc))
-    code, out, err = run(capsys, "main-formula", "--input", str(path),
-                         "--m", "1")
-    assert code == 2 and out == ""
-    assert err.count("\n") == 1 and "[DuplicateName] dgmw/p0.w0" in err
-
-
-def test_validation_diagnostics_print_once(tmp_path, capsys):
-    doc = json.loads(serialize(builtin("cp1")))
-    doc["dim_M"] = 3
-    doc["components"][0]["blocks"][0]["weight"] = 0
-    path = tmp_path / "two.json"
-    path.write_text(json.dumps(doc))
-    code, out, err = run(capsys, "rr", "--input", str(path), "--m", "1")
-    assert code == 2 and out == ""
-    assert err.count("\n") == 1
-    assert "[DimensionOdd]" in err and "[WeightZero]" in err
 
 
 @pytest.mark.parametrize("command, m", [("main-formula", "1"),
@@ -325,9 +204,8 @@ def test_validation_diagnostics_print_once(tmp_path, capsys):
 def test_unsupported_exceptional_exits_2(tmp_path, capsys, command, m):
     # valid data with positive-dimensional indefinite moment-zero
     # components, whose exceptional term a flat presentation cannot give
-    path = tmp_path / "product.json"
-    path.write_text(serialize(product(trivial_cp1(), builtin("dim6"))))
-    code, out, err = run(capsys, command, "--input", str(path), "--m", m)
+    code, out, err = run_input(capsys, tmp_path, serialize(product(
+        trivial_cp1(), builtin("dim6"))), command, "--m", m)
     assert code == 2 and out == ""
     assert err.startswith("error: component ") and err.count("\n") == 1
     assert "positive-dimensional indefinite" in err
@@ -343,9 +221,8 @@ def test_witten_check_rejects_unsupported_before_pairing(tmp_path, capsys,
         raise AssertionError("witten_pair ran")
 
     monkeypatch.setattr(witten, "witten_pair", no_pairing)
-    path = tmp_path / "cp2.json"
-    path.write_text(serialize(cpn_linear([-1, 0, 0, 1, 1], 1, shift=-1)))
-    code, out, err = run(capsys, "witten-check", "--input", str(path))
+    code, out, err = run_input(capsys, tmp_path, serialize(cpn_linear(
+        [-1, 0, 0, 1, 1], 1, shift=-1)), "witten-check")
     assert code == 2 and out == ""
     assert err.startswith("error: component w0:") and err.count("\n") == 1
 
@@ -360,9 +237,8 @@ def test_witten_check_rejects_a_divergent_weight_before_pairing(
         raise AssertionError("witten_pair ran")
 
     monkeypatch.setattr(witten, "witten_pair", no_pairing)
-    path = tmp_path / "cp05.json"
-    path.write_text(serialize(cpn_linear([0, 5], 1)))
-    code, out, err = run(capsys, "witten-check", "--input", str(path))
+    code, out, err = run_input(capsys, tmp_path, serialize(
+        cpn_linear([0, 5], 1)), "witten-check")
     assert code == 2 and out == ""
     assert err.startswith("error: max weight 5:") and err.count("\n") == 1
 
@@ -370,10 +246,8 @@ def test_witten_check_rejects_a_divergent_weight_before_pairing(
 def test_witten_check_without_quotient_decays(tmp_path, capsys):
     # no quotient data and a nonzero residue: the regular term is the
     # diagnostic rr - residues - exceptionals, so the residues count once
-    path = tmp_path / "cp001.json"
-    path.write_text(serialize(cpn_linear([0, 0, 1], 1)))
-    code, out, _ = run(capsys, "witten-check", "--input", str(path),
-                       "--format", "json")
+    code, out, _ = run_input(capsys, tmp_path, serialize(
+        cpn_linear([0, 0, 1], 1)), "witten-check", "--format", "json")
     assert code == 0
     assert json.loads(out)["exponent"] <= -3
 
@@ -383,15 +257,8 @@ def test_witten_check_without_quotient_decays(tmp_path, capsys):
                                   ("components", 1, "moment")])
 def test_huge_number_exits_2(tmp_path, capsys, command, path):
     # 10**30 fails before any allocation: no series of that length exists
-    doc = json.loads(serialize(builtin("cp1")))
-    *head, last = path
-    target = doc
-    for key in head:
-        target = target[key]
-    target[last] = 10 ** 30
-    file = tmp_path / "huge.json"
-    file.write_text(json.dumps(doc))
-    code, out, err = run(capsys, command, "--input", str(file), "--m", "2")
+    code, out, err = run_input(capsys, tmp_path, edited(
+        builtin("cp1"), (path, 10 ** 30)), command, "--m", "2")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "too large" in err
@@ -421,10 +288,8 @@ def test_verify_builtin_ok(capsys):
 
 
 def test_verify_inconsistent_exits_1(tmp_path, capsys):
-    text = serialize(builtin("cp1")).replace('"weight": 1', '"weight": 2')
-    path = tmp_path / "inconsistent.json"
-    path.write_text(text)
-    code, out, err = run(capsys, "verify", "--input", str(path))
+    code, out, err = run_input(capsys, tmp_path, serialize(
+        builtin("cp1")).replace('"weight": 1', '"weight": 2'), "verify")
     assert code == 1
     assert err == ("FAIL cp1: character division (poles at roots of unity "
                    "fail to cancel; fixed-point data is inconsistent)\n")
@@ -433,9 +298,8 @@ def test_verify_inconsistent_exits_1(tmp_path, capsys):
 def test_verify_runs_no_float_check(tmp_path, capsys):
     # every check verify runs is exact, so a weight of 9, whose Todd
     # series in x diverges at |x| = 1/9, skips none
-    path = tmp_path / "cp09.json"
-    path.write_text(serialize(cpn_linear([0, 9], 1)))
-    code, out, err = run(capsys, "verify", "--input", str(path))
+    code, out, err = run_input(capsys, tmp_path, serialize(
+        cpn_linear([0, 9], 1)), "verify")
     assert (code, out, err) == (0, "verify cpn[0,9]d1: ok\n", "")
 
 
@@ -445,114 +309,37 @@ def test_verify_passes_orbifold_reductions(tmp_path, capsys, weights, shift):
     # rr(m) of these reductions is a quasi-polynomial of period 6 and 30,
     # which a single polynomial fit used to report as a failure
     p = cpn_linear(weights, 1, shift=shift)
-    path = tmp_path / "orbifold.json"
-    path.write_text(serialize(p))
-    code, out, err = run(capsys, "verify", "--input", str(path))
+    code, out, err = run_input(capsys, tmp_path, serialize(p), "verify")
     assert (code, out, err) == (0, f"verify {p.name}: ok\n", "")
 
 
-def retired_free_on_regular(doc):
-    doc["free_on_regular"] = True
-
-
-def retired_dim_F(doc):
-    doc["components"][1]["dim_F"] = 0
-
-
-def misspelt_quotient(doc):
-    doc["quotent"] = doc.pop("quotient")
-
-
-def block_comment(doc):
-    doc["components"][0]["blocks"][0]["comment"] = "the weight-1 line"
-
-
-# A key parse does not read is an input error that names the key and the
-# object holding it, never silently dropped: a misspelt "quotient" would
-# otherwise turn the supplied regular term into a diagnostic.
-@pytest.mark.parametrize("edit, where, key", [
-    (retired_free_on_regular, "document", "free_on_regular"),
-    (retired_dim_F, "components[1]", "dim_F"),
-    (misspelt_quotient, "document", "quotent"),
-    (block_comment, "components[0]: blocks[0]", "comment")])
-def test_unknown_key_exits_2(tmp_path, capsys, edit, where, key):
-    doc = json.loads(serialize(builtin("cp1")))
-    edit(doc)
-    path = tmp_path / "unknown.json"
-    path.write_text(json.dumps(doc))
-    code, out, err = run(capsys, "main-formula", "--input", str(path),
-                         "--m", "1")
-    assert code == 2 and out == "" and err.count("\n") == 1
-    assert err.startswith(f"error: {where} has unknown key '{key}' (a ")
-
-
-def long_number(where):
-    """cp001's document with a number of 5,000 digits, past int()'s
-    default limit of 4,300, as a JSON integer or in a class string."""
-    text = serialize(builtin("cp001"))
-    old = {"moment": '"moment": 1,', "class": '"omega": "1 * h^1"'}[where]
-    return text.replace(old, old.replace("1", "1" + "0" * 4999, 1)).encode()
-
-
-# Each input that cannot be read as a document is one error line with
-# exit 2, never a traceback.
+# Input that `parse` never sees is one error line with exit 2 too.
 @pytest.mark.parametrize("content, message", [
-    (b"\xff\xfe", "cannot read "),
-    (b"[" * 100_000, "syntax error: nested too deeply"),
-    (long_number("moment"), "an integer has more than 4300 digits"),
-    (long_number("class"),
-     "components[0]: omega: a number has 5000 digits, more than 4300")],
-    ids=["not-utf-8", "deep", "long-integer", "long-coefficient"])
+    (b"\xff\xfe", "cannot read "), (None, "cannot read ")],
+    ids=["not-utf-8", "missing"])
 def test_unreadable_input_exits_2(tmp_path, capsys, content, message):
     path = tmp_path / "unreadable.json"
-    path.write_bytes(content)
+    if content is not None:
+        path.write_bytes(content)
     code, out, err = run(capsys, "rr", "--input", str(path), "--m", "1")
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
     assert "Traceback" not in err
 
 
-def edited(old, new):
-    """cp001's document with the first `old` in it replaced by `new`."""
-    text = serialize(builtin("cp001"))
-    assert old in text
-    return text.replace(old, new, 1)
-
-
-GENERATOR = '{\n            "degree": 2,\n            "name": "h"\n          }'
-LONG = 5000
-
-
 # An error line quotes the first few dozen characters of a long input value
 # and its length, and a number past int()'s digit limit by its digit count;
 # a document is read by `rr --input`.
 @pytest.mark.parametrize("document, argv", [
-    (edited('"h^1": "1"', '"h^1' + "0" * (LONG - 1) + '": "1"'), ()),
-    (json.dumps("\n" * LONG), ()),
-    (edited('"dim_M": 4', '"dim_M": 4, "' + "k" * LONG + '": 1'), ()),
-    (edited('"1 * h^1"', '"1 * ' + "g" * LONG + '"'), ()),
-    (edited('"moment": 1', '"moment": "' + "1" * LONG + '"'), ()),
-    (edited(GENERATOR, "[" * 900 + "]" * 900), ()),
-    (edited('"1 * h^1"', '"1' + "0" * (LONG - 1) + ' * h^1"'), ()),
-    (edited('"dim_M": 4', 2 * ('"' + "k" * LONG + '": 1, ') + '"dim_M": 4'),
-     ()),
-    (edited('"h^1": "1"', '"h^' + "1" * 4000 + '": "1"'), ()),
-    (edited('"1 * h^1"', '"1 * h^' + "1" * 4000 + '"'), ()),
-    (edited('"1 * h^1"', '"1 * h^' + "9" * 4300 + '"'), ()),
+    *((row.text, ()) for row in LONG_VALUES),
     (None, ("rr", "--builtin", "x" * LONG)),
     (None, ("rr", "--builtin", "cp1", "--m", "y" * LONG)),
     (None, ("witten-check", "--builtin", "cp1", "--m", ",".join("8" * LONG)))],
-    ids=["integral-key-digits", "string-document", "unknown-key",
-         "unknown-generator", "string-moment", "nested-generator",
-         "coefficient-digits", "repeated-key", "integral-key-degree",
-         "term-degree", "term-degree-digits", "builtin", "m-spec",
+    ids=[*(row.id for row in LONG_VALUES), "builtin", "m-spec",
          "witten-check-m"])
 def test_error_line_is_bounded(tmp_path, capsys, document, argv):
-    path = tmp_path / "long.json"
-    if document is not None:
-        path.write_text(document)
-        argv = ("rr", "--input", str(path), "--m", "1")
-    code, out, err = run(capsys, *argv)
+    code, out, err = (run(capsys, *argv) if document is None else
+                      run_input(capsys, tmp_path, document, "rr", "--m", "1"))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert len(err.rstrip("\n")) <= 200 and "Traceback" not in err
@@ -881,29 +668,3 @@ def test_help_is_built_from_the_command_table(capsys):
     verify = help_text(capsys, "verify", "--help")
     assert "--builtin" in verify and "--input" in verify
     assert "--m" not in verify and "--format" not in verify
-
-
-# A later component repeats an earlier ring block, retyped: a parse that
-# reused the earlier ring for an equal-looking block (False == 0, True == 1)
-# would accept it.
-RETYPED_RING = [
-    (lambda ring: ring.update(truncation=False),
-     "truncation must be int, got False"),
-    (lambda ring: ring["generators"][0].update(degree=True),
-     "generators[0]: degree must be int, got True"),
-    (lambda ring: ring["integrals"].update({"h^1": 1}),
-     "integral 'h^1' must be string, got 1")]
-
-
-@pytest.mark.parametrize("edit, message", RETYPED_RING)
-def test_retyped_repeated_ring_block_exits_2(capsys, tmp_path, edit,
-                                             message):
-    doc = json.loads(serialize(cpn_linear([0, 0, 1, 1], 1)))
-    first, second = doc["components"]
-    assert first["ring"] == second["ring"]
-    edit(second["ring"])
-    path = tmp_path / "retyped.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    code, out, err = run(capsys, "rr", "--input", str(path), "--m", "1")
-    assert (code, out) == (2, "")
-    assert err == f"error: components[1]: ring: {message}\n"

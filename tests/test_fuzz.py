@@ -21,6 +21,7 @@ from equiloc.cli import main
 from equiloc.model import ParseError
 from equiloc.quantize import Unsupported
 import families
+from documents import node
 
 DOCS = {name: json.loads(serialize(builtin(name)))
         for name in builtin_names()}
@@ -49,9 +50,7 @@ def mutated_documents(draw):
     doc = copy.deepcopy(DOCS[draw(st.sampled_from(sorted(DOCS)))])
     for _ in range(draw(st.sampled_from((1, 1, 1, 2, 3)))):
         *head, last = draw(st.sampled_from(list(node_paths(doc))))
-        parent = doc
-        for key in head:
-            parent = parent[key]
+        parent = node(doc, head)
         kind = draw(st.sampled_from(("like", "like", "any", "delete")))
         if kind == "delete":
             del parent[last]
@@ -67,23 +66,27 @@ def mutated_documents(draw):
 def test_mutated_document_round_trips_or_is_rejected(text):
     try:
         canonical = serialize(parse(text))
-    except ParseError:
-        expected = (2,)
+    except ParseError as e:
+        # exit 2, as for the rows of `tests/documents.py`
+        expected, line = (2,), f"error: {e}\n"
     else:
         assert serialize(parse(canonical)) == canonical
         # 3: poles that fail to cancel; 2: a number too large, or an
         # unsupported exceptional term
-        expected = (0, 2, 3)
+        expected, line = (0, 2, 3), None
     fd, path = tempfile.mkstemp(suffix=".json")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         codes = {}
         for command in ("rr", "character", "main-formula"):
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
                 code = main([command, "--input", path, "--m", "2"])
             assert code in expected, (command, code)
+            if line:
+                assert (out.getvalue(), err.getvalue()) == ("", line), command
             codes[command] = code
     finally:
         os.unlink(path)

@@ -24,15 +24,8 @@ from equiloc.useries import (PreparedInner, component_u_laurent,
 from equiloc.zrational import (LaurentPolynomial, NotAPolynomial, ZRational,
                                scalar_sum)
 import families
+from families import POINT, point_component
 from localized import dh_inner, kirillov_check
-
-POINT = RingSpec.point()
-
-
-def point_component(name, moment, weights):
-    blocks = [NormalBlock(w, (POINT.zero(),)) for w in weights]
-    return FixedComponent(name, moment, POINT, POINT.one(), POINT.zero(),
-                          blocks)
 
 
 # -- chi_tilde ----------------------------------------------------------------

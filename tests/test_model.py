@@ -9,6 +9,10 @@ import pytest
 from hypothesis import given, settings
 
 import families
+from documents import (ABOVE_TRUNCATION, INVALID, LONG_VALUES, MISSHAPEN,
+                       MISTYPED, OPTIONAL, REPEATED_KEYS, REQUIRED,
+                       RETYPED_RING, UNKNOWN_KEYS, UNREADABLE,
+                       ZERO_DENOMINATOR, node)
 from equiloc.builders import (bundle_power, cpn_linear, disjoint_union,
                               product, projective_ring, shift_moment,
                               trivial_cp1)
@@ -55,30 +59,6 @@ def test_point_component_constraints():
     assert any(d.code == "PointToddNotOne" for d in validate(p))
 
 
-def no_components(doc):
-    doc["components"] = []
-
-
-def rank_zero_block(doc):
-    doc["components"][0]["blocks"][0]["chern_roots"] = []
-
-
-def generator_at_a_point(doc):
-    # w1 is a point: its truncation-0 ring may carry no generator
-    doc["components"][1]["ring"]["generators"] = [{"name": "h", "degree": 2}]
-
-
-@pytest.mark.parametrize("edit, code", [
-    (no_components, "NoComponents"), (rank_zero_block, "RankZero"),
-    (generator_at_a_point, "PointRingNotTrivial")])
-def test_parse_reports_structural_diagnostics(edit, code):
-    doc = json.loads(CP001)
-    edit(doc)
-    with pytest.raises(ParseError) as err:
-        parse(json.dumps(doc))
-    assert code in [d.code for d in err.value.diagnostics]
-
-
 def test_moment_not_integer_diagnostic():
     p = shift_moment(builtin("cp001"), Fraction(1, 2))
     assert [d.code for d in validate(p)] == ["MomentNotInteger"] * 2
@@ -87,7 +67,8 @@ def test_moment_not_integer_diagnostic():
 def test_shared_bad_classes_are_reported_per_component():
     # each bad class is held by two components (a ring, a root, an omega
     # and a Todd class shared as `parse` shares them) and is reported for
-    # both, in component order, as one check per component would
+    # both, in component order, as one check per component would; the
+    # "points todd 2" row of `tests/documents.py` is the same through parse
     ring = projective_ring(3)
     h = ring.generator("h")
     foreign = RingSpec.point().zero()
@@ -104,15 +85,6 @@ def test_shared_bad_classes_are_reported_per_component():
         ("OmegaNotDegree2", "x/b"), ("RootNotDegree2", "x/b/block0"),
         ("WrongRing", "x/b/block1"),
         ("PointToddNotOne", "x/p"), ("PointToddNotOne", "x/q")]
-    # through parse: every point of dim6 holds the one class "1"
-    text = serialize(builtin("dim6")).replace('"todd": "1"', '"todd": "2"')
-    with pytest.raises(ParseError) as err:
-        parse(text)
-    assert [d.code for d in err.value.diagnostics] \
-        == ["PointToddNotOne"] * 8
-    assert [d.where for d in err.value.diagnostics] \
-        == [f"{builtin('dim6').name}/{F.name}"
-            for F in builtin("dim6").components]
 
 
 def test_round_trip_stability():
@@ -234,89 +206,26 @@ def test_parse_reads_each_distinct_block_once_per_call():
     assert serialize(p) == serialize(q) == text
 
 
-def test_parse_syntax_error_reports_position():
-    with pytest.raises(ParseError) as err:
-        parse("{ not json }")
-    assert "line 1" in str(err.value)
+def rejecting(table):
+    """A test that `parse` raises each row's message, row by row."""
+    @pytest.mark.parametrize("row", table, ids=lambda row: row.id)
+    def test(row):
+        with pytest.raises(ParseError) as err:
+            parse(row.text)
+        message = str(err.value)
+        assert message == row.message if row.whole else row.message in message
+    return test
 
 
-def test_parse_rejects_semantic_errors():
-    text = serialize(builtin("cp1")).replace('"weight": 1', '"weight": 0')
-    with pytest.raises(ParseError) as err:
-        parse(text)
-    assert any(d.code == "WeightZero" for d in err.value.diagnostics)
-
-
-def test_parse_rejects_fractional_weight():
-    text = serialize(builtin("cp1")).replace('"weight": 1', '"weight": "x"')
-    with pytest.raises(ParseError):
-        parse(text)
-
-
-# Each field keeps its JSON type: a float, a string or a boolean where an
-# integer belongs (and a number for a name) is rejected, and so is anything
-# but a string for an integral.
-MISTYPED = [('"moment": 1,', '"moment": 1.7,'),
-            ('"name": "w0"', '"name": 0'),
-            ('"weight": 1', '"weight": true'),
-            ('"dim_M": 2', '"dim_M": 2.0'),
-            ('"truncation": 0', '"truncation": false'),
-            ('"1": "1"', '"1": 0.1'),
-            ('"1": "1"', '"1": true'),
-            ('"1": "1"', '"1": 1')]
-
-
-@pytest.mark.parametrize("old, new", MISTYPED)
-def test_parse_rejects_mistyped_fields(old, new):
-    text = serialize(builtin("cp1"))
-    assert old in text
-    with pytest.raises(ParseError, match="must be"):
-        parse(text.replace(old, new))
-
-
-# A zero denominator in a class expression or in an integral is an input
-# error, not an arithmetic one.  So is a number outside the grammar's ASCII
-# `p` and `p/q`, a `*` with no factor after it, or a second integral key
-# for one monomial: nothing is coerced and nothing silently overwritten.
-ZERO_DENOMINATOR = [('"omega": "1 * h^1"', '"omega": "1/0 * h^1"'),
-                    ('"todd": "1 + 1 * h^1"', '"todd": "1 + 1/00 * h^1"'),
-                    ('"h^1": "1"', '"h^1": "1/0"'),
-                    ('"h^1": "1"', '"h^1": "1.5"'),
-                    ('"h^1": "1"', '"h^1": "1e0"'),
-                    ('"h^1": "1"', '"h^1": "1_0"'),
-                    ('"h^1": "1"', '"h^1": "\u0663"'),
-                    ('"h^1": "1"', '"h^1": "1", "h * 1": "1"'),
-                    ('"omega": "1 * h^1"', '"omega": "h *"'),
-                    ('"omega": "1 * h^1"', '"omega": "1 * h^1 * * 1"'),
-                    ('"omega": "1 * h^1"', '"omega": "\u0663 * h^1"')]
-
-
-@pytest.mark.parametrize("old, new", ZERO_DENOMINATOR)
-def test_parse_rejects_zero_denominator(old, new):
-    text = serialize(builtin("cp001"))
-    assert old in text
-    with pytest.raises(ParseError, match="components\\[0\\]"):
-        parse(text.replace(old, new))
-
-
-# A class term above the ring's truncation degree is an input error that
-# names its field, never dropped; cp001's w0 is truncated at degree 2.
-ABOVE_TRUNCATION = [
-    ('"omega": "1 * h^1"', '"omega": "1 * h^1 + 7 * h^3"',
-     "omega: term h^3 of degree 6"),
-    ('"todd": "1 + 1 * h^1"', '"todd": "1 + 1 * h^1 + 4 * h^2"',
-     "todd: term h^2 of degree 4"),
-    ('"-1 * h^1"', '"-1 * h^1 + 1 * h^2"',
-     "chern root 0: term h^2 of degree 4")]
-
-
-@pytest.mark.parametrize("old, new, message", ABOVE_TRUNCATION)
-def test_parse_rejects_terms_above_truncation(old, new, message):
-    text = serialize(builtin("cp001"))
-    assert text.count(old) == 1
-    with pytest.raises(ParseError, match=re.escape(
-            f"components[0]: {message} is above the truncation degree 2")):
-        parse(text.replace(old, new))
+# Every row of `tests/documents.py`, table by table, under its tests' names.
+test_parse_rejects_mistyped_fields = rejecting(MISTYPED)
+test_parse_rejects_zero_denominator = rejecting(ZERO_DENOMINATOR)
+test_parse_rejects_terms_above_truncation = rejecting(ABOVE_TRUNCATION)
+test_parse_rejects_repeated_keys = rejecting(REPEATED_KEYS)
+test_parse_rejects_misshapen_fields = rejecting(MISSHAPEN)
+test_parse_names_a_missing_required_key = rejecting(REQUIRED)
+test_parse_rejects = rejecting(
+    UNKNOWN_KEYS + RETYPED_RING + INVALID + UNREADABLE + LONG_VALUES)
 
 
 def test_parse_keeps_terms_that_cancel_above_truncation():
@@ -324,98 +233,6 @@ def test_parse_keeps_terms_that_cancel_above_truncation():
         '"omega": "1 * h^1"', '"omega": "1 * h^1 + 1 * h^3 - 1 * h^3"')
     assert parse(text).components[0].omega == \
         builtin("cp001").components[0].omega
-
-
-# A key repeated within one JSON object is an input error that names the
-# key; the last value never silently wins.
-REPEATED_KEYS = [('"h^1": "1"', '"h^1": "1", "h^1": "5"', "h^1"),
-                 ('"moment": 0,', '"moment": 0, "moment": 1,', "moment"),
-                 ('"weight": 1', '"weight": 1, "weight": 1', "weight")]
-
-
-@pytest.mark.parametrize("old, new, key", REPEATED_KEYS)
-def test_parse_rejects_repeated_keys(old, new, key):
-    text = serialize(builtin("cp001"))
-    assert old in text
-    with pytest.raises(ParseError, match=re.escape(f"repeated key '{key}'")):
-        parse(text.replace(old, new, 1))
-
-
-# Each array and object keeps its JSON shape: a container of the wrong
-# kind, or a string where an array belongs, is rejected, never iterated;
-# and a name, ring integer or class expression of the wrong type is not
-# converted.
-MISSHAPEN = [(("components",), 3),
-             (("components", 0, "ring"), []),
-             (("components", 0, "ring", "integrals"), []),
-             (("components", 0, "blocks", 0, "chern_roots"), "0"),
-             (("components", 0, "blocks"), {}),
-             (("components", 0, "ring", "generators"), {}),
-             (("quotient",), []),
-             (("quotient", "ring"), "h"),
-             (("components", 0, "ring", "truncation"), "2"),
-             (("components", 0, "ring", "generators", 0, "degree"), "2"),
-             (("components", 0, "ring", "generators", 0, "name"), 5),
-             (("components", 0, "name"), ["w0"]),
-             (("name",), None),
-             (("components", 0, "todd"), 3),
-             (("components", 0, "omega"), None),
-             (("components", 0, "blocks", 0, "chern_roots", 0), 0),
-             (("quotient", "omega0"), []),
-             (("quotient", "kappa_todd"), 1),
-             (("components", 0, "blocks"), None)]
-
-
-def misshapen(path, value):
-    """cp001's document with the field at `path` set to `value`."""
-    doc = json.loads(serialize(builtin("cp001")))
-    *head, last = path
-    target = doc
-    for key in head:
-        target = target[key]
-    target[last] = value
-    return json.dumps(doc)
-
-
-@pytest.mark.parametrize("path, value", MISSHAPEN)
-def test_parse_rejects_misshapen_fields(path, value):
-    with pytest.raises(ParseError, match=f"{path[-1]} must be "):
-        parse(misshapen(path, value))
-
-
-def node(doc, path):
-    for key in path:
-        doc = doc[key]
-    return doc
-
-
-# One object of each kind in cp001's document, and the path that names it.
-OBJECTS = [((), "document"),
-           (("components", 0), "components[0]"),
-           (("components", 0, "blocks", 0), "components[0]: blocks[0]"),
-           (("components", 0, "ring"), "components[0]: ring"),
-           (("components", 0, "ring", "generators", 0),
-            "components[0]: ring: generators[0]"),
-           (("quotient",), "quotient")]
-# The optional keys, each at a place where its default is valid but for
-# the blocks, and that default.
-OPTIONAL = [((), "quotient", None),
-            (("components", 0), "blocks", []),
-            (("components", 1, "ring"), "generators", []),
-            (("quotient", "ring"), "generators", [])]
-REQUIRED = [(path, where, key) for path, where in OBJECTS
-            for key in sorted(node(json.loads(CP001), path))
-            if key not in {key for _, key, _ in OPTIONAL}]
-
-
-@pytest.mark.parametrize("path, where, key", REQUIRED,
-                         ids=[f"{where}-{key}" for _, where, key in REQUIRED])
-def test_parse_names_a_missing_required_key(path, where, key):
-    doc = json.loads(CP001)
-    del node(doc, path)[key]
-    with pytest.raises(ParseError) as err:
-        parse(json.dumps(doc))
-    assert str(err.value) == f"{where} has no key {key!r}"
 
 
 def outcome(doc):

@@ -21,14 +21,7 @@ from equiloc.quantize import exact_polynomial_fit
 from equiloc.ring import RingSpec
 from equiloc.zrational import NotAPolynomial
 import families
-
-POINT = RingSpec.point()
-
-
-def point_component(name, moment, weights):
-    blocks = [NormalBlock(w, (POINT.zero(),)) for w in weights]
-    return FixedComponent(name, moment, POINT, POINT.one(), POINT.zero(),
-                          blocks)
+from families import point_component
 
 
 def test_classify():
