@@ -87,7 +87,7 @@ class Diagnostic(Record):
     message: str
 
     def __str__(self):
-        return f"[{self.code}] {self.where}: {self.message}"
+        return f"[{self.code}] {brief(self.where)}: {self.message}"
 
 
 class NormalBlock(Record):
@@ -240,8 +240,9 @@ def validate(p: ManifoldPresentation) -> list[Diagnostic]:
     def off_degree_2(c, ring):    # the terms of c not of degree 2
         return [x for x in c.terms if ring.monomial_degree(x) != 2]
 
+    dim_M = brief(str(p.dim_M))
     if p.dim_M < 0 or p.dim_M % 2 != 0:
-        bad("DimensionOdd", p.name, f"dim_M = {p.dim_M} must be even and >= 0")
+        bad("DimensionOdd", p.name, f"dim_M = {dim_M} must be even and >= 0")
     if not p.components:
         bad("NoComponents", p.name, "presentation has no fixed components")
     seen = set()
@@ -250,12 +251,11 @@ def validate(p: ManifoldPresentation) -> list[Diagnostic]:
         if F.name in seen:
             bad("DuplicateName", where, "an earlier component has this name")
         seen.add(F.name)
-        if F.dim_F + 2 * len(F.normal) != p.dim_M:
+        if (dim := F.dim_F + 2 * len(F.normal)) != p.dim_M:
             bad("DimensionMismatch", where,
-                f"dim_F + 2*rank = {F.dim_F + 2 * len(F.normal)} "
-                f"!= dim_M = {p.dim_M}")
+                f"dim_F + 2*rank = {brief(str(dim))} != dim_M = {dim_M}")
         if not isinstance(F.moment, int):
-            bad("MomentNotInteger", where, f"moment = {F.moment!r}")
+            bad("MomentNotInteger", where, f"moment = {brief(repr(F.moment))}")
         for elem, label in ((F.todd, "todd"), (F.omega, "omega")):
             if elem.ring != F.ring:
                 bad("WrongRing", where, f"{label} lives in a foreign ring")
@@ -482,9 +482,9 @@ def parse(text: str) -> ManifoldPresentation:
             _expression(ring, kappa_todd, "quotient: kappa_todd", memo))
     p = ManifoldPresentation(name, dim_M, tuple(components), quotient)
     diagnostics = validate(p)
-    if diagnostics:
-        raise ParseError(
-            "document failed validation: "
-            + "; ".join(str(d) for d in diagnostics),
-            diagnostics=diagnostics)
+    if diagnostics:    # the first, and a count of the others
+        more = len(diagnostics) - 1
+        raise ParseError(f"document failed validation: {diagnostics[0]}"
+                         + (f" (and {more} more)" if more else ""),
+                         diagnostics=diagnostics)
     return p

@@ -211,9 +211,12 @@ INVALID = [
     DUPLICATE_NAME,
     Rejected("no components", edited(CP001, (("components",), [])),
              "[NoComponents]"),
+    # beside w0's own block, so that its dimensions still add up
     Rejected("rank-zero block", edited(
-        CP001, (("components", 0, "blocks", 0, "chern_roots"), [])),
-        "[RankZero]"),
+        CP001, (("components", 0, "blocks"), [
+            {"chern_roots": ["-1 * h^1"], "weight": 1},
+            {"chern_roots": [], "weight": 2}])),
+        "[RankZero] cp001/w0/block1: "),
     # w1 is a point: its truncation-0 ring may carry no generator
     Rejected("generator at a point", edited(
         CP001, (("components", 1, "ring", "generators"),
@@ -221,20 +224,17 @@ INVALID = [
     Rejected("weight 0", substituted(CP1, '"weight": 1', '"weight": 0'),
              "[WeightZero]"),
     # every point of dim6 holds the one class "1", read once and reported
-    # for each point, in component order
+    # for each of its 8 points, in component order: the message names the
+    # first and counts the others
     Rejected("points todd 2", substituted(
         builtin("dim6"), '"todd": "1"', '"todd": "2"'),
-        "document failed validation: " + "; ".join(
-            f"[PointToddNotOne] dim6/{F.name}: todd must equal 1 at a point"
-            for F in builtin("dim6").components), whole=True),
-    # every diagnostic, in one message
+        "document failed validation: [PointToddNotOne] dim6/w0*w0*w0: todd "
+        "must equal 1 at a point (and 7 more)", whole=True),
+    # four diagnostics, of three kinds
     Rejected("two diagnostics", edited(
         CP1, (("dim_M",), 3), (("components", 0, "blocks", 0, "weight"), 0)),
         "document failed validation: [DimensionOdd] cp1: dim_M = 3 must be "
-        "even and >= 0; [DimensionMismatch] cp1/w0: dim_F + 2*rank = 2 != "
-        "dim_M = 3; [WeightZero] cp1/w0/block0: normal weight must be "
-        "nonzero; [DimensionMismatch] cp1/w1: dim_F + 2*rank = 2 != "
-        "dim_M = 3", whole=True)]
+        "even and >= 0 (and 3 more)", whole=True)]
 
 LONG = 5000
 # Text that cannot be read as JSON or nests too deeply, and an integer past
@@ -251,7 +251,7 @@ UNREADABLE = [
 GENERATOR = '{\n            "degree": 2,\n            "name": "h"\n          }'
 # Values too long to quote: a value longer than 32 characters is quoted by
 # its first 32 and its length, and a number past int()'s digit limit by its
-# digit count.
+# digit count; so are a diagnostic's place and numbers.
 LONG_VALUES = [
     Rejected("coefficient-digits", substituted(
         CP001, '"1 * h^1"', '"1' + "0" * (LONG - 1) + ' * h^1"'),
@@ -284,7 +284,15 @@ LONG_VALUES = [
         "... (4000 characters) is above the truncation degree 2"),
     Rejected("term-degree-digits", substituted(
         CP001, '"1 * h^1"', '"1 * h^' + "9" * 4300 + '"'),
-        "... (4301 characters) is above the truncation degree 2")]
+        "... (4301 characters) is above the truncation degree 2"),
+    Rejected("diagnostic-name", substituted(
+        CP1, '"name": "cp1"', '"name": "' + "n" * LONG + '"').replace(
+        '"weight": 1', '"weight": 0'),
+        "... (5010 characters): normal weight must be nonzero"),
+    Rejected("diagnostic-dim_M", substituted(
+        CP1, '"dim_M": 2', '"dim_M": 1' + "0" * 4000),
+        "dim_M = 10000000000000000000000000000000... (4001 characters) "
+        "(and 1 more)")]
 
 REJECTED = (MISTYPED + ZERO_DENOMINATOR + ABOVE_TRUNCATION + REPEATED_KEYS
             + MISSHAPEN + REQUIRED + UNKNOWN_KEYS + RETYPED_RING + INVALID

@@ -110,9 +110,9 @@ def test_input_file_roundtrip(tmp_path, capsys):
     assert code == 0 and "rr_total=6" in out
 
 
-# Every document `parse` rejects is one `error:` line, the ParseError's
-# message, with exit 2 and no output; one row also goes through every other
-# command.
+# Every document `parse` rejects is one short `error:` line, the
+# ParseError's message, with exit 2 and no output; one row also goes
+# through every other command.
 @pytest.mark.parametrize("row, command", [
     *((row, "rr") for row in REJECTED),
     *((DUPLICATE_NAME, command) for command in (
@@ -121,6 +121,7 @@ def test_input_file_roundtrip(tmp_path, capsys):
 def test_rejected_document_exits_2(tmp_path, capsys, row, command):
     with pytest.raises(ParseError) as err:
         parse(row.text)
+    assert len(f"error: {err.value}") <= 200
     m = ("--m", "1") if command == "rr" else ()
     assert run_input(capsys, tmp_path, row.text, command, *m) == (
         2, "", f"error: {err.value}\n")
@@ -357,27 +358,22 @@ def test_verify_all_with_input_exits_2(tmp_path, capsys, path):
         2, "", "error: specify exactly one of --builtin / --input\n")
 
 
-NUMERIC = ("scipy", "numpy", "sympy")
-# Standard modules an exact command has no use for: dataclasses imports
-# inspect, ast and dis, and execs the methods of every class it decorates;
-# argparse, with gettext, cost more than the parse itself.
-UNUSED_STDLIB = ("dataclasses", "inspect", "cmath", "argparse", "gettext")
-# The package's modules that no exact command calls: the builders and the
-# pairing's u-series.
-LAZY = ("equiloc.builders", "equiloc.useries")
-# The package's modules that a command loads only when it runs them.
-ON_DEMAND = ("equiloc.quantize", "equiloc.builtins", "equiloc.oracle")
+# The modules a command or an import may leave loaded, besides the
+# package's own: the numeric stack, and standard modules an exact command
+# has no use for (dataclasses imports inspect, ast and dis, and execs the
+# methods of every class it decorates; argparse, with gettext, cost more
+# than the parse itself).
+WATCHED = ("scipy", "numpy", "sympy", "dataclasses", "inspect", "cmath",
+           "argparse", "gettext")
 
-# Runs main(argv) in a fresh interpreter, then prints its exit code and
-# which of the modules above the run left loaded.
-NUMERIC_IMPORTS = f"""
-import contextlib, io, json, sys
-from equiloc.cli import main
-with contextlib.redirect_stdout(io.StringIO()):
-    code = main(sys.argv[1:])
-print(json.dumps([code, [m for m in {NUMERIC + UNUSED_STDLIB + LAZY +
-                                    ON_DEMAND!r}
-                         if m in sys.modules]]))
+# Runs the snippet in argv[1] in a fresh interpreter, then prints the
+# `result` it set and every package or watched module it left loaded.
+PROBE = f"""
+import json, sys
+scope = {{}}
+exec(sys.argv[1], scope)
+print(json.dumps([scope["result"], sorted(
+    m for m in sys.modules if m.startswith("equiloc.") or m in {WATCHED!r})]))
 """
 
 
@@ -394,13 +390,40 @@ def fresh_interpreter(script, *argv):
     return json.loads(proc.stdout)
 
 
-@functools.lru_cache(maxsize=None)
-def numeric_imports(*argv):
-    """(exit code, the modules above left loaded) of one command, run once
-    for all the tests that read it."""
-    code, loaded = fresh_interpreter(NUMERIC_IMPORTS, *argv)
-    return code, tuple(loaded)
+def command(*argv):
+    """A snippet whose `result` is main(argv)'s exit code; stdout is
+    discarded."""
+    return ("import contextlib, io\nfrom equiloc.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    result = main({list(argv)!r})\n")
 
+
+@functools.lru_cache(maxsize=None)
+def probe(snippet):
+    """(result, the package and watched modules left loaded) of one snippet,
+    run once for all the tests that read it."""
+    result, loaded = fresh_interpreter(PROBE, snippet)
+    return result, tuple(loaded)
+
+
+# What a bare `import equiloc` loads; every other name of the package
+# loads on first use.
+EAGER = ["equiloc.localization", "equiloc.model", "equiloc.ring",
+         "equiloc.zrational"]
+PACKAGE_NAMES = """
+import sys
+import equiloc
+result = [sorted(m for m in sys.modules if m.startswith("equiloc."))]
+result += [callable(equiloc.quantize.main_formula_report),
+           callable(equiloc.builtins.builtin),
+           all(getattr(equiloc, name) is not None for name in equiloc.__all__)]
+try:
+    equiloc.nosuch
+except AttributeError as e:
+    result.append(str(e))
+"""
+PAIRING = ["equiloc.quantize", "equiloc.useries", "equiloc.witten",
+           "inspect", "numpy"]
 
 EXACT_COMMANDS = [
     ("rr", "--builtin", "dim6", "--m", "0:3"),
@@ -410,68 +433,82 @@ EXACT_COMMANDS = [
     ("verify", "--builtin", "dim6")]
 WITTEN_CHECK = ("witten-check", "--builtin", "cp1", "--m", "8,12,16,24")
 
+# One row per snippet: the `result` it sets, and every package or watched
+# module it leaves loaded.  No exact command loads the builders, the
+# pairing's u-series or a watched module.  rr and character of a builtin
+# run neither the formula nor the oracle, and main-formula of a document
+# reads no builtin; verify of a builtin loads all three.  witten-check
+# loads the u-series through witten, and numpy, which imports inspect; its
+# quadrature is numpy's Gauss-Legendre rule and the bump a closed form, so
+# neither scipy nor sympy loads; nor do the bump's derivatives behind the
+# jump relation, which are float Taylor-mode arithmetic.
+LOADS = [
+    ("rr", command(*EXACT_COMMANDS[0]), 0,
+     EAGER + ["equiloc.builtins", "equiloc.cli"]),
+    ("character", command(*EXACT_COMMANDS[1]), 0,
+     EAGER + ["equiloc.builtins", "equiloc.cli"]),
+    ("main-formula", command(*EXACT_COMMANDS[2]), 0,
+     EAGER + ["equiloc.cli", "equiloc.quantize"]),
+    ("verify", command(*EXACT_COMMANDS[3]), 0,
+     EAGER + ["equiloc.builtins", "equiloc.cli", "equiloc.oracle",
+              "equiloc.quantize"]),
+    ("witten-check", command(*WITTEN_CHECK), 0,
+     EAGER + ["equiloc.builtins", "equiloc.cli"] + PAIRING),
+    ("package", PACKAGE_NAMES,
+     [EAGER, True, True, True, "module 'equiloc' has no attribute 'nosuch'"],
+     EAGER + ["equiloc.builders", "equiloc.builtins", "equiloc.quantize"]),
+    ("builders", "from equiloc import product\nresult = callable(product)",
+     True, EAGER + ["equiloc.builders"]),
+    ("bump", "from equiloc.witten import TestFunction\nphi = TestFunction()\n"
+     "result = all(phi.derivative(j)(0.17) != 0 for j in (1, 2, 3))",
+     True, EAGER + PAIRING)]
+
+
+@pytest.mark.parametrize("snippet, result, modules",
+                         [row[1:] for row in LOADS],
+                         ids=[row[0] for row in LOADS])
+def test_loaded_modules(snippet, result, modules):
+    assert probe(snippet) == (result, tuple(sorted(modules)))
+
+
+# The tests below each read one property of a command's row off the same
+# probe: that it loads no watched module, neither the builders nor the
+# u-series, only the on-demand modules it runs, and, for witten-check, the
+# u-series and numpy.
+LAZY = ("equiloc.builders", "equiloc.useries")
+ON_DEMAND = ("equiloc.quantize", "equiloc.builtins", "equiloc.oracle")
+
 
 @pytest.mark.parametrize("argv", EXACT_COMMANDS)
 def test_exact_commands_load_no_numeric_stack(argv):
-    code, loaded = numeric_imports(*argv)
-    unused = NUMERIC + UNUSED_STDLIB
-    assert (code, [m for m in loaded if m in unused]) == (0, [])
+    code, loaded = probe(command(*argv))
+    assert (code, [m for m in WATCHED if m in loaded]) == (0, [])
 
 
 @pytest.mark.parametrize("argv", EXACT_COMMANDS)
 def test_exact_commands_load_neither_builders_nor_useries(argv):
-    code, loaded = numeric_imports(*argv)
-    assert (code, [m for m in loaded if m in LAZY]) == (0, [])
+    code, loaded = probe(command(*argv))
+    assert (code, [m for m in LAZY if m in loaded]) == (0, [])
 
 
-# rr and character of a builtin run neither the formula nor the oracle, and
-# main-formula of a document reads no builtin; verify of a builtin, the
-# positive control, loads all three.
 @pytest.mark.parametrize("argv, modules", [
     (EXACT_COMMANDS[0], ["equiloc.builtins"]),
     (EXACT_COMMANDS[1], ["equiloc.builtins"]),
     (EXACT_COMMANDS[2], ["equiloc.quantize"]),
     (EXACT_COMMANDS[3], list(ON_DEMAND))], ids=lambda v: v[0])
 def test_exact_commands_load_only_the_modules_they_run(argv, modules):
-    code, loaded = numeric_imports(*argv)
-    assert (code, [m for m in loaded if m in ON_DEMAND]) == (0, modules)
+    code, loaded = probe(command(*argv))
+    assert (code, [m for m in ON_DEMAND if m in loaded]) == (0, modules)
 
 
 def test_witten_check_loads_useries_not_builders():
-    # positive control: the pairing's u-series do load, through witten
-    code, loaded = numeric_imports(*WITTEN_CHECK)
-    assert (code, [m for m in loaded if m in LAZY]) == (0, ["equiloc.useries"])
+    code, loaded = probe(command(*WITTEN_CHECK))
+    assert (code, [m for m in LAZY if m in loaded]) == (0, ["equiloc.useries"])
 
 
-BUILDER_IMPORTS = f"""
-import json, sys
-from equiloc import product
-print(json.dumps([m for m in {NUMERIC + LAZY!r} if m in sys.modules]))
-"""
-
-
-LAZY_PACKAGE = """
-import json, sys
-import equiloc
-eager = sorted(m for m in sys.modules if m.startswith("equiloc."))
-# a bare `import equiloc`, then a module read as an attribute
-found = [callable(equiloc.quantize.main_formula_report),
-         callable(equiloc.builtins.builtin),
-         all(getattr(equiloc, name) is not None for name in equiloc.__all__)]
-try:
-    equiloc.nosuch
-except AttributeError as e:
-    found.append(str(e))
-print(json.dumps([eager, found]))
-"""
-
-
-def test_lazy_package_resolves_every_public_name():
-    eager, found = fresh_interpreter(LAZY_PACKAGE)
-    assert eager == ["equiloc.localization", "equiloc.model", "equiloc.ring",
-                     "equiloc.zrational"]
-    assert found == [True, True, True,
-                     "module 'equiloc' has no attribute 'nosuch'"]
+def test_witten_check_loads_numpy_not_scipy_or_sympy():
+    code, loaded = probe(command(*WITTEN_CHECK))
+    assert (code, [m for m in WATCHED[:3] if m in loaded]) == (0, ["numpy"])
 
 
 # The benchmark's traced cli.import_s reads `-X importtime`, which logs an
@@ -490,37 +527,6 @@ def test_lazy_modules_show_in_importtime():
     assert fresh_interpreter(LAZY_IMPORTTIME) == [
         "equiloc.builtins", "equiloc.localization", "equiloc.model",
         "equiloc.quantize", "equiloc.ring", "equiloc.zrational"]
-
-
-def test_public_builders_load_on_first_use():
-    # `equiloc` re-exports the builders lazily: the first one asked for
-    # loads their module, and nothing of the pairing with it
-    assert fresh_interpreter(BUILDER_IMPORTS) == ["equiloc.builders"]
-
-
-def test_witten_check_loads_numpy_not_scipy_or_sympy():
-    # positive control: the harness above does see a numpy import; the
-    # quadrature is numpy's Gauss-Legendre rule and the bump a closed form,
-    # so neither scipy nor sympy loads (numpy itself imports inspect)
-    code, loaded = numeric_imports(*WITTEN_CHECK)
-    assert (code, [m for m in loaded if m in NUMERIC]) == (0, ["numpy"])
-
-
-BUMP_DERIVATIVES = """
-import json, sys
-from equiloc.witten import TestFunction
-phi = TestFunction()
-print(json.dumps([[phi.derivative(j)(0.17) for j in (1, 2, 3)],
-                  "sympy" in sys.modules]))
-"""
-
-
-def test_bump_derivatives_load_no_sympy():
-    # the derivatives behind the jump relation are float Taylor-mode
-    # arithmetic, so evaluating them leaves sympy unloaded
-    values, sympy_loaded = fresh_interpreter(BUMP_DERIVATIVES)
-    assert all(v != 0 for v in values)
-    assert not sympy_loaded
 
 
 def test_witten_check_cli(capsys):

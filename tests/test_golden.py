@@ -33,8 +33,11 @@ def test_cli_output_matches_golden(command, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("doc", sorted(FORMULA_GOLDEN))
-def test_main_formula_reports_match_golden(doc):
-    # every term of every report the formula-sweep workload can request
+def test_main_formula_reports_match_golden(doc, monkeypatch):
+    # every term of every report the formula-sweep workload can request,
+    # read by the workload's own record
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    report_record = importlib.import_module("workloads").report_record
     text = (ROOT / "src" / "equiloc" / "data" / f"{doc}.json").read_text(
         encoding="utf-8")
     p = parse(text)
@@ -42,14 +45,7 @@ def test_main_formula_reports_match_golden(doc):
     assert sorted(map(int, recorded)) == list(range(1, 41))
     for m, want in recorded.items():
         rep = main_formula_report(p, int(m))
-        got = {"rr": rep.rr,
-               "residue_terms": {k: [c, str(v)] for k, (c, v)
-                                 in rep.residue_terms.items()},
-               "exceptional_terms": {k: str(v) for k, v
-                                     in rep.exceptional_terms.items()},
-               "regular": [rep.regular_tag, str(rep.regular)],
-               "balance": rep.balance}
-        assert got == want, (doc, m)
+        assert report_record(rep) == want, (doc, m)
         assert type(rep.rr) is int
 
 

@@ -68,7 +68,8 @@ def test_shared_bad_classes_are_reported_per_component():
     # each bad class is held by two components (a ring, a root, an omega
     # and a Todd class shared as `parse` shares them) and is reported for
     # both, in component order, as one check per component would; the
-    # "points todd 2" row of `tests/documents.py` is the same through parse
+    # "points todd 2" row of `tests/documents.py` counts dim6's eight points
+    # through parse
     ring = projective_ring(3)
     h = ring.generator("h")
     foreign = RingSpec.point().zero()
@@ -226,6 +227,16 @@ test_parse_rejects_misshapen_fields = rejecting(MISSHAPEN)
 test_parse_names_a_missing_required_key = rejecting(REQUIRED)
 test_parse_rejects = rejecting(
     UNKNOWN_KEYS + RETYPED_RING + INVALID + UNREADABLE + LONG_VALUES)
+
+
+def test_parse_error_keeps_every_diagnostic():
+    # the message names the first diagnostic; the error keeps them all
+    (row,) = [row for row in INVALID if row.id == "two diagnostics"]
+    with pytest.raises(ParseError) as err:
+        parse(row.text)
+    assert [(d.code, d.where) for d in err.value.diagnostics] == [
+        ("DimensionOdd", "cp1"), ("DimensionMismatch", "cp1/w0"),
+        ("WeightZero", "cp1/w0/block0"), ("DimensionMismatch", "cp1/w1")]
 
 
 def test_parse_keeps_terms_that_cancel_above_truncation():
