@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .model import ManifoldPresentation, parse
+from .model import InputError, ManifoldPresentation, parse
 from .ring import brief
 
 _DATA = Path(__file__).parent / "data"
@@ -27,7 +27,7 @@ def builtin_names() -> tuple[str, ...]:
 def builtin(name: str) -> ManifoldPresentation:
     """A presentation parsed afresh from data/<name>.json."""
     if name not in _NAMES:
-        raise KeyError(
+        raise InputError(
             f"unknown builtin {brief(repr(name))}; available: "
             f"{', '.join(_NAMES)}")
     return parse((_DATA / f"{name}.json").read_text(encoding="utf-8"))

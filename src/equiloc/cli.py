@@ -2,13 +2,14 @@
 
 Subcommands: rr, character, main-formula, witten-check, verify.
 Input is either --builtin NAME or --input FILE (a presentation document).
-Exit codes: 0 success, 1 verification failure (float cancellation or an
-unsettled quadrature in witten-check included), 2 input error (a weight,
-moment or m too large to compute with, and for witten-check a weight whose
-Todd series diverges on the bump's support, included), 3 mathematical
-inconsistency (poles fail to cancel, or a character coefficient is not an
-integer), from the one division of the character that every command
-makes at each m; verify counts it a failed check.
+A command returns 0, or 1 for a failed verify check; every other failure
+reaches the user through `main`, by one table, `_FAILURES`: exit 2 for an
+input error (`model.InputError`, which `ParseError` is, or `Unsupported`)
+and for a weight, moment or m too large to compute with, 3 for a
+mathematical inconsistency (`NotAPolynomial`, from the one division of the
+character that every command makes at each m; verify counts it a failed
+check), 1 for a numeric failure of witten-check (`CancellationError`).
+Each is one stderr line, and none is a traceback.
 
 Every command loads `model`, `ring`, `zrational` and `localization`, and
 `builtins` for a --builtin input; main-formula and verify add `quantize`
@@ -24,11 +25,21 @@ import sys
 from types import SimpleNamespace
 
 from . import localization
-from .model import ManifoldPresentation, ParseError, Unsupported, parse
+from .model import (CancellationError, InputError, ManifoldPresentation,
+                    Unsupported, parse)
 from .ring import brief
 from .zrational import NotAPolynomial
 
 EXIT_OK, EXIT_VERIFY, EXIT_INPUT, EXIT_MATH = range(4)
+
+# (failure types, exit code, start of the one stderr line): how every
+# failure of a command reaches the user, in `main` only
+_FAILURES = (
+    ((InputError, Unsupported), EXIT_INPUT, "error: "),
+    ((OverflowError, MemoryError), EXIT_INPUT,
+     "error: a weight, moment or m is too large: "),
+    ((NotAPolynomial,), EXIT_MATH, "mathematical inconsistency: "),
+    ((CancellationError,), EXIT_VERIFY, "numeric failure: "))
 
 
 def _parse_m_spec(spec: str) -> list[int]:
@@ -46,38 +57,33 @@ def _parse_m_spec(spec: str) -> list[int]:
         if ":" in spec:
             lo, hi = spec.split(":", 1)
             ms = list(range(integer(lo), integer(hi) + 1))
-            if not ms:
-                raise SystemExit2(f"{where}: empty m range")
         else:
             ms = [integer(s) for s in spec.split(",")]
     except ValueError:
-        raise SystemExit2(
+        raise InputError(
             f"{where}: expected INT, A:B or a comma list of integers")
+    if not ms:
+        raise InputError(f"{where}: empty m range")
     if min(ms) < 0:
-        raise SystemExit2(f"{where}: m must be nonnegative")
+        raise InputError(f"{where}: m must be nonnegative")
     return ms
 
 
 def _load(args) -> ManifoldPresentation:
     if args.builtin and args.input:
-        raise SystemExit2("specify exactly one of --builtin / --input")
+        raise InputError("specify exactly one of --builtin / --input")
     if args.builtin:
         from . import builtins as bi
-        try:
-            return bi.builtin(args.builtin)
-        except KeyError as e:
-            raise SystemExit2(e.args[0])
+        return bi.builtin(args.builtin)
     if args.input:
         try:
             with open(args.input, "r", encoding="utf-8") as fh:
                 return parse(fh.read())
         except (OSError, UnicodeDecodeError) as e:
-            raise SystemExit2(f"cannot read {args.input}: {e}")
-    raise SystemExit2("an input is required: --builtin NAME or --input FILE")
-
-
-class SystemExit2(Exception):
-    """Input-level error: reported on stderr, exit code 2."""
+            # an OSError's own text repeats the path, which `brief` cuts
+            raise InputError(f"cannot read {brief(args.input)}: "
+                             f"{getattr(e, 'strerror', None) or e}")
+    raise InputError("an input is required: --builtin NAME or --input FILE")
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -137,20 +143,11 @@ def cmd_witten_check(args) -> int:
     from . import witten  # the only command that loads numpy
     ms = _parse_m_spec(args.m)
     if len(set(ms)) < 4 or min(ms) < 1:
-        raise SystemExit2(f"--m {brief(args.m)}: the decay fit needs at "
-                          "least four distinct m >= 1")
-    phi = witten.TestFunction()
-    try:
-        # the Todd series must converge on phi's support
-        witten.default_series_order(p, phi.delta2)
-    except ValueError as e:
-        raise SystemExit2(str(e))
-    try:
-        rep = witten.decay_check(p, phi, ms)
-    except witten.CancellationError as e:
-        # float cancellation in the pairing, not proof of bad data
-        print(f"numeric failure: {e}", file=sys.stderr)
-        return EXIT_VERIFY
+        raise InputError(f"--m {brief(args.m)}: the decay fit needs at "
+                         "least four distinct m >= 1")
+    # a weight whose Todd series diverges on the bump's support is an
+    # InputError from the first m's expansion, before any pairing
+    rep = witten.decay_check(p, witten.TestFunction(), ms)
     payload = {"input": p.name, "m_values": rep.m_values, "diffs": rep.diffs,
                "exponent": rep.exponent, **{
                    side: [{"im": z.imag, "re": z.real} for z in values]
@@ -278,17 +275,11 @@ def main(argv=None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.fn(args)
-    except (SystemExit2, ParseError, Unsupported) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except NotAPolynomial as e:
-        print(f"mathematical inconsistency: {e}", file=sys.stderr)
-        return EXIT_MATH
-    except (OverflowError, MemoryError) as e:
-        # a weight, moment or m far beyond any index-sized series length
-        print(f"error: a weight, moment or m is too large: "
-              f"{str(e) or type(e).__name__}", file=sys.stderr)
-        return EXIT_INPUT
+    except tuple(t for types, _, _ in _FAILURES for t in types) as e:
+        code, start = next((code, start) for types, code, start in _FAILURES
+                           if isinstance(e, types))
+        print(f"{start}{str(e) or type(e).__name__}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -27,7 +27,11 @@ from .ring import (GradedElement, RingError, RingSpec, brief,
 from .zrational import linear_sum, over_lcm, over_one_denominator
 
 
-class ParseError(ValueError):
+class InputError(ValueError):
+    """Input that no command can compute with: the cli's exit 2."""
+
+
+class ParseError(InputError):
     """Malformed document: syntax error or failed validation."""
 
     def __init__(self, message, diagnostics=None):
@@ -38,6 +42,10 @@ class ParseError(ValueError):
 class Unsupported(NotImplementedError):
     """Exceptional data for a positive-dimensional indefinite component is
     not representable in a flat presentation."""
+
+
+class CancellationError(ArithmeticError):
+    """The pairing lost precision to float error, never proof of bad data."""
 
 
 class Record:
@@ -240,7 +248,7 @@ def validate(p: ManifoldPresentation) -> list[Diagnostic]:
     def off_degree_2(c, ring):    # the terms of c not of degree 2
         return [x for x in c.terms if ring.monomial_degree(x) != 2]
 
-    dim_M = brief(str(p.dim_M))
+    dim_M = brief(p.dim_M)
     if p.dim_M < 0 or p.dim_M % 2 != 0:
         bad("DimensionOdd", p.name, f"dim_M = {dim_M} must be even and >= 0")
     if not p.components:
@@ -253,7 +261,7 @@ def validate(p: ManifoldPresentation) -> list[Diagnostic]:
         seen.add(F.name)
         if (dim := F.dim_F + 2 * len(F.normal)) != p.dim_M:
             bad("DimensionMismatch", where,
-                f"dim_F + 2*rank = {brief(str(dim))} != dim_M = {dim_M}")
+                f"dim_F + 2*rank = {brief(dim)} != dim_M = {dim_M}")
         if not isinstance(F.moment, int):
             bad("MomentNotInteger", where, f"moment = {brief(repr(F.moment))}")
         for elem, label in ((F.todd, "todd"), (F.omega, "omega")):

@@ -39,9 +39,11 @@ class RingError(ValueError):
     """Raised on malformed ring data, text or cross-ring arithmetic."""
 
 
-def brief(text: str) -> str:
-    """`text`, or its first 32 characters and its length when longer: an
-    error line quotes an input in full only when it is short."""
+def brief(value: Union[str, int]) -> str:
+    """`value`, an int written through Decimal, which str()'s 4,300-digit
+    limit does not bind; or its first 32 characters and its length when
+    longer: an error line quotes an input in full only when it is short."""
+    text = value if isinstance(value, str) else str(Decimal(value))
     return text if len(text) <= 32 else (
         f"{text[:32]}... ({len(text)} characters)")
 
@@ -90,8 +92,8 @@ class RingSpec:
             raise RingError("duplicate generator names")
         for i, (_, deg) in enumerate(gens):
             if deg < 2 or deg % 2 != 0:
-                raise RingError(
-                    f"generators[{i}] has degree {deg}; must be even and >= 2")
+                raise RingError(f"generators[{i}] has degree {brief(deg)}; "
+                                "must be even and >= 2")
         if truncation_degree < 0 or truncation_degree % 2 != 0:
             raise RingError("truncation_degree must be even and >= 0")
         self.generators = gens
@@ -103,8 +105,9 @@ class RingSpec:
             if len(mono) != len(gens):
                 raise RingError("integration table key has wrong arity")
             if self.monomial_degree(mono) != truncation_degree:
-                raise RingError(f"integration table key {brief(str(mono))} "
-                                "does not have top degree")
+                key = brief(monomial_to_string(self, mono))
+                raise RingError(
+                    f"integration table key {key} does not have top degree")
             table[mono] = Fraction(val)
         self.integration_table = table
 
@@ -333,15 +336,13 @@ def string_to_element(ring: RingSpec, text: str) -> GradedElement:
         coef, mono = _term(names, body)
         terms[mono] = terms.get(mono, 0) + (coef if sign == "+" else -coef)
     elem = GradedElement(ring, terms)
-    # the element drops the terms above the truncation degree; a degree
-    # past str()'s digit limit for ints prints as a Decimal, cut by `brief`
+    # the element drops the terms above the truncation degree
     for mono, coef in terms.items():
         if coef and mono not in elem.terms:
-            degree = str(Decimal(ring.monomial_degree(mono)))
             raise RingError(
                 f"term {brief(monomial_to_string(ring, mono))} of degree "
-                f"{brief(degree)} is above the truncation degree "
-                f"{ring.truncation_degree}")
+                f"{brief(ring.monomial_degree(mono))} is above the "
+                f"truncation degree {brief(ring.truncation_degree)}")
     return elem
 
 
@@ -355,7 +356,8 @@ def string_to_monomial(names: Sequence[str], text: str) -> tuple[int, ...]:
 
 
 def monomial_to_string(ring: RingSpec, mono: tuple[int, ...]) -> str:
-    parts = [f"{name}^{e}" for (name, _), e in zip(ring.generators, mono) if e]
+    parts = [f"{name}^{Decimal(e)}"    # no digit limit, as in `brief`
+             for (name, _), e in zip(ring.generators, mono) if e]
     return "*".join(parts) if parts else "1"
 
 

@@ -40,8 +40,8 @@ from operator import add, mul
 from typing import Mapping, Sequence
 
 from .localization import _cauchy, _reduced, _todd_row, normal_todd
-from .model import FixedComponent, ManifoldPresentation
-from .ring import GradedElement, RingSpec
+from .model import FixedComponent, InputError, ManifoldPresentation
+from .ring import GradedElement, RingSpec, brief
 
 
 class USeries:
@@ -283,9 +283,10 @@ def default_series_order(p: ManifoldPresentation, x_max: float) -> int:
     ratio = k * x_max
     floor_order = 2 * p.dim_M
     if ratio >= 0.97:
-        raise ValueError(
-            f"max weight {k}: |x| = {x_max} is too close to the singular "
-            f"circle |x| = 1/{k}; no convergent series order exists")
+        raise InputError(
+            f"max weight {brief(k)}: |x| = {x_max} is too close to the "
+            "singular circle |x| = 1/weight; no convergent series order "
+            "exists")
     if ratio <= 0:
         return floor_order
     need = log(1e-13) / log(ratio)

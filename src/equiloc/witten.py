@@ -43,13 +43,9 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from .localization import character
-from .model import ManifoldPresentation, Record
+from .model import CancellationError, ManifoldPresentation, Record
 from .quantize import Classification, regular_term
 from .useries import PreparedInner, component_u_laurent, default_series_order
-
-
-class CancellationError(ArithmeticError):
-    """The pairing lost precision to float error, never proof of bad data."""
 
 
 # ---------------------------------------------------------------------------

@@ -193,6 +193,7 @@ DUPLICATE_NAME = Rejected("duplicate name", edited(
     "[DuplicateName] dgmw/p0.w0")
 POINTS = [("components", i, "ring", "integrals") for i in (0, 1)]
 SPHERE = ("components", 0, "ring", "integrals")
+W0_RING = ("components", 0, "ring")    # the sphere of cp001
 INVALID = [
     Rejected("points integrate to 2", edited(
         CP1, *((path, {"1": "2"}) for path in POINTS)),
@@ -223,6 +224,23 @@ INVALID = [
                 [{"name": "h", "degree": 2}])), "[PointRingNotTrivial]"),
     Rejected("weight 0", substituted(CP1, '"weight": 1', '"weight": 0'),
              "[WeightZero]"),
+    # omega of degree 0: off degree 2 on the quotient, and at a point also
+    # nonzero, which is a second diagnostic
+    Rejected("quotient omega0 1", edited(
+        builtin("regval"), (("quotient", "omega0"), "1")),
+        "[OmegaNotDegree2] regval/quotient: omega0 must be of pure degree 2"),
+    Rejected("point omega 1", edited(CP1, (("components", 0, "omega"), "1")),
+             "[OmegaNotDegree2] cp1/w0: omega must be of pure degree 2 (and "
+             "1 more)"),
+    # the ring's own rules: one name per generator, and a key of
+    # coefficient 1
+    Rejected("duplicate generator", edited(
+        CP001, (W0_RING + ("generators",), [{"name": "h", "degree": 2}] * 2)),
+        "components[0]: ring: duplicate generator names", whole=True),
+    Rejected("integral key coefficient", substituted(
+        CP001, '"h^1": "1"', '"2 * h^1": "1"'),
+        "integral key '2 * h^1': monomial '2 * h^1' has a coefficient other "
+        "than 1"),
     # every point of dim6 holds the one class "1", read once and reported
     # for each of its 8 points, in component order: the message names the
     # first and counts the others
@@ -248,6 +266,7 @@ UNREADABLE = [
         CP001, '"moment": 1,', '"moment": 1' + "0" * (LONG - 1) + ","),
         "an integer has more than 4300 digits", whole=True)]
 
+TRUNCATION, NINES = int("9" * 4299 + "8"), "9" * 4300
 GENERATOR = '{\n            "degree": 2,\n            "name": "h"\n          }'
 # Values too long to quote: a value longer than 32 characters is quoted by
 # its first 32 and its length, and a number past int()'s digit limit by its
@@ -278,7 +297,8 @@ LONG_VALUES = [
         "... (5002 characters)"),
     Rejected("integral-key-degree", substituted(
         CP001, '"h^1": "1"', '"h^' + "1" * 4000 + '": "1"'),
-        "... (4003 characters) does not have top degree"),
+        "key h^111111111111111111111111111111... (4002 characters) does not "
+        "have top degree"),
     Rejected("term-degree", substituted(
         CP001, '"1 * h^1"', '"1 * h^' + "1" * 4000 + '"'),
         "... (4000 characters) is above the truncation degree 2"),
@@ -292,7 +312,24 @@ LONG_VALUES = [
     Rejected("diagnostic-dim_M", substituted(
         CP1, '"dim_M": 2', '"dim_M": 1' + "0" * 4000),
         "dim_M = 10000000000000000000000000000000... (4001 characters) "
-        "(and 1 more)")]
+        "(and 1 more)"),
+    # a number that the document holds within the digit limit but that a
+    # dimension, key or term doubles past it: a sum of a 4,300-digit
+    # truncation, and a power h^N * h^N with N of 4,300 nines
+    Rejected("dimension-digits", edited(
+        CP001, (W0_RING + ("truncation",), TRUNCATION),
+        (W0_RING + ("integrals",), {f"h^{TRUNCATION // 2}": "1"})),
+        "[DimensionMismatch] cp001/w0: dim_F + 2*rank = 10000000000000000000"
+        "000000000000... (4301 characters) != dim_M = 4"),
+    Rejected("integral-key-product", substituted(
+        CP001, '"h^1": "1"', f'"h^{NINES} * h^{NINES}": "1"'),
+        "components[0]: ring: integration table key h^1999999999999999999999"
+        "99999999... (4303 characters) does not have top degree", whole=True),
+    Rejected("term-product", substituted(
+        CP001, '"1 * h^1"', f'"1 * h^{NINES} * h^{NINES}"'),
+        "components[0]: omega: term h^199999999999999999999999999999... "
+        "(4303 characters) of degree 39999999999999999999999999999999... "
+        "(4301 characters) is above the truncation degree 2", whole=True)]
 
 REJECTED = (MISTYPED + ZERO_DENOMINATOR + ABOVE_TRUNCATION + REPEATED_KEYS
             + MISSHAPEN + REQUIRED + UNKNOWN_KEYS + RETYPED_RING + INVALID

@@ -10,10 +10,10 @@ from pathlib import Path
 import pytest
 
 import equiloc
-from equiloc import (builtin, cpn_linear, disjoint_union, parse, product,
-                     serialize, shift_moment, trivial_cp1)
+from equiloc import (builtin, builtin_names, cpn_linear, disjoint_union,
+                     parse, product, serialize, shift_moment, trivial_cp1)
 from equiloc.cli import main
-from equiloc.model import ParseError
+from equiloc.model import ParseError, replace
 from documents import DUPLICATE_NAME, LONG, LONG_VALUES, REJECTED, edited
 
 PACKAGE = Path(equiloc.__file__).resolve().parent
@@ -288,6 +288,25 @@ def test_verify_builtin_ok(capsys):
     assert err == ""
 
 
+def test_verify_all_builtins_ok(capsys):
+    # README's own example: every builtin, in `builtin_names` order
+    code, out, err = run(capsys, "verify", "--builtin", "all")
+    assert (code, out, err) == (0, "".join(
+        f"verify {name}: ok\n" for name in builtin_names()), "")
+
+
+def test_verify_failed_balance_exits_1(tmp_path, capsys):
+    # dim6's supplied kappa plus h^2, whose integral is 1: its character
+    # divides, and the balance fails at every m that verify checks
+    p = builtin("dim6")
+    h = p.quotient.ring.generator("h")
+    text = serialize(replace(p, quotient=replace(
+        p.quotient, kappa_todd=p.quotient.kappa_todd + h * h)))
+    assert run_input(capsys, tmp_path, text, "verify") == (
+        1, "verify dim6: FAIL\n", "".join(
+            f"FAIL dim6: main-formula balance m={m}\n" for m in range(1, 5)))
+
+
 def test_verify_inconsistent_exits_1(tmp_path, capsys):
     code, out, err = run_input(capsys, tmp_path, serialize(
         builtin("cp1")).replace('"weight": 1', '"weight": 2'), "verify")
@@ -330,17 +349,20 @@ def test_unreadable_input_exits_2(tmp_path, capsys, content, message):
 
 # An error line quotes the first few dozen characters of a long input value
 # and its length, and a number past int()'s digit limit by its digit count;
-# a document is read by `rr --input`.
+# a document is read by `rr --input`, a weight's by `witten-check --input`.
 @pytest.mark.parametrize("document, argv", [
-    *((row.text, ()) for row in LONG_VALUES),
+    *((row.text, ("rr", "--m", "1")) for row in LONG_VALUES),
+    (edited(builtin("cp1"), (("components", 0, "blocks", 0, "weight"),
+                             10 ** 300)), ("witten-check",)),
     (None, ("rr", "--builtin", "x" * LONG)),
+    (None, ("rr", "--input", "x" * LONG, "--m", "1")),
     (None, ("rr", "--builtin", "cp1", "--m", "y" * LONG)),
     (None, ("witten-check", "--builtin", "cp1", "--m", ",".join("8" * LONG)))],
-    ids=[*(row.id for row in LONG_VALUES), "builtin", "m-spec",
-         "witten-check-m"])
+    ids=[*(row.id for row in LONG_VALUES), "witten-check-weight",
+         "builtin", "input", "m-spec", "witten-check-m"])
 def test_error_line_is_bounded(tmp_path, capsys, document, argv):
     code, out, err = (run(capsys, *argv) if document is None else
-                      run_input(capsys, tmp_path, document, "rr", "--m", "1"))
+                      run_input(capsys, tmp_path, document, *argv))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert len(err.rstrip("\n")) <= 200 and "Traceback" not in err

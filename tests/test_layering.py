@@ -5,8 +5,8 @@ a deliberate backward or deferred one.  `DEFERRED` names every such import,
 so that a new one shows up as a change to it.  Only the modules that read
 and write documents see a component's normal blocks.  Only the division
 in `zrational` raises `NotAPolynomial`, the one certificate of inconsistent
-data.  The tests' oracle families stand apart from the modules that
-compute characters."""
+data.  Only `cli.main` maps a failure to an exit code.  The tests' oracle
+families stand apart from the modules that compute characters."""
 
 import ast
 from pathlib import Path
@@ -99,6 +99,33 @@ def test_only_the_division_raises_not_a_polynomial():
                                         getattr(exc, "attr", None)):
                     raisers.add(path.stem)
     assert raisers == {"zrational"}
+
+
+# the failures `cli.main` maps to an exit code and a stderr line
+FAILURES = {"InputError", "ParseError", "Unsupported", "NotAPolynomial",
+            "CancellationError", "OverflowError", "MemoryError"}
+
+
+def test_only_cli_main_catches_a_failure():
+    # main's one handler catches the types of its table, `_FAILURES`; the
+    # one other handler that names a failure is verify's, which counts a
+    # failed division as a failed check
+    from equiloc import cli
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    caught = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            for handler in ast.walk(fn):
+                if isinstance(handler, ast.ExceptHandler) and handler.type:
+                    caught.update(
+                        (fn.name, getattr(node, "id", None)
+                         or getattr(node, "attr", None))
+                        for node in ast.walk(handler.type))
+    assert {(fn, name) for fn, name in caught if name in FAILURES} == {
+        ("_verify_one", "NotAPolynomial")}
+    assert ("main", "_FAILURES") in caught
+    assert {kind.__name__ for kinds, _, _ in cli._FAILURES
+            for kind in kinds} == FAILURES - {"ParseError"}
 
 
 def test_oracles_share_no_code_with_the_character():

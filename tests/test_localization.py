@@ -712,14 +712,6 @@ def test_series_reject_roots_with_a_scalar_part():
             build()
 
 
-def test_kirillov_check_builders():
-    for name in ("cp1", "cp001", "prod11"):
-        p = builtin(name)
-        for m in (1, 2, 3, 4):
-            dev = kirillov_check(p, m, [0.05, 0.1, 0.2])
-            assert dev < 1e-8, (name, m, dev)
-
-
 def test_kirillov_check_near_half_without_weight_two():
     # x near 1/2 is fine when every |weight| is 1
     dev = kirillov_check(builtin("cp1"), 3, [0.45])

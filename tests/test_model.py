@@ -231,12 +231,18 @@ test_parse_rejects = rejecting(
 
 def test_parse_error_keeps_every_diagnostic():
     # the message names the first diagnostic; the error keeps them all
-    (row,) = [row for row in INVALID if row.id == "two diagnostics"]
-    with pytest.raises(ParseError) as err:
-        parse(row.text)
-    assert [(d.code, d.where) for d in err.value.diagnostics] == [
-        ("DimensionOdd", "cp1"), ("DimensionMismatch", "cp1/w0"),
-        ("WeightZero", "cp1/w0/block0"), ("DimensionMismatch", "cp1/w1")]
+    for row_id, diagnostics in [
+            ("two diagnostics", [
+                ("DimensionOdd", "cp1"), ("DimensionMismatch", "cp1/w0"),
+                ("WeightZero", "cp1/w0/block0"),
+                ("DimensionMismatch", "cp1/w1")]),
+            ("point omega 1", [("OmegaNotDegree2", "cp1/w0"),
+                               ("PointOmegaNotZero", "cp1/w0")])]:
+        (row,) = [row for row in INVALID if row.id == row_id]
+        with pytest.raises(ParseError) as err:
+            parse(row.text)
+        assert [(d.code, d.where)
+                for d in err.value.diagnostics] == diagnostics, row_id
 
 
 def test_parse_keeps_terms_that_cancel_above_truncation():

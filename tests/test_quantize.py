@@ -284,13 +284,6 @@ def test_bundle_power_coherence():
         assert rr_invariant(d2, m) == rr_invariant(d1, 2 * m)
 
 
-def test_dgmw_identity_with_definite_components_only():
-    p = builtin("dgmw")
-    for m in range(0, 9):
-        total = sum(residue_term(F, m) for F in p.f_zero())
-        assert total == rr_invariant(p, m)
-
-
 def _fraction_horner(coeffs, m):
     acc = Fraction(0)
     for c in reversed(coeffs):

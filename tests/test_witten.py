@@ -125,14 +125,6 @@ def test_moments_match_adaptive_quad():
     assert PHI.moment(3) == PHI.moment(-5) == 0
 
 
-def test_jump_relation():
-    for k in (1, 2, 3):
-        jump = dist_pair(k, "plus", PHI) - dist_pair(k, "minus", PHI)
-        psi0 = PHI.derivative(k - 1)(0.0)
-        want = -2j * math.pi * (-1) ** (k - 1) * psi0 / math.factorial(k - 1)
-        assert abs(jump - want) < 1e-8, k
-
-
 def test_dist_pair_against_eps_limit():
     for k in (1, 2):
         for side in ("plus", "minus"):
