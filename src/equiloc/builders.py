@@ -100,22 +100,33 @@ def _tensor_rings(r1: RingSpec, r2: RingSpec) -> RingSpec:
 def product(p: ManifoldPresentation,
             q: ManifoldPresentation) -> ManifoldPresentation:
     """Product presentation: components are pairs, moments add, rings tensor,
-    Todd/omega/blocks pull back and merge."""
+    Todd/omega/blocks pull back and merge.  Rings and elements are never
+    mutated, so each pair of factor rings is tensored once and each factor
+    component's classes are lifted once per tensor ring, then shared."""
+    rings, lifts = {}, {}
+
+    def lift(C: FixedComponent, ring: RingSpec, offset: int) -> tuple:
+        key = (id(C), id(ring), offset)
+        if key not in lifts:
+            up = lambda e: _embed(e, ring, offset, len(ring.generators))
+            lifts[key] = (up(C.todd), up(C.omega), [
+                NormalBlock(b.weight, tuple(map(up, b.chern_roots)))
+                for b in C.blocks])
+        return lifts[key]
+
     components = []
     for F in p.components:
         for G in q.components:
-            ring = _tensor_rings(F.ring, G.ring)
-            n1, total = len(F.ring.generators), len(ring.generators)
-            liftF = lambda e: _embed(e, ring, 0, total)
-            liftG = lambda e: _embed(e, ring, n1, total)
-            blocks = [NormalBlock(b.weight, tuple(map(liftF, b.chern_roots)))
-                      for b in F.blocks]
-            blocks += [NormalBlock(b.weight, tuple(map(liftG, b.chern_roots)))
-                       for b in G.blocks]
+            key = (id(F.ring), id(G.ring))
+            if key not in rings:
+                rings[key] = _tensor_rings(F.ring, G.ring)
+            ring = rings[key]
+            todd_f, omega_f, blocks_f = lift(F, ring, 0)
+            todd_g, omega_g, blocks_g = lift(G, ring, len(F.ring.generators))
             components.append(FixedComponent(
                 f"{F.name}*{G.name}", F.moment + G.moment, ring,
-                liftF(F.todd) * liftG(G.todd), liftF(F.omega) + liftG(G.omega),
-                tuple(blocks)))
+                todd_f * todd_g, omega_f + omega_g,
+                tuple(blocks_f + blocks_g)))
     return ManifoldPresentation(f"({p.name})x({q.name})", p.dim_M + q.dim_M,
                                 tuple(components))
 

@@ -5,11 +5,12 @@ Input is either --builtin NAME or --input FILE (a presentation document).
 A command returns 0, or 1 for a failed verify check; every other failure
 reaches the user through `main`, by one table, `_FAILURES`: exit 2 for an
 input error (`model.InputError`, which `ParseError` is, or `Unsupported`)
-and for a weight, moment or m too large to compute with, 3 for a
-mathematical inconsistency (`NotAPolynomial`, from the one division of the
-character that every command makes at each m; verify counts it a failed
-check), 1 for a numeric failure of witten-check (`CancellationError`).
-Each is one stderr line, and none is a traceback.
+and for a weight, moment or m too large to compute with or a result too
+large to print, 3 for a mathematical inconsistency (`NotAPolynomial`,
+from the one division of the character that every command makes at each
+m; verify counts it a failed check), 1 for a numeric failure of
+witten-check (`CancellationError`).  Each is one stderr line, and none is
+a traceback.
 
 Every command loads `model`, `ring`, `zrational` and `localization`, and
 `builtins` for a --builtin input; main-formula and verify add `quantize`
@@ -92,50 +93,62 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 
 
 def _per_m(step):
-    """The command that loads its input, then reports step(p, m) ->
-    (record, text line) for each m of --m."""
+    """The command that loads its input, then reports step(p, m) for each m
+    of --m.  A step computes, then returns the function that writes its
+    (record, text line), so that the one ValueError of writing is an int
+    past str()'s 4,300-digit limit: a result too large to print."""
     def cmd(args) -> int:
         p = _load(args)
-        rows = [(m, *step(p, m)) for m in _parse_m_spec(args.m)]
-        _emit(args, {"input": p.name, "results": [
-            {"m": m, **record} for m, record, _ in rows]},
-            [line for _, _, line in rows])
+        writers = [(m, step(p, m)) for m in _parse_m_spec(args.m)]
+        try:
+            rows = [(m, *write()) for m, write in writers]
+            _emit(args, {"input": p.name, "results": [
+                {"m": m, **record} for m, record, _ in rows]},
+                [line for _, _, line in rows])
+        except ValueError:
+            raise OverflowError("a result has more than "
+                                f"{sys.get_int_max_str_digits()} digits"
+                                ) from None
         return EXIT_OK
     return cmd
 
 
 @_per_m
-def cmd_rr(p: ManifoldPresentation, m: int) -> tuple[dict, str]:
+def cmd_rr(p: ManifoldPresentation, m: int):
     chi = localization.character(p, m)
     rr, total = chi.coefficient(0), chi.evaluate_at_one()
-    return ({"rr_invariant": rr, "rr_total": total},
-            f"m={m} rr_invariant={rr} rr_total={total}")
+    return lambda: ({"rr_invariant": rr, "rr_total": total},
+                    f"m={m} rr_invariant={rr} rr_total={total}")
 
 
 @_per_m
-def cmd_character(p: ManifoldPresentation, m: int) -> tuple[dict, str]:
+def cmd_character(p: ManifoldPresentation, m: int):
     chi = localization.character(p, m)
-    coeffs = {str(e): c for e, c in chi.coeffs.items()}
-    return {"coefficients": coeffs}, f"m={m}: {chi}"
+    return lambda: ({"coefficients": {
+        str(e): c for e, c in chi.coeffs.items()}}, f"m={m}: {chi}")
 
 
 @_per_m
-def cmd_main_formula(p: ManifoldPresentation, m: int) -> tuple[dict, str]:
+def cmd_main_formula(p: ManifoldPresentation, m: int):
     from . import quantize
     rep = quantize.main_formula_report(p, m)
-    record = {
-        "rr_invariant": rep.rr, "balance": rep.balance,
-        "residue_terms": {
-            name: {"classification": cls, "value": str(v)}
-            for name, (cls, v) in sorted(rep.residue_terms.items())},
-        "exceptional_terms": {
-            name: str(v) for name, v in sorted(rep.exceptional_terms.items())},
-        "regular_term": {"tag": rep.regular_tag, "value": str(rep.regular)}}
-    bal = {True: "balance=true", False: "balance=FALSE",
-           None: "balance=n/a(diagnostic)"}[rep.balance]
-    return record, (f"m={m} rr={rep.rr} residues={rep.residue_sum()} "
-                    f"exceptional={rep.exceptional_sum()} "
-                    f"regular[{rep.regular_tag}]={rep.regular} {bal}")
+
+    def write() -> tuple[dict, str]:
+        record = {
+            "rr_invariant": rep.rr, "balance": rep.balance,
+            "residue_terms": {
+                name: {"classification": cls, "value": str(v)}
+                for name, (cls, v) in sorted(rep.residue_terms.items())},
+            "exceptional_terms": {name: str(v) for name, v
+                                  in sorted(rep.exceptional_terms.items())},
+            "regular_term": {"tag": rep.regular_tag,
+                             "value": str(rep.regular)}}
+        bal = {True: "balance=true", False: "balance=FALSE",
+               None: "balance=n/a(diagnostic)"}[rep.balance]
+        return record, (f"m={m} rr={rep.rr} residues={rep.residue_sum()} "
+                        f"exceptional={rep.exceptional_sum()} "
+                        f"regular[{rep.regular_tag}]={rep.regular} {bal}")
+    return write
 
 
 def cmd_witten_check(args) -> int:

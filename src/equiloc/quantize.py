@@ -44,6 +44,7 @@ import math
 from fractions import Fraction
 from typing import Optional
 
+from .ring import brief
 from .model import (Classification, FixedComponent, ManifoldPresentation,
                     Record, Unsupported)
 from .zrational import over_lcm
@@ -140,9 +141,9 @@ def exceptional_from_series(F: FixedComponent,
                          "exceptional terms require an indefinite one")
     if F.dim_F != 0:
         raise Unsupported(
-            f"component {F.name}: the exceptional term of a "
-            "positive-dimensional indefinite component needs sphere-bundle "
-            "connection data that a flat presentation does not carry")
+            f"component {brief(F.name)}: a positive-dimensional indefinite "
+            "component's exceptional term needs sphere-bundle data, which a "
+            "flat presentation lacks")
     ws = F.weights()
     n = len(ws) - 1
     tail = sum(math.comb(n, i) for i in range(sum(w > 0 for w in ws), n + 1))

@@ -136,6 +136,7 @@ def test_acceptance_7_witten_asymptotics():
     ok = rep.exponent <= -3 or max(rep.diffs) <= 1e-8
     assert ok, f"exponent {rep.exponent}, max diff {max(rep.diffs)}"
     assert rep.diffs[-1] < 1e-5, rep.diffs
+    # a one-point quotient adds a regular term 1 the pairing does not have
     pt = RingSpec.point()
     wrong = replace(p, quotient=QuotientData(pt, pt.zero(), pt.one()))
     control = decay_check(wrong, phi, [8, 16, 32, 64])

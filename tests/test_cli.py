@@ -14,7 +14,8 @@ from equiloc import (builtin, builtin_names, cpn_linear, disjoint_union,
                      parse, product, serialize, shift_moment, trivial_cp1)
 from equiloc.cli import main
 from equiloc.model import ParseError, replace
-from documents import DUPLICATE_NAME, LONG, LONG_VALUES, REJECTED, edited
+from documents import (DUPLICATE_NAME, LONG, LONG_VALUES, NINES, REJECTED,
+                       edited)
 
 PACKAGE = Path(equiloc.__file__).resolve().parent
 
@@ -347,6 +348,15 @@ def test_unreadable_input_exits_2(tmp_path, capsys, content, message):
     assert "Traceback" not in err
 
 
+# A valid document whose results at m = 10 pass str()'s 4,300-digit limit,
+# and one whose unsupported component has a long name.
+HUGE_RESULT = edited(trivial_cp1(), (("components", 0, "omega"),
+                                     NINES + " * h^1"))
+LONG_UNSUPPORTED = edited(product(trivial_cp1(), builtin("dim6")),
+                          (("components", 1, "name"),
+                           "total*w0*w0*w1".ljust(LONG, "1")))
+
+
 # An error line quotes the first few dozen characters of a long input value
 # and its length, and a number past int()'s digit limit by its digit count;
 # a document is read by `rr --input`, a weight's by `witten-check --input`.
@@ -357,9 +367,16 @@ def test_unreadable_input_exits_2(tmp_path, capsys, content, message):
     (None, ("rr", "--builtin", "x" * LONG)),
     (None, ("rr", "--input", "x" * LONG, "--m", "1")),
     (None, ("rr", "--builtin", "cp1", "--m", "y" * LONG)),
-    (None, ("witten-check", "--builtin", "cp1", "--m", ",".join("8" * LONG)))],
+    (None, ("witten-check", "--builtin", "cp1", "--m", ",".join("8" * LONG))),
+    (HUGE_RESULT, ("rr", "--m", "10")),
+    (HUGE_RESULT, ("rr", "--m", "10", "--format", "json")),
+    (HUGE_RESULT, ("character", "--m", "10")),
+    (HUGE_RESULT, ("main-formula", "--m", "10")),
+    (LONG_UNSUPPORTED, ("main-formula", "--m", "1"))],
     ids=[*(row.id for row in LONG_VALUES), "witten-check-weight",
-         "builtin", "input", "m-spec", "witten-check-m"])
+         "builtin", "input", "m-spec", "witten-check-m", "huge-rr",
+         "huge-rr-json", "huge-character", "huge-main-formula",
+         "unsupported-name"])
 def test_error_line_is_bounded(tmp_path, capsys, document, argv):
     code, out, err = (run(capsys, *argv) if document is None else
                       run_input(capsys, tmp_path, document, *argv))

@@ -1,6 +1,7 @@
 """Data model: validation diagnostics, document round-trips, builders."""
 
 import json
+import operator
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -493,6 +494,27 @@ def test_product_structure():
     indef = [F for F in p.components if sorted(F.weights()) == [-1, 1]]
     assert len(indef) == 2
     assert validate(p) == []
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_product_shares_rings_and_lifted_classes(k):
+    # cp1's components share one ring, so (cp1)^k is one tensor ring, and
+    # each factor component's roots are lifted once into it
+    cp1 = builtin("cp1")
+    p = cp1
+    for _ in range(k - 1):
+        p, factors = product(p, cp1), p
+    assert len({id(F.ring) for F in p.components}) == 1
+    width = len(cp1.components)
+    roots = lambda C: [r for b in C.blocks for r in b.chern_roots]
+    for i, F in enumerate(factors.components):
+        for j in range(width):
+            pair, n = roots(p.components[i * width + j]), len(roots(F))
+            # F's roots are those of (F, G_0), G_j's those of (F_0, G_j)
+            assert all(map(operator.is_, pair[:n],
+                           roots(p.components[i * width])[:n]))
+            assert all(map(operator.is_, pair[n:],
+                           roots(p.components[j])[n:]))
 
 
 def test_product_with_trivial_factor_keeps_ring():

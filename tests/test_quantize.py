@@ -55,12 +55,6 @@ def test_residue_term_requires_moment_zero():
         residue_term(point_component("f", 1, [1]), 2)
 
 
-def test_residue_term_minimum_point():
-    F = point_component("f", 0, [1])
-    for m in range(0, 9):
-        assert residue_term(F, m) == 1
-
-
 def test_residue_term_maximum_point():
     # chi_tilde = -z/(1-z); the infinity prescription returns 1, which is
     # what the fixed-locus reduction identity requires
@@ -238,14 +232,6 @@ def test_regular_term_is_the_supplied_integral():
         for m in range(9):
             want = ((q.omega0 * m).exp_nilpotent() * q.kappa_todd).integrate()
             assert regular_term(p, m) == (want, "supplied"), (name, m)
-
-
-def test_regular_value_reduction():
-    p = builtin("regval")
-    for m in range(0, 9):
-        reg, tag = regular_term(p, m)
-        assert tag == "supplied"
-        assert Fraction(rr_invariant(p, m)) == reg == 1
 
 
 def test_diagnostic_regular_term_prod11():

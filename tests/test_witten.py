@@ -15,8 +15,7 @@ from equiloc.builders import cpn_linear, product, trivial_cp1
 from equiloc.builtins import builtin_names
 from equiloc.cli import main
 from equiloc.localization import character
-from equiloc.model import QuotientData, replace
-from equiloc.ring import RingSpec
+from equiloc.model import replace
 from equiloc.useries import (PreparedInner, component_u_laurent,
                              default_series_order)
 from equiloc.witten import (CancellationError, TestFunction, complex_quad,
@@ -203,15 +202,6 @@ def test_decay_cp1():
     rep = decay_check(builtin("cp1"), PHI, [8, 16, 32, 64])
     assert rep.exponent <= -3 or max(rep.diffs) <= 1e-8
     assert rep.diffs[-1] < 1e-5
-
-
-def test_decay_cp1_negative_control():
-    # a one-point quotient adds a regular term 1 the pairing does not have
-    pt = RingSpec.point()
-    p = replace(builtin("cp1"), quotient=QuotientData(pt, pt.zero(), pt.one()))
-    rep = decay_check(p, PHI, [8, 16, 32, 64])
-    assert rep.exponent >= -1
-    assert max(rep.diffs) > 1e-3
 
 
 def test_decay_prod11_with_diagnostic_regular():
