@@ -81,6 +81,8 @@ def _embed(elem: GradedElement, ring: RingSpec, offset: int,
 
 
 def _tensor_rings(r1: RingSpec, r2: RingSpec) -> RingSpec:
+    if r2 == RingSpec.point():
+        return r1
     used = {n for n, _ in r1.generators}
     gens2 = []
     for n, deg in r2.generators:
@@ -106,12 +108,14 @@ def product(p: ManifoldPresentation,
     rings, lifts = {}, {}
 
     def lift(C: FixedComponent, ring: RingSpec, offset: int) -> tuple:
+        if C.ring is ring:      # C's ring tensored with the point is itself
+            return C.todd, C.omega, tuple(C.blocks)
         key = (id(C), id(ring), offset)
         if key not in lifts:
             up = lambda e: _embed(e, ring, offset, len(ring.generators))
-            lifts[key] = (up(C.todd), up(C.omega), [
+            lifts[key] = (up(C.todd), up(C.omega), tuple(
                 NormalBlock(b.weight, tuple(map(up, b.chern_roots)))
-                for b in C.blocks])
+                for b in C.blocks))
         return lifts[key]
 
     components = []
@@ -126,7 +130,7 @@ def product(p: ManifoldPresentation,
             components.append(FixedComponent(
                 f"{F.name}*{G.name}", F.moment + G.moment, ring,
                 todd_f * todd_g, omega_f + omega_g,
-                tuple(blocks_f + blocks_g)))
+                blocks_f + blocks_g))
     return ManifoldPresentation(f"({p.name})x({q.name})", p.dim_M + q.dim_M,
                                 tuple(components))
 

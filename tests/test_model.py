@@ -496,16 +496,20 @@ def test_product_structure():
     assert validate(p) == []
 
 
-@pytest.mark.parametrize("k", [2, 3, 4])
-def test_product_shares_rings_and_lifted_classes(k):
-    # cp1's components share one ring, so (cp1)^k is one tensor ring, and
-    # each factor component's roots are lifted once into it
-    cp1 = builtin("cp1")
-    p = cp1
+@pytest.mark.parametrize("name, k", [("cp1", 2), ("cp1", 3), ("cp1", 4),
+                                     ("two-lines", 2)])
+def test_product_shares_rings_and_lifted_classes(name, k):
+    # a product tensors each pair of factor rings once, a ring with the
+    # point being itself, and lifts each factor component's classes once
+    # into it: cp1's components share one point ring, and so do the two
+    # lines of CP^3 at weights 0 and 1 once parsed
+    factor = builtin("cp1") if name == "cp1" else parse(serialize(
+        cpn_linear([0, 0, 1, 1], 1)))
+    p = factor
     for _ in range(k - 1):
-        p, factors = product(p, cp1), p
+        p, factors = product(p, factor), p
     assert len({id(F.ring) for F in p.components}) == 1
-    width = len(cp1.components)
+    width = len(factor.components)
     roots = lambda C: [r for b in C.blocks for r in b.chern_roots]
     for i, F in enumerate(factors.components):
         for j in range(width):
