@@ -99,38 +99,31 @@ def _tensor_rings(r1: RingSpec, r2: RingSpec) -> RingSpec:
                      for m2, v2 in r2.integration_table.items()})
 
 
+def _lift(C: FixedComponent, ring: RingSpec, offset: int) -> tuple:
+    """C's todd, omega and normal blocks in `ring`, C's generators placed
+    from `offset` on; a component already in `ring` is its own lift."""
+    if C.ring is ring:
+        return C.todd, C.omega, tuple(C.blocks)
+    up = lambda e: _embed(e, ring, offset, len(ring.generators))
+    return up(C.todd), up(C.omega), tuple(
+        NormalBlock(b.weight, tuple(map(up, b.chern_roots))) for b in C.blocks)
+
+
 def product(p: ManifoldPresentation,
             q: ManifoldPresentation) -> ManifoldPresentation:
     """Product presentation: components are pairs, moments add, rings tensor,
-    Todd/omega/blocks pull back and merge.  Rings and elements are never
-    mutated, so each pair of factor rings is tensored once and each factor
-    component's classes are lifted once per tensor ring, then shared."""
-    rings, lifts = {}, {}
-
-    def lift(C: FixedComponent, ring: RingSpec, offset: int) -> tuple:
-        if C.ring is ring:      # C's ring tensored with the point is itself
-            return C.todd, C.omega, tuple(C.blocks)
-        key = (id(C), id(ring), offset)
-        if key not in lifts:
-            up = lambda e: _embed(e, ring, offset, len(ring.generators))
-            lifts[key] = (up(C.todd), up(C.omega), tuple(
-                NormalBlock(b.weight, tuple(map(up, b.chern_roots)))
-                for b in C.blocks))
-        return lifts[key]
-
+    Todd/omega/blocks pull back and merge.  A ring tensored with the point
+    is the ring itself, so a pair with a point component keeps the other
+    component's ring and its (immutable) classes rather than copies."""
     components = []
     for F in p.components:
         for G in q.components:
-            key = (id(F.ring), id(G.ring))
-            if key not in rings:
-                rings[key] = _tensor_rings(F.ring, G.ring)
-            ring = rings[key]
-            todd_f, omega_f, blocks_f = lift(F, ring, 0)
-            todd_g, omega_g, blocks_g = lift(G, ring, len(F.ring.generators))
+            ring = _tensor_rings(F.ring, G.ring)
+            todd_f, omega_f, blocks_f = _lift(F, ring, 0)
+            todd_g, omega_g, blocks_g = _lift(G, ring, len(F.ring.generators))
             components.append(FixedComponent(
                 f"{F.name}*{G.name}", F.moment + G.moment, ring,
-                todd_f * todd_g, omega_f + omega_g,
-                blocks_f + blocks_g))
+                todd_f * todd_g, omega_f + omega_g, blocks_f + blocks_g))
     return ManifoldPresentation(f"({p.name})x({q.name})", p.dim_M + q.dim_M,
                                 tuple(components))
 
