@@ -5,12 +5,12 @@ Input is either --builtin NAME or --input FILE (a presentation document).
 A command returns 0, or 1 for a failed verify check; every other failure
 reaches the user through `main`, by one table, `_FAILURES`: exit 2 for an
 input error (`model.InputError`, which `ParseError` is, or `Unsupported`)
-and for a weight, moment or m too large to compute with or a result too
-large to print, 3 for a mathematical inconsistency (`NotAPolynomial`,
-from the one division of the character that every command makes at each
-m; verify counts it a failed check), 1 for a numeric failure of
-witten-check (`CancellationError`).  Each is one stderr line, and none is
-a traceback.
+and for a number too large to compute with (a weight, moment, m or
+coefficient) or a result too large to print, 3 for a mathematical
+inconsistency (`NotAPolynomial`, from the one division of the character
+that every command makes at each m; verify counts it a failed check), 1
+for a numeric failure of witten-check (`CancellationError`).  Each is one
+stderr line, and none is a traceback.
 
 Every command loads `model`, `ring`, `zrational` and `localization`, and
 `builtins` for a --builtin input; main-formula and verify add `quantize`
@@ -38,7 +38,7 @@ EXIT_OK, EXIT_VERIFY, EXIT_INPUT, EXIT_MATH = range(4)
 _FAILURES = (
     ((InputError, Unsupported), EXIT_INPUT, "error: "),
     ((OverflowError, MemoryError), EXIT_INPUT,
-     "error: a weight, moment or m is too large: "),
+     "error: a number is too large: "),
     ((NotAPolynomial,), EXIT_MATH, "mathematical inconsistency: "),
     ((CancellationError,), EXIT_VERIFY, "numeric failure: "))
 

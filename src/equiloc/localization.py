@@ -14,9 +14,10 @@ nilpotent, so e^{m omega_F} = sum_j m^j omega_F^j/j! and chi_tilde_F are
 polynomials in m of degree at most dim_F/2.  Their m-free coefficients
 (`chi_tilde_pieces`) are built once per component and kept on it
 (`FixedComponent.chi_pieces`); components of one moment J, which share
-z^{mJ}, keep them summed as int rows over one denominator and scale
+z^{mJ}, keep them summed as int rows over one scale and one denominator D,
+the least (1 - z^k) product that every denominator divides
 (`ManifoldPresentation.moment_groups`), so one m adds those rows times
-powers of m at their shifts mJ and divides once.
+powers of m at their shifts mJ and divides once by D.
 
 The pairing's u-series are `useries`, which the exact commands never load;
 the normal Todd product (`normal_todd`) stays here for `quantize`.

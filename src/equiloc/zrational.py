@@ -10,10 +10,11 @@ The residue at infinity is defined operationally as the residue at zero of
 chi(1/z)/z; no contour-orientation convention enters anywhere.
 
 The exact character runs on integers.  A presentation keeps every
-chi_tilde piece over one denominator D, the largest multiplicity of each k,
-and one scale L, the lcm of the pieces' own (`over_one_denominator`), so
-one m costs row additions (`linear_sum`) and one division: no Fraction, no
-dict and no factor expansion.
+chi_tilde piece over one denominator D, the least (1 - z^k) product that
+every piece's denominator divides, and one scale L, the lcm of the pieces'
+own (`over_one_denominator`), so one m costs row additions (`linear_sum`)
+and one division by the fewest factors: no Fraction, no dict and no factor
+expansion.
 
 Series and division share one integer kernel.  N = Q (1 - z^k) reads
 a[t] = q[t] - q[t-k], so the series of N / (1 - z^k) is the strided prefix
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate, repeat
-from math import lcm
+from math import gcd, lcm
 from operator import add, mul, sub
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -174,15 +175,13 @@ class ZRational:
 
 
 def over_one_denominator(parts: Iterable[ZRational]) -> tuple[ZRational, ...]:
-    """The parts, in order, over the largest multiplicity of each k and
-    the lcm L of their scales: a row is scaled by L over its own and times
-    each missing (1 - z^k) by the strided difference b[t] = a[t] - a[t-k];
-    a part already over both, and a zero, is kept as it is."""
+    """The parts, in order, over one denominator D (`_cover`) and the lcm L
+    of their scales: a row is scaled by L over its own, times each missing
+    (1 - z^k) by the strided difference b[t] = a[t] - a[t-k], then divided
+    by each surplus one by the exact prefix sums of `_integer_series`; a
+    part already over both, and a zero, is kept as it is."""
     parts = tuple(parts)
-    den: dict[int, int] = {}
-    for q in parts:
-        for k, mult in q.den.items():
-            den[k] = max(den.get(k, 0), mult)
+    den = _cover([q.den for q in parts if q.row])
     scale = lcm(*(q.scale for q in parts))
     out = []
     for q in parts:
@@ -191,9 +190,42 @@ def over_one_denominator(parts: Iterable[ZRational]) -> tuple[ZRational, ...]:
             for k, mult in den.items():
                 for _ in range(mult - q.den.get(k, 0)):
                     row = list(map(sub, row + [0] * k, [0] * k + row))
-            q = ZRational.from_row(q.shift, row, scale, den)
+            surplus = {k: mult - den.get(k, 0) for k, mult in q.den.items()
+                       if mult > den.get(k, 0)}
+            length = len(row) - sum(k * mult for k, mult in surplus.items())
+            q = ZRational.from_row(q.shift, _integer_series(
+                row, length, surplus) if surplus else row, scale, den)
         out.append(q)
     return tuple(out)
+
+
+def _cover(dens: Sequence[dict[int, int]]) -> dict[int, int]:
+    """The least prod_k (1 - z^k)^{n_k} that every den divides, met from
+    the top down: Phi_d divides a den e_d times, the sum of the
+    multiplicities of the k that d divides, and n_d is what the largest e_d
+    needs past the n_k of the multiples k > d.  Only a gcd of keys can need
+    one, so no divisor of a key is enumerated.  It is the largest
+    multiplicity of each k when no key divides another, and never of higher
+    degree; it is not always least in degree ({30: 1}, {6: 2}, {10: 2},
+    {15: 2} give 61, where (1 - z^30)^2 has 60)."""
+    if all(d == dens[0] for d in dens[1:]):
+        return dens[0] if dens else {}
+    top = {k: max(d.get(k, 0) for d in dens) for k in set().union(*dens)}
+    if all(b % a for a in top for b in top if a < b):
+        return top
+    dens = {frozenset(d.items()): d for d in dens}.values()
+    closure = new = set(top)
+    while new:
+        new = {gcd(a, b) for a in new for b in closure} - closure
+        closure |= new
+    cover: dict[int, int] = {}
+    for d in sorted(closure, reverse=True):
+        need = max(sum(m for k, m in den.items() if k % d == 0)
+                   for den in dens)
+        need -= sum(n for k, n in cover.items() if k % d == 0)
+        if need > 0:
+            cover[d] = need
+    return min(cover, top, key=lambda den: sum(k * n for k, n in den.items()))
 
 
 def scalar_sum(parts: Iterable[ZRational]) -> ZRational:

@@ -255,15 +255,22 @@ def test_witten_check_without_quotient_decays(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["rr", "character", "main-formula"])
-@pytest.mark.parametrize("path", [("components", 0, "blocks", 0, "weight"),
-                                  ("components", 1, "moment")])
-def test_huge_number_exits_2(tmp_path, capsys, command, path):
-    # 10**30 fails before any allocation: no series of that length exists
+@pytest.mark.parametrize("edits", [
+    [(("components", 0, "blocks", 0, "weight"), 10 ** 30)],
+    [(("components", 1, "moment"), 10 ** 30)],
+    # two weights whose gcd 2*10**29 is huge too: the common denominator
+    # takes gcds of the weights, never the list of a weight's divisors
+    [(("components", 0, "blocks", 0, "weight"), 6 * 10 ** 29),
+     (("components", 1, "blocks", 0, "weight"), -10 ** 30)]],
+    ids=["path0", "path1", "path2"])
+def test_huge_number_exits_2(tmp_path, capsys, command, edits):
+    # a huge number fails before any allocation: no series of that length
+    # exists
     code, out, err = run_input(capsys, tmp_path, edited(
-        builtin("cp1"), (path, 10 ** 30)), command, "--m", "2")
+        builtin("cp1"), *edits), command, "--m", "2")
     assert code == 2 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "too large" in err
+    assert err.startswith("error: a number is too large: ")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["rr", "character", "main-formula"])
@@ -272,7 +279,7 @@ def test_huge_m_exits_2(capsys, command):
     code, out, err = run(capsys, command, "--builtin", "cp1", "--m",
                          str(10 ** 15))
     assert code == 2 and out == ""
-    assert err == "error: a weight, moment or m is too large: MemoryError\n"
+    assert err == "error: a number is too large: MemoryError\n"
 
 
 def test_unknown_builtin_message_is_not_quoted(capsys):

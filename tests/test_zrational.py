@@ -278,12 +278,13 @@ def test_fused_passes_reject_an_uncancelled_double_factor():
 
 def test_fused_passes_reject_a_non_integral_document():
     # the sphere's integral halved (z^0 coefficient 3/2 at m = 2), times
-    # cpn11, whose denominators carry factors of multiplicity 2
+    # (cp1)^3, whose common denominator is (1 - z)^3: chained passes
+    cp1 = cpn_linear([0, 1], 1)
     half = parse(serialize(trivial_cp1()).replace('"h^1": "1"',
                                                   '"h^1": "1/2"'))
-    p = product(half, cpn_linear(list(range(11)), 1))
-    assert any(mult > 1 for G in p.moment_groups
-               for P in G.chi_pieces for mult in P.den.values())
+    p = product(half, product(product(cp1, cp1), cp1))
+    assert {P.den.get(1) for G in p.moment_groups
+            for P in G.chi_pieces} == {3}
     with pytest.raises(NotAPolynomial,
                        match="^coefficient of z\\^0 is 3/2, not an integer$"):
         character(p, 2)
