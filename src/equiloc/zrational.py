@@ -19,13 +19,14 @@ expansion.
 Series and division share one integer kernel.  N = Q (1 - z^k) reads
 a[t] = q[t] - q[t-k], so the series of N / (1 - z^k) is the strided prefix
 sum q[t] = a[t] + q[t-k]; the mult passes of a factor (1 - z^k)^mult run
-chained on one slice per residue class mod k.  The Laurent series at
-z = 0, and so both residues, run it on the row cut off at the highest
-exponent wanted.  `to_laurent_polynomial` runs it over the row's own
-length: the division is exact precisely when the last deg D entries
-vanish.  Only the quotient is divided by L, which must divide each of its
-entries: a character's coefficients are multiplicities.  The quotient row
-is the LaurentPolynomial itself, a dense row of ints.
+chained on one slice per residue class mod k, the largest k first (a
+denominator lists its factors so) while the partial quotients are small.
+The Laurent series at z = 0, and so both residues, run it on the row cut
+off at the highest exponent wanted.  `to_laurent_polynomial` runs it over
+the row's own length: the division is exact precisely when the last deg D
+entries vanish.  Only the quotient is divided by L, which must divide each
+of its entries: a character's coefficients are multiplicities.  The
+quotient row is the LaurentPolynomial itself, a dense row of ints.
 """
 
 from __future__ import annotations
@@ -74,8 +75,8 @@ class ZRational:
                               for j in range(lo, max(num, default=lo - 1) + 1))
         self.shift, self.row, self.scale, self.den = (
             int(shift) + lo, row, scale,
-            {int(k): int(mult) for k, mult in den.items() if mult}
-        ) if row else (0, (), 1, {})
+            {int(k): int(mult) for k, mult in sorted(den.items(), reverse=True)
+             if mult}) if row else (0, (), 1, {})
 
     @classmethod
     def from_row(cls, shift: int, row: Sequence[int], scale: int,
@@ -192,25 +193,25 @@ def over_one_denominator(parts: Iterable[ZRational]) -> tuple[ZRational, ...]:
                     row = list(map(sub, row + [0] * k, [0] * k + row))
             surplus = {k: mult - den.get(k, 0) for k, mult in q.den.items()
                        if mult > den.get(k, 0)}
-            length = len(row) - sum(k * mult for k, mult in surplus.items())
-            q = ZRational.from_row(q.shift, _integer_series(
-                row, length, surplus) if surplus else row, scale, den)
+            row = _integer_series(row, len(row) - sum(
+                k * mult for k, mult in surplus.items()), surplus)
+            q = ZRational.from_row(q.shift, row, scale, den)
         out.append(q)
     return tuple(out)
 
 
 def _cover(dens: Sequence[dict[int, int]]) -> dict[int, int]:
-    """The least prod_k (1 - z^k)^{n_k} that every den divides, met from
-    the top down: Phi_d divides a den e_d times, the sum of the
-    multiplicities of the k that d divides, and n_d is what the largest e_d
-    needs past the n_k of the multiples k > d.  Only a gcd of keys can need
-    one, so no divisor of a key is enumerated.  It is the largest
-    multiplicity of each k when no key divides another, and never of higher
-    degree; it is not always least in degree ({30: 1}, {6: 2}, {10: 2},
-    {15: 2} give 61, where (1 - z^30)^2 has 60)."""
+    """The least prod_k (1 - z^k)^{n_k} that every den divides, largest k
+    first.  Phi_d divides a den e_d times, the sum of the multiplicities of
+    the k that d divides; n_d is what the largest e_d needs past the n_k of
+    the multiples k > d.  Only gcds of keys can need one, so no key's
+    divisors are listed.  It is the largest multiplicity of each k when no
+    key divides another, never of higher degree, and not always least in
+    degree ({30: 1}, {6: 2}, {10: 2}, {15: 2} give 61, (1 - z^30)^2 60)."""
     if all(d == dens[0] for d in dens[1:]):
         return dens[0] if dens else {}
-    top = {k: max(d.get(k, 0) for d in dens) for k in set().union(*dens)}
+    top = {k: max(d.get(k, 0) for d in dens)
+           for k in sorted(set().union(*dens), reverse=True)}
     if all(b % a for a in top for b in top if a < b):
         return top
     dens = {frozenset(d.items()): d for d in dens}.values()
