@@ -203,11 +203,12 @@ def over_one_denominator(parts: Iterable[ZRational]) -> tuple[ZRational, ...]:
 def _cover(dens: Sequence[dict[int, int]]) -> dict[int, int]:
     """The least prod_k (1 - z^k)^{n_k} that every den divides, largest k
     first.  Phi_d divides a den e_d times, the sum of the multiplicities of
-    the k that d divides; n_d is what the largest e_d needs past the n_k of
-    the multiples k > d.  Only gcds of keys can need one, so no key's
-    divisors are listed.  It is the largest multiplicity of each k when no
-    key divides another, never of higher degree, and not always least in
-    degree ({30: 1}, {6: 2}, {10: 2}, {15: 2} give 61, (1 - z^30)^2 60)."""
+    the k that d divides; top down, n_d is what the largest e_d needs past
+    the n_k of the multiples k > d, and only a gcd of keys can need one.
+    The largest multiplicity of each k stands when no key divides another,
+    when the gcds outnumber the keys squared (keys with many common primes)
+    and when it is of lower degree: top down is not always least ({30: 1},
+    {6: 2}, {10: 2}, {15: 2} give 61, (1 - z^30)^2 60)."""
     if all(d == dens[0] for d in dens[1:]):
         return dens[0] if dens else {}
     top = {k: max(d.get(k, 0) for d in dens)
@@ -215,10 +216,11 @@ def _cover(dens: Sequence[dict[int, int]]) -> dict[int, int]:
     if all(b % a for a in top for b in top if a < b):
         return top
     dens = {frozenset(d.items()): d for d in dens}.values()
-    closure = new = set(top)
-    while new:
-        new = {gcd(a, b) for a in new for b in closure} - closure
-        closure |= new
+    closure: set[int] = set()
+    for k in top:    # the gcds of every subset of the keys
+        closure |= {gcd(k, c) for c in closure} | {k}
+        if len(closure) > len(top) ** 2:
+            return top
     cover: dict[int, int] = {}
     for d in sorted(closure, reverse=True):
         need = max(sum(m for k, m in den.items() if k % d == 0)

@@ -2,6 +2,7 @@
 
 import re
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -302,6 +303,18 @@ def test_rows_over_one_denominator_are_immutable():
     assert moved.den == {1: 2, 3: 1} and moved == one
     with pytest.raises(TypeError):
         moved.row[0] = 3
+
+
+def test_keys_with_many_common_primes_keep_their_multiplicities():
+    # the 24 keys P/p, P the product of the primes p below 90, have 2^24 - 1
+    # gcds: the common denominator keeps the largest multiplicity of each k
+    # instead of listing them all, and so returns at once
+    primes = [p for p in range(2, 90) if all(p % q for q in range(2, p))]
+    huge = {prod(primes) // p: 1 for p in primes}
+    a, b = over_one_denominator([ZRational(0, {0: 1}, huge),
+                                 ZRational(0, {0: 1}, {**huge, 1: 1})])
+    assert a.den == b.den == {**huge, 1: 1}
+    assert (a.row, b.row) == ((1, -1), (1,))
 
 
 def test_sums_trim_cancelled_ends():
