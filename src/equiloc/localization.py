@@ -48,9 +48,10 @@ def chi_tilde_pieces(F: FixedComponent) -> tuple[ZRational, ...]:
 
     When every normal Chern root vanishes (at a point, say), P_j takes the
     closed form  z^shift sign v_j / prod_k (1 - z^|k|), v_j from
-    `FixedComponent.volume_pieces`: by 1/(1 - z^k) = -z^|k| / (1 - z^|k|),
-    each k < 0 negates sign and adds |k| to shift.  The general expansion
-    below costs several times as much, as on the many points of (cp1)^8.
+    `FixedComponent.volume_pieces` over their lcm: by 1/(1 - z^k) =
+    -z^|k| / (1 - z^|k|), each k < 0 negates sign and adds |k| to shift;
+    the k are listed from the largest down, as the division runs them.
+    The general expansion costs several times as much, as on (cp1)^8.
 
     Other components expand each factor by nilpotency of its root a: with
     e = e^a for k > 0 and e = e^{-a} for k < 0 (as 1 - z^k e^a is -z^k e^a
@@ -64,12 +65,13 @@ def chi_tilde_pieces(F: FixedComponent) -> tuple[ZRational, ...]:
     """
     if not any(root for _, root in F.normal):
         sign, shift, den = 1, 0, {}
-        for k, _ in F.normal:
+        for k in sorted(F.weights(), key=abs, reverse=True):
             if k < 0:
                 sign, shift = -sign, shift - k
             den[abs(k)] = den.get(abs(k), 0) + 1
-        return over_one_denominator(ZRational(shift, {0: sign * v}, den)
-                                    for v in F.volume_pieces)
+        row, scale = over_lcm(F.volume_pieces)
+        return tuple(ZRational.from_row(shift, (sign * n,), scale, den)
+                     for n in row)
     terms = {(0, ()): F.ring.one()}
     for weight, root in F.normal:
         factor = _factor_terms(weight, root)

@@ -9,7 +9,10 @@ decomposes as
 where the residue prescription per component is: residue at z = 0 of
 z^{-1} chi_tilde for a positive-definite component (local minimum of the
 moment map), the residue at infinity for a negative-definite one, and the
-average of the two for an indefinite one (`Classification.side`).
+average of the two for an indefinite one (`Classification.side`), which
+is 0: there a factor 1/(1 - z^k e^a) with k < 0 vanishes at z = 0, one
+with k > 0 at infinity, and the others stay finite, so both side residues
+are 0 and the component contributes its exceptional term alone.
 
 The exceptional term of an isolated indefinite point with l+ positive and
 l- negative weights, the paper's local invariant of the singularity, has
@@ -66,18 +69,15 @@ def _at(poly: tuple[tuple[int, ...], int], m: int) -> Fraction:
 
 def residue_pieces(F: FixedComponent) -> tuple[tuple[int, ...], int]:
     """The residue prescription of F's classification side applied to each
-    m-free piece of chi_tilde (residues are linear), over one denominator."""
+    m-free piece of chi_tilde (residues are linear), over one denominator.
+    On an indefinite F every piece vanishes at z = 0, through a factor
+    with k < 0, and at infinity, through one with k > 0, so both side
+    residues are 0 and so is their average: no series is expanded."""
     side = F.classification.side
-
-    def residue(P):
-        if side == "plus":
-            return P.shifted(-1).residue_at_zero()
-        if side == "minus":
-            return P.residue_at_infinity()
-        return (P.shifted(-1).residue_at_zero()
-                + P.residue_at_infinity()) / 2
-
-    return over_lcm(residue(P) for P in F.chi_pieces)
+    if side == "avg":
+        return (), 1
+    return over_lcm(P.shifted(-1).residue_at_zero() if side == "plus"
+                    else P.residue_at_infinity() for P in F.chi_pieces)
 
 
 def residue_term(F: FixedComponent, m: int) -> Fraction:

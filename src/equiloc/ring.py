@@ -30,6 +30,7 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from operator import add
 from typing import Iterable, Mapping, Sequence, Union
 
 Rat = Union[int, Fraction]
@@ -153,7 +154,10 @@ class RingSpec:
 
 
 class GradedElement:
-    """Element of a RingSpec: monomial -> nonzero rational, canonical form."""
+    """Element of a RingSpec, canonical: `terms` maps monomials of degree
+    at most the truncation degree to nonzero Fractions.  The constructor
+    canonicalizes outside input (parse, `RingSpec.scalar`, the builders);
+    arithmetic on canonical elements builds canonical terms, kept by `_of`."""
 
     __slots__ = ("ring", "terms")
 
@@ -170,6 +174,13 @@ class GradedElement:
                 continue
             clean[mono] = c
         self.terms = clean
+
+    @classmethod
+    def _of(cls, ring: RingSpec, terms: dict) -> "GradedElement":
+        """The element of canonical `terms`, taken as they are."""
+        elem = cls.__new__(cls)
+        elem.ring, elem.terms = ring, terms
+        return elem
 
     # -- basics ---------------------------------------------------------------
 
@@ -199,33 +210,34 @@ class GradedElement:
         self._check(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            terms[m] = terms.get(m, Fraction(0)) + c
-        return GradedElement(self.ring, terms)
+            terms[m] = terms[m] + c if m in terms else c
+        return self._of(self.ring, {m: c for m, c in terms.items() if c})
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GradedElement(self.ring, {m: -c for m, c in self.terms.items()})
+        return self._of(self.ring, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return GradedElement(
-                self.ring, {m: c * other for m, c in self.terms.items()})
+            return self._of(self.ring, {m: c * other for m, c in
+                                        self.terms.items()} if other else {})
         self._check(other)
         ring = self.ring
-        cap = ring.truncation_degree
+        degree = ring.monomial_degree
+        right = sorted((degree(m), m, c) for m, c in other.terms.items())
         out: dict[tuple[int, ...], Fraction] = {}
         for m1, c1 in self.terms.items():
-            d1 = ring.monomial_degree(m1)
-            for m2, c2 in other.terms.items():
-                if d1 + ring.monomial_degree(m2) > cap:
-                    continue
-                m = tuple(a + b for a, b in zip(m1, m2))
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
-        return GradedElement(ring, out)
+            room = ring.truncation_degree - degree(m1)
+            for d2, m2, c2 in right:
+                if d2 > room:
+                    break
+                m = tuple(map(add, m1, m2))
+                out[m] = out[m] + c1 * c2 if m in out else c1 * c2
+        return self._of(ring, {m: c for m, c in out.items() if c})
 
     __rmul__ = __mul__
 

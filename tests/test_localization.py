@@ -493,15 +493,20 @@ def _per_k_max_character(p, m):
 def test_lone_component_keeps_its_own_pieces():
     # every level's pieces lie over the presentation's one scale and one
     # denominator D, which each component's denominator divides and whose
-    # degree is at most that of the largest multiplicity of each k; a lone
+    # degree is at most that of the largest multiplicity of each k; every
+    # denominator lists its factors from the largest k down; a lone
     # component's level equals its own pieces, a shared level their sum
     for p in (_cp1_power(2), builtin("dgmw"), product(trivial_cp1(2),
-                                                      builtin("cp001"))):
+                                                      builtin("cp001")),
+              cpn_linear([0, 1, 3], 1)):
         pieces = [P for G in p.moment_groups for P in G.chi_pieces]
         D = pieces[0].den
         assert all((P.den, P.scale) == (D, pieces[0].scale) for P in pieces)
         dens = [F.chi_pieces[0].den for F in p.components]
         assert all(_divides(den, D) for den in dens)
+        # the factors listed from the largest k down, the division's order
+        for den in dens + [P.den for P in pieces]:
+            assert list(den) == sorted(den, reverse=True), p.name
         assert _degree(D) <= _degree(_per_k_max(dens))
         for G in p.moment_groups:
             level = [F for F in p.components if F.moment == G.moment]

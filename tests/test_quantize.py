@@ -68,6 +68,29 @@ def test_residue_term_indefinite_average():
     assert residue_term(F, 2) == 0
 
 
+@settings(max_examples=100, deadline=None)
+@given(families.cases().map(lambda case: case.presentation))
+@example(cpn_linear([-1, 0, 0, 1, 1], 1))
+@example(builtin("dgmw"))
+def test_residue_terms_are_volumes_or_zero(p):
+    # each component as the level-zero one of p shifted by minus its
+    # moment: on an indefinite one both side residues of every piece
+    # vanish (a k < 0 factor kills z = 0, a k > 0 one infinity); on a
+    # definite one the residue term is int_F Td e^{m omega}
+    for F in p.components:
+        F = replace(F, moment=0)
+        if F.classification is Classification.INDEFINITE:
+            for P in F.chi_pieces:
+                assert P.shifted(-1).residue_at_zero() == 0, F.name
+                assert P.residue_at_infinity() == 0, F.name
+            assert residue_term(F, 5) == 0, F.name
+        else:
+            for m in range(6):
+                assert residue_term(F, m) == sum(
+                    m ** j * v for j, v in enumerate(F.volume_pieces)), \
+                    (F.name, m)
+
+
 def test_exceptional_vanishing_cases():
     F = point_component("f", 0, [1, -1])
     assert exceptional_term(F) == 0        # l+ = l- = 1: below dim six

@@ -152,6 +152,13 @@ def _accumulate(pairs):
 RING = surface_ring()
 
 
+def assert_canonical(x):
+    # what arithmetic builds is what the canonicalizing constructor keeps:
+    # no truncated monomial, and nonzero Fraction values
+    assert x.terms == GradedElement(x.ring, x.terms).terms
+    assert all(type(c) is Fraction and c for c in x.terms.values())
+
+
 @settings(max_examples=60, deadline=None)
 @given(elements(RING), elements(RING), elements(RING))
 def test_ring_axioms(a, b, c):
@@ -160,6 +167,9 @@ def test_ring_axioms(a, b, c):
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
+    for x in (a + b, a - b, a - a, -a, a * b, (a + b) * c, a * b * c,
+              (a + 1) * (a - 1), a + 1, a * 2):
+        assert_canonical(x)
 
 
 @settings(max_examples=40, deadline=None)
@@ -174,6 +184,8 @@ def test_exp_is_additive_on_nilpotents(a, b):
        st.fractions(min_value=-5, max_value=5, max_denominator=4))
 def test_integration_is_linear(a, b, q):
     assert (a * q + b).integrate() == q * a.integrate() + b.integrate()
+    for x in (a * q, q * a, a * q + b, a * int(q)):
+        assert_canonical(x)
 
 
 @settings(max_examples=25, deadline=None)
