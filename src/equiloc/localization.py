@@ -13,11 +13,14 @@ whose z^0 coefficient is the invariant Riemann-Roch number.  omega_F is
 nilpotent, so e^{m omega_F} = sum_j m^j omega_F^j/j! and chi_tilde_F are
 polynomials in m of degree at most dim_F/2.  Their m-free coefficients
 (`chi_tilde_pieces`) are built once per component and kept on it
-(`FixedComponent.chi_pieces`); components of one moment J, which share
-z^{mJ}, keep them summed as int rows over one scale and one denominator D,
-the least (1 - z^k) product that every denominator divides
-(`ManifoldPresentation.moment_groups`), so one m adds those rows times
-powers of m at their shifts mJ and divides once by D.
+(`FixedComponent.chi_pieces`): by the Eulerian identity, scalars
+int_F Td omega^j/j! prod b^t/t! times integer rows, of which the t = 0
+term alone is left where the roots b vanish, a closed form.
+Components of one moment J, which share z^{mJ}, keep them summed as int
+rows over one scale and one denominator D, the least (1 - z^k) product
+that every denominator divides (`ManifoldPresentation.moment_groups`), so
+one m adds those rows times powers of m at their shifts mJ and divides
+once by D.
 
 The pairing's u-series are `useries`, which the exact commands never load;
 the normal Todd product (`normal_todd`) stays here for `quantize`.
@@ -31,9 +34,9 @@ from operator import mul
 from typing import Sequence
 
 from .model import FixedComponent, ManifoldPresentation, MomentGroup
-from .ring import GradedElement, todd_coefficient
+from .ring import todd_coefficient
 from .zrational import (LaurentPolynomial, ZRational, linear_sum, over_lcm,
-                        over_one_denominator, scalar_sum)
+                        over_one_denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -46,22 +49,17 @@ def chi_tilde_pieces(F: FixedComponent) -> tuple[ZRational, ...]:
 
         P_j = int_F Td(F) omega_F^j/j! prod_{k,i} 1/(1 - z^k e^{a_ki}).
 
-    When every normal Chern root vanishes (at a point, say), P_j takes the
-    closed form  z^shift sign v_j / prod_k (1 - z^|k|), v_j from
-    `FixedComponent.volume_pieces` over their lcm: by 1/(1 - z^k) =
-    -z^|k| / (1 - z^|k|), each k < 0 negates sign and adds |k| to shift;
-    the k are listed from the largest down, as the division runs them.
-    The general expansion costs several times as much, as on (cp1)^8.
-
-    Other components expand each factor by nilpotency of its root a: with
-    e = e^a for k > 0 and e = e^{-a} for k < 0 (as 1 - z^k e^a is -z^k e^a
-    times 1 - z^|k| e^{-a}), and v = e - 1,
-        1/(1 - z^k e^a) = c z^s sum_j z^{|k|j} v^j / (1 - z^|k|)^{j+1},
-    where (c, s) is (1, 0) for k > 0 and (-e, |k|) for k < 0, the sum
-    ending where v^j vanishes.  The product of the expansions
-    keeps one ring-valued coefficient per z^s / prod (1 - z^k)^mult; each
-    piece integrates Td omega_F^j/j! against every coefficient, and
-    `scalar_sum` brings the results over one denominator.
+    With x = z^|k|, and b = a, s = 0 for k > 0 or b = -a, s = 1 and a sign
+    -1 for k < 0 (1 - z^k e^a is -z^k e^a times 1 - z^|k| e^{-a}), a factor
+    is +-sum_{n >= s} x^n e^{nb} = +-sum_t (b^t/t!) R_t(x) / (1 - x)^{t+1}
+    by the Eulerian identity (`_eulerian_row`), ending where b^t vanishes.
+    So P_j sums, over one power t per normal direction, the scalar
+    int_F Td omega_F^j/j! prod b^t/t! times the int row prod R_t(z^|k|) over
+    prod (1 - z^|k|)^{t+1} (`_eulerian_term`), all over one denominator.
+    Where every root vanishes (at a point, say), t = 0 alone is left, with
+    R_0 = x^s: the closed form z^shift sign v_j / prod_k (1 - z^|k|), v_j
+    from `FixedComponent.volume_pieces` over their lcm, with the k from the
+    largest down (the division's order).
     """
     if not any(root for _, root in F.normal):
         sign, shift, den = 1, 0, {}
@@ -72,32 +70,49 @@ def chi_tilde_pieces(F: FixedComponent) -> tuple[ZRational, ...]:
         row, scale = over_lcm(F.volume_pieces)
         return tuple(ZRational.from_row(shift, (sign * n,), scale, den)
                      for n in row)
-    terms = {(0, ()): F.ring.one()}
-    for weight, root in F.normal:
-        factor = _factor_terms(weight, root)
-        nxt: dict[tuple, GradedElement] = {}
-        for (s, den), c in terms.items():
-            for t, k, mult, f in factor:
-                d = dict(den)
-                d[k] = d.get(k, 0) + mult
-                key = (s + t, tuple(sorted(d.items())))
-                term = c * f
-                nxt[key] = nxt[key] + term if key in nxt else term
-        terms = nxt
-    return over_one_denominator(
-        scalar_sum(ZRational(s, {0: (c * tw).integrate()}, dict(den))
-                   for (s, den), c in terms.items())
-        for tw in (F.todd * w for w in F.omega.divided_powers()))
+    # Td prod b^t/t! per choice of t, 0 just where prod b^t is (Td a unit)
+    products = {(): F.todd}
+    for k, root in F.normal:
+        powers = (root if k > 0 else -root).divided_powers()
+        products = {ts + (t,): q for ts, p in products.items()
+                    for t, b in enumerate(powers) if (q := p * b if t else p)}
+    omegas = F.omega.divided_powers()
+    scalars = {ts: cs for ts, p in products.items()
+               if any(cs := [p.pair(w) for w in omegas])}
+    nums, scale = over_lcm(c for cs in scalars.values() for c in cs)
+    terms = (_eulerian_term(tuple(sorted(zip(F.weights(), ts))))
+             for ts in scalars)
+    rows = over_one_denominator(ZRational.from_row(0, row, scale, den)
+                                for row, den in terms)
+    return tuple(linear_sum((nums[i * len(omegas) + j], 0, q)
+                            for i, q in enumerate(rows))
+                 for j in range(len(omegas)))
 
 
-def _factor_terms(weight: int, root: GradedElement) -> list[tuple]:
-    """The expansion of 1/(1 - z^weight e^root) in `chi_tilde_pieces`, as
-    terms (s, |weight|, mult, coefficient) of z^s / (1 - z^|weight|)^mult."""
-    k = abs(weight)
-    e = (root if weight > 0 else -root).exp_nilpotent()
-    coef, start = (1, 0) if weight > 0 else (-e, k)
-    return [(start + k * j, k, j + 1, coef * power)
-            for j, power in enumerate((e - 1).powers())]
+@lru_cache(maxsize=None)
+def _eulerian_term(choice: tuple[tuple[int, int], ...]) -> tuple:
+    """(row, den) of one power t per normal weight k, the (k, t) sorted:
+    the int row prod R_t(z^|k|), negated per k < 0, lowest power first,
+    and the denominator prod (1 - z^|k|)^{t+1}, largest |k| first."""
+    row, den = [1], {}
+    for k, t in choice:
+        r = _eulerian_row(t, k < 0)
+        spread = [0] * (abs(k) * (len(r) - 1) + 1)
+        spread[::abs(k)] = r if k > 0 else [-c for c in r]
+        row = _cauchy(row, spread, len(row) + len(spread) - 1)
+        den[abs(k)] = den.get(abs(k), 0) + t + 1
+    return tuple(row), dict(sorted(den.items(), reverse=True))
+
+
+@lru_cache(maxsize=None)
+def _eulerian_row(t: int, start: int) -> tuple[int, ...]:
+    """R_t with sum_{n >= start} n^t x^n = R_t(x)/(1 - x)^{t+1}, lowest power
+    first: R_0 = x^start, and for t >= 1 x d/dx, which kills the n = 0 term
+    where the starts differ, gives R_t = x (1 - x) R_{t-1}' + t x R_{t-1}."""
+    if t == 0:
+        return (0,) * start + (1,)
+    r = (0, *_eulerian_row(t - 1, 0), 0)
+    return tuple(n * r[n + 1] + (t - n + 1) * r[n] for n in range(len(r) - 1))
 
 
 def chi_tilde(F: FixedComponent | MomentGroup, m: int) -> ZRational:

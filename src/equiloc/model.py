@@ -147,10 +147,9 @@ class FixedComponent(Record):
     @cached_property
     def volume_pieces(self) -> tuple[Fraction, ...]:
         """v_j = int_F Td omega^j/j!: int_F Td e^{m omega} = sum_j m^j v_j."""
-        if not self.omega:    # every point: one piece, and no ring products
+        if not self.omega:    # every point: one piece, and no ring walk
             return (self.todd.integrate(),)
-        return tuple((self.todd * w).integrate()
-                     for w in self.omega.divided_powers())
+        return tuple(map(self.todd.pair, self.omega.divided_powers()))
 
     @cached_property
     def chi_pieces(self) -> tuple:
@@ -192,8 +191,8 @@ class QuotientData(Record):
     def regular_pieces(self) -> tuple[tuple[int, ...], int]:
         """(n, d) with n_j / d = int kappa omega0^j / j!, so that the regular
         term int e^{m omega0} kappa is sum_j m^j n_j / d."""
-        return over_lcm((self.kappa_todd * w).integrate()
-                        for w in self.omega0.divided_powers())
+        return over_lcm(map(self.kappa_todd.pair,
+                            self.omega0.divided_powers()))
 
 
 class MomentGroup(Record):
@@ -319,9 +318,9 @@ def _ring_to_doc(ring: RingSpec) -> dict:
 
 
 def _ring_from_doc(doc, where: str, memo: dict) -> RingSpec:
-    """The ring block of the object at `where`, parsed once per JSON text
-    (false, 0, "0" differ)."""
-    text = json.dumps(doc)
+    """The ring block of the object at `where`, parsed once per repr of
+    its JSON value (false, 0, "0" differ)."""
+    text = repr(doc)
     if text in memo:
         return memo[text]
     where += ": ring"
@@ -431,12 +430,12 @@ def _expression(ring: RingSpec, value, what: str,
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    """A JSON object; a key repeated within it is an error."""
-    doc = {}
-    for key, value in pairs:
-        if key in doc:
-            raise ParseError(f"repeated key {brief(repr(key))}")
-        doc[key] = value
+    """A JSON object; a repeated key is an error naming its first repeat."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        seen = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise ParseError(f"repeated key {brief(repr(key))}")
     return doc
 
 

@@ -136,13 +136,15 @@ class RingSpec:
     # -- element constructors -------------------------------------------------
 
     def zero(self) -> "GradedElement":
-        return GradedElement(self, {})
+        return self.scalar(0)
 
     def one(self) -> "GradedElement":
         return self.scalar(1)
 
     def scalar(self, c: Rat) -> "GradedElement":
-        return GradedElement(self, {(0,) * len(self.generators): c})
+        """c times 1: one canonical term, or none for c = 0."""
+        return GradedElement._of(self, {(0,) * len(self.generators):
+                                        Fraction(c)} if c else {})
 
     def generator(self, name: str) -> "GradedElement":
         for i, (n, _) in enumerate(self.generators):
@@ -156,8 +158,9 @@ class RingSpec:
 class GradedElement:
     """Element of a RingSpec, canonical: `terms` maps monomials of degree
     at most the truncation degree to nonzero Fractions.  The constructor
-    canonicalizes outside input (parse, `RingSpec.scalar`, the builders);
-    arithmetic on canonical elements builds canonical terms, kept by `_of`."""
+    canonicalizes outside input (parse, the builders); the trusted
+    constructor `_of` keeps terms that are canonical already: those of
+    `RingSpec.scalar` and of arithmetic on canonical elements."""
 
     __slots__ = ("ring", "terms")
 
@@ -250,22 +253,35 @@ class GradedElement:
         monomials of degree >= 2, so the walk ends by truncation."""
         if self.scalar_part() != 0:
             raise RingError("a nilpotent element must have zero scalar part")
-        out = [self.ring.one()]
-        while True:
-            term = out[-1] * self
-            if not term:
-                return out
+        out, term = [self.ring.one()], self
+        while term:
             out.append(term)
+            term = term * self
+        return out
 
     def divided_powers(self) -> list["GradedElement"]:
         """x^j / j! over `powers`: the terms of exp(x), so that
         exp(m x) = sum_j m^j x^j / j! is a polynomial in m."""
-        return [p * Fraction(1, factorial(j))
-                for j, p in enumerate(self.powers())]
+        powers = self.powers()
+        return powers[:2] + [p * Fraction(1, factorial(j))
+                             for j, p in enumerate(powers[2:], 2)]
 
     def exp_nilpotent(self) -> "GradedElement":
         """exp of a nilpotent element (zero scalar part); finite sum."""
         return sum(self.divided_powers(), self.ring.zero())
+
+    def pair(self, other: "GradedElement") -> Fraction:
+        """int self * other, without the product's lower terms: the pairs
+        of monomials whose product is a key of the integration table."""
+        self._check(other)
+        table = self.ring.integration_table
+        total = Fraction(0)
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                weight = table.get(tuple(map(add, m1, m2)))
+                if weight is not None:
+                    total += c1 * c2 * weight
+        return total
 
     def integrate(self) -> Fraction:
         """Pair the top-degree part with the integration table, whose keys

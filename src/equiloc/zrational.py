@@ -231,11 +231,6 @@ def _cover(dens: Sequence[dict[int, int]]) -> dict[int, int]:
     return min(cover, top, key=lambda den: sum(k * n for k, n in den.items()))
 
 
-def scalar_sum(parts: Iterable[ZRational]) -> ZRational:
-    """Sum of ZRationals: `linear_sum` over `over_one_denominator`."""
-    return linear_sum((1, 0, q) for q in over_one_denominator(parts))
-
-
 def linear_sum(terms: Iterable[tuple[int, int, ZRational]]) -> ZRational:
     """sum c z^s q over triples (c, s, q) whose nonzero q share one
     denominator and scale: the rows times c, added into one int row."""

@@ -99,11 +99,13 @@ ABOVE_TRUNCATION = rows(
          "chern root 0: term h^2 of degree 4")])
 
 # A key repeated within one JSON object is an input error that names the
-# key; the last value never silently wins.
+# key, the first repeat in document order when there are two; the last
+# value never silently wins.
 REPEATED_KEYS = rows(CP001, "repeated key '{}'", [
     ('"h^1": "1"', '"h^1": "1", "h^1": "5"', "h^1"),
     ('"moment": 0,', '"moment": 0, "moment": 1,', "moment"),
-    ('"weight": 1', '"weight": 1, "weight": 1', "weight")])
+    ('"weight": 1', '"weight": 1, "weight": 1', "weight"),
+    ('"h^1": "1"', '"h^1": "1", "1": "0", "1": "0", "h^1": "1"', "1")])
 
 # Each array and object keeps its JSON shape: a container of the wrong
 # kind, or a string where an array belongs, is rejected, never iterated;

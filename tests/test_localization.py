@@ -7,7 +7,7 @@ from math import comb, factorial, lcm, prod
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from equiloc import builtin, builtin_names, builtin_oracle
@@ -22,13 +22,18 @@ from equiloc.ring import RingError, RingSpec, bernoulli, todd_coefficient
 from equiloc.useries import (PreparedInner, component_u_laurent,
                              default_series_order, equivariant_todd_at_F)
 from equiloc.zrational import (LaurentPolynomial, NotAPolynomial, ZRational,
-                               scalar_sum)
+                               linear_sum, over_one_denominator)
 import families
 from families import POINT, point_component
 from localized import dh_inner, kirillov_check
 
 
 # -- chi_tilde ----------------------------------------------------------------
+
+def _sum(parts):
+    """The sum of ZRationals: `linear_sum` over `over_one_denominator`."""
+    return linear_sum((1, 0, q) for q in over_one_denominator(parts))
+
 
 def test_chi_tilde_point_single_weight():
     F = point_component("f", 0, [1])
@@ -46,7 +51,7 @@ def test_chi_tilde_cp1_component():
     # (m+1)/(1-z) - z/(1-z)^2, the sign of the z-term pinned by the oracle
     F = builtin("cp001").component("w0")
     m = 1
-    want = scalar_sum([ZRational(0, {0: m + 1}, {1: 1}),
+    want = _sum([ZRational(0, {0: m + 1}, {1: 1}),
                        ZRational(1, {0: -1}, {1: 2})])
     assert chi_tilde(F, m) == want
 
@@ -60,7 +65,7 @@ def test_chi_tilde_nilpotent_root_example():
     F = FixedComponent("f", 0, ring, ring.one() + h, h,
                        [NormalBlock(1, (h,))])
     for m in range(5):
-        want = scalar_sum([ZRational(0, {0: m + 1}, {1: 1}),
+        want = _sum([ZRational(0, {0: m + 1}, {1: 1}),
                            ZRational(1, {0: 1}, {1: 2})])
         assert chi_tilde(F, m) == want
         series = chi_tilde(F, m).series_coefficients(5)
@@ -77,7 +82,7 @@ def test_chi_tilde_negative_weight_nilpotent_example():
     F = FixedComponent("f", 0, ring, ring.one() + h, h,
                        [NormalBlock(-1, (h,))])
     for m in range(5):
-        want = scalar_sum([ZRational(1, {0: -m}, {1: 1}),
+        want = _sum([ZRational(1, {0: -m}, {1: 1}),
                            ZRational(2, {0: 1}, {1: 2})])
         assert chi_tilde(F, m) == want
         series = chi_tilde(F, m).series_coefficients(5)
@@ -254,6 +259,52 @@ def test_chi_tilde_pieces_match_localization():
                 _assert_matches_localization(F, m)
 
 
+@settings(max_examples=40, deadline=None)
+@given(families.cases().map(lambda case: case.presentation))
+@example(cpn_linear([-1, 0, 0, 1, 1], 1))    # k < 0 with a nonzero root
+@example(cpn_linear([0, 0, 0, 1], 1))    # a CP^2 component: b^2 nonzero
+@example(cpn_linear([0, 0, 0, 2, -1], 1))    # both at once
+@example(product(builtin("cp001"), builtin("cp001")))    # two generators
+def test_eulerian_pieces_match_localization(p):
+    # the general path, on every component with a nonzero normal root,
+    # against the localized u-series integral
+    for F in p.components:
+        if any(root for _, root in F.normal):
+            for m in range(5):
+                _assert_matches_localization(F, m)
+
+
+def test_pinned_eulerian_shapes():
+    # the shapes the examples above pin, which no benchmark workload runs
+    def general(p, name):
+        F = p.component(name)
+        return F, [(k, len((r if k > 0 else -r).powers()) - 1)
+                   for k, r in F.normal]
+    _, kt = general(cpn_linear([-1, 0, 0, 1, 1], 1), "w0")
+    assert (-1, 1) in kt
+    _, kt = general(cpn_linear([0, 0, 0, 1], 1), "w0")
+    assert kt == [(1, 2)]
+    _, kt = general(cpn_linear([0, 0, 0, 2, -1], 1), "w0")
+    assert sorted(kt) == [(-1, 2), (2, 2)]
+    F, _ = general(product(builtin("cp001"), builtin("cp001")), "w0*w0")
+    assert len(F.ring.generators) == 2
+
+
+@pytest.mark.parametrize("start", [0, 1])
+def test_eulerian_rows_match_the_series(start):
+    # (1 - x)^{t+1} sum_{start <= n < N} n^t x^n, multiplied out directly,
+    # agrees with R_t below x^N, where the cut-off tail begins
+    N = 20
+    for t in range(9):
+        series = [n ** t if n >= start else 0 for n in range(N)]
+        for _ in range(t + 1):
+            series = [c - (series[n - 1] if n else 0)
+                      for n, c in enumerate(series)]
+        row = localization._eulerian_row(t, start)
+        assert series == list(row) + [0] * (N - len(row)), (t, start)
+        assert row[-1] and sum(row) == factorial(t)
+
+
 def test_residue_term_matches_chi_tilde_residue():
     # each component is brought to moment zero by a shift of the moments
     for p in _piece_presentations():
@@ -352,7 +403,7 @@ def test_random_consistency_preserving_transforms():
 
 def _per_component_character(p, m):
     """The oracle of the grouping: one shifted chi_tilde per component."""
-    return scalar_sum(chi_tilde(F, m).shifted(m * F.moment)
+    return _sum(chi_tilde(F, m).shifted(m * F.moment)
                       for F in p.components).to_laurent_polynomial()
 
 
@@ -511,7 +562,7 @@ def test_lone_component_keeps_its_own_pieces():
         for G in p.moment_groups:
             level = [F for F in p.components if F.moment == G.moment]
             for m in range(4):
-                assert chi_tilde(G, m) == scalar_sum(
+                assert chi_tilde(G, m) == _sum(
                     chi_tilde(F, m) for F in level), (p.name, m)
             if len(level) == 1:
                 assert G.chi_pieces == level[0].chi_pieces

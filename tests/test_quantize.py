@@ -237,15 +237,6 @@ def test_reversal_keeps_every_term(p):
             == (a.rr, a.residue_sum(), a.exceptional_sum(), a.regular), m
 
 
-def test_regular_term_supplied_and_balance():
-    for name in ("regval", "dim6", "dim6b", "cp1", "cp001", "cp012", "dgmw"):
-        p = builtin(name)
-        for m in range(0, 7):
-            rep = main_formula_report(p, m)
-            assert rep.regular_tag == "supplied"
-            assert rep.balance is True, (name, m, rep)
-
-
 def test_regular_term_is_the_supplied_integral():
     for name in builtin_names():
         p = builtin(name)
@@ -255,16 +246,6 @@ def test_regular_term_is_the_supplied_integral():
         for m in range(9):
             want = ((q.omega0 * m).exp_nilpotent() * q.kappa_todd).integrate()
             assert regular_term(p, m) == (want, "supplied"), (name, m)
-
-
-def test_diagnostic_regular_term_prod11():
-    p = builtin("prod11")
-    for m in range(1, 7):
-        reg, tag = regular_term(p, m)
-        assert tag == "diagnostic"
-        assert reg == m + 1
-    rep = main_formula_report(p, 3)
-    assert rep.balance is None
 
 
 def test_polynomiality_contracts():

@@ -177,6 +177,8 @@ def test_ring_axioms(a, b, c):
 def test_exp_is_additive_on_nilpotents(a, b):
     a, b = a - a.scalar_part(), b - b.scalar_part()
     assert (a + b).exp_nilpotent() == a.exp_nilpotent() * b.exp_nilpotent()
+    for x in a.powers() + a.divided_powers() + (a + b).divided_powers():
+        assert_canonical(x)
 
 
 @settings(max_examples=40, deadline=None)
@@ -184,8 +186,11 @@ def test_exp_is_additive_on_nilpotents(a, b):
        st.fractions(min_value=-5, max_value=5, max_denominator=4))
 def test_integration_is_linear(a, b, q):
     assert (a * q + b).integrate() == q * a.integrate() + b.integrate()
-    for x in (a * q, q * a, a * q + b, a * int(q)):
+    assert a.pair(b) == b.pair(a) == (a * b).integrate()
+    for x in (a * q, q * a, a * q + b, a * int(q), RING.scalar(q),
+              RING.scalar(int(q)), RING.one(), RING.zero()):
         assert_canonical(x)
+    assert RING.scalar(0).terms == RING.zero().terms == {}
 
 
 @settings(max_examples=25, deadline=None)
