@@ -52,7 +52,7 @@ def test_chi_tilde_cp1_component():
     F = builtin("cp001").component("w0")
     m = 1
     want = _sum([ZRational(0, {0: m + 1}, {1: 1}),
-                       ZRational(1, {0: -1}, {1: 2})])
+                 ZRational(1, {0: -1}, {1: 2})])
     assert chi_tilde(F, m) == want
 
 
@@ -66,7 +66,7 @@ def test_chi_tilde_nilpotent_root_example():
                        [NormalBlock(1, (h,))])
     for m in range(5):
         want = _sum([ZRational(0, {0: m + 1}, {1: 1}),
-                           ZRational(1, {0: 1}, {1: 2})])
+                     ZRational(1, {0: 1}, {1: 2})])
         assert chi_tilde(F, m) == want
         series = chi_tilde(F, m).series_coefficients(5)
         assert [series.get(j, 0) for j in range(6)] == [m + 1 + j
@@ -83,7 +83,7 @@ def test_chi_tilde_negative_weight_nilpotent_example():
                        [NormalBlock(-1, (h,))])
     for m in range(5):
         want = _sum([ZRational(1, {0: -m}, {1: 1}),
-                           ZRational(2, {0: 1}, {1: 2})])
+                     ZRational(2, {0: 1}, {1: 2})])
         assert chi_tilde(F, m) == want
         series = chi_tilde(F, m).series_coefficients(5)
         assert [series.get(j, 0) for j in range(6)] == [0] + [j - 1 - m
@@ -275,19 +275,16 @@ def test_eulerian_pieces_match_localization(p):
 
 
 def test_pinned_eulerian_shapes():
-    # the shapes the examples above pin, which no benchmark workload runs
-    def general(p, name):
-        F = p.component(name)
-        return F, [(k, len((r if k > 0 else -r).powers()) - 1)
-                   for k, r in F.normal]
-    _, kt = general(cpn_linear([-1, 0, 0, 1, 1], 1), "w0")
-    assert (-1, 1) in kt
-    _, kt = general(cpn_linear([0, 0, 0, 1], 1), "w0")
-    assert kt == [(1, 2)]
-    _, kt = general(cpn_linear([0, 0, 0, 2, -1], 1), "w0")
-    assert sorted(kt) == [(-1, 2), (2, 2)]
-    F, _ = general(product(builtin("cp001"), builtin("cp001")), "w0*w0")
-    assert len(F.ring.generators) == 2
+    # the shapes the examples above pin, which no benchmark workload runs:
+    # (weight, last nonzero power of b) per normal direction of each w0
+    def shapes(p):
+        return sorted((k, len((r if k > 0 else -r).powers()) - 1)
+                      for k, r in p.component("w0").normal)
+    assert (-1, 1) in shapes(cpn_linear([-1, 0, 0, 1, 1], 1))
+    assert shapes(cpn_linear([0, 0, 0, 1], 1)) == [(1, 2)]
+    assert shapes(cpn_linear([0, 0, 0, 2, -1], 1)) == [(-1, 2), (2, 2)]
+    two = product(builtin("cp001"), builtin("cp001")).component("w0*w0")
+    assert len(two.ring.generators) == 2 and any(r for _, r in two.normal)
 
 
 @pytest.mark.parametrize("start", [0, 1])
@@ -404,7 +401,7 @@ def test_random_consistency_preserving_transforms():
 def _per_component_character(p, m):
     """The oracle of the grouping: one shifted chi_tilde per component."""
     return _sum(chi_tilde(F, m).shifted(m * F.moment)
-                      for F in p.components).to_laurent_polynomial()
+                for F in p.components).to_laurent_polynomial()
 
 
 def _cp1_power(k):
