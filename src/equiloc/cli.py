@@ -161,13 +161,15 @@ def cmd_witten_check(args) -> int:
     # a weight whose Todd series diverges on the bump's support is an
     # InputError from the first m's expansion, before any pairing
     rep = witten.decay_check(p, witten.TestFunction(), ms)
+    regular = "diagnostic" if p.quotient is None else "supplied"
     payload = {"input": p.name, "m_values": rep.m_values, "diffs": rep.diffs,
-               "exponent": rep.exponent, **{
+               "exponent": rep.exponent, "regular": regular, **{
                    side: [{"im": z.imag, "re": z.real} for z in values]
                    for side, values in (("lhs", rep.lhs), ("rhs", rep.rhs))}}
     lines = [f"m={m} |lhs-rhs|={d:.3e}"
              for m, d in zip(rep.m_values, rep.diffs)]
-    lines.append(f"decay exponent: {rep.exponent:.3f}")
+    lines += [f"decay exponent: {rep.exponent:.3f}",
+              f"regular term: {regular}"]
     _emit(args, payload, lines)
     return EXIT_OK
 

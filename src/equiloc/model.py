@@ -19,6 +19,7 @@ import json
 import sys
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Optional
 
 from .ring import (GradedElement, RingError, RingSpec, brief,
@@ -221,6 +222,23 @@ class ManifoldPresentation(Record):
                 level.setdefault(j, []).append((1, 0, P))
         return tuple(MomentGroup(J, tuple(map(linear_sum, level.values())))
                      for J, level in sorted(sums.items()))
+
+    @cached_property
+    def formula_plan(self) -> tuple:
+        """The m-free parts of `quantize.main_formula_report`, kept on first
+        use: the moment-zero components with their class values, the
+        exceptional terms of the indefinite ones, and the sum of every
+        residue piece and exceptional term as one int row over one lcm."""
+        zero = tuple((F, F.classification.value) for F in self.f_zero())
+        exceptionals = {F.name: F.exceptional for F, _ in zero
+                        if F.classification is Classification.INDEFINITE}
+        rows = [F.residue_pieces for F, _ in zero] + [
+            ((v.numerator,), v.denominator) for v in exceptionals.values()]
+        d = lcm(*(den for _, den in rows))
+        width = max((len(n) for n, _ in rows), default=0)
+        rest = tuple(sum(n[j] * (d // den) for n, den in rows if j < len(n))
+                     for j in range(width))
+        return zero, exceptionals, (rest, d)
 
     def f_zero(self) -> list[FixedComponent]:
         """Components sitting inside the zero level of the moment map."""

@@ -38,7 +38,10 @@ residue term has the residues of the pieces of chi_tilde as coefficients
 point does not depend on m (`FixedComponent.exceptional`); the supplied
 regular term int e^{m omega0} kappa has the coefficients
 int kappa omega0^j/j! (`QuotientData.regular_pieces`); all as int numerators
-over one denominator, so one m costs int Horner sums and a Fraction a value.
+over one denominator.  A report costs one character and, per value it
+returns, an int Horner sum and one Fraction; its diagnostic rr - residues -
+exceptionals reads their sum, kept as one int row over one lcm
+(`ManifoldPresentation.formula_plan`), and its balance compares ints.
 """
 
 from __future__ import annotations
@@ -59,12 +62,17 @@ def rr_invariant(p: ManifoldPresentation, m: int) -> int:
     return localization.character(p, m).coefficient(0)
 
 
+def _horner(row: tuple[int, ...], m: int) -> int:
+    """sum_j m^j row[j], in ints."""
+    acc = 0
+    for c in reversed(row):
+        acc = acc * m + c
+    return acc
+
+
 def _at(poly: tuple[tuple[int, ...], int], m: int) -> Fraction:
     """sum_j m^j n_j / d for poly = (n, d): an int Horner sum, one Fraction."""
-    acc = 0
-    for c in reversed(poly[0]):
-        acc = acc * m + c
-    return Fraction(acc, poly[1])
+    return Fraction(_horner(poly[0], m), poly[1])
 
 
 def residue_pieces(F: FixedComponent) -> tuple[tuple[int, ...], int]:
@@ -132,7 +140,8 @@ def exceptional_from_series(F: FixedComponent,
     l-, so p becomes 1 - p, and sends rho(u) to rho(-u), so r_F becomes
     -r_F: the product is unchanged.  Dividing by prod |w| instead gives
     (-1)^{l+} (1/2 - p) r_F, which flips sign under reversal when n is
-    even.
+    even.  In ints, tail = sum_{i=l+}^{n} C(n, i) gives one Fraction,
+    (2^n - 2 tail) rho_n / (2^{n+1} prod(-w)).
     """
     if F.moment != 0:
         raise ValueError("exceptional terms require moment zero")
@@ -147,8 +156,9 @@ def exceptional_from_series(F: FixedComponent,
     ws = F.weights()
     n = len(ws) - 1
     tail = sum(math.comb(n, i) for i in range(sum(w > 0 for w in ws), n + 1))
-    coeff = Fraction(1, 2) - Fraction(tail, 2 ** n)
-    return rho.get(n, 0) * coeff / math.prod(-w for w in ws)
+    num, den = rho.get(n, 0).as_integer_ratio()
+    return Fraction(num * (2 ** n - 2 * tail),
+                    den * 2 ** (n + 1) * math.prod(-w for w in ws))
 
 
 def regular_term(p: ManifoldPresentation, m: int) -> tuple[Fraction, str]:
@@ -181,26 +191,21 @@ class MainFormulaReport(Record):
 def main_formula_report(p: ManifoldPresentation, m: int) -> MainFormulaReport:
     """Every term once: with quotient data the supplied regular term and the
     balance check, otherwise the regular term as the diagnostic
-    rr - residues - exceptionals."""
+    rr - residues - exceptionals, from the m-free plan kept on p
+    (`ManifoldPresentation.formula_plan`)."""
     rr = rr_invariant(p, m)
-    residues = {}
-    exceptionals = {}
-    for F in p.f_zero():
-        cls = F.classification
-        residues[F.name] = (cls.value, residue_term(F, m))
-        if cls is Classification.INDEFINITE:
-            exceptionals[F.name] = F.exceptional
-    rest = [v for _, v in residues.values()] + [*exceptionals.values()]
-    d = math.prod(v.denominator for v in rest)
-    diagnostic = Fraction(rr * d - sum(v.numerator * (d // v.denominator)
-                                       for v in rest), d)
+    zero, exceptionals, (rest, d) = p.formula_plan
+    residues = {F.name: (value, residue_term(F, m)) for F, value in zero}
+    diagnostic = rr * d - _horner(rest, m)    # over d
     balance: Optional[bool] = None
     if p.quotient is None:
-        reg, tag = diagnostic, "diagnostic"
+        reg, tag = Fraction(diagnostic, d), "diagnostic"
     else:
         reg, tag = regular_term(p, m)
-        balance = reg == diagnostic
-    return MainFormulaReport(m, rr, residues, exceptionals, reg, tag, balance)
+        n, den = reg.as_integer_ratio()
+        balance = n * d == diagnostic * den
+    return MainFormulaReport(m, rr, residues, dict(exceptionals), reg, tag,
+                             balance)
 
 
 def exact_polynomial_fit(points: list[tuple[int, Fraction]]) -> list[Fraction]:

@@ -29,11 +29,12 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 from operator import add
 from typing import Iterable, Mapping, Sequence, Union
 
 Rat = Union[int, Fraction]
+_ZERO, _ONE = Fraction(0), Fraction(1)    # shared: Fractions are immutable
 
 
 class RingError(ValueError):
@@ -109,7 +110,7 @@ class RingSpec:
                 key = brief(monomial_to_string(self, mono))
                 raise RingError(
                     f"integration table key {key} does not have top degree")
-            table[mono] = Fraction(val)
+            table[mono] = val if isinstance(val, Fraction) else Fraction(val)
         self.integration_table = table
 
     @staticmethod
@@ -139,7 +140,7 @@ class RingSpec:
         return self.scalar(0)
 
     def one(self) -> "GradedElement":
-        return self.scalar(1)
+        return GradedElement._of(self, {(0,) * len(self.generators): _ONE})
 
     def scalar(self, c: Rat) -> "GradedElement":
         """c times 1: one canonical term, or none for c = 0."""
@@ -168,14 +169,13 @@ class GradedElement:
         self.ring = ring
         clean = {}
         for mono, c in terms.items():
-            c = Fraction(c)
-            if c == 0:
+            if not c:
                 continue
             mono = tuple(int(e) for e in mono)
             deg = ring.monomial_degree(mono)
             if deg > ring.truncation_degree:
                 continue
-            clean[mono] = c
+            clean[mono] = c if isinstance(c, Fraction) else Fraction(c)
         self.terms = clean
 
     @classmethod
@@ -195,7 +195,7 @@ class GradedElement:
         return bool(self.terms)
 
     def scalar_part(self) -> Fraction:
-        return self.terms.get((0,) * len(self.ring.generators), Fraction(0))
+        return self.terms.get((0,) * len(self.ring.generators), _ZERO)
 
     def __eq__(self, other):
         if not isinstance(other, GradedElement):
@@ -272,27 +272,26 @@ class GradedElement:
 
     def pair(self, other: "GradedElement") -> Fraction:
         """int self * other, without the product's lower terms: the pairs
-        of monomials whose product is a key of the integration table."""
+        of monomials whose product is a key of the integration table: int
+        numerators summed over the lcm of their denominators, one Fraction."""
         self._check(other)
         table = self.ring.integration_table
-        total = Fraction(0)
+        right = [(m, *c.as_integer_ratio()) for m, c in other.terms.items()]
+        ratios = []
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+            n1, d1 = c1.as_integer_ratio()
+            for m2, n2, d2 in right:
                 weight = table.get(tuple(map(add, m1, m2)))
                 if weight is not None:
-                    total += c1 * c2 * weight
-        return total
+                    n, d = weight.as_integer_ratio()
+                    ratios.append((n1 * n2 * n, d1 * d2 * d))
+        den = lcm(*(d for _, d in ratios))
+        return Fraction(sum(n * (den // d) for n, d in ratios), den)
 
     def integrate(self) -> Fraction:
-        """Pair the top-degree part with the integration table, whose keys
-        are all of top degree (`RingSpec`)."""
-        table = self.ring.integration_table
-        total = Fraction(0)
-        for mono, c in self.terms.items():
-            weight = table.get(mono)
-            if weight is not None:
-                total += c * weight
-        return total
+        """The top-degree part against the integration table, whose keys
+        are all of top degree (`RingSpec`): the pairing with 1."""
+        return self.pair(self.ring.one())
 
 
 def todd_from_roots(ring: RingSpec,
@@ -362,11 +361,12 @@ def string_to_element(ring: RingSpec, text: str) -> GradedElement:
     terms: dict[tuple[int, ...], Fraction] = {}
     for sign, body in zip(pieces[::2], pieces[1::2]):
         coef, mono = _term(names, body)
-        terms[mono] = terms.get(mono, 0) + (coef if sign == "+" else -coef)
+        coef = coef if sign == "+" else -coef
+        terms[mono] = terms[mono] + coef if mono in terms else coef
     elem = GradedElement(ring, terms)
     # the element drops the terms above the truncation degree
     for mono, coef in terms.items():
-        if coef and mono not in elem.terms:
+        if mono not in elem.terms and coef:
             raise RingError(
                 f"term {brief(monomial_to_string(ring, mono))} of degree "
                 f"{brief(ring.monomial_degree(mono))} is above the "

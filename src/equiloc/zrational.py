@@ -43,9 +43,9 @@ Rat = Union[int, Fraction]
 def over_lcm(coeffs: Iterable[Rat]) -> tuple[tuple[int, ...], int]:
     """(n, d): the ints or Fractions c_j as int numerators n_j over the
     lcm d of their denominators."""
-    coeffs = tuple(coeffs)
-    d = lcm(*(c.denominator for c in coeffs))
-    return tuple(c.numerator * (d // c.denominator) for c in coeffs), d
+    ratios = [c.as_integer_ratio() for c in coeffs]
+    d = lcm(*(den for _, den in ratios))
+    return tuple(num * (d // den) for num, den in ratios), d
 
 
 class NotAPolynomial(ArithmeticError):
@@ -158,8 +158,13 @@ class ZRational:
                 if q}
 
     def residue_at_zero(self) -> Fraction:
-        """Coefficient of z^{-1} in the Laurent expansion at z = 0."""
-        return self.series_coefficients(-1).get(-1, Fraction(0))
+        """Coefficient of z^{-1} in the Laurent expansion at z = 0: the int
+        series up to z^{-1} and no further, its last entry over the scale."""
+        size = -self.shift    # the entries of z^shift .. z^{-1}
+        if not self.row or size <= 0:
+            return Fraction(0)
+        return Fraction(_integer_series(self.row, size, self.den)[-1],
+                        self.scale)
 
     def substitute_inverse(self) -> "ZRational":
         """The function z -> chi(1/z), renormalized into canonical form:

@@ -254,6 +254,22 @@ def test_witten_check_without_quotient_decays(tmp_path, capsys):
     assert json.loads(out)["exponent"] <= -3
 
 
+@pytest.mark.parametrize("text, regular", [
+    (serialize(builtin("cp1")), "supplied"),
+    (serialize(cpn_linear([0, 0, 1], 1)), "diagnostic")],
+    ids=["supplied", "diagnostic"])
+def test_witten_check_says_which_regular_term(tmp_path, capsys, text,
+                                              regular):
+    # the expansion's regular term is the quotient integral when the
+    # document supplies one, else the diagnostic rr - residues -
+    # exceptionals: the last text line and the json's `regular` say which
+    code, out, _ = run_input(capsys, tmp_path, text, "witten-check")
+    assert code == 0 and out.splitlines()[-1] == f"regular term: {regular}"
+    code, out, _ = run_input(capsys, tmp_path, text, "witten-check",
+                             "--format", "json")
+    assert code == 0 and json.loads(out)["regular"] == regular
+
+
 @pytest.mark.parametrize("command", ["rr", "character", "main-formula"])
 @pytest.mark.parametrize("edits", [
     [(("components", 0, "blocks", 0, "weight"), 10 ** 30)],

@@ -41,13 +41,3 @@ def test_total_counts_sections():
     # dim of degree-m monomials in n+1 variables
     assert sum(cpn_weights([0, 1, 2], 1, 4).counts.values()) == 15
     assert sum(cpn_weights([5, 5], 3, 2).counts.values()) == 7
-
-
-def test_invariant_count_matches_rr_invariant_everywhere():
-    from equiloc import builtin, builtin_names, builtin_oracle
-    from equiloc.quantize import rr_invariant
-    for name in builtin_names():
-        p = builtin(name)
-        for m in range(0, 9):
-            assert builtin_oracle(name, m).counts.get(0, 0) \
-                == rr_invariant(p, m), (name, m)

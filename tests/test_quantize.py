@@ -294,20 +294,16 @@ def _fraction_residues(F):
     return [(a + b) / 2 for a, b in zip(plus, minus)]
 
 
-@pytest.mark.parametrize("p", [builtin(name) for name in builtin_names()]
-                         + [cpn_linear([-1, 0, 1, 2], 1, shift=-1),
-                            cpn_linear([-2, 0, 1, 3], 1, shift=-2)],
-                         ids=lambda p: p.name)
-def test_integer_report_terms_match_fraction_pieces(p):
-    # the int numerators over one denominator against a Fraction Horner sum
-    # of the Fraction pieces, term by term and through the whole report, on
-    # every builtin and on two documents with nonzero exceptional terms
+def _check_integer_report(p, ms):
+    """The int numerators over one denominator against a Fraction Horner
+    sum of the Fraction pieces, term by term and through the whole report
+    at each m of ms."""
     regular = None
     if p.quotient is not None:
         q = p.quotient
         regular = [(q.kappa_todd * w).integrate()
                    for w in q.omega0.divided_powers()]
-    for m in range(41):
+    for m in ms:
         rep = main_formula_report(p, m)
         rest = Fraction(0)
         for F in p.f_zero():
@@ -327,8 +323,34 @@ def test_integer_report_terms_match_fraction_pieces(p):
                                           "supplied")
             assert rep.regular == _fraction_horner(regular, m)
             assert rep.balance is (rep.regular + rest == rep.rr) is True
+
+
+@pytest.mark.parametrize("p", [builtin(name) for name in builtin_names()]
+                         + [cpn_linear([-1, 0, 1, 2], 1, shift=-1),
+                            cpn_linear([-2, 0, 1, 3], 1, shift=-2)],
+                         ids=lambda p: p.name)
+def test_integer_report_terms_match_fraction_pieces(p):
+    # every builtin and two documents with nonzero exceptional terms
+    _check_integer_report(p, range(41))
     with pytest.raises(ValueError, match="m must be nonnegative"):
         main_formula_report(p, -1)
+
+
+def _flat(p):
+    """No positive-dimensional indefinite component at moment zero, whose
+    exceptional term a flat presentation cannot give."""
+    return all(F.dim_F == 0 or F.classification is not
+               Classification.INDEFINITE for F in p.f_zero())
+
+
+@settings(max_examples=60, deadline=None)
+@given(families.cases().map(lambda case: case.presentation).filter(_flat),
+       st.integers(0, 30))
+@example(cpn_linear([-1, 0, 2, 3, -2], 1), 5)
+def test_integer_report_terms_match_fraction_pieces_on_drawn_cases(p, start):
+    # the composed cases of `families`: products, shifts, powers and
+    # unions, whose moment-zero components meet over other denominators
+    _check_integer_report(p, range(start, start + 4))
 
 
 def test_report_balance_fails_on_a_wrong_regular_term():

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from equiloc.ring import (GradedElement, RingError, RingSpec, bernoulli,
@@ -191,6 +191,52 @@ def test_integration_is_linear(a, b, q):
               RING.scalar(int(q)), RING.one(), RING.zero()):
         assert_canonical(x)
     assert RING.scalar(0).terms == RING.zero().terms == {}
+
+
+# integrals with denominators other than 1, so that a factor dropped from
+# the int ratios that `pair` sums changes the value
+INTEGRALS = st.sampled_from([Fraction(1, 2), Fraction(-3, 4), Fraction(5, 6),
+                             Fraction(0), Fraction(2)])
+WEIGHTED = RingSpec(RING.generators, 4, {(2, 0): Fraction(1, 2),
+                                         (1, 1): Fraction(-3, 4),
+                                         (0, 2): Fraction(5, 6)})
+
+
+@st.composite
+def weighted_pairs(draw):
+    """Two elements of the surface ring under a drawn integration table."""
+    ring = RingSpec(RING.generators, 4, {mono: draw(INTEGRALS)
+                                         for mono in RING.integration_table})
+    return draw(elements(ring)), draw(elements(ring))
+
+
+def fraction_pair(a, b):
+    """int a * b by Fraction arithmetic, term by term: the reference."""
+    table = a.ring.integration_table
+    return sum((c1 * c2 * table.get(tuple(i + j for i, j in zip(m1, m2)), 0)
+                for m1, c1 in a.terms.items() for m2, c2 in b.terms.items()),
+               Fraction(0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_pairs())
+@example((WEIGHTED.zero(), WEIGHTED.one()))
+@example((GradedElement(WEIGHTED, {(0, 0): Fraction(-1, 6),
+                                   (1, 0): Fraction(2, 3),
+                                   (0, 1): Fraction(-5, 4),
+                                   (1, 1): Fraction(7, 10)}),
+          GradedElement(WEIGHTED, {(0, 0): Fraction(3, 2),
+                                   (1, 0): Fraction(3, 7),
+                                   (0, 1): Fraction(1, 2),
+                                   (0, 2): Fraction(-9, 8)})))
+def test_pair_and_integrate_match_fraction_arithmetic(pair):
+    a, b = pair
+    one, zero = a.ring.one(), a.ring.zero()
+    for x, y in ((a, b), (b, a), (a, one), (a, zero), (zero, b)):
+        got = x.pair(y)
+        assert got == fraction_pair(x, y) and type(got) is Fraction
+    got = a.integrate()
+    assert got == fraction_pair(a, one) and type(got) is Fraction
 
 
 @settings(max_examples=25, deadline=None)
