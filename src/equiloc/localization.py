@@ -15,7 +15,8 @@ polynomials in m of degree at most dim_F/2.  Their m-free coefficients
 (`chi_tilde_pieces`) are built once per component and kept on it
 (`FixedComponent.chi_pieces`): by the Eulerian identity, scalars
 int_F Td omega^j/j! prod b^t/t! times integer rows, of which the t = 0
-term alone is left where the roots b vanish, a closed form.
+term alone is left where the roots b vanish: a closed form that points of
+one weight multiset and volume share, kept per process like `normal_todd`.
 Components of one moment J, which share z^{mJ}, keep them summed as int
 rows over one scale and one denominator D, the least (1 - z^k) product
 that every denominator divides (`ManifoldPresentation.moment_groups`), so
@@ -29,7 +30,7 @@ the normal Todd product (`normal_todd`) stays here for `quantize`.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
@@ -57,19 +58,11 @@ def chi_tilde_pieces(F: FixedComponent) -> tuple[ZRational, ...]:
     int_F Td omega_F^j/j! prod b^t/t! times the int row prod R_t(z^|k|) over
     prod (1 - z^|k|)^{t+1} (`_eulerian_term`), all over one denominator.
     Where every root vanishes (at a point, say), t = 0 alone is left, with
-    R_0 = x^s: the closed form z^shift sign v_j / prod_k (1 - z^|k|), v_j
-    from `FixedComponent.volume_pieces` over their lcm, with the k from the
-    largest down (the division's order).
+    R_0 = x^s: a closed form in the weights and volumes (`_closed_form`).
     """
     if not any(root for _, root in F.normal):
-        sign, shift, den = 1, 0, {}
-        for k in sorted(F.weights(), key=abs, reverse=True):
-            if k < 0:
-                sign, shift = -sign, shift - k
-            den[abs(k)] = den.get(abs(k), 0) + 1
-        row, scale = over_lcm(F.volume_pieces)
-        return tuple(ZRational.from_row(shift, (sign * n,), scale, den)
-                     for n in row)
+        return _closed_form(tuple(sorted(F.weights())), tuple(
+            v.as_integer_ratio() for v in F.volume_pieces))
     # Td prod b^t/t! per choice of t, 0 just where prod b^t is (Td a unit)
     products = {(): F.todd}
     for k, root in F.normal:
@@ -87,6 +80,20 @@ def chi_tilde_pieces(F: FixedComponent) -> tuple[ZRational, ...]:
     return tuple(linear_sum((nums[i * len(omegas) + j], 0, q)
                             for i, q in enumerate(rows))
                  for j in range(len(omegas)))
+
+
+@lru_cache(maxsize=None)
+def _closed_form(weights: tuple[int, ...], volumes: tuple) -> tuple:
+    """z^shift sign v_j / prod_k (1 - z^|k|), k from the largest down, per
+    sorted weights and v_j as (n, d): ints hash in C, Fractions in Python."""
+    sign, shift, den = 1, 0, {}
+    for k in sorted(weights, key=abs, reverse=True):
+        if k < 0:
+            sign, shift = -sign, shift - k
+        den[abs(k)] = den.get(abs(k), 0) + 1
+    scale = lcm(*(d for _, d in volumes))
+    return tuple(ZRational.from_row(shift, (sign * n * (scale // d),), scale,
+                                    den) for n, d in volumes)
 
 
 @lru_cache(maxsize=None)

@@ -148,8 +148,9 @@ class FixedComponent(Record):
     @cached_property
     def volume_pieces(self) -> tuple[Fraction, ...]:
         """v_j = int_F Td omega^j/j!: int_F Td e^{m omega} = sum_j m^j v_j."""
-        if not self.omega:    # every point: one piece, and no ring walk
-            return (self.todd.integrate(),)
+        if not self.dim_F:    # a point: Td's scalar times its one integral
+            return (self.todd.scalar_part() * self.ring.integration_table.get(
+                (0,) * len(self.ring.generators), 0),)
         return tuple(map(self.todd.pair, self.omega.divided_powers()))
 
     @cached_property
@@ -270,7 +271,7 @@ def validate(p: ManifoldPresentation) -> list[Diagnostic]:
         bad("DimensionOdd", p.name, f"dim_M = {dim_M} must be even and >= 0")
     if not p.components:
         bad("NoComponents", p.name, "presentation has no fixed components")
-    seen = set()
+    seen, points = set(), {}
     for F in p.components:
         where = f"{p.name}/{F.name}"
         if F.name in seen:
@@ -289,10 +290,13 @@ def validate(p: ManifoldPresentation) -> list[Diagnostic]:
         if not any(F.ring.integration_table.values()):
             bad("IntegralsZero", where, "the ring integrates everything to 0")
         if F.dim_F == 0:
-            if F.ring != RingSpec.point():
+            pair = id(F.ring), id(F.todd)    # each pair compared once
+            ring_bad, todd_bad = points.get(pair) or points.setdefault(
+                pair, (F.ring != RingSpec.point(), F.todd != F.ring.one()))
+            if ring_bad:
                 bad("PointRingNotTrivial", where, "zero-dimensional component "
                     "must carry the point ring, whose integral is 1")
-            if F.todd != F.ring.one():
+            if todd_bad:
                 bad("PointToddNotOne", where, "todd must equal 1 at a point")
             if F.omega:
                 bad("PointOmegaNotZero", where, "omega must vanish at a point")
@@ -481,7 +485,7 @@ def parse(text: str) -> ManifoldPresentation:
         raise ParseError(f"an integer has more than "
                          f"{sys.get_int_max_str_digits()} digits") from e
     name, dim_M, comps_doc, q = _read(doc, "document", "")
-    memo: dict = {}    # rings and class expressions, for this call only
+    memo, block_memo = {}, {}    # this call's rings and classes; blocks apart
     components = []
     for idx, c in enumerate(comps_doc):
         where = f"components[{idx}]"
@@ -490,10 +494,12 @@ def parse(text: str) -> ManifoldPresentation:
         ring = _ring_from_doc(ring, where, memo)
         blocks = []
         for j, b in enumerate(blocks_doc):
-            weight, roots = _read(b, "block", f"{where}: blocks[{j}]")
-            blocks.append(NormalBlock(weight, tuple(
-                _expression(ring, r, f"{where}: chern root {i}", memo)
-                for i, r in enumerate(roots))))
+            if (key := (id(ring), repr(b))) not in block_memo:
+                weight, roots = _read(b, "block", f"{where}: blocks[{j}]")
+                block_memo[key] = NormalBlock(weight, tuple(
+                    _expression(ring, r, f"{where}: chern root {i}", memo)
+                    for i, r in enumerate(roots)))
+            blocks.append(block_memo[key])
         components.append(FixedComponent(
             cname, moment, ring,
             _expression(ring, todd, f"{where}: todd", memo),

@@ -34,13 +34,13 @@ terms), never silently invented.
 Every term is a polynomial in m with m-free coefficients, built once and
 kept on the frozen component or quotient data: a residue is linear, so the
 residue term has the residues of the pieces of chi_tilde as coefficients
-(`FixedComponent.residue_pieces`); the exceptional term of an isolated
-point does not depend on m (`FixedComponent.exceptional`); the supplied
-regular term int e^{m omega0} kappa has the coefficients
-int kappa omega0^j/j! (`QuotientData.regular_pieces`); all as int numerators
-over one denominator.  A report costs one character and, per value it
-returns, an int Horner sum and one Fraction; its diagnostic rr - residues -
-exceptionals reads their sum, kept as one int row over one lcm
+(`FixedComponent.residue_pieces`); the exceptional term of an isolated point
+depends on its weights alone (`_kernel`, `FixedComponent.exceptional`); the
+supplied regular term int e^{m omega0} kappa has the coefficients int kappa
+omega0^j/j! (`QuotientData.regular_pieces`); all as int numerators over one
+denominator.  A report costs one character and, per value it returns, an int
+Horner sum and one Fraction; its diagnostic rr - residues - exceptionals
+reads their sum, kept as one int row over one lcm
 (`ManifoldPresentation.formula_plan`), and its balance compares ints.
 """
 
@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from .ring import brief
@@ -104,12 +105,36 @@ def exceptional_term(F: FixedComponent) -> Fraction:
     rho_n read from the normal Todd product of F's weights
     (`localization.normal_todd`) at the one degree that contributes,
     n = l+ + l- - 1, which is the normal rank less one at an isolated
-    point, where int_F Td(F) is 1 (`model.validate`).  It does not depend
-    on m, since omega vanishes at a point; `FixedComponent.exceptional`
-    keeps it."""
-    n = len(F.normal) - 1
-    den, row = localization.normal_todd(tuple(sorted(F.weights())), n)
-    return exceptional_from_series(F, {n: Fraction(row[n], den)})
+    point, where int_F Td(F) is 1 (`model.validate`).  It depends on F's
+    weights alone (omega vanishes at a point), so past the checks it is
+    read from `_kernel`, kept per sorted weights."""
+    _check_exceptional(F)
+    ws = tuple(sorted(F.weights()))
+    den, row = localization.normal_todd(ws, len(ws) - 1)
+    return _kernel(ws, row[-1], den)
+
+
+def _check_exceptional(F: FixedComponent) -> None:
+    """Raise unless F is an isolated indefinite moment-zero component."""
+    if F.moment != 0:
+        raise ValueError("exceptional terms require moment zero")
+    if F.classification is not Classification.INDEFINITE:
+        raise ValueError(f"component {F.name} is {F.classification.value}; "
+                         "exceptional terms require an indefinite one")
+    if F.dim_F != 0:
+        raise Unsupported(
+            f"component {brief(F.name)}: a positive-dimensional indefinite "
+            "component's exceptional term needs sphere-bundle data, which a "
+            "flat presentation lacks")
+
+
+@lru_cache(maxsize=None)
+def _kernel(ws: tuple[int, ...], num: int, den: int) -> Fraction:
+    """(1/2 - p) rho_n / prod(-w), rho_n = num/den, ws sorted, in ints."""
+    n = len(ws) - 1
+    tail = sum(math.comb(n, i) for i in range(sum(w > 0 for w in ws), n + 1))
+    return Fraction(num * (2 ** n - 2 * tail),
+                    den * 2 ** (n + 1) * math.prod(-w for w in ws))
 
 
 def exceptional_from_series(F: FixedComponent,
@@ -143,22 +168,9 @@ def exceptional_from_series(F: FixedComponent,
     even.  In ints, tail = sum_{i=l+}^{n} C(n, i) gives one Fraction,
     (2^n - 2 tail) rho_n / (2^{n+1} prod(-w)).
     """
-    if F.moment != 0:
-        raise ValueError("exceptional terms require moment zero")
-    if F.classification is not Classification.INDEFINITE:
-        raise ValueError(f"component {F.name} is {F.classification.value}; "
-                         "exceptional terms require an indefinite one")
-    if F.dim_F != 0:
-        raise Unsupported(
-            f"component {brief(F.name)}: a positive-dimensional indefinite "
-            "component's exceptional term needs sphere-bundle data, which a "
-            "flat presentation lacks")
-    ws = F.weights()
-    n = len(ws) - 1
-    tail = sum(math.comb(n, i) for i in range(sum(w > 0 for w in ws), n + 1))
-    num, den = rho.get(n, 0).as_integer_ratio()
-    return Fraction(num * (2 ** n - 2 * tail),
-                    den * 2 ** (n + 1) * math.prod(-w for w in ws))
+    _check_exceptional(F)
+    ws = tuple(sorted(F.weights()))
+    return _kernel(ws, *rho.get(len(ws) - 1, 0).as_integer_ratio())
 
 
 def regular_term(p: ManifoldPresentation, m: int) -> tuple[Fraction, str]:

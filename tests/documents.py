@@ -184,6 +184,13 @@ RETYPED_RING = [
          "generators[0]: degree must be int, got True"),
         (("integrals", "h^1"), 1, "integral 'h^1' must be string, got 1")]]
 
+# A later component holds a block that reads like an earlier class string:
+# cp1's w0 has the chern root "0", and w1 the block 0.  A memo of blocks that
+# shared the class strings' keys would hand w1 that root as its block.
+REUSED_TEXT = [Rejected("block 0 after root 0", edited(
+    CP1, (("components", 1, "blocks"), [0])),
+    "components[1]: blocks[0] must be object, got 0", whole=True)]
+
 # Rings that integrate wrongly used to parse and give wrong numbers: cp1
 # with both point integrals "2" read rr_invariant 2 at m = 1 (it is 1),
 # with both "0" read 0, and trivial_cp1 without integrals read 0 at m = 3
@@ -334,5 +341,5 @@ LONG_VALUES = [
         "(4301 characters) is above the truncation degree 2", whole=True)]
 
 REJECTED = (MISTYPED + ZERO_DENOMINATOR + ABOVE_TRUNCATION + REPEATED_KEYS
-            + MISSHAPEN + REQUIRED + UNKNOWN_KEYS + RETYPED_RING + INVALID
-            + UNREADABLE + LONG_VALUES)
+            + MISSHAPEN + REQUIRED + UNKNOWN_KEYS + RETYPED_RING + REUSED_TEXT
+            + INVALID + UNREADABLE + LONG_VALUES)

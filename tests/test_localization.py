@@ -15,8 +15,10 @@ from equiloc.builders import (bundle_power, cpn_linear, product,
                               shift_moment, trivial_cp1)
 from equiloc.localization import character, chi_tilde, chi_tilde_pieces
 import equiloc.localization as localization
-from equiloc.model import FixedComponent, NormalBlock, replace
-from equiloc.quantize import residue_term
+from equiloc.model import (Classification, FixedComponent, NormalBlock,
+                           replace)
+from equiloc.quantize import (exceptional_from_series, exceptional_term,
+                              residue_term)
 from equiloc.oracle import convolve
 from equiloc.ring import RingError, RingSpec, bernoulli, todd_coefficient
 from equiloc.useries import (PreparedInner, component_u_laurent,
@@ -222,6 +224,41 @@ def test_normal_todd_table_matches_bernoulli(weights, top):
     assert {n - r: Fraction(c, den * scale)
             for n, c in enumerate(row) if c} == want
 
+
+
+def _point_pieces(F):
+    """The closed form of a point from its own volume, uncached: each
+    weight k < 0 turns 1/(1 - z^k) into -z^|k|/(1 - z^|k|)."""
+    negative = [k for k in F.weights() if k < 0]
+    den = {}
+    for k in F.weights():
+        den[abs(k)] = den.get(abs(k), 0) + 1
+    sign = (-1) ** len(negative)
+    return tuple(ZRational(-sum(negative), {0: sign * v}, den)
+                 for v in F.volume_pieces)
+
+
+@settings(max_examples=40, deadline=None)
+@given(families.cases().map(lambda case: case.presentation).filter(
+    lambda p: any(F.dim_F == 0 for F in p.components)), st.integers(-1, 3))
+@example(builtin("dim6"), 2)
+def test_point_pieces_and_exceptional_terms_match_a_direct_computation(p, c):
+    # a point's pieces and exceptional term are kept per sorted weights
+    # (and volume): each equals a computation from the point's own data,
+    # and a copy with todd c, computed after the point, has c times its
+    # pieces, never the entry of volume 1
+    points = [F for F in p.components if F.dim_F == 0]
+    for F in points:
+        G = replace(F, todd=F.ring.scalar(c))
+        assert F.chi_pieces == _point_pieces(F), (p.name, F.name)
+        assert G.chi_pieces == _point_pieces(G) == tuple(
+            linear_sum([(c, 0, P)]) for P in F.chi_pieces), (p.name, F.name)
+        if F.classification is Classification.INDEFINITE:
+            F = replace(F, moment=0)
+            n = len(F.normal) - 1
+            den, row = localization.normal_todd(tuple(sorted(F.weights())), n)
+            assert exceptional_term(F) == exceptional_from_series(
+                F, {n: Fraction(row[n], den)}), (p.name, F.name)
 
 def _piece_presentations():
     """Every builtin; the product with a trivially acted-on sphere, whose

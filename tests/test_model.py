@@ -12,7 +12,7 @@ from hypothesis import given, settings
 import families
 from documents import (ABOVE_TRUNCATION, INVALID, LONG_VALUES, MISSHAPEN,
                        MISTYPED, OPTIONAL, REPEATED_KEYS, REQUIRED,
-                       RETYPED_RING, UNKNOWN_KEYS, UNREADABLE,
+                       RETYPED_RING, REUSED_TEXT, UNKNOWN_KEYS, UNREADABLE,
                        ZERO_DENOMINATOR, node)
 from equiloc.builders import (bundle_power, cpn_linear, disjoint_union,
                               product, projective_ring, shift_moment,
@@ -206,6 +206,14 @@ def test_parse_reads_each_distinct_block_once_per_call():
 
     assert not {id(x) for x in objects(p)} & {id(x) for x in objects(q)}
     assert serialize(p) == serialize(q) == text
+    # one block text in two rings: the points and the spheres of cp1 x cp001
+    # both hold {"chern_roots": ["0"], "weight": 1}, each root in its own ring
+    text = serialize(product(builtin("cp1"), builtin("cp001")))
+    p = parse(text)
+    assert len({id(F.ring) for F in p.components}) == 2
+    assert all(r.ring is F.ring for F in p.components for b in F.blocks
+               for r in b.chern_roots)
+    assert serialize(p) == text
 
 
 def rejecting(table):
@@ -227,7 +235,8 @@ test_parse_rejects_repeated_keys = rejecting(REPEATED_KEYS)
 test_parse_rejects_misshapen_fields = rejecting(MISSHAPEN)
 test_parse_names_a_missing_required_key = rejecting(REQUIRED)
 test_parse_rejects = rejecting(
-    UNKNOWN_KEYS + RETYPED_RING + INVALID + UNREADABLE + LONG_VALUES)
+    UNKNOWN_KEYS + RETYPED_RING + REUSED_TEXT + INVALID + UNREADABLE
+    + LONG_VALUES)
 
 
 def test_parse_error_keeps_every_diagnostic():

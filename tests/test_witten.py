@@ -198,12 +198,6 @@ def test_expansion_rhs_regval_is_polynomial_term_only():
         assert expansion_rhs(p, PHI, m) == 1
 
 
-def test_decay_cp1():
-    rep = decay_check(builtin("cp1"), PHI, [8, 16, 32, 64])
-    assert rep.exponent <= -3 or max(rep.diffs) <= 1e-8
-    assert rep.diffs[-1] < 1e-5
-
-
 def test_decay_prod11_with_diagnostic_regular():
     rep = decay_check(builtin("prod11"), PHI, [8, 16, 32, 64])
     assert rep.exponent <= -2
