@@ -225,7 +225,6 @@ def test_normal_todd_table_matches_bernoulli(weights, top):
             for n, c in enumerate(row) if c} == want
 
 
-
 def _point_pieces(F):
     """The closed form of a point from its own volume, uncached: each
     weight k < 0 turns 1/(1 - z^k) into -z^|k|/(1 - z^|k|)."""
@@ -247,8 +246,7 @@ def test_point_pieces_and_exceptional_terms_match_a_direct_computation(p, c):
     # (and volume): each equals a computation from the point's own data,
     # and a copy with todd c, computed after the point, has c times its
     # pieces, never the entry of volume 1
-    points = [F for F in p.components if F.dim_F == 0]
-    for F in points:
+    for F in [F for F in p.components if F.dim_F == 0]:
         G = replace(F, todd=F.ring.scalar(c))
         assert F.chi_pieces == _point_pieces(F), (p.name, F.name)
         assert G.chi_pieces == _point_pieces(G) == tuple(
@@ -259,6 +257,7 @@ def test_point_pieces_and_exceptional_terms_match_a_direct_computation(p, c):
             den, row = localization.normal_todd(tuple(sorted(F.weights())), n)
             assert exceptional_term(F) == exceptional_from_series(
                 F, {n: Fraction(row[n], den)}), (p.name, F.name)
+
 
 def _piece_presentations():
     """Every builtin; the product with a trivially acted-on sphere, whose
